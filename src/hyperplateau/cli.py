@@ -25,7 +25,7 @@ from .errors import (
     NonConvergenceError,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 COMMANDS = ("verify-f", "solve", "sweep", "cap", "check-estimates", "refine")
 FAMILIES = {
@@ -50,8 +50,6 @@ _DEFAULTS = {
     "seed": 0,
     "samples": 10000,
     "levels": 2,
-    "threads": 1,
-    "jacobian": "finite_difference",
     "out": ".",
     "export": ["report-json"],
 }
@@ -61,6 +59,21 @@ _KNOWN_KEYS = {"command"} | set(_DEFAULTS)
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
+    """Convert cfg[key] in place with `kind` (int, float, or a function of
+    the value); on failure record a violation and return False."""
+    try:
+        cfg[key] = kind(cfg[key])
+    except (TypeError, ValueError):
+        violations.append(f"{key} has an invalid value {cfg[key]!r}")
+        return False
+    return True
+
+
+def _floats(values):
+    return [float(v) for v in values]
 
 
 def validate_config(raw: dict) -> dict:
@@ -93,10 +106,8 @@ def validate_config(raw: dict) -> dict:
         if cfg["family"] == "general_quotient":
             if cfg["l"] is None:
                 violations.append("general_quotient requires l")
-            else:
-                cfg["l"] = int(cfg["l"])
-                if not 0 <= cfg["l"] < cfg["k"]:
-                    violations.append(f"general_quotient needs 0 <= l < k, got l={cfg['l']}, k={cfg['k']}")
+            elif _convert(cfg, "l", int, violations) and not 0 <= cfg["l"] < cfg["k"]:
+                violations.append(f"general_quotient needs 0 <= l < k, got l={cfg['l']}, k={cfg['k']}")
         elif cfg["l"] is not None:
             violations.append("l is only meaningful for general_quotient")
 
@@ -106,52 +117,36 @@ def validate_config(raw: dict) -> dict:
         axes = cfg.get("axes")
         if not (isinstance(axes, (list, tuple)) and len(axes) == 2):
             violations.append("ellipse requires axes = [a_axis, b_axis]")
-        else:
-            cfg["axes"] = [float(axes[0]), float(axes[1])]
+        elif _convert(cfg, "axes", _floats, violations):
             if not cfg["axes"][0] >= cfg["axes"][1] > 0:
                 violations.append("ellipse needs a_axis >= b_axis > 0")
-    else:
-        cfg["radius"] = float(cfg["radius"])
-        if cfg["radius"] <= 0:
-            violations.append("radius must be positive")
+    elif _convert(cfg, "radius", float, violations) and cfg["radius"] <= 0:
+        violations.append("radius must be positive")
 
     needs_sigma = command in ("solve", "cap", "check-estimates", "refine")
     if needs_sigma:
         if cfg["sigma"] is None:
             violations.append(f"command {command!r} requires sigma")
-        else:
-            cfg["sigma"] = float(cfg["sigma"])
-            if not 0.0 < cfg["sigma"] < 1.0:
-                violations.append(f"sigma must lie in (0, 1), got {cfg['sigma']}")
+        elif _convert(cfg, "sigma", float, violations) and not 0.0 < cfg["sigma"] < 1.0:
+            violations.append(f"sigma must lie in (0, 1), got {cfg['sigma']}")
     if command == "sweep":
-        sigmas = cfg.get("sigmas")
-        if not sigmas:
+        if not cfg.get("sigmas"):
             violations.append("sweep requires sigmas")
-        else:
-            cfg["sigmas"] = [float(s) for s in sigmas]
+        elif _convert(cfg, "sigmas", _floats, violations):
             if any(not 0.0 < s < 1.0 for s in cfg["sigmas"]):
                 violations.append("every sweep sigma must lie in (0, 1)")
             if sorted(cfg["sigmas"], reverse=True) != cfg["sigmas"]:
                 violations.append("sweep sigmas must be sorted descending")
 
-    cfg["grid"] = int(cfg["grid"])
-    if cfg["grid"] < 8:
+    if _convert(cfg, "grid", int, violations) and cfg["grid"] < 8:
         violations.append(f"grid must be >= 8, got {cfg['grid']}")
-    cfg["epsilon_min"] = float(cfg["epsilon_min"])
-    if not 0.0 < cfg["epsilon_min"] < 0.1:
+    if _convert(cfg, "epsilon_min", float, violations) and not 0.0 < cfg["epsilon_min"] < 0.1:
         violations.append("epsilon_min must lie in (0, 0.1)")
-    cfg["seed"] = int(cfg["seed"])
-    cfg["samples"] = int(cfg["samples"])
-    if cfg["samples"] < 1:
+    _convert(cfg, "seed", int, violations)
+    if _convert(cfg, "samples", int, violations) and cfg["samples"] < 1:
         violations.append("samples must be >= 1")
-    cfg["levels"] = int(cfg["levels"])
-    if command == "refine" and cfg["levels"] < 2:
+    if _convert(cfg, "levels", int, violations) and command == "refine" and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
-    cfg["threads"] = int(cfg["threads"])
-    if cfg["threads"] < 1:
-        violations.append("threads must be >= 1")
-    if cfg["jacobian"] not in ("finite_difference", "analytic_Fij"):
-        violations.append(f"unknown jacobian mode {cfg['jacobian']!r}")
 
     if isinstance(cfg["export"], str):
         cfg["export"] = [e for e in cfg["export"].split(",") if e]
@@ -188,7 +183,6 @@ def _solver_config(cfg: dict) -> solver.SolverConfig:
         sigma_target=cfg["sigma"],
         grid_size=cfg["grid"],
         epsilon_min=cfg["epsilon_min"],
-        jacobian_mode=cfg["jacobian"],
     )
 
 
@@ -454,8 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
         p.add_argument("--levels", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--jacobian", choices=["finite_difference", "analytic_Fij"])
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--export", help="comma-separated subset of "
                                         "report-json,table-csv,mesh-obj")
@@ -474,8 +466,7 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict:
             raise ConfigError(["config file must contain a JSON object"])
     raw["command"] = args.command
     for key in ("family", "k", "l", "n", "shape", "radius", "sigma", "grid",
-                "epsilon_min", "seed", "samples", "levels", "threads",
-                "jacobian", "out", "export"):
+                "epsilon_min", "seed", "samples", "levels", "out", "export"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val

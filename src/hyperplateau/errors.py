@@ -21,7 +21,7 @@ class AdmissibilityLostError(RuntimeError):
     """Residual evaluation hit inadmissible curvatures at one or more nodes."""
 
     def __init__(self, nodes, message=None):
-        self.nodes = list(nodes)
+        self.nodes = [int(i) for i in nodes]
         super().__init__(message or f"curvature left the cone at nodes {self.nodes[:8]}"
                          + ("..." if len(self.nodes) > 8 else ""))
 

@@ -11,50 +11,80 @@ stiff stencil map.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
-from . import hypgeom, symfunc
-from .errors import (
-    AdmissibilityLostError,
-    NonConvergenceError,
-    SingularJacobianError,
-)
+# `solver` imports this module too; each uses the other's names only at call time
+from . import hypgeom, solver, symfunc
+from .errors import AdmissibilityLostError, SingularJacobianError
 
 
-@dataclass(frozen=True)
 class GridLayout:
-    xs: np.ndarray
-    ys: np.ndarray
-    hx: float
-    hy: float
-    inside: np.ndarray  # boolean (nx, ny); True = interior unknown
-    a_axis: float
-    b_axis: float
+    """Node heights on the ellipse's bounding box.  Nodes strictly inside
+    the ellipse, off the outer frame, are unknowns of the curvature
+    equation; every other node carries the boundary height.  The Jacobian
+    is a sparse nine-point matrix over all nodes."""
+
+    def __init__(self, spec: symfunc.CurvatureSpec, domain: hypgeom.Domain, grid_size: int):
+        self.spec, self.domain = spec, domain
+        a, b = domain.params
+        nx = grid_size + 1
+        ny = max(int(round(grid_size * b / a)), 8) + 1
+        self.xs = np.linspace(-a, a, nx)
+        self.ys = np.linspace(-b, b, ny)
+        self.hx = self.xs[1] - self.xs[0]
+        self.hy = self.ys[1] - self.ys[0]
+        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        # squared elliptical level of every node: 1 on the rim
+        self.level = (X / a) ** 2 + (Y / b) ** 2
+        inside = self.level < 1.0
+        # interior unknowns need the full nine-point neighborhood on the grid
+        inside[0, :] = inside[-1, :] = False
+        inside[:, 0] = inside[:, -1] = False
+        self.inside = inside
 
     @property
     def shape(self):
         return self.inside.shape
 
+    def residual(self, U, sigma, epsilon):
+        return residual_grid(U, self.spec, sigma, epsilon, self)
 
-def make_layout(domain: hypgeom.Domain, grid_size: int) -> GridLayout:
-    a, b = domain.params
-    nx = grid_size + 1
-    ny = max(int(round(grid_size * b / a)), 8) + 1
-    xs = np.linspace(-a, a, nx)
-    ys = np.linspace(-b, b, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    level = (X / a) ** 2 + (Y / b) ** 2
-    inside = level < 1.0
-    # interior unknowns need the full nine-point neighborhood on the grid
-    inside[0, :] = inside[-1, :] = False
-    inside[:, 0] = inside[:, -1] = False
-    return GridLayout(xs=xs, ys=ys, hx=xs[1] - xs[0], hy=ys[1] - ys[0],
-                      inside=inside, a_axis=a, b_axis=b)
+    def jacobian(self, U):
+        return _jacobian_grid(U, self.spec, self)
+
+    def solve(self, J, rhs):
+        try:
+            return splu(J.tocsc()).solve(rhs).reshape(self.shape)
+        except RuntimeError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+
+    def initial(self, sigma, epsilon):
+        """Cap of the inscribed ball, carried along the elliptical level sets
+        so it meets the boundary height on the rim."""
+        b = self.domain.params[1]
+        cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
+        U = cap.height(np.minimum(np.sqrt(self.level), 1.0) * b)
+        U[~self.inside] = epsilon
+        return U
+
+    def u0(self, U):
+        return float(np.max(U[self.inside]))
+
+    def summary(self, U):
+        """(largest interior curvature, smallest interior nu^{n+1})."""
+        kappa, w = _interior_curvatures(U, self)
+        return float(np.max(kappa)), float(np.min(1.0 / w))
+
+    def solution(self, U, sigma, epsilon, report=None):
+        kappa, w = _interior_curvatures(U, self)
+        ins = self.inside
+        return solver.GraphSolution(
+            domain=self.domain, spec=self.spec, sigma=sigma, epsilon=epsilon, kind="grid",
+            u=U[ins].copy(), kappa=kappa, nu_vertical=1.0 / w, w=w, report=report,
+            xs=self.xs, ys=self.ys, mask=ins, u2d=U,
+        )
 
 
 def _jet_fields(U: np.ndarray, layout: GridLayout):
@@ -102,6 +132,12 @@ def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
     return np.stack([mean + rad, mean - rad], axis=-1), w
 
 
+def _interior_curvatures(U: np.ndarray, layout: GridLayout):
+    ins = layout.inside
+    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
+    return principal_curvatures_2d(U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins])
+
+
 def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
                   epsilon: float, layout: GridLayout) -> np.ndarray:
     """Flat residual over all nodes: f(kappa) - sigma at interior unknowns,
@@ -110,10 +146,7 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
     bad = np.flatnonzero((U[ins] <= 0.0))
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
-    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    kappa, _ = principal_curvatures_2d(
-        U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]
-    )
+    kappa, _ = _interior_curvatures(U, layout)
     ok = np.atleast_1d(symfunc.cone_contains(kappa, spec.cone_index))
     if not ok.all():
         raise AdmissibilityLostError(np.flatnonzero(~ok))
@@ -180,123 +213,6 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
     )
 
 
-def _newton_solve_grid(U, spec, sigma, epsilon, layout, cfg):
-    norm = float(np.max(np.abs(residual_grid(U, spec, sigma, epsilon, layout))))
-    for _it in range(cfg.max_newton_iters):
-        if norm <= cfg.newton_tol:
-            return U, _it, norm
-        base = residual_grid(U, spec, sigma, epsilon, layout)
-        J = _jacobian_grid(U, spec, layout)
-        try:
-            delta = splu(J.tocsc()).solve(-base)
-        except RuntimeError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobianError("linear solve produced non-finite update")
-        delta = delta.reshape(layout.shape)
-        t = 1.0
-        accepted = False
-        for _ in range(cfg.max_damping_steps + 1):
-            trial = U + t * delta
-            try:
-                r = residual_grid(trial, spec, sigma, epsilon, layout)
-            except AdmissibilityLostError:
-                t *= cfg.damping_factor
-                continue
-            new_norm = float(np.max(np.abs(r)))
-            if new_norm < norm or new_norm <= cfg.newton_tol:
-                U, norm = trial, new_norm
-                accepted = True
-                break
-            t *= cfg.damping_factor
-        if not accepted:
-            raise NonConvergenceError(
-                f"backtracking exhausted {cfg.max_damping_steps} halvings "
-                f"(grid, sigma={sigma}, eps={epsilon})"
-            )
-    if norm <= cfg.newton_tol:
-        return U, cfg.max_newton_iters, norm
-    raise NonConvergenceError(
-        f"Newton stalled at residual {norm:.3e} (grid, sigma={sigma}, eps={epsilon})"
-    )
-
-
-def _initial_height(layout: GridLayout, sigma: float, epsilon: float) -> np.ndarray:
-    """Cap of the inscribed ball, carried along the elliptical level sets so
-    it meets the boundary height on the rim."""
-    b = layout.b_axis
-    cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
-    X, Y = np.meshgrid(layout.xs, layout.ys, indexing="ij")
-    s = np.sqrt((X / layout.a_axis) ** 2 + (Y / b) ** 2)
-    U = cap.height(np.minimum(s, 1.0) * b)
-    U[~layout.inside] = epsilon
-    return U
-
-
-def _assemble_grid_solution(U, spec, domain, sigma, epsilon, layout, report):
-    from .solver import GraphSolution  # local import to avoid a cycle
-
-    ins = layout.inside
-    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    kappa, w = principal_curvatures_2d(
-        U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]
-    )
-    return GraphSolution(
-        domain=domain, spec=spec, sigma=sigma, epsilon=epsilon, kind="grid",
-        u=U[ins].copy(), kappa=kappa, nu_vertical=1.0 / w, w=w, report=report,
-        xs=layout.xs, ys=layout.ys, mask=ins, u2d=U,
-    )
-
-
 def continuation_solve_grid(cfg):
-    """Grid analogue of the radial continuation: sigma marches down first at
-    the initial boundary height, then the boundary height shrinks."""
-    from .solver import SolveReport, _march  # local import to avoid a cycle
-
-    t0 = time.perf_counter()
-    spec = cfg.spec
-    layout = make_layout(cfg.domain, cfg.grid_size)
-    eps0 = cfg.epsilon_schedule[0]
-    U = _initial_height(layout, cfg.sigma_schedule[0], eps0)
-
-    iters = []
-    U, it = _march(
-        U, spec, None, cfg, cfg.sigma_schedule,
-        lambda v, s: _newton_solve_grid(v, spec, s, eps0, layout, cfg),
-    )
-    iters.extend(it)
-
-    u0_by_eps = {}
-
-    def record(v, e):
-        u0_by_eps[float(e)] = float(np.max(v[layout.inside]))
-
-    U, it = _march(
-        U, spec, None, cfg, cfg.epsilon_schedule,
-        lambda v, e: _newton_solve_grid(v, spec, cfg.sigma_target, e, layout, cfg),
-        record=record,
-    )
-    iters.extend(it)
-
-    epsilon = cfg.epsilon_schedule[-1]
-    final = residual_grid(U, spec, cfg.sigma_target, epsilon, layout)
-    ins = layout.inside
-    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    kappa, w = principal_curvatures_2d(
-        U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]
-    )
-    report = SolveReport(
-        converged=True,
-        final_residual=float(np.max(np.abs(final))),
-        newton_iterations=iters,
-        kappa_max=float(np.max(kappa)),
-        min_nu_vertical=float(np.min(1.0 / w)),
-        admissibility_violations=0,
-        wall_time=time.perf_counter() - t0,
-        sigma=cfg.sigma_target,
-        epsilon=epsilon,
-        grid_size=cfg.grid_size,
-        u0_by_epsilon=u0_by_eps,
-    )
-    return _assemble_grid_solution(U, spec, cfg.domain, cfg.sigma_target,
-                                   epsilon, layout, report)
+    """Continuation solve of a resolved ellipse config on its tensor grid."""
+    return solver.solve_on(GridLayout(cfg.spec, cfg.domain, cfg.grid_size), cfg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import hypgeom, symfunc
+from . import grid, hypgeom, symfunc
 from .errors import (
     AdmissibilityLostError,
     NonConvergenceError,
@@ -67,7 +67,6 @@ class SolverConfig:
     max_newton_iters: int = 50
     damping_factor: float = 0.5
     max_damping_steps: int = 20
-    jacobian_mode: str = "finite_difference"  # or "analytic_Fij"
 
     def resolved(self) -> "SolverConfig":
         cfg = replace(self)
@@ -87,8 +86,6 @@ class SolverConfig:
             raise ValueError("sigma schedule must be strictly monotone")
         if cfg.newton_tol is None:
             cfg.newton_tol = 1e-10 if cfg.domain.shape == hypgeom.SHAPE_BALL else 1e-8
-        if cfg.jacobian_mode not in ("finite_difference", "analytic_Fij"):
-            raise ValueError(f"unknown jacobian_mode {cfg.jacobian_mode!r}")
         return cfg
 
 
@@ -248,56 +245,64 @@ def _jacobian_fd(u, spec, rho, n, step: float = 1e-6):
     return _assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
 
 
-def _jacobian_analytic(u, spec, sigma, epsilon, rho, n):
-    """Chain rule through the curvature-function gradient and the radial jet
-    map; same tridiagonal banded layout as the finite-difference path."""
-    h = rho[1] - rho[0]
-    up, upp = _radial_derivatives(u, h)
-    kappa, w, _ = _radial_kappa(u, rho, n)
-    g = symfunc.grad_f(spec, kappa[:-1], check_cone=False)
-    f_rad = g[:, 0]
-    f_tan = np.sum(g[:, 1:], axis=1)
+class RadialLayout:
+    """Profile heights on a uniform grid over [0, R]: the symmetry node at
+    the axis, interior nodes, and the Dirichlet node at the rim.  The
+    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout."""
 
-    ui, upi, uppi, rhoi, wi = u[:-1], up[:-1], upp[:-1], rho[:-1], w[:-1]
-    dkr_du = uppi / wi**3
-    dkr_dup = -3.0 * ui * uppi * upi / wi**5 - upi / wi**3
-    dkr_dupp = ui / wi**3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dkt_du = np.where(rhoi > 0, upi / (rhoi * wi), uppi)
-        dkt_dup = np.where(
-            rhoi > 0,
-            ui / (rhoi * wi) - ui * upi**2 / (rhoi * wi**3) - upi / wi**3,
-            0.0,
+    def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
+        self.spec, self.domain = spec, domain
+        self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
+
+    def residual(self, u, sigma, epsilon):
+        return residual(u, self.spec, sigma, epsilon, self.rho)
+
+    def jacobian(self, u):
+        return _jacobian_fd(u, self.spec, self.rho, self.spec.n)
+
+    def solve(self, ab, rhs):
+        try:
+            return solve_banded((1, 1), ab, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+
+    def initial(self, sigma, epsilon):
+        cap = hypgeom.make_cap_with_boundary_height(self.domain.params[0], sigma, epsilon)
+        u = cap.height(self.rho)
+        u[-1] = epsilon
+        return u
+
+    def u0(self, u):
+        return float(u[0])
+
+    def summary(self, u):
+        """(largest interior curvature, smallest interior nu^{n+1})."""
+        kappa, w, _ = _radial_kappa(u, self.rho, self.spec.n)
+        return float(np.max(kappa[:-1])), float(np.min(1.0 / w[:-1]))
+
+    def solution(self, u, sigma, epsilon, report=None) -> GraphSolution:
+        kappa, w, up = _radial_kappa(u, self.rho, self.spec.n)
+        return GraphSolution(
+            domain=self.domain, spec=self.spec, sigma=sigma, epsilon=epsilon,
+            kind="radial", u=u, kappa=kappa, nu_vertical=1.0 / w, w=w,
+            rho=self.rho, up=up, report=report,
         )
-    dkt_dupp = np.where(rhoi > 0, 0.0, ui)
-    dkr_du = np.where(rhoi > 0, dkr_du, uppi)
-    dkr_dup = np.where(rhoi > 0, dkr_dup, 0.0)
-    dkr_dupp = np.where(rhoi > 0, dkr_dupp, ui)
-
-    dres_du = f_rad * dkr_du + f_tan * dkt_du
-    dres_dup = f_rad * dkr_dup + f_tan * dkt_dup
-    dres_dupp = f_rad * dkr_dupp + f_tan * dkt_dupp
-    return _assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
 
 
-def newton_step(u, spec, sigma, epsilon, rho, config: SolverConfig):
-    """One damped Newton step.  Backtracking keeps every trial iterate
-    admissible and requires the residual sup-norm to not increase."""
-    n = spec.n
+# ---------------------------------------------------------------------------
+# Newton and continuation, written once against a layout: RadialLayout above
+# or grid.GridLayout.  A layout maps a state u to its residual and Jacobian,
+# solves the linearized system (raising SingularJacobianError), seeds u from
+# the cap, and turns a converged u into a summary and a GraphSolution.
 
-    def resfun(v):
-        return residual(v, spec, sigma, epsilon, rho, n)
 
-    base = resfun(u)
-    base_norm = float(np.max(np.abs(base)))
-    if config.jacobian_mode == "analytic_Fij":
-        ab = _jacobian_analytic(u, spec, sigma, epsilon, rho, n)
-    else:
-        ab = _jacobian_fd(u, spec, rho, n)
-    try:
-        delta = solve_banded((1, 1), ab, -base)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(str(exc)) from exc
+def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig):
+    """One damped Newton step from u, whose residual is res.  Backtracking
+    keeps every trial iterate admissible and requires the residual sup-norm
+    to not increase.  Returns (new u, step sup-norm, new residual sup-norm,
+    new residual)."""
+    norm = float(np.max(np.abs(res)))
+    delta = layout.solve(layout.jacobian(u), -res)
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("linear solve produced non-finite update")
 
@@ -305,27 +310,28 @@ def newton_step(u, spec, sigma, epsilon, rho, config: SolverConfig):
     for _ in range(config.max_damping_steps + 1):
         trial = u + t * delta
         try:
-            r = resfun(trial)
+            r = layout.residual(trial, sigma, epsilon)
         except AdmissibilityLostError:
             t *= config.damping_factor
             continue
-        norm = float(np.max(np.abs(r)))
-        if norm < base_norm or norm <= config.newton_tol:
-            return trial, float(np.max(np.abs(t * delta))), norm
+        trial_norm = float(np.max(np.abs(r)))
+        if trial_norm < norm or trial_norm <= config.newton_tol:
+            return trial, float(np.max(np.abs(t * delta))), trial_norm, r
         t *= config.damping_factor
     raise NonConvergenceError(
         f"backtracking exhausted {config.max_damping_steps} halvings at sigma={sigma}, eps={epsilon}"
     )
 
 
-def _newton_solve(u, spec, sigma, epsilon, rho, config: SolverConfig):
-    norm = float(np.max(np.abs(residual(u, spec, sigma, epsilon, rho, spec.n))))
+def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig):
+    res = layout.residual(u, sigma, epsilon)
+    norm = float(np.max(np.abs(res)))
     step_norm = None
     for it in range(config.max_newton_iters):
         if norm <= config.newton_tol:
             return u, it, norm
         try:
-            u, step_norm, norm = newton_step(u, spec, sigma, epsilon, rho, config)
+            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, config)
         except NonConvergenceError:
             # stagnation at the round-off floor of the 1/h^2 stencils: the
             # update has collapsed to rounding noise while the residual sits
@@ -344,8 +350,9 @@ def _newton_solve(u, spec, sigma, epsilon, rho, config: SolverConfig):
     )
 
 
-def _march(u, spec, rho, config, values, solve_at, record=None):
-    """Walk a continuation schedule with up-to-8-deep step bisection."""
+def _march(u, values, solve_at, record=None):
+    """Walk a continuation schedule with up-to-8-deep step bisection;
+    returns the final state and the Newton iterations of every step."""
     iters = []
     current = None
     for target in values:
@@ -369,12 +376,58 @@ def _march(u, spec, rho, config, values, solve_at, record=None):
     return u, iters
 
 
-def _assemble_radial(u, spec, domain, sigma, epsilon, rho, report) -> GraphSolution:
-    kappa, w, up = _radial_kappa(u, rho, spec.n)
-    return GraphSolution(
-        domain=domain, spec=spec, sigma=sigma, epsilon=epsilon, kind="radial",
-        u=u, kappa=kappa, nu_vertical=1.0 / w, w=w, rho=rho, up=up, report=report,
+def _continue(layout, cfg: SolverConfig):
+    """From the cap seed, march sigma down at the first boundary height, then
+    shrink the boundary height.  Returns the final state, the Newton
+    iterations of every step, and the center height at each scheduled
+    boundary height."""
+    eps0 = cfg.epsilon_schedule[0]
+    u, iters = _march(
+        layout.initial(cfg.sigma_schedule[0], eps0), cfg.sigma_schedule,
+        lambda v, s: _newton_solve(layout, v, s, eps0, cfg),
     )
+    u0_by_eps = {}
+
+    def record(v, e):
+        u0_by_eps[float(e)] = layout.u0(v)
+
+    u, more = _march(
+        u, cfg.epsilon_schedule,
+        lambda v, e: _newton_solve(layout, v, cfg.sigma_target, e, cfg),
+        record=record,
+    )
+    return u, iters + more, u0_by_eps
+
+
+def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
+    """Continuation solve of a resolved config on the given layout."""
+    t0 = time.perf_counter()
+    u, iters, u0_by_eps = _continue(layout, cfg)
+    epsilon = cfg.epsilon_schedule[-1]
+    final = layout.residual(u, cfg.sigma_target, epsilon)
+    kappa_max, min_nu = layout.summary(u)
+    report = SolveReport(
+        converged=True,
+        final_residual=float(np.max(np.abs(final))),
+        newton_iterations=iters,
+        kappa_max=kappa_max,
+        min_nu_vertical=min_nu,
+        admissibility_violations=0,
+        wall_time=time.perf_counter() - t0,
+        sigma=cfg.sigma_target,
+        epsilon=epsilon,
+        grid_size=cfg.grid_size,
+        u0_by_epsilon=u0_by_eps,
+    )
+    return layout.solution(u, cfg.sigma_target, epsilon, report)
+
+
+def _layout(cfg: SolverConfig):
+    if cfg.domain.shape == hypgeom.SHAPE_ELLIPSE:
+        return grid.GridLayout(cfg.spec, cfg.domain, cfg.grid_size)
+    if cfg.domain.shape != hypgeom.SHAPE_BALL:
+        raise UnsupportedSolutionError(f"solver does not support shape {cfg.domain.shape!r}")
+    return RadialLayout(cfg.spec, cfg.domain, cfg.grid_size)
 
 
 def radial_solution_from_profile(spec: CurvatureSpec, domain: Domain, sigma: float,
@@ -383,68 +436,19 @@ def radial_solution_from_profile(spec: CurvatureSpec, domain: Domain, sigma: flo
     for oracle solutions such as caps and horospheres)."""
     if domain.shape != hypgeom.SHAPE_BALL:
         raise UnsupportedSolutionError("profile sampling needs a ball domain")
-    R = domain.params[0]
-    rho = np.linspace(0.0, R, grid_size + 1)
-    u = np.maximum(np.asarray(height_fn(rho), dtype=float), max(epsilon, 1e-300))
-    return _assemble_radial(u, spec, domain, sigma, epsilon, rho, None)
+    layout = RadialLayout(spec, domain, grid_size)
+    u = np.maximum(np.asarray(height_fn(layout.rho), dtype=float), max(epsilon, 1e-300))
+    return layout.solution(u, sigma, epsilon)
 
 
 def continuation_solve(config: SolverConfig) -> GraphSolution:
     """Solve to (sigma_target, min epsilon) by continuation in sigma then in
-    the boundary height, Newton-iterating at every step."""
+    the boundary height, Newton-iterating at every step.  Ellipses go
+    through the grid path's entry point, grid.continuation_solve_grid."""
     cfg = config.resolved()
     if cfg.domain.shape == hypgeom.SHAPE_ELLIPSE:
-        from . import grid as _grid
-
-        return _grid.continuation_solve_grid(cfg)
-    if cfg.domain.shape != hypgeom.SHAPE_BALL:
-        raise UnsupportedSolutionError(f"solver does not support shape {cfg.domain.shape!r}")
-
-    t0 = time.perf_counter()
-    spec = cfg.spec
-    R = cfg.domain.params[0]
-    rho = np.linspace(0.0, R, cfg.grid_size + 1)
-    eps0 = cfg.epsilon_schedule[0]
-    cap = hypgeom.make_cap_with_boundary_height(R, cfg.sigma_schedule[0], eps0)
-    u = cap.height(rho)
-    u[-1] = eps0
-
-    iters = []
-    u, it = _march(
-        u, spec, rho, cfg, cfg.sigma_schedule,
-        lambda v, s: _newton_solve(v, spec, s, eps0, rho, cfg),
-    )
-    iters.extend(it)
-
-    u0_by_eps = {}
-
-    def record(v, e):
-        u0_by_eps[float(e)] = float(v[0])
-
-    u, it = _march(
-        u, spec, rho, cfg, cfg.epsilon_schedule,
-        lambda v, e: _newton_solve(v, spec, cfg.sigma_target, e, rho, cfg),
-        record=record,
-    )
-    iters.extend(it)
-
-    epsilon = cfg.epsilon_schedule[-1]
-    final = residual(u, spec, cfg.sigma_target, epsilon, rho, spec.n)
-    kappa, w, _ = _radial_kappa(u, rho, spec.n)
-    report = SolveReport(
-        converged=True,
-        final_residual=float(np.max(np.abs(final))),
-        newton_iterations=iters,
-        kappa_max=float(np.max(kappa[:-1])),
-        min_nu_vertical=float(np.min(1.0 / w[:-1])),
-        admissibility_violations=0,
-        wall_time=time.perf_counter() - t0,
-        sigma=cfg.sigma_target,
-        epsilon=epsilon,
-        grid_size=cfg.grid_size,
-        u0_by_epsilon=u0_by_eps,
-    )
-    return _assemble_radial(u, spec, cfg.domain, cfg.sigma_target, epsilon, rho, report)
+        return grid.continuation_solve_grid(cfg)
+    return solve_on(_layout(cfg), cfg)
 
 
 def solve_with_epsilon_extrapolation(config: SolverConfig, eps_values=(4e-3, 2e-3, 1e-3)):
@@ -472,42 +476,31 @@ def solve_with_epsilon_extrapolation(config: SolverConfig, eps_values=(4e-3, 2e-
 
 def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Warm-started sweep over sigma values (descending); one row per sigma,
-    per-row failures recorded rather than raised."""
+    per-row failures recorded rather than raised.  The first row that
+    converges runs the full continuation; every later row starts Newton from
+    the last converged state at the final boundary height."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
+    layout = _layout(config)
     rows = []
     warm = None
     for s in sigmas:
         cfg = replace(config, sigma_target=s, sigma_schedule=None)
         cfg = cfg.resolved()
+        epsilon = cfg.epsilon_schedule[-1]
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
             if warm is None:
-                sol = continuation_solve(cfg)
+                u, its, _ = _continue(layout, cfg)
             else:
-                rho = warm.rho
                 u, its = _march(
-                    warm.u.copy(), cfg.spec, rho, cfg, (s,),
-                    lambda v, sv: _newton_solve(v, cfg.spec, sv, warm.epsilon, rho, cfg),
+                    warm, (s,), lambda v, sv: _newton_solve(layout, v, sv, epsilon, cfg),
                 )
-                final = residual(u, cfg.spec, s, warm.epsilon, rho, cfg.spec.n)
-                kappa, w, _ = _radial_kappa(u, rho, cfg.spec.n)
-                report = SolveReport(
-                    converged=True, final_residual=float(np.max(np.abs(final))),
-                    newton_iterations=its, kappa_max=float(np.max(kappa[:-1])),
-                    min_nu_vertical=float(np.min(1.0 / w[:-1])),
-                    admissibility_violations=0, wall_time=0.0, sigma=s,
-                    epsilon=warm.epsilon, grid_size=cfg.grid_size,
-                )
-                sol = _assemble_radial(u, cfg.spec, cfg.domain, s, warm.epsilon, rho, report)
-            warm = sol
-            row.update(
-                status="ok", converged=True, u0=sol.u0,
-                kappa_max=sol.report.kappa_max,
-                min_nu_vertical=sol.report.min_nu_vertical,
-                iterations=int(sum(sol.report.newton_iterations)),
-            )
+            warm = u
+            kappa_max, min_nu = layout.summary(u)
+            row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,
+                       min_nu_vertical=min_nu, iterations=int(sum(its)))
         except (NonConvergenceError, AdmissibilityLostError, SingularJacobianError) as exc:
             row.update(status=f"failed: {type(exc).__name__}", converged=False,
                        u0=float("nan"), kappa_max=float("nan"),

@@ -99,20 +99,24 @@ def _as_kappa(kappa, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def esym_table(kappa) -> np.ndarray:
-    """All unnormalized elementary symmetric values e_0..e_n, shape (..., n+1).
+def _esym_prefix(arr: np.ndarray) -> np.ndarray:
+    """e_0..e_m of the m entries along the last axis, shape (..., m+1), for
+    any m >= 0 (e_0 = 1 alone when m = 0); the input is not checked.
 
     Single-pass prefix recurrence; no subset enumeration.
     """
-    arr = _as_kappa(kappa)
-    n = arr.shape[-1]
-    e = np.zeros(arr.shape[:-1] + (n + 1,))
+    m = arr.shape[-1]
+    e = np.zeros(arr.shape[:-1] + (m + 1,))
     e[..., 0] = 1.0
-    for i in range(n):
-        top = min(i + 1, n)
-        for j in range(top, 0, -1):
+    for i in range(m):
+        for j in range(i + 1, 0, -1):
             e[..., j] += arr[..., i] * e[..., j - 1]
     return e
+
+
+def esym_table(kappa) -> np.ndarray:
+    """All unnormalized elementary symmetric values e_0..e_n, shape (..., n+1)."""
+    return _esym_prefix(_as_kappa(kappa))
 
 
 def _esym_drop1(arr: np.ndarray) -> np.ndarray:
@@ -120,18 +124,8 @@ def _esym_drop1(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[-1]
     out = np.empty(arr.shape[:-1] + (n, n))
     for i in range(n):
-        rest = np.delete(arr, i, axis=-1)
-        out[..., i, :] = esym_table(rest)[..., :n] if n > 2 else _table_of(rest, n - 1)
+        out[..., i, :] = _esym_prefix(np.delete(arr, i, axis=-1))
     return out
-
-
-def _table_of(rest: np.ndarray, m: int) -> np.ndarray:
-    # esym_table requires >= 2 entries; handle the 1-entry tail directly.
-    e = np.zeros(rest.shape[:-1] + (m + 1,))
-    e[..., 0] = 1.0
-    if m >= 1:
-        e[..., 1] = rest[..., 0]
-    return e
 
 
 def _esym_drop2(arr: np.ndarray) -> np.ndarray:
@@ -140,11 +134,7 @@ def _esym_drop2(arr: np.ndarray) -> np.ndarray:
     out = np.zeros(arr.shape[:-1] + (n, n, n - 1))
     for i in range(n):
         for j in range(i + 1, n):
-            rest = np.delete(arr, (i, j), axis=-1)
-            if n - 2 >= 2:
-                tab = esym_table(rest)[..., : n - 1]
-            else:
-                tab = _table_of(rest, n - 2)
+            tab = _esym_prefix(np.delete(arr, (i, j), axis=-1))
             out[..., i, j, :] = tab
             out[..., j, i, :] = tab
     return out

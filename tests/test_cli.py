@@ -41,6 +41,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "sweep", "sigmas": [0.2, 0.5]})
 
+    @pytest.mark.parametrize("bad", [
+        {"grid": "abc"},
+        {"sigma": "x"},
+        {"shape": "ellipse", "axes": ["a", 1]},
+        {"family": "general_quotient", "k": 2, "l": "z"},
+    ], ids=["grid", "sigma", "axes", "l"])
+    def test_non_numeric_value_exits_4(self, bad, capsys):
+        assert cli.run({"command": "solve", "sigma": 0.5, **bad}) == 4
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "solve", "sigma": 0.5,
@@ -74,6 +84,16 @@ class TestRun:
         assert lines[0].split(",")[0] == "sigma"
         assert len(lines) == 3
         assert lines[2].split(",")[-1] == "True"  # 0.2 below sigma0
+
+    def test_sweep_ellipse_table(self, tmp_path):
+        code = cli.run({"command": "sweep", "family": "consecutive_quotient",
+                        "k": 2, "n": 2, "shape": "ellipse", "axes": [1.5, 1.0],
+                        "sigmas": [0.6, 0.5], "grid": 32, "out": str(tmp_path),
+                        "export": ["report-json", "table-csv"]})
+        assert code == 0
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(",ok,True," in line for line in lines[1:])
 
     def test_solve_mesh(self, tmp_path):
         code = cli.run({"command": "solve", "sigma": 0.5, "grid": 64,

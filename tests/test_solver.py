@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperplateau import grid, hypgeom, solver
+from hyperplateau import grid, hypgeom, solver, symfunc
 from hyperplateau.errors import AdmissibilityLostError
 from hyperplateau.symfunc import CurvatureSpec
 
@@ -21,6 +21,39 @@ def cap_profile(grid_size, sigma, eps=0.1, R=1.0):
     u = cap.height(rho)
     u[-1] = eps
     return u, rho
+
+
+def _jacobian_analytic(u, spec, rho, n):
+    """Oracle for solver._jacobian_fd: the chain rule through the
+    curvature-function gradient and the radial jet map, in the same
+    tridiagonal banded layout."""
+    h = rho[1] - rho[0]
+    up, upp = solver._radial_derivatives(u, h)
+    kappa, w, _ = solver._radial_kappa(u, rho, n)
+    g = symfunc.grad_f(spec, kappa[:-1], check_cone=False)
+    f_rad = g[:, 0]
+    f_tan = np.sum(g[:, 1:], axis=1)
+
+    ui, upi, uppi, rhoi, wi = u[:-1], up[:-1], upp[:-1], rho[:-1], w[:-1]
+    dkr_du = uppi / wi**3
+    dkr_dup = -3.0 * ui * uppi * upi / wi**5 - upi / wi**3
+    dkr_dupp = ui / wi**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dkt_du = np.where(rhoi > 0, upi / (rhoi * wi), uppi)
+        dkt_dup = np.where(
+            rhoi > 0,
+            ui / (rhoi * wi) - ui * upi**2 / (rhoi * wi**3) - upi / wi**3,
+            0.0,
+        )
+    dkt_dupp = np.where(rhoi > 0, 0.0, ui)
+    dkr_du = np.where(rhoi > 0, dkr_du, uppi)
+    dkr_dup = np.where(rhoi > 0, dkr_dup, 0.0)
+    dkr_dupp = np.where(rhoi > 0, dkr_dupp, ui)
+
+    dres_du = f_rad * dkr_du + f_tan * dkt_du
+    dres_dup = f_rad * dkr_dup + f_tan * dkt_dup
+    dres_dupp = f_rad * dkr_dupp + f_tan * dkt_dupp
+    return solver._assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
 
 
 class TestResidual:
@@ -45,6 +78,7 @@ class TestResidual:
         with pytest.raises(AdmissibilityLostError) as exc:
             solver.residual(u, H1, 0.5, 0.1, rho)
         assert 10 in exc.value.nodes
+        assert "np.int64" not in str(exc.value)
 
 
 class TestNewton:
@@ -58,28 +92,31 @@ class TestNewton:
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         cfg = self.config()
+        layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
+        res = layout.residual(u, 0.6, 0.1)
         base = np.max(np.abs(solver.residual(u, H2H1, 0.6, 0.1, rho)))
-        u2, _, norm = solver.newton_step(u, H2H1, 0.6, 0.1, rho, cfg)
+        u2, _, norm, _ = solver.newton_step(layout, u, res, 0.6, 0.1, cfg)
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         cfg = self.config()
         sol = solver.continuation_solve(self.config(grid_size=128))
-        u, step, norm = solver.newton_step(sol.u, H2H1, 0.5, sol.epsilon,
-                                           sol.rho, cfg)
+        layout = solver.RadialLayout(H2H1, sol.domain, 128)
+        res = layout.residual(sol.u, 0.5, sol.epsilon)
+        u, step, norm, _ = solver.newton_step(layout, sol.u, res, 0.5, sol.epsilon, cfg)
         assert step <= 1e-8
 
     def test_jacobian_cross_check_17_nodes(self):
         u, rho = cap_profile(16, 0.6)
         ab_fd = solver._jacobian_fd(u, H2H1, rho, 2)
-        ab_an = solver._jacobian_analytic(u, H2H1, 0.6, 0.1, rho, 2)
+        ab_an = _jacobian_analytic(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_an))
         assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-4
 
     def test_jacobian_cross_check_fine_grid(self):
         u, rho = cap_profile(512, 0.8)
         ab_fd = solver._jacobian_fd(u, H2H1, rho, 2)
-        ab_an = solver._jacobian_analytic(u, H2H1, 0.8, 0.1, rho, 2)
+        ab_an = _jacobian_analytic(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_an))
         assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-6
 
@@ -117,13 +154,13 @@ class TestContinuation:
             jet = sol.interior_jet(i)
             assert np.max(np.abs(jet.kappa - np.sort(sol.kappa[i])[::-1])) < 1e-8
 
-    def test_analytic_jacobian_mode_agrees(self):
-        kw = dict(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                  sigma_target=0.4, grid_size=256)
-        s1 = solver.continuation_solve(solver.SolverConfig(**kw))
-        s2 = solver.continuation_solve(
-            solver.SolverConfig(jacobian_mode="analytic_Fij", **kw))
-        assert abs(s1.u0 - s2.u0) < 1e-9
+    def test_jacobian_cross_check_converged_solution(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.4, grid_size=256))
+        ab_fd = solver._jacobian_fd(sol.u, H2H1, sol.rho, 2)
+        ab_an = _jacobian_analytic(sol.u, H2H1, sol.rho, 2)
+        scale = np.max(np.abs(ab_an))
+        assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-6
 
 
 class TestSweep:
@@ -146,13 +183,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             solver.sweep_sigma(cfg, [0.2, 0.5])
 
-    def test_warm_matches_cold(self):
-        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.6, grid_size=128)
+    @pytest.mark.parametrize("domain, grid_size", [
+        (hypgeom.Domain.ball(1.0), 128),
+        (hypgeom.Domain.ellipse(1.5, 1.0), 32),
+    ], ids=["ball", "ellipse"])
+    def test_warm_matches_cold(self, domain, grid_size):
+        cfg = solver.SolverConfig(spec=H2H1, domain=domain,
+                                  sigma_target=0.6, grid_size=grid_size)
         rows = solver.sweep_sigma(cfg, [0.6, 0.5])
         cold = solver.continuation_solve(
-            solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                                sigma_target=0.5, grid_size=128))
+            solver.SolverConfig(spec=H2H1, domain=domain,
+                                sigma_target=0.5, grid_size=grid_size))
         warm_row = rows[1]
         assert abs(warm_row["u0"] - cold.u0) < 1e-8
 
