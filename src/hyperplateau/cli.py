@@ -25,7 +25,7 @@ from .errors import (
     NonConvergenceError,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 COMMANDS = ("verify-f", "solve", "sweep", "cap", "check-estimates", "refine")
 FAMILIES = {

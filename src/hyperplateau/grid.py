@@ -7,12 +7,18 @@ per-node partials of f(kappa[jet]) taken by centered differences in the local
 jet variables -- the same device as the radial path, and for the same reason:
 differencing the assembled residual folds probe truncation error through the
 stiff stencil map.
+
+Only the interior equations form the linear system: their Jacobian splits
+into the interior block J_ii, factored by SuperLU under a minimum-degree
+ordering of J_ii + J_ii^T, and the coupling J_ib to the Dirichlet nodes,
+whose update is their own right-hand side.  The factorization is costly
+enough that the Newton driver keeps it for chord steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 # `solver` imports this module too; each uses the other's names only at call time
@@ -24,7 +30,11 @@ class GridLayout:
     """Node heights on the ellipse's bounding box.  Nodes strictly inside
     the ellipse, off the outer frame, are unknowns of the curvature
     equation; every other node carries the boundary height.  The Jacobian
-    is a sparse nine-point matrix over all nodes."""
+    holds the interior rows of the nine-point linearization, split into
+    the interior block and the coupling to Dirichlet nodes; the driver
+    reuses its factorization across Newton iterations."""
+
+    keeps_factorization = True
 
     def __init__(self, spec: symfunc.CurvatureSpec, domain: hypgeom.Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -54,11 +64,22 @@ class GridLayout:
     def jacobian(self, U):
         return _jacobian_grid(U, self.spec, self)
 
-    def solve(self, J, rhs):
+    def factor(self, J):
+        J_ii, J_ib = J
         try:
-            return splu(J.tocsc()).solve(rhs).reshape(self.shape)
+            lu = splu(J_ii, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularJacobianError(str(exc)) from exc
+        return lu, J_ib
+
+    def solve(self, factored, rhs):
+        """Dirichlet rows are identity, so their update is their right-hand
+        side; the interior update solves J_ii d_i = rhs_i - J_ib d_b."""
+        lu, J_ib = factored
+        delta = rhs.copy()
+        ins = self.inside.ravel()
+        delta[ins] = lu.solve(rhs[ins] - J_ib @ rhs)
+        return delta.reshape(self.shape)
 
     def initial(self, sigma, epsilon):
         """Cap of the inscribed ball, carried along the elliptical level sets
@@ -156,10 +177,12 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
 
 
 def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
-                   layout: GridLayout, step: float = 1e-6) -> csr_matrix:
-    """Sparse nine-point Jacobian: centered differences of the pointwise map
-    (u, ux, uy, uxx, uyy, uxy) -> f(kappa), assembled with exact stencil
-    weights; Dirichlet rows are identity."""
+                   layout: GridLayout, step: float = 1e-6):
+    """Interior rows of the sparse nine-point Jacobian: centered differences
+    of the pointwise map (u, ux, uy, uxx, uyy, uxy) -> f(kappa), assembled
+    with exact stencil weights.  Returns (J_ii, J_ib): the interior block in
+    CSC over interior unknowns (numbered in node order), and the coupling
+    to Dirichlet nodes in CSR over all nodes, zero in interior columns."""
     ins = layout.inside
     hx, hy = layout.hx, layout.hy
     Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
@@ -181,8 +204,10 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
 
     nx, ny = layout.shape
     flat = np.arange(nx * ny).reshape(nx, ny)
+    unknown = np.full((nx, ny), -1)
+    unknown[ins] = np.arange(c_u.size)
     ii, jj = np.nonzero(ins)
-    center = flat[ii, jj]
+    center = unknown[ii, jj]
     rows, cols, vals = [], [], []
 
     def add(di, dj, coeff):
@@ -201,16 +226,13 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
     add(1, -1, -cross)
     add(-1, 1, -cross)
 
-    dirichlet = flat[~ins]
-    rows.append(dirichlet)
-    cols.append(dirichlet)
-    vals.append(np.ones(dirichlet.size))
-
-    m = nx * ny
-    return csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    col_unknown = unknown.ravel()[cols]
+    inner = col_unknown >= 0
+    m = c_u.size
+    J_ii = csc_matrix((vals[inner], (rows[inner], col_unknown[inner])), shape=(m, m))
+    J_ib = csr_matrix((vals[~inner], (rows[~inner], cols[~inner])), shape=(m, nx * ny))
+    return J_ii, J_ib
 
 
 def continuation_solve_grid(cfg):

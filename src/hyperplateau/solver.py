@@ -94,6 +94,7 @@ class SolveReport:
     converged: bool
     final_residual: float
     newton_iterations: list
+    factorizations: list
     kappa_max: float
     min_nu_vertical: float
     admissibility_violations: int
@@ -114,6 +115,7 @@ class SolveReport:
             "converged": self.converged,
             "final_residual": self.final_residual,
             "newton_iterations": list(self.newton_iterations),
+            "factorizations": list(self.factorizations),
             "kappa_max": self.kappa_max,
             "min_nu_vertical": self.min_nu_vertical,
             "admissibility_violations": self.admissibility_violations,
@@ -248,7 +250,11 @@ def _jacobian_fd(u, spec, rho, n, step: float = 1e-6):
 class RadialLayout:
     """Profile heights on a uniform grid over [0, R]: the symmetry node at
     the axis, interior nodes, and the Dirichlet node at the rim.  The
-    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout."""
+    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout; its
+    factorization costs less than one residual, so Newton builds and solves
+    a fresh one every iteration."""
+
+    keeps_factorization = False
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -259,6 +265,9 @@ class RadialLayout:
 
     def jacobian(self, u):
         return _jacobian_fd(u, self.spec, self.rho, self.spec.n)
+
+    def factor(self, ab):
+        return ab  # solve_banded factors and solves in one call
 
     def solve(self, ab, rhs):
         try:
@@ -292,19 +301,53 @@ class RadialLayout:
 # ---------------------------------------------------------------------------
 # Newton and continuation, written once against a layout: RadialLayout above
 # or grid.GridLayout.  A layout maps a state u to its residual and Jacobian,
-# solves the linearized system (raising SingularJacobianError), seeds u from
-# the cap, and turns a converged u into a summary and a GraphSolution.
+# factors the Jacobian and solves with the factors (raising
+# SingularJacobianError), seeds u from the cap, and turns a converged u into
+# a summary and a GraphSolution.  A layout whose class sets
+# `keeps_factorization` has the driver keep its factorization for chord
+# steps across Newton iterations and continuation steps.
 
 
-def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig):
-    """One damped Newton step from u, whose residual is res.  Backtracking
-    keeps every trial iterate admissible and requires the residual sup-norm
-    to not increase.  Returns (new u, step sup-norm, new residual sup-norm,
-    new residual)."""
+class NewtonState:
+    """What the Newton iterations of one solve share: the factorization kept
+    for chord steps, the number of factorizations, and the number of trial
+    iterates rejected as inadmissible."""
+
+    def __init__(self):
+        self.factored = None
+        self.factorizations = 0
+        self.rejected = 0
+
+
+def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig, state=None):
+    """One Newton step from u, whose residual is res.  With a kept
+    factorization it first tries the full chord step, accepted when the
+    residual sup-norm at least halves.  Otherwise it refactors at u and
+    backtracks along the Newton direction, keeping every trial iterate
+    admissible and requiring the residual sup-norm to not increase.
+    Returns (new u, step sup-norm, new residual sup-norm, new residual)."""
+    state = state if state is not None else NewtonState()
     norm = float(np.max(np.abs(res)))
-    delta = layout.solve(layout.jacobian(u), -res)
+    if state.factored is not None:
+        delta = layout.solve(state.factored, -res)
+        trial = u + delta
+        try:
+            r = layout.residual(trial, sigma, epsilon)
+        except AdmissibilityLostError:
+            state.rejected += 1
+        else:
+            trial_norm = float(np.max(np.abs(r)))
+            if trial_norm <= 0.5 * norm or trial_norm <= config.newton_tol:
+                return trial, float(np.max(np.abs(delta))), trial_norm, r
+    # drop the kept factors before building new ones: never hold two
+    state.factored = None
+    factored = layout.factor(layout.jacobian(u))
+    state.factorizations += 1
+    delta = layout.solve(factored, -res)
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("linear solve produced non-finite update")
+    if layout.keeps_factorization:
+        state.factored = factored
 
     t = 1.0
     for _ in range(config.max_damping_steps + 1):
@@ -312,6 +355,7 @@ def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig):
         try:
             r = layout.residual(trial, sigma, epsilon)
         except AdmissibilityLostError:
+            state.rejected += 1
             t *= config.damping_factor
             continue
         trial_norm = float(np.max(np.abs(r)))
@@ -323,15 +367,18 @@ def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig):
     )
 
 
-def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig):
+def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig, state: NewtonState):
+    """Newton iterations to the tolerance; returns the converged u, the
+    number of iterations and the number of factorizations they took."""
+    first = state.factorizations
     res = layout.residual(u, sigma, epsilon)
     norm = float(np.max(np.abs(res)))
     step_norm = None
     for it in range(config.max_newton_iters):
         if norm <= config.newton_tol:
-            return u, it, norm
+            return u, it, state.factorizations - first
         try:
-            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, config)
+            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, config, state)
         except NonConvergenceError:
             # stagnation at the round-off floor of the 1/h^2 stencils: the
             # update has collapsed to rounding noise while the residual sits
@@ -341,10 +388,10 @@ def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig):
                 and step_norm is not None
                 and step_norm <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
             ):
-                return u, it, norm
+                return u, it, state.factorizations - first
             raise
     if norm <= config.newton_tol:
-        return u, config.max_newton_iters, norm
+        return u, config.max_newton_iters, state.factorizations - first
     raise NonConvergenceError(
         f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})"
     )
@@ -352,8 +399,9 @@ def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig):
 
 def _march(u, values, solve_at, record=None):
     """Walk a continuation schedule with up-to-8-deep step bisection;
-    returns the final state and the Newton iterations of every step."""
-    iters = []
+    returns the final state and the Newton iterations and factorizations
+    of every step."""
+    iters, factors = [], []
     current = None
     for target in values:
         stack = [target]
@@ -361,7 +409,7 @@ def _march(u, values, solve_at, record=None):
         while stack:
             nxt = stack[-1]
             try:
-                u, it, _ = solve_at(u, nxt)
+                u, it, nf = solve_at(u, nxt)
             except (NonConvergenceError, SingularJacobianError):
                 if current is None or depth >= 8:
                     raise
@@ -369,40 +417,42 @@ def _march(u, values, solve_at, record=None):
                 stack.append(0.5 * (current + nxt))
                 continue
             iters.append(it)
+            factors.append(nf)
             current = nxt
             stack.pop()
             if record is not None and nxt == target:
                 record(u, nxt)
-    return u, iters
+    return u, iters, factors
 
 
-def _continue(layout, cfg: SolverConfig):
+def _continue(layout, cfg: SolverConfig, state: NewtonState):
     """From the cap seed, march sigma down at the first boundary height, then
     shrink the boundary height.  Returns the final state, the Newton
-    iterations of every step, and the center height at each scheduled
-    boundary height."""
+    iterations and factorizations of every step, and the center height at
+    each scheduled boundary height."""
     eps0 = cfg.epsilon_schedule[0]
-    u, iters = _march(
+    u, iters, factors = _march(
         layout.initial(cfg.sigma_schedule[0], eps0), cfg.sigma_schedule,
-        lambda v, s: _newton_solve(layout, v, s, eps0, cfg),
+        lambda v, s: _newton_solve(layout, v, s, eps0, cfg, state),
     )
     u0_by_eps = {}
 
     def record(v, e):
         u0_by_eps[float(e)] = layout.u0(v)
 
-    u, more = _march(
+    u, more, more_factors = _march(
         u, cfg.epsilon_schedule,
-        lambda v, e: _newton_solve(layout, v, cfg.sigma_target, e, cfg),
+        lambda v, e: _newton_solve(layout, v, cfg.sigma_target, e, cfg, state),
         record=record,
     )
-    return u, iters + more, u0_by_eps
+    return u, iters + more, factors + more_factors, u0_by_eps
 
 
 def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     """Continuation solve of a resolved config on the given layout."""
     t0 = time.perf_counter()
-    u, iters, u0_by_eps = _continue(layout, cfg)
+    state = NewtonState()
+    u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     epsilon = cfg.epsilon_schedule[-1]
     final = layout.residual(u, cfg.sigma_target, epsilon)
     kappa_max, min_nu = layout.summary(u)
@@ -410,9 +460,10 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         converged=True,
         final_residual=float(np.max(np.abs(final))),
         newton_iterations=iters,
+        factorizations=factors,
         kappa_max=kappa_max,
         min_nu_vertical=min_nu,
-        admissibility_violations=0,
+        admissibility_violations=state.rejected,
         wall_time=time.perf_counter() - t0,
         sigma=cfg.sigma_target,
         epsilon=epsilon,
@@ -483,6 +534,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
     layout = _layout(config)
+    state = NewtonState()
     rows = []
     warm = None
     for s in sigmas:
@@ -492,10 +544,10 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
             if warm is None:
-                u, its, _ = _continue(layout, cfg)
+                u, its, _, _ = _continue(layout, cfg, state)
             else:
-                u, its = _march(
-                    warm, (s,), lambda v, sv: _newton_solve(layout, v, sv, epsilon, cfg),
+                u, its, _ = _march(
+                    warm, (s,), lambda v, sv: _newton_solve(layout, v, sv, epsilon, cfg, state),
                 )
             warm = u
             kappa_max, min_nu = layout.summary(u)

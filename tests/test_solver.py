@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from hyperplateau import grid, hypgeom, solver, symfunc
 from hyperplateau.errors import AdmissibilityLostError
@@ -54,6 +56,71 @@ def _jacobian_analytic(u, spec, rho, n):
     dres_dup = f_rad * dkr_dup + f_tan * dkt_dup
     dres_dupp = f_rad * dkr_dupp + f_tan * dkt_dupp
     return solver._assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
+
+
+def _jacobian_grid_full(U, spec, layout, step=1e-6):
+    """Oracle for the interior-only grid solve: the nine-point Jacobian over
+    every node of the bounding box, Dirichlet rows identity, as the grid
+    path assembled and factored it whole before the Dirichlet nodes were
+    eliminated."""
+    ins = layout.inside
+    hx, hy = layout.hx, layout.hy
+    Ux, Uy, Uxx, Uyy, Uxy = grid._jet_fields(U, layout)
+    jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
+
+    def G(vals):
+        kappa, _ = grid.principal_curvatures_2d(*vals)
+        return symfunc.eval_f(spec, kappa, check_cone=False)
+
+    parts = []
+    for j in range(6):
+        d = step * (1.0 + np.abs(jet[j]))
+        hi, lo = list(jet), list(jet)
+        hi[j] = jet[j] + d
+        lo[j] = jet[j] - d
+        parts.append((G(hi) - G(lo)) / (2.0 * d))
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = parts
+
+    nx, ny = layout.shape
+    flat = np.arange(nx * ny).reshape(nx, ny)
+    ii, jj = np.nonzero(ins)
+    cross = c_xy / (4.0 * hx * hy)
+    stencil = [
+        (0, 0, c_u - 2.0 * c_xx / hx**2 - 2.0 * c_yy / hy**2),
+        (1, 0, c_x / (2.0 * hx) + c_xx / hx**2),
+        (-1, 0, -c_x / (2.0 * hx) + c_xx / hx**2),
+        (0, 1, c_y / (2.0 * hy) + c_yy / hy**2),
+        (0, -1, -c_y / (2.0 * hy) + c_yy / hy**2),
+        (1, 1, cross), (-1, -1, cross), (1, -1, -cross), (-1, 1, -cross),
+    ]
+    rows = [flat[ii, jj]] * len(stencil) + [flat[~ins]]
+    cols = [flat[ii + di, jj + dj] for di, dj, _ in stencil] + [flat[~ins]]
+    vals = [coeff for _, _, coeff in stencil] + [np.ones(np.count_nonzero(~ins))]
+    m = nx * ny
+    return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(m, m))
+
+
+class _LineLayout:
+    """r(u) = u - 1, admissible only below 0.8: a full step from 0 leaves
+    the admissible set, half of it does not."""
+
+    keeps_factorization = True
+
+    def residual(self, u, sigma, epsilon):
+        bad = np.flatnonzero(u >= 0.8)
+        if bad.size:
+            raise AdmissibilityLostError(bad)
+        return u - 1.0
+
+    def jacobian(self, u):
+        return np.eye(u.size)
+
+    def factor(self, J):
+        return J
+
+    def solve(self, J, rhs):
+        return np.linalg.solve(J, rhs)
 
 
 class TestResidual:
@@ -119,6 +186,38 @@ class TestNewton:
         ab_an = _jacobian_analytic(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_an))
         assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-6
+
+
+class TestNewtonState:
+    def test_rejected_trials_counted(self):
+        cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5).resolved()
+        layout, state = _LineLayout(), solver.NewtonState()
+        u = np.zeros(1)
+        u, _, norm, res = solver.newton_step(layout, u, layout.residual(u, 0, 0), 0, 0, cfg, state)
+        # full step rejected, half step accepted
+        assert u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
+        u, _, _, _ = solver.newton_step(layout, u, res, 0, 0, cfg, state)
+        # chord trial rejected, then the refactored full step, then half of it
+        assert u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
+
+    def test_radial_factors_every_iteration(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2, grid_size=512))
+        report = sol.report
+        assert len(report.newton_iterations) == 21
+        assert sum(report.newton_iterations) == 67
+        assert report.factorizations == report.newton_iterations
+
+    def test_grid_reuses_factorization(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.6,
+            grid_size=32))
+        report = sol.report
+        assert abs(sol.u0 - 0.575088077618933) <= 1e-9
+        assert sum(report.factorizations) < sum(report.newton_iterations)
+        assert report.final_residual <= 1e-8
+        assert report.admissibility_violations == 0
 
 
 class TestContinuation:
@@ -252,6 +351,17 @@ class TestGridPath:
         assert sol.report.converged
         assert np.min(sol.u) > 0.0
         assert sol.report.min_nu_vertical >= 0.4 - 0.05
+
+    def test_interior_solve_matches_full_system(self):
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 24)
+        U = layout.initial(0.5, 0.1)
+        # residual at the next boundary height: nonzero on Dirichlet nodes,
+        # as after a step of the epsilon continuation
+        rhs = -layout.residual(U, 0.5, 0.05)
+        assert np.max(np.abs(rhs[~layout.inside.ravel()])) == pytest.approx(0.05)
+        full = spsolve(_jacobian_grid_full(U, H2H1, layout).tocsc(), rhs).reshape(layout.shape)
+        interior = layout.solve(layout.factor(layout.jacobian(U)), rhs)
+        assert np.max(np.abs(interior - full)) <= 1e-10 * np.max(np.abs(full))
 
     def test_grid_curvatures_match_pointwise(self):
         # closed-form 2x2 eigenvalues against the per-point jet constructor
