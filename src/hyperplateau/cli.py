@@ -219,32 +219,39 @@ def write_table_csv(path: str, rows: list, columns: list) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _obj_lines(fmt: str, rows: np.ndarray) -> str:
+    """One OBJ line per row of `rows`, each formatted with `fmt`.  Rows go
+    through `%` 4096 at a time, which bounds the Python numbers alive at
+    once (all of them at once would raise the peak memory of an N = 512
+    export by a few MB)."""
+    parts = (rows[i:i + 4096] for i in range(0, len(rows), 4096))
+    return "".join((fmt * len(p)) % tuple(p.ravel().tolist()) for p in parts)
+
+
 def mesh_from_radial(solution, n_theta: int = 64) -> str:
     """Revolve a radial profile into an OBJ mesh.  Vertices are (x, y, u) in
     upper half-space coordinates; faces wind counterclockwise seen from
     above (+u side)."""
-    rho = solution.rho
-    u = solution.u
-    lines = ["# radial graph, revolved profile"]
-    # ring vertices, skipping the axis node; vertex 1 is the apex
-    lines.append(f"v 0 0 {u[0]:.9g}")
-    for i in range(1, len(rho)):
-        for j in range(n_theta):
-            t = 2.0 * math.pi * j / n_theta
-            lines.append(f"v {rho[i] * math.cos(t):.9g} {rho[i] * math.sin(t):.9g} {u[i]:.9g}")
-
-    def ring(i, j):  # 1-based OBJ index of ring i >= 1, sector j
-        return 2 + (i - 1) * n_theta + (j % n_theta)
-
-    for j in range(n_theta):
-        lines.append(f"f 1 {ring(1, j)} {ring(1, j + 1)}")
-    for i in range(1, len(rho) - 1):
-        for j in range(n_theta):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            lines.append(f"f {a} {c} {d}")
-            lines.append(f"f {a} {d} {b}")
-    return "\n".join(lines) + "\n"
+    rho, u = solution.rho, solution.u
+    angles = [2.0 * math.pi * j / n_theta for j in range(n_theta)]
+    # vertex 1 is the apex, then ring i >= 1 of the profile, sector j
+    rings = np.empty((len(rho) - 1, n_theta, 3))
+    rings[..., 0] = rho[1:, None] * np.array([math.cos(t) for t in angles])
+    rings[..., 1] = rho[1:, None] * np.array([math.sin(t) for t in angles])
+    rings[..., 2] = u[1:, None]
+    # 1-based OBJ index of ring i >= 1, sector j: 2 + (i - 1) n_theta + j
+    j = np.arange(n_theta)
+    first = 2 + j
+    fan = np.stack([np.ones_like(j), first, 2 + (j + 1) % n_theta], axis=-1)
+    a = first + n_theta * np.arange(len(rho) - 2)[:, None]
+    b = a - j + (j + 1) % n_theta
+    c, d = a + n_theta, b + n_theta
+    strips = np.stack([a, c, d, a, d, b], axis=-1)
+    return ("# radial graph, revolved profile\n"
+            + "v 0 0 %.9g\n" % u[0]
+            + _obj_lines("v %.9g %.9g %.9g\n", rings.reshape(-1, 3))
+            + _obj_lines("f %d %d %d\n", fan)
+            + _obj_lines("f %d %d %d\n", strips.reshape(-1, 3)))
 
 
 def mesh_from_grid(solution) -> str:
@@ -252,29 +259,24 @@ def mesh_from_grid(solution) -> str:
     cell touching the interior; two triangles per cell, counterclockwise
     from above."""
     xs, ys, U, mask = solution.xs, solution.ys, solution.u2d, solution.mask
-    nx, ny = U.shape
-    index = -np.ones((nx, ny), dtype=int)
-    lines = ["# tensor-grid graph over the ellipse"]
-    used = np.zeros((nx, ny), dtype=bool)
-    cells = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if mask[i:i + 2, j:j + 2].any():
-                cells.append((i, j))
-                used[i:i + 2, j:j + 2] = True
-    count = 0
-    for i in range(nx):
-        for j in range(ny):
-            if used[i, j]:
-                count += 1
-                index[i, j] = count
-                lines.append(f"v {xs[i]:.9g} {ys[j]:.9g} {U[i, j]:.9g}")
-    for i, j in cells:
-        a, b = index[i, j], index[i + 1, j]
-        c, d = index[i + 1, j + 1], index[i, j + 1]
-        lines.append(f"f {a} {b} {c}")
-        lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+    # cells with a corner inside, and the nodes of those cells
+    cell = mask[:-1, :-1] | mask[1:, :-1] | mask[1:, 1:] | mask[:-1, 1:]
+    used = np.zeros(mask.shape, dtype=bool)
+    used[:-1, :-1] |= cell
+    used[1:, :-1] |= cell
+    used[1:, 1:] |= cell
+    used[:-1, 1:] |= cell
+    index = np.zeros(mask.shape, dtype=int)
+    index[used] = np.arange(1, np.count_nonzero(used) + 1)
+    vi, vj = np.nonzero(used)
+    verts = np.stack([xs[vi], ys[vj], U[vi, vj]], axis=-1)
+    ci, cj = np.nonzero(cell)
+    a, b = index[ci, cj], index[ci + 1, cj]
+    c, d = index[ci + 1, cj + 1], index[ci, cj + 1]
+    faces = np.stack([a, b, c, a, c, d], axis=-1)
+    return ("# tensor-grid graph over the ellipse\n"
+            + _obj_lines("v %.9g %.9g %.9g\n", verts)
+            + _obj_lines("f %d %d %d\n", faces.reshape(-1, 3)))
 
 
 def _maybe_write_mesh(cfg, solution, artifacts):

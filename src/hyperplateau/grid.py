@@ -32,9 +32,11 @@ class GridLayout:
     equation; every other node carries the boundary height.  The Jacobian
     holds the interior rows of the nine-point linearization, split into
     the interior block and the coupling to Dirichlet nodes; the driver
-    reuses its factorization across Newton iterations."""
+    reuses its factorization across Newton iterations.  The cap seed solves
+    no ellipse problem exactly, so the driver continues from it in sigma."""
 
     keeps_factorization = True
+    exact_seed = False
 
     def __init__(self, spec: symfunc.CurvatureSpec, domain: hypgeom.Domain, grid_size: int):
         self.spec, self.domain = spec, domain

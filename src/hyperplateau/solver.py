@@ -3,9 +3,15 @@ sigma with u = epsilon on the domain boundary.
 
 The radial path (any n, ball domains) discretizes the profile ODE on a
 uniform grid with a symmetry node at the axis; the tensor-grid path for
-ellipse domains lives in `grid`.  Continuation first walks sigma down from
-0.8 at a moderate boundary height, then shrinks the boundary height; every
-accepted Newton iterate is admissible at every interior node.
+ellipse domains lives in `grid`.  On a ball the umbilic cap with boundary
+height epsilon has kappa = sigma everywhere, so it solves the continuous
+problem exactly for every normalized f: Newton starts from it at each
+scheduled boundary height and needs a few iterations there.  A step where
+that fails warm-starts from the last accepted state instead.  On the grid
+path, and at the first height when the seeded Newton fails there,
+continuation walks sigma down from 0.8 at a moderate boundary height, then
+shrinks the boundary height.  Every accepted Newton iterate is admissible
+at every interior node.
 """
 
 from __future__ import annotations
@@ -252,9 +258,12 @@ class RadialLayout:
     the axis, interior nodes, and the Dirichlet node at the rim.  The
     Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout; its
     factorization costs less than one residual, so Newton builds and solves
-    a fresh one every iteration."""
+    a fresh one every iteration.  The cap seed solves the continuous
+    problem exactly, so the driver starts Newton from it at every boundary
+    height."""
 
     keeps_factorization = False
+    exact_seed = True
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -305,7 +314,8 @@ class RadialLayout:
 # SingularJacobianError), seeds u from the cap, and turns a converged u into
 # a summary and a GraphSolution.  A layout whose class sets
 # `keeps_factorization` has the driver keep its factorization for chord
-# steps across Newton iterations and continuation steps.
+# steps across Newton iterations and continuation steps; one whose class
+# sets `exact_seed` has it start Newton from `initial` at the target sigma.
 
 
 class NewtonState:
@@ -425,26 +435,55 @@ def _march(u, values, solve_at, record=None):
     return u, iters, factors
 
 
+# the typed ways a Newton solve fails
+_SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
+
+
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
-    """From the cap seed, march sigma down at the first boundary height, then
-    shrink the boundary height.  Returns the final state, the Newton
-    iterations and factorizations of every step, and the center height at
-    each scheduled boundary height."""
-    eps0 = cfg.epsilon_schedule[0]
-    u, iters, factors = _march(
-        layout.initial(cfg.sigma_schedule[0], eps0), cfg.sigma_schedule,
-        lambda v, s: _newton_solve(layout, v, s, eps0, cfg, state),
-    )
+    """Solve at every scheduled boundary height.  A layout whose class sets
+    `exact_seed` starts Newton at each height from its exact solution of the
+    continuous problem, `layout.initial(sigma_target, epsilon)`; a step whose
+    seeded Newton fails warm-starts from the last accepted state instead,
+    and at the first height marches sigma down from the cap seed at 0.8.
+    Other layouts always march sigma down at the first height, then shrink
+    the boundary height.  Returns the final state, the Newton iterations and
+    factorizations of every step, and the center height at each scheduled
+    boundary height."""
+    sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
+    eps0 = schedule[0]
     u0_by_eps = {}
 
     def record(v, e):
         u0_by_eps[float(e)] = layout.u0(v)
 
-    u, more, more_factors = _march(
-        u, cfg.epsilon_schedule,
-        lambda v, e: _newton_solve(layout, v, cfg.sigma_target, e, cfg, state),
-        record=record,
-    )
+    def warm(v, e):
+        return _newton_solve(layout, v, sigma, e, cfg, state)
+
+    def seeded(v, e):
+        try:
+            return warm(layout.initial(sigma, e), e)
+        except _SOLVE_FAILURES:
+            if v is None:
+                raise
+            return warm(v, e)
+
+    def march_sigma():
+        return _march(
+            layout.initial(cfg.sigma_schedule[0], eps0), cfg.sigma_schedule,
+            lambda v, s: _newton_solve(layout, v, s, eps0, cfg, state),
+        )
+
+    if layout.exact_seed:
+        try:
+            u, iters, factors = _march(None, schedule[:1], seeded, record)
+        except _SOLVE_FAILURES:
+            u, iters, factors = march_sigma()
+            record(u, eps0)
+        rest, solve_at = schedule[1:], seeded
+    else:
+        u, iters, factors = march_sigma()
+        rest, solve_at = schedule, warm
+    u, more, more_factors = _march(u, rest, solve_at, record)
     return u, iters + more, factors + more_factors, u0_by_eps
 
 
@@ -493,9 +532,9 @@ def radial_solution_from_profile(spec: CurvatureSpec, domain: Domain, sigma: flo
 
 
 def continuation_solve(config: SolverConfig) -> GraphSolution:
-    """Solve to (sigma_target, min epsilon) by continuation in sigma then in
-    the boundary height, Newton-iterating at every step.  Ellipses go
-    through the grid path's entry point, grid.continuation_solve_grid."""
+    """Solve to (sigma_target, min epsilon), Newton-iterating at every
+    scheduled boundary height (see _continue).  Ellipses go through the
+    grid path's entry point, grid.continuation_solve_grid."""
     cfg = config.resolved()
     if cfg.domain.shape == hypgeom.SHAPE_ELLIPSE:
         return grid.continuation_solve_grid(cfg)
@@ -553,7 +592,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
             kappa_max, min_nu = layout.summary(u)
             row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))
-        except (NonConvergenceError, AdmissibilityLostError, SingularJacobianError) as exc:
+        except _SOLVE_FAILURES as exc:
             row.update(status=f"failed: {type(exc).__name__}", converged=False,
                        u0=float("nan"), kappa_max=float("nan"),
                        min_nu_vertical=float("nan"), iterations=0)
@@ -574,7 +613,7 @@ def refine_study(config: SolverConfig, levels: int) -> dict:
             sol = continuation_solve(cfg)
             row.update(converged=True, u0=sol.u0, kappa_max=sol.report.kappa_max,
                        final_residual=sol.report.final_residual)
-        except (NonConvergenceError, AdmissibilityLostError, SingularJacobianError) as exc:
+        except _SOLVE_FAILURES as exc:
             row.update(converged=False, status=f"failed: {type(exc).__name__}",
                        u0=float("nan"), kappa_max=float("nan"))
         rows.append(row)

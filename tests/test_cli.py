@@ -4,10 +4,64 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from hyperplateau import cli
+from hyperplateau import cli, hypgeom, solver, symfunc
 from hyperplateau.errors import ConfigError
+
+
+def _mesh_from_radial_loops(solution, n_theta=64):
+    """Oracle for cli.mesh_from_radial: the per-line writer it replaced."""
+    rho = solution.rho
+    u = solution.u
+    lines = ["# radial graph, revolved profile"]
+    lines.append(f"v 0 0 {u[0]:.9g}")
+    for i in range(1, len(rho)):
+        for j in range(n_theta):
+            t = 2.0 * math.pi * j / n_theta
+            lines.append(f"v {rho[i] * math.cos(t):.9g} {rho[i] * math.sin(t):.9g} {u[i]:.9g}")
+
+    def ring(i, j):
+        return 2 + (i - 1) * n_theta + (j % n_theta)
+
+    for j in range(n_theta):
+        lines.append(f"f 1 {ring(1, j)} {ring(1, j + 1)}")
+    for i in range(1, len(rho) - 1):
+        for j in range(n_theta):
+            a, b = ring(i, j), ring(i, j + 1)
+            c, d = ring(i + 1, j), ring(i + 1, j + 1)
+            lines.append(f"f {a} {c} {d}")
+            lines.append(f"f {a} {d} {b}")
+    return "\n".join(lines) + "\n"
+
+
+def _mesh_from_grid_loops(solution):
+    """Oracle for cli.mesh_from_grid: the per-line writer it replaced."""
+    xs, ys, U, mask = solution.xs, solution.ys, solution.u2d, solution.mask
+    nx, ny = U.shape
+    index = -np.ones((nx, ny), dtype=int)
+    lines = ["# tensor-grid graph over the ellipse"]
+    used = np.zeros((nx, ny), dtype=bool)
+    cells = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            if mask[i:i + 2, j:j + 2].any():
+                cells.append((i, j))
+                used[i:i + 2, j:j + 2] = True
+    count = 0
+    for i in range(nx):
+        for j in range(ny):
+            if used[i, j]:
+                count += 1
+                index[i, j] = count
+                lines.append(f"v {xs[i]:.9g} {ys[j]:.9g} {U[i, j]:.9g}")
+    for i, j in cells:
+        a, b = index[i, j], index[i + 1, j]
+        c, d = index[i + 1, j + 1], index[i, j + 1]
+        lines.append(f"f {a} {b} {c}")
+        lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
 
 
 class TestValidateConfig:
@@ -155,6 +209,26 @@ class TestRun:
         lines = (tmp_path / "table.csv").read_text().splitlines()
         assert lines[0].startswith("grid_size,")
         assert len(lines) == 3
+
+
+class TestMesh:
+    H2H1 = symfunc.CurvatureSpec.consecutive_quotient(2, 2)
+
+    def test_radial_matches_loop_writer(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+            grid_size=64))
+        text = cli.mesh_from_radial(sol)
+        assert text == _mesh_from_radial_loops(sol)
+        assert text.count("\nv ") == 1 + 64 * 64
+
+    def test_grid_matches_loop_writer(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=self.H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.6,
+            grid_size=32))
+        text = cli.mesh_from_grid(sol)
+        assert text == _mesh_from_grid_loops(sol)
+        assert text.count("\nf ") > 0
 
 
 class TestMain:

@@ -1,6 +1,10 @@
-"""Structural condition suite over every curvature family, plus a negative
-control proving the checker can fail."""
+"""Structural condition suite over every curvature family, plus negative
+controls proving the checker can fail."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from hyperplateau import symfunc
@@ -48,3 +52,55 @@ def test_determinism():
     r1 = symfunc.check_conditions(spec, 1000, seed=42)
     r2 = symfunc.check_conditions(spec, 1000, seed=42)
     assert r1.to_dict() == r2.to_dict()
+
+
+def _hessian_mp(spec, kappa, mp):
+    """Oracle Hessian of f = (H_k/H_l)^(1/(k-l)) in mpmath arithmetic at the
+    current precision, by differentiating the polynomials H_j exactly."""
+    x = [mp.mpf(float(v)) for v in kappa]
+    n = spec.n
+
+    def f(*y):
+        def H(j):
+            terms = (mp.fprod(c) for c in itertools.combinations(y, j))
+            return mp.fsum(terms) / math.comb(n, j) if j else mp.mpf(1)
+        return (H(spec.k) / H(spec.l)) ** (mp.mpf(1) / (spec.k - spec.l))
+
+    hess = mp.matrix(n, n)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        order = [0] * n
+        order[i] += 1
+        order[j] += 1
+        hess[i, j] = hess[j, i] = mp.diff(f, x, tuple(order))
+    return hess
+
+
+def test_condition_22_roundoff_near_cone_boundary():
+    # (H_4/H_1)^(1/3) at sample seed 0: one sample, with a curvature 1e-6,
+    # has |H_ij| up to 1.6e9 and a computed largest eigenvalue 5e-8, above
+    # the absolute 1e-8 but 3e-17 of the Hessian; in 50 digits it is 0
+    mpmath = pytest.importorskip("mpmath")
+    spec = CurvatureSpec.general_quotient(4, 1, 4)
+    samples = symfunc.sample_cone(spec.n, spec.cone_index, 10000, 0)
+    valid = samples[np.atleast_1d(symfunc.cone_contains(samples, spec.required_cone))]
+    h = symfunc.hessian_f(spec, valid, check_cone=False)
+    lam_max = np.linalg.eigvalsh(h)[:, -1]
+    worst = int(np.argmax(lam_max))
+    scale = np.max(np.abs(h[worst]))
+    assert lam_max[worst] > 1e-8 and scale > 1e9
+    with mpmath.workdps(50):
+        exact = mpmath.eigsy(_hessian_mp(spec, valid[worst], mpmath))[0]
+        assert max(exact) <= 1e-30 * scale
+    report = symfunc.check_conditions(spec, 10000, seed=0)
+    assert report.record("2.2").passed, report.to_text()
+
+
+def test_negative_control_flags_concavity_violation(monkeypatch):
+    # a +1e-6 eigenvalue at moderate |H| is far above any round-off
+    spec = CurvatureSpec.consecutive_quotient(2, 3)
+    hessian = symfunc.hessian_f
+    monkeypatch.setattr(symfunc, "hessian_f",
+                        lambda *a, **kw: hessian(*a, **kw) + 1e-6 * np.eye(3))
+    rec = symfunc.check_conditions(spec, 2000, seed=123).record("2.2")
+    assert not rec.passed
+    assert rec.worst_margin <= -0.9e-6

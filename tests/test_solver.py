@@ -202,11 +202,12 @@ class TestNewtonState:
         assert u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
     def test_radial_factors_every_iteration(self):
+        # one exactly seeded Newton solve per boundary height 0.1, 0.05, ...,
+        # 1/640, 1e-3; continuation from sigma = 0.8 took 67 over 21 steps
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2, grid_size=512))
         report = sol.report
-        assert len(report.newton_iterations) == 21
-        assert sum(report.newton_iterations) == 67
+        assert report.newton_iterations == [2] * 8
         assert report.factorizations == report.newton_iterations
 
     def test_grid_reuses_factorization(self):
@@ -218,6 +219,74 @@ class TestNewtonState:
         assert sum(report.factorizations) < sum(report.newton_iterations)
         assert report.final_residual <= 1e-8
         assert report.admissibility_violations == 0
+
+
+class _ContinuedLayout(solver.RadialLayout):
+    """The radial layout without exact seeding: the driver continues in
+    sigma from the cap at 0.8, then in the boundary height."""
+
+    exact_seed = False
+
+
+class _BadSeedLayout(solver.RadialLayout):
+    """The radial layout whose seeds at `bad_sigma` have a negative height,
+    so that Newton from them fails at once."""
+
+    bad_sigma = 0.3
+
+    def initial(self, sigma, epsilon):
+        u = super().initial(sigma, epsilon)
+        if sigma == self.bad_sigma:
+            u[10] = -0.5
+        return u
+
+
+BALL_FAMILIES = {
+    "h1h0-n2": CurvatureSpec.consecutive_quotient(1, 2),
+    "h2h1-n2": CurvatureSpec.consecutive_quotient(2, 2),
+    "h2h1-n4": CurvatureSpec.consecutive_quotient(2, 4),
+    "h4h3-n4": CurvatureSpec.consecutive_quotient(4, 4),
+    "h2root-n3": CurvatureSpec.kth_root(2, 3),
+    "h3h1root-n4": CurvatureSpec.general_quotient(3, 1, 4),
+}
+
+
+class TestExactSeed:
+    @pytest.mark.parametrize("sigma", [0.5, 0.2])
+    @pytest.mark.parametrize("spec", BALL_FAMILIES.values(), ids=BALL_FAMILIES.keys())
+    def test_matches_continuation(self, spec, sigma):
+        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0, spec.n),
+                                  sigma_target=sigma, grid_size=512).resolved()
+        seeded = solver.solve_on(solver.RadialLayout(spec, cfg.domain, 512), cfg)
+        continued = solver.solve_on(_ContinuedLayout(spec, cfg.domain, 512), cfg)
+        assert abs(seeded.u0 - continued.u0) <= 1e-10
+        assert len(seeded.report.newton_iterations) == len(cfg.epsilon_schedule)
+        assert seeded.report.u0_by_epsilon.keys() == continued.report.u0_by_epsilon.keys()
+        assert seeded.report.final_residual <= 1e-10
+
+    def test_rescues_small_sigma(self):
+        # continuation from sigma = 0.8 exhausts its backtracking at 0.05
+        spec = CurvatureSpec.consecutive_quotient(4, 4)
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=spec, domain=hypgeom.Domain.ball(1.0, 4), sigma_target=0.05,
+            grid_size=1024))
+        assert sol.report.final_residual <= 1e-10
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.05, sol.epsilon)
+        assert abs(sol.u0 - cap.apex_height) <= 1e-4
+        assert sol.report.admissibility_violations == 0
+
+    def test_failed_seed_falls_back_to_continuation(self):
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.3, grid_size=128).resolved()
+        continued = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        sol = solver.solve_on(_BadSeedLayout(H2H1, cfg.domain, 128), cfg)
+        # the sigma march at the first height, then warm starts: the
+        # continuation's steps without its zero-iteration re-solve at 0.1
+        assert np.array_equal(sol.u, continued.u)
+        iters = list(continued.report.newton_iterations)
+        assert iters.pop(len(cfg.sigma_schedule)) == 0
+        assert sol.report.newton_iterations == iters
+        assert sol.report.u0_by_epsilon == continued.report.u0_by_epsilon
 
 
 class TestContinuation:
