@@ -34,6 +34,9 @@ FAMILIES = {
     "kth_root": symfunc.KTH_ROOT,
 }
 EXPORTS = ("report-json", "table-csv", "mesh-obj")
+# the commands whose result has a table, and those whose result is a graph
+TABLE_COMMANDS = ("sweep", "refine")
+MESH_COMMANDS = ("solve", "cap", "check-estimates")
 
 _DEFAULTS = {
     "family": "consecutive_quotient",
@@ -120,6 +123,8 @@ def validate_config(raw: dict) -> dict:
         elif _convert(cfg, "axes", _floats, violations):
             if not cfg["axes"][0] >= cfg["axes"][1] > 0:
                 violations.append("ellipse needs a_axis >= b_axis > 0")
+        if cfg["n"] != 2:
+            violations.append(f"ellipse domains are planar: need n = 2, got n={cfg['n']!r}")
     elif _convert(cfg, "radius", float, violations) and cfg["radius"] <= 0:
         violations.append("radius must be positive")
 
@@ -153,6 +158,13 @@ def validate_config(raw: dict) -> dict:
     bad = sorted(set(cfg["export"]) - set(EXPORTS))
     for e in bad:
         violations.append(f"unknown export format {e!r}")
+    if "table-csv" in cfg["export"] and command not in TABLE_COMMANDS:
+        violations.append(f"table-csv export needs one of {TABLE_COMMANDS}, got {command!r}")
+    if "mesh-obj" in cfg["export"]:
+        if command not in MESH_COMMANDS:
+            violations.append(f"mesh-obj export needs one of {MESH_COMMANDS}, got {command!r}")
+        if cfg["n"] != 2:
+            violations.append(f"mesh-obj export requires n = 2, got n={cfg['n']!r}")
 
     if violations:
         raise ConfigError(violations)
@@ -279,19 +291,6 @@ def mesh_from_grid(solution) -> str:
             + _obj_lines("f %d %d %d\n", faces.reshape(-1, 3)))
 
 
-def _maybe_write_mesh(cfg, solution, artifacts):
-    if "mesh-obj" not in cfg["export"]:
-        return
-    if solution.spec.n != 2:
-        raise ConfigError(["mesh-obj export requires n = 2"])
-    path = os.path.join(cfg["out"], "mesh.obj")
-    if solution.kind == "radial":
-        _atomic_write(path, mesh_from_radial(solution))
-    else:
-        _atomic_write(path, mesh_from_grid(solution))
-    artifacts.append(path)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -390,25 +389,17 @@ def run(raw_config: dict) -> int:
         path = os.path.join(cfg["out"], "report.json")
         write_report_json(path, payload, cfg)
         artifacts.append(path)
+    # validate_config admits table-csv only for commands that return a
+    # table, and mesh-obj only for n = 2 commands that return a solution
     if "table-csv" in cfg["export"]:
-        if table is None:
-            print("table-csv export is only available for sweep and refine",
-                  file=sys.stderr)
-            return 4
-        rows, columns = table
         path = os.path.join(cfg["out"], "table.csv")
-        write_table_csv(path, rows, columns)
+        write_table_csv(path, *table)
         artifacts.append(path)
-    if solution is not None:
-        try:
-            _maybe_write_mesh(cfg, solution, artifacts)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 4
-    elif "mesh-obj" in cfg["export"]:
-        print(f"mesh-obj export is not available for {cfg['command']}",
-              file=sys.stderr)
-        return 4
+    if "mesh-obj" in cfg["export"]:
+        path = os.path.join(cfg["out"], "mesh.obj")
+        mesh = mesh_from_radial if solution.kind == "radial" else mesh_from_grid
+        _atomic_write(path, mesh(solution))
+        artifacts.append(path)
 
     for path in artifacts:
         print(path)
@@ -429,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("verify-f", "run the structural condition suite for a curvature function"),
         ("solve", "solve the Dirichlet problem at one sigma"),
-        ("sweep", "warm-started solve over a descending list of sigmas"),
+        ("sweep", "solve over a descending list of sigmas"),
         ("cap", "evaluate the closed-form umbilic cap"),
         ("check-estimates", "solve, then check the gradient/curvature estimate machinery"),
         ("refine", "solve across grid refinement levels"),

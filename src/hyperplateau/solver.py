@@ -6,19 +6,18 @@ uniform grid with a symmetry node at the axis; the tensor-grid path for
 ellipse domains lives in `grid`.  On a ball the umbilic cap with boundary
 height epsilon has kappa = sigma everywhere, so it solves the continuous
 problem exactly for every normalized f: Newton starts from it at each
-scheduled boundary height and needs a few iterations there.  A step where
-that fails warm-starts from the last accepted state instead.  On the grid
-path, and at the first height when the seeded Newton fails there,
-continuation walks sigma down from 0.8 at a moderate boundary height, then
-shrinks the boundary height.  Every accepted Newton iterate is admissible
-at every interior node.
+scheduled boundary height, and at each later sigma of a sweep, and needs a
+few iterations there.  A step where that fails warm-starts from the last
+accepted state instead.  On the grid path, and at the first height when the
+seeded Newton fails there, continuation walks sigma down from 0.8 at a
+moderate boundary height, then shrinks the boundary height.  Every accepted
+Newton iterate is admissible at every interior node.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -34,6 +33,12 @@ from .hypgeom import Domain, radial_principal_curvatures
 from .symfunc import CurvatureSpec
 
 SIGMA0_INTERVAL = (0.3703, 0.3704)  # classical small-sigma threshold, from the literature
+
+# Newton limits: iterations per solve, and backtracking halvings of the
+# damping factor per step
+MAX_NEWTON_ITERS = 50
+DAMPING_FACTOR = 0.5
+MAX_DAMPING_STEPS = 20
 
 
 def default_epsilon_schedule(epsilon_min: float = 1e-3, start: float = 0.1) -> tuple:
@@ -68,11 +73,6 @@ class SolverConfig:
     grid_size: int = 1024
     epsilon_min: float = 1e-3
     epsilon_schedule: tuple | None = None
-    sigma_schedule: tuple | None = None
-    newton_tol: float | None = None  # default 1e-10 radial, 1e-8 grid
-    max_newton_iters: int = 50
-    damping_factor: float = 0.5
-    max_damping_steps: int = 20
 
     def resolved(self) -> "SolverConfig":
         cfg = replace(self)
@@ -80,18 +80,9 @@ class SolverConfig:
             raise ValueError("sigma_target must lie in (0, 1)")
         if cfg.epsilon_schedule is None:
             cfg.epsilon_schedule = default_epsilon_schedule(cfg.epsilon_min)
-        if cfg.sigma_schedule is None:
-            cfg.sigma_schedule = default_sigma_schedule(cfg.sigma_target)
         eps = np.asarray(cfg.epsilon_schedule)
-        sig = np.asarray(cfg.sigma_schedule)
         if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
             raise ValueError("epsilon schedule must be positive and strictly decreasing")
-        if np.any((sig <= 0.0) | (sig >= 1.0)):
-            raise ValueError("sigma schedule values must lie in (0, 1)")
-        if len(sig) > 1 and not (np.all(np.diff(sig) < 0.0) or np.all(np.diff(sig) > 0.0)):
-            raise ValueError("sigma schedule must be strictly monotone")
-        if cfg.newton_tol is None:
-            cfg.newton_tol = 1e-10 if cfg.domain.shape == hypgeom.SHAPE_BALL else 1e-8
         return cfg
 
 
@@ -104,33 +95,22 @@ class SolveReport:
     kappa_max: float
     min_nu_vertical: float
     admissibility_violations: int
-    wall_time: float
     sigma: float
     epsilon: float
     grid_size: int
-    sigma0_interval: tuple = SIGMA0_INTERVAL
     u0_by_epsilon: dict = field(default_factory=dict)
 
     @property
     def below_sigma0(self) -> bool:
-        return self.sigma < self.sigma0_interval[0]
+        return self.sigma < SIGMA0_INTERVAL[0]
 
     def statistics(self) -> dict:
-        """Deterministic statistics block (no timing)."""
-        return {
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "newton_iterations": list(self.newton_iterations),
-            "factorizations": list(self.factorizations),
-            "kappa_max": self.kappa_max,
-            "min_nu_vertical": self.min_nu_vertical,
-            "admissibility_violations": self.admissibility_violations,
-            "sigma": self.sigma,
-            "epsilon": self.epsilon,
-            "grid_size": self.grid_size,
-            "below_sigma0": self.below_sigma0,
-            "u0_by_epsilon": {f"{k:.12g}": v for k, v in self.u0_by_epsilon.items()},
-        }
+        """Deterministic statistics block (no timing): every field, and the
+        boundary heights as keys written to 12 digits."""
+        stats = asdict(self)
+        stats["below_sigma0"] = self.below_sigma0
+        stats["u0_by_epsilon"] = {f"{k:.12g}": v for k, v in self.u0_by_epsilon.items()}
+        return stats
 
 
 @dataclass
@@ -260,10 +240,11 @@ class RadialLayout:
     factorization costs less than one residual, so Newton builds and solves
     a fresh one every iteration.  The cap seed solves the continuous
     problem exactly, so the driver starts Newton from it at every boundary
-    height."""
+    height.  Newton stops at a residual sup-norm of 1e-10."""
 
     keeps_factorization = False
     exact_seed = True
+    newton_tol = 1e-10
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -312,10 +293,12 @@ class RadialLayout:
 # or grid.GridLayout.  A layout maps a state u to its residual and Jacobian,
 # factors the Jacobian and solves with the factors (raising
 # SingularJacobianError), seeds u from the cap, and turns a converged u into
-# a summary and a GraphSolution.  A layout whose class sets
-# `keeps_factorization` has the driver keep its factorization for chord
-# steps across Newton iterations and continuation steps; one whose class
-# sets `exact_seed` has it start Newton from `initial` at the target sigma.
+# a summary and a GraphSolution.  Its class also sets what the driver does
+# with it: `newton_tol`, the residual sup-norm at which Newton stops;
+# `keeps_factorization`, to keep the factorization for chord steps across
+# Newton iterations and continuation steps; and `exact_seed`, to start
+# Newton from `initial` at the sigma being solved for (see _seeded_solve).
+# The iteration and backtracking limits are the module constants above.
 
 
 class NewtonState:
@@ -329,7 +312,7 @@ class NewtonState:
         self.rejected = 0
 
 
-def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig, state=None):
+def newton_step(layout, u, res, sigma, epsilon, state=None):
     """One Newton step from u, whose residual is res.  With a kept
     factorization it first tries the full chord step, accepted when the
     residual sup-norm at least halves.  Otherwise it refactors at u and
@@ -347,7 +330,7 @@ def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig, state=None
             state.rejected += 1
         else:
             trial_norm = float(np.max(np.abs(r)))
-            if trial_norm <= 0.5 * norm or trial_norm <= config.newton_tol:
+            if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
                 return trial, float(np.max(np.abs(delta))), trial_norm, r
     # drop the kept factors before building new ones: never hold two
     state.factored = None
@@ -360,48 +343,49 @@ def newton_step(layout, u, res, sigma, epsilon, config: SolverConfig, state=None
         state.factored = factored
 
     t = 1.0
-    for _ in range(config.max_damping_steps + 1):
+    for _ in range(MAX_DAMPING_STEPS + 1):
         trial = u + t * delta
         try:
             r = layout.residual(trial, sigma, epsilon)
         except AdmissibilityLostError:
             state.rejected += 1
-            t *= config.damping_factor
+            t *= DAMPING_FACTOR
             continue
         trial_norm = float(np.max(np.abs(r)))
-        if trial_norm < norm or trial_norm <= config.newton_tol:
+        if trial_norm < norm or trial_norm <= layout.newton_tol:
             return trial, float(np.max(np.abs(t * delta))), trial_norm, r
-        t *= config.damping_factor
+        t *= DAMPING_FACTOR
     raise NonConvergenceError(
-        f"backtracking exhausted {config.max_damping_steps} halvings at sigma={sigma}, eps={epsilon}"
+        f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"
     )
 
 
-def _newton_solve(layout, u, sigma, epsilon, config: SolverConfig, state: NewtonState):
-    """Newton iterations to the tolerance; returns the converged u, the
-    number of iterations and the number of factorizations they took."""
+def _newton_solve(layout, u, sigma, epsilon, state: NewtonState):
+    """Newton iterations to the layout's tolerance; returns the converged u,
+    the number of iterations and the number of factorizations they took."""
+    tol = layout.newton_tol
     first = state.factorizations
     res = layout.residual(u, sigma, epsilon)
     norm = float(np.max(np.abs(res)))
     step_norm = None
-    for it in range(config.max_newton_iters):
-        if norm <= config.newton_tol:
+    for it in range(MAX_NEWTON_ITERS):
+        if norm <= tol:
             return u, it, state.factorizations - first
         try:
-            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, config, state)
+            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, state)
         except NonConvergenceError:
             # stagnation at the round-off floor of the 1/h^2 stencils: the
             # update has collapsed to rounding noise while the residual sits
             # just above the nominal tolerance -- accept rather than fail
             if (
-                norm <= 1e3 * config.newton_tol
+                norm <= 1e3 * tol
                 and step_norm is not None
                 and step_norm <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
             ):
                 return u, it, state.factorizations - first
             raise
-    if norm <= config.newton_tol:
-        return u, config.max_newton_iters, state.factorizations - first
+    if norm <= tol:
+        return u, MAX_NEWTON_ITERS, state.factorizations - first
     raise NonConvergenceError(
         f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})"
     )
@@ -439,16 +423,28 @@ def _march(u, values, solve_at, record=None):
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
+def _seeded_solve(layout, v, sigma, epsilon, state: NewtonState):
+    """Newton at (sigma, epsilon).  A layout whose class sets `exact_seed`
+    starts from its exact solution of the continuous problem,
+    `layout.initial(sigma, epsilon)`, and warm-starts from the state v only
+    where that fails (re-raising when v is None); other layouts start from
+    v."""
+    if layout.exact_seed:
+        try:
+            return _newton_solve(layout, layout.initial(sigma, epsilon), sigma, epsilon, state)
+        except _SOLVE_FAILURES:
+            if v is None:
+                raise
+    return _newton_solve(layout, v, sigma, epsilon, state)
+
+
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
-    """Solve at every scheduled boundary height.  A layout whose class sets
-    `exact_seed` starts Newton at each height from its exact solution of the
-    continuous problem, `layout.initial(sigma_target, epsilon)`; a step whose
-    seeded Newton fails warm-starts from the last accepted state instead,
-    and at the first height marches sigma down from the cap seed at 0.8.
-    Other layouts always march sigma down at the first height, then shrink
-    the boundary height.  Returns the final state, the Newton iterations and
-    factorizations of every step, and the center height at each scheduled
-    boundary height."""
+    """Solve at every scheduled boundary height with _seeded_solve.  On a
+    layout whose class sets `exact_seed` the first height needs no state;
+    when its seeded Newton fails there, and on other layouts, the first
+    height marches sigma down from the cap seed at 0.8.  Returns the final
+    state, the Newton iterations and factorizations of every step, and the
+    center height at each scheduled boundary height."""
     sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
     eps0 = schedule[0]
     u0_by_eps = {}
@@ -456,40 +452,30 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
     def record(v, e):
         u0_by_eps[float(e)] = layout.u0(v)
 
-    def warm(v, e):
-        return _newton_solve(layout, v, sigma, e, cfg, state)
-
-    def seeded(v, e):
-        try:
-            return warm(layout.initial(sigma, e), e)
-        except _SOLVE_FAILURES:
-            if v is None:
-                raise
-            return warm(v, e)
+    def solve_at(v, e):
+        return _seeded_solve(layout, v, sigma, e, state)
 
     def march_sigma():
-        return _march(
-            layout.initial(cfg.sigma_schedule[0], eps0), cfg.sigma_schedule,
-            lambda v, s: _newton_solve(layout, v, s, eps0, cfg, state),
-        )
+        sigmas = default_sigma_schedule(sigma)
+        return _march(layout.initial(sigmas[0], eps0), sigmas,
+                      lambda v, s: _newton_solve(layout, v, s, eps0, state))
 
     if layout.exact_seed:
         try:
-            u, iters, factors = _march(None, schedule[:1], seeded, record)
+            u, iters, factors = _march(None, schedule[:1], solve_at, record)
         except _SOLVE_FAILURES:
             u, iters, factors = march_sigma()
             record(u, eps0)
-        rest, solve_at = schedule[1:], seeded
+        rest = schedule[1:]
     else:
         u, iters, factors = march_sigma()
-        rest, solve_at = schedule, warm
+        rest = schedule
     u, more, more_factors = _march(u, rest, solve_at, record)
     return u, iters + more, factors + more_factors, u0_by_eps
 
 
 def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     """Continuation solve of a resolved config on the given layout."""
-    t0 = time.perf_counter()
     state = NewtonState()
     u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     epsilon = cfg.epsilon_schedule[-1]
@@ -503,7 +489,6 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         kappa_max=kappa_max,
         min_nu_vertical=min_nu,
         admissibility_violations=state.rejected,
-        wall_time=time.perf_counter() - t0,
         sigma=cfg.sigma_target,
         epsilon=epsilon,
         grid_size=cfg.grid_size,
@@ -565,10 +550,11 @@ def solve_with_epsilon_extrapolation(config: SolverConfig, eps_values=(4e-3, 2e-
 
 
 def sweep_sigma(config: SolverConfig, sigmas) -> list:
-    """Warm-started sweep over sigma values (descending); one row per sigma,
-    per-row failures recorded rather than raised.  The first row that
-    converges runs the full continuation; every later row starts Newton from
-    the last converged state at the final boundary height."""
+    """Sweep over sigma values (descending); one row per sigma, per-row
+    failures recorded rather than raised.  The first row that converges runs
+    the full continuation; every later row is one _seeded_solve at the final
+    boundary height: from the cap on balls, warm from the last converged
+    state on ellipses."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
@@ -577,8 +563,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     rows = []
     warm = None
     for s in sigmas:
-        cfg = replace(config, sigma_target=s, sigma_schedule=None)
-        cfg = cfg.resolved()
+        cfg = replace(config, sigma_target=s).resolved()
         epsilon = cfg.epsilon_schedule[-1]
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
@@ -586,8 +571,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
                 u, its, _, _ = _continue(layout, cfg, state)
             else:
                 u, its, _ = _march(
-                    warm, (s,), lambda v, sv: _newton_solve(layout, v, sv, epsilon, cfg, state),
-                )
+                    warm, (s,), lambda v, sv: _seeded_solve(layout, v, sv, epsilon, state))
             warm = u
             kappa_max, min_nu = layout.summary(u)
             row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,

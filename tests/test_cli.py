@@ -105,6 +105,23 @@ class TestValidateConfig:
         assert cli.run({"command": "solve", "sigma": 0.5, **bad}) == 4
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"command": "solve", "sigma": 0.5, "export": "report-json,table-csv"},
+        {"command": "solve", "sigma": 0.5, "k": 2, "n": 3, "export": "report-json,mesh-obj"},
+        {"command": "sweep", "sigmas": [0.5, 0.2], "export": "report-json,mesh-obj"},
+    ], ids=["solve-table", "solve-n3-mesh", "sweep-mesh"])
+    def test_incompatible_export_exits_4_before_work(self, bad, tmp_path, capsys):
+        assert cli.run({**bad, "grid": 64, "out": str(tmp_path)}) == 4
+        assert "export" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ellipse_needs_n_2(self, tmp_path, capsys):
+        code = cli.run({"command": "solve", "shape": "ellipse", "axes": [1.5, 1],
+                        "n": 3, "k": 2, "sigma": 0.5, "out": str(tmp_path)})
+        assert code == 4
+        assert "n = 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "solve", "sigma": 0.5,

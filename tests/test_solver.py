@@ -3,6 +3,7 @@ cross-checks, continuation against the closed-form cap, sweeps, refinement,
 and the tensor-grid path."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,7 @@ class _LineLayout:
     the admissible set, half of it does not."""
 
     keeps_factorization = True
+    newton_tol = 1e-10
 
     def residual(self, u, sigma, epsilon):
         bad = np.flatnonzero(u >= 0.8)
@@ -149,28 +151,23 @@ class TestResidual:
 
 
 class TestNewton:
-    def config(self, **kw):
-        return solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                                   sigma_target=0.5, **kw).resolved()
-
     def test_quadratic_convergence_probe(self):
         u, rho = cap_profile(128, 0.6)
         # smooth perturbation: rough noise would be amplified by the 1/h^2
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
-        cfg = self.config()
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
         res = layout.residual(u, 0.6, 0.1)
         base = np.max(np.abs(solver.residual(u, H2H1, 0.6, 0.1, rho)))
-        u2, _, norm, _ = solver.newton_step(layout, u, res, 0.6, 0.1, cfg)
+        u2, _, norm, _ = solver.newton_step(layout, u, res, 0.6, 0.1)
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
-        cfg = self.config()
-        sol = solver.continuation_solve(self.config(grid_size=128))
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.domain, 128)
         res = layout.residual(sol.u, 0.5, sol.epsilon)
-        u, step, norm, _ = solver.newton_step(layout, sol.u, res, 0.5, sol.epsilon, cfg)
+        u, step, norm, _ = solver.newton_step(layout, sol.u, res, 0.5, sol.epsilon)
         assert step <= 1e-8
 
     def test_jacobian_cross_check_17_nodes(self):
@@ -190,14 +187,12 @@ class TestNewton:
 
 class TestNewtonState:
     def test_rejected_trials_counted(self):
-        cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.5).resolved()
         layout, state = _LineLayout(), solver.NewtonState()
         u = np.zeros(1)
-        u, _, norm, res = solver.newton_step(layout, u, layout.residual(u, 0, 0), 0, 0, cfg, state)
+        u, _, norm, res = solver.newton_step(layout, u, layout.residual(u, 0, 0), 0, 0, state)
         # full step rejected, half step accepted
         assert u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        u, _, _, _ = solver.newton_step(layout, u, res, 0, 0, cfg, state)
+        u, _, _, _ = solver.newton_step(layout, u, res, 0, 0, state)
         # chord trial rejected, then the refactored full step, then half of it
         assert u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
@@ -284,7 +279,7 @@ class TestExactSeed:
         # continuation's steps without its zero-iteration re-solve at 0.1
         assert np.array_equal(sol.u, continued.u)
         iters = list(continued.report.newton_iterations)
-        assert iters.pop(len(cfg.sigma_schedule)) == 0
+        assert iters.pop(len(solver.default_sigma_schedule(0.3))) == 0
         assert sol.report.newton_iterations == iters
         assert sol.report.u0_by_epsilon == continued.report.u0_by_epsilon
 
@@ -364,6 +359,18 @@ class TestSweep:
                                 sigma_target=0.5, grid_size=grid_size))
         warm_row = rows[1]
         assert abs(warm_row["u0"] - cold.u0) < 1e-8
+
+    def test_ball_rows_start_from_cap(self):
+        # warm starts from the previous sigma took 4-5 iterations per row
+        sigmas = [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=sigmas[0], grid_size=512)
+        rows = solver.sweep_sigma(cfg, sigmas)
+        assert all(row["converged"] for row in rows)
+        assert all(row["iterations"] <= 2 for row in rows[1:])
+        for row in rows:
+            cold = solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
+            assert abs(row["u0"] - cold.u0) <= 1e-10
 
 
 class TestRefine:
