@@ -127,6 +127,9 @@ def validate_config(raw: dict) -> dict:
             violations.append(f"ellipse domains are planar: need n = 2, got n={cfg['n']!r}")
     elif _convert(cfg, "radius", float, violations) and cfg["radius"] <= 0:
         violations.append("radius must be positive")
+    if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
+        violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
+                          f"got {cfg['shape']!r}")
 
     needs_sigma = command in ("solve", "cap", "check-estimates", "refine")
     if needs_sigma:

@@ -32,9 +32,10 @@ class GridLayout:
     equation; every other node carries the boundary height.  The Jacobian
     holds the interior rows of the nine-point linearization, split into
     the interior block and the coupling to Dirichlet nodes; the driver
-    reuses its factorization across Newton iterations.  The cap seed solves
-    no ellipse problem exactly, so the driver continues from it in sigma.
-    Newton stops at a residual sup-norm of 1e-8."""
+    reuses its factorization across Newton iterations and for the Euler
+    predictor of each continuation step.  The cap seed solves no ellipse
+    problem exactly, so the driver continues from it in sigma, then in the
+    boundary height.  Newton stops at a residual sup-norm of 1e-8."""
 
     keeps_factorization = True
     exact_seed = False

@@ -10,8 +10,11 @@ scheduled boundary height, and at each later sigma of a sweep, and needs a
 few iterations there.  A step where that fails warm-starts from the last
 accepted state instead.  On the grid path, and at the first height when the
 seeded Newton fails there, continuation walks sigma down from 0.8 at a
-moderate boundary height, then shrinks the boundary height.  Every accepted
-Newton iterate is admissible at every interior node.
+moderate boundary height, then shrinks the boundary height.  A layout that
+keeps its factorization starts each such step from the Euler tangent
+predictor, one chord step at the new parameter values.  Every accepted
+Newton iterate, and every prediction Newton starts from, is admissible at
+every interior node.
 """
 
 from __future__ import annotations
@@ -296,8 +299,9 @@ class RadialLayout:
 # a summary and a GraphSolution.  Its class also sets what the driver does
 # with it: `newton_tol`, the residual sup-norm at which Newton stops;
 # `keeps_factorization`, to keep the factorization for chord steps across
-# Newton iterations and continuation steps; and `exact_seed`, to start
-# Newton from `initial` at the sigma being solved for (see _seeded_solve).
+# Newton iterations and continuation steps, and for the predictor of each
+# continuation step (see _predict); and `exact_seed`, to start Newton from
+# `initial` at the sigma being solved for (see _seeded_solve).
 # The iteration and backtracking limits are the module constants above.
 
 
@@ -360,12 +364,14 @@ def newton_step(layout, u, res, sigma, epsilon, state=None):
     )
 
 
-def _newton_solve(layout, u, sigma, epsilon, state: NewtonState):
-    """Newton iterations to the layout's tolerance; returns the converged u,
-    the number of iterations and the number of factorizations they took."""
+def _newton_solve(layout, u, sigma, epsilon, state: NewtonState, res=None):
+    """Newton iterations to the layout's tolerance from u, whose residual
+    res is computed when not given; returns the converged u, the number of
+    iterations and the number of factorizations they took."""
     tol = layout.newton_tol
     first = state.factorizations
-    res = layout.residual(u, sigma, epsilon)
+    if res is None:
+        res = layout.residual(u, sigma, epsilon)
     norm = float(np.max(np.abs(res)))
     step_norm = None
     for it in range(MAX_NEWTON_ITERS):
@@ -391,10 +397,42 @@ def _newton_solve(layout, u, sigma, epsilon, state: NewtonState):
     )
 
 
+def _predict(layout, v, sigma, epsilon, state: NewtonState):
+    """Euler predictor of a continuation step to (sigma, epsilon) from v,
+    converged at the last parameter values (Allgower & Georg, Numerical
+    Continuation Methods, ch. 6).  The residual F is affine in both
+    parameters, dF/dsigma being minus the indicator of the curvature
+    equations and dF/depsilon minus that of the Dirichlet ones, and F(v) is
+    below tolerance at the last values.  So the tangent step
+    -J^{-1} (dF/dp) dp, with the kept factorization standing in for J, is
+    the chord step at the new values.  Returns the corrector's start and
+    its residual: the prediction, or v itself when no factorization is kept
+    or when the prediction leaves the cone, which counts as a rejected
+    trial."""
+    res = layout.residual(v, sigma, epsilon)
+    if state.factored is None:
+        return v, res
+    pred = v + layout.solve(state.factored, -res)
+    try:
+        return pred, layout.residual(pred, sigma, epsilon)
+    except AdmissibilityLostError:
+        state.rejected += 1
+        return v, res
+
+
+def _step(layout, v, sigma, epsilon, state: NewtonState):
+    """One continuation step from v: Newton at (sigma, epsilon) from the
+    Euler prediction."""
+    u, res = _predict(layout, v, sigma, epsilon, state)
+    return _newton_solve(layout, u, sigma, epsilon, state, res)
+
+
 def _march(u, values, solve_at, record=None):
-    """Walk a continuation schedule with up-to-8-deep step bisection;
-    returns the final state and the Newton iterations and factorizations
-    of every step."""
+    """Walk a continuation schedule with up-to-8-deep step bisection.  Each
+    step calls solve_at(v, value) with v the last accepted state, converged
+    at the last accepted value, or the march's start for the first step.
+    Returns the final state and the Newton iterations and factorizations of
+    every step."""
     iters, factors = [], []
     current = None
     for target in values:
@@ -426,25 +464,26 @@ _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLost
 def _seeded_solve(layout, v, sigma, epsilon, state: NewtonState):
     """Newton at (sigma, epsilon).  A layout whose class sets `exact_seed`
     starts from its exact solution of the continuous problem,
-    `layout.initial(sigma, epsilon)`, and warm-starts from the state v only
-    where that fails (re-raising when v is None); other layouts start from
-    v."""
+    `layout.initial(sigma, epsilon)`, and takes a continuation step from
+    the state v only where that fails (re-raising when v is None); other
+    layouts take a continuation step from v (see _step)."""
     if layout.exact_seed:
         try:
             return _newton_solve(layout, layout.initial(sigma, epsilon), sigma, epsilon, state)
         except _SOLVE_FAILURES:
             if v is None:
                 raise
-    return _newton_solve(layout, v, sigma, epsilon, state)
+    return _step(layout, v, sigma, epsilon, state)
 
 
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
-    """Solve at every scheduled boundary height with _seeded_solve.  On a
-    layout whose class sets `exact_seed` the first height needs no state;
-    when its seeded Newton fails there, and on other layouts, the first
-    height marches sigma down from the cap seed at 0.8.  Returns the final
-    state, the Newton iterations and factorizations of every step, and the
-    center height at each scheduled boundary height."""
+    """Solve at every scheduled boundary height.  On a layout whose class
+    sets `exact_seed` the first height is one seeded Newton solve; when it
+    fails there, and on other layouts, the first height marches sigma down
+    from the cap seed at 0.8, one predicted step per sigma.  Every later
+    height is one _seeded_solve from the state at the height before.
+    Returns the final state, the Newton iterations and factorizations of
+    every step, and the center height at each scheduled boundary height."""
     sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
     eps0 = schedule[0]
     u0_by_eps = {}
@@ -456,21 +495,23 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
         return _seeded_solve(layout, v, sigma, e, state)
 
     def march_sigma():
+        # the cap seed is converged at no parameter values: no prediction
+        # from it with factors kept from an earlier solve (a failed sweep row)
+        state.factored = None
         sigmas = default_sigma_schedule(sigma)
-        return _march(layout.initial(sigmas[0], eps0), sigmas,
-                      lambda v, s: _newton_solve(layout, v, s, eps0, state))
+        u, iters, factors = _march(layout.initial(sigmas[0], eps0), sigmas,
+                                   lambda v, s: _step(layout, v, s, eps0, state))
+        record(u, eps0)
+        return u, iters, factors
 
     if layout.exact_seed:
         try:
             u, iters, factors = _march(None, schedule[:1], solve_at, record)
         except _SOLVE_FAILURES:
             u, iters, factors = march_sigma()
-            record(u, eps0)
-        rest = schedule[1:]
     else:
         u, iters, factors = march_sigma()
-        rest = schedule
-    u, more, more_factors = _march(u, rest, solve_at, record)
+    u, more, more_factors = _march(u, schedule[1:], solve_at, record)
     return u, iters + more, factors + more_factors, u0_by_eps
 
 
@@ -553,8 +594,8 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
     failures recorded rather than raised.  The first row that converges runs
     the full continuation; every later row is one _seeded_solve at the final
-    boundary height: from the cap on balls, warm from the last converged
-    state on ellipses."""
+    boundary height: from the cap on balls, from the Euler prediction from
+    the last converged state on ellipses."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")

@@ -122,6 +122,14 @@ class TestValidateConfig:
         assert "n = 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_cap_needs_ball(self, tmp_path, capsys):
+        code = cli.run({"command": "cap", "shape": "ellipse", "axes": [1.5, 1],
+                        "sigma": 0.5, "export": "report-json,mesh-obj",
+                        "out": str(tmp_path)})
+        assert code == 4
+        assert "cap needs shape 'ball'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "solve", "sigma": 0.5,

@@ -216,6 +216,57 @@ class TestNewtonState:
         assert report.admissibility_violations == 0
 
 
+class _ConeEdgeLayout(grid.GridLayout):
+    """The grid layout whose admissible set ends just above the heights of
+    the state `edge`: a prediction towards smaller sigma, which raises the
+    graph, leaves it."""
+
+    edge = np.inf
+
+    def residual(self, U, sigma, epsilon):
+        above = np.flatnonzero(U > self.edge + 1e-12)
+        if above.size:
+            raise AdmissibilityLostError(above)
+        return super().residual(U, sigma, epsilon)
+
+
+class TestPredictor:
+    """The Euler predictor from a converged ellipse state at sigma = 0.6,
+    epsilon = 0.1, with the Jacobian factored there."""
+
+    @staticmethod
+    def converged(layout_class=grid.GridLayout):
+        layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
+        state = solver.NewtonState()
+        u, _, _ = solver._newton_solve(layout, layout.initial(0.6, 0.1), 0.6, 0.1, state)
+        state.factored = layout.factor(layout.jacobian(u))
+        return layout, state, u
+
+    def predicted_norm(self, layout, state, u, sigma):
+        pred, res = solver._predict(layout, u, sigma, 0.1, state)
+        assert np.array_equal(res, layout.residual(pred, sigma, 0.1))
+        return np.max(np.abs(res))
+
+    def test_cuts_the_residual(self):
+        layout, state, u = self.converged()
+        plain = np.max(np.abs(layout.residual(u, 0.55, 0.1)))
+        assert self.predicted_norm(layout, state, u, 0.55) <= plain / 5.0
+
+    def test_second_order(self):
+        # the predicted residual is O(dsigma^2): halving the step quarters it
+        layout, state, u = self.converged()
+        full = self.predicted_norm(layout, state, u, 0.55)
+        half = self.predicted_norm(layout, state, u, 0.575)
+        assert full >= 3.0 * half
+
+    def test_inadmissible_prediction_falls_back(self):
+        layout, state, u = self.converged(_ConeEdgeLayout)
+        layout.edge = u
+        start, res = solver._predict(layout, u, 0.55, 0.1, state)
+        assert start is u and state.rejected == 1
+        assert np.array_equal(res, layout.residual(u, 0.55, 0.1))
+
+
 class _ContinuedLayout(solver.RadialLayout):
     """The radial layout without exact seeding: the driver continues in
     sigma from the cap at 0.8, then in the boundary height."""
@@ -276,11 +327,9 @@ class TestExactSeed:
         continued = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         sol = solver.solve_on(_BadSeedLayout(H2H1, cfg.domain, 128), cfg)
         # the sigma march at the first height, then warm starts: the
-        # continuation's steps without its zero-iteration re-solve at 0.1
+        # continuation's steps
         assert np.array_equal(sol.u, continued.u)
-        iters = list(continued.report.newton_iterations)
-        assert iters.pop(len(solver.default_sigma_schedule(0.3))) == 0
-        assert sol.report.newton_iterations == iters
+        assert sol.report.newton_iterations == continued.report.newton_iterations
         assert sol.report.u0_by_epsilon == continued.report.u0_by_epsilon
 
 
@@ -427,6 +476,15 @@ class TestGridPath:
         assert sol.report.converged
         assert np.min(sol.u) > 0.0
         assert sol.report.min_nu_vertical >= 0.4 - 0.05
+
+    def test_every_step_iterates(self):
+        # one step per sigma of the march, then one per boundary height
+        # after the first: the march ends at the first height
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                  sigma_target=0.5, grid_size=32).resolved()
+        iters = solver.continuation_solve(cfg).report.newton_iterations
+        assert len(iters) == len(solver.default_sigma_schedule(0.5)) + len(cfg.epsilon_schedule) - 1
+        assert min(iters) > 0
 
     def test_interior_solve_matches_full_system(self):
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 24)
