@@ -2,7 +2,8 @@
 export of reports (JSON), tables (CSV), and meshes (OBJ).
 
 Exit codes: 0 success, 2 solver non-convergence, 3 admissibility loss,
-4 configuration error.
+4 configuration error, a command-line usage error (unknown flag, bad flag
+value or choice, missing subcommand) included.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def validate_config(raw: dict) -> dict:
         elif cfg["l"] is not None:
             violations.append("l is only meaningful for general_quotient")
 
-    if cfg["shape"] not in (hypgeom.SHAPE_BALL, hypgeom.SHAPE_ELLIPSE, hypgeom.SHAPE_ANNULUS):
+    if cfg["shape"] not in (hypgeom.SHAPE_BALL, hypgeom.SHAPE_ELLIPSE):
         violations.append(f"unknown shape {cfg['shape']!r}")
     if cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
         axes = cfg.get("axes")
@@ -185,9 +186,6 @@ def _curvature_spec(cfg: dict) -> symfunc.CurvatureSpec:
 def _domain(cfg: dict) -> hypgeom.Domain:
     if cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
         return hypgeom.Domain.ellipse(*cfg["axes"])
-    if cfg["shape"] == hypgeom.SHAPE_ANNULUS:
-        raise ConfigError(["annulus domains are not solvable (not mean-convex); "
-                           "only ball and ellipse are supported by the solver"])
     return hypgeom.Domain.ball(cfg["radius"], cfg["n"])
 
 
@@ -413,8 +411,18 @@ def run(raw_config: dict) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: usage and message go to
+    stderr and the exit code is 4, not argparse's 2 (non-convergence here).
+    Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperplateau",
         description="Constant-curvature graphs over planar domains in the "
                     "upper half-space model: solver, verification, exports.",
@@ -434,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--l", type=int)
         p.add_argument("--n", type=int)
-        p.add_argument("--shape", choices=["ball", "ellipse", "annulus"])
+        p.add_argument("--shape", choices=["ball", "ellipse"])
         p.add_argument("--radius", type=float)
         p.add_argument("--axes", help="ellipse semi-axes as A,B")
         p.add_argument("--sigma", type=float)

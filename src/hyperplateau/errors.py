@@ -2,7 +2,12 @@
 
 
 class AdmissibilityError(ValueError):
-    """A curvature vector lies outside the open cone where f is defined."""
+    """A curvature vector lies outside the open cone where f is defined;
+    `indices` lists the flat batch index of every such vector."""
+
+    def __init__(self, message, indices=()):
+        self.indices = [int(i) for i in indices]
+        super().__init__(message)
 
 
 class DegenerateHeightError(ValueError):

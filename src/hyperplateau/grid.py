@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 # `solver` imports this module too; each uses the other's names only at call time
 from . import hypgeom, solver, symfunc
-from .errors import AdmissibilityLostError, SingularJacobianError
+from .errors import AdmissibilityError, AdmissibilityLostError, SingularJacobianError
 
 
 class GridLayout:
@@ -173,11 +173,12 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
     kappa, _ = _interior_curvatures(U, layout)
-    ok = np.atleast_1d(symfunc.cone_contains(kappa, spec.cone_index))
-    if not ok.all():
-        raise AdmissibilityLostError(np.flatnonzero(~ok))
+    try:
+        f = symfunc.eval_f(spec, kappa)
+    except AdmissibilityError as exc:
+        raise AdmissibilityLostError(exc.indices) from exc
     res = U - epsilon
-    res[ins] = symfunc.eval_f(spec, kappa, check_cone=False) - sigma
+    res[ins] = f - sigma
     return res.ravel()
 
 

@@ -19,7 +19,6 @@ from .errors import DegenerateHeightError, UnsupportedSolutionError
 
 SHAPE_BALL = "ball"
 SHAPE_ELLIPSE = "ellipse"
-SHAPE_ANNULUS = "annulus"
 
 
 @dataclass(frozen=True)
@@ -41,25 +40,6 @@ class Domain:
         if not a_axis >= b_axis > 0:
             raise ValueError("ellipse needs a_axis >= b_axis > 0")
         return cls(2, SHAPE_ELLIPSE, (float(a_axis), float(b_axis)))
-
-    @classmethod
-    def annulus(cls, r_in: float, r_out: float, n: int = 2) -> "Domain":
-        if not 0 < r_in < r_out:
-            raise ValueError("annulus needs 0 < r_in < r_out")
-        return cls(n, SHAPE_ANNULUS, (float(r_in), float(r_out)))
-
-    @property
-    def mean_convex(self) -> bool:
-        # the inner circle of an annulus curves the wrong way
-        return self.shape != SHAPE_ANNULUS
-
-    @property
-    def inscribed_radius(self) -> float:
-        if self.shape == SHAPE_BALL:
-            return self.params[0]
-        if self.shape == SHAPE_ELLIPSE:
-            return self.params[1]
-        return 0.5 * (self.params[1] - self.params[0])
 
 
 @dataclass

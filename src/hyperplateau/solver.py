@@ -27,6 +27,7 @@ from scipy.linalg import solve_banded
 
 from . import grid, hypgeom, symfunc
 from .errors import (
+    AdmissibilityError,
     AdmissibilityLostError,
     NonConvergenceError,
     SingularJacobianError,
@@ -185,12 +186,12 @@ def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
     if bad_height.size:
         raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
     kappa, _, _ = _radial_kappa(u, rho, n)
-    interior = kappa[:-1]
-    ok = np.atleast_1d(symfunc.cone_contains(interior, spec.cone_index))
-    if not ok.all():
-        raise AdmissibilityLostError(np.flatnonzero(~ok))
+    try:
+        f = symfunc.eval_f(spec, kappa[:-1])
+    except AdmissibilityError as exc:
+        raise AdmissibilityLostError(exc.indices) from exc
     res = np.empty_like(u)
-    res[:-1] = symfunc.eval_f(spec, interior, check_cone=False) - sigma
+    res[:-1] = f - sigma
     res[-1] = u[-1] - epsilon
     return res
 

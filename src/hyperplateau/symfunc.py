@@ -4,6 +4,16 @@ curvature-function families H_k/H_{k-1}, (H_k/H_l)^{1/(k-l)}, H_k^{1/k}.
 All point-wise operations are vectorized over a leading batch axis: a
 "kappa" argument may be shaped (n,) or (..., n).  Values, gradients and
 Hessians are analytic (no finite differences anywhere in this module).
+
+Each public call checks its kappa once and makes one component-major copy
+of it, shape (n, points), on which the elementary symmetric tables are
+built by the prefix recurrence, only up to the highest order the call
+reads: the cone index for membership, k for f, k-1 and l-1 for the tables
+of the gradient (leaving one component out), k-2 and l-2 for those of the
+Hessian (leaving two out).  Every table entry is bitwise the one of the
+full row-major table.  eval_f, grad_f and hessian_f take their cone test
+from the table they build.  The cone sampler works on arrays it built
+itself and tests membership without re-checking them.
 """
 
 from __future__ import annotations
@@ -99,175 +109,216 @@ def _as_kappa(kappa, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def _esym_prefix(arr: np.ndarray) -> np.ndarray:
-    """e_0..e_m of the m entries along the last axis, shape (..., m+1), for
-    any m >= 0 (e_0 = 1 alone when m = 0); the input is not checked.
+def _columns(arr: np.ndarray) -> np.ndarray:
+    """Component-major copy of a (..., n) batch: shape (n, points), one
+    contiguous row per component."""
+    n = arr.shape[-1]
+    return np.ascontiguousarray(arr.reshape(-1, n).T)
 
-    Single-pass prefix recurrence; no subset enumeration.
+
+def _batch(values: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Component-major values, shape (..., points), back in the layout of
+    the (..., n) batch `arr`: points first, C-contiguous."""
+    out = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    return out.reshape(arr.shape[:-1] + values.shape[:-1])
+
+
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _per_point(values: np.ndarray, arr: np.ndarray):
+    """Per-point values (points,) of the batch `arr`; a numpy scalar when
+    `arr` is a single point.  numpy's scalar power (libm's pow) and its
+    vectorized array power can differ in the last bit, and a single point
+    takes the scalar one."""
+    return values[0] if arr.ndim == 1 else values
+
+
+def _esym_rows(cols: np.ndarray, order: int, rows=None) -> np.ndarray:
+    """e_0..e_order of the components `rows` (default: all; in increasing
+    index order) of a component-major batch, shape (order+1, points); the
+    input is not checked.
+
+    Single-pass prefix recurrence e_j += kappa_i e_{j-1}, cut at `order`:
+    every e_j it returns gets the same operations in the same order as in
+    the full table, so neither the cut nor the left-out components change a
+    bit of it.  The product with e_0 = 1 is exact and is skipped.
     """
-    m = arr.shape[-1]
-    e = np.zeros(arr.shape[:-1] + (m + 1,))
-    e[..., 0] = 1.0
-    for i in range(m):
-        for j in range(i + 1, 0, -1):
-            e[..., j] += arr[..., i] * e[..., j - 1]
+    if rows is None:
+        rows = range(cols.shape[0])
+    e = np.zeros((order + 1, cols.shape[1]))
+    e[0] = 1.0
+    term = np.empty(cols.shape[1])
+    for step, i in enumerate(rows):
+        for j in range(min(step + 1, order), 1, -1):
+            np.multiply(cols[i], e[j - 1], out=term)
+            e[j] += term
+        if order:
+            e[1] += cols[i]
     return e
+
+
+def _positive(e: np.ndarray, k: int) -> np.ndarray:
+    """Membership in K_k from a table holding e_0..e_k (at least)."""
+    return np.all(e[1 : k + 1] > 0.0, axis=0)
+
+
+def _in_cone(points: np.ndarray, k: int) -> np.ndarray:
+    """Unchecked membership in K_k of an (m, n) batch this module built."""
+    return _positive(_esym_rows(_columns(points), k), k)
 
 
 def esym_table(kappa) -> np.ndarray:
     """All unnormalized elementary symmetric values e_0..e_n, shape (..., n+1)."""
-    return _esym_prefix(_as_kappa(kappa))
+    arr = _as_kappa(kappa)
+    return _batch(_esym_rows(_columns(arr), arr.shape[-1]), arr)
 
 
-def _esym_drop1(arr: np.ndarray) -> np.ndarray:
-    """D[..., i, j] = e_j(kappa with entry i removed), j = 0..n-1."""
+def _order_k(kappa, k: int):
+    """n and e_k of a checked kappa, shaped like its batch."""
+    arr = _as_kappa(kappa)
     n = arr.shape[-1]
-    out = np.empty(arr.shape[:-1] + (n, n))
-    for i in range(n):
-        out[..., i, :] = _esym_prefix(np.delete(arr, i, axis=-1))
-    return out
-
-
-def _esym_drop2(arr: np.ndarray) -> np.ndarray:
-    """D[..., i, j, m] = e_m(kappa with entries i and j removed), m = 0..n-2."""
-    n = arr.shape[-1]
-    out = np.zeros(arr.shape[:-1] + (n, n, n - 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            tab = _esym_prefix(np.delete(arr, (i, j), axis=-1))
-            out[..., i, j, :] = tab
-            out[..., j, i, :] = tab
-    return out
+    if not 0 <= k <= n:
+        raise ValueError(f"order k={k} out of range 0..{n}")
+    return n, _esym_rows(_columns(arr), k)[k].reshape(arr.shape[:-1])
 
 
 def elementary_symmetric(kappa, k: int):
     """Unnormalized e_k(kappa); e_0 = 1."""
-    arr = _as_kappa(kappa)
-    n = arr.shape[-1]
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range 0..{n}")
-    out = esym_table(arr)[..., k]
-    return float(out) if out.ndim == 0 else out
+    _, ek = _order_k(kappa, k)
+    return _scalar(ek)
 
 
 def normalized_Hk(kappa, k: int):
     """H_k = e_k / binom(n, k), so H_k(1,...,1) = 1."""
-    arr = _as_kappa(kappa)
-    n = arr.shape[-1]
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range 0..{n}")
-    out = esym_table(arr)[..., k] / math.comb(n, k)
-    return float(out) if out.ndim == 0 else out
+    n, ek = _order_k(kappa, k)
+    return _scalar(ek / math.comb(n, k))
 
 
 def _binoms(n: int) -> np.ndarray:
     return np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
 
 
+def _check_cone_index(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"cone index k={k} out of range 1..{n}")
+
+
 def cone_contains(kappa, k: int):
     """Strict membership in the Garding cone K_k = {H_j > 0, 1 <= j <= k}."""
     arr = _as_kappa(kappa)
-    n = arr.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} out of range 1..{n}")
-    e = esym_table(arr)
-    ok = np.all(e[..., 1 : k + 1] > 0.0, axis=-1)
+    _check_cone_index(k, arr.shape[-1])
+    ok = _positive(_esym_rows(_columns(arr), k), k).reshape(arr.shape[:-1])
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _check_cone(spec: CurvatureSpec, arr: np.ndarray) -> None:
-    ok = cone_contains(arr, spec.cone_index)
-    if not np.all(ok):
-        bad = int(np.size(ok) - np.count_nonzero(ok))
+def _table(spec: CurvatureSpec, cols: np.ndarray, check_cone: bool) -> np.ndarray:
+    """e_0..e_k of the batch, and on to e_{cone_index} when the cone is
+    checked; raises AdmissibilityError with the flat indices of the points
+    outside K_{cone_index}."""
+    if not check_cone:
+        return _esym_rows(cols, spec.k)
+    e = _esym_rows(cols, max(spec.k, spec.cone_index))
+    ok = _positive(e, spec.cone_index)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         raise AdmissibilityError(
-            f"{bad} point(s) outside K_{spec.cone_index} for {spec.describe()}"
+            f"{bad.size} point(s) outside K_{spec.cone_index} for {spec.describe()}", bad
         )
+    return e
 
 
-def _quotient_terms(spec: CurvatureSpec, arr: np.ndarray):
-    """H_k, H_l and their first-derivative tables for the batch."""
-    n = spec.n
+def _quotient_terms(spec: CurvatureSpec, arr: np.ndarray, cols: np.ndarray, check_cone: bool):
+    """H_k, H_l (per point) and their first derivatives (n, points) for the
+    batch `arr` with component-major copy `cols`.  The derivative of e_q in
+    component i is e_{q-1} of the other components."""
+    n, k, l = spec.n, spec.k, spec.l
     binom = _binoms(n)
-    e = esym_table(arr)
-    Hk = e[..., spec.k] / binom[spec.k]
-    Hl = e[..., spec.l] / binom[spec.l]
-    d1 = _esym_drop1(arr)
-    dHk = d1[..., spec.k - 1] / binom[spec.k]
-    if spec.l >= 1:
-        dHl = d1[..., spec.l - 1] / binom[spec.l]
-    else:
-        dHl = np.zeros_like(dHk)
+    e = _table(spec, cols, check_cone)
+    Hk = _per_point(e[k] / binom[k], arr)
+    Hl = _per_point(e[l] / binom[l], arr)
+    dHk = np.empty(cols.shape)
+    dHl = np.zeros(cols.shape)
+    for i in range(n):
+        rest = _esym_rows(cols, k - 1, [r for r in range(n) if r != i])
+        dHk[i] = rest[k - 1] / binom[k]
+        if l >= 1:
+            dHl[i] = rest[l - 1] / binom[l]
     return Hk, Hl, dHk, dHl
 
 
+def _second_terms(spec: CurvatureSpec, cols: np.ndarray):
+    """Second derivatives of H_k and H_l, component-major (n, n, points):
+    e_{q-2} of the components other than i and j off the diagonal, 0 on it."""
+    n, k, l = spec.n, spec.k, spec.l
+    binom = _binoms(n)
+    d2Hk = np.zeros((n, n, cols.shape[1]))
+    d2Hl = np.zeros((n, n, cols.shape[1]))
+    if k < 2:
+        return d2Hk, d2Hl
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = _esym_rows(cols, k - 2, [r for r in range(n) if r != i and r != j])
+            d2Hk[i, j] = d2Hk[j, i] = rest[k - 2] / binom[k]
+            if l >= 2:
+                d2Hl[i, j] = d2Hl[j, i] = rest[l - 2] / binom[l]
+    return d2Hk, d2Hl
+
+
 def eval_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
-    """Value of the curvature function; degree-1 homogeneous, f(1,...,1) = 1."""
+    """Value of the curvature function; degree-1 homogeneous, f(1,...,1) = 1.
+    With check_cone, a point outside K_{cone_index} raises AdmissibilityError
+    listing the flat indices of every such point."""
     arr = _as_kappa(kappa, spec.n)
-    if check_cone:
-        _check_cone(spec, arr)
     binom = _binoms(spec.n)
-    e = esym_table(arr)
-    g = (e[..., spec.k] / binom[spec.k]) / (e[..., spec.l] / binom[spec.l])
+    e = _table(spec, _columns(arr), check_cone)
+    g = _per_point((e[spec.k] / binom[spec.k]) / (e[spec.l] / binom[spec.l]), arr)
     p = spec.power
     with np.errstate(invalid="ignore"):
         out = g if p == 1.0 else np.where(g > 0, np.abs(g) ** p, np.nan)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.reshape(out, arr.shape[:-1]))
 
 
 def grad_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
     """Analytic gradient (f_1, ..., f_n); strictly positive on the cone."""
     arr = _as_kappa(kappa, spec.n)
-    if check_cone:
-        _check_cone(spec, arr)
-    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr)
+    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr, _columns(arr), check_cone)
     g = Hk / Hl
-    gi = (dHk * Hl[..., None] - Hk[..., None] * dHl) / (Hl**2)[..., None]
+    gi = (dHk * Hl - Hk * dHl) / Hl**2
     p = spec.power
-    if p == 1.0:
-        return gi
-    with np.errstate(invalid="ignore"):
-        scale = p * np.abs(g) ** (p - 1.0)
-    return scale[..., None] * gi
+    if p != 1.0:
+        with np.errstate(invalid="ignore"):
+            scale = p * np.abs(g) ** (p - 1.0)
+        gi = scale * gi
+    return _batch(gi, arr)
 
 
 def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
     """Analytic Hessian (..., n, n); negative semidefinite on the cone with
     the radial direction kappa as a null direction."""
     arr = _as_kappa(kappa, spec.n)
-    if check_cone:
-        _check_cone(spec, arr)
-    n, k, l = spec.n, spec.k, spec.l
-    binom = _binoms(n)
-    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr)
-    d2 = _esym_drop2(arr)
-    eye = np.eye(n, dtype=bool)
-
-    def second(order: int) -> np.ndarray:
-        if order < 2:
-            return np.zeros(arr.shape[:-1] + (n, n))
-        m = d2[..., order - 2] / binom[order]
-        return np.where(eye, 0.0, m)
-
-    d2Hk = second(k)
-    d2Hl = second(l)
-    Hl_ = Hl[..., None, None]
-    Hk_ = Hk[..., None, None]
-    outer_kl = np.einsum("...i,...j->...ij", dHk, dHl)
-    outer_ll = np.einsum("...i,...j->...ij", dHl, dHl)
+    cols = _columns(arr)
+    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr, cols, check_cone)
+    d2Hk, d2Hl = _second_terms(spec, cols)
+    # the powers of the matrix terms are array powers, for a single point too
+    Hk_, Hl_ = np.atleast_1d(Hk), np.atleast_1d(Hl)
+    outer_kl = np.einsum("i...,j...->ij...", dHk, dHl)
+    outer_ll = np.einsum("i...,j...->ij...", dHl, dHl)
     gij = (
         d2Hk / Hl_
-        - (outer_kl + np.swapaxes(outer_kl, -1, -2)) / Hl_**2
+        - (outer_kl + np.swapaxes(outer_kl, 0, 1)) / Hl_**2
         - Hk_ * d2Hl / Hl_**2
         + 2.0 * Hk_ * outer_ll / Hl_**3
     )
-    g = Hk / Hl
-    gi = (dHk * Hl[..., None] - Hk[..., None] * dHl) / (Hl**2)[..., None]
     p = spec.power
-    if p == 1.0:
-        return gij
-    outer_gg = np.einsum("...i,...j->...ij", gi, gi)
-    g_ = np.abs(g)[..., None, None]
-    return p * (p - 1.0) * g_ ** (p - 2.0) * outer_gg + p * g_ ** (p - 1.0) * gij
+    if p != 1.0:
+        g = Hk / Hl
+        gi = (dHk * Hl - Hk * dHl) / Hl**2
+        outer_gg = np.einsum("i...,j...->ij...", gi, gi)
+        g_ = np.atleast_1d(np.abs(g))
+        gij = p * (p - 1.0) * g_ ** (p - 2.0) * outer_gg + p * g_ ** (p - 1.0) * gij
+    return _batch(gij, arr)
 
 
 def monotone_difference_quotients(spec: CurvatureSpec, kappa) -> np.ndarray:
@@ -338,7 +389,7 @@ def _draw_in_cone(rng, n: int, cone_index: int, count: int, box: float) -> np.nd
     have = 0
     for _ in range(10_000):
         cand = rng.uniform(-box, box, size=(max(4 * count, 256), n))
-        keep = cand[cone_contains(cand, cone_index)]
+        keep = cand[_in_cone(cand, cone_index)]
         if keep.size:
             got.append(keep)
             have += keep.shape[0]
@@ -356,7 +407,7 @@ def _exterior_points(rng, m: int, n: int, cone_index: int, box: float) -> np.nda
         if not need.any():
             return out
         cand = rng.uniform(-box, box, size=(int(need.sum()), n))
-        ext = ~np.atleast_1d(cone_contains(cand, cone_index))
+        ext = ~_in_cone(cand, cone_index)
         idx = np.flatnonzero(need)[ext]
         out[idx] = cand[ext]
         need[idx] = False
@@ -365,17 +416,19 @@ def _exterior_points(rng, m: int, n: int, cone_index: int, box: float) -> np.nda
 
 def boundary_points(rng, inside: np.ndarray, cone_index: int, box: float = 3.0, iters: int = 60) -> np.ndarray:
     """For each interior point, a boundary point of K_{cone_index} found by
-    bisection along a segment toward a random exterior point."""
-    inside = np.atleast_2d(np.asarray(inside, dtype=float))
+    bisection along a segment toward a random exterior point.  The bisection
+    runs on component-major copies of the segment ends."""
+    inside = np.atleast_2d(_as_kappa(inside))
     m, n = inside.shape
-    lo = inside.copy()
-    hi = _exterior_points(rng, m, n, cone_index, box)
+    _check_cone_index(cone_index, n)
+    lo = _columns(inside)
+    hi = _columns(_exterior_points(rng, m, n, cone_index, box))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        ok = np.atleast_1d(cone_contains(mid, cone_index))
-        lo[ok] = mid[ok]
-        hi[~ok] = mid[~ok]
-    return 0.5 * (lo + hi)
+        ok = _positive(_esym_rows(mid, cone_index), cone_index)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return np.ascontiguousarray((0.5 * (lo + hi)).T)
 
 
 def push_toward_boundary(samples: np.ndarray, cone_index: int, rng, t, box: float = 3.0) -> np.ndarray:
@@ -384,7 +437,7 @@ def push_toward_boundary(samples: np.ndarray, cone_index: int, rng, t, box: floa
     t = np.broadcast_to(np.asarray(t, dtype=float), (samples.shape[0],))
     b = boundary_points(rng, samples, cone_index, box)
     cand = samples + t[:, None] * (b - samples)
-    ok = np.atleast_1d(cone_contains(cand, cone_index))
+    ok = _in_cone(_as_kappa(cand), cone_index)
     return np.where(ok[:, None], cand, samples)
 
 
@@ -399,6 +452,7 @@ def sample_cone(
     """Rejection sampling of K_{cone_index} from the box [-box, box]^n, with a
     fraction of points scaled toward sampled boundary points for coverage of
     the near-degenerate region.  Deterministic given seed."""
+    _check_cone_index(cone_index, n)
     rng = np.random.default_rng(seed)
     samples = _draw_in_cone(rng, n, cone_index, count, box)
     m = int(boundary_fraction * count)
@@ -490,7 +544,7 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
     rng = np.random.default_rng(seed)
     n = spec.n
     samples = sample_cone(n, spec.cone_index, sample_count, seed)
-    ok = np.atleast_1d(cone_contains(samples, spec.required_cone))
+    ok = _in_cone(samples, spec.required_cone)
     violations = int(np.size(ok) - np.count_nonzero(ok))
     valid = samples[ok]
     report = ConditionReport(spec, seed, sample_count, violations)
@@ -525,8 +579,8 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
     pool = valid[: min(4 * 32, m)]
     b = boundary_points(rng, pool, spec.vanishing_cone)
     if spec.k > 1:
-        e_b = esym_table(b)
-        generic = np.all(e_b[:, 1 : spec.k] > 1e-2, axis=-1)
+        e_b = _esym_rows(_columns(b), spec.k - 1)
+        generic = np.all(e_b[1:] > 1e-2, axis=0)
     else:
         generic = np.ones(b.shape[0], dtype=bool)
     b, a = b[generic][:32], pool[generic][:32]
@@ -595,7 +649,7 @@ def sup_gradient_sum(spec: CurvatureSpec, sample_count: int, seed: int) -> float
     m = max(1, sample_count // 10)
     deep = push_toward_boundary(samples[:m].copy(), spec.k, rng, 1.0 - 1e-8)
     allpts = np.concatenate([samples, deep], axis=0)
-    allpts = allpts[cone_contains(allpts, spec.cone_index)]
+    allpts = allpts[_in_cone(allpts, spec.cone_index)]
     sums = np.sum(grad_f(spec, allpts), axis=-1)
     return float(np.max(sums))
 
@@ -610,7 +664,7 @@ def sup_ratio_assumption(spec: CurvatureSpec, sample_count: int, seed: int) -> f
     m = max(1, sample_count // 10)
     deep = push_toward_boundary(samples[:m].copy(), spec.required_cone, rng, 1.0 - 1e-6)
     allpts = np.concatenate([samples, deep], axis=0)
-    allpts = allpts[cone_contains(allpts, spec.required_cone)]
+    allpts = allpts[_in_cone(allpts, spec.required_cone)]
     f = eval_f(spec, allpts)
     g = grad_f(spec, allpts)
     with np.errstate(divide="ignore", invalid="ignore"):

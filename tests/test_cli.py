@@ -274,3 +274,30 @@ class TestMain:
 
     def test_bad_flag_value(self):
         assert cli.main(["solve", "--sigma", "2.0"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--sigma", "0.5", "--k", "abc"],          # not an int
+        ["solve", "--sigma", "0.5", "--family", "bogus"],   # not a choice
+        ["solve", "--sigma", "0.5", "--shape", "annulus"],  # removed shape
+    ])
+    def test_usage_error_exits_4(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hyperplateau solve") and "error: argument" in err
+        assert not out.exists()
+
+    def test_missing_subcommand_exits_4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hyperplateau") and "required: command" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hyperplateau solve")

@@ -127,17 +127,6 @@ class TestLemma21ii:
 
 
 class TestDomain:
-    def test_mean_convexity(self):
-        assert hypgeom.Domain.ball(1.0).mean_convex
-        assert hypgeom.Domain.ellipse(2.0, 1.0).mean_convex
-        assert not hypgeom.Domain.annulus(0.5, 1.0).mean_convex
-
-    def test_inscribed_radius(self):
-        assert hypgeom.Domain.ellipse(2.0, 1.0).inscribed_radius == 1.0
-        assert hypgeom.Domain.ball(3.0).inscribed_radius == 3.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             hypgeom.Domain.ellipse(1.0, 2.0)
-        with pytest.raises(ValueError):
-            hypgeom.Domain.annulus(2.0, 1.0)

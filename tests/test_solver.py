@@ -149,6 +149,30 @@ class TestResidual:
         assert 10 in exc.value.nodes
         assert "np.int64" not in str(exc.value)
 
+    def test_cone_exit_carries_nodes(self):
+        # a spike of 0.001 (h = 1/64) makes its node's curvatures negative
+        u, rho = cap_profile(64, 0.5)
+        u[[10, 30]] += 0.001
+        with pytest.raises(AdmissibilityLostError) as exc:
+            solver.residual(u, H2H1, 0.5, 0.1, rho)
+        assert exc.value.nodes == [10, 30]
+        assert str(exc.value) == "curvature left the cone at nodes [10, 30]"
+
+    def test_grid_admissibility_error_carries_nodes(self):
+        # a spike of 0.01 (h = 0.094) makes its node's curvatures negative
+        # and leaves the diagonal neighbours, whose u_xy it shifts, in the cone
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
+        U = layout.initial(0.6, 0.1)
+        layout.residual(U, 0.6, 0.1)
+        pushed = [100, 200, 300]
+        rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
+        U[rows[pushed], cols[pushed]] += 0.01
+        with pytest.raises(AdmissibilityLostError) as exc:
+            layout.residual(U, 0.6, 0.1)
+        assert exc.value.nodes == pushed
+        assert all(type(i) is int for i in exc.value.nodes)
+        assert str(exc.value) == "curvature left the cone at nodes [100, 200, 300]"
+
 
 class TestNewton:
     def test_quadratic_convergence_probe(self):

@@ -50,6 +50,55 @@ class TestElementarySymmetric:
                 assert symfunc.normalized_Hk(ones, k) == pytest.approx(1.0)
 
 
+def esym_prefix_rowmajor(arr):
+    """Oracle for the component-major tables: the row-major prefix
+    recurrence they replaced, e_0..e_m along the last axis, untruncated."""
+    m = arr.shape[-1]
+    e = np.zeros(arr.shape[:-1] + (m + 1,))
+    e[..., 0] = 1.0
+    for i in range(m):
+        for j in range(i + 1, 0, -1):
+            e[..., j] += arr[..., i] * e[..., j - 1]
+    return e
+
+
+def cone_rowmajor(arr, k):
+    return np.all(esym_prefix_rowmajor(arr)[..., 1 : k + 1] > 0.0, axis=-1)
+
+
+def boundary_points_rowmajor(rng, inside, k, box=3.0, iters=60):
+    """Oracle for symfunc.boundary_points: the row-major bisection with
+    masked assignment it replaced, drawing the same exterior points."""
+    inside = np.atleast_2d(np.asarray(inside, dtype=float))
+    m, n = inside.shape
+    hi = np.empty((m, n))
+    need = np.ones(m, dtype=bool)
+    while need.any():
+        cand = rng.uniform(-box, box, size=(int(need.sum()), n))
+        ext = ~cone_rowmajor(cand, k)
+        idx = np.flatnonzero(need)[ext]
+        hi[idx] = cand[ext]
+        need[idx] = False
+    lo = inside.copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        ok = cone_rowmajor(mid, k)
+        lo[ok] = mid[ok]
+        hi[~ok] = mid[~ok]
+    return 0.5 * (lo + hi)
+
+
+def oracle_batches(n, seed):
+    """A single point, an (a, b, n) batch and a near-boundary batch of
+    every cone K_k in R^n."""
+    rng = np.random.default_rng(seed)
+    yield rng.uniform(-3.0, 3.0, size=n)
+    yield rng.uniform(-3.0, 3.0, size=(4, 5, n))
+    for k in range(1, n + 1):
+        inside = symfunc.sample_cone(n, k, 40, seed=seed + k)
+        yield symfunc.push_toward_boundary(inside, k, rng, 1.0 - 1e-9)
+
+
 class TestConeContains:
     def test_examples(self):
         assert symfunc.cone_contains([1, 1, 1], 3)
@@ -66,6 +115,17 @@ class TestConeContains:
         got = symfunc.cone_contains(pts, 1)
         assert got.tolist() == [True, False]
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_cone_index_checked(self, k):
+        # the sampler tests membership unchecked, so it checks k itself
+        rng = np.random.default_rng(0)
+        for call in (lambda: symfunc.cone_contains(np.ones(3), k),
+                     lambda: symfunc.sample_cone(3, k, 10, seed=1),
+                     lambda: symfunc.boundary_points(rng, np.ones(3), k),
+                     lambda: symfunc.push_toward_boundary(np.ones((1, 3)), k, rng, 0.5)):
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+
 
 ALL_SPECS = (
     CurvatureSpec.consecutive_quotient(2, 3),
@@ -75,6 +135,63 @@ ALL_SPECS = (
     CurvatureSpec.kth_root(2, 3),
     CurvatureSpec.kth_root(3, 4),
 )
+
+
+class TestComponentMajorTables:
+    """The component-major tables, truncated or with components left out,
+    are bitwise equal to the row-major ones."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_table_and_every_order(self, n):
+        for arr in oracle_batches(n, seed=n):
+            want = esym_prefix_rowmajor(arr)
+            table = symfunc.esym_table(arr)
+            assert table.flags.c_contiguous and np.array_equal(table, want)
+            cols = symfunc._columns(arr)
+            for order in range(n + 1):
+                got = symfunc._esym_rows(cols, order)
+                assert got.shape[0] == order + 1
+                assert np.array_equal(got, want.reshape(-1, n + 1)[:, : order + 1].T)
+                assert np.array_equal(symfunc.elementary_symmetric(arr, order), want[..., order])
+                if order:
+                    assert np.array_equal(symfunc.cone_contains(arr, order),
+                                          cone_rowmajor(arr, order))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_components_left_out(self, n):
+        for arr in oracle_batches(n, seed=10 + n):
+            cols = symfunc._columns(arr)
+            drops = [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
+            for drop in drops:
+                want = esym_prefix_rowmajor(np.delete(arr, drop, axis=-1))
+                want = want.reshape(-1, n - len(drop) + 1).T
+                rest = [r for r in range(n) if r not in drop]
+                for order in range(n - len(drop) + 1):
+                    got = symfunc._esym_rows(cols, order, rest)
+                    assert np.array_equal(got, want[: order + 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_boundary_points_bisection(self, n):
+        for k in range(1, n + 1):
+            inside = symfunc.sample_cone(n, k, 50, seed=20 + k)
+            got = symfunc.boundary_points(np.random.default_rng(k), inside, k)
+            want = boundary_points_rowmajor(np.random.default_rng(k), inside, k)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.describe())
+    def test_admissibility_error_indices(self, spec):
+        pts = np.random.default_rng(spec.n + spec.k).uniform(-1.0, 3.0, size=(6, 50, spec.n))
+        outside = np.flatnonzero(~symfunc.cone_contains(pts, spec.cone_index))
+        assert 0 < outside.size < pts.size // spec.n
+        for fn in (symfunc.eval_f, symfunc.grad_f, symfunc.hessian_f):
+            with pytest.raises(AdmissibilityError) as exc:
+                fn(spec, pts)
+            assert exc.value.indices == outside.tolist()
+            assert all(type(i) is int for i in exc.value.indices)
+        with pytest.raises(AdmissibilityError) as exc:
+            symfunc.eval_f(spec, pts[0, outside[0]])
+        assert exc.value.indices == [0]
 
 
 class TestEvalF:
