@@ -1,12 +1,26 @@
 """Tensor-grid solver path for ellipse domains (n = 2).
 
-The ellipse is embedded in its bounding box; nodes strictly inside the
-ellipse are unknowns of the curvature equation, every other node carries the
-Dirichlet boundary height.  The nine-point linearization is assembled from
-per-node partials of f(kappa[jet]) taken by centered differences in the local
-jet variables -- the same device as the radial path, and for the same reason:
-differencing the assembled residual folds probe truncation error through the
-stiff stencil map.
+The ellipse is centred and axis-aligned, so the problem is symmetric under
+the reflections x -> -x and y -> -y: f(kappa) depends on the jet only
+through its principal curvatures, which the reflections leave unchanged
+(they flip the signs of u_x or u_y together with u_xy, and every product of
+them in `principal_curvatures_2d` either keeps its sign or enters squared,
+so even the rounded values agree), and the nine-point stencils map onto
+themselves.  The state is therefore one quadrant of the ellipse's bounding
+box.  A node across a symmetry axis stands for its mirror image in the
+quadrant, found through a fold map computed once per layout.  The discrete
+problem is then exactly symmetric (on the whole box the differences add a
+node's two neighbours in opposite orders on the two sides of an axis, so
+they agree only up to rounding), and the solution on the whole box is the
+quadrant state unfolded.
+
+Quadrant nodes strictly inside the ellipse are unknowns of the curvature
+equation, every other quadrant node carries the Dirichlet boundary height.
+The nine-point linearization is assembled from per-node partials of
+f(kappa[jet]) taken by centered differences in the local jet variables --
+the same device as the radial path, and for the same reason: differencing
+the assembled residual folds probe truncation error through the stiff
+stencil map.
 
 Only the interior equations form the linear system: their Jacobian splits
 into the interior block J_ii, factored by SuperLU under a minimum-degree
@@ -25,17 +39,41 @@ from scipy.sparse.linalg import splu
 from . import hypgeom, solver, symfunc
 from .errors import AdmissibilityError, AdmissibilityLostError, SingularJacobianError
 
+# nine-point stencil offsets (di, dj): centre, then x, y and diagonal
+# neighbours, in the order of the rows `_jets` gathers and of the Jacobian's
+# coefficient blocks
+STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _fold(count: int) -> np.ndarray:
+    """Quadrant index of each of `count` nodes along one axis: the mirror
+    image max(i, count - 1 - i), shifted to start at count // 2.  With an odd
+    count the axis runs through a node; with an even count it lies between
+    two nodes, and the ghost of the first quadrant node is the node itself."""
+    i = np.arange(count)
+    return np.maximum(i, count - 1 - i) - count // 2
+
 
 class GridLayout:
-    """Node heights on the ellipse's bounding box.  Nodes strictly inside
-    the ellipse, off the outer frame, are unknowns of the curvature
-    equation; every other node carries the boundary height.  The Jacobian
-    holds the interior rows of the nine-point linearization, split into
-    the interior block and the coupling to Dirichlet nodes; the driver
-    reuses its factorization across Newton iterations and for the Euler
-    predictor of each continuation step.  The cap seed solves no ellipse
-    problem exactly, so the driver continues from it in sigma, then in the
-    boundary height.  Newton stops at a residual sup-norm of 1e-8."""
+    """Node heights on the quadrant x >= 0, y >= 0 of the ellipse's bounding
+    box: the full box's nodes i >= nx // 2, j >= ny // 2, outer frame
+    included.  Quadrant nodes strictly inside the ellipse, off the outer
+    frame, are unknowns of the curvature equation, numbered in quadrant node
+    order (residual rows, Jacobian columns and the node lists of
+    AdmissibilityLostError use this numbering); every other quadrant node
+    carries the boundary height.  Computed once: `fold` maps every node of
+    the full box to the flat quadrant index of its mirror image, `stencil`
+    holds the folded nine-point neighbourhood of every unknown, and
+    `unknown` the number of every quadrant node (-1 on Dirichlet nodes).
+    Whether a node is inside is decided on the quadrant and mirrored, so
+    the discrete problem keeps the reflection symmetry even where rounding
+    puts a rim node on different sides of the rim in different quadrants.
+    The Jacobian holds the interior rows of the nine-point linearization,
+    split into the interior block and the coupling to Dirichlet nodes; the
+    driver reuses its factorization across Newton iterations and for the
+    Euler predictor of each continuation step.  The cap seed solves no
+    ellipse problem exactly, so the driver continues from it in sigma, then
+    in the boundary height.  Newton stops at a residual sup-norm of 1e-8."""
 
     keeps_factorization = True
     exact_seed = False
@@ -50,14 +88,29 @@ class GridLayout:
         self.ys = np.linspace(-b, b, ny)
         self.hx = self.xs[1] - self.xs[0]
         self.hy = self.ys[1] - self.ys[0]
-        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-        # squared elliptical level of every node: 1 on the rim
+        cx, cy = nx // 2, ny // 2
+        X, Y = np.meshgrid(self.xs[cx:], self.ys[cy:], indexing="ij")
+        # squared elliptical level of every quadrant node: 1 on the rim
         self.level = (X / a) ** 2 + (Y / b) ** 2
         inside = self.level < 1.0
         # interior unknowns need the full nine-point neighborhood on the grid
-        inside[0, :] = inside[-1, :] = False
-        inside[:, 0] = inside[:, -1] = False
+        inside[-1, :] = inside[:, -1] = False
         self.inside = inside
+        self.fold = _fold(nx)[:, None] * inside.shape[1] + _fold(ny)[None, :]
+        # interior nodes of the full box: the quadrant's, mirrored
+        self.mask = inside.ravel()[self.fold]
+        ii, jj = np.nonzero(inside)
+        self.stencil = np.stack([self.fold[ii + cx + di, jj + cy + dj] for di, dj in STENCIL])
+        self.unknown = np.full(inside.size, -1)
+        self.unknown[inside.ravel()] = np.arange(ii.size)
+        # COO entries of the Jacobian, blocks in STENCIL order: the columns
+        # are folded neighbours, so a mirror coupling is a duplicate entry
+        # that the conversion to CSC/CSR sums
+        rows = np.tile(np.arange(ii.size), len(STENCIL))
+        cols = self.stencil.ravel()
+        self._inner = self.unknown[cols] >= 0
+        self._ii = (rows[self._inner], self.unknown[cols[self._inner]])
+        self._ib = (rows[~self._inner], cols[~self._inner])
 
     @property
     def shape(self):
@@ -104,32 +157,32 @@ class GridLayout:
         return float(np.max(kappa)), float(np.min(1.0 / w))
 
     def solution(self, U, sigma, epsilon, report=None):
+        """The quadrant state unfolded onto the full box: `u2d` over every
+        node, `mask` its interior nodes, and `u`, `kappa` and `w` at those
+        nodes in full-box node order."""
         kappa, w = _interior_curvatures(U, self)
-        ins = self.inside
+        u2d = U.ravel()[self.fold]
+        image = self.unknown[self.fold[self.mask]]
         return solver.GraphSolution(
             domain=self.domain, spec=self.spec, sigma=sigma, epsilon=epsilon, kind="grid",
-            u=U[ins].copy(), kappa=kappa, nu_vertical=1.0 / w, w=w, report=report,
-            xs=self.xs, ys=self.ys, mask=ins, u2d=U,
+            u=u2d[self.mask], kappa=kappa[image], nu_vertical=1.0 / w[image], w=w[image],
+            report=report, xs=self.xs, ys=self.ys, mask=self.mask, u2d=u2d,
         )
 
 
-def _jet_fields(U: np.ndarray, layout: GridLayout):
-    """Centered first/second differences of the full node array; values on
-    the outermost frame are never used (the frame is Dirichlet)."""
+def _jets(U: np.ndarray, layout: GridLayout):
+    """Height and centered first/second differences at every interior
+    unknown, from its nine stencil neighbours gathered through the fold."""
     hx, hy = layout.hx, layout.hy
-    Ux = np.zeros_like(U)
-    Uy = np.zeros_like(U)
-    Uxx = np.zeros_like(U)
-    Uyy = np.zeros_like(U)
-    Uxy = np.zeros_like(U)
-    Ux[1:-1, :] = (U[2:, :] - U[:-2, :]) / (2.0 * hx)
-    Uy[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2.0 * hy)
-    Uxx[1:-1, :] = (U[2:, :] - 2.0 * U[1:-1, :] + U[:-2, :]) / hx**2
-    Uyy[:, 1:-1] = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2]) / hy**2
-    Uxy[1:-1, 1:-1] = (
-        U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]
-    ) / (4.0 * hx * hy)
-    return Ux, Uy, Uxx, Uyy, Uxy
+    c, e, w, n, s, ne, sw, se, nw = U.ravel()[layout.stencil]
+    return (
+        c,
+        (e - w) / (2.0 * hx),
+        (n - s) / (2.0 * hy),
+        (e - 2.0 * c + w) / hx**2,
+        (n - 2.0 * c + s) / hy**2,
+        (ne - se - nw + sw) / (4.0 * hx * hy),
+    )
 
 
 def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
@@ -159,26 +212,26 @@ def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
 
 
 def _interior_curvatures(U: np.ndarray, layout: GridLayout):
-    ins = layout.inside
-    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    return principal_curvatures_2d(U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins])
+    return principal_curvatures_2d(*_jets(U, layout))
 
 
 def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
                   epsilon: float, layout: GridLayout) -> np.ndarray:
-    """Flat residual over all nodes: f(kappa) - sigma at interior unknowns,
-    u - epsilon on Dirichlet nodes."""
-    ins = layout.inside
-    bad = np.flatnonzero((U[ins] <= 0.0))
+    """Flat residual over all quadrant nodes: f(kappa) - sigma at interior
+    unknowns, u - epsilon on Dirichlet nodes.  AdmissibilityLostError lists
+    the offending unknowns by their number among the quadrant's interior
+    nodes."""
+    jet = _jets(U, layout)
+    bad = np.flatnonzero(jet[0] <= 0.0)
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
-    kappa, _ = _interior_curvatures(U, layout)
+    kappa, _ = principal_curvatures_2d(*jet)
     try:
         f = symfunc.eval_f(spec, kappa)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     res = U - epsilon
-    res[ins] = f - sigma
+    res[layout.inside] = f - sigma
     return res.ravel()
 
 
@@ -186,13 +239,12 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
                    layout: GridLayout, step: float = 1e-6):
     """Interior rows of the sparse nine-point Jacobian: centered differences
     of the pointwise map (u, ux, uy, uxx, uyy, uxy) -> f(kappa), assembled
-    with exact stencil weights.  Returns (J_ii, J_ib): the interior block in
-    CSC over interior unknowns (numbered in node order), and the coupling
-    to Dirichlet nodes in CSR over all nodes, zero in interior columns."""
-    ins = layout.inside
+    with exact stencil weights into the folded neighbour columns.  Returns
+    (J_ii, J_ib): the interior block in CSC over the quadrant's interior
+    unknowns, and the coupling to Dirichlet nodes in CSR over all quadrant
+    nodes, zero in interior columns."""
     hx, hy = layout.hx, layout.hy
-    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
+    jet = _jets(U, layout)
 
     def G(vals):
         kappa, _ = principal_curvatures_2d(*vals)
@@ -208,36 +260,21 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
         parts.append((G(hi) - G(lo)) / (2.0 * d))
     c_u, c_x, c_y, c_xx, c_yy, c_xy = parts
 
-    nx, ny = layout.shape
-    flat = np.arange(nx * ny).reshape(nx, ny)
-    unknown = np.full((nx, ny), -1)
-    unknown[ins] = np.arange(c_u.size)
-    ii, jj = np.nonzero(ins)
-    center = unknown[ii, jj]
-    rows, cols, vals = [], [], []
-
-    def add(di, dj, coeff):
-        rows.append(center)
-        cols.append(flat[ii + di, jj + dj])
-        vals.append(coeff)
-
-    add(0, 0, c_u - 2.0 * c_xx / hx**2 - 2.0 * c_yy / hy**2)
-    add(1, 0, c_x / (2.0 * hx) + c_xx / hx**2)
-    add(-1, 0, -c_x / (2.0 * hx) + c_xx / hx**2)
-    add(0, 1, c_y / (2.0 * hy) + c_yy / hy**2)
-    add(0, -1, -c_y / (2.0 * hy) + c_yy / hy**2)
     cross = c_xy / (4.0 * hx * hy)
-    add(1, 1, cross)
-    add(-1, -1, cross)
-    add(1, -1, -cross)
-    add(-1, 1, -cross)
-
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    col_unknown = unknown.ravel()[cols]
-    inner = col_unknown >= 0
+    vals = np.concatenate([  # one block per STENCIL offset
+        c_u - 2.0 * c_xx / hx**2 - 2.0 * c_yy / hy**2,
+        c_x / (2.0 * hx) + c_xx / hx**2,
+        -c_x / (2.0 * hx) + c_xx / hx**2,
+        c_y / (2.0 * hy) + c_yy / hy**2,
+        -c_y / (2.0 * hy) + c_yy / hy**2,
+        cross,
+        cross,
+        -cross,
+        -cross,
+    ])
     m = c_u.size
-    J_ii = csc_matrix((vals[inner], (rows[inner], col_unknown[inner])), shape=(m, m))
-    J_ib = csr_matrix((vals[~inner], (rows[~inner], cols[~inner])), shape=(m, nx * ny))
+    J_ii = csc_matrix((vals[layout._inner], layout._ii), shape=(m, m))
+    J_ib = csr_matrix((vals[~layout._inner], layout._ib), shape=(m, layout.inside.size))
     return J_ii, J_ib
 
 

@@ -59,14 +59,45 @@ def _jacobian_analytic(u, spec, rho, n):
     return solver._assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
 
 
+def _jet_fields(U, layout):
+    """Centered first/second differences of a full-box node array, as the
+    grid path computed them before it solved on one quadrant; values on the
+    outermost frame are never used (the frame is Dirichlet)."""
+    hx, hy = layout.hx, layout.hy
+    Ux = np.zeros_like(U)
+    Uy = np.zeros_like(U)
+    Uxx = np.zeros_like(U)
+    Uyy = np.zeros_like(U)
+    Uxy = np.zeros_like(U)
+    Ux[1:-1, :] = (U[2:, :] - U[:-2, :]) / (2.0 * hx)
+    Uy[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2.0 * hy)
+    Uxx[1:-1, :] = (U[2:, :] - 2.0 * U[1:-1, :] + U[:-2, :]) / hx**2
+    Uyy[:, 1:-1] = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2]) / hy**2
+    Uxy[1:-1, 1:-1] = (
+        U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]
+    ) / (4.0 * hx * hy)
+    return Ux, Uy, Uxx, Uyy, Uxy
+
+
+def _residual_grid_full(U, spec, sigma, epsilon, layout):
+    """Oracle for the quadrant residual: the residual over every node of the
+    bounding box, f(kappa) - sigma at the full-box interior nodes."""
+    ins = layout.mask
+    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
+    kappa, _ = grid.principal_curvatures_2d(U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins])
+    res = U - epsilon
+    res[ins] = symfunc.eval_f(spec, kappa) - sigma
+    return res
+
+
 def _jacobian_grid_full(U, spec, layout, step=1e-6):
-    """Oracle for the interior-only grid solve: the nine-point Jacobian over
+    """Oracle for the quadrant grid solve: the nine-point Jacobian over
     every node of the bounding box, Dirichlet rows identity, as the grid
     path assembled and factored it whole before the Dirichlet nodes were
-    eliminated."""
-    ins = layout.inside
+    eliminated and the state was folded onto one quadrant."""
+    ins = layout.mask
     hx, hy = layout.hx, layout.hy
-    Ux, Uy, Uxx, Uyy, Uxy = grid._jet_fields(U, layout)
+    Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
     jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
 
     def G(vals):
@@ -82,7 +113,7 @@ def _jacobian_grid_full(U, spec, layout, step=1e-6):
         parts.append((G(hi) - G(lo)) / (2.0 * d))
     c_u, c_x, c_y, c_xx, c_yy, c_xy = parts
 
-    nx, ny = layout.shape
+    nx, ny = ins.shape
     flat = np.arange(nx * ny).reshape(nx, ny)
     ii, jj = np.nonzero(ins)
     cross = c_xy / (4.0 * hx * hy)
@@ -100,6 +131,18 @@ def _jacobian_grid_full(U, spec, layout, step=1e-6):
     m = nx * ny
     return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(m, m))
+
+
+def _unfold(layout, U):
+    """A quadrant state (or flat quadrant vector) on the full box."""
+    return np.asarray(U).ravel()[layout.fold]
+
+
+def _quadrant_nodes(layout):
+    """Full-box flat index of every quadrant node, in quadrant order."""
+    nx, ny = layout.mask.shape
+    qx, qy = layout.shape
+    return np.arange(nx * ny).reshape(nx, ny)[nx - qx:, ny - qy:].ravel()
 
 
 class _LineLayout:
@@ -160,18 +203,21 @@ class TestResidual:
 
     def test_grid_admissibility_error_carries_nodes(self):
         # a spike of 0.01 (h = 0.094) makes its node's curvatures negative
-        # and leaves the diagonal neighbours, whose u_xy it shifts, in the cone
+        # and leaves the diagonal neighbours, whose u_xy it shifts, in the
+        # cone; the nodes are numbered among the quadrant's interior nodes,
+        # and these three lie off both symmetry axes
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         U = layout.initial(0.6, 0.1)
         layout.residual(U, 0.6, 0.1)
-        pushed = [100, 200, 300]
+        pushed = [14, 55, 100]
         rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
+        assert np.all(rows[pushed] > 0) and np.all(cols[pushed] > 0)
         U[rows[pushed], cols[pushed]] += 0.01
         with pytest.raises(AdmissibilityLostError) as exc:
             layout.residual(U, 0.6, 0.1)
         assert exc.value.nodes == pushed
         assert all(type(i) is int for i in exc.value.nodes)
-        assert str(exc.value) == "curvature left the cone at nodes [100, 200, 300]"
+        assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
 
 
 class TestNewton:
@@ -517,9 +563,87 @@ class TestGridPath:
         # as after a step of the epsilon continuation
         rhs = -layout.residual(U, 0.5, 0.05)
         assert np.max(np.abs(rhs[~layout.inside.ravel()])) == pytest.approx(0.05)
-        full = spsolve(_jacobian_grid_full(U, H2H1, layout).tocsc(), rhs).reshape(layout.shape)
-        interior = layout.solve(layout.factor(layout.jacobian(U)), rhs)
-        assert np.max(np.abs(interior - full)) <= 1e-10 * np.max(np.abs(full))
+        J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
+        full = spsolve(J, _unfold(layout, rhs).ravel()).reshape(layout.mask.shape)
+        quadrant = layout.solve(layout.factor(layout.jacobian(U)), rhs)
+        bound = 1e-10 * np.max(np.abs(full))
+        assert np.max(np.abs(quadrant.ravel() - full.ravel()[_quadrant_nodes(layout)])) <= bound
+        # off the quadrant the full-box solve departs from mirror symmetry by
+        # its own rounding: its x- and y-differences add the two neighbours
+        # in opposite orders on the two sides of an axis, and the 1e-6
+        # difference quotients of the Jacobian amplify that
+        asymmetry = max(np.max(np.abs(full - full[::-1, :])), np.max(np.abs(full - full[:, ::-1])))
+        assert np.max(np.abs(_unfold(layout, quadrant) - full)) <= bound + asymmetry
+
+    @staticmethod
+    def symmetric_state(grid_size):
+        """A quadrant state off the cap by seeded noise at the interior
+        nodes, and the layout it lives on."""
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), grid_size)
+        U = layout.initial(0.5, 0.1)
+        U[layout.inside] += 1e-5 * np.random.default_rng(7).standard_normal(
+            np.count_nonzero(layout.inside))
+        return layout, U
+
+    @pytest.mark.parametrize("grid_size", [32, 24])  # ny = 22 (even), 17 (odd)
+    def test_quadrant_residual_is_full_box_residual(self, grid_size):
+        layout, U = self.symmetric_state(grid_size)
+        full = _residual_grid_full(_unfold(layout, U), H2H1, 0.5, 0.05, layout)
+        assert np.array_equal(layout.residual(U, 0.5, 0.05),
+                              full.ravel()[_quadrant_nodes(layout)])
+
+    @pytest.mark.parametrize("grid_size", [32, 24])
+    def test_quadrant_jacobian_is_folded_full_box_jacobian(self, grid_size):
+        # a column of a full-box node adds into the column of its mirror
+        # image in the quadrant
+        layout, U = self.symmetric_state(grid_size)
+        J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout)
+        rows = _quadrant_nodes(layout)[layout.inside.ravel()]
+        fold = layout.fold.ravel()
+        P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
+                       shape=(fold.size, layout.inside.size))
+        folded = (J[rows] @ P).toarray()
+        J_ii, J_ib = layout.jacobian(U)
+        ins = layout.inside.ravel()
+        scale = np.max(np.abs(folded))
+        assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
+        assert np.max(np.abs(J_ib.toarray()[:, ~ins] - folded[:, ~ins])) <= 1e-12 * scale
+        assert J_ib[:, ins].nnz == 0
+
+    def test_unfolded_solution(self):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.5,
+            grid_size=32))
+        # the full-box solve took the same iterations and factorizations
+        assert sol.report.newton_iterations == [8, 7, 12, 15, 6, 11, 17, 15, 17, 18, 19, 7, 2, 2]
+        assert sol.report.factorizations == [2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+        U = sol.u2d
+        assert np.array_equal(U, U[::-1, :]) and np.array_equal(U, U[:, ::-1])
+        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
+        box = (X / 1.5) ** 2 + Y**2 < 1.0
+        box[0, :] = box[-1, :] = box[:, 0] = box[:, -1] = False
+        assert np.array_equal(sol.mask, box)
+        assert np.array_equal(sol.u, U[sol.mask])
+        # every kappa row is the quadrant curvature at the node's mirror image
+        layout = grid.GridLayout(H2H1, sol.domain, 32)
+        nx, ny = U.shape
+        cx, cy = nx // 2, ny // 2
+        kappa, w = grid._interior_curvatures(U[cx:, cy:], layout)
+        row = {node: k for k, node in enumerate(zip(*np.nonzero(layout.inside)))}
+        for k, (i, j) in enumerate(zip(*np.nonzero(sol.mask))):
+            image = row[max(i, nx - 1 - i) - cx, max(j, ny - 1 - j) - cy]
+            assert np.array_equal(sol.kappa[k], kappa[image]) and sol.w[k] == w[image]
+
+    def test_rim_nodes_mirror(self):
+        # at N = 30 the 1.5 x 1 rim passes through nodes, and rounding of
+        # the grid coordinates puts some of them inside on one side of an
+        # axis only; the layout decides on the quadrant and mirrors
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 30)
+        X, Y = np.meshgrid(layout.xs, layout.ys, indexing="ij")
+        box = (X / 1.5) ** 2 + Y**2 < 1.0
+        assert not np.array_equal(box, box[::-1, :])
+        mask = layout.mask
+        assert np.array_equal(mask, mask[::-1, :]) and np.array_equal(mask, mask[:, ::-1])
 
     def test_grid_curvatures_match_pointwise(self):
         # closed-form 2x2 eigenvalues against the per-point jet constructor
