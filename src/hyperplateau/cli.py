@@ -70,7 +70,7 @@ def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
     the value); on failure record a violation and return False."""
     try:
         cfg[key] = kind(cfg[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         violations.append(f"{key} has an invalid value {cfg[key]!r}")
         return False
     return True
@@ -95,7 +95,7 @@ def validate_config(raw: dict) -> dict:
     if command not in COMMANDS:
         violations.append(f"command must be one of {COMMANDS}, got {command!r}")
 
-    if cfg["family"] not in FAMILIES:
+    if not isinstance(cfg["family"], str) or cfg["family"] not in FAMILIES:
         violations.append(f"family must be one of {sorted(FAMILIES)}, got {cfg['family']!r}")
     try:
         cfg["k"] = int(cfg["k"])
@@ -122,12 +122,12 @@ def validate_config(raw: dict) -> dict:
         if not (isinstance(axes, (list, tuple)) and len(axes) == 2):
             violations.append("ellipse requires axes = [a_axis, b_axis]")
         elif _convert(cfg, "axes", _floats, violations):
-            if not cfg["axes"][0] >= cfg["axes"][1] > 0:
-                violations.append("ellipse needs a_axis >= b_axis > 0")
+            if not math.inf > cfg["axes"][0] >= cfg["axes"][1] > 0:
+                violations.append("ellipse needs finite a_axis >= b_axis > 0")
         if cfg["n"] != 2:
             violations.append(f"ellipse domains are planar: need n = 2, got n={cfg['n']!r}")
-    elif _convert(cfg, "radius", float, violations) and cfg["radius"] <= 0:
-        violations.append("radius must be positive")
+    elif _convert(cfg, "radius", float, violations) and not 0.0 < cfg["radius"] < math.inf:
+        violations.append(f"radius must be positive and finite, got {cfg['radius']}")
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
         violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
                           f"got {cfg['shape']!r}")
@@ -151,14 +151,21 @@ def validate_config(raw: dict) -> dict:
         violations.append(f"grid must be >= 8, got {cfg['grid']}")
     if _convert(cfg, "epsilon_min", float, violations) and not 0.0 < cfg["epsilon_min"] < 0.1:
         violations.append("epsilon_min must lie in (0, 0.1)")
-    _convert(cfg, "seed", int, violations)
+    if _convert(cfg, "seed", int, violations) and cfg["seed"] < 0:
+        violations.append(f"seed must be >= 0, got {cfg['seed']}")
     if _convert(cfg, "samples", int, violations) and cfg["samples"] < 1:
         violations.append("samples must be >= 1")
     if _convert(cfg, "levels", int, violations) and command == "refine" and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
 
+    if not isinstance(cfg["out"], str):
+        violations.append(f"out must be a directory path, got {cfg['out']!r}")
     if isinstance(cfg["export"], str):
         cfg["export"] = [e for e in cfg["export"].split(",") if e]
+    if not (isinstance(cfg["export"], (list, tuple))
+            and all(isinstance(e, str) for e in cfg["export"])):
+        violations.append(f"export must be a list of formats, got {cfg['export']!r}")
+        cfg["export"] = []
     bad = sorted(set(cfg["export"]) - set(EXPORTS))
     for e in bad:
         violations.append(f"unknown export format {e!r}")

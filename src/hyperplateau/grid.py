@@ -16,11 +16,10 @@ quadrant state unfolded.
 
 Quadrant nodes strictly inside the ellipse are unknowns of the curvature
 equation, every other quadrant node carries the Dirichlet boundary height.
-The nine-point linearization is assembled from per-node partials of
-f(kappa[jet]) taken by centered differences in the local jet variables --
-the same device as the radial path, and for the same reason: differencing
-the assembled residual folds probe truncation error through the stiff
-stencil map.
+The nine-point linearization is assembled from the per-node partials of
+f(kappa[jet]) in the local jet variables, by the chain rule through
+symfunc.grad_f and the closed-form derivatives of the shape operator (see
+_jet_partials), with the exact stencil weights -- as on the radial path.
 
 Only the interior equations form the linear system: their Jacobian splits
 into the interior block J_ii, factored by SuperLU under a minimum-degree
@@ -185,17 +184,15 @@ def _jets(U: np.ndarray, layout: GridLayout):
     )
 
 
-def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
-    """Vectorized hyperbolic principal curvatures of a 2-D graph; closed-form
-    eigenvalues of the symmetrized shape operator.  Returns (kappa, w) with
-    kappa[..., 0] >= kappa[..., 1]."""
+def _shape_2d(ux, uy, uxx, uyy, uxy):
+    """w = sqrt(1 + |Du|^2), c = 1/(w (1 + w)), gamma = I - c Du Du^T and
+    M = gamma D2u gamma of a 2-D graph, the symmetric matrices as their
+    (11, 12, 22) entries."""
     w = np.sqrt(1.0 + ux**2 + uy**2)
     c = 1.0 / (w * (1.0 + w))
-    # gamma = I - c * Du Du^T
     g11 = 1.0 - c * ux * ux
     g12 = -c * ux * uy
     g22 = 1.0 - c * uy * uy
-    # M = gamma D2u gamma (symmetric)
     t11 = g11 * uxx + g12 * uxy
     t12 = g11 * uxy + g12 * uyy
     t21 = g12 * uxx + g22 * uxy
@@ -203,12 +200,72 @@ def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
     m11 = t11 * g11 + t12 * g12
     m12 = t11 * g12 + t12 * g22
     m22 = t21 * g12 + t22 * g22
+    return w, c, (g11, g12, g22), (m11, m12, m22)
+
+
+def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
+    """Vectorized hyperbolic principal curvatures of a 2-D graph; closed-form
+    eigenvalues of the symmetrized shape operator A = (u M + I)/w.  Returns
+    (kappa, w) with kappa[..., 0] >= kappa[..., 1]."""
+    w, _, _, (m11, m12, m22) = _shape_2d(ux, uy, uxx, uyy, uxy)
     a11 = u * m11 / w + 1.0 / w
     a12 = u * m12 / w
     a22 = u * m22 / w + 1.0 / w
     mean = 0.5 * (a11 + a22)
     rad = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
     return np.stack([mean + rad, mean - rad], axis=-1), w
+
+
+def _jet_partials(spec: symfunc.CurvatureSpec, jet):
+    """Partials of f(kappa[jet]) in the jet (u, ux, uy, uxx, uyy, uxy): by
+    the chain rule, sum_i f_i dkappa_i = tr(G dA) with the f_i from one
+    symfunc.grad_f call and G = sum_i f_i e_i e_i^T over the unit
+    eigenvectors of A = (u M + I)/w,
+
+        G = (f_1 + f_2)/2 I + (f_1 - f_2) (A - tr A/2 I)/(kappa_1 - kappa_2).
+
+    The traceless part of A has eigenvalues +-(kappa_1 - kappa_2)/2, so the
+    second term is bounded; it is 0 where kappa_1 = kappa_2 (f_1 = f_2
+    there).  tr(G dA) is then closed-form in each jet variable: A is linear
+    in u and in D2u, and depends on Du through w and gamma."""
+    u, ux, uy, uxx, uyy, uxy = jet
+    kappa, _ = principal_curvatures_2d(*jet)
+    f = symfunc.grad_f(spec, kappa, check_cone=False)
+    w, c, (g11, g12, g22), (m11, m12, m22) = _shape_2d(ux, uy, uxx, uyy, uxy)
+    uw = u / w
+    # traceless part [[d, a12], [a12, -d]] of A, with eigenvalues +-rad
+    d = 0.5 * uw * (m11 - m22)
+    a12 = uw * m12
+    rad = np.sqrt(d**2 + a12**2)
+    q = np.divide(f[:, 0] - f[:, 1], 2.0 * rad, out=np.zeros_like(rad), where=rad > 0.0)
+    s = 0.5 * (f[:, 0] + f[:, 1])
+    G11, G12, G22 = s + q * d, q * a12, s - q * d
+    # gamma G, then K = gamma G gamma: dA/dD2u = u gamma dD2u gamma / w
+    p11 = g11 * G11 + g12 * G12
+    p12 = g11 * G12 + g12 * G22
+    p21 = g12 * G11 + g22 * G12
+    p22 = g12 * G12 + g22 * G22
+    K11 = p11 * g11 + p12 * g12
+    K12 = p11 * g12 + p12 * g22
+    K22 = p21 * g12 + p22 * g22
+    # Q = D2u gamma G + G gamma D2u: tr(G dM) = tr(dgamma Q) along Du
+    Q11 = 2.0 * (uxx * p11 + uxy * p21)
+    Q12 = uxx * p12 + uxy * p22 + uxy * p11 + uyy * p21
+    Q22 = 2.0 * (uxy * p12 + uyy * p22)
+    Qx = Q11 * ux + Q12 * uy
+    Qy = Q12 * ux + Q22 * uy
+    # dA/du_k = -A u_k/w^2 + (u/w) dM/du_k, dgamma/du_k = -dc/du_k Du Du^T
+    # - c (e_k Du^T + Du e_k^T), and dc/du_k = -c^2 (1 + 2w) u_k/w
+    fk = f[:, 0] * kappa[:, 0] + f[:, 1] * kappa[:, 1]  # tr(G A)
+    along = -fk / w**2 + uw * c**2 * (1.0 + 2.0 * w) / w * (ux * Qx + uy * Qy)
+    return (
+        (G11 * m11 + 2.0 * G12 * m12 + G22 * m22) / w,
+        along * ux - 2.0 * uw * c * Qx,
+        along * uy - 2.0 * uw * c * Qy,
+        uw * K11,
+        uw * K22,
+        2.0 * uw * K12,
+    )
 
 
 def _interior_curvatures(U: np.ndarray, layout: GridLayout):
@@ -235,30 +292,16 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
     return res.ravel()
 
 
-def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec,
-                   layout: GridLayout, step: float = 1e-6):
-    """Interior rows of the sparse nine-point Jacobian: centered differences
-    of the pointwise map (u, ux, uy, uxx, uyy, uxy) -> f(kappa), assembled
-    with exact stencil weights into the folded neighbour columns.  Returns
-    (J_ii, J_ib): the interior block in CSC over the quadrant's interior
-    unknowns, and the coupling to Dirichlet nodes in CSR over all quadrant
-    nodes, zero in interior columns."""
+def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, layout: GridLayout):
+    """Interior rows of the sparse nine-point Jacobian: the chain-rule
+    partials of the pointwise map (u, ux, uy, uxx, uyy, uxy) -> f(kappa)
+    (see _jet_partials), assembled with exact stencil weights into the
+    folded neighbour columns.  Returns (J_ii, J_ib): the interior block in
+    CSC over the quadrant's interior unknowns, and the coupling to
+    Dirichlet nodes in CSR over all quadrant nodes, zero in interior
+    columns."""
     hx, hy = layout.hx, layout.hy
-    jet = _jets(U, layout)
-
-    def G(vals):
-        kappa, _ = principal_curvatures_2d(*vals)
-        return symfunc.eval_f(spec, kappa, check_cone=False)
-
-    parts = []
-    for j in range(6):
-        d = step * (1.0 + np.abs(jet[j]))
-        hi = list(jet)
-        lo = list(jet)
-        hi[j] = jet[j] + d
-        lo[j] = jet[j] - d
-        parts.append((G(hi) - G(lo)) / (2.0 * d))
-    c_u, c_x, c_y, c_xx, c_yy, c_xy = parts
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = _jet_partials(spec, _jets(U, layout))
 
     cross = c_xy / (4.0 * hx * hy)
     vals = np.concatenate([  # one block per STENCIL offset

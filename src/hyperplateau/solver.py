@@ -214,33 +214,42 @@ def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
     return ab
 
 
-def _jacobian_fd(u, spec, rho, n, step: float = 1e-6):
-    """Jacobian with the per-node partials of f(kappa[jet]) taken by centered
-    differences in the local jet variables, then assembled through the exact
-    stencil weights.  Differencing the assembled residual instead would fold
-    the probe truncation error through the 1/h^2-stiff stencil map and stall
-    Newton on fine grids; the pointwise map has O(1) scales and is safe."""
+def _jacobian_fd(u, spec, rho, n):
+    """Jacobian with the per-node partials of f(kappa[jet]) in the local jet
+    (u_i, u'_i, u''_i) taken by the chain rule, sum_i f_i dkappa_i/djet, then
+    assembled through the exact stencil weights.  The f_i come from one
+    symfunc.grad_f call at the curvatures of the jet; the curvatures
+
+        kappa_rad = u u''/w^3 + 1/w,   kappa_tan = u u'/(rho w) + 1/w,
+
+    with w = sqrt(1 + u'^2), are differentiated in closed form, and the
+    n - 1 tangential columns of grad_f share kappa_tan's partials.  At the
+    axis kappa_tan is kappa_rad (u'/rho -> u''), so every column takes the
+    radial partials there."""
     h = rho[1] - rho[0]
     up, upp = _radial_derivatives(u, h)
     ui, upi, uppi, rhoi = u[:-1], up[:-1], upp[:-1], rho[:-1]
-
-    def G(a, b, c):
-        kappa, _ = radial_principal_curvatures(a, b, c, rhoi, n)
-        return symfunc.eval_f(spec, kappa, check_cone=False)
-
-    du = step * (1.0 + np.abs(ui))
-    dp = step * (1.0 + np.abs(upi))
-    dq = step * (1.0 + np.abs(uppi))
-    dres_du = (G(ui + du, upi, uppi) - G(ui - du, upi, uppi)) / (2.0 * du)
-    dres_dup = (G(ui, upi + dp, uppi) - G(ui, upi - dp, uppi)) / (2.0 * dp)
-    dres_dupp = (G(ui, upi, uppi + dq) - G(ui, upi, uppi - dq)) / (2.0 * dq)
-    return _assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
+    kappa, w = radial_principal_curvatures(ui, upi, uppi, rhoi, n)
+    g = symfunc.grad_f(spec, kappa, check_cone=False)
+    f_rad, f_tan = g[:, 0], np.sum(g[:, 1:], axis=1)
+    w3 = w**3
+    rad_u = uppi / w3
+    rad_p = -(3.0 * ui * uppi * upi / w**2 + upi) / w3
+    rad_q = ui / w3
+    axis = rhoi == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tan_u = np.where(axis, rad_u, upi / (rhoi * w))
+        tan_p = np.where(axis, rad_p, (ui / rhoi - upi) / w3)
+    tan_q = np.where(axis, rad_q, 0.0)
+    return _assemble_banded(f_rad * rad_u + f_tan * tan_u, f_rad * rad_p + f_tan * tan_p,
+                            f_rad * rad_q + f_tan * tan_q, len(u), h)
 
 
 class RadialLayout:
     """Profile heights on a uniform grid over [0, R]: the symmetry node at
     the axis, interior nodes, and the Dirichlet node at the rim.  The
-    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout; its
+    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout, with
+    chain-rule partials in the local jet (see _jacobian_fd); its
     factorization costs less than one residual, so Newton builds and solves
     a fresh one every iteration.  The cap seed solves the continuous
     problem exactly, so the driver starts Newton from it at every boundary

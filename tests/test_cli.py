@@ -130,6 +130,28 @@ class TestValidateConfig:
         assert "cap needs shape 'ball'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"command": "verify-f", "seed": -1}, "seed must be >= 0"),
+        ({"command": "check-estimates", "sigma": 0.5, "seed": -3}, "seed must be >= 0"),
+        ({"command": "solve", "sigma": 0.5, "radius": math.inf}, "radius must be positive"),
+        ({"command": "solve", "sigma": 0.5, "radius": math.nan}, "radius must be positive"),
+        ({"command": "solve", "sigma": 0.5, "shape": "ellipse", "axes": [math.inf, 1]},
+         "finite a_axis"),
+        ({"command": "solve", "sigma": 0.5, "shape": "ellipse", "axes": [1.5, math.nan]},
+         "finite a_axis"),
+        ({"command": "solve", "sigma": 0.5, "export": None}, "export must be a list"),
+        ({"command": "solve", "sigma": 0.5, "export": [["report-json"]]},
+         "export must be a list"),
+        ({"command": "solve", "sigma": 0.5, "grid": math.inf}, "grid has an invalid value"),
+        ({"command": "solve", "sigma": 0.5, "family": ["kth_root"]}, "family must be one of"),
+        ({"command": "cap", "sigma": 0.5, "out": 5}, "out must be a directory path"),
+    ], ids=["verify-seed", "estimates-seed", "radius-inf", "radius-nan", "axes-inf",
+            "axes-nan", "export-none", "export-nested", "grid-inf", "family-list", "out-int"])
+    def test_out_of_range_exits_4_before_work(self, bad, message, tmp_path, capsys):
+        assert cli.run({"out": str(tmp_path), **bad}) == 4
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "solve", "sigma": 0.5,
@@ -287,6 +309,18 @@ class TestMain:
         assert exc.value.code == 4
         err = capsys.readouterr().err
         assert err.startswith("usage: hyperplateau solve") and "error: argument" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-f", "--seed", "-1"],
+        ["check-estimates", "--sigma", "0.5", "--seed", "-3"],
+        ["solve", "--radius", "inf", "--sigma", "0.5"],
+        ["solve", "--shape", "ellipse", "--axes", "inf,1", "--sigma", "0.5"],
+    ])
+    def test_config_error_exits_4(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("invalid configuration")
         assert not out.exists()
 
     def test_missing_subcommand_exits_4(self, capsys):

@@ -26,37 +26,43 @@ def cap_profile(grid_size, sigma, eps=0.1, R=1.0):
     return u, rho
 
 
-def _jacobian_analytic(u, spec, rho, n):
-    """Oracle for solver._jacobian_fd: the chain rule through the
-    curvature-function gradient and the radial jet map, in the same
+def _centred_partials(G, jet, step=1e-6):
+    """Centred difference quotients of the pointwise map G in each jet
+    variable, with the relative step step * (1 + |value|)."""
+    parts = []
+    for j in range(len(jet)):
+        d = step * (1.0 + np.abs(jet[j]))
+        hi, lo = list(jet), list(jet)
+        hi[j] = jet[j] + d
+        lo[j] = jet[j] - d
+        parts.append((G(hi) - G(lo)) / (2.0 * d))
+    return parts
+
+
+def _jacobian_centred(u, spec, rho, n):
+    """Oracle for solver._jacobian_fd: the per-node partials of f(kappa[jet])
+    in the jet (u, u', u'') by centred differences, assembled in the same
     tridiagonal banded layout."""
     h = rho[1] - rho[0]
     up, upp = solver._radial_derivatives(u, h)
-    kappa, w, _ = solver._radial_kappa(u, rho, n)
-    g = symfunc.grad_f(spec, kappa[:-1], check_cone=False)
-    f_rad = g[:, 0]
-    f_tan = np.sum(g[:, 1:], axis=1)
 
-    ui, upi, uppi, rhoi, wi = u[:-1], up[:-1], upp[:-1], rho[:-1], w[:-1]
-    dkr_du = uppi / wi**3
-    dkr_dup = -3.0 * ui * uppi * upi / wi**5 - upi / wi**3
-    dkr_dupp = ui / wi**3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dkt_du = np.where(rhoi > 0, upi / (rhoi * wi), uppi)
-        dkt_dup = np.where(
-            rhoi > 0,
-            ui / (rhoi * wi) - ui * upi**2 / (rhoi * wi**3) - upi / wi**3,
-            0.0,
-        )
-    dkt_dupp = np.where(rhoi > 0, 0.0, ui)
-    dkr_du = np.where(rhoi > 0, dkr_du, uppi)
-    dkr_dup = np.where(rhoi > 0, dkr_dup, 0.0)
-    dkr_dupp = np.where(rhoi > 0, dkr_dupp, ui)
+    def G(jet):
+        kappa, _ = hypgeom.radial_principal_curvatures(*jet, rho[:-1], n)
+        return symfunc.eval_f(spec, kappa, check_cone=False)
 
-    dres_du = f_rad * dkr_du + f_tan * dkt_du
-    dres_dup = f_rad * dkr_dup + f_tan * dkt_dup
-    dres_dupp = f_rad * dkr_dupp + f_tan * dkt_dupp
-    return solver._assemble_banded(dres_du, dres_dup, dres_dupp, len(u), h)
+    parts = _centred_partials(G, [u[:-1], up[:-1], upp[:-1]])
+    return solver._assemble_banded(*parts, len(u), h)
+
+
+def _grid_partials_centred(spec, jet):
+    """Oracle for grid._jet_partials: centred differences of f(kappa[jet])
+    in (u, ux, uy, uxx, uyy, uxy)."""
+
+    def G(vals):
+        kappa, _ = grid.principal_curvatures_2d(*vals)
+        return symfunc.eval_f(spec, kappa, check_cone=False)
+
+    return _centred_partials(G, list(jet))
 
 
 def _jet_fields(U, layout):
@@ -90,28 +96,18 @@ def _residual_grid_full(U, spec, sigma, epsilon, layout):
     return res
 
 
-def _jacobian_grid_full(U, spec, layout, step=1e-6):
+def _jacobian_grid_full(U, spec, layout):
     """Oracle for the quadrant grid solve: the nine-point Jacobian over
     every node of the bounding box, Dirichlet rows identity, as the grid
     path assembled and factored it whole before the Dirichlet nodes were
-    eliminated and the state was folded onto one quadrant."""
+    eliminated and the state was folded onto one quadrant.  The per-node
+    partials are the grid path's own, so this checks the fold and the
+    elimination only."""
     ins = layout.mask
     hx, hy = layout.hx, layout.hy
     Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
     jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
-
-    def G(vals):
-        kappa, _ = grid.principal_curvatures_2d(*vals)
-        return symfunc.eval_f(spec, kappa, check_cone=False)
-
-    parts = []
-    for j in range(6):
-        d = step * (1.0 + np.abs(jet[j]))
-        hi, lo = list(jet), list(jet)
-        hi[j] = jet[j] + d
-        lo[j] = jet[j] - d
-        parts.append((G(hi) - G(lo)) / (2.0 * d))
-    c_u, c_x, c_y, c_xx, c_yy, c_xy = parts
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = grid._jet_partials(spec, jet)
 
     nx, ny = ins.shape
     flat = np.arange(nx * ny).reshape(nx, ny)
@@ -242,17 +238,33 @@ class TestNewton:
 
     def test_jacobian_cross_check_17_nodes(self):
         u, rho = cap_profile(16, 0.6)
-        ab_fd = solver._jacobian_fd(u, H2H1, rho, 2)
-        ab_an = _jacobian_analytic(u, H2H1, rho, 2)
-        scale = np.max(np.abs(ab_an))
-        assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-4
+        ab = solver._jacobian_fd(u, H2H1, rho, 2)
+        ab_cd = _jacobian_centred(u, H2H1, rho, 2)
+        scale = np.max(np.abs(ab_cd))
+        assert np.max(np.abs(ab - ab_cd)) / scale < 1e-4
 
     def test_jacobian_cross_check_fine_grid(self):
         u, rho = cap_profile(512, 0.8)
-        ab_fd = solver._jacobian_fd(u, H2H1, rho, 2)
-        ab_an = _jacobian_analytic(u, H2H1, rho, 2)
-        scale = np.max(np.abs(ab_an))
-        assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-6
+        ab = solver._jacobian_fd(u, H2H1, rho, 2)
+        ab_cd = _jacobian_centred(u, H2H1, rho, 2)
+        scale = np.max(np.abs(ab_cd))
+        assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
+
+    @pytest.mark.parametrize("spec", [
+        CurvatureSpec.kth_root(2, 3), CurvatureSpec.kth_root(3, 4),
+        CurvatureSpec.general_quotient(2, 1, 3), CurvatureSpec.general_quotient(3, 1, 4),
+    ], ids=["h2root-n3", "h3root-n4", "h2h1root-n3", "h3h1root-n4"])
+    def test_jacobian_cross_check_families(self, spec):
+        # off the cap, so that the radial and tangential curvatures differ
+        u, rho = cap_profile(128, 0.5)
+        u[:-1] += 0.02 * (1.0 - rho[:-1] ** 2)
+        ab = solver._jacobian_fd(u, spec, rho, spec.n)
+        ab_cd = _jacobian_centred(u, spec, rho, spec.n)
+        scale = np.max(np.abs(ab_cd))
+        assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
+        # the axis row on its own scale: there kappa_tan is kappa_rad
+        axis, axis_cd = ab[[1, 0], [0, 1]], ab_cd[[1, 0], [0, 1]]
+        assert np.max(np.abs(axis - axis_cd)) / np.max(np.abs(axis_cd)) < 1e-6
 
 
 class TestNewtonState:
@@ -439,10 +451,10 @@ class TestContinuation:
     def test_jacobian_cross_check_converged_solution(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.4, grid_size=256))
-        ab_fd = solver._jacobian_fd(sol.u, H2H1, sol.rho, 2)
-        ab_an = _jacobian_analytic(sol.u, H2H1, sol.rho, 2)
-        scale = np.max(np.abs(ab_an))
-        assert np.max(np.abs(ab_fd - ab_an)) / scale < 1e-6
+        ab = solver._jacobian_fd(sol.u, H2H1, sol.rho, 2)
+        ab_cd = _jacobian_centred(sol.u, H2H1, sol.rho, 2)
+        scale = np.max(np.abs(ab_cd))
+        assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
 
 
 class TestSweep:
@@ -570,8 +582,8 @@ class TestGridPath:
         assert np.max(np.abs(quadrant.ravel() - full.ravel()[_quadrant_nodes(layout)])) <= bound
         # off the quadrant the full-box solve departs from mirror symmetry by
         # its own rounding: its x- and y-differences add the two neighbours
-        # in opposite orders on the two sides of an axis, and the 1e-6
-        # difference quotients of the Jacobian amplify that
+        # in opposite orders on the two sides of an axis, and the partials
+        # and the solve carry that rounding on
         asymmetry = max(np.max(np.abs(full - full[::-1, :])), np.max(np.abs(full - full[:, ::-1])))
         assert np.max(np.abs(_unfold(layout, quadrant) - full)) <= bound + asymmetry
 
@@ -633,6 +645,42 @@ class TestGridPath:
         for k, (i, j) in enumerate(zip(*np.nonzero(sol.mask))):
             image = row[max(i, nx - 1 - i) - cx, max(j, ny - 1 - j) - cy]
             assert np.array_equal(sol.kappa[k], kappa[image]) and sol.w[k] == w[image]
+
+    @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
+                             ids=["h1h0", "h2h1", "h2root"])
+    def test_jet_partials_match_centred_differences(self, spec):
+        rng = np.random.default_rng(5)
+        jet = [rng.uniform(0.2, 2.0, 4000), *rng.standard_normal((5, 4000))]
+        # both curvatures above 0.05, inside every cone: nearer the rim of
+        # K_2 the root's derivatives blow up, and with them the truncation
+        # error of the difference quotients
+        kappa, _ = grid.principal_curvatures_2d(*jet)
+        jet = [v[kappa[:, 1] > 0.05] for v in jet]
+        for exact, centred in zip(grid._jet_partials(spec, jet),
+                                  _grid_partials_centred(spec, jet)):
+            assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
+
+    def test_jet_partials_at_umbilic_centre(self):
+        # on the circle's cap seed the centre node, quadrant node 0, has
+        # Du = 0, uxy = 0 and uxx = uyy exactly: kappa_1 = kappa_2 there
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 32)
+        jet = grid._jets(layout.initial(0.5, 0.1), layout)
+        kappa, _ = grid.principal_curvatures_2d(*jet)
+        assert kappa[0, 0] == kappa[0, 1]
+        for exact, centred in zip(grid._jet_partials(H2H1, jet),
+                                  _grid_partials_centred(H2H1, jet)):
+            assert np.all(np.isfinite(exact))
+            assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
+
+    @pytest.mark.parametrize("grid_size, bound", [(16, 1e-4), (64, 1e-6)])
+    def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
+        layout, U = self.symmetric_state(grid_size)
+        J_ii, J_ib = layout.jacobian(U)
+        monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
+        C_ii, C_ib = layout.jacobian(U)
+        scale = abs(C_ii).max()
+        assert abs(J_ii - C_ii).max() <= bound * scale
+        assert abs(J_ib - C_ib).max() <= bound * scale
 
     def test_rim_nodes_mirror(self):
         # at N = 30 the 1.5 x 1 rim passes through nodes, and rounding of
