@@ -1,31 +1,27 @@
 """Tensor-grid solver path for ellipse domains (n = 2).
 
 The ellipse is centred and axis-aligned, so the problem is symmetric under
-the reflections x -> -x and y -> -y: f(kappa) depends on the jet only
-through its principal curvatures, which the reflections leave unchanged
-(they flip the signs of u_x or u_y together with u_xy, and every product of
-them in `principal_curvatures_2d` either keeps its sign or enters squared,
-so even the rounded values agree), and the nine-point stencils map onto
-themselves.  The state is therefore one quadrant of the ellipse's bounding
-box.  A node across a symmetry axis stands for its mirror image in the
-quadrant, found through a fold map computed once per layout.  The discrete
-problem is then exactly symmetric (on the whole box the differences add a
-node's two neighbours in opposite orders on the two sides of an axis, so
-they agree only up to rounding), and the solution on the whole box is the
-quadrant state unfolded.
+the reflections x -> -x and y -> -y.  f depends on the jet only through
+e_1 = tr A and e_2 = det A of the shape operator A (see _table_2d), and a
+reflection flips the signs of u_x or u_y together with u_xy.  In tr A and
+det A these enter squared or in products with another flipped factor (u_x
+u_xx + u_y u_xy flips with u_x, for instance), and a sum whose terms all
+flip flips exactly, so even the rounded values agree.  The nine-point
+stencils map onto themselves too.  The state is therefore one quadrant of
+the ellipse's bounding box, and a node across a symmetry axis stands for
+its mirror image in the quadrant, found through a fold map computed once
+per layout.  The discrete problem is then exactly symmetric (on the whole
+box the differences add a node's two neighbours in opposite orders on the
+two sides of an axis, so they agree only up to rounding), and the solution
+on the whole box is the quadrant state unfolded.
 
-Quadrant nodes strictly inside the ellipse are unknowns of the curvature
-equation, every other quadrant node carries the Dirichlet boundary height.
-The nine-point linearization is assembled from the per-node partials of
-f(kappa[jet]) in the local jet variables, by the chain rule through
-symfunc.grad_f and the closed-form derivatives of the shape operator (see
-_jet_partials), with the exact stencil weights -- as on the radial path.
-
-Only the interior equations form the linear system: their Jacobian splits
-into the interior block J_ii, factored by SuperLU under a minimum-degree
-ordering of J_ii + J_ii^T, and the coupling J_ib to the Dirichlet nodes,
-whose update is their own right-hand side.  The factorization is costly
-enough that the Newton driver keeps it for chord steps.
+f comes from the table (1, tr A, det A) through symfunc.f_of_table, with no
+eigenvalues, and the nine-point linearization from its closed-form partials
+in the jet (see _jet_partials), with the exact stencil weights.  Only the
+interior equations form the linear system: the interior block J_ii,
+factored by SuperLU under a minimum-degree ordering of J_ii + J_ii^T, and
+the coupling J_ib to the Dirichlet nodes, whose update is their own
+right-hand side.
 """
 
 from __future__ import annotations
@@ -67,12 +63,11 @@ class GridLayout:
     Whether a node is inside is decided on the quadrant and mirrored, so
     the discrete problem keeps the reflection symmetry even where rounding
     puts a rim node on different sides of the rim in different quadrants.
-    The Jacobian holds the interior rows of the nine-point linearization,
-    split into the interior block and the coupling to Dirichlet nodes; the
-    driver reuses its factorization across Newton iterations and for the
-    Euler predictor of each continuation step.  The cap seed solves no
-    ellipse problem exactly, so the driver continues from it in sigma, then
-    in the boundary height.  Newton stops at a residual sup-norm of 1e-8."""
+    The driver reuses the factorization of the Jacobian's interior block
+    across Newton iterations and for the Euler predictor of each
+    continuation step.  The cap seed solves no ellipse problem exactly, so
+    the driver continues from it in sigma, then in the boundary height.
+    Newton stops at a residual sup-norm of 1e-8."""
 
     keeps_factorization = True
     exact_seed = False
@@ -184,10 +179,11 @@ def _jets(U: np.ndarray, layout: GridLayout):
     )
 
 
-def _shape_2d(ux, uy, uxx, uyy, uxy):
-    """w = sqrt(1 + |Du|^2), c = 1/(w (1 + w)), gamma = I - c Du Du^T and
-    M = gamma D2u gamma of a 2-D graph, the symmetric matrices as their
-    (11, 12, 22) entries."""
+def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
+    """Hyperbolic principal curvatures of a 2-D graph, for the reports
+    (summary, solution): eigenvalues of A = (u M + I)/w, M = gamma D2u gamma,
+    gamma = I - c Du Du^T, c = 1/(w (1 + w)), in closed form from the mean
+    and the traceless part of A.  Returns (kappa, w), kappa[..., 0] >= kappa[..., 1]."""
     w = np.sqrt(1.0 + ux**2 + uy**2)
     c = 1.0 / (w * (1.0 + w))
     g11 = 1.0 - c * ux * ux
@@ -197,74 +193,53 @@ def _shape_2d(ux, uy, uxx, uyy, uxy):
     t12 = g11 * uxy + g12 * uyy
     t21 = g12 * uxx + g22 * uxy
     t22 = g12 * uxy + g22 * uyy
-    m11 = t11 * g11 + t12 * g12
-    m12 = t11 * g12 + t12 * g22
-    m22 = t21 * g12 + t22 * g22
-    return w, c, (g11, g12, g22), (m11, m12, m22)
-
-
-def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
-    """Vectorized hyperbolic principal curvatures of a 2-D graph; closed-form
-    eigenvalues of the symmetrized shape operator A = (u M + I)/w.  Returns
-    (kappa, w) with kappa[..., 0] >= kappa[..., 1]."""
-    w, _, _, (m11, m12, m22) = _shape_2d(ux, uy, uxx, uyy, uxy)
-    a11 = u * m11 / w + 1.0 / w
-    a12 = u * m12 / w
-    a22 = u * m22 / w + 1.0 / w
+    a11 = u * (t11 * g11 + t12 * g12) / w + 1.0 / w
+    a12 = u * (t11 * g12 + t12 * g22) / w
+    a22 = u * (t21 * g12 + t22 * g22) / w + 1.0 / w
     mean = 0.5 * (a11 + a22)
     rad = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
     return np.stack([mean + rad, mean - rad], axis=-1), w
 
 
+def _table_2d(u, ux, uy, uxx, uyy, uxy):
+    """Table (1, e_1, e_2) = (1, tr A, det A) of A = (u M + I)/w, shape
+    (3, points), and the terms its partials reuse.  With det gamma = 1/w,
+    gamma^2 = I - Du Du^T/w^2, p = D2u Du and q = Du . p:
+
+        tr A = (u (Lap u - q/w^2) + 2)/w,
+        det A = (u^2 det D2u/w^2 + u (Lap u - q/w^2) + 1)/w^2."""
+    w2 = 1.0 + ux**2 + uy**2
+    w = np.sqrt(w2)
+    px, py = ux * uxx + uy * uxy, ux * uxy + uy * uyy  # p = D2u Du
+    r = (ux * px + uy * py) / w2
+    t = uxx + uyy - r  # tr M
+    det = uxx * uyy - uxy**2  # w^2 det M
+    e = np.stack([np.ones_like(u), (u * t + 2.0) / w, (u * u * det / w2 + u * t + 1.0) / w2])
+    return e, (w, w2, px, py, r, t, det)
+
+
 def _jet_partials(spec: symfunc.CurvatureSpec, jet):
-    """Partials of f(kappa[jet]) in the jet (u, ux, uy, uxx, uyy, uxy): by
-    the chain rule, sum_i f_i dkappa_i = tr(G dA) with the f_i from one
-    symfunc.grad_f call and G = sum_i f_i e_i e_i^T over the unit
-    eigenvectors of A = (u M + I)/w,
-
-        G = (f_1 + f_2)/2 I + (f_1 - f_2) (A - tr A/2 I)/(kappa_1 - kappa_2).
-
-    The traceless part of A has eigenvalues +-(kappa_1 - kappa_2)/2, so the
-    second term is bounded; it is 0 where kappa_1 = kappa_2 (f_1 = f_2
-    there).  tr(G dA) is then closed-form in each jet variable: A is linear
-    in u and in D2u, and depends on Du through w and gamma."""
+    """Partials of f in the jet (u, ux, uy, uxx, uyy, uxy): by the chain
+    rule f_1 de_1 + f_2 de_2, with f_q = df/de_q from symfunc.df_of_table
+    and the closed-form partials of e_1 = tr A and e_2 = det A (see
+    _table_2d).  No eigenvalue or eigenprojector of A enters, so an
+    umbilic node (kappa_1 = kappa_2) needs no special case.  tr M = Lap u -
+    q/w^2 is linear in D2u and has d(tr M)/du_x = -2 (p_x - u_x q/w^2)/w^2;
+    a = f_1/w + f_2/w^2 collects the terms in u tr M, b = f_2 u^2/w^4 those
+    in det D2u."""
     u, ux, uy, uxx, uyy, uxy = jet
-    kappa, _ = principal_curvatures_2d(*jet)
-    f = symfunc.grad_f(spec, kappa, check_cone=False)
-    w, c, (g11, g12, g22), (m11, m12, m22) = _shape_2d(ux, uy, uxx, uyy, uxy)
-    uw = u / w
-    # traceless part [[d, a12], [a12, -d]] of A, with eigenvalues +-rad
-    d = 0.5 * uw * (m11 - m22)
-    a12 = uw * m12
-    rad = np.sqrt(d**2 + a12**2)
-    q = np.divide(f[:, 0] - f[:, 1], 2.0 * rad, out=np.zeros_like(rad), where=rad > 0.0)
-    s = 0.5 * (f[:, 0] + f[:, 1])
-    G11, G12, G22 = s + q * d, q * a12, s - q * d
-    # gamma G, then K = gamma G gamma: dA/dD2u = u gamma dD2u gamma / w
-    p11 = g11 * G11 + g12 * G12
-    p12 = g11 * G12 + g12 * G22
-    p21 = g12 * G11 + g22 * G12
-    p22 = g12 * G12 + g22 * G22
-    K11 = p11 * g11 + p12 * g12
-    K12 = p11 * g12 + p12 * g22
-    K22 = p21 * g12 + p22 * g22
-    # Q = D2u gamma G + G gamma D2u: tr(G dM) = tr(dgamma Q) along Du
-    Q11 = 2.0 * (uxx * p11 + uxy * p21)
-    Q12 = uxx * p12 + uxy * p22 + uxy * p11 + uyy * p21
-    Q22 = 2.0 * (uxy * p12 + uyy * p22)
-    Qx = Q11 * ux + Q12 * uy
-    Qy = Q12 * ux + Q22 * uy
-    # dA/du_k = -A u_k/w^2 + (u/w) dM/du_k, dgamma/du_k = -dc/du_k Du Du^T
-    # - c (e_k Du^T + Du e_k^T), and dc/du_k = -c^2 (1 + 2w) u_k/w
-    fk = f[:, 0] * kappa[:, 0] + f[:, 1] * kappa[:, 1]  # tr(G A)
-    along = -fk / w**2 + uw * c**2 * (1.0 + 2.0 * w) / w * (ux * Qx + uy * Qy)
+    e, (w, w2, px, py, r, t, det) = _table_2d(*jet)
+    _, f1, f2 = symfunc.df_of_table(spec, e)
+    a, bu = f1 / w + f2 / w2, f2 * u / w2**2
+    au, b = a * u, bu * u
+    s = f1 * e[1] + 2.0 * (f2 * e[2] + b * det)
     return (
-        (G11 * m11 + 2.0 * G12 * m12 + G22 * m22) / w,
-        along * ux - 2.0 * uw * c * Qx,
-        along * uy - 2.0 * uw * c * Qy,
-        uw * K11,
-        uw * K22,
-        2.0 * uw * K12,
+        a * t + 2.0 * bu * det,
+        -(2.0 * au * (px - ux * r) + ux * s) / w2,
+        -(2.0 * au * (py - uy * r) + uy * s) / w2,
+        au * (1.0 - ux * ux / w2) + b * uyy,
+        au * (1.0 - uy * uy / w2) + b * uxx,
+        -2.0 * (au * ux * uy / w2 + b * uxy),
     )
 
 
@@ -274,21 +249,22 @@ def _interior_curvatures(U: np.ndarray, layout: GridLayout):
 
 def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
                   epsilon: float, layout: GridLayout) -> np.ndarray:
-    """Flat residual over all quadrant nodes: f(kappa) - sigma at interior
-    unknowns, u - epsilon on Dirichlet nodes.  AdmissibilityLostError lists
-    the offending unknowns by their number among the quadrant's interior
-    nodes."""
+    """Flat residual over all quadrant nodes: f - sigma at interior unknowns,
+    f from the table of _table_2d, and u - epsilon on Dirichlet nodes.
+    AdmissibilityLostError lists by their number among the quadrant's
+    interior nodes the unknowns of non-positive height, else those outside
+    the cone by the signs of the table (symfunc.check_table)."""
     jet = _jets(U, layout)
     bad = np.flatnonzero(jet[0] <= 0.0)
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
-    kappa, _ = principal_curvatures_2d(*jet)
+    e, _ = _table_2d(*jet)
     try:
-        f = symfunc.eval_f(spec, kappa)
+        symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     res = U - epsilon
-    res[layout.inside] = f - sigma
+    res[layout.inside] = symfunc.f_of_table(spec, e) - sigma
     return res.ravel()
 
 

@@ -12,9 +12,11 @@ reads: the cone index for membership, k for f, k-1 and l-1 for the tables
 of the gradient (leaving one component out), k-2 and l-2 for those of the
 Hessian (leaving two out).  Every table entry is bitwise the one of the
 full row-major table.  eval_f, grad_f and hessian_f take their cone test
-from the table they build.  hessian_f writes its upper triangle, one entry
-at a time over the points, straight into the points-major (..., n, n)
-layout that eigvalsh reads, and mirrors it.
+from the table they build (check_table).  f_of_table and df_of_table give f
+and its partials in e_0..e_k from any table, such as the grid path's
+(1, tr A, det A).  hessian_f writes its upper triangle, one entry at a time
+over the points, straight into the points-major (..., n, n) layout that
+eigvalsh reads, and mirrors it.
 
 The cone sampler works on arrays it built itself and tests membership
 without re-checking them.  K_n is the positive orthant, so the sampler
@@ -248,20 +250,46 @@ def cone_contains(kappa, k: int):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def check_table(spec: CurvatureSpec, e: np.ndarray) -> None:
+    """Raise AdmissibilityError with the flat indices of the points outside
+    K_{cone_index}, from a table holding e_0..e_{cone_index} (at least)."""
+    bad = np.flatnonzero(~_positive(e, spec.cone_index))
+    if bad.size:
+        raise AdmissibilityError(
+            f"{bad.size} point(s) outside K_{spec.cone_index} for {spec.describe()}", bad)
+
+
 def _table(spec: CurvatureSpec, cols: np.ndarray, check_cone: bool) -> np.ndarray:
     """e_0..e_k of the batch, and on to e_{cone_index} when the cone is
-    checked; raises AdmissibilityError with the flat indices of the points
-    outside K_{cone_index}."""
-    if not check_cone:
-        return _esym_rows(cols, spec.k)
-    e = _esym_rows(cols, max(spec.k, spec.cone_index))
-    ok = _positive(e, spec.cone_index)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        raise AdmissibilityError(
-            f"{bad.size} point(s) outside K_{spec.cone_index} for {spec.describe()}", bad
-        )
+    checked (see check_table)."""
+    e = _esym_rows(cols, max(spec.k, spec.cone_index) if check_cone else spec.k)
+    if check_cone:
+        check_table(spec, e)
     return e
+
+
+def f_of_table(spec: CurvatureSpec, e: np.ndarray):
+    """f = ((e_k/C(n,k))/(e_l/C(n,l)))^p per point from a component-major
+    table holding e_0..e_k, unchecked; NaN where p != 1 and the quotient is
+    not positive.  A one-point table, shape (rows,), keeps numpy's scalar
+    power (see _per_point)."""
+    binom = _binoms(spec.n)
+    g = (e[spec.k] / binom[spec.k]) / (e[spec.l] / binom[spec.l])
+    if spec.power == 1.0:
+        return g
+    with np.errstate(invalid="ignore"):
+        return np.where(g > 0, np.abs(g) ** spec.power, np.nan)
+
+
+def df_of_table(spec: CurvatureSpec, e: np.ndarray) -> np.ndarray:
+    """Partials of f_of_table in the rows of the table, inside K_k: as f =
+    (H_k/H_l)^p, df = p f (de_k/e_k - de_l/e_l), and the other rows are 0."""
+    pf = spec.power * f_of_table(spec, e)
+    out = np.zeros_like(e)
+    out[spec.k] = pf / e[spec.k]
+    if spec.l:
+        out[spec.l] = -pf / e[spec.l]
+    return out
 
 
 def _quotient_terms(spec: CurvatureSpec, arr: np.ndarray, cols: np.ndarray, check_cone: bool):
@@ -288,12 +316,8 @@ def eval_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
     With check_cone, a point outside K_{cone_index} raises AdmissibilityError
     listing the flat indices of every such point."""
     arr = _as_kappa(kappa, spec.n)
-    binom = _binoms(spec.n)
     e = _table(spec, _columns(arr), check_cone)
-    g = _per_point((e[spec.k] / binom[spec.k]) / (e[spec.l] / binom[spec.l]), arr)
-    p = spec.power
-    with np.errstate(invalid="ignore"):
-        out = g if p == 1.0 else np.where(g > 0, np.abs(g) ** p, np.nan)
+    out = f_of_table(spec, e[:, 0] if arr.ndim == 1 else e)
     return _scalar(np.reshape(out, arr.shape[:-1]))
 
 

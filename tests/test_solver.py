@@ -102,12 +102,15 @@ def _jet_fields(U, layout):
 
 def _residual_grid_full(U, spec, sigma, epsilon, layout):
     """Oracle for the quadrant residual: the residual over every node of the
-    bounding box, f(kappa) - sigma at the full-box interior nodes."""
+    bounding box, f - sigma at the full-box interior nodes.  The pointwise
+    map is the grid path's own, so this checks the fold only; the
+    curvature-based checks of that map are the centred-difference and
+    pointwise oracles below."""
     ins = layout.mask
     Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
-    kappa, _ = grid.principal_curvatures_2d(U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins])
     res = U - epsilon
-    res[ins] = symfunc.eval_f(spec, kappa) - sigma
+    e, _ = grid._table_2d(U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins])
+    res[ins] = symfunc.f_of_table(spec, e) - sigma
     return res
 
 
@@ -669,6 +672,37 @@ class TestGridPath:
         for k, (i, j) in enumerate(zip(*np.nonzero(sol.mask))):
             image = row[max(i, nx - 1 - i) - cx, max(j, ny - 1 - j) - cy]
             assert np.array_equal(sol.kappa[k], kappa[image]) and sol.w[k] == w[image]
+
+    @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2),
+                                      CurvatureSpec.general_quotient(2, 1, 2)],
+                             ids=["h1h0", "h2h1", "h2root", "gq21"])
+    def test_pointwise_f_matches_curvatures(self, spec):
+        # f from (1, tr A, det A) against eval_f at the eigenvalues of A, on
+        # jets inside the cone by a margin: at its rim e_1 or e_2 is a
+        # difference of much larger terms, which the two routes round
+        # differently, so their relative gap is unbounded there
+        rng = np.random.default_rng(11)
+        jet = [rng.uniform(0.2, 2.0, 4000), *rng.standard_normal((5, 4000))]
+        kappa, _ = grid.principal_curvatures_2d(*jet)
+        ok = kappa.sum(axis=1) > 0.05 * np.abs(kappa).sum(axis=1)
+        if spec.cone_index == 2:
+            ok &= kappa[:, 1] > 0.05 * kappa[:, 0]
+        jet = [v[ok] for v in jet]
+        f = symfunc.eval_f(spec, kappa[ok])
+        assert ok.sum() > 1000
+        pointwise = symfunc.f_of_table(spec, grid._table_2d(*jet)[0])
+        assert np.max(np.abs(pointwise - f) / np.abs(f)) <= 1e-13
+
+    def test_inadmissible_nodes_match_curvatures(self):
+        # the circle's cap seed at N = 256 leaves K_2 near the rim: the sign
+        # test of the table lists the nodes the curvatures list
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 256)
+        U = layout.initial(0.8, 0.1)
+        kappa, _ = grid._interior_curvatures(U, layout)
+        expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
+        with pytest.raises(AdmissibilityLostError) as info:
+            layout.residual(U, 0.8, 0.1)
+        assert expected.size and info.value.nodes == expected.tolist()
 
     @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
                              ids=["h1h0", "h2h1", "h2root"])
