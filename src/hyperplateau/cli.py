@@ -1,9 +1,9 @@
 """Command-line front end: configuration parsing, run orchestration, and
 export of reports (JSON), tables (CSV), and meshes (OBJ).
 
-Exit codes: 0 success, 2 solver non-convergence, 3 admissibility loss,
-4 configuration error, a command-line usage error (unknown flag, bad flag
-value or choice, missing subcommand) included.
+Exit codes: 0 success, 2 solver non-convergence or a singular Jacobian,
+3 admissibility loss, 4 configuration error, a command-line usage error
+(unknown flag, bad flag value or choice, missing subcommand) included.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     AdmissibilityLostError,
     ConfigError,
     NonConvergenceError,
+    SingularJacobianError,
 )
 
 SCHEMA_VERSION = "3"
@@ -248,6 +249,19 @@ def _obj_lines(fmt: str, rows: np.ndarray) -> str:
     return "".join((fmt * len(p)) % tuple(p.ravel().tolist()) for p in parts)
 
 
+def _ring_lines(heights: list, xy: np.ndarray) -> str:
+    """OBJ vertex lines of rings at the given heights, with xy of shape
+    (rings, sectors, 2).  Each height is formatted once, into its ring's
+    line format, so only x and y go through `%` per vertex, about 4096
+    vertices at a time, as in _obj_lines."""
+    sectors = xy.shape[1]
+    per = max(1, 4096 // sectors)
+    return "".join(
+        "".join(("v %.9g %.9g " + "%.9g\n" % h) * sectors for h in heights[i:i + per])
+        % tuple(xy[i:i + per].ravel().tolist())
+        for i in range(0, len(heights), per))
+
+
 def mesh_from_radial(solution, n_theta: int = 64) -> str:
     """Revolve a radial profile into an OBJ mesh.  Vertices are (x, y, u) in
     upper half-space coordinates; faces wind counterclockwise seen from
@@ -255,10 +269,9 @@ def mesh_from_radial(solution, n_theta: int = 64) -> str:
     rho, u = solution.rho, solution.u
     angles = [2.0 * math.pi * j / n_theta for j in range(n_theta)]
     # vertex 1 is the apex, then ring i >= 1 of the profile, sector j
-    rings = np.empty((len(rho) - 1, n_theta, 3))
+    rings = np.empty((len(rho) - 1, n_theta, 2))
     rings[..., 0] = rho[1:, None] * np.array([math.cos(t) for t in angles])
     rings[..., 1] = rho[1:, None] * np.array([math.sin(t) for t in angles])
-    rings[..., 2] = u[1:, None]
     # 1-based OBJ index of ring i >= 1, sector j: 2 + (i - 1) n_theta + j
     j = np.arange(n_theta)
     first = 2 + j
@@ -269,7 +282,7 @@ def mesh_from_radial(solution, n_theta: int = 64) -> str:
     strips = np.stack([a, c, d, a, d, b], axis=-1)
     return ("# radial graph, revolved profile\n"
             + "v 0 0 %.9g\n" % u[0]
-            + _obj_lines("v %.9g %.9g %.9g\n", rings.reshape(-1, 3))
+            + _ring_lines(u[1:].tolist(), rings)
             + _obj_lines("f %d %d %d\n", fan)
             + _obj_lines("f %d %d %d\n", strips.reshape(-1, 3)))
 
@@ -387,6 +400,9 @@ def run(raw_config: dict) -> int:
         return 4
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 2
+    except SingularJacobianError as exc:
+        print(f"singular Jacobian: {exc}", file=sys.stderr)
         return 2
     except AdmissibilityLostError as exc:
         print(f"admissibility lost: {exc}", file=sys.stderr)

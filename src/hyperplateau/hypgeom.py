@@ -187,22 +187,30 @@ def radial_jet(u: float, up: float, upp: float, rho: float, n: int = 2) -> Point
     return hyperbolic_shape(u, Du, D2u)
 
 
-def radial_principal_curvatures(u, up, upp, rho, n: int):
-    """Vectorized hyperbolic principal curvatures of a radial graph.
-
-    Returns (kappa, w): kappa has shape (..., n) with the radial curvature in
-    column 0 and the (n-1)-fold tangential curvature in the rest.
-    """
+def radial_curvature_pair(u, up, upp, rho):
+    """Vectorized radial and tangential hyperbolic curvatures of a radial
+    graph, kappa_rad = u u''/w^3 + 1/w and kappa_tan = u u'/(rho w) + 1/w
+    with w = sqrt(1 + u'^2), and u'/rho -> u'' at the axis.  Returns
+    (kappa_rad, kappa_tan, w)."""
     u = np.asarray(u, dtype=float)
     up = np.asarray(up, dtype=float)
     upp = np.asarray(upp, dtype=float)
     rho = np.asarray(rho, dtype=float)
     w = np.sqrt(1.0 + up**2)
     k_rad_e = upp / w**3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_tan_e = np.where(rho > 0.0, up / (rho * w), upp / w**3)
-    k_rad = u * k_rad_e + 1.0 / w
-    k_tan = u * k_tan_e + 1.0 / w
+    k_tan_e = np.divide(up, rho * w, out=k_rad_e.copy(), where=rho > 0.0)
+    inv_w = 1.0 / w
+    return u * k_rad_e + inv_w, u * k_tan_e + inv_w, w
+
+
+def radial_principal_curvatures(u, up, upp, rho, n: int):
+    """Vectorized hyperbolic principal curvatures of a radial graph.
+
+    Returns (kappa, w): kappa has shape (..., n) with the radial curvature in
+    column 0 and the (n-1)-fold tangential curvature in the rest (see
+    radial_curvature_pair).
+    """
+    k_rad, k_tan, w = radial_curvature_pair(u, up, upp, rho)
     kappa = np.concatenate(
         [k_rad[..., None], np.repeat(k_tan[..., None], n - 1, axis=-1)], axis=-1
     )

@@ -3,7 +3,11 @@ sigma with u = epsilon on the domain boundary.
 
 The radial path (any n, ball domains) discretizes the profile ODE on a
 uniform grid with a symmetry node at the axis; the tensor-grid path for
-ellipse domains lives in `grid`.  On a ball the umbilic cap with boundary
+ellipse domains lives in `grid`.  On the radial path every node's curvature
+vector is (kappa_rad, kappa_tan, ..., kappa_tan), so the residual and the
+Jacobian take f, its cone test and its partials from the closed-form table
+of that pair (symfunc.pair_table), built straight from the jet; the
+(points, n) curvature matrix is built only for summaries and solutions.  On a ball the umbilic cap with boundary
 height epsilon has kappa = sigma everywhere, so it solves the continuous
 problem exactly for every normalized f: Newton starts from it at each
 scheduled boundary height, and at each later sigma of a sweep, and needs a
@@ -177,21 +181,27 @@ def _radial_kappa(u: np.ndarray, rho: np.ndarray, n: int):
 
 
 def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
-             rho: np.ndarray, n: int | None = None) -> np.ndarray:
+             rho: np.ndarray) -> np.ndarray:
     """Radial residual: f(kappa) - sigma at interior nodes (axis included),
-    u - epsilon at the boundary node.  Raises AdmissibilityLostError with the
-    offending node list when any interior curvature leaves the cone."""
-    n = n if n is not None else spec.n
+    u - epsilon at the boundary node.  The curvature vector of every node is
+    (kappa_rad, kappa_tan, ..., kappa_tan), so f comes from the closed-form
+    table of that pair (symfunc.pair_table), built straight from the jet,
+    and the cone test from the signs of the same table
+    (symfunc.check_table).  Raises AdmissibilityLostError with the offending
+    node list when any interior node has a non-positive height or leaves
+    the cone."""
     bad_height = np.flatnonzero(u[:-1] <= 0.0)
     if bad_height.size:
         raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
-    kappa, _, _ = _radial_kappa(u, rho, n)
+    up, upp = _radial_derivatives(u, rho[1] - rho[0])
+    r, t, _ = hypgeom.radial_curvature_pair(u[:-1], up[:-1], upp[:-1], rho[:-1])
+    e = symfunc.pair_table(r, t, spec.n - 1, max(spec.k, spec.cone_index))
     try:
-        f = symfunc.eval_f(spec, kappa[:-1])
+        symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     res = np.empty_like(u)
-    res[:-1] = f - sigma
+    res[:-1] = symfunc.f_of_table(spec, e) - sigma
     res[-1] = u[-1] - epsilon
     return res
 
@@ -213,24 +223,31 @@ def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
     return ab
 
 
-def _jacobian_fd(u, spec, rho, n):
+def _jacobian_fd(u, spec, rho):
     """Jacobian with the per-node partials of f(kappa[jet]) in the local jet
-    (u_i, u'_i, u''_i) taken by the chain rule, sum_i f_i dkappa_i/djet, then
-    assembled through the exact stencil weights.  The f_i come from one
-    symfunc.grad_f call at the curvatures of the jet; the curvatures
+    (u_i, u'_i, u''_i) taken by the chain rule, f_rad dkappa_rad/djet +
+    f_tan dkappa_tan/djet, then assembled through the exact stencil
+    weights.  f_rad is the partial of f in kappa_rad and f_tan the sum of
+    its partials in the n - 1 tangential components, both from the partials
+    of f in the closed-form table of (kappa_rad, kappa_tan, ..., kappa_tan)
+    (symfunc.df_of_table on symfunc.pair_table) and the partials of that
+    table in its two values; the curvatures
 
         kappa_rad = u u''/w^3 + 1/w,   kappa_tan = u u'/(rho w) + 1/w,
 
-    with w = sqrt(1 + u'^2), are differentiated in closed form, and the
-    n - 1 tangential columns of grad_f share kappa_tan's partials.  At the
+    with w = sqrt(1 + u'^2), are differentiated in closed form.  At the
     axis kappa_tan is kappa_rad (u'/rho -> u''), so every column takes the
-    radial partials there."""
+    radial partials there.  The name is kept, although no differences are
+    taken, because the benchmark in perfbench/ traces it; the rename waits
+    for a change to the benchmark (ROADMAP item 6)."""
     h = rho[1] - rho[0]
     up, upp = _radial_derivatives(u, h)
     ui, upi, uppi, rhoi = u[:-1], up[:-1], upp[:-1], rho[:-1]
-    kappa, w = radial_principal_curvatures(ui, upi, uppi, rhoi, n)
-    g = symfunc.grad_f(spec, kappa, check_cone=False)
-    f_rad, f_tan = g[:, 0], np.sum(g[:, 1:], axis=1)
+    r, t, w = hypgeom.radial_curvature_pair(ui, upi, uppi, rhoi)
+    m, k = spec.n - 1, spec.k
+    df = symfunc.df_of_table(spec, symfunc.pair_table(r, t, m, k))[1:]
+    f_rad = np.sum(df * symfunc.pair_table(t, t, m - 1, k - 1), axis=0)
+    f_tan = m * np.sum(df * symfunc.pair_table(r, t, m - 1, k - 1), axis=0)
     w3 = w**3
     rad_u = uppi / w3
     rad_p = -(3.0 * ui * uppi * upi / w**2 + upi) / w3
@@ -266,14 +283,16 @@ class RadialLayout:
         return residual(u, self.spec, sigma, epsilon, self.rho)
 
     def jacobian(self, u):
-        return _jacobian_fd(u, self.spec, self.rho, self.spec.n)
+        return _jacobian_fd(u, self.spec, self.rho)
 
     def factor(self, ab):
         return ab  # solve_banded factors and solves in one call
 
     def solve(self, ab, rhs):
+        # no finiteness scan: a non-finite Jacobian ends in LinAlgError or in
+        # newton_step's non-finite update check, both SingularJacobianError
         try:
-            return solve_banded((1, 1), ab, rhs)
+            return solve_banded((1, 1), ab, rhs, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(str(exc)) from exc
 

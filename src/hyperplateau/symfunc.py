@@ -14,9 +14,11 @@ Hessian (leaving two out).  Every table entry is bitwise the one of the
 full row-major table.  eval_f, grad_f and hessian_f take their cone test
 from the table they build (check_table).  f_of_table and df_of_table give f
 and its partials in e_0..e_k from any table, such as the grid path's
-(1, tr A, det A).  hessian_f writes its upper triangle, one entry at a time
-over the points, straight into the points-major (..., n, n) layout that
-eigvalsh reads, and mirrors it.
+(1, tr A, det A) or pair_table's closed-form table of a vector with all
+but one component equal, such as the radial path's curvatures (kappa_rad,
+kappa_tan, ..., kappa_tan).  hessian_f writes its upper triangle, one
+entry at a time over the points, straight into the points-major
+(..., n, n) layout that eigvalsh reads, and mirrors it.
 
 The cone sampler works on arrays it built itself and tests membership
 without re-checking them.  K_n is the positive orthant, so the sampler
@@ -273,8 +275,8 @@ def f_of_table(spec: CurvatureSpec, e: np.ndarray):
     table holding e_0..e_k, unchecked; NaN where p != 1 and the quotient is
     not positive.  A one-point table, shape (rows,), keeps numpy's scalar
     power (see _per_point)."""
-    binom = _binoms(spec.n)
-    g = (e[spec.k] / binom[spec.k]) / (e[spec.l] / binom[spec.l])
+    n, k, l = spec.n, spec.k, spec.l
+    g = (e[k] / math.comb(n, k)) / (e[l] / math.comb(n, l))
     if spec.power == 1.0:
         return g
     with np.errstate(invalid="ignore"):
@@ -290,6 +292,29 @@ def df_of_table(spec: CurvatureSpec, e: np.ndarray) -> np.ndarray:
     if spec.l:
         out[spec.l] = -pf / e[spec.l]
     return out
+
+
+def pair_table(r, t, m: int, order: int) -> np.ndarray:
+    """e_0..e_order of the vector (r, t, ..., t) with m copies of t, shape
+    (order+1, points), by the closed form
+
+        e_j = C(m, j) t^j + C(m, j-1) r t^(j-1) = (C(m, j) t + C(m, j-1) r) t^(j-1),
+
+    unchecked.  Its partials follow from it: de_j/dr = C(m, j-1) t^(j-1),
+    which is e_{j-1} of (t, t, ..., t) = pair_table(t, t, m-1, ...), and
+    the sum of de_j/dkappa_i over the m copies of t is m e_{j-1} of (r, t,
+    ..., t) with m-1 copies, m pair_table(r, t, m-1, ...)."""
+    t = np.asarray(t, dtype=float)
+    e = np.empty((order + 1,) + t.shape)
+    e[0] = 1.0
+    power = None  # t^(j-1) from j = 2 on
+    for j in range(1, order + 1):
+        row = np.multiply(t, math.comb(m, j), out=e[j])
+        row += r if j == 1 else math.comb(m, j - 1) * r
+        if j > 1:
+            power = t if power is None else power * t
+            row *= power
+    return e
 
 
 def _quotient_terms(spec: CurvatureSpec, arr: np.ndarray, cols: np.ndarray, check_cone: bool):

@@ -218,6 +218,20 @@ class TestRun:
         monkeypatch.setattr(solver, "continuation_solve", boom)
         assert cli.run({"command": "solve", "sigma": 0.5}) == 2
 
+    def test_singular_jacobian_exit_code(self, monkeypatch, tmp_path, capsys):
+        from hyperplateau import solver
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        # every banded solve fails: the seeded solve, then the sigma march's
+        # first step, so the SingularJacobianError reaches cli.run
+        monkeypatch.setattr(solver, "solve_banded", singular)
+        out = tmp_path / "o"
+        assert cli.run({"command": "solve", "sigma": 0.5, "grid": 64, "out": str(out)}) == 2
+        assert capsys.readouterr().err.startswith("singular Jacobian: ")
+        assert not out.exists()
+
     def test_admissibility_exit_code(self, monkeypatch):
         from hyperplateau import solver
         from hyperplateau.errors import AdmissibilityLostError
@@ -268,6 +282,16 @@ class TestMesh:
         text = cli.mesh_from_radial(sol)
         assert text == _mesh_from_radial_loops(sol)
         assert text.count("\nv ") == 1 + 64 * 64
+
+    def test_radial_exponent_heights_match_loop_writer(self):
+        # each ring's height is formatted once, into its ring's line format;
+        # the rim ring's height 1e-5 prints in exponent notation
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+            grid_size=64, epsilon_min=1e-5))
+        text = cli.mesh_from_radial(sol)
+        assert text == _mesh_from_radial_loops(sol)
+        assert text.count(" 1e-05\n") == 64
 
     def test_grid_matches_loop_writer(self):
         sol = solver.continuation_solve(solver.SolverConfig(

@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from hyperplateau import grid, hypgeom, solver, symfunc
-from hyperplateau.errors import AdmissibilityLostError
+from hyperplateau.errors import AdmissibilityError, AdmissibilityLostError, SingularJacobianError
 from hyperplateau.symfunc import CurvatureSpec
 
 H1 = CurvatureSpec.consecutive_quotient(1, 2)
@@ -182,6 +182,29 @@ class _LineLayout:
         return np.linalg.solve(J, rhs)
 
 
+def _families_up_to_4():
+    """Every curvature family with n <= 4, each k-th root also on K_n."""
+    specs = []
+    for n in range(2, 5):
+        for k in range(1, n + 1):
+            specs += [CurvatureSpec.consecutive_quotient(k, n), CurvatureSpec.kth_root(k, n)]
+            if k + 1 < n:
+                specs.append(CurvatureSpec.kth_root(k, n, cone_index=n))
+            specs += [CurvatureSpec.general_quotient(k, l, n) for l in range(1, k)]
+    return specs
+
+
+def _residual_by_curvatures(u, spec, sigma, epsilon, rho):
+    """Oracle for solver.residual: the (points, n) curvature matrix of the
+    jet and symfunc.eval_f on it, as the residual was computed before it
+    used the closed-form table of (kappa_rad, kappa_tan)."""
+    up, upp = solver._radial_derivatives(u, rho[1] - rho[0])
+    kappa, _ = hypgeom.radial_principal_curvatures(u, up, upp, rho, spec.n)
+    res = u - epsilon
+    res[:-1] = symfunc.eval_f(spec, kappa[:-1]) - sigma
+    return res
+
+
 class TestResidual:
     def test_constant_graph(self):
         u, rho = cap_profile(64, 0.5)
@@ -234,6 +257,43 @@ class TestResidual:
         assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
 
 
+class TestPairTableResidual:
+    """The radial residual from the closed-form table of (kappa_rad,
+    kappa_tan, ..., kappa_tan) against eval_f on the curvature matrix."""
+
+    @pytest.mark.parametrize("spec", _families_up_to_4(), ids=lambda s: s.describe())
+    def test_matches_curvature_route(self, spec):
+        domain = hypgeom.Domain.ball(1.0, spec.n)
+        layout = solver.RadialLayout(spec, domain, 64)
+        states = [(layout.initial(sigma, eps), sigma, eps)
+                  for sigma in (0.5, 0.2) for eps in (0.1, 1e-3)]
+        for sigma in (0.5, 0.2):
+            sol = solver.continuation_solve(solver.SolverConfig(
+                spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
+            states.append((sol.u, sigma, sol.epsilon))
+        for u, sigma, eps in states:
+            got = solver.residual(u, spec, sigma, eps, layout.rho)
+            want = _residual_by_curvatures(u, spec, sigma, eps, layout.rho)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_inadmissible_nodes_match_curvature_route(self):
+        # a ripple of 0.0015 pushes 3 to 19 of the 64 interior nodes out of
+        # the cone, depending on the cone
+        rho = np.linspace(0.0, 1.0, 65)
+        u = hypgeom.make_cap_with_boundary_height(1.0, 0.5, 0.1).height(rho)
+        u[-1] = 0.1
+        u[:-1] += 0.0015 * np.cos(14.0 * np.pi * rho[:-1])
+        counts = set()
+        for spec in _families_up_to_4():
+            with pytest.raises(AdmissibilityError) as want:
+                _residual_by_curvatures(u, spec, 0.5, 0.1, rho)
+            with pytest.raises(AdmissibilityLostError) as got:
+                solver.residual(u, spec, 0.5, 0.1, rho)
+            assert got.value.nodes == want.value.indices
+            counts.add(len(got.value.nodes))
+        assert len(counts) > 3
+
+
 class TestNewton:
     def test_quadratic_convergence_probe(self):
         u, rho = cap_profile(128, 0.6)
@@ -256,14 +316,14 @@ class TestNewton:
 
     def test_jacobian_cross_check_17_nodes(self):
         u, rho = cap_profile(16, 0.6)
-        ab = solver._jacobian_fd(u, H2H1, rho, 2)
+        ab = solver._jacobian_fd(u, H2H1, rho)
         ab_cd = _jacobian_centred(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-4
 
     def test_jacobian_cross_check_fine_grid(self):
         u, rho = cap_profile(512, 0.8)
-        ab = solver._jacobian_fd(u, H2H1, rho, 2)
+        ab = solver._jacobian_fd(u, H2H1, rho)
         ab_cd = _jacobian_centred(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
@@ -276,7 +336,7 @@ class TestNewton:
         # off the cap, so that the radial and tangential curvatures differ
         u, rho = cap_profile(128, 0.5)
         u[:-1] += 0.02 * (1.0 - rho[:-1] ** 2)
-        ab = solver._jacobian_fd(u, spec, rho, spec.n)
+        ab = solver._jacobian_fd(u, spec, rho)
         ab_cd = _jacobian_centred(u, spec, rho, spec.n)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
@@ -323,6 +383,25 @@ class TestNewtonState:
         assert sum(report.factorizations) < sum(report.newton_iterations)
         assert report.final_residual <= 1e-8
         assert report.admissibility_violations == 0
+
+
+class _NaNJacobianLayout(solver.RadialLayout):
+    """The radial layout with a NaN on the diagonal of every Jacobian."""
+
+    def jacobian(self, u):
+        ab = super().jacobian(u)
+        ab[1, 5] = np.nan
+        return ab
+
+
+def test_nan_jacobian_raises_singular():
+    # the banded solve skips scipy's finiteness scan: the NaN ends in
+    # LinAlgError or in a non-finite update, both SingularJacobianError
+    layout = _NaNJacobianLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
+    u = layout.initial(0.5, 0.1)
+    u[:-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
+    with pytest.raises(SingularJacobianError):
+        solver.newton_step(layout, u, layout.residual(u, 0.5, 0.1), 0.5, 0.1)
 
 
 class _ConeEdgeLayout(grid.GridLayout):
@@ -478,7 +557,7 @@ class TestContinuation:
     def test_jacobian_cross_check_converged_solution(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.4, grid_size=256))
-        ab = solver._jacobian_fd(sol.u, H2H1, sol.rho, 2)
+        ab = solver._jacobian_fd(sol.u, H2H1, sol.rho)
         ab_cd = _jacobian_centred(sol.u, H2H1, sol.rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6

@@ -194,6 +194,35 @@ class TestComponentMajorTables:
         assert exc.value.indices == [0]
 
 
+class TestPairTable:
+    """pair_table's closed form against the recurrence table of the vector
+    (r, t, ..., t)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_esym_table(self, n):
+        rng = np.random.default_rng(100 + n)
+        r, t = rng.uniform(-3.0, 3.0, size=(2, 500))
+        kappa = np.column_stack([r] + [t] * (n - 1))
+        want = symfunc.esym_table(kappa).T
+        # relative to the sum of the magnitudes of each e_j's terms, the
+        # scale of its rounding error, which sign cancellation leaves
+        scale = symfunc.esym_table(np.abs(kappa)).T
+        for order in range(n + 1):
+            got = symfunc.pair_table(r, t, n - 1, order)
+            assert got.shape == (order + 1, 500)
+            assert np.all(np.abs(got - want[: order + 1]) <= 1e-13 * scale[: order + 1])
+
+    def test_partials(self):
+        # de_j/dr and the sum of de_j/dt_i over the m copies of t
+        rng = np.random.default_rng(7)
+        r, t = rng.uniform(0.1, 2.0, size=(2, 50))
+        m, step = 3, 1e-6
+        dr = (symfunc.pair_table(r + step, t, m, 4) - symfunc.pair_table(r - step, t, m, 4)) / (2 * step)
+        dt = (symfunc.pair_table(r, t + step, m, 4) - symfunc.pair_table(r, t - step, m, 4)) / (2 * step)
+        assert np.allclose(dr[1:], symfunc.pair_table(t, t, m - 1, 3), rtol=1e-8, atol=1e-8)
+        assert np.allclose(dt[1:], m * symfunc.pair_table(r, t, m - 1, 3), rtol=1e-8, atol=1e-8)
+
+
 class TestOrthantRule:
     """The sampler tests K_n, the positive orthant, by the signs of the
     components; on its draws, its bisection midpoints and at signed zeros
