@@ -7,18 +7,19 @@ ellipse domains lives in `grid`.  On the radial path every node's curvature
 vector is (kappa_rad, kappa_tan, ..., kappa_tan), so the residual and the
 Jacobian take f, its cone test and its partials from the closed-form table
 of that pair (symfunc.pair_table), built straight from the jet; the
-(points, n) curvature matrix is built only for summaries and solutions.  On a ball the umbilic cap with boundary
-height epsilon has kappa = sigma everywhere, so it solves the continuous
-problem exactly for every normalized f: Newton starts from it at each
-scheduled boundary height, and at each later sigma of a sweep, and needs a
-few iterations there.  A step where that fails warm-starts from the last
-accepted state instead.  On the grid path, and at the first height when the
-seeded Newton fails there, continuation walks sigma down from 0.8 at a
-moderate boundary height, then shrinks the boundary height.  A layout that
-keeps its factorization starts each such step from the Euler tangent
-predictor, one chord step at the new parameter values.  Every accepted
-Newton iterate, and every prediction Newton starts from, is admissible at
-every interior node.
+(points, n) curvature matrix is built only for summaries and solutions.
+
+On a ball the umbilic cap with boundary height epsilon has kappa = sigma
+everywhere, so it solves the continuous problem exactly for every
+normalized f: Newton starts from it at each scheduled boundary height, and
+at each later sigma of a sweep, and needs a few iterations there.  A step
+where that fails warm-starts from the last accepted state instead.  On the
+grid path, and at the first height when the seeded Newton fails there,
+continuation walks sigma down from 0.8 at a moderate boundary height, then
+shrinks the boundary height.  A layout that keeps its factorization starts
+each such step from the Euler tangent predictor, one chord step at the new
+parameter values.  Every accepted Newton iterate, and every prediction
+Newton starts from, is admissible at every interior node.
 """
 
 from __future__ import annotations

@@ -217,8 +217,12 @@ class TestPairTable:
         rng = np.random.default_rng(7)
         r, t = rng.uniform(0.1, 2.0, size=(2, 50))
         m, step = 3, 1e-6
-        dr = (symfunc.pair_table(r + step, t, m, 4) - symfunc.pair_table(r - step, t, m, 4)) / (2 * step)
-        dt = (symfunc.pair_table(r, t + step, m, 4) - symfunc.pair_table(r, t - step, m, 4)) / (2 * step)
+
+        def table(r, t):
+            return symfunc.pair_table(r, t, m, 4)
+
+        dr = (table(r + step, t) - table(r - step, t)) / (2 * step)
+        dt = (table(r, t + step) - table(r, t - step)) / (2 * step)
         assert np.allclose(dr[1:], symfunc.pair_table(t, t, m - 1, 3), rtol=1e-8, atol=1e-8)
         assert np.allclose(dt[1:], m * symfunc.pair_table(r, t, m - 1, 3), rtol=1e-8, atol=1e-8)
 
