@@ -99,6 +99,17 @@ class TestEstimateConstants:
         assert consts.theta is None and consts.mu is None
         assert consts.kappa1 < consts.kappa1_threshold
 
+    def test_ellipse_grid_solution(self):
+        # every reported node of a grid solution is interior; the maximizer,
+        # node 112 in full-box order, has a Dirichlet neighbour
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=CurvatureSpec.consecutive_quotient(2, 2),
+            domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.5, grid_size=32))
+        assert verify.gradient_estimate_check(sol) == (0.5589138827509418, True)
+        consts, _ = verify.estimate_constants(sol)
+        assert consts.x0_index == 112
+        assert consts.boundary_attained is True
+
 
 class TestAlgebra:
     def test_zero_violations(self):
