@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import hypgeom, solver, symfunc, verify
+from . import grid, hypgeom, solver, symfunc, verify
 from .errors import (
     AdmissibilityLostError,
     ConfigError,
@@ -67,8 +67,8 @@ _KNOWN_KEYS = {"command"} | set(_DEFAULTS)
 
 
 def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
-    """Convert cfg[key] in place with `kind` (int, float, or a function of
-    the value); on failure record a violation and return False."""
+    """Convert cfg[key] in place with `kind` (_integer, _real, or a function
+    of the value); on failure record a violation and return False."""
     try:
         cfg[key] = kind(cfg[key])
     except (TypeError, ValueError, OverflowError):
@@ -77,8 +77,22 @@ def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
     return True
 
 
+def _real(value) -> float:
+    """float(value); a boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """int(value) of an integral number, such as 64 or 1e4, not a boolean."""
+    if _real(value) % 1.0:
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _floats(values):
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 def validate_config(raw: dict) -> dict:
@@ -98,12 +112,8 @@ def validate_config(raw: dict) -> dict:
 
     if not isinstance(cfg["family"], str) or cfg["family"] not in FAMILIES:
         violations.append(f"family must be one of {sorted(FAMILIES)}, got {cfg['family']!r}")
-    try:
-        cfg["k"] = int(cfg["k"])
-        cfg["n"] = int(cfg["n"])
-    except (TypeError, ValueError):
-        violations.append("k and n must be integers")
-    else:
+    k_ok = _convert(cfg, "k", _integer, violations)
+    if _convert(cfg, "n", _integer, violations) and k_ok:
         if cfg["n"] < 2:
             violations.append(f"n must be >= 2, got {cfg['n']}")
         if not 1 <= cfg["k"] <= cfg["n"]:
@@ -111,7 +121,7 @@ def validate_config(raw: dict) -> dict:
         if cfg["family"] == "general_quotient":
             if cfg["l"] is None:
                 violations.append("general_quotient requires l")
-            elif _convert(cfg, "l", int, violations) and not 0 <= cfg["l"] < cfg["k"]:
+            elif _convert(cfg, "l", _integer, violations) and not 0 <= cfg["l"] < cfg["k"]:
                 violations.append(f"general_quotient needs 0 <= l < k, got l={cfg['l']}, k={cfg['k']}")
         elif cfg["l"] is not None:
             violations.append("l is only meaningful for general_quotient")
@@ -127,7 +137,7 @@ def validate_config(raw: dict) -> dict:
                 violations.append("ellipse needs finite a_axis >= b_axis > 0")
         if cfg["n"] != 2:
             violations.append(f"ellipse domains are planar: need n = 2, got n={cfg['n']!r}")
-    elif _convert(cfg, "radius", float, violations) and not 0.0 < cfg["radius"] < math.inf:
+    elif _convert(cfg, "radius", _real, violations) and not 0.0 < cfg["radius"] < math.inf:
         violations.append(f"radius must be positive and finite, got {cfg['radius']}")
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
         violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
@@ -137,7 +147,7 @@ def validate_config(raw: dict) -> dict:
     if needs_sigma:
         if cfg["sigma"] is None:
             violations.append(f"command {command!r} requires sigma")
-        elif _convert(cfg, "sigma", float, violations) and not 0.0 < cfg["sigma"] < 1.0:
+        elif _convert(cfg, "sigma", _real, violations) and not 0.0 < cfg["sigma"] < 1.0:
             violations.append(f"sigma must lie in (0, 1), got {cfg['sigma']}")
     if command == "sweep":
         if not cfg.get("sigmas"):
@@ -148,15 +158,15 @@ def validate_config(raw: dict) -> dict:
             if sorted(cfg["sigmas"], reverse=True) != cfg["sigmas"]:
                 violations.append("sweep sigmas must be sorted descending")
 
-    if _convert(cfg, "grid", int, violations) and cfg["grid"] < 8:
+    if _convert(cfg, "grid", _integer, violations) and cfg["grid"] < 8:
         violations.append(f"grid must be >= 8, got {cfg['grid']}")
-    if _convert(cfg, "epsilon_min", float, violations) and not 0.0 < cfg["epsilon_min"] < 0.1:
+    if _convert(cfg, "epsilon_min", _real, violations) and not 0.0 < cfg["epsilon_min"] < 0.1:
         violations.append("epsilon_min must lie in (0, 0.1)")
-    if _convert(cfg, "seed", int, violations) and cfg["seed"] < 0:
+    if _convert(cfg, "seed", _integer, violations) and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
-    if _convert(cfg, "samples", int, violations) and cfg["samples"] < 1:
+    if _convert(cfg, "samples", _integer, violations) and cfg["samples"] < 1:
         violations.append("samples must be >= 1")
-    if _convert(cfg, "levels", int, violations) and command == "refine" and cfg["levels"] < 2:
+    if _convert(cfg, "levels", _integer, violations) and command == "refine" and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
 
     if not isinstance(cfg["out"], str):
@@ -266,7 +276,7 @@ def mesh_from_radial(solution, n_theta: int = 64) -> str:
     """Revolve a radial profile into an OBJ mesh.  Vertices are (x, y, u) in
     upper half-space coordinates; faces wind counterclockwise seen from
     above (+u side)."""
-    rho, u = solution.rho, solution.u
+    rho, u = solution.layout.rho, solution.u
     angles = [2.0 * math.pi * j / n_theta for j in range(n_theta)]
     # vertex 1 is the apex, then ring i >= 1 of the profile, sector j
     rings = np.empty((len(rho) - 1, n_theta, 2))
@@ -291,7 +301,8 @@ def mesh_from_grid(solution) -> str:
     """Tensor-grid solution to OBJ: vertices (x, y, u) for every node of a
     cell touching the interior; two triangles per cell, counterclockwise
     from above."""
-    xs, ys, U, mask = solution.xs, solution.ys, solution.u2d, solution.mask
+    layout = solution.layout
+    xs, ys, U, mask = layout.xs, layout.ys, solution.u.ravel()[layout.fold], layout.mask
     # cells with a corner inside, and the nodes of those cells
     cell = mask[:-1, :-1] | mask[1:, :-1] | mask[1:, 1:] | mask[:-1, 1:]
     used = np.zeros(mask.shape, dtype=bool)
@@ -421,8 +432,8 @@ def run(raw_config: dict) -> int:
         artifacts.append(path)
     if "mesh-obj" in cfg["export"]:
         path = os.path.join(cfg["out"], "mesh.obj")
-        mesh = mesh_from_radial if solution.kind == "radial" else mesh_from_grid
-        _atomic_write(path, mesh(solution))
+        writer = {solver.RadialLayout: mesh_from_radial, grid.GridLayout: mesh_from_grid}
+        _atomic_write(path, writer[type(solution.layout)](solution))
         artifacts.append(path)
 
     for path in artifacts:

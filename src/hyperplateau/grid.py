@@ -12,8 +12,8 @@ the ellipse's bounding box, and a node across a symmetry axis stands for
 its mirror image in the quadrant, found through a fold map computed once
 per layout.  The discrete problem is then exactly symmetric (on the whole
 box the differences add a node's two neighbours in opposite orders on the
-two sides of an axis, so they agree only up to rounding), and the solution
-on the whole box is the quadrant state unfolded.
+two sides of an axis, so they agree only up to rounding), and the state on
+the whole box is the quadrant state unfolded.
 
 f comes from the table (1, tr A, det A) through symfunc.f_of_table, with no
 eigenvalues, and the nine-point linearization from its closed-form partials
@@ -67,11 +67,14 @@ class GridLayout:
     across Newton iterations and for the Euler predictor of each
     continuation step.  The cap seed solves no ellipse problem exactly, so
     the driver continues from it in sigma, then in the boundary height.
-    Newton stops at a residual sup-norm of 1e-8."""
+    Newton stops at a residual sup-norm of 1e-8.  A solution reports the
+    full box's interior nodes `mask` in box order; `image` holds the unknown
+    each of them mirrors."""
 
     keeps_factorization = True
     exact_seed = False
     newton_tol = 1e-8
+    interior = slice(None)
 
     def __init__(self, spec: symfunc.CurvatureSpec, domain: hypgeom.Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -97,6 +100,10 @@ class GridLayout:
         self.stencil = np.stack([self.fold[ii + cx + di, jj + cy + dj] for di, dj in STENCIL])
         self.unknown = np.full(inside.size, -1)
         self.unknown[inside.ravel()] = np.arange(ii.size)
+        self.image = self.unknown[self.fold[self.mask]]
+        # an x- or y-neighbour of a node is Dirichlet exactly when it is for
+        # the node's mirror image
+        self.touches_boundary = np.any(self.unknown[self.stencil[1:5]] < 0, axis=0)[self.image]
         # COO entries of the Jacobian, blocks in STENCIL order: the columns
         # are folded neighbours, so a mirror coupling is a duplicate entry
         # that the conversion to CSC/CSR sums
@@ -145,23 +152,13 @@ class GridLayout:
     def u0(self, U):
         return float(np.max(U[self.inside]))
 
-    def summary(self, U):
-        """(largest interior curvature, smallest interior nu^{n+1})."""
+    def solution(self, U, sigma, epsilon):
+        """The quadrant state, with `kappa` and `w` at the interior nodes of
+        the full box in box order."""
         kappa, w = _interior_curvatures(U, self)
-        return float(np.max(kappa)), float(np.min(1.0 / w))
-
-    def solution(self, U, sigma, epsilon, report=None):
-        """The quadrant state unfolded onto the full box: `u2d` over every
-        node, `mask` its interior nodes, and `u`, `kappa` and `w` at those
-        nodes in full-box node order."""
-        kappa, w = _interior_curvatures(U, self)
-        u2d = U.ravel()[self.fold]
-        image = self.unknown[self.fold[self.mask]]
-        return solver.GraphSolution(
-            domain=self.domain, spec=self.spec, sigma=sigma, epsilon=epsilon, kind="grid",
-            u=u2d[self.mask], kappa=kappa[image], nu_vertical=1.0 / w[image], w=w[image],
-            report=report, xs=self.xs, ys=self.ys, mask=self.mask, u2d=u2d,
-        )
+        kappa, w = kappa[self.image], w[self.image]
+        return solver.GraphSolution(layout=self, u=U, sigma=sigma, epsilon=epsilon, kappa=kappa,
+                                    nu_vertical=1.0 / w, w=w)
 
 
 def _jets(U: np.ndarray, layout: GridLayout):
@@ -181,7 +178,7 @@ def _jets(U: np.ndarray, layout: GridLayout):
 
 def principal_curvatures_2d(u, ux, uy, uxx, uyy, uxy):
     """Hyperbolic principal curvatures of a 2-D graph, for the reports
-    (summary, solution): eigenvalues of A = (u M + I)/w, M = gamma D2u gamma,
+    (solution): eigenvalues of A = (u M + I)/w, M = gamma D2u gamma,
     gamma = I - c Du Du^T, c = 1/(w (1 + w)), in closed form from the mean
     and the traceless part of A.  Returns (kappa, w), kappa[..., 0] >= kappa[..., 1]."""
     w = np.sqrt(1.0 + ux**2 + uy**2)

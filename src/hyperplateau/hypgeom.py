@@ -11,11 +11,11 @@ to sigma > 0, and a horizontal graph (horosphere) has curvature one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHeightError, UnsupportedSolutionError
+from .errors import DegenerateHeightError
 
 SHAPE_BALL = "ball"
 SHAPE_ELLIPSE = "ellipse"
@@ -215,32 +215,3 @@ def radial_principal_curvatures(u, up, upp, rho, n: int):
         [k_rad[..., None], np.repeat(k_tan[..., None], n - 1, axis=-1)], axis=-1
     )
     return kappa, w
-
-
-def check_lemma21_ii(solution) -> float:
-    """Discrete check of the surface-gradient identity for the vertical
-    normal component along the radial principal direction:
-
-        d(nu^{n+1})/ds = -(u_s/u) (kappa_radial - nu^{n+1})
-
-    with s the hyperbolic arclength of the profile curve.  The left side is
-    formed with first-order forward differences of the grid values, so the
-    returned worst residual converges to zero at first order in the grid
-    spacing.  Radial solutions only.
-    """
-    if getattr(solution, "kind", None) != "radial":
-        raise UnsupportedSolutionError("lemma check needs a radial solution")
-    rho = solution.rho
-    u = solution.u
-    h = rho[1] - rho[0]
-    up = solution.up
-    w = solution.w
-    nu = solution.nu_vertical
-    k_rad = solution.kappa[:, 0]
-    # forward difference in rho, converted to hyperbolic arclength via
-    # ds = (w/u) drho; evaluated at interior nodes 1..N-1
-    dnu = (nu[2:] - nu[1:-1]) / h
-    i = slice(1, len(rho) - 1)
-    lhs = (u[i] / w[i]) * dnu
-    rhs = -(up[i] / w[i]) * (k_rad[i] - nu[i])
-    return float(np.max(np.abs(lhs - rhs)))

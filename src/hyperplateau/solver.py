@@ -19,7 +19,9 @@ continuation walks sigma down from 0.8 at a moderate boundary height, then
 shrinks the boundary height.  A layout that keeps its factorization starts
 each such step from the Euler tangent predictor, one chord step at the new
 parameter values.  Every accepted Newton iterate, and every prediction
-Newton starts from, is admissible at every interior node.
+Newton starts from, is admissible at every interior node.  A solution holds
+the layout that made it, which says which of its nodes are interior and
+which of those touch the boundary.
 """
 
 from __future__ import annotations
@@ -124,36 +126,39 @@ class SolveReport:
 
 @dataclass
 class GraphSolution:
-    domain: Domain
-    spec: CurvatureSpec
+    """A solved graph and the layout that made it (RadialLayout or
+    grid.GridLayout), which answers every question about its nodes and
+    gives `spec`, `domain` and `u0`.  `u` is the layout's state: the radial
+    profile, or the grid's quadrant heights.  `kappa`, `nu_vertical` and `w`
+    are given at the layout's reported nodes: every profile node, or the
+    interior nodes of the ellipse's bounding box in box order."""
+
+    layout: "RadialLayout | grid.GridLayout"
+    u: np.ndarray
     sigma: float
     epsilon: float
-    kind: str  # "radial" or "grid"
-    u: np.ndarray
     kappa: np.ndarray
     nu_vertical: np.ndarray
     w: np.ndarray
     report: SolveReport | None = None
-    # radial layout
-    rho: np.ndarray | None = None
-    up: np.ndarray | None = None
-    # grid layout
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    u2d: np.ndarray | None = None
+
+    @property
+    def spec(self) -> CurvatureSpec:
+        return self.layout.spec
+
+    @property
+    def domain(self) -> Domain:
+        return self.layout.domain
 
     @property
     def u0(self) -> float:
         """Height at the center (radial) or the maximal height (grid)."""
-        return float(self.u[0]) if self.kind == "radial" else float(np.max(self.u))
+        return self.layout.u0(self.u)
 
-    def interior_jet(self, i: int) -> hypgeom.PointJet:
-        if self.kind != "radial":
-            raise UnsupportedSolutionError("per-node jets only exposed for radial solutions")
-        h = self.rho[1] - self.rho[0]
-        up, upp = _radial_derivatives(self.u, h)
-        return hypgeom.radial_jet(self.u[i], up[i], upp[i], self.rho[i], self.spec.n)
+    def summary(self):
+        """(largest interior curvature, smallest interior nu^{n+1})."""
+        interior = self.layout.interior
+        return float(np.max(self.kappa[interior])), float(np.min(self.nu_vertical[interior]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +177,6 @@ def _radial_derivatives(u: np.ndarray, h: float):
     upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
     upp[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h**2
     return up, upp
-
-
-def _radial_kappa(u: np.ndarray, rho: np.ndarray, n: int):
-    h = rho[1] - rho[0]
-    up, upp = _radial_derivatives(u, h)
-    kappa, w = radial_principal_curvatures(u, up, upp, rho, n)
-    return kappa, w, up
 
 
 def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
@@ -270,15 +268,19 @@ class RadialLayout:
     factorization costs less than one residual, so Newton builds and solves
     a fresh one every iteration.  The cap seed solves the continuous
     problem exactly, so the driver starts Newton from it at every boundary
-    height.  Newton stops at a residual sup-norm of 1e-10."""
+    height.  Newton stops at a residual sup-norm of 1e-10.  A solution
+    reports every node; all but the rim node are interior, and the last
+    interior node is the one next to the rim."""
 
     keeps_factorization = False
     exact_seed = True
     newton_tol = 1e-10
+    interior = slice(None, -1)
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
+        self.touches_boundary = np.arange(grid_size) == grid_size - 1
 
     def residual(self, u, sigma, epsilon):
         return residual(u, self.spec, sigma, epsilon, self.rho)
@@ -306,18 +308,14 @@ class RadialLayout:
     def u0(self, u):
         return float(u[0])
 
-    def summary(self, u):
-        """(largest interior curvature, smallest interior nu^{n+1})."""
-        kappa, w, _ = _radial_kappa(u, self.rho, self.spec.n)
-        return float(np.max(kappa[:-1])), float(np.min(1.0 / w[:-1]))
+    def derivatives(self, u):
+        """(u', u'') of a profile at every node (see _radial_derivatives)."""
+        return _radial_derivatives(u, self.rho[1] - self.rho[0])
 
-    def solution(self, u, sigma, epsilon, report=None) -> GraphSolution:
-        kappa, w, up = _radial_kappa(u, self.rho, self.spec.n)
-        return GraphSolution(
-            domain=self.domain, spec=self.spec, sigma=sigma, epsilon=epsilon,
-            kind="radial", u=u, kappa=kappa, nu_vertical=1.0 / w, w=w,
-            rho=self.rho, up=up, report=report,
-        )
+    def solution(self, u, sigma, epsilon) -> GraphSolution:
+        kappa, w = radial_principal_curvatures(u, *self.derivatives(u), self.rho, self.spec.n)
+        return GraphSolution(layout=self, u=u, sigma=sigma, epsilon=epsilon, kappa=kappa,
+                             nu_vertical=1.0 / w, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +323,14 @@ class RadialLayout:
 # or grid.GridLayout.  A layout maps a state u to its residual and Jacobian,
 # factors the Jacobian and solves with the factors (raising
 # SingularJacobianError), seeds u from the cap, and turns a converged u into
-# a summary and a GraphSolution.  Its class also sets what the driver does
-# with it: `newton_tol`, the residual sup-norm at which Newton stops;
-# `keeps_factorization`, to keep the factorization for chord steps across
-# Newton iterations and continuation steps, and for the predictor of each
-# continuation step (see _predict); and `exact_seed`, to start Newton from
-# `initial` at the sigma being solved for (see _seeded_solve).
+# a GraphSolution, whose node questions it answers: `interior` picks the
+# interior nodes out of the reported ones, and `touches_boundary` flags, in
+# that order, those next to a Dirichlet node.  Its class sets what the
+# driver does with it: `newton_tol`, the residual sup-norm at which Newton
+# stops; `keeps_factorization`, to keep the factorization for chord steps
+# across Newton iterations and continuation steps, and for the predictor of
+# each continuation step (see _predict); and `exact_seed`, to start Newton
+# from `initial` at the sigma being solved for (see _seeded_solve).
 # The iteration and backtracking limits are the module constants above.
 
 
@@ -550,8 +550,9 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     epsilon = cfg.epsilon_schedule[-1]
     final = layout.residual(u, cfg.sigma_target, epsilon)
-    kappa_max, min_nu = layout.summary(u)
-    report = SolveReport(
+    sol = layout.solution(u, cfg.sigma_target, epsilon)
+    kappa_max, min_nu = sol.summary()
+    sol.report = SolveReport(
         converged=True,
         final_residual=float(np.max(np.abs(final))),
         newton_iterations=iters,
@@ -564,7 +565,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         grid_size=cfg.grid_size,
         u0_by_epsilon=u0_by_eps,
     )
-    return layout.solution(u, cfg.sigma_target, epsilon, report)
+    return sol
 
 
 def _layout(cfg: SolverConfig):
@@ -643,7 +644,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
                 u, its, _ = _march(
                     warm, (s,), lambda v, sv: _seeded_solve(layout, v, sv, epsilon, state))
             warm = u
-            kappa_max, min_nu = layout.summary(u)
+            kappa_max, min_nu = layout.solution(u, s, epsilon).summary()
             row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))
         except _SOLVE_FAILURES as exc:
@@ -656,7 +657,9 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
 
 def refine_study(config: SolverConfig, levels: int) -> dict:
     """Solve at grid sizes N, 2N, ...; report the empirical order of the
-    center height and the drift of the largest curvature between levels."""
+    center height over the three finest levels and the drift of the
+    largest curvature over the two finest, each only when all of those
+    levels converged (across a failed level N does not double)."""
     if levels < 2:
         raise ValueError("refine_study needs at least 2 levels")
     rows = []
@@ -672,7 +675,9 @@ def refine_study(config: SolverConfig, levels: int) -> dict:
                        u0=float("nan"), kappa_max=float("nan"))
         rows.append(row)
     out = {"rows": rows}
-    good = [r for r in rows if r.get("converged")]
+    good = []  # the finest levels, all converged
+    for r in rows:
+        good = good + [r] if r["converged"] else []
     if len(good) >= 3:
         d1 = good[-3]["u0"] - good[-2]["u0"]
         d2 = good[-2]["u0"] - good[-1]["u0"]

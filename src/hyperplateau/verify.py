@@ -1,18 +1,20 @@
 """Numerical instantiation of the curvature-estimate machinery: the gradient
 estimate on solutions, the constants a, eta, lambda, theta, mu, M0 with their
-index sets at the maximizer of the test function, and the standalone
-algebraic sub-inequalities of the interior estimate.
+index sets at the maximizer of the test function, the standalone algebraic
+sub-inequalities of the interior estimate, and the discrete lemma 2.1(ii)
+check on radial solutions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import symfunc
-from .solver import GraphSolution
+from .errors import UnsupportedSolutionError
+from .solver import GraphSolution, RadialLayout
 
 GRADIENT_TOL = 0.01
 
@@ -72,29 +74,24 @@ class IndexSets:
 def gradient_estimate_check(solution: GraphSolution, tol: float = GRADIENT_TOL):
     """(min nu_vertical over interior nodes, pass); pass iff the minimum is
     at least sigma - tol."""
-    if solution.kind == "radial":
-        nu = solution.nu_vertical[:-1]
-    else:
-        nu = solution.nu_vertical
-    min_nu = float(np.min(nu))
+    min_nu = solution.summary()[1]
     return min_nu, min_nu >= solution.sigma - tol
 
 
-def estimate_constants(solution: GraphSolution, theta_choice: str = "midpoint"):
+def estimate_constants(solution: GraphSolution):
     """Constants of the interior curvature estimate, evaluated at the grid
-    maximizer of kappa_max/(nu_vertical - a) with a = (min nu_vertical)/2.
+    maximizer of kappa_max/(nu_vertical - a) over the interior nodes, with
+    a = (min nu_vertical)/2; x0_index numbers the maximizer among them.
 
-    When the maximizer sits on the outermost interior ring the interior
-    analysis does not apply; the result is labelled boundary_attained rather
-    than silently reinterpreted.  When the theta-window is empty, theta and
-    mu are None and the kappa1 threshold for nonemptiness is reported.
+    When the maximizer touches a Dirichlet node the interior analysis does
+    not apply; the result is labelled boundary_attained rather than
+    silently reinterpreted.  theta is the midpoint of its window; when the
+    window is empty, theta and mu are None and the kappa1 threshold for
+    nonemptiness is reported.
     """
-    if solution.kind == "radial":
-        kappa = solution.kappa[:-1]
-        nu = solution.nu_vertical[:-1]
-    else:
-        kappa = solution.kappa
-        nu = solution.nu_vertical
+    layout = solution.layout
+    kappa = solution.kappa[layout.interior]
+    nu = solution.nu_vertical[layout.interior]
     min_nu = float(np.min(nu))
     if min_nu <= 0.0:
         raise ValueError("estimate constants need min nu_vertical > 0")
@@ -110,31 +107,42 @@ def estimate_constants(solution: GraphSolution, theta_choice: str = "midpoint"):
     threshold = eta * (8.0 - a**2) / a**2
     theta = mu = None
     if nonempty:
-        if theta_choice == "midpoint":
-            theta = 0.5 * (lower + upper)
-        else:
-            theta = lower
+        theta = 0.5 * (lower + upper)
         mu = (theta + lam) / (1.0 + lam)
-
-    if solution.kind == "radial":
-        boundary = i0 >= len(kmax) - 1
-    else:
-        # maximizer adjacent to a Dirichlet node
-        mask = solution.mask
-        ii, jj = np.nonzero(mask)
-        x, y = ii[i0], jj[i0]
-        boundary = not (
-            mask[x - 1, y] and mask[x + 1, y] and mask[x, y - 1] and mask[x, y + 1]
-        )
 
     consts = EstimateConstants(
         a=a, eta=eta, kappa1=kappa1, lam=lam, theta=theta, mu=mu, M0=M0,
         x0_index=i0, window=(lower, upper), window_empty=not nonempty,
-        kappa1_threshold=threshold, boundary_attained=bool(boundary),
+        kappa1_threshold=threshold, boundary_attained=bool(layout.touches_boundary[i0]),
     )
     sets = index_sets(np.asarray(kappa[i0], dtype=float), float(nu[i0]),
                       eta, theta, solution.spec)
     return consts, sets
+
+
+def check_lemma21_ii(solution: GraphSolution) -> float:
+    """Discrete check of the surface-gradient identity for the vertical
+    normal component along the radial principal direction:
+
+        d(nu^{n+1})/ds = -(u_s/u) (kappa_radial - nu^{n+1})
+
+    with s the hyperbolic arclength of the profile curve.  The left side is
+    formed with first-order forward differences of the grid values, so the
+    returned worst residual converges to zero at first order in the grid
+    spacing.  Radial solutions only.
+    """
+    layout = solution.layout
+    if not isinstance(layout, RadialLayout):
+        raise UnsupportedSolutionError("lemma check needs a radial solution")
+    rho, u, w, nu = layout.rho, solution.u, solution.w, solution.nu_vertical
+    up, _ = layout.derivatives(u)
+    # forward difference in rho, converted to hyperbolic arclength via
+    # ds = (w/u) drho; evaluated at interior nodes 1..N-1
+    dnu = (nu[2:] - nu[1:-1]) / (rho[1] - rho[0])
+    i = slice(1, len(rho) - 1)
+    lhs = (u[i] / w[i]) * dnu
+    rhs = -(up[i] / w[i]) * (solution.kappa[i, 0] - nu[i])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def index_sets(kappa: np.ndarray, nu_vertical: float, eta: float,

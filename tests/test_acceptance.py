@@ -201,7 +201,7 @@ def test_criterion_8_lemma21_discrete_check():
         sol = solver.radial_solution_from_profile(
             CurvatureSpec.consecutive_quotient(1, 2),
             hypgeom.Domain.ball(1.0), 0.5, N, cap.height, 1e-3)
-        return hypgeom.check_lemma21_ii(sol)
+        return verify.check_lemma21_ii(sol)
 
     r512, r1024 = residual_at(512), residual_at(1024)
     ratio = r1024 / r512

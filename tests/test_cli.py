@@ -13,7 +13,7 @@ from hyperplateau.errors import ConfigError
 
 def _mesh_from_radial_loops(solution, n_theta=64):
     """Oracle for cli.mesh_from_radial: the per-line writer it replaced."""
-    rho = solution.rho
+    rho = solution.layout.rho
     u = solution.u
     lines = ["# radial graph, revolved profile"]
     lines.append(f"v 0 0 {u[0]:.9g}")
@@ -38,7 +38,8 @@ def _mesh_from_radial_loops(solution, n_theta=64):
 
 def _mesh_from_grid_loops(solution):
     """Oracle for cli.mesh_from_grid: the per-line writer it replaced."""
-    xs, ys, U, mask = solution.xs, solution.ys, solution.u2d, solution.mask
+    layout = solution.layout
+    xs, ys, U, mask = layout.xs, layout.ys, solution.u.ravel()[layout.fold], layout.mask
     nx, ny = U.shape
     index = -np.ones((nx, ny), dtype=int)
     lines = ["# tensor-grid graph over the ellipse"]
@@ -151,6 +152,35 @@ class TestValidateConfig:
         assert cli.run({"out": str(tmp_path), **bad}) == 4
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"grid": 64.5}, "grid"),
+        ({"seed": 1.5}, "seed"),
+        ({"samples": 100.5}, "samples"),
+        ({"levels": 2.5}, "levels"),
+        ({"n": 2.5}, "n"),
+        ({"family": "general_quotient", "k": 2, "l": 0.5}, "l"),
+        ({"k": True}, "k"),
+        ({"k": math.inf}, "k"),
+        ({"grid": True}, "grid"),
+        ({"radius": True}, "radius"),
+        ({"sigma": True}, "sigma"),
+        ({"epsilon_min": False}, "epsilon_min"),
+        ({"shape": "ellipse", "axes": [True, True]}, "axes"),
+        ({"command": "sweep", "sigmas": [0.5, True]}, "sigmas"),
+    ], ids=["grid-frac", "seed-frac", "samples-frac", "levels-frac", "n-frac", "l-frac",
+            "k-bool", "k-inf", "grid-bool", "radius-bool", "sigma-bool", "epsilon-bool", "axes-bool",
+            "sigmas-bool"])
+    def test_bool_or_non_integral_value_exits_4_before_work(self, bad, key, tmp_path, capsys):
+        assert cli.run({"command": "solve", "sigma": 0.5, "out": str(tmp_path), **bad}) == 4
+        assert f"{key} has an invalid value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integral_floats_accepted(self):
+        cfg = cli.validate_config({"command": "solve", "sigma": 0.5, "k": 2.0, "n": 2.0,
+                                   "grid": 64.0, "seed": 3.0, "samples": 1e4})
+        assert [cfg[key] for key in ("k", "n", "grid", "seed", "samples")] == [2, 2, 64, 3, 10000]
+        assert all(type(cfg[key]) is int for key in ("k", "n", "grid", "seed", "samples"))
 
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
@@ -320,6 +350,15 @@ class TestMain:
 
     def test_bad_flag_value(self):
         assert cli.main(["solve", "--sigma", "2.0"]) == 4
+
+    def test_config_file_fractional_grid_exits_4(self, tmp_path, capsys):
+        # a fractional grid size is an error, not a solve at N = 64
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"grid": 64.5, "sigma": 0.5}))
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 4
+        assert "grid has an invalid value 64.5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--sigma", "0.5", "--k", "abc"],          # not an int

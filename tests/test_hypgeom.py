@@ -1,13 +1,13 @@
 """Graph geometry in the upper half-space model: normals, shape operators,
-umbilic oracles, and the discrete normal-component identity."""
+and umbilic oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hyperplateau import hypgeom, solver
-from hyperplateau.errors import DegenerateHeightError, UnsupportedSolutionError
+from hyperplateau import hypgeom
+from hyperplateau.errors import DegenerateHeightError
 from hyperplateau.symfunc import CurvatureSpec
 
 
@@ -104,26 +104,6 @@ class TestRadialJet:
         kappa, w = hypgeom.radial_principal_curvatures(
             cap.height(rho), cap.dheight(rho), cap.d2height(rho), rho, 2)
         assert np.max(np.abs(kappa - 0.3)) < 1e-10
-
-
-class TestLemma21ii:
-    def make_solution(self, grid_size, sigma=0.5):
-        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, 1e-3)
-        return solver.radial_solution_from_profile(
-            CurvatureSpec.consecutive_quotient(1, 2),
-            hypgeom.Domain.ball(1.0), sigma, grid_size, cap.height, 1e-3)
-
-    def test_first_order_refinement(self):
-        r512 = hypgeom.check_lemma21_ii(self.make_solution(512))
-        r1024 = hypgeom.check_lemma21_ii(self.make_solution(1024))
-        ratio = r1024 / r512
-        assert 0.35 <= ratio <= 0.65  # halves within +-30%
-
-    def test_requires_radial(self):
-        class Fake:
-            kind = "grid"
-        with pytest.raises(UnsupportedSolutionError):
-            hypgeom.check_lemma21_ii(Fake())
 
 
 class TestDomain:

@@ -11,7 +11,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from hyperplateau import grid, hypgeom, solver, symfunc
-from hyperplateau.errors import AdmissibilityError, AdmissibilityLostError, SingularJacobianError
+from hyperplateau.errors import (
+    AdmissibilityError,
+    AdmissibilityLostError,
+    NonConvergenceError,
+    SingularJacobianError,
+)
 from hyperplateau.symfunc import CurvatureSpec
 
 H1 = CurvatureSpec.consecutive_quotient(1, 2)
@@ -550,15 +555,16 @@ class TestContinuation:
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.3, grid_size=128)
         sol = solver.continuation_solve(cfg)
+        up, upp = sol.layout.derivatives(sol.u)
         for i in (0, 40, 100, 127):
-            jet = sol.interior_jet(i)
+            jet = hypgeom.radial_jet(sol.u[i], up[i], upp[i], sol.layout.rho[i], 2)
             assert np.max(np.abs(jet.kappa - np.sort(sol.kappa[i])[::-1])) < 1e-8
 
     def test_jacobian_cross_check_converged_solution(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.4, grid_size=256))
-        ab = solver._jacobian_fd(sol.u, H2H1, sol.rho)
-        ab_cd = _jacobian_centred(sol.u, H2H1, sol.rho, 2)
+        ab = solver._jacobian_fd(sol.u, H2H1, sol.layout.rho)
+        ab_cd = _jacobian_centred(sol.u, H2H1, sol.layout.rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
 
@@ -619,6 +625,26 @@ class TestRefine:
         assert 1.7 <= study["observed_order"] <= 2.3
         assert study["kappa_max_drift"] <= 0.01
 
+    def test_failed_level_breaks_the_run(self, monkeypatch):
+        # with N = 128 failed in 64 -> 512, no three converged levels are
+        # consecutive (differences across the gap give order 4.31 where the
+        # unbroken run gives 2.00), and the drift comes from 256 -> 512
+        solve = solver.continuation_solve
+
+        def failing_at_128(cfg):
+            if cfg.grid_size == 128:
+                raise NonConvergenceError("forced")
+            return solve(cfg)
+
+        monkeypatch.setattr(solver, "continuation_solve", failing_at_128)
+        cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=64)
+        study = solver.refine_study(cfg, 4)
+        assert [r["converged"] for r in study["rows"]] == [True, False, True, True]
+        assert "observed_order" not in study
+        a, b = study["rows"][2]["kappa_max"], study["rows"][3]["kappa_max"]
+        assert study["kappa_max_drift"] == abs(b - a) / abs(a)
+
     def test_minimum_levels(self):
         cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.5)
@@ -653,7 +679,7 @@ class TestGridPath:
                                   sigma_target=0.5, grid_size=64)
         sol = solver.continuation_solve(cfg)
         exact = math.sqrt(1.0 / 3.0)
-        assert sol.kind == "grid"
+        assert isinstance(sol.layout, grid.GridLayout)
         assert abs(sol.u0 - exact) < 2e-2  # staircase boundary is first order
         assert sol.report.final_residual <= 1e-8
 
@@ -735,20 +761,20 @@ class TestGridPath:
         # the full-box solve took the same iterations and factorizations
         assert sol.report.newton_iterations == [8, 7, 12, 15, 6, 11, 17, 15, 17, 18, 19, 7, 2, 2]
         assert sol.report.factorizations == [2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
-        U = sol.u2d
+        U = _unfold(sol.layout, sol.u)
         assert np.array_equal(U, U[::-1, :]) and np.array_equal(U, U[:, ::-1])
-        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
+        X, Y = np.meshgrid(sol.layout.xs, sol.layout.ys, indexing="ij")
         box = (X / 1.5) ** 2 + Y**2 < 1.0
         box[0, :] = box[-1, :] = box[:, 0] = box[:, -1] = False
-        assert np.array_equal(sol.mask, box)
-        assert np.array_equal(sol.u, U[sol.mask])
-        # every kappa row is the quadrant curvature at the node's mirror image
-        layout = grid.GridLayout(H2H1, sol.domain, 32)
+        assert np.array_equal(sol.layout.mask, box)
         nx, ny = U.shape
         cx, cy = nx // 2, ny // 2
+        assert np.array_equal(sol.u, U[cx:, cy:])
+        # every kappa row is the quadrant curvature at the node's mirror image
+        layout = grid.GridLayout(H2H1, sol.domain, 32)
         kappa, w = grid._interior_curvatures(U[cx:, cy:], layout)
         row = {node: k for k, node in enumerate(zip(*np.nonzero(layout.inside)))}
-        for k, (i, j) in enumerate(zip(*np.nonzero(sol.mask))):
+        for k, (i, j) in enumerate(zip(*np.nonzero(sol.layout.mask))):
             image = row[max(i, nx - 1 - i) - cx, max(j, ny - 1 - j) - cy]
             assert np.array_equal(sol.kappa[k], kappa[image]) and sol.w[k] == w[image]
 
@@ -829,6 +855,19 @@ class TestGridPath:
         assert not np.array_equal(box, box[::-1, :])
         mask = layout.mask
         assert np.array_equal(mask, mask[::-1, :]) and np.array_equal(mask, mask[:, ::-1])
+
+    @pytest.mark.parametrize("axes, grid_size", [((1.5, 1.0), 32), ((1.0, 1.0), 64),
+                                                 ((1.5, 1.0), 30)])
+    def test_touches_boundary_is_mask_neighbour_test(self, axes, grid_size):
+        # oracle: the full-box test of the estimate checks before the layout
+        # answered it, at every interior node of the box in box order
+        layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(*axes), grid_size)
+        mask = layout.mask
+        ii, jj = np.nonzero(mask)
+        want = ~(mask[ii - 1, jj] & mask[ii + 1, jj] & mask[ii, jj - 1] & mask[ii, jj + 1])
+        assert want.any() and not want.all()
+        assert np.array_equal(layout.touches_boundary, want)
+        assert np.array_equal(np.arange(ii.size)[layout.interior], np.arange(ii.size))
 
     def test_grid_curvatures_match_pointwise(self):
         # closed-form 2x2 eigenvalues against the per-point jet constructor

@@ -1,5 +1,6 @@
 """Verification-machinery tests: the eta root, theta-window, index sets,
-constants on solutions, algebraic property suite, and the blow-up detector."""
+constants on solutions, algebraic property suite, the discrete
+normal-component identity, and the blow-up detector."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperplateau import hypgeom, solver, verify
+from hyperplateau import grid, hypgeom, solver, verify
+from hyperplateau.errors import UnsupportedSolutionError
 from hyperplateau.symfunc import CurvatureSpec
 
 
@@ -129,6 +131,27 @@ class TestAlgebra:
         r1 = verify.algebraic_subinequalities(10000, seed=5)
         r2 = verify.algebraic_subinequalities(10000, seed=5)
         assert r1 == r2
+
+
+class TestLemma21ii:
+    def make_solution(self, grid_size, sigma=0.5):
+        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, 1e-3)
+        return solver.radial_solution_from_profile(
+            CurvatureSpec.consecutive_quotient(1, 2),
+            hypgeom.Domain.ball(1.0), sigma, grid_size, cap.height, 1e-3)
+
+    def test_first_order_refinement(self):
+        r512 = verify.check_lemma21_ii(self.make_solution(512))
+        r1024 = verify.check_lemma21_ii(self.make_solution(1024))
+        ratio = r1024 / r512
+        assert 0.35 <= ratio <= 0.65  # halves within +-30%
+
+    def test_requires_radial(self):
+        class Fake:
+            layout = grid.GridLayout(CurvatureSpec.consecutive_quotient(1, 2),
+                                     hypgeom.Domain.ellipse(1.5, 1.0), 16)
+        with pytest.raises(UnsupportedSolutionError):
+            verify.check_lemma21_ii(Fake())
 
 
 class TestCurvatureBoundStudy:
