@@ -29,37 +29,48 @@ from .errors import (
 
 SCHEMA_VERSION = "3"
 
-COMMANDS = ("verify-f", "solve", "sweep", "cap", "check-estimates", "refine")
+# the checked constructor of each family, called with the config's k, l, n
 FAMILIES = {
-    "consecutive_quotient": symfunc.CONSECUTIVE_QUOTIENT,
-    "general_quotient": symfunc.GENERAL_QUOTIENT,
-    "kth_root": symfunc.KTH_ROOT,
+    "consecutive_quotient": lambda k, l, n: symfunc.CurvatureSpec.consecutive_quotient(k, n),
+    "general_quotient": symfunc.CurvatureSpec.general_quotient,
+    "kth_root": lambda k, l, n: symfunc.CurvatureSpec.kth_root(k, n),
 }
+SHAPES = (hypgeom.SHAPE_BALL, hypgeom.SHAPE_ELLIPSE)
 EXPORTS = ("report-json", "table-csv", "mesh-obj")
 # the commands whose result has a table, and those whose result is a graph
 TABLE_COMMANDS = ("sweep", "refine")
 MESH_COMMANDS = ("solve", "cap", "check-estimates")
+MESH_SECTORS = 64  # angular sectors of a radial profile revolved into a mesh
 
-_DEFAULTS = {
-    "family": "consecutive_quotient",
-    "k": 1,
-    "l": None,
-    "n": 2,
-    "shape": "ball",
-    "radius": 1.0,
-    "axes": None,
-    "sigma": None,
-    "sigmas": None,
-    "grid": 512,
-    "epsilon_min": 1e-3,
-    "seed": 0,
-    "samples": 10000,
-    "levels": 2,
-    "out": ".",
-    "export": ["report-json"],
+# upper bounds that keep a run within memory (see README.md)
+MAX_GRID = {hypgeom.SHAPE_BALL: 2**14, hypgeom.SHAPE_ELLIPSE: 2**10}
+MAX_SAMPLES = 10**6
+MAX_DIMENSION = 8
+
+
+def _float_list(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
+# every config key but "command": (default, the flag's type or choices, help)
+OPTIONS = {
+    "family": ("consecutive_quotient", tuple(sorted(FAMILIES)), "curvature family"),
+    "k": (1, int, "order k of H_k"),
+    "l": (None, int, "order l of (H_k/H_l)^(1/(k-l)), general_quotient only"),
+    "n": (2, int, "dimension"),
+    "shape": (hypgeom.SHAPE_BALL, SHAPES, "domain shape"),
+    "radius": (1.0, float, "ball radius"),
+    "axes": (None, _float_list, "ellipse semi-axes as A,B"),
+    "sigma": (None, float, "curvature target in (0, 1)"),
+    "sigmas": (None, _float_list, "comma-separated descending list"),
+    "grid": (512, int, "grid size N"),
+    "epsilon_min": (solver.EPSILON_MIN, float, "smallest boundary height"),
+    "seed": (0, int, "sample seed"),
+    "samples": (10000, int, "number of samples"),
+    "levels": (2, int, "refinement levels"),
+    "out": (".", str, "output directory (default: current)"),
+    "export": (["report-json"], str, "comma-separated subset of report-json,table-csv,mesh-obj"),
 }
-
-_KNOWN_KEYS = {"command"} | set(_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +86,15 @@ def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
         violations.append(f"{key} has an invalid value {cfg[key]!r}")
         return False
     return True
+
+
+def _build(violations: list, make, *args):
+    """make(*args), or None with the message of its ValueError a violation."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        violations.append(str(exc))
+        return None
 
 
 def _real(value) -> float:
@@ -96,78 +116,86 @@ def _floats(values):
 
 
 def validate_config(raw: dict) -> dict:
-    """Normalize a raw config mapping: fill defaults, check every cross-field
-    constraint, and reject unknown keys; all violations reported at once."""
-    violations = []
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
-    for key in unknown:
-        violations.append(f"unknown config key {key!r}")
+    """Normalize a raw config mapping (the defaults of OPTIONS, converted
+    values) and report every violation at once, before any work.  Beside
+    the CLI's own rules (keys, command, l, sigmas, ranges, out, exports),
+    it builds the CurvatureSpec, the Domain and, for a command that takes
+    sigma, the SolverConfig: each ValueError they raise is a violation."""
+    violations = [f"unknown config key {key!r}" for key in sorted(set(raw) - {"command", *OPTIONS})]
+    cfg = {key: raw.get(key, default) for key, (default, _, _) in OPTIONS.items()}
+    cfg["command"] = command = raw.get("command")
+    if not (isinstance(command, str) and command in COMMANDS):
+        violations.append(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
 
-    cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in raw.items() if k in _KNOWN_KEYS})
-
-    command = cfg.get("command")
-    if command not in COMMANDS:
-        violations.append(f"command must be one of {COMMANDS}, got {command!r}")
-
-    if not isinstance(cfg["family"], str) or cfg["family"] not in FAMILIES:
+    family_ok = isinstance(cfg["family"], str) and cfg["family"] in FAMILIES
+    if not family_ok:
         violations.append(f"family must be one of {sorted(FAMILIES)}, got {cfg['family']!r}")
     k_ok = _convert(cfg, "k", _integer, violations)
-    if _convert(cfg, "n", _integer, violations) and k_ok:
-        if cfg["n"] < 2:
-            violations.append(f"n must be >= 2, got {cfg['n']}")
-        if not 1 <= cfg["k"] <= cfg["n"]:
-            violations.append(f"need 1 <= k <= n, got k={cfg['k']}, n={cfg['n']}")
-        if cfg["family"] == "general_quotient":
-            if cfg["l"] is None:
-                violations.append("general_quotient requires l")
-            elif _convert(cfg, "l", _integer, violations) and not 0 <= cfg["l"] < cfg["k"]:
-                violations.append(f"general_quotient needs 0 <= l < k, got l={cfg['l']}, k={cfg['k']}")
-        elif cfg["l"] is not None:
+    n_ok = _convert(cfg, "n", _integer, violations)
+    if n_ok and cfg["n"] > MAX_DIMENSION:
+        violations.append(f"n must be at most {MAX_DIMENSION}, got {cfg['n']}")
+    spec_ok = family_ok and k_ok and n_ok
+    if cfg["family"] != "general_quotient":
+        if cfg["l"] is not None:
             violations.append("l is only meaningful for general_quotient")
+    elif cfg["l"] is None:
+        violations.append("general_quotient requires l")
+        spec_ok = False
+    else:
+        spec_ok = _convert(cfg, "l", _integer, violations) and spec_ok
+    spec = _build(violations, _curvature_spec, cfg) if spec_ok else None
 
-    if cfg["shape"] not in (hypgeom.SHAPE_BALL, hypgeom.SHAPE_ELLIPSE):
+    domain = None
+    if cfg["shape"] not in SHAPES:
         violations.append(f"unknown shape {cfg['shape']!r}")
-    if cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
-        axes = cfg.get("axes")
-        if not (isinstance(axes, (list, tuple)) and len(axes) == 2):
+    elif cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
+        if not (isinstance(cfg["axes"], (list, tuple)) and len(cfg["axes"]) == 2):
             violations.append("ellipse requires axes = [a_axis, b_axis]")
         elif _convert(cfg, "axes", _floats, violations):
-            if not math.inf > cfg["axes"][0] >= cfg["axes"][1] > 0:
-                violations.append("ellipse needs finite a_axis >= b_axis > 0")
-        if cfg["n"] != 2:
-            violations.append(f"ellipse domains are planar: need n = 2, got n={cfg['n']!r}")
-    elif _convert(cfg, "radius", _real, violations) and not 0.0 < cfg["radius"] < math.inf:
-        violations.append(f"radius must be positive and finite, got {cfg['radius']}")
+            domain = _build(violations, _domain, cfg)
+    elif _convert(cfg, "radius", _real, violations):
+        domain = _build(violations, _domain, cfg)
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
         violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
                           f"got {cfg['shape']!r}")
 
-    needs_sigma = command in ("solve", "cap", "check-estimates", "refine")
-    if needs_sigma:
-        if cfg["sigma"] is None:
-            violations.append(f"command {command!r} requires sigma")
-        elif _convert(cfg, "sigma", _real, violations) and not 0.0 < cfg["sigma"] < 1.0:
-            violations.append(f"sigma must lie in (0, 1), got {cfg['sigma']}")
     if command == "sweep":
-        if not cfg.get("sigmas"):
+        if not cfg["sigmas"]:
             violations.append("sweep requires sigmas")
         elif _convert(cfg, "sigmas", _floats, violations):
-            if any(not 0.0 < s < 1.0 for s in cfg["sigmas"]):
-                violations.append("every sweep sigma must lie in (0, 1)")
+            for sigma in cfg["sigmas"]:
+                _build(violations, hypgeom.check_sigma, sigma)
             if sorted(cfg["sigmas"], reverse=True) != cfg["sigmas"]:
                 violations.append("sweep sigmas must be sorted descending")
 
-    if _convert(cfg, "grid", _integer, violations) and cfg["grid"] < 8:
-        violations.append(f"grid must be >= 8, got {cfg['grid']}")
-    if _convert(cfg, "epsilon_min", _real, violations) and not 0.0 < cfg["epsilon_min"] < 0.1:
+    refine = _convert(cfg, "levels", _integer, violations) and command == "refine"
+    if refine and cfg["levels"] < 2:
+        violations.append("refine needs levels >= 2")
+    if _convert(cfg, "grid", _integer, violations):
+        # refine doubles the grid levels - 1 times; 63 doublings exceed every bound
+        finest = cfg["grid"] * 2 ** (min(max(cfg["levels"], 1), 64) - 1 if refine else 0)
+        if cfg["grid"] < 8:
+            violations.append(f"grid must be >= 8, got {cfg['grid']}")
+        elif cfg["shape"] in SHAPES and finest > MAX_GRID[cfg["shape"]]:
+            violations.append(f"the finest grid (grid * 2**(levels - 1) on refine) must be at most "
+                              f"{MAX_GRID[cfg['shape']]} for shape {cfg['shape']!r}, got {finest}")
+    epsilon_ok = _convert(cfg, "epsilon_min", _real, violations)
+    if epsilon_ok and not 0.0 < cfg["epsilon_min"] < 0.1:
         violations.append("epsilon_min must lie in (0, 0.1)")
+        epsilon_ok = False
     if _convert(cfg, "seed", _integer, violations) and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
-    if _convert(cfg, "samples", _integer, violations) and cfg["samples"] < 1:
-        violations.append("samples must be >= 1")
-    if _convert(cfg, "levels", _integer, violations) and command == "refine" and cfg["levels"] < 2:
-        violations.append("refine needs levels >= 2")
+    if _convert(cfg, "samples", _integer, violations) and not 1 <= cfg["samples"] <= MAX_SAMPLES:
+        violations.append(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg['samples']}")
+
+    if command in ("solve", "cap", "check-estimates", "refine"):
+        if cfg["sigma"] is None:
+            violations.append(f"command {command!r} requires sigma")
+        elif _convert(cfg, "sigma", _real, violations):
+            if spec is not None and domain is not None and epsilon_ok:
+                _build(violations, _solver_config, cfg)
+            else:  # without a solver config, its sigma rule still holds
+                _build(violations, hypgeom.check_sigma, cfg["sigma"])
 
     if not isinstance(cfg["out"], str):
         violations.append(f"out must be a directory path, got {cfg['out']!r}")
@@ -177,9 +205,8 @@ def validate_config(raw: dict) -> dict:
             and all(isinstance(e, str) for e in cfg["export"])):
         violations.append(f"export must be a list of formats, got {cfg['export']!r}")
         cfg["export"] = []
-    bad = sorted(set(cfg["export"]) - set(EXPORTS))
-    for e in bad:
-        violations.append(f"unknown export format {e!r}")
+    violations += [f"unknown export format {e!r}"
+                   for e in sorted(set(cfg["export"]) - set(EXPORTS))]
     if "table-csv" in cfg["export"] and command not in TABLE_COMMANDS:
         violations.append(f"table-csv export needs one of {TABLE_COMMANDS}, got {command!r}")
     if "mesh-obj" in cfg["export"]:
@@ -194,17 +221,14 @@ def validate_config(raw: dict) -> dict:
 
 
 def _curvature_spec(cfg: dict) -> symfunc.CurvatureSpec:
-    if cfg["family"] == "consecutive_quotient":
-        return symfunc.CurvatureSpec.consecutive_quotient(cfg["k"], cfg["n"])
-    if cfg["family"] == "general_quotient":
-        return symfunc.CurvatureSpec.general_quotient(cfg["k"], cfg["l"], cfg["n"])
-    return symfunc.CurvatureSpec.kth_root(cfg["k"], cfg["n"])
+    return FAMILIES[cfg["family"]](cfg["k"], cfg["l"], cfg["n"])
 
 
 def _domain(cfg: dict) -> hypgeom.Domain:
-    if cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
-        return hypgeom.Domain.ellipse(*cfg["axes"])
-    return hypgeom.Domain.ball(cfg["radius"], cfg["n"])
+    ellipse = cfg["shape"] == hypgeom.SHAPE_ELLIPSE
+    domain = hypgeom.Domain.ellipse(*cfg["axes"]) if ellipse else hypgeom.Domain.ball(cfg["radius"])
+    domain.check_dimension(cfg["n"])
+    return domain
 
 
 def _solver_config(cfg: dict) -> solver.SolverConfig:
@@ -213,7 +237,7 @@ def _solver_config(cfg: dict) -> solver.SolverConfig:
         domain=_domain(cfg),
         sigma_target=cfg["sigma"],
         grid_size=cfg["grid"],
-        epsilon_min=cfg["epsilon_min"],
+        epsilon_schedule=solver.default_epsilon_schedule(cfg["epsilon_min"]),
     )
 
 
@@ -272,23 +296,23 @@ def _ring_lines(heights: list, xy: np.ndarray) -> str:
         for i in range(0, len(heights), per))
 
 
-def mesh_from_radial(solution, n_theta: int = 64) -> str:
-    """Revolve a radial profile into an OBJ mesh.  Vertices are (x, y, u) in
-    upper half-space coordinates; faces wind counterclockwise seen from
-    above (+u side)."""
+def mesh_from_radial(solution) -> str:
+    """Revolve a radial profile into an OBJ mesh of MESH_SECTORS sectors.
+    Vertices are (x, y, u) in upper half-space coordinates; faces wind
+    counterclockwise seen from above (+u side)."""
     rho, u = solution.layout.rho, solution.u
-    angles = [2.0 * math.pi * j / n_theta for j in range(n_theta)]
+    angles = [2.0 * math.pi * j / MESH_SECTORS for j in range(MESH_SECTORS)]
     # vertex 1 is the apex, then ring i >= 1 of the profile, sector j
-    rings = np.empty((len(rho) - 1, n_theta, 2))
+    rings = np.empty((len(rho) - 1, MESH_SECTORS, 2))
     rings[..., 0] = rho[1:, None] * np.array([math.cos(t) for t in angles])
     rings[..., 1] = rho[1:, None] * np.array([math.sin(t) for t in angles])
-    # 1-based OBJ index of ring i >= 1, sector j: 2 + (i - 1) n_theta + j
-    j = np.arange(n_theta)
+    # 1-based OBJ index of ring i >= 1, sector j: 2 + (i - 1) MESH_SECTORS + j
+    j = np.arange(MESH_SECTORS)
     first = 2 + j
-    fan = np.stack([np.ones_like(j), first, 2 + (j + 1) % n_theta], axis=-1)
-    a = first + n_theta * np.arange(len(rho) - 2)[:, None]
-    b = a - j + (j + 1) % n_theta
-    c, d = a + n_theta, b + n_theta
+    fan = np.stack([np.ones_like(j), first, 2 + (j + 1) % MESH_SECTORS], axis=-1)
+    a = first + MESH_SECTORS * np.arange(len(rho) - 2)[:, None]
+    b = a - j + (j + 1) % MESH_SECTORS
+    c, d = a + MESH_SECTORS, b + MESH_SECTORS
     strips = np.stack([a, c, d, a, d, b], axis=-1)
     return ("# radial graph, revolved profile\n"
             + "v 0 0 %.9g\n" % u[0]
@@ -342,7 +366,7 @@ def _cmd_cap(cfg):
         }
     }
     sol = solver.radial_solution_from_profile(
-        _curvature_spec(cfg), hypgeom.Domain.ball(cfg["radius"], cfg["n"]),
+        _curvature_spec(cfg), _domain(cfg),
         cfg["sigma"], cfg["grid"],
         hypgeom.make_cap_with_boundary_height(
             cfg["radius"], cfg["sigma"], cfg["epsilon_min"]).height,
@@ -386,13 +410,14 @@ def _cmd_check_estimates(cfg):
     return payload, sol, None
 
 
-_HANDLERS = {
-    "verify-f": _cmd_verify_f,
-    "cap": _cmd_cap,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "refine": _cmd_refine,
-    "check-estimates": _cmd_check_estimates,
+# every command: its handler and its help
+COMMANDS = {
+    "verify-f": (_cmd_verify_f, "run the structural condition suite for a curvature function"),
+    "solve": (_cmd_solve, "solve the Dirichlet problem at one sigma"),
+    "sweep": (_cmd_sweep, "solve over a descending list of sigmas"),
+    "cap": (_cmd_cap, "evaluate the closed-form umbilic cap"),
+    "check-estimates": (_cmd_check_estimates, "solve, then check the a priori estimates"),
+    "refine": (_cmd_refine, "solve across grid refinement levels"),
 }
 
 
@@ -405,10 +430,7 @@ def run(raw_config: dict) -> int:
         return 4
 
     try:
-        payload, solution, table = _HANDLERS[cfg["command"]](cfg)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
+        payload, solution, table = COMMANDS[cfg["command"]][0](cfg)
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
@@ -462,33 +484,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "upper half-space model: solver, verification, exports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify-f", "run the structural condition suite for a curvature function"),
-        ("solve", "solve the Dirichlet problem at one sigma"),
-        ("sweep", "solve over a descending list of sigmas"),
-        ("cap", "evaluate the closed-form umbilic cap"),
-        ("check-estimates", "solve, then check the gradient/curvature estimate machinery"),
-        ("refine", "solve across grid refinement levels"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file with flat keys; flags override")
-        p.add_argument("--family", choices=sorted(FAMILIES))
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--shape", choices=["ball", "ellipse"])
-        p.add_argument("--radius", type=float)
-        p.add_argument("--axes", help="ellipse semi-axes as A,B")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--sigmas", help="comma-separated descending list")
-        p.add_argument("--grid", type=int)
-        p.add_argument("--epsilon-min", dest="epsilon_min", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--export", help="comma-separated subset of "
-                                        "report-json,table-csv,mesh-obj")
+        for key, (_, flag, text) in OPTIONS.items():
+            kind = {"choices": flag} if isinstance(flag, tuple) else {"type": flag}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kind)
     return parser
 
 
@@ -503,15 +504,7 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict:
         if not isinstance(raw, dict):
             raise ConfigError(["config file must contain a JSON object"])
     raw["command"] = args.command
-    for key in ("family", "k", "l", "n", "shape", "radius", "sigma", "grid",
-                "epsilon_min", "seed", "samples", "levels", "out", "export"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    if args.axes is not None:
-        raw["axes"] = [float(x) for x in args.axes.split(",")]
-    if args.sigmas is not None:
-        raw["sigmas"] = [float(x) for x in args.sigmas.split(",")]
+    raw.update({key: getattr(args, key) for key in OPTIONS if getattr(args, key) is not None})
     return raw
 
 
@@ -521,9 +514,6 @@ def main(argv=None) -> int:
         raw = _raw_config_from_args(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"invalid flag value: {exc}", file=sys.stderr)
         return 4
     return run(raw)
 

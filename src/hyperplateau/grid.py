@@ -295,5 +295,5 @@ def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, layout: GridLayou
 
 
 def continuation_solve_grid(cfg):
-    """Continuation solve of a resolved ellipse config on its tensor grid."""
+    """Continuation solve of an ellipse config on its tensor grid."""
     return solver.solve_on(GridLayout(cfg.spec, cfg.domain, cfg.grid_size), cfg)

@@ -20,26 +20,41 @@ from .errors import DegenerateHeightError
 SHAPE_BALL = "ball"
 SHAPE_ELLIPSE = "ellipse"
 
+MAX_EXTENT = 1e100  # largest radius or semi-axis; the cap's r**2 overflows past 1e154
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless 0 < sigma < 1, the curvatures of caps."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
+
 
 @dataclass(frozen=True)
 class Domain:
-    """Planar domain whose boundary is the prescribed curve at infinity."""
+    """Domain bounded by the prescribed curve at infinity, built by `ball` or
+    `ellipse`, which check its sizes; its dimension is the spec's n."""
 
-    n: int
     shape: str
     params: tuple
 
     @classmethod
-    def ball(cls, radius: float, n: int = 2) -> "Domain":
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return cls(n, SHAPE_BALL, (float(radius),))
+    def ball(cls, radius: float) -> "Domain":
+        if not 0.0 < radius <= MAX_EXTENT:
+            raise ValueError(f"ball radius must be positive and finite, at most "
+                             f"{MAX_EXTENT:g}, got {radius}")
+        return cls(SHAPE_BALL, (float(radius),))
 
     @classmethod
     def ellipse(cls, a_axis: float, b_axis: float) -> "Domain":
-        if not a_axis >= b_axis > 0:
-            raise ValueError("ellipse needs a_axis >= b_axis > 0")
-        return cls(2, SHAPE_ELLIPSE, (float(a_axis), float(b_axis)))
+        if not MAX_EXTENT >= a_axis >= b_axis > 0.0:
+            raise ValueError(f"ellipse needs finite a_axis >= b_axis > 0, at most "
+                             f"{MAX_EXTENT:g}, got {a_axis}, {b_axis}")
+        return cls(SHAPE_ELLIPSE, (float(a_axis), float(b_axis)))
+
+    def check_dimension(self, n: int) -> None:
+        """Raise ValueError unless the domain lies in R^n."""
+        if self.shape == SHAPE_ELLIPSE and n != 2:
+            raise ValueError(f"ellipse domains are planar: need n = 2, got n={n!r}")
 
 
 @dataclass
@@ -148,8 +163,7 @@ def make_cap(R: float, sigma: float) -> CapSolution:
     """Exact umbilic solution for the ball of radius R with f(kappa) = sigma."""
     if R <= 0:
         raise ValueError("R must be positive")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
+    check_sigma(sigma)
     r = R / math.sqrt(1.0 - sigma**2)
     return CapSolution(R=R, sigma=sigma, r=r, c=-sigma * r)
 
@@ -160,8 +174,7 @@ def make_cap_with_boundary_height(R: float, sigma: float, epsilon: float) -> Cap
     Dirichlet problem for every normalized curvature function."""
     if R <= 0:
         raise ValueError("R must be positive")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
+    check_sigma(sigma)
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
     q = 1.0 - sigma**2

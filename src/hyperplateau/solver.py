@@ -52,9 +52,16 @@ DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
 
 
-def default_epsilon_schedule(epsilon_min: float = 1e-3, start: float = 0.1) -> tuple:
+# default schedules: boundary heights halved from EPSILON_START down to
+# EPSILON_MIN, and sigma from SIGMA_START in steps of SIGMA_STEP
+EPSILON_START, EPSILON_MIN = 0.1, 1e-3
+SIGMA_START, SIGMA_STEP = 0.8, 0.05
+EXTRAPOLATION_EPSILONS = (4e-3, 2e-3, 1e-3)  # see solve_with_epsilon_extrapolation
+
+
+def default_epsilon_schedule(epsilon_min: float = EPSILON_MIN) -> tuple:
     vals = []
-    e = start
+    e = EPSILON_START
     while e > epsilon_min * (1.0 + 1e-12):
         vals.append(e)
         e *= 0.5
@@ -62,13 +69,13 @@ def default_epsilon_schedule(epsilon_min: float = 1e-3, start: float = 0.1) -> t
     return tuple(vals)
 
 
-def default_sigma_schedule(sigma_target: float, start: float = 0.8, step: float = 0.05) -> tuple:
-    if abs(sigma_target - start) < 1e-12:
+def default_sigma_schedule(sigma_target: float) -> tuple:
+    if abs(sigma_target - SIGMA_START) < 1e-12:
         return (sigma_target,)
-    direction = -1.0 if sigma_target < start else 1.0
-    vals = [start]
+    direction = -1.0 if sigma_target < SIGMA_START else 1.0
+    vals = [SIGMA_START]
     while True:
-        nxt = vals[-1] + direction * step
+        nxt = vals[-1] + direction * SIGMA_STEP
         if direction * (sigma_target - nxt) <= 1e-12:
             break
         vals.append(nxt)
@@ -76,25 +83,24 @@ def default_sigma_schedule(sigma_target: float, start: float = 0.8, step: float 
     return tuple(vals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Solve f = `sigma_target` for `spec` on `domain` through the boundary
+    heights `epsilon_schedule`.  Frozen; construction, and replace, checks
+    sigma in (0, 1), a positive decreasing schedule and the domain's n."""
+
     spec: CurvatureSpec
     domain: Domain
     sigma_target: float
-    grid_size: int = 1024
-    epsilon_min: float = 1e-3
-    epsilon_schedule: tuple | None = None
+    grid_size: int
+    epsilon_schedule: tuple = default_epsilon_schedule()
 
-    def resolved(self) -> "SolverConfig":
-        cfg = replace(self)
-        if not 0.0 < cfg.sigma_target < 1.0:
-            raise ValueError("sigma_target must lie in (0, 1)")
-        if cfg.epsilon_schedule is None:
-            cfg.epsilon_schedule = default_epsilon_schedule(cfg.epsilon_min)
-        eps = np.asarray(cfg.epsilon_schedule)
-        if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-            raise ValueError("epsilon schedule must be positive and strictly decreasing")
-        return cfg
+    def __post_init__(self):
+        hypgeom.check_sigma(self.sigma_target)
+        eps = np.asarray(self.epsilon_schedule, dtype=float)
+        if not (eps.size and np.all(np.isfinite(eps) & (eps > 0.0)) and np.all(np.diff(eps) < 0.0)):
+            raise ValueError("epsilon schedule must be positive, finite and strictly decreasing")
+        self.domain.check_dimension(self.spec.n)
 
 
 @dataclass
@@ -545,7 +551,7 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
 
 
 def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
-    """Continuation solve of a resolved config on the given layout."""
+    """Continuation solve of a config on the given layout."""
     state = NewtonState()
     u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     epsilon = cfg.epsilon_schedule[-1]
@@ -571,8 +577,6 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
 def _layout(cfg: SolverConfig):
     if cfg.domain.shape == hypgeom.SHAPE_ELLIPSE:
         return grid.GridLayout(cfg.spec, cfg.domain, cfg.grid_size)
-    if cfg.domain.shape != hypgeom.SHAPE_BALL:
-        raise UnsupportedSolutionError(f"solver does not support shape {cfg.domain.shape!r}")
     return RadialLayout(cfg.spec, cfg.domain, cfg.grid_size)
 
 
@@ -591,21 +595,18 @@ def continuation_solve(config: SolverConfig) -> GraphSolution:
     """Solve to (sigma_target, min epsilon), Newton-iterating at every
     scheduled boundary height (see _continue).  Ellipses go through the
     grid path's entry point, grid.continuation_solve_grid."""
-    cfg = config.resolved()
-    if cfg.domain.shape == hypgeom.SHAPE_ELLIPSE:
-        return grid.continuation_solve_grid(cfg)
-    return solve_on(_layout(cfg), cfg)
+    if config.domain.shape == hypgeom.SHAPE_ELLIPSE:
+        return grid.continuation_solve_grid(config)
+    return solve_on(_layout(config), config)
 
 
-def solve_with_epsilon_extrapolation(config: SolverConfig, eps_values=(4e-3, 2e-3, 1e-3)):
-    """Solve once, marching the boundary height through the given values, and
-    Richardson-extrapolate the center height to the zero-boundary limit using
-    the empirically observed order."""
-    eps_values = tuple(sorted(eps_values, reverse=True))
+def solve_with_epsilon_extrapolation(config: SolverConfig):
+    """Solve once, marching the boundary height through the values of
+    EXTRAPOLATION_EPSILONS, and Richardson-extrapolate the center height to
+    the zero-boundary limit using the empirically observed order."""
+    eps_values = EXTRAPOLATION_EPSILONS
     sched = [e for e in default_epsilon_schedule(eps_values[0] * 1.5) if e > eps_values[0]]
-    cfg = replace(config, epsilon_schedule=tuple(sched) + eps_values,
-                  epsilon_min=eps_values[-1])
-    sol = continuation_solve(cfg)
+    sol = continuation_solve(replace(config, epsilon_schedule=tuple(sched) + eps_values))
     u0 = [sol.report.u0_by_epsilon[float(e)] for e in eps_values]
     d1 = u0[0] - u0[1]
     d2 = u0[1] - u0[2]
@@ -634,7 +635,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     rows = []
     warm = None
     for s in sigmas:
-        cfg = replace(config, sigma_target=s).resolved()
+        cfg = replace(config, sigma_target=s)
         epsilon = cfg.epsilon_schedule[-1]
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:

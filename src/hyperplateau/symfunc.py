@@ -40,8 +40,6 @@ CONSECUTIVE_QUOTIENT = "consecutive_quotient"
 GENERAL_QUOTIENT = "general_quotient"
 KTH_ROOT = "kth_root"
 
-_FAMILIES = (CONSECUTIVE_QUOTIENT, GENERAL_QUOTIENT, KTH_ROOT)
-
 
 @dataclass(frozen=True)
 class CurvatureSpec:
@@ -470,12 +468,15 @@ def second_contraction(kappa, B, spec: CurvatureSpec) -> float:
 # ---------------------------------------------------------------------------
 # Cone sampling
 
+# draws from [-SAMPLE_BOX, SAMPLE_BOX]^n; BOUNDARY_FRACTION pushed toward the boundary
+SAMPLE_BOX, BOUNDARY_FRACTION, BISECTION_STEPS = 3.0, 0.2, 60
 
-def _draw_in_cone(rng, n: int, cone_index: int, count: int, box: float) -> np.ndarray:
+
+def _draw_in_cone(rng, n: int, cone_index: int, count: int) -> np.ndarray:
     got = []
     have = 0
     for _ in range(10_000):
-        cand = rng.uniform(-box, box, size=(max(4 * count, 256), n))
+        cand = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(max(4 * count, 256), n))
         keep = cand[_in_cone(cand, cone_index)]
         if keep.size:
             got.append(keep)
@@ -487,13 +488,13 @@ def _draw_in_cone(rng, n: int, cone_index: int, count: int, box: float) -> np.nd
     return np.concatenate(got, axis=0)[:count]
 
 
-def _exterior_points(rng, m: int, n: int, cone_index: int, box: float) -> np.ndarray:
+def _exterior_points(rng, m: int, n: int, cone_index: int) -> np.ndarray:
     out = np.empty((m, n))
     need = np.ones(m, dtype=bool)
     for _ in range(10_000):
         if not need.any():
             return out
-        cand = rng.uniform(-box, box, size=(int(need.sum()), n))
+        cand = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(int(need.sum()), n))
         ext = ~_in_cone(cand, cone_index)
         idx = np.flatnonzero(need)[ext]
         out[idx] = cand[ext]
@@ -501,7 +502,7 @@ def _exterior_points(rng, m: int, n: int, cone_index: int, box: float) -> np.nda
     raise RuntimeError("could not find exterior directions")
 
 
-def boundary_points(rng, inside: np.ndarray, cone_index: int, box: float = 3.0, iters: int = 60) -> np.ndarray:
+def boundary_points(rng, inside: np.ndarray, cone_index: int) -> np.ndarray:
     """For each interior point, a boundary point of K_{cone_index} found by
     bisection along a segment toward a random exterior point.  The bisection
     runs on component-major copies of the segment ends and tests each
@@ -510,8 +511,8 @@ def boundary_points(rng, inside: np.ndarray, cone_index: int, box: float = 3.0, 
     m, n = inside.shape
     _check_cone_index(cone_index, n)
     lo = _columns(inside)
-    hi = _columns(_exterior_points(rng, m, n, cone_index, box))
-    for _ in range(iters):
+    hi = _columns(_exterior_points(rng, m, n, cone_index))
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         ok = _member(mid, cone_index)
         lo = np.where(ok, mid, lo)
@@ -519,35 +520,28 @@ def boundary_points(rng, inside: np.ndarray, cone_index: int, box: float = 3.0, 
     return np.ascontiguousarray((0.5 * (lo + hi)).T)
 
 
-def push_toward_boundary(samples: np.ndarray, cone_index: int, rng, t, box: float = 3.0) -> np.ndarray:
+def push_toward_boundary(samples: np.ndarray, cone_index: int, rng, t) -> np.ndarray:
     """Move each sample toward a boundary point of K_{cone_index}: result is
     a + t(b - a) with b on the boundary; t close to 1 means nearly degenerate."""
     t = np.broadcast_to(np.asarray(t, dtype=float), (samples.shape[0],))
-    b = boundary_points(rng, samples, cone_index, box)
+    b = boundary_points(rng, samples, cone_index)
     cand = samples + t[:, None] * (b - samples)
     ok = _in_cone(_as_kappa(cand), cone_index)
     return np.where(ok[:, None], cand, samples)
 
 
-def sample_cone(
-    n: int,
-    cone_index: int,
-    count: int,
-    seed: int,
-    box: float = 3.0,
-    boundary_fraction: float = 0.2,
-) -> np.ndarray:
-    """Rejection sampling of K_{cone_index} from the box [-box, box]^n, with a
-    fraction of points scaled toward sampled boundary points for coverage of
-    the near-degenerate region.  Deterministic given seed."""
+def sample_cone(n: int, cone_index: int, count: int, seed: int) -> np.ndarray:
+    """Rejection sampling of K_{cone_index} from the box (see SAMPLE_BOX), with
+    a fraction of points scaled toward sampled boundary points for coverage
+    of the near-degenerate region.  Deterministic given seed."""
     _check_cone_index(cone_index, n)
     rng = np.random.default_rng(seed)
-    samples = _draw_in_cone(rng, n, cone_index, count, box)
-    m = int(boundary_fraction * count)
+    samples = _draw_in_cone(rng, n, cone_index, count)
+    m = int(BOUNDARY_FRACTION * count)
     if m:
         idx = rng.choice(count, size=m, replace=False)
         t = rng.uniform(0.9, 0.999, size=m)
-        samples[idx] = push_toward_boundary(samples[idx], cone_index, rng, t, box)
+        samples[idx] = push_toward_boundary(samples[idx], cone_index, rng, t)
     return samples
 
 

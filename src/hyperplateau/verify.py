@@ -17,6 +17,7 @@ from .errors import UnsupportedSolutionError
 from .solver import GraphSolution, RadialLayout
 
 GRADIENT_TOL = 0.01
+BLOWUP_FACTOR = 1.5  # see curvature_bound_study
 
 
 def eta_of(a: float) -> float:
@@ -71,11 +72,11 @@ class IndexSets:
         return {"J": self.J, "L": self.L, "Neg": self.Neg}
 
 
-def gradient_estimate_check(solution: GraphSolution, tol: float = GRADIENT_TOL):
+def gradient_estimate_check(solution: GraphSolution):
     """(min nu_vertical over interior nodes, pass); pass iff the minimum is
-    at least sigma - tol."""
+    at least sigma - GRADIENT_TOL."""
     min_nu = solution.summary()[1]
-    return min_nu, min_nu >= solution.sigma - tol
+    return min_nu, min_nu >= solution.sigma - GRADIENT_TOL
 
 
 def estimate_constants(solution: GraphSolution):
@@ -238,9 +239,9 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
     return report
 
 
-def curvature_bound_study(rows, blowup_factor: float = 1.5) -> dict:
+def curvature_bound_study(rows) -> dict:
     """Tabulate kappa_max across sweep/refinement rows and flag super-linear
-    blow-up (kappa_max growing by more than blowup_factor between successive
+    blow-up (kappa_max growing by more than BLOWUP_FACTOR between successive
     converged rows) -- the numerical symptom the a priori estimate forbids."""
     table = []
     flagged = []
@@ -255,7 +256,7 @@ def curvature_bound_study(rows, blowup_factor: float = 1.5) -> dict:
             continue
         k = row.get("kappa_max")
         if prev is not None and np.isfinite(k) and np.isfinite(prev) \
-                and abs(k) > blowup_factor * max(abs(prev), 1e-300):
+                and abs(k) > BLOWUP_FACTOR * max(abs(prev), 1e-300):
             flagged.append(entry)
         prev = k
     return {

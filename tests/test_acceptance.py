@@ -160,8 +160,8 @@ def test_criterion_6_ag_lemma():
     h = 1e-4
     for trial in range(1000):
         spec = spec_pool[trial % len(spec_pool)]
-        kappa = symfunc.sample_cone(spec.n, spec.cone_index, 1,
-                                    seed=trial, boundary_fraction=0.0)[0]
+        # one sample: its boundary fraction rounds to no pushed samples
+        kappa = symfunc.sample_cone(spec.n, spec.cone_index, 1, seed=trial)[0]
         M = rng.normal(size=(spec.n, spec.n))
         B = 0.5 * (M + M.T)
         A = np.diag(kappa)

@@ -146,8 +146,35 @@ class TestValidateConfig:
         ({"command": "solve", "sigma": 0.5, "grid": math.inf}, "grid has an invalid value"),
         ({"command": "solve", "sigma": 0.5, "family": ["kth_root"]}, "family must be one of"),
         ({"command": "cap", "sigma": 0.5, "out": 5}, "out must be a directory path"),
+        # the family rules are CurvatureSpec's: general_quotient needs l >= 1
+        ({"command": "verify-f", "family": "general_quotient", "k": 2, "l": 0, "n": 2},
+         "general quotient needs 1 <= l < k <= n"),
+        ({"command": "solve", "sigma": 0.5, "family": "general_quotient", "k": 2, "l": 0},
+         "general quotient needs 1 <= l < k <= n"),
+        # sizes past Domain's bound overflowed the cap's r**2
+        ({"command": "solve", "sigma": 0.5, "radius": 1e155}, "radius must be positive"),
+        ({"command": "cap", "sigma": 0.5, "radius": 1e155}, "radius must be positive"),
+        ({"command": "solve", "sigma": 0.5, "shape": "ellipse", "axes": [1e154, 1e154]},
+         "finite a_axis"),
+        # upper bounds, checked before anything is allocated
+        ({"command": "verify-f", "samples": 10**20}, "samples must lie in [1, 1000000]"),
+        ({"command": "solve", "sigma": 0.5, "grid": 10**12},
+         "must be at most 16384 for shape 'ball'"),
+        ({"command": "solve", "sigma": 0.5, "shape": "ellipse", "axes": [1.5, 1],
+          "grid": 2048}, "must be at most 1024 for shape 'ellipse'"),
+        ({"command": "refine", "sigma": 0.5, "grid": 2**40},
+         "must be at most 16384 for shape 'ball'"),
+        ({"command": "refine", "sigma": 0.5, "grid": 4096, "levels": 4},
+         "finest grid (grid * 2**(levels - 1) on refine) must be at most 16384"),
+        ({"command": "refine", "sigma": 0.5, "grid": 512, "levels": 10**20},
+         "finest grid (grid * 2**(levels - 1) on refine)"),
+        ({"command": "verify-f", "k": 1, "n": 10**6, "samples": 10}, "n must be at most 8"),
+        ({"command": "solve", "sigma": 0.5, "k": 1, "n": 10**6}, "n must be at most 8"),
     ], ids=["verify-seed", "estimates-seed", "radius-inf", "radius-nan", "axes-inf",
-            "axes-nan", "export-none", "export-nested", "grid-inf", "family-list", "out-int"])
+            "axes-nan", "export-none", "export-nested", "grid-inf", "family-list", "out-int",
+            "verify-l0", "solve-l0", "radius-huge", "cap-radius-huge", "axes-huge",
+            "samples-huge", "grid-huge", "ellipse-grid-huge", "refine-grid-huge",
+            "refine-finest-grid", "refine-levels-huge", "verify-n-huge", "solve-n-huge"])
     def test_out_of_range_exits_4_before_work(self, bad, message, tmp_path, capsys):
         assert cli.run({"out": str(tmp_path), **bad}) == 4
         assert message in capsys.readouterr().err
@@ -318,7 +345,7 @@ class TestMesh:
         # the rim ring's height 1e-5 prints in exponent notation
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
-            grid_size=64, epsilon_min=1e-5))
+            grid_size=64, epsilon_schedule=solver.default_epsilon_schedule(1e-5)))
         text = cli.mesh_from_radial(sol)
         assert text == _mesh_from_radial_loops(sol)
         assert text.count(" 1e-05\n") == 64

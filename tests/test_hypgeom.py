@@ -110,3 +110,27 @@ class TestDomain:
     def test_validation(self):
         with pytest.raises(ValueError):
             hypgeom.Domain.ellipse(1.0, 2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hypgeom.Domain.ball(0.0),
+        lambda: hypgeom.Domain.ball(math.nan),
+        lambda: hypgeom.Domain.ball(math.inf),
+        lambda: hypgeom.Domain.ball(1e155),
+        lambda: hypgeom.Domain.ellipse(math.inf, 1.0),
+        lambda: hypgeom.Domain.ellipse(1.5, math.nan),
+        lambda: hypgeom.Domain.ellipse(1e154, 1e154),
+    ], ids=["ball-zero", "ball-nan", "ball-inf", "ball-huge", "ellipse-inf", "ellipse-nan",
+            "ellipse-huge"])
+    def test_sizes_positive_finite_and_bounded(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_largest_extent_accepted(self):
+        assert hypgeom.Domain.ball(hypgeom.MAX_EXTENT).params == (1e100,)
+        assert hypgeom.Domain.ellipse(1e100, 1e100).params == (1e100, 1e100)
+
+    def test_dimension(self):
+        hypgeom.Domain.ball(1.0).check_dimension(4)
+        hypgeom.Domain.ellipse(1.5, 1.0).check_dimension(2)
+        with pytest.raises(ValueError, match="need n = 2, got n=3"):
+            hypgeom.Domain.ellipse(1.5, 1.0).check_dimension(3)

@@ -3,7 +3,7 @@ cross-checks, continuation against the closed-form cap, sweeps, refinement,
 and the tensor-grid path."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -268,7 +268,7 @@ class TestPairTableResidual:
 
     @pytest.mark.parametrize("spec", _families_up_to_4(), ids=lambda s: s.describe())
     def test_matches_curvature_route(self, spec):
-        domain = hypgeom.Domain.ball(1.0, spec.n)
+        domain = hypgeom.Domain.ball(1.0)
         layout = solver.RadialLayout(spec, domain, 64)
         states = [(layout.initial(sigma, eps), sigma, eps)
                   for sigma in (0.5, 0.2) for eps in (0.1, 1e-3)]
@@ -494,8 +494,8 @@ class TestExactSeed:
     @pytest.mark.parametrize("sigma", [0.5, 0.2])
     @pytest.mark.parametrize("spec", BALL_FAMILIES.values(), ids=BALL_FAMILIES.keys())
     def test_matches_continuation(self, spec, sigma):
-        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0, spec.n),
-                                  sigma_target=sigma, grid_size=512).resolved()
+        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=sigma, grid_size=512)
         seeded = solver.solve_on(solver.RadialLayout(spec, cfg.domain, 512), cfg)
         continued = solver.solve_on(_ContinuedLayout(spec, cfg.domain, 512), cfg)
         assert abs(seeded.u0 - continued.u0) <= 1e-10
@@ -507,7 +507,7 @@ class TestExactSeed:
         # continuation from sigma = 0.8 exhausts its backtracking at 0.05
         spec = CurvatureSpec.consecutive_quotient(4, 4)
         sol = solver.continuation_solve(solver.SolverConfig(
-            spec=spec, domain=hypgeom.Domain.ball(1.0, 4), sigma_target=0.05,
+            spec=spec, domain=hypgeom.Domain.ball(1.0), sigma_target=0.05,
             grid_size=1024))
         assert sol.report.final_residual <= 1e-10
         cap = hypgeom.make_cap_with_boundary_height(1.0, 0.05, sol.epsilon)
@@ -516,7 +516,7 @@ class TestExactSeed:
 
     def test_failed_seed_falls_back_to_continuation(self):
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.3, grid_size=128).resolved()
+                                  sigma_target=0.3, grid_size=128)
         continued = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         sol = solver.solve_on(_BadSeedLayout(H2H1, cfg.domain, 128), cfg)
         # the sigma march at the first height, then warm starts: the
@@ -585,7 +585,7 @@ class TestSweep:
 
     def test_requires_descending(self):
         cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.5)
+                                  sigma_target=0.5, grid_size=128)
         with pytest.raises(ValueError):
             solver.sweep_sigma(cfg, [0.2, 0.5])
 
@@ -647,7 +647,7 @@ class TestRefine:
 
     def test_minimum_levels(self):
         cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.5)
+                                  sigma_target=0.5, grid_size=128)
         with pytest.raises(ValueError):
             solver.refine_study(cfg, 1)
 
@@ -664,13 +664,36 @@ class TestSchedules:
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
     def test_invalid_config(self):
+        # checked at construction
         with pytest.raises(ValueError):
             solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                sigma_target=1.5).resolved()
+                                sigma_target=1.5, grid_size=128)
         with pytest.raises(ValueError):
             solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                sigma_target=0.5,
-                                epsilon_schedule=(1e-3, 1e-2)).resolved()
+                                sigma_target=0.5, grid_size=128,
+                                epsilon_schedule=(1e-3, 1e-2))
+        for schedule in [(), (0.1, math.nan, 1e-3), (math.inf, 1e-3)]:
+            with pytest.raises(ValueError, match="epsilon schedule"):
+                solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
+                                    sigma_target=0.5, grid_size=128, epsilon_schedule=schedule)
+
+    @pytest.mark.parametrize("spec", [CurvatureSpec.consecutive_quotient(3, 3),
+                                      CurvatureSpec.consecutive_quotient(2, 3)],
+                             ids=["h3h2-n3", "h2h1-n3"])
+    def test_ellipse_needs_planar_spec(self, spec):
+        # before the check, H3/H2 ran into an IndexError on the grid path
+        # and H2/H1 into a NonConvergenceError
+        with pytest.raises(ValueError, match="need n = 2, got n=3"):
+            solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                sigma_target=0.5, grid_size=32)
+
+    def test_frozen(self):
+        cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        with pytest.raises(FrozenInstanceError):
+            cfg.sigma_target = 1.5
+        with pytest.raises(ValueError):
+            replace(cfg, sigma_target=1.5)
 
 
 class TestGridPath:
@@ -695,7 +718,7 @@ class TestGridPath:
         # one step per sigma of the march, then one per boundary height
         # after the first: the march ends at the first height
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
-                                  sigma_target=0.5, grid_size=32).resolved()
+                                  sigma_target=0.5, grid_size=32)
         iters = solver.continuation_solve(cfg).report.newton_iterations
         assert len(iters) == len(solver.default_sigma_schedule(0.5)) + len(cfg.epsilon_schedule) - 1
         assert min(iters) > 0

@@ -247,7 +247,7 @@ class TestOrthantRule:
     def test_bisection_midpoints(self, n):
         rng = np.random.default_rng(50 + n)
         lo = symfunc.sample_cone(n, n, 500, seed=50 + n)
-        hi = symfunc._exterior_points(rng, lo.shape[0], n, n, 3.0)
+        hi = symfunc._exterior_points(rng, lo.shape[0], n, n)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             ok = cone_rowmajor(mid, n)
