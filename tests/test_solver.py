@@ -187,6 +187,28 @@ class _LineLayout:
         return np.linalg.solve(J, rhs)
 
 
+class _FloorLayout:
+    """r(u) = K (u - 1) with K = 1e4, the scale of a 1/h^2 stencil, except
+    within 1e-12 of the root, where rounding leaves the residual at the
+    floor 3e-10, above the tolerance: no step that stays there lowers it."""
+
+    keeps_factorization = False
+    newton_tol = 1e-10
+    K, floor = 1e4, 3e-10
+
+    def residual(self, u, sigma, epsilon):
+        return np.where(np.abs(u - 1.0) > 1e-12, self.K * (u - 1.0), self.floor)
+
+    def jacobian(self, u):
+        return self.K * np.eye(u.size)
+
+    def factor(self, J):
+        return J
+
+    def solve(self, J, rhs):
+        return np.linalg.solve(J, rhs)
+
+
 def _families_up_to_4():
     """Every curvature family with n <= 4, each k-th root also on K_n."""
     specs = []
@@ -358,6 +380,20 @@ class TestNewton:
         assert ab.shape == (3, rows)
         assert np.array_equal(ab, _assemble_banded_fancy(*parts, rows, h))
 
+    def test_negligible_correction_ends_the_solve(self, monkeypatch):
+        # the step to the root lands on the floor; the next correction,
+        # -3e-14, is negligible and is taken without a residual decrease.
+        # Backtracking ran all 20 halvings there and raised
+        layout, calls = _FloorLayout(), []
+        floor_residual = layout.residual
+        monkeypatch.setattr(layout, "residual",
+                            lambda *args: calls.append(0) or floor_residual(*args))
+        state = solver.NewtonState()
+        u, iters, factors = solver._newton_solve(layout, np.zeros(1), 0.0, 0.0, state)
+        assert u[0] == 1.0 - 3e-14
+        assert iters == factors == 2
+        assert len(calls) == 3
+
 
 class TestNewtonState:
     def test_rejected_trials_counted(self):
@@ -378,6 +414,19 @@ class TestNewtonState:
         report = sol.report
         assert report.newton_iterations == [2] * 8
         assert report.factorizations == report.newton_iterations
+
+    def test_fine_grid_stops_at_negligible_correction(self):
+        # at N = 2048 a residual of 1e-10 lies below the round-off floor of
+        # the 1/h^2 stencil: the steps ended at a stagnation exit after
+        # [4, 34, 2, 6, 8, 2, 7, 6] iterations, each with one factorization
+        # more than iterations
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2, grid_size=2048))
+        report = sol.report
+        assert len(report.newton_iterations) == 8
+        assert max(report.newton_iterations) <= 4
+        assert report.factorizations == report.newton_iterations
+        assert abs(sol.u0 - 0.8166629143954075) <= 1e-12
 
     def test_grid_reuses_factorization(self):
         sol = solver.continuation_solve(solver.SolverConfig(
@@ -513,6 +562,17 @@ class TestExactSeed:
         cap = hypgeom.make_cap_with_boundary_height(1.0, 0.05, sol.epsilon)
         assert abs(sol.u0 - cap.apex_height) <= 1e-4
         assert sol.report.admissibility_violations == 0
+
+    def test_small_sigma_factors_once_per_iteration(self):
+        # the first and the last two steps counted one factorization more
+        # than iterations (iterations [3, 3, 3, 3, 3, 6, 6, 4], factorizations
+        # [4, 3, 3, 3, 3, 7, 6, 4]): a failed step had factored
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=CurvatureSpec.consecutive_quotient(4, 4), domain=hypgeom.Domain.ball(1.0),
+            sigma_target=0.05, grid_size=1024))
+        assert sol.report.factorizations == sol.report.newton_iterations
+        assert sol.report.final_residual <= 1e-10
+        assert abs(sol.u0 - 0.9511813892746974) <= 1e-12
 
     def test_failed_seed_falls_back_to_continuation(self):
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
