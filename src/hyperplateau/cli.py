@@ -45,7 +45,6 @@ MESH_SECTORS = 64  # angular sectors of a radial profile revolved into a mesh
 # upper bounds that keep a run within memory (see README.md)
 MAX_GRID = {hypgeom.SHAPE_BALL: 2**14, hypgeom.SHAPE_ELLIPSE: 2**10}
 MAX_SAMPLES = 10**6
-MAX_DIMENSION = 8
 
 
 def _float_list(text: str) -> list:
@@ -132,8 +131,8 @@ def validate_config(raw: dict) -> dict:
         violations.append(f"family must be one of {sorted(FAMILIES)}, got {cfg['family']!r}")
     k_ok = _convert(cfg, "k", _integer, violations)
     n_ok = _convert(cfg, "n", _integer, violations)
-    if n_ok and cfg["n"] > MAX_DIMENSION:
-        violations.append(f"n must be at most {MAX_DIMENSION}, got {cfg['n']}")
+    if n_ok and cfg["n"] > symfunc.MAX_DIMENSION:
+        violations.append(f"n must be at most {symfunc.MAX_DIMENSION}, got {cfg['n']}")
     spec_ok = family_ok and k_ok and n_ok
     if cfg["family"] != "general_quotient":
         if cfg["l"] is not None:

@@ -67,9 +67,10 @@ class GridLayout:
     across Newton iterations and for the Euler predictor of each
     continuation step.  The cap seed solves no ellipse problem exactly, so
     the driver continues from it in sigma, then in the boundary height.
-    Newton stops at a residual sup-norm of 1e-8.  A solution reports the
-    full box's interior nodes `mask` in box order; `image` holds the unknown
-    each of them mirrors."""
+    Newton stops at a residual sup-norm of 1e-8, or on a negligible
+    correction from a fresh factorization; the size of a chord correction
+    does not stop it.  A solution reports the full box's interior nodes
+    `mask` in box order; `image` holds the unknown each of them mirrors."""
 
     keeps_factorization = True
     exact_seed = False

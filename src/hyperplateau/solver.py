@@ -19,9 +19,13 @@ continuation walks sigma down from 0.8 at a moderate boundary height, then
 shrinks the boundary height.  A layout that keeps its factorization starts
 each such step from the Euler tangent predictor, one chord step at the new
 parameter values.  Every accepted Newton iterate, and every prediction
-Newton starts from, is admissible at every interior node.  A solution holds
-the layout that made it, which says which of its nodes are interior and
-which of those touch the boundary.
+Newton starts from, is admissible at every interior node.  Newton stops
+when the residual sup-norm meets the layout's tolerance, or when a freshly
+factored Newton correction is negligible (NEGLIGIBLE_CORRECTION): that
+correction is taken in full, since on fine radial grids the residual of
+the 1/h^2 stencils has a round-off floor above the tolerance.  A solution
+holds the layout that made it, which says which of its nodes are interior
+and which of those touch the boundary.
 """
 
 from __future__ import annotations
@@ -50,6 +54,15 @@ SIGMA0_INTERVAL = (0.3703, 0.3704)  # classical small-sigma threshold, from the 
 MAX_NEWTON_ITERS = 50
 DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
+# A Newton correction whose sup-norm is at most this fraction of 1 + max|u|
+# is rounding noise: on fine radial grids the residual of the 1/h^2 stencil
+# has a round-off floor above the 1e-10 tolerance, and no damping lowers it.
+# Newton takes such a correction in full and stops (Deuflhard, Newton
+# Methods for Nonlinear Problems, 2004, ch. 2).  It lies two orders below
+# the smallest discretization error the CLI reaches: at N = 16384 and
+# boundary height 1e-3, |u0 - cap apex| is at least 1.3e-9 over the 28
+# families with n <= 4 at sigma = 0.5 and 0.05.
+NEGLIGIBLE_CORRECTION = 1e-11
 
 
 # default schedules: boundary heights halved from EPSILON_START down to
@@ -60,6 +73,12 @@ EXTRAPOLATION_EPSILONS = (4e-3, 2e-3, 1e-3)  # see solve_with_epsilon_extrapolat
 
 
 def default_epsilon_schedule(epsilon_min: float = EPSILON_MIN) -> tuple:
+    """Boundary heights halved from EPSILON_START while above epsilon_min,
+    then epsilon_min itself.  Raises ValueError unless epsilon_min is finite
+    and positive: the halving never drops below a negative bound, and ends
+    at 0.0 for a zero one."""
+    if not (math.isfinite(epsilon_min) and epsilon_min > 0.0):
+        raise ValueError(f"epsilon_min must be finite and positive, got {epsilon_min}")
     vals = []
     e = EPSILON_START
     while e > epsilon_min * (1.0 + 1e-12):
@@ -274,9 +293,11 @@ class RadialLayout:
     factorization costs less than one residual, so Newton builds and solves
     a fresh one every iteration.  The cap seed solves the continuous
     problem exactly, so the driver starts Newton from it at every boundary
-    height.  Newton stops at a residual sup-norm of 1e-10.  A solution
-    reports every node; all but the rim node are interior, and the last
-    interior node is the one next to the rim."""
+    height.  Newton stops at a residual sup-norm of 1e-10, or sooner on a
+    negligible correction; from about N = 1024 the round-off floor of the
+    residual nears or passes 1e-10, and the correction is what ends it.  A
+    solution reports every node; all but the rim node are interior, and the
+    last interior node is the one next to the rim."""
 
     keeps_factorization = False
     exact_seed = True
@@ -333,10 +354,12 @@ class RadialLayout:
 # interior nodes out of the reported ones, and `touches_boundary` flags, in
 # that order, those next to a Dirichlet node.  Its class sets what the
 # driver does with it: `newton_tol`, the residual sup-norm at which Newton
-# stops; `keeps_factorization`, to keep the factorization for chord steps
-# across Newton iterations and continuation steps, and for the predictor of
-# each continuation step (see _predict); and `exact_seed`, to start Newton
-# from `initial` at the sigma being solved for (see _seeded_solve).
+# stops unless a negligible Newton correction stops it first (see
+# newton_step); `keeps_factorization`, to keep the factorization for chord
+# steps across Newton iterations and continuation steps, and for the
+# predictor of each continuation step (see _predict); and `exact_seed`, to
+# start Newton from `initial` at the sigma being solved for (see
+# _seeded_solve).
 # The iteration and backtracking limits are the module constants above.
 
 
@@ -354,15 +377,18 @@ class NewtonState:
 def newton_step(layout, u, res, sigma, epsilon, state=None):
     """One Newton step from u, whose residual is res.  With a kept
     factorization it first tries the full chord step, accepted when the
-    residual sup-norm at least halves.  Otherwise it refactors at u and
-    backtracks along the Newton direction, keeping every trial iterate
-    admissible and requiring the residual sup-norm to not increase.
-    Returns (new u, step sup-norm, new residual sup-norm, new residual)."""
+    residual sup-norm at least halves or meets the layout's tolerance.
+    Otherwise it refactors at u for the Newton correction delta and
+    backtracks along it, keeping every trial iterate admissible and
+    requiring the residual sup-norm to decrease, unless delta is negligible
+    (see NEGLIGIBLE_CORRECTION): then the first admissible trial, the full
+    step when it is admissible, is taken as it is.  Returns (new u, step,
+    new residual sup-norm, new residual), with step the sup-norm of delta
+    over 1 + max|u|, or inf after a chord step."""
     state = state if state is not None else NewtonState()
     norm = float(np.max(np.abs(res)))
     if state.factored is not None:
-        delta = layout.solve(state.factored, -res)
-        trial = u + delta
+        trial = u + layout.solve(state.factored, -res)
         try:
             r = layout.residual(trial, sigma, epsilon)
         except AdmissibilityLostError:
@@ -370,7 +396,7 @@ def newton_step(layout, u, res, sigma, epsilon, state=None):
         else:
             trial_norm = float(np.max(np.abs(r)))
             if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
-                return trial, float(np.max(np.abs(delta))), trial_norm, r
+                return trial, math.inf, trial_norm, r
     # drop the kept factors before building new ones: never hold two
     state.factored = None
     factored = layout.factor(layout.jacobian(u))
@@ -380,6 +406,7 @@ def newton_step(layout, u, res, sigma, epsilon, state=None):
         raise SingularJacobianError("linear solve produced non-finite update")
     if layout.keeps_factorization:
         state.factored = factored
+    step = float(np.max(np.abs(delta))) / (1.0 + float(np.max(np.abs(u))))
 
     t = 1.0
     for _ in range(MAX_DAMPING_STEPS + 1):
@@ -391,8 +418,8 @@ def newton_step(layout, u, res, sigma, epsilon, state=None):
             t *= DAMPING_FACTOR
             continue
         trial_norm = float(np.max(np.abs(r)))
-        if trial_norm < norm or trial_norm <= layout.newton_tol:
-            return trial, float(np.max(np.abs(t * delta))), trial_norm, r
+        if trial_norm < norm or step <= NEGLIGIBLE_CORRECTION:
+            return trial, step, trial_norm, r
         t *= DAMPING_FACTOR
     raise NonConvergenceError(
         f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"
@@ -400,36 +427,25 @@ def newton_step(layout, u, res, sigma, epsilon, state=None):
 
 
 def _newton_solve(layout, u, sigma, epsilon, state: NewtonState, res=None):
-    """Newton iterations to the layout's tolerance from u, whose residual
-    res is computed when not given; returns the converged u, the number of
-    iterations and the number of factorizations they took."""
-    tol = layout.newton_tol
+    """Newton iterations from u, whose residual res is computed when not
+    given, until the residual sup-norm meets the layout's tolerance or a
+    step takes a negligible Newton correction (see newton_step); returns
+    the converged u, the number of iterations and the number of
+    factorizations they took."""
     first = state.factorizations
     if res is None:
         res = layout.residual(u, sigma, epsilon)
     norm = float(np.max(np.abs(res)))
-    step_norm = None
-    for it in range(MAX_NEWTON_ITERS):
-        if norm <= tol:
-            return u, it, state.factorizations - first
-        try:
-            u, step_norm, norm, res = newton_step(layout, u, res, sigma, epsilon, state)
-        except NonConvergenceError:
-            # stagnation at the round-off floor of the 1/h^2 stencils: the
-            # update has collapsed to rounding noise while the residual sits
-            # just above the nominal tolerance -- accept rather than fail
-            if (
-                norm <= 1e3 * tol
-                and step_norm is not None
-                and step_norm <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
-            ):
-                return u, it, state.factorizations - first
-            raise
-    if norm <= tol:
-        return u, MAX_NEWTON_ITERS, state.factorizations - first
-    raise NonConvergenceError(
-        f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})"
-    )
+    it = 0
+    while norm > layout.newton_tol:
+        if it == MAX_NEWTON_ITERS:
+            raise NonConvergenceError(
+                f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})")
+        u, step, norm, res = newton_step(layout, u, res, sigma, epsilon, state)
+        it += 1
+        if step <= NEGLIGIBLE_CORRECTION:
+            break
+    return u, it, state.factorizations - first
 
 
 def _predict(layout, v, sigma, epsilon, state: NewtonState):

@@ -470,6 +470,10 @@ def second_contraction(kappa, B, spec: CurvatureSpec) -> float:
 
 # draws from [-SAMPLE_BOX, SAMPLE_BOX]^n; BOUNDARY_FRACTION pushed toward the boundary
 SAMPLE_BOX, BOUNDARY_FRACTION, BISECTION_STEPS = 3.0, 0.2, 60
+# the largest n the sampler takes: a box draw lands in the top cone K_n, the
+# positive orthant, about once in 2^n draws, so at n = 16 the 10 000 rounds
+# of _draw_in_cone ran out after about 5 s
+MAX_DIMENSION = 8
 
 
 def _draw_in_cone(rng, n: int, cone_index: int, count: int) -> np.ndarray:
@@ -533,7 +537,10 @@ def push_toward_boundary(samples: np.ndarray, cone_index: int, rng, t) -> np.nda
 def sample_cone(n: int, cone_index: int, count: int, seed: int) -> np.ndarray:
     """Rejection sampling of K_{cone_index} from the box (see SAMPLE_BOX), with
     a fraction of points scaled toward sampled boundary points for coverage
-    of the near-degenerate region.  Deterministic given seed."""
+    of the near-degenerate region.  Deterministic given seed.  Raises
+    ValueError for n above MAX_DIMENSION, before drawing."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"n must be at most {MAX_DIMENSION}, got {n}")
     _check_cone_index(cone_index, n)
     rng = np.random.default_rng(seed)
     samples = _draw_in_cone(rng, n, cone_index, count)

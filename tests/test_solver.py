@@ -718,6 +718,13 @@ class TestSchedules:
         assert sched[0] == 0.1 and sched[-1] == 1e-3
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
+    @pytest.mark.parametrize("epsilon_min", [-1e-3, 0.0, math.nan, math.inf])
+    def test_epsilon_bound_checked(self, epsilon_min):
+        # a negative bound never ended the halving, zero ended it at 0.0
+        # after 1073 heights, and nan or inf gave a one-height schedule
+        with pytest.raises(ValueError, match="epsilon_min must be finite and positive"):
+            solver.default_epsilon_schedule(epsilon_min)
+
     def test_sigma_default(self):
         sched = solver.default_sigma_schedule(0.2)
         assert sched[0] == 0.8 and sched[-1] == 0.2

@@ -126,6 +126,16 @@ class TestConeContains:
             with pytest.raises(ValueError, match="out of range"):
                 call()
 
+    def test_dimension_bounded(self):
+        # a box draw lands in K_16 about once in 2^16: the sampler ran out of
+        # rounds after about 5 s and raised a RuntimeError
+        spec = CurvatureSpec.consecutive_quotient(16, 16)
+        for call in (lambda: symfunc.sample_cone(16, 16, 1000, 0),
+                     lambda: symfunc.check_conditions(spec, 1000, 0),
+                     lambda: symfunc.sup_gradient_sum(spec, 1000, 0)):
+            with pytest.raises(ValueError, match="n must be at most 8, got 16"):
+                call()
+
 
 ALL_SPECS = (
     CurvatureSpec.consecutive_quotient(2, 3),
