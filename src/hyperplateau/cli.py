@@ -63,7 +63,8 @@ OPTIONS = {
     "sigma": (None, float, "curvature target in (0, 1)"),
     "sigmas": (None, _float_list, "comma-separated descending list"),
     "grid": (512, int, "grid size N"),
-    "epsilon_min": (solver.EPSILON_MIN, float, "smallest boundary height"),
+    "epsilon_min": (solver.EPSILON_MIN, float,
+                    "smallest boundary height, in [0, 0.1); 0 solves the limit problem"),
     "seed": (0, int, "sample seed"),
     "samples": (10000, int, "number of samples"),
     "levels": (2, int, "refinement levels"),
@@ -170,17 +171,19 @@ def validate_config(raw: dict) -> dict:
     refine = _convert(cfg, "levels", _integer, violations) and command == "refine"
     if refine and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
-    if _convert(cfg, "grid", _integer, violations):
+    grid_ok = _convert(cfg, "grid", _integer, violations)
+    if grid_ok:
         # refine doubles the grid levels - 1 times; 63 doublings exceed every bound
         finest = cfg["grid"] * 2 ** (min(max(cfg["levels"], 1), 64) - 1 if refine else 0)
-        if cfg["grid"] < 8:
-            violations.append(f"grid must be >= 8, got {cfg['grid']}")
+        if cfg["grid"] < solver.MIN_GRID:
+            violations.append(f"grid must be >= {solver.MIN_GRID}, got {cfg['grid']}")
+            grid_ok = False
         elif cfg["shape"] in SHAPES and finest > MAX_GRID[cfg["shape"]]:
             violations.append(f"the finest grid (grid * 2**(levels - 1) on refine) must be at most "
                               f"{MAX_GRID[cfg['shape']]} for shape {cfg['shape']!r}, got {finest}")
     epsilon_ok = _convert(cfg, "epsilon_min", _real, violations)
-    if epsilon_ok and not 0.0 < cfg["epsilon_min"] < 0.1:
-        violations.append("epsilon_min must lie in (0, 0.1)")
+    if epsilon_ok and not 0.0 <= cfg["epsilon_min"] < 0.1:
+        violations.append("epsilon_min must lie in [0, 0.1)")
         epsilon_ok = False
     if _convert(cfg, "seed", _integer, violations) and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
@@ -191,7 +194,7 @@ def validate_config(raw: dict) -> dict:
         if cfg["sigma"] is None:
             violations.append(f"command {command!r} requires sigma")
         elif _convert(cfg, "sigma", _real, violations):
-            if spec is not None and domain is not None and epsilon_ok:
+            if spec is not None and domain is not None and grid_ok and epsilon_ok:
                 _build(violations, _solver_config, cfg)
             else:  # without a solver config, its sigma rule still holds
                 _build(violations, hypgeom.check_sigma, cfg["sigma"])

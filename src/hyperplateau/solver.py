@@ -1,5 +1,8 @@
 """Damped Newton continuation for the Dirichlet problem f(kappa[graph u]) =
-sigma with u = epsilon on the domain boundary.
+sigma with u = epsilon on the domain boundary.  The boundary height epsilon
+runs through a decreasing schedule that may end at 0: the limit problem, the
+complete hypersurface whose asymptotic boundary is the domain's boundary, is
+solved by the same continuation as every positive height.
 
 The radial path (any n, ball domains) discretizes the profile ODE on a
 uniform grid with a symmetry node at the axis; the tensor-grid path for
@@ -69,16 +72,19 @@ NEGLIGIBLE_CORRECTION = 1e-11
 # EPSILON_MIN, and sigma from SIGMA_START in steps of SIGMA_STEP
 EPSILON_START, EPSILON_MIN = 0.1, 1e-3
 SIGMA_START, SIGMA_STEP = 0.8, 0.05
-EXTRAPOLATION_EPSILONS = (4e-3, 2e-3, 1e-3)  # see solve_with_epsilon_extrapolation
+MIN_GRID = 8  # the smallest grid size N; coarser grids solve but resolve nothing
 
 
 def default_epsilon_schedule(epsilon_min: float = EPSILON_MIN) -> tuple:
     """Boundary heights halved from EPSILON_START while above epsilon_min,
-    then epsilon_min itself.  Raises ValueError unless epsilon_min is finite
-    and positive: the halving never drops below a negative bound, and ends
-    at 0.0 for a zero one."""
-    if not (math.isfinite(epsilon_min) and epsilon_min > 0.0):
-        raise ValueError(f"epsilon_min must be finite and positive, got {epsilon_min}")
+    then epsilon_min itself.  A zero bound asks for the limit problem: the
+    schedule to EPSILON_MIN, then 0.0.  Raises ValueError unless epsilon_min
+    is finite and non-negative."""
+    if not (math.isfinite(epsilon_min) and epsilon_min >= 0.0):
+        raise ValueError(
+            f"epsilon_min must be finite and positive, or 0 for the limit problem, got {epsilon_min}")
+    if epsilon_min == 0.0:
+        return default_epsilon_schedule() + (0.0,)
     vals = []
     e = EPSILON_START
     while e > epsilon_min * (1.0 + 1e-12):
@@ -105,8 +111,12 @@ def default_sigma_schedule(sigma_target: float) -> tuple:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve f = `sigma_target` for `spec` on `domain` through the boundary
-    heights `epsilon_schedule`.  Frozen; construction, and replace, checks
-    sigma in (0, 1), a positive decreasing schedule and the domain's n."""
+    heights `epsilon_schedule` on a grid of `grid_size` intervals.  Frozen;
+    construction, and replace, checks sigma in (0, 1), an int grid size of
+    at least MIN_GRID, the domain's n, and a schedule of positive, finite,
+    strictly decreasing heights with an optional final 0.0 (the limit
+    problem): the sigma march that a first height may need runs at a
+    positive height, so the schedule cannot be 0.0 alone."""
 
     spec: CurvatureSpec
     domain: Domain
@@ -116,9 +126,16 @@ class SolverConfig:
 
     def __post_init__(self):
         hypgeom.check_sigma(self.sigma_target)
+        if type(self.grid_size) is not int or self.grid_size < MIN_GRID:  # a bool is no size
+            raise ValueError(f"grid_size must be an int of at least {MIN_GRID}, "
+                             f"got {self.grid_size!r}")
+        # strictly decreasing from a positive first height to a non-negative
+        # last one: only the last height may be 0.0
         eps = np.asarray(self.epsilon_schedule, dtype=float)
-        if not (eps.size and np.all(np.isfinite(eps) & (eps > 0.0)) and np.all(np.diff(eps) < 0.0)):
-            raise ValueError("epsilon schedule must be positive, finite and strictly decreasing")
+        if not (eps.size and np.all(np.isfinite(eps)) and np.all(np.diff(eps) < 0.0)
+                and eps[0] > 0.0 and eps[-1] >= 0.0):
+            raise ValueError("epsilon schedule must be positive, finite and strictly decreasing, "
+                             "optionally followed by 0.0")
         self.domain.check_dimension(self.spec.n)
 
 
@@ -614,27 +631,6 @@ def continuation_solve(config: SolverConfig) -> GraphSolution:
     if config.domain.shape == hypgeom.SHAPE_ELLIPSE:
         return grid.continuation_solve_grid(config)
     return solve_on(_layout(config), config)
-
-
-def solve_with_epsilon_extrapolation(config: SolverConfig):
-    """Solve once, marching the boundary height through the values of
-    EXTRAPOLATION_EPSILONS, and Richardson-extrapolate the center height to
-    the zero-boundary limit using the empirically observed order."""
-    eps_values = EXTRAPOLATION_EPSILONS
-    sched = [e for e in default_epsilon_schedule(eps_values[0] * 1.5) if e > eps_values[0]]
-    sol = continuation_solve(replace(config, epsilon_schedule=tuple(sched) + eps_values))
-    u0 = [sol.report.u0_by_epsilon[float(e)] for e in eps_values]
-    d1 = u0[0] - u0[1]
-    d2 = u0[1] - u0[2]
-    ratio = eps_values[0] / eps_values[1]
-    if d2 == 0.0 or d1 / d2 <= 1.0:
-        order = 1.0
-    else:
-        order = math.log(d1 / d2, ratio)
-    factor = (eps_values[1] / eps_values[2]) ** order - 1.0
-    extrapolated = u0[2] - d2 / factor
-    return extrapolated, {"u0": dict(zip(map(float, eps_values), u0)), "order": order,
-                          "solution": sol}
 
 
 def sweep_sigma(config: SolverConfig, sigmas) -> list:

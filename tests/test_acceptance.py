@@ -20,21 +20,21 @@ def _report(name, detail):
 
 
 def test_criterion_1_cap_oracle_quantitative():
+    # the limit problem epsilon = 0, solved directly: its exact solution is
+    # the cap through the rim, with apex sqrt((1 - sigma) / (1 + sigma))
     t0 = time.perf_counter()
-    cfg = solver.SolverConfig(
-        spec=CurvatureSpec.consecutive_quotient(1, 2),
-        domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=1024)
-    val, info = solver.solve_with_epsilon_extrapolation(cfg)
-    err_main = abs(val - math.sqrt(1.0 / 3.0))
-    assert err_main <= 1e-4
     errs = {}
-    for sigma in (0.9, 0.7, 0.3, 0.1):
-        c = solver.SolverConfig(
+    for sigma in (0.5, 0.9, 0.7, 0.3, 0.1):
+        cfg = solver.SolverConfig(
             spec=CurvatureSpec.consecutive_quotient(1, 2),
-            domain=hypgeom.Domain.ball(1.0), sigma_target=sigma, grid_size=1024)
-        v, _ = solver.solve_with_epsilon_extrapolation(c)
-        errs[sigma] = abs(v - math.sqrt((1 - sigma) / (1 + sigma)))
-        assert errs[sigma] <= 1e-3
+            domain=hypgeom.Domain.ball(1.0), sigma_target=sigma, grid_size=1024,
+            epsilon_schedule=solver.default_epsilon_schedule(0.0))
+        sol = solver.continuation_solve(cfg)
+        assert sol.report.epsilon == 0.0
+        errs[sigma] = abs(sol.u0 - math.sqrt((1 - sigma) / (1 + sigma)))
+    err_main = errs.pop(0.5)
+    assert err_main <= 1e-4
+    assert all(err <= 1e-3 for err in errs.values())
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report("1 cap oracle",

@@ -203,6 +203,19 @@ class TestValidateConfig:
         assert f"{key} has an invalid value" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_below_minimum_is_one_violation(self):
+        # the SolverConfig is built only after the grid passes the CLI's rule
+        with pytest.raises(ConfigError) as exc:
+            cli.validate_config({"command": "solve", "sigma": 0.5, "grid": 4})
+        assert exc.value.violations == [f"grid must be >= {solver.MIN_GRID}, got 4"]
+
+    @pytest.mark.parametrize("epsilon_min", [-1e-3, 0.1])
+    def test_epsilon_min_out_of_range_exits_4(self, epsilon_min, tmp_path, capsys):
+        assert cli.run({"command": "solve", "sigma": 0.5, "grid": 64, "epsilon_min": epsilon_min,
+                        "out": str(tmp_path)}) == 4
+        assert "epsilon_min must lie in [0, 0.1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_integral_floats_accepted(self):
         cfg = cli.validate_config({"command": "solve", "sigma": 0.5, "k": 2.0, "n": 2.0,
                                    "grid": 64.0, "seed": 3.0, "samples": 1e4})
@@ -318,6 +331,16 @@ class TestRun:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["gradient_estimate"]["passed"] is True
         assert doc["algebraic_subinequalities"]["passed"] is True
+
+    @pytest.mark.parametrize("shape", [{"radius": 1.0}, {"shape": "ellipse", "axes": [1.5, 1]}],
+                             ids=["ball", "ellipse"])
+    def test_solve_limit_problem(self, shape, tmp_path):
+        code = cli.run({"command": "solve", "sigma": 0.5, "grid": 32, "epsilon_min": 0,
+                        "out": str(tmp_path), **shape})
+        assert code == 0
+        stats = json.loads((tmp_path / "report.json").read_text())["statistics"]
+        assert stats["converged"] is True and stats["epsilon"] == 0.0
+        assert "0" in stats["u0_by_epsilon"]
 
     def test_refine_csv(self, tmp_path):
         code = cli.run({"command": "refine", "sigma": 0.5, "grid": 64,

@@ -604,12 +604,16 @@ class TestContinuation:
         exact = math.sqrt(0.05 / 1.95)
         assert abs(sol.u0 - exact) < 1e-3
 
-    def test_richardson_extrapolation(self):
+    def test_limit_problem_direct(self):
+        # the schedule ends at 0: the cap through the rim, reached by the
+        # same continuation as every positive height
         cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=0.5, grid_size=512)
-        val, info = solver.solve_with_epsilon_extrapolation(cfg)
-        assert abs(val - math.sqrt(1.0 / 3.0)) < 1e-4
-        assert 0.8 <= info["order"] <= 1.3
+                                  sigma_target=0.5, grid_size=512,
+                                  epsilon_schedule=solver.default_epsilon_schedule(0.0))
+        sol = solver.continuation_solve(cfg)
+        assert abs(sol.u0 - math.sqrt(1.0 / 3.0)) < 1e-4
+        assert sol.report.epsilon == 0.0
+        assert list(sol.report.u0_by_epsilon)[-1] == 0.0
 
     def test_interior_jets_admissible(self):
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
@@ -718,12 +722,35 @@ class TestSchedules:
         assert sched[0] == 0.1 and sched[-1] == 1e-3
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
-    @pytest.mark.parametrize("epsilon_min", [-1e-3, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon_min", [-1e-3, math.nan, math.inf])
     def test_epsilon_bound_checked(self, epsilon_min):
-        # a negative bound never ended the halving, zero ended it at 0.0
-        # after 1073 heights, and nan or inf gave a one-height schedule
+        # a negative bound never ended the halving, and nan or inf gave a
+        # one-height schedule
         with pytest.raises(ValueError, match="epsilon_min must be finite and positive"):
             solver.default_epsilon_schedule(epsilon_min)
+
+    def test_epsilon_zero_appends_limit(self):
+        # the halving alone ended at 0.0 after 1073 heights
+        sched = solver.default_epsilon_schedule(0.0)
+        assert sched == solver.default_epsilon_schedule() + (0.0,)
+        assert len(sched) == 9
+
+    def test_schedule_may_end_at_zero(self):
+        ball = hypgeom.Domain.ball(1.0)
+        for schedule in [(0.0,), (0.1, 0.0, 1e-3)]:
+            with pytest.raises(ValueError, match="epsilon schedule"):
+                solver.SolverConfig(spec=H1, domain=ball, sigma_target=0.5, grid_size=128,
+                                    epsilon_schedule=schedule)
+        cfg = solver.SolverConfig(spec=H1, domain=ball, sigma_target=0.5, grid_size=128,
+                                  epsilon_schedule=(0.1, 1e-3, 0.0))
+        assert cfg.epsilon_schedule[-1] == 0.0
+
+    @pytest.mark.parametrize("grid_size", [0, 2, True, 8.0])
+    def test_grid_size_checked(self, grid_size):
+        # 0 and 2 raised IndexError on balls, True IndexError, 8.0 TypeError
+        with pytest.raises(ValueError, match=f"grid_size must be an int of at least {solver.MIN_GRID}"):
+            solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+                                grid_size=grid_size)
 
     def test_sigma_default(self):
         sched = solver.default_sigma_schedule(0.2)
@@ -780,6 +807,14 @@ class TestGridPath:
         assert sol.report.converged
         assert np.min(sol.u) > 0.0
         assert sol.report.min_nu_vertical >= 0.4 - 0.05
+
+    def test_ellipse_limit_problem(self):
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                  sigma_target=0.5, grid_size=64,
+                                  epsilon_schedule=solver.default_epsilon_schedule(0.0))
+        sol = solver.continuation_solve(cfg)
+        assert sol.report.converged and sol.report.epsilon == 0.0
+        assert 0.0 < sol.report.u0_by_epsilon[1e-3] - sol.u0 < 1e-3
 
     def test_every_step_iterates(self):
         # one step per sigma of the march, then one per boundary height
