@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -181,10 +182,11 @@ def validate_config(raw: dict) -> dict:
         elif cfg["shape"] in SHAPES and finest > MAX_GRID[cfg["shape"]]:
             violations.append(f"the finest grid (grid * 2**(levels - 1) on refine) must be at most "
                               f"{MAX_GRID[cfg['shape']]} for shape {cfg['shape']!r}, got {finest}")
-    epsilon_ok = _convert(cfg, "epsilon_min", _real, violations)
-    if epsilon_ok and not 0.0 <= cfg["epsilon_min"] < 0.1:
-        violations.append("epsilon_min must lie in [0, 0.1)")
-        epsilon_ok = False
+    # for every command, sweep and cap included, which build no SolverConfig here
+    before = len(violations)
+    if _convert(cfg, "epsilon_min", _real, violations):
+        _build(violations, solver.check_epsilon_min, cfg["epsilon_min"])
+    epsilon_ok = len(violations) == before
     if _convert(cfg, "seed", _integer, violations) and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
     if _convert(cfg, "samples", _integer, violations) and not 1 <= cfg["samples"] <= MAX_SAMPLES:
@@ -239,7 +241,7 @@ def _solver_config(cfg: dict) -> solver.SolverConfig:
         domain=_domain(cfg),
         sigma_target=cfg["sigma"],
         grid_size=cfg["grid"],
-        epsilon_schedule=solver.default_epsilon_schedule(cfg["epsilon_min"]),
+        epsilon_min=cfg["epsilon_min"],
     )
 
 
@@ -472,7 +474,14 @@ def run(raw_config: dict) -> int:
 class _Parser(argparse.ArgumentParser):
     """A usage error is a configuration error: usage and message go to
     stderr and the exit code is 4, not argparse's 2 (non-convergence here).
-    Subcommand parsers are made of the same class."""
+    A token that starts with a minus and then a number, such as -1e-3, -5E-1
+    or -inf, is an option's value, which the config rules then check;
+    argparse by itself reads -1e-3 as a flag.  Subcommand parsers are made
+    of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

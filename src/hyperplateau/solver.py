@@ -12,17 +12,21 @@ Jacobian take f, its cone test and its partials from the closed-form table
 of that pair (symfunc.pair_table), built straight from the jet; the
 (points, n) curvature matrix is built only for summaries and solutions.
 
-On a ball the umbilic cap with boundary height epsilon has kappa = sigma
-everywhere, so it solves the continuous problem exactly for every
-normalized f: Newton starts from it at each scheduled boundary height, and
-at each later sigma of a sweep, and needs a few iterations there.  A step
-where that fails warm-starts from the last accepted state instead.  On the
-grid path, and at the first height when the seeded Newton fails there,
-continuation walks sigma down from 0.8 at a moderate boundary height, then
-shrinks the boundary height.  A layout that keeps its factorization starts
-each such step from the Euler tangent predictor, one chord step at the new
-parameter values.  Every accepted Newton iterate, and every prediction
-Newton starts from, is admissible at every interior node.  Newton stops
+Continuation marches through a list of (sigma, epsilon) points; the
+boundary heights follow from the config's epsilon_min alone
+(default_epsilon_schedule).  On a ball the umbilic cap with boundary height
+epsilon has kappa = sigma everywhere, so it solves the continuous problem
+exactly for every normalized f: Newton starts from it at each scheduled
+boundary height, and at each later sigma of a sweep, and needs a few
+iterations there.  A step where that fails warm-starts from the last
+accepted state instead.  On the grid path, and at the first height when the
+seeded Newton fails there, continuation walks sigma down from 0.8 at a
+moderate boundary height, then shrinks the boundary height.  A failed step
+is retried at the midpoint of the last accepted point and its target.  A
+layout that keeps its factorization starts each unseeded step from the
+Euler tangent predictor, one chord step at the new parameter values.
+Every accepted Newton iterate, and every prediction Newton starts from, is
+admissible at every interior node.  Newton stops
 when the residual sup-norm meets the layout's tolerance, or when a freshly
 factored Newton correction is negligible (NEGLIGIBLE_CORRECTION): that
 correction is taken in full, since on fine radial grids the residual of
@@ -75,14 +79,20 @@ SIGMA_START, SIGMA_STEP = 0.8, 0.05
 MIN_GRID = 8  # the smallest grid size N; coarser grids solve but resolve nothing
 
 
+def check_epsilon_min(epsilon_min: float) -> None:
+    """Raise ValueError unless 0 <= epsilon_min < EPSILON_START, the range
+    of the smallest boundary height (0 for the limit problem); NaN and
+    infinities fail."""
+    if not 0.0 <= epsilon_min < EPSILON_START:
+        raise ValueError(f"epsilon_min must lie in [0, {EPSILON_START:g}), got {epsilon_min}")
+
+
 def default_epsilon_schedule(epsilon_min: float = EPSILON_MIN) -> tuple:
     """Boundary heights halved from EPSILON_START while above epsilon_min,
     then epsilon_min itself.  A zero bound asks for the limit problem: the
-    schedule to EPSILON_MIN, then 0.0.  Raises ValueError unless epsilon_min
-    is finite and non-negative."""
-    if not (math.isfinite(epsilon_min) and epsilon_min >= 0.0):
-        raise ValueError(
-            f"epsilon_min must be finite and positive, or 0 for the limit problem, got {epsilon_min}")
+    schedule to EPSILON_MIN, then 0.0.  Raises ValueError unless
+    check_epsilon_min passes."""
+    check_epsilon_min(epsilon_min)
     if epsilon_min == 0.0:
         return default_epsilon_schedule() + (0.0,)
     vals = []
@@ -110,33 +120,30 @@ def default_sigma_schedule(sigma_target: float) -> tuple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solve f = `sigma_target` for `spec` on `domain` through the boundary
-    heights `epsilon_schedule` on a grid of `grid_size` intervals.  Frozen;
-    construction, and replace, checks sigma in (0, 1), an int grid size of
-    at least MIN_GRID, the domain's n, and a schedule of positive, finite,
-    strictly decreasing heights with an optional final 0.0 (the limit
-    problem): the sigma march that a first height may need runs at a
-    positive height, so the schedule cannot be 0.0 alone."""
+    """Solve f = `sigma_target` for `spec` on `domain` down to the boundary
+    height `epsilon_min`, through the heights `epsilon_schedule`, on a grid
+    of `grid_size` intervals.  Frozen; construction, and replace, checks
+    sigma in (0, 1), an int grid size of at least MIN_GRID, epsilon_min (see
+    check_epsilon_min) and the domain's n."""
 
     spec: CurvatureSpec
     domain: Domain
     sigma_target: float
     grid_size: int
-    epsilon_schedule: tuple = default_epsilon_schedule()
+    epsilon_min: float = EPSILON_MIN
 
     def __post_init__(self):
         hypgeom.check_sigma(self.sigma_target)
         if type(self.grid_size) is not int or self.grid_size < MIN_GRID:  # a bool is no size
             raise ValueError(f"grid_size must be an int of at least {MIN_GRID}, "
                              f"got {self.grid_size!r}")
-        # strictly decreasing from a positive first height to a non-negative
-        # last one: only the last height may be 0.0
-        eps = np.asarray(self.epsilon_schedule, dtype=float)
-        if not (eps.size and np.all(np.isfinite(eps)) and np.all(np.diff(eps) < 0.0)
-                and eps[0] > 0.0 and eps[-1] >= 0.0):
-            raise ValueError("epsilon schedule must be positive, finite and strictly decreasing, "
-                             "optionally followed by 0.0")
+        check_epsilon_min(self.epsilon_min)
         self.domain.check_dimension(self.spec.n)
+
+    @property
+    def epsilon_schedule(self) -> tuple:
+        """The boundary heights solved through, ending at epsilon_min."""
+        return default_epsilon_schedule(self.epsilon_min)
 
 
 @dataclass
@@ -375,8 +382,8 @@ class RadialLayout:
 # newton_step); `keeps_factorization`, to keep the factorization for chord
 # steps across Newton iterations and continuation steps, and for the
 # predictor of each continuation step (see _predict); and `exact_seed`, to
-# start Newton from `initial` at the sigma being solved for (see
-# _seeded_solve).
+# start Newton from `initial` at the (sigma, epsilon) being solved for (see
+# _solve_at).
 # The iteration and backtracking limits are the module constants above.
 
 
@@ -488,98 +495,81 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState):
         return v, res
 
 
-def _step(layout, v, sigma, epsilon, state: NewtonState):
-    """One continuation step from v: Newton at (sigma, epsilon) from the
-    Euler prediction."""
-    u, res = _predict(layout, v, sigma, epsilon, state)
-    return _newton_solve(layout, u, sigma, epsilon, state, res)
-
-
-def _march(u, values, solve_at, record=None):
-    """Walk a continuation schedule with up-to-8-deep step bisection.  Each
-    step calls solve_at(v, value) with v the last accepted state, converged
-    at the last accepted value, or the march's start for the first step.
-    Returns the final state and the Newton iterations and factorizations of
-    every step."""
-    iters, factors = [], []
-    current = None
-    for target in values:
-        stack = [target]
-        depth = 0
-        while stack:
-            nxt = stack[-1]
-            try:
-                u, it, nf = solve_at(u, nxt)
-            except (NonConvergenceError, SingularJacobianError):
-                if current is None or depth >= 8:
-                    raise
-                depth += 1
-                stack.append(0.5 * (current + nxt))
-                continue
-            iters.append(it)
-            factors.append(nf)
-            current = nxt
-            stack.pop()
-            if record is not None and nxt == target:
-                record(u, nxt)
-    return u, iters, factors
-
-
 # the typed ways a Newton solve fails
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
-def _seeded_solve(layout, v, sigma, epsilon, state: NewtonState):
-    """Newton at (sigma, epsilon).  A layout whose class sets `exact_seed`
-    starts from its exact solution of the continuous problem,
-    `layout.initial(sigma, epsilon)`, and takes a continuation step from
-    the state v only where that fails (re-raising when v is None); other
-    layouts take a continuation step from v (see _step)."""
-    if layout.exact_seed:
+def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
+    """Newton at (sigma, epsilon).  When `seeded` it starts from the
+    layout's exact solution of the continuous problem,
+    `layout.initial(sigma, epsilon)`; otherwise, or where that fails and the
+    state v exists, from the Euler prediction from v (see _predict)."""
+    if seeded:
         try:
             return _newton_solve(layout, layout.initial(sigma, epsilon), sigma, epsilon, state)
         except _SOLVE_FAILURES:
             if v is None:
                 raise
-    return _step(layout, v, sigma, epsilon, state)
+    u, res = _predict(layout, v, sigma, epsilon, state)
+    return _newton_solve(layout, u, sigma, epsilon, state, res)
+
+
+def _march(layout, u, points, state: NewtonState, seeded: bool):
+    """Walk the (sigma, epsilon) points with up-to-8-deep step bisection: a
+    step that fails is retried at the midpoint of the last accepted point
+    and its target.  Each step is one _solve_at from u, the last accepted
+    state, or the march's start for the first step, which is not bisected.
+    Returns the final state, the Newton iterations and factorizations of
+    every accepted step, and the center height at each of the points, keyed
+    by point."""
+    iters, factors, u0_by_point = [], [], {}
+    current = None
+    for target in points:
+        stack = [target]
+        depth = 0
+        while stack:
+            nxt = stack[-1]
+            try:
+                u, it, nf = _solve_at(layout, u, *nxt, state, seeded)
+            except (NonConvergenceError, SingularJacobianError):
+                if current is None or depth >= 8:
+                    raise
+                depth += 1
+                stack.append(tuple(0.5 * (a + b) for a, b in zip(current, nxt)))
+                continue
+            iters.append(it)
+            factors.append(nf)
+            current = stack.pop()
+        u0_by_point[target] = layout.u0(u)
+    return u, iters, factors, u0_by_point
 
 
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
     """Solve at every scheduled boundary height.  On a layout whose class
     sets `exact_seed` the first height is one seeded Newton solve; when it
     fails there, and on other layouts, the first height marches sigma down
-    from the cap seed at 0.8, one predicted step per sigma.  Every later
-    height is one _seeded_solve from the state at the height before.
-    Returns the final state, the Newton iterations and factorizations of
-    every step, and the center height at each scheduled boundary height."""
+    from the cap seed at 0.8, one predicted step per sigma.  The later
+    heights are one march from the state at the first, seeded when the
+    layout's class sets `exact_seed`.  Returns the final state, the Newton
+    iterations and factorizations of every step, and the center height at
+    each scheduled boundary height."""
     sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
-    eps0 = schedule[0]
-    u0_by_eps = {}
-
-    def record(v, e):
-        u0_by_eps[float(e)] = layout.u0(v)
-
-    def solve_at(v, e):
-        return _seeded_solve(layout, v, sigma, e, state)
-
-    def march_sigma():
+    points = [(sigma, e) for e in schedule]
+    first = None
+    if layout.exact_seed:
+        try:
+            first = _march(layout, None, points[:1], state, True)
+        except _SOLVE_FAILURES:
+            pass
+    if first is None:
         # the cap seed is converged at no parameter values: no prediction
         # from it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
-        sigmas = default_sigma_schedule(sigma)
-        u, iters, factors = _march(layout.initial(sigmas[0], eps0), sigmas,
-                                   lambda v, s: _step(layout, v, s, eps0, state))
-        record(u, eps0)
-        return u, iters, factors
-
-    if layout.exact_seed:
-        try:
-            u, iters, factors = _march(None, schedule[:1], solve_at, record)
-        except _SOLVE_FAILURES:
-            u, iters, factors = march_sigma()
-    else:
-        u, iters, factors = march_sigma()
-    u, more, more_factors = _march(u, schedule[1:], solve_at, record)
+        sigmas = [(s, schedule[0]) for s in default_sigma_schedule(sigma)]
+        first = _march(layout, layout.initial(*sigmas[0]), sigmas, state, False)
+    u, iters, factors, u0_by_point = first
+    u, more, more_factors, more_u0 = _march(layout, u, points[1:], state, layout.exact_seed)
+    u0_by_eps = {e: u0 for (s, e), u0 in (u0_by_point | more_u0).items() if s == sigma}
     return u, iters + more, factors + more_factors, u0_by_eps
 
 
@@ -636,26 +626,25 @@ def continuation_solve(config: SolverConfig) -> GraphSolution:
 def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
     failures recorded rather than raised.  The first row that converges runs
-    the full continuation; every later row is one _seeded_solve at the final
-    boundary height: from the cap on balls, from the Euler prediction from
-    the last converged state on ellipses."""
+    the full continuation; every later row marches to the one point
+    (sigma, epsilon_min) from the last converged state, seeded from the cap
+    on balls, from the Euler prediction on ellipses (see _solve_at)."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
     layout = _layout(config)
     state = NewtonState()
+    epsilon = config.epsilon_schedule[-1]
     rows = []
     warm = None
     for s in sigmas:
         cfg = replace(config, sigma_target=s)
-        epsilon = cfg.epsilon_schedule[-1]
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
             if warm is None:
                 u, its, _, _ = _continue(layout, cfg, state)
             else:
-                u, its, _ = _march(
-                    warm, (s,), lambda v, sv: _seeded_solve(layout, v, sv, epsilon, state))
+                u, its, _, _ = _march(layout, warm, [(s, epsilon)], state, layout.exact_seed)
             warm = u
             kappa_max, min_nu = layout.solution(u, s, epsilon).summary()
             row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,

@@ -28,7 +28,7 @@ def test_criterion_1_cap_oracle_quantitative():
         cfg = solver.SolverConfig(
             spec=CurvatureSpec.consecutive_quotient(1, 2),
             domain=hypgeom.Domain.ball(1.0), sigma_target=sigma, grid_size=1024,
-            epsilon_schedule=solver.default_epsilon_schedule(0.0))
+            epsilon_min=0.0)
         sol = solver.continuation_solve(cfg)
         assert sol.report.epsilon == 0.0
         errs[sigma] = abs(sol.u0 - math.sqrt((1 - sigma) / (1 + sigma)))

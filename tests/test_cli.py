@@ -216,6 +216,25 @@ class TestValidateConfig:
         assert "epsilon_min must lie in [0, 0.1)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epsilon_min", ["0.1", "-1e-3", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--sigma", "0.5"],
+        ["sweep", "--sigmas", "0.5,0.2"],
+        ["refine", "--sigma", "0.5"],
+        ["check-estimates", "--sigma", "0.5"],
+        ["cap", "--sigma", "0.5"],
+        ["verify-f"],
+    ], ids=lambda argv: argv[0])
+    def test_epsilon_min_checked_by_every_command(self, argv, epsilon_min, tmp_path, capsys):
+        # sweep builds its SolverConfig only in its handler: without the CLI's
+        # own call of the rule a ValueError escaped there
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--epsilon-min", epsilon_min, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:\n  - epsilon_min must lie in [0, 0.1)")
+        assert err.count("\n  - ") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_integral_floats_accepted(self):
         cfg = cli.validate_config({"command": "solve", "sigma": 0.5, "k": 2.0, "n": 2.0,
                                    "grid": 64.0, "seed": 3.0, "samples": 1e4})
@@ -368,7 +387,7 @@ class TestMesh:
         # the rim ring's height 1e-5 prints in exponent notation
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
-            grid_size=64, epsilon_schedule=solver.default_epsilon_schedule(1e-5)))
+            grid_size=64, epsilon_min=1e-5))
         text = cli.mesh_from_radial(sol)
         assert text == _mesh_from_radial_loops(sol)
         assert text.count(" 1e-05\n") == 64
@@ -414,6 +433,7 @@ class TestMain:
         ["solve", "--sigma", "0.5", "--k", "abc"],          # not an int
         ["solve", "--sigma", "0.5", "--family", "bogus"],   # not a choice
         ["solve", "--sigma", "0.5", "--shape", "annulus"],  # removed shape
+        ["solve", "--sigma", "-x"],                         # a flag, not a value
     ])
     def test_usage_error_exits_4(self, argv, tmp_path, capsys):
         out = tmp_path / "o"
@@ -434,6 +454,19 @@ class TestMain:
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("invalid configuration")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--sigma", "0.5", "--epsilon-min", "-1e-3"], "epsilon_min must lie in [0, 0.1)"),
+        (["solve", "--sigma", "-5E-1"], "sigma must lie in (0, 1)"),
+        (["solve", "--sigma", "0.5", "--epsilon-min", "-inf"], "epsilon_min must lie in [0, 0.1)"),
+    ], ids=["exponent", "upper-exponent", "inf"])
+    def test_negative_number_is_a_value(self, argv, message, tmp_path, capsys):
+        # argparse read -1e-3 and -5E-1 as flags ("expected one argument")
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration") and message in err
         assert not out.exists()
 
     def test_missing_subcommand_exits_4(self, capsys):

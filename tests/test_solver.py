@@ -529,6 +529,20 @@ class _BadSeedLayout(solver.RadialLayout):
         return u
 
 
+class _FailOnceLayout(solver.RadialLayout):
+    """The radial layout without exact seeding whose residual raises
+    NonConvergenceError once, at the boundary height `fail_at`."""
+
+    exact_seed = False
+    fail_at = 0.025
+
+    def residual(self, u, sigma, epsilon):
+        if epsilon == self.fail_at:
+            self.fail_at = None
+            raise NonConvergenceError("forced")
+        return super().residual(u, sigma, epsilon)
+
+
 BALL_FAMILIES = {
     "h1h0-n2": CurvatureSpec.consecutive_quotient(1, 2),
     "h2h1-n2": CurvatureSpec.consecutive_quotient(2, 2),
@@ -585,6 +599,18 @@ class TestExactSeed:
         assert sol.report.newton_iterations == continued.report.newton_iterations
         assert sol.report.u0_by_epsilon == continued.report.u0_by_epsilon
 
+    def test_failed_step_is_bisected(self):
+        # the step to 0.025 fails once; the march takes the midpoint 0.0375
+        # from 0.05, then 0.025: one step more than the plain march
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        sol = solver.solve_on(_FailOnceLayout(H2H1, cfg.domain, 128), cfg)
+        assert len(plain.report.newton_iterations) == 14
+        assert len(sol.report.newton_iterations) == 15
+        assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
+        assert abs(sol.u0 - plain.u0) <= 1e-12
+
 
 class TestContinuation:
     def test_h1_cap_oracle(self):
@@ -609,7 +635,7 @@ class TestContinuation:
         # same continuation as every positive height
         cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.5, grid_size=512,
-                                  epsilon_schedule=solver.default_epsilon_schedule(0.0))
+                                  epsilon_min=0.0)
         sol = solver.continuation_solve(cfg)
         assert abs(sol.u0 - math.sqrt(1.0 / 3.0)) < 1e-4
         assert sol.report.epsilon == 0.0
@@ -722,11 +748,11 @@ class TestSchedules:
         assert sched[0] == 0.1 and sched[-1] == 1e-3
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
-    @pytest.mark.parametrize("epsilon_min", [-1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon_min", [-1e-3, math.nan, math.inf, -math.inf, 0.1])
     def test_epsilon_bound_checked(self, epsilon_min):
-        # a negative bound never ended the halving, and nan or inf gave a
-        # one-height schedule
-        with pytest.raises(ValueError, match="epsilon_min must be finite and positive"):
+        # a negative bound never ended the halving, and nan, inf or a bound
+        # of at least 0.1 gave a one-height schedule
+        with pytest.raises(ValueError, match=r"epsilon_min must lie in \[0, 0.1\)"):
             solver.default_epsilon_schedule(epsilon_min)
 
     def test_epsilon_zero_appends_limit(self):
@@ -735,15 +761,20 @@ class TestSchedules:
         assert sched == solver.default_epsilon_schedule() + (0.0,)
         assert len(sched) == 9
 
-    def test_schedule_may_end_at_zero(self):
-        ball = hypgeom.Domain.ball(1.0)
-        for schedule in [(0.0,), (0.1, 0.0, 1e-3)]:
-            with pytest.raises(ValueError, match="epsilon schedule"):
-                solver.SolverConfig(spec=H1, domain=ball, sigma_target=0.5, grid_size=128,
-                                    epsilon_schedule=schedule)
-        cfg = solver.SolverConfig(spec=H1, domain=ball, sigma_target=0.5, grid_size=128,
-                                  epsilon_schedule=(0.1, 1e-3, 0.0))
-        assert cfg.epsilon_schedule[-1] == 0.0
+    @pytest.mark.parametrize("epsilon_min", [0.1, -1e-3, math.nan, math.inf, -math.inf])
+    def test_epsilon_min_checked(self, epsilon_min):
+        # the one range rule of the smallest boundary height, as the CLI's
+        with pytest.raises(ValueError, match=r"epsilon_min must lie in \[0, 0.1\)"):
+            solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+                                grid_size=128, epsilon_min=epsilon_min)
+
+    def test_schedule_follows_epsilon_min(self):
+        cfg = solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+                                  grid_size=128, epsilon_min=0.0)
+        assert cfg.epsilon_schedule == solver.default_epsilon_schedule(0.0)
+        assert replace(cfg, epsilon_min=1e-2).epsilon_schedule[-1] == 1e-2
+        with pytest.raises(AttributeError):
+            cfg.epsilon_schedule = (0.1,)
 
     @pytest.mark.parametrize("grid_size", [0, 2, True, 8.0])
     def test_grid_size_checked(self, grid_size):
@@ -762,14 +793,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
                                 sigma_target=1.5, grid_size=128)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                sigma_target=0.5, grid_size=128,
-                                epsilon_schedule=(1e-3, 1e-2))
-        for schedule in [(), (0.1, math.nan, 1e-3), (math.inf, 1e-3)]:
-            with pytest.raises(ValueError, match="epsilon schedule"):
-                solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0),
-                                    sigma_target=0.5, grid_size=128, epsilon_schedule=schedule)
 
     @pytest.mark.parametrize("spec", [CurvatureSpec.consecutive_quotient(3, 3),
                                       CurvatureSpec.consecutive_quotient(2, 3)],
@@ -811,7 +834,7 @@ class TestGridPath:
     def test_ellipse_limit_problem(self):
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
                                   sigma_target=0.5, grid_size=64,
-                                  epsilon_schedule=solver.default_epsilon_schedule(0.0))
+                                  epsilon_min=0.0)
         sol = solver.continuation_solve(cfg)
         assert sol.report.converged and sol.report.epsilon == 0.0
         assert 0.0 < sol.report.u0_by_epsilon[1e-3] - sol.u0 < 1e-3
