@@ -3,7 +3,8 @@ export of reports (JSON), tables (CSV), and meshes (OBJ).
 
 Exit codes: 0 success, 2 solver non-convergence or a singular Jacobian,
 3 admissibility loss, 4 configuration error, a command-line usage error
-(unknown flag, bad flag value or choice, missing subcommand) included.
+(unknown flag, a flag without its value, missing subcommand) included.  A
+flag's value is text that the config-file rules convert and check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,29 +50,25 @@ MAX_GRID = {hypgeom.SHAPE_BALL: 2**14, hypgeom.SHAPE_ELLIPSE: 2**10}
 MAX_SAMPLES = 10**6
 
 
-def _float_list(text: str) -> list:
-    return [float(x) for x in text.split(",")]
-
-
-# every config key but "command": (default, the flag's type or choices, help)
+# every config key but "command": (default, help)
 OPTIONS = {
-    "family": ("consecutive_quotient", tuple(sorted(FAMILIES)), "curvature family"),
-    "k": (1, int, "order k of H_k"),
-    "l": (None, int, "order l of (H_k/H_l)^(1/(k-l)), general_quotient only"),
-    "n": (2, int, "dimension"),
-    "shape": (hypgeom.SHAPE_BALL, SHAPES, "domain shape"),
-    "radius": (1.0, float, "ball radius"),
-    "axes": (None, _float_list, "ellipse semi-axes as A,B"),
-    "sigma": (None, float, "curvature target in (0, 1)"),
-    "sigmas": (None, _float_list, "comma-separated descending list"),
-    "grid": (512, int, "grid size N"),
-    "epsilon_min": (solver.EPSILON_MIN, float,
+    "family": ("consecutive_quotient", "curvature family: " + ", ".join(sorted(FAMILIES))),
+    "k": (1, "order k of H_k"),
+    "l": (None, "order l of (H_k/H_l)^(1/(k-l)), general_quotient only"),
+    "n": (2, "dimension"),
+    "shape": (hypgeom.SHAPE_BALL, "domain shape: " + ", ".join(SHAPES)),
+    "radius": (1.0, "ball radius"),
+    "axes": (None, "ellipse semi-axes as A,B"),
+    "sigma": (None, "curvature target in (0, 1)"),
+    "sigmas": (None, "comma-separated descending list"),
+    "grid": (512, "grid size N"),
+    "epsilon_min": (solver.EPSILON_MIN,
                     "smallest boundary height, in [0, 0.1); 0 solves the limit problem"),
-    "seed": (0, int, "sample seed"),
-    "samples": (10000, int, "number of samples"),
-    "levels": (2, int, "refinement levels"),
-    "out": (".", str, "output directory (default: current)"),
-    "export": (["report-json"], str, "comma-separated subset of report-json,table-csv,mesh-obj"),
+    "seed": (0, "sample seed"),
+    "samples": (10000, "number of samples"),
+    "levels": (2, "refinement levels"),
+    "out": (".", "output directory (default: current)"),
+    "export": (["report-json"], "comma-separated subset of report-json,table-csv,mesh-obj"),
 }
 
 
@@ -106,14 +104,17 @@ def _real(value) -> float:
 
 
 def _integer(value) -> int:
-    """int(value) of an integral number, such as 64 or 1e4, not a boolean."""
-    if _real(value) % 1.0:
+    """An integral number, such as 64, 1e4 or the text "1e3", as an int; not
+    a boolean.  An int is returned as it is."""
+    number = _real(value)
+    if number % 1.0:
         raise ValueError("not an integer")
-    return int(value)
+    return value if isinstance(value, int) else int(number)
 
 
-def _floats(values):
-    return [_real(v) for v in values]
+def _floats(values) -> list:
+    """_real of each item of a list, or of comma-separated text."""
+    return [_real(v) for v in (values.split(",") if isinstance(values, str) else values)]
 
 
 def validate_config(raw: dict) -> dict:
@@ -123,7 +124,7 @@ def validate_config(raw: dict) -> dict:
     it builds the CurvatureSpec, the Domain and, for a command that takes
     sigma, the SolverConfig: each ValueError they raise is a violation."""
     violations = [f"unknown config key {key!r}" for key in sorted(set(raw) - {"command", *OPTIONS})]
-    cfg = {key: raw.get(key, default) for key, (default, _, _) in OPTIONS.items()}
+    cfg = {key: raw.get(key, default) for key, (default, _) in OPTIONS.items()}
     cfg["command"] = command = raw.get("command")
     if not (isinstance(command, str) and command in COMMANDS):
         violations.append(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
@@ -150,10 +151,11 @@ def validate_config(raw: dict) -> dict:
     if cfg["shape"] not in SHAPES:
         violations.append(f"unknown shape {cfg['shape']!r}")
     elif cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
-        if not (isinstance(cfg["axes"], (list, tuple)) and len(cfg["axes"]) == 2):
-            violations.append("ellipse requires axes = [a_axis, b_axis]")
-        elif _convert(cfg, "axes", _floats, violations):
+        axes_ok = cfg["axes"] is not None and _convert(cfg, "axes", _floats, violations)
+        if axes_ok and len(cfg["axes"]) == 2:
             domain = _build(violations, _domain, cfg)
+        elif axes_ok or cfg["axes"] is None:
+            violations.append("ellipse requires axes = [a_axis, b_axis]")
     elif _convert(cfg, "radius", _real, violations):
         domain = _build(violations, _domain, cfg)
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
@@ -363,12 +365,7 @@ def _cmd_verify_f(cfg):
 
 def _cmd_cap(cfg):
     cap = hypgeom.make_cap(cfg["radius"], cfg["sigma"])
-    payload = {
-        "cap": {
-            "R": cap.R, "sigma": cap.sigma, "r": cap.r, "c": cap.c,
-            "u0": cap.apex_height,
-        }
-    }
+    payload = {"cap": {**asdict(cap), "u0": cap.apex_height}}
     sol = solver.radial_solution_from_profile(
         _curvature_spec(cfg), _domain(cfg),
         cfg["sigma"], cfg["grid"],
@@ -408,7 +405,7 @@ def _cmd_check_estimates(cfg):
         "statistics": sol.report.statistics(),
         "gradient_estimate": {"min_nu_vertical": min_nu, "passed": grad_pass},
         "estimate_constants": consts.to_dict(),
-        "index_sets": sets.to_dict(),
+        "index_sets": asdict(sets),
         "algebraic_subinequalities": algebra,
     }
     return payload, sol, None
@@ -498,9 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file with flat keys; flags override")
-        for key, (_, flag, text) in OPTIONS.items():
-            kind = {"choices": flag} if isinstance(flag, tuple) else {"type": flag}
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kind)
+        for key, (_, text) in OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     return parser
 
 

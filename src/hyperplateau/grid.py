@@ -158,8 +158,8 @@ class GridLayout:
         the full box in box order."""
         kappa, w = _interior_curvatures(U, self)
         kappa, w = kappa[self.image], w[self.image]
-        return solver.GraphSolution(layout=self, u=U, sigma=sigma, epsilon=epsilon, kappa=kappa,
-                                    nu_vertical=1.0 / w, w=w)
+        return solver.GraphSolution(layout=self, u=U, sigma=sigma, epsilon=epsilon,
+                                    kappa=kappa, w=w)
 
 
 def _jets(U: np.ndarray, layout: GridLayout):

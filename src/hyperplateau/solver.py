@@ -187,9 +187,13 @@ class GraphSolution:
     sigma: float
     epsilon: float
     kappa: np.ndarray
-    nu_vertical: np.ndarray
     w: np.ndarray
     report: SolveReport | None = None
+
+    @property
+    def nu_vertical(self) -> np.ndarray:
+        """The vertical component 1/w of the upward unit normal."""
+        return 1.0 / self.w
 
     @property
     def spec(self) -> CurvatureSpec:
@@ -365,8 +369,7 @@ class RadialLayout:
 
     def solution(self, u, sigma, epsilon) -> GraphSolution:
         kappa, w = radial_principal_curvatures(u, *self.derivatives(u), self.rho, self.spec.n)
-        return GraphSolution(layout=self, u=u, sigma=sigma, epsilon=epsilon, kappa=kappa,
-                             nu_vertical=1.0 / w, w=w)
+        return GraphSolution(layout=self, u=u, sigma=sigma, epsilon=epsilon, kappa=kappa, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +485,8 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState):
     -J^{-1} (dF/dp) dp, with the kept factorization standing in for J, is
     the chord step at the new values.  Returns the corrector's start and
     its residual: the prediction, or v itself when no factorization is kept
-    or when the prediction leaves the cone, which counts as a rejected
-    trial."""
+    or when the prediction leaves the cone, a rejected trial that drops the
+    kept factorization, so that Newton refactors at v."""
     res = layout.residual(v, sigma, epsilon)
     if state.factored is None:
         return v, res
@@ -492,6 +495,7 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState):
         return pred, layout.residual(pred, sigma, epsilon)
     except AdmissibilityLostError:
         state.rejected += 1
+        state.factored = None
         return v, res
 
 
@@ -514,16 +518,17 @@ def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
     return _newton_solve(layout, u, sigma, epsilon, state, res)
 
 
-def _march(layout, u, points, state: NewtonState, seeded: bool):
+def _march(layout, u, start, points, state: NewtonState, seeded: bool):
     """Walk the (sigma, epsilon) points with up-to-8-deep step bisection: a
     step that fails is retried at the midpoint of the last accepted point
     and its target.  Each step is one _solve_at from u, the last accepted
-    state, or the march's start for the first step, which is not bisected.
+    state.  `start` is the point at which the given u converged, or None
+    when u is a seed or absent; then the first step is not bisected.
     Returns the final state, the Newton iterations and factorizations of
     every accepted step, and the center height at each of the points, keyed
     by point."""
     iters, factors, u0_by_point = [], [], {}
-    current = None
+    current = start
     for target in points:
         stack = [target]
         depth = 0
@@ -549,16 +554,16 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
     sets `exact_seed` the first height is one seeded Newton solve; when it
     fails there, and on other layouts, the first height marches sigma down
     from the cap seed at 0.8, one predicted step per sigma.  The later
-    heights are one march from the state at the first, seeded when the
-    layout's class sets `exact_seed`.  Returns the final state, the Newton
-    iterations and factorizations of every step, and the center height at
-    each scheduled boundary height."""
+    heights are one march from the state converged at the first height,
+    seeded when the layout's class sets `exact_seed`.  Returns the final
+    state, the Newton iterations and factorizations of every step, and the
+    center height at each scheduled boundary height."""
     sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
     points = [(sigma, e) for e in schedule]
     first = None
     if layout.exact_seed:
         try:
-            first = _march(layout, None, points[:1], state, True)
+            first = _march(layout, None, None, points[:1], state, True)
         except _SOLVE_FAILURES:
             pass
     if first is None:
@@ -566,9 +571,10 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
         # from it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
         sigmas = [(s, schedule[0]) for s in default_sigma_schedule(sigma)]
-        first = _march(layout, layout.initial(*sigmas[0]), sigmas, state, False)
+        first = _march(layout, layout.initial(*sigmas[0]), None, sigmas, state, False)
     u, iters, factors, u0_by_point = first
-    u, more, more_factors, more_u0 = _march(layout, u, points[1:], state, layout.exact_seed)
+    u, more, more_factors, more_u0 = _march(layout, u, points[0], points[1:], state,
+                                            layout.exact_seed)
     u0_by_eps = {e: u0 for (s, e), u0 in (u0_by_point | more_u0).items() if s == sigma}
     return u, iters + more, factors + more_factors, u0_by_eps
 
@@ -627,8 +633,9 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
     failures recorded rather than raised.  The first row that converges runs
     the full continuation; every later row marches to the one point
-    (sigma, epsilon_min) from the last converged state, seeded from the cap
-    on balls, from the Euler prediction on ellipses (see _solve_at)."""
+    (sigma, epsilon_min) from the last converged state and its point, which
+    a failed step bisects back towards, seeded from the cap on balls, from
+    the Euler prediction on ellipses (see _solve_at)."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
@@ -636,7 +643,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     state = NewtonState()
     epsilon = config.epsilon_schedule[-1]
     rows = []
-    warm = None
+    warm = None  # the last converged state and its (sigma, epsilon)
     for s in sigmas:
         cfg = replace(config, sigma_target=s)
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
@@ -644,8 +651,8 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
             if warm is None:
                 u, its, _, _ = _continue(layout, cfg, state)
             else:
-                u, its, _, _ = _march(layout, warm, [(s, epsilon)], state, layout.exact_seed)
-            warm = u
+                u, its, _, _ = _march(layout, *warm, [(s, epsilon)], state, layout.exact_seed)
+            warm = u, (s, epsilon)
             kappa_max, min_nu = layout.solution(u, s, epsilon).summary()
             row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))

@@ -30,7 +30,7 @@ cone checks of eval_f, grad_f and hessian_f keep the table rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -564,15 +564,6 @@ class ConditionRecord:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class ConditionReport:
@@ -593,14 +584,8 @@ class ConditionReport:
         raise KeyError(condition)
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.describe(),
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "cone_violations": self.cone_violations,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-        }
+        """Every field, the spec as its description, and the verdict."""
+        return {**asdict(self), "spec": self.spec.describe(), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [f"condition report: {self.spec.describe()}  seed={self.seed}"]

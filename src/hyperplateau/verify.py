@@ -8,7 +8,7 @@ check on radial solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import UnsupportedSolutionError
 from .solver import GraphSolution, RadialLayout
 
 GRADIENT_TOL = 0.01
-BLOWUP_FACTOR = 1.5  # see curvature_bound_study
 
 
 def eta_of(a: float) -> float:
@@ -51,15 +50,12 @@ class EstimateConstants:
     boundary_attained: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "eta": self.eta, "kappa1": self.kappa1,
-            "lambda": self.lam, "theta": self.theta, "mu": self.mu,
-            "M0": self.M0, "x0_index": self.x0_index,
-            "theta_window": list(self.window),
-            "window_empty": self.window_empty,
-            "kappa1_threshold": self.kappa1_threshold,
-            "boundary_attained": self.boundary_attained,
-        }
+        """Every field, with lam written as "lambda" and window as the list
+        "theta_window"."""
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        out["theta_window"] = list(out.pop("window"))
+        return out
 
 
 @dataclass
@@ -67,9 +63,6 @@ class IndexSets:
     J: list
     L: list
     Neg: list
-
-    def to_dict(self) -> dict:
-        return {"J": self.J, "L": self.L, "Neg": self.Neg}
 
 
 def gradient_estimate_check(solution: GraphSolution):
@@ -237,30 +230,3 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
         and root_residual <= 1e-10
     )
     return report
-
-
-def curvature_bound_study(rows) -> dict:
-    """Tabulate kappa_max across sweep/refinement rows and flag super-linear
-    blow-up (kappa_max growing by more than BLOWUP_FACTOR between successive
-    converged rows) -- the numerical symptom the a priori estimate forbids."""
-    table = []
-    flagged = []
-    prev = None
-    for row in rows:
-        entry = {k: row.get(k) for k in
-                 ("sigma", "grid_size", "kappa_max", "converged", "status")
-                 if k in row}
-        table.append(entry)
-        if not row.get("converged"):
-            prev = None
-            continue
-        k = row.get("kappa_max")
-        if prev is not None and np.isfinite(k) and np.isfinite(prev) \
-                and abs(k) > BLOWUP_FACTOR * max(abs(prev), 1e-300):
-            flagged.append(entry)
-        prev = k
-    return {
-        "rows": table,
-        "blowup_flagged": flagged,
-        "bounded": not flagged,
-    }

@@ -371,6 +371,25 @@ class TestRun:
         assert len(lines) == 3
 
 
+ESTIMATES = {"command": "check-estimates", "sigma": 0.5, "grid": 64, "samples": 100}
+
+
+@pytest.mark.parametrize("config, records, keys", [
+    (ESTIMATES, lambda doc: [doc["estimate_constants"]],
+     ["a", "eta", "kappa1", "lambda", "theta", "mu", "M0", "x0_index", "theta_window",
+      "window_empty", "kappa1_threshold", "boundary_attained"]),
+    (ESTIMATES, lambda doc: [doc["index_sets"]], ["J", "L", "Neg"]),
+    ({"command": "verify-f", "samples": 100}, lambda doc: doc["condition_report"]["records"],
+     ["condition", "samples", "worst_margin", "tolerance", "passed"]),
+    ({"command": "cap", "sigma": 0.5}, lambda doc: [doc["cap"]], ["R", "sigma", "r", "c", "u0"]),
+], ids=["estimate_constants", "index_sets", "condition_records", "cap"])
+def test_report_keys(config, records, keys, tmp_path):
+    # the records are written from their dataclasses: a renamed field shows here
+    assert cli.run({**config, "out": str(tmp_path)}) == 0
+    found = records(json.loads((tmp_path / "report.json").read_text()))
+    assert found and all(sorted(r) == sorted(keys) for r in found)
+
+
 class TestMesh:
     H2H1 = symfunc.CurvatureSpec.consecutive_quotient(2, 2)
 
@@ -430,9 +449,6 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--sigma", "0.5", "--k", "abc"],          # not an int
-        ["solve", "--sigma", "0.5", "--family", "bogus"],   # not a choice
-        ["solve", "--sigma", "0.5", "--shape", "annulus"],  # removed shape
         ["solve", "--sigma", "-x"],                         # a flag, not a value
     ])
     def test_usage_error_exits_4(self, argv, tmp_path, capsys):
@@ -449,6 +465,10 @@ class TestMain:
         ["check-estimates", "--sigma", "0.5", "--seed", "-3"],
         ["solve", "--radius", "inf", "--sigma", "0.5"],
         ["solve", "--shape", "ellipse", "--axes", "inf,1", "--sigma", "0.5"],
+        # a flag's value follows the config-file rules
+        ["solve", "--sigma", "0.5", "--k", "abc"],          # not an int
+        ["solve", "--sigma", "0.5", "--family", "bogus"],   # not a family
+        ["solve", "--sigma", "0.5", "--shape", "annulus"],  # removed shape
     ])
     def test_config_error_exits_4(self, argv, tmp_path, capsys):
         out = tmp_path / "o"
@@ -469,6 +489,16 @@ class TestMain:
         assert err.startswith("invalid configuration") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["verify-f", "--k", "2", "--n", "3", "--samples", "1e3"], "samples", 1000),
+        (["cap", "--sigma", "0.5", "--grid", "64.0"], "grid", 64),
+    ], ids=["samples-1e3", "grid-64.0"])
+    def test_integral_flag_values_accepted(self, argv, key, value, tmp_path):
+        # as in a config file, 1e3 and 64.0 are integers
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config[key] == value and type(config[key]) is int
+
     def test_missing_subcommand_exits_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -481,3 +511,10 @@ class TestMain:
             cli.main(["solve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: hyperplateau solve")
+
+    def test_help_names_choices(self, capsys):
+        # the flags take text, so the help names the families and shapes
+        with pytest.raises(SystemExit):
+            cli.main(["solve", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert all(name in out for name in [*cli.FAMILIES, *cli.SHAPES])

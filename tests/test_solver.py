@@ -507,6 +507,17 @@ class TestPredictor:
         start, res = solver._predict(layout, u, 0.55, 0.1, state)
         assert start is u and state.rejected == 1
         assert np.array_equal(res, layout.residual(u, 0.55, 0.1))
+        # Newton refactors at u instead of trying the rejected chord step again
+        assert state.factored is None
+
+    def test_rejected_prediction_is_tried_once(self):
+        # Newton's first chord step repeated a rejected prediction and
+        # counted it twice: 3 violations where 2 trials left the cone
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.01,
+            grid_size=64))
+        assert sol.report.admissibility_violations == 2
+        assert abs(sol.u0 - 0.986916566339815) <= 1e-12
 
 
 class _ContinuedLayout(solver.RadialLayout):
@@ -541,6 +552,19 @@ class _FailOnceLayout(solver.RadialLayout):
             self.fail_at = None
             raise NonConvergenceError("forced")
         return super().residual(u, sigma, epsilon)
+
+
+class _FailOnceGridLayout(grid.GridLayout):
+    """The grid layout whose residual raises NonConvergenceError once, at
+    sigma `fail_at`."""
+
+    fail_at = 0.5
+
+    def residual(self, U, sigma, epsilon):
+        if sigma == self.fail_at:
+            self.fail_at = None
+            raise NonConvergenceError("forced")
+        return super().residual(U, sigma, epsilon)
 
 
 BALL_FAMILIES = {
@@ -607,6 +631,20 @@ class TestExactSeed:
         plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         sol = solver.solve_on(_FailOnceLayout(H2H1, cfg.domain, 128), cfg)
         assert len(plain.report.newton_iterations) == 14
+        assert len(sol.report.newton_iterations) == 15
+        assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
+        assert abs(sol.u0 - plain.u0) <= 1e-12
+
+    def test_first_step_from_a_converged_height_is_bisected(self):
+        # the step from the first height 0.1 to 0.05 fails once; the march
+        # of the later heights starts where its state converged, so it takes
+        # the midpoint 0.075 instead of raising NonConvergenceError
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        layout = _FailOnceLayout(H2H1, cfg.domain, 128)
+        layout.fail_at = 0.05
+        sol = solver.solve_on(layout, cfg)
         assert len(sol.report.newton_iterations) == 15
         assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
         assert abs(sol.u0 - plain.u0) <= 1e-12
@@ -692,6 +730,18 @@ class TestSweep:
                                 sigma_target=0.5, grid_size=grid_size))
         warm_row = rows[1]
         assert abs(warm_row["u0"] - cold.u0) < 1e-8
+
+    def test_failed_warm_row_is_bisected(self, monkeypatch):
+        # the step from the converged row at 0.6 to 0.5 fails once; the row
+        # takes the midpoint 0.55 instead of recording NonConvergenceError
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                  sigma_target=0.6, grid_size=32)
+        plain = solver.sweep_sigma(cfg, [0.6, 0.5])
+        monkeypatch.setattr(solver, "_layout",
+                            lambda c: _FailOnceGridLayout(c.spec, c.domain, c.grid_size))
+        rows = solver.sweep_sigma(cfg, [0.6, 0.5])
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert abs(rows[1]["u0"] - plain[1]["u0"]) < 1e-8
 
     def test_ball_rows_start_from_cap(self):
         # warm starts from the previous sigma took 4-5 iterations per row

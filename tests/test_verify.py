@@ -1,6 +1,6 @@
 """Verification-machinery tests: the eta root, theta-window, index sets,
-constants on solutions, algebraic property suite, the discrete
-normal-component identity, and the blow-up detector."""
+constants on solutions, algebraic property suite, and the discrete
+normal-component identity."""
 
 import math
 
@@ -152,27 +152,3 @@ class TestLemma21ii:
                                      hypgeom.Domain.ellipse(1.5, 1.0), 16)
         with pytest.raises(UnsupportedSolutionError):
             verify.check_lemma21_ii(Fake())
-
-
-class TestCurvatureBoundStudy:
-    def test_stable_rows_pass(self):
-        rows = [{"grid_size": 128, "kappa_max": 0.2003, "converged": True},
-                {"grid_size": 256, "kappa_max": 0.2001, "converged": True}]
-        out = verify.curvature_bound_study(rows)
-        assert out["bounded"]
-
-    def test_blowup_flagged(self):
-        rows = [{"grid_size": 128, "kappa_max": 0.2, "converged": True},
-                {"grid_size": 256, "kappa_max": 0.4, "converged": True},
-                {"grid_size": 512, "kappa_max": 0.9, "converged": True}]
-        out = verify.curvature_bound_study(rows)
-        assert not out["bounded"]
-        assert len(out["blowup_flagged"]) == 2
-
-    def test_sweep_rows_from_solver(self):
-        cfg = solver.SolverConfig(
-            spec=CurvatureSpec.consecutive_quotient(1, 2),
-            domain=hypgeom.Domain.ball(1.0), sigma_target=0.9, grid_size=128)
-        rows = solver.sweep_sigma(cfg, [0.9, 0.5, 0.2])
-        out = verify.curvature_bound_study(rows)
-        assert out["bounded"]
