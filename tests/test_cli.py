@@ -449,6 +449,9 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["solve", "--sigma"],                               # no value at all
+        ["solve", "--sigma", "0.5", "--k"],                 # no value at the end
+        ["solve", "--sigma", "0.5", "--epsilon-min", "--k", "3"],  # next flag taken for a value
         ["solve", "--sigma", "-x"],                         # a flag, not a value
     ])
     def test_usage_error_exits_4(self, argv, tmp_path, capsys):
