@@ -50,52 +50,6 @@ MAX_GRID = {hypgeom.SHAPE_BALL: 2**14, hypgeom.SHAPE_ELLIPSE: 2**10}
 MAX_SAMPLES = 10**6
 
 
-# every config key but "command": (default, help)
-OPTIONS = {
-    "family": ("consecutive_quotient", "curvature family: " + ", ".join(sorted(FAMILIES))),
-    "k": (1, "order k of H_k"),
-    "l": (None, "order l of (H_k/H_l)^(1/(k-l)), general_quotient only"),
-    "n": (2, "dimension"),
-    "shape": (hypgeom.SHAPE_BALL, "domain shape: " + ", ".join(SHAPES)),
-    "radius": (1.0, "ball radius"),
-    "axes": (None, "ellipse semi-axes as A,B"),
-    "sigma": (None, "curvature target in (0, 1)"),
-    "sigmas": (None, "comma-separated descending list"),
-    "grid": (512, "grid size N"),
-    "epsilon_min": (solver.EPSILON_MIN,
-                    "smallest boundary height, in [0, 0.1); 0 solves the limit problem"),
-    "seed": (0, "sample seed"),
-    "samples": (10000, "number of samples"),
-    "levels": (2, "refinement levels"),
-    "out": (".", "output directory (default: current)"),
-    "export": (["report-json"], "comma-separated subset of report-json,table-csv,mesh-obj"),
-}
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def _convert(cfg: dict, key: str, kind, violations: list) -> bool:
-    """Convert cfg[key] in place with `kind` (_integer, _real, or a function
-    of the value); on failure record a violation and return False."""
-    try:
-        cfg[key] = kind(cfg[key])
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"{key} has an invalid value {cfg[key]!r}")
-        return False
-    return True
-
-
-def _build(violations: list, make, *args):
-    """make(*args), or None with the message of its ValueError a violation."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        violations.append(str(exc))
-        return None
-
-
 def _real(value) -> float:
     """float(value); a boolean is not a number."""
     if isinstance(value, bool):
@@ -117,46 +71,87 @@ def _floats(values) -> list:
     return [_real(v) for v in (values.split(",") if isinstance(values, str) else values)]
 
 
+# every config key but "command": (default, kind, help), where kind converts
+# a given value (see validate_config), or None to take it as it is
+OPTIONS = {
+    "family": ("consecutive_quotient", None,
+               "curvature family: " + ", ".join(sorted(FAMILIES))),
+    "k": (1, _integer, "order k of H_k"),
+    "l": (None, _integer, "order l of (H_k/H_l)^(1/(k-l)), general_quotient only"),
+    "n": (2, _integer, "dimension"),
+    "shape": (hypgeom.SHAPE_BALL, None, "domain shape: " + ", ".join(SHAPES)),
+    "radius": (1.0, _real, "ball radius"),
+    "axes": (None, _floats, "ellipse semi-axes as A,B"),
+    "sigma": (None, _real, "curvature target in (0, 1)"),
+    "sigmas": (None, _floats, "comma-separated descending list"),
+    "grid": (512, _integer, "grid size N"),
+    "epsilon_min": (solver.EPSILON_MIN, _real,
+                    "smallest boundary height, in [0, 0.1); 0 solves the limit problem"),
+    "seed": (0, _integer, "sample seed"),
+    "samples": (10000, _integer, "number of samples"),
+    "levels": (2, _integer, "refinement levels"),
+    "out": (".", None, "output directory (default: current)"),
+    "export": (["report-json"], None,
+               "comma-separated subset of report-json,table-csv,mesh-obj"),
+}
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+def _build(violations: list, make, *args):
+    """make(*args), or None with the message of its ValueError a violation."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        violations.append(str(exc))
+        return None
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize a raw config mapping (the defaults of OPTIONS, converted
-    values) and report every violation at once, before any work.  Beside
-    the CLI's own rules (keys, command, l, sigmas, ranges, out, exports),
-    it builds the CurvatureSpec, the Domain and, for a command that takes
+    values) and report every violation at once, before any work.  Every
+    value is converted by its OPTIONS kind, whether or not the command reads
+    it; a None is left as it is where the default is None.  Beside the
+    CLI's own rules (keys, command, l, sigmas, ranges, out, exports), it
+    builds the CurvatureSpec, the Domain and, for a command that takes
     sigma, the SolverConfig: each ValueError they raise is a violation."""
     violations = [f"unknown config key {key!r}" for key in sorted(set(raw) - {"command", *OPTIONS})]
-    cfg = {key: raw.get(key, default) for key, (default, _) in OPTIONS.items()}
+    cfg = {key: raw.get(key, default) for key, (default, _, _) in OPTIONS.items()}
     cfg["command"] = command = raw.get("command")
     if not (isinstance(command, str) and command in COMMANDS):
         violations.append(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
+    failed = set()  # the keys whose value did not convert
+    for key, (default, kind, _) in OPTIONS.items():
+        if kind is not None and (cfg[key] is not None or default is not None):
+            try:
+                cfg[key] = kind(cfg[key])
+            except (TypeError, ValueError, OverflowError):
+                violations.append(f"{key} has an invalid value {cfg[key]!r}")
+                failed.add(key)
 
     family_ok = isinstance(cfg["family"], str) and cfg["family"] in FAMILIES
     if not family_ok:
         violations.append(f"family must be one of {sorted(FAMILIES)}, got {cfg['family']!r}")
-    k_ok = _convert(cfg, "k", _integer, violations)
-    n_ok = _convert(cfg, "n", _integer, violations)
-    if n_ok and cfg["n"] > symfunc.MAX_DIMENSION:
+    if "n" not in failed and cfg["n"] > symfunc.MAX_DIMENSION:
         violations.append(f"n must be at most {symfunc.MAX_DIMENSION}, got {cfg['n']}")
-    spec_ok = family_ok and k_ok and n_ok
+    spec_ok = family_ok and not failed & {"k", "n", "l"}
     if cfg["family"] != "general_quotient":
         if cfg["l"] is not None:
             violations.append("l is only meaningful for general_quotient")
     elif cfg["l"] is None:
         violations.append("general_quotient requires l")
         spec_ok = False
-    else:
-        spec_ok = _convert(cfg, "l", _integer, violations) and spec_ok
     spec = _build(violations, _curvature_spec, cfg) if spec_ok else None
 
     domain = None
+    ellipse = cfg["shape"] == hypgeom.SHAPE_ELLIPSE
     if cfg["shape"] not in SHAPES:
         violations.append(f"unknown shape {cfg['shape']!r}")
-    elif cfg["shape"] == hypgeom.SHAPE_ELLIPSE:
-        axes_ok = cfg["axes"] is not None and _convert(cfg, "axes", _floats, violations)
-        if axes_ok and len(cfg["axes"]) == 2:
-            domain = _build(violations, _domain, cfg)
-        elif axes_ok or cfg["axes"] is None:
-            violations.append("ellipse requires axes = [a_axis, b_axis]")
-    elif _convert(cfg, "radius", _real, violations):
+    elif ellipse and (cfg["axes"] is None or ("axes" not in failed and len(cfg["axes"]) != 2)):
+        violations.append("ellipse requires axes = [a_axis, b_axis]")
+    elif not failed & {"axes" if ellipse else "radius"}:
         domain = _build(violations, _domain, cfg)
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
         violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
@@ -165,16 +160,16 @@ def validate_config(raw: dict) -> dict:
     if command == "sweep":
         if not cfg["sigmas"]:
             violations.append("sweep requires sigmas")
-        elif _convert(cfg, "sigmas", _floats, violations):
+        elif "sigmas" not in failed:
             for sigma in cfg["sigmas"]:
                 _build(violations, hypgeom.check_sigma, sigma)
             if sorted(cfg["sigmas"], reverse=True) != cfg["sigmas"]:
                 violations.append("sweep sigmas must be sorted descending")
 
-    refine = _convert(cfg, "levels", _integer, violations) and command == "refine"
+    refine = command == "refine" and "levels" not in failed
     if refine and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
-    grid_ok = _convert(cfg, "grid", _integer, violations)
+    grid_ok = "grid" not in failed
     if grid_ok:
         # refine doubles the grid levels - 1 times; 63 doublings exceed every bound
         finest = cfg["grid"] * 2 ** (min(max(cfg["levels"], 1), 64) - 1 if refine else 0)
@@ -186,18 +181,18 @@ def validate_config(raw: dict) -> dict:
                               f"{MAX_GRID[cfg['shape']]} for shape {cfg['shape']!r}, got {finest}")
     # for every command, sweep and cap included, which build no SolverConfig here
     before = len(violations)
-    if _convert(cfg, "epsilon_min", _real, violations):
+    if "epsilon_min" not in failed:
         _build(violations, solver.check_epsilon_min, cfg["epsilon_min"])
-    epsilon_ok = len(violations) == before
-    if _convert(cfg, "seed", _integer, violations) and cfg["seed"] < 0:
+    epsilon_ok = len(violations) == before and "epsilon_min" not in failed
+    if "seed" not in failed and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
-    if _convert(cfg, "samples", _integer, violations) and not 1 <= cfg["samples"] <= MAX_SAMPLES:
+    if "samples" not in failed and not 1 <= cfg["samples"] <= MAX_SAMPLES:
         violations.append(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg['samples']}")
 
     if command in ("solve", "cap", "check-estimates", "refine"):
         if cfg["sigma"] is None:
             violations.append(f"command {command!r} requires sigma")
-        elif _convert(cfg, "sigma", _real, violations):
+        elif "sigma" not in failed:
             if spec is not None and domain is not None and grid_ok and epsilon_ok:
                 _build(violations, _solver_config, cfg)
             else:  # without a solver config, its sigma rule still holds
@@ -495,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file with flat keys; flags override")
-        for key, (_, text) in OPTIONS.items():
+        for key, (_, _, text) in OPTIONS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     return parser
 

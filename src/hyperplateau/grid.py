@@ -118,11 +118,11 @@ class GridLayout:
     def shape(self):
         return self.inside.shape
 
-    def residual(self, U, sigma, epsilon):
-        return residual_grid(U, self.spec, sigma, epsilon, self)
+    def evaluate(self, U, sigma, epsilon):
+        return solver.Iterate(U, *residual_grid(U, self.spec, sigma, epsilon, self))
 
-    def jacobian(self, U):
-        return _jacobian_grid(U, self.spec, self)
+    def jacobian(self, lin):
+        return _jacobian_grid(lin, self.spec, self)
 
     def factor(self, J):
         J_ii, J_ib = J
@@ -216,17 +216,17 @@ def _table_2d(u, ux, uy, uxx, uyy, uxy):
     return e, (w, w2, px, py, r, t, det)
 
 
-def _jet_partials(spec: symfunc.CurvatureSpec, jet):
-    """Partials of f in the jet (u, ux, uy, uxx, uyy, uxy): by the chain
-    rule f_1 de_1 + f_2 de_2, with f_q = df/de_q from symfunc.df_of_table
-    and the closed-form partials of e_1 = tr A and e_2 = det A (see
-    _table_2d).  No eigenvalue or eigenprojector of A enters, so an
-    umbilic node (kappa_1 = kappa_2) needs no special case.  tr M = Lap u -
-    q/w^2 is linear in D2u and has d(tr M)/du_x = -2 (p_x - u_x q/w^2)/w^2;
-    a = f_1/w + f_2/w^2 collects the terms in u tr M, b = f_2 u^2/w^4 those
-    in det D2u."""
+def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms):
+    """Partials of f in the jet (u, ux, uy, uxx, uyy, uxy), given with the
+    table e and terms that _table_2d built from it: by the chain rule f_1
+    de_1 + f_2 de_2, with f_q = df/de_q from symfunc.df_of_table and the
+    closed-form partials of e_1 = tr A and e_2 = det A.  No eigenvalue or
+    eigenprojector of A enters, so an umbilic node (kappa_1 = kappa_2)
+    needs no special case.  tr M = Lap u - q/w^2 is linear in D2u and has
+    d(tr M)/du_x = -2 (p_x - u_x q/w^2)/w^2; a = f_1/w + f_2/w^2 collects
+    the terms in u tr M, b = f_2 u^2/w^4 those in det D2u."""
     u, ux, uy, uxx, uyy, uxy = jet
-    e, (w, w2, px, py, r, t, det) = _table_2d(*jet)
+    w, w2, px, py, r, t, det = terms
     _, f1, f2 = symfunc.df_of_table(spec, e)
     a, bu = f1 / w + f2 / w2, f2 * u / w2**2
     au, b = a * u, bu * u
@@ -246,9 +246,10 @@ def _interior_curvatures(U: np.ndarray, layout: GridLayout):
 
 
 def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
-                  epsilon: float, layout: GridLayout) -> np.ndarray:
-    """Flat residual over all quadrant nodes: f - sigma at interior unknowns,
-    f from the table of _table_2d, and u - epsilon on Dirichlet nodes.
+                  epsilon: float, layout: GridLayout):
+    """Flat residual over all quadrant nodes (f - sigma at interior unknowns,
+    f from the table of _table_2d, and u - epsilon on Dirichlet nodes) and
+    lin = (jet, table, terms), which _jacobian_grid reads.
     AdmissibilityLostError lists by their number among the quadrant's
     interior nodes the unknowns of non-positive height, else those outside
     the cone by the signs of the table (symfunc.check_table)."""
@@ -256,26 +257,26 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
     bad = np.flatnonzero(jet[0] <= 0.0)
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
-    e, _ = _table_2d(*jet)
+    e, terms = _table_2d(*jet)
     try:
         symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     res = U - epsilon
     res[layout.inside] = symfunc.f_of_table(spec, e) - sigma
-    return res.ravel()
+    return res.ravel(), (jet, e, terms)
 
 
-def _jacobian_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, layout: GridLayout):
-    """Interior rows of the sparse nine-point Jacobian: the chain-rule
-    partials of the pointwise map (u, ux, uy, uxx, uyy, uxy) -> f(kappa)
-    (see _jet_partials), assembled with exact stencil weights into the
-    folded neighbour columns.  Returns (J_ii, J_ib): the interior block in
-    CSC over the quadrant's interior unknowns, and the coupling to
-    Dirichlet nodes in CSR over all quadrant nodes, zero in interior
-    columns."""
+def _jacobian_grid(lin, spec: symfunc.CurvatureSpec, layout: GridLayout):
+    """Interior rows of the sparse nine-point Jacobian from what the
+    residual built (`lin`): the chain-rule partials of the pointwise map
+    (u, ux, uy, uxx, uyy, uxy) -> f(kappa) (see _jet_partials), assembled
+    with exact stencil weights into the folded neighbour columns.  Returns
+    (J_ii, J_ib): the interior block in CSC over the quadrant's interior
+    unknowns, and the coupling to Dirichlet nodes in CSR over all quadrant
+    nodes, zero in interior columns."""
     hx, hy = layout.hx, layout.hy
-    c_u, c_x, c_y, c_xx, c_yy, c_xy = _jet_partials(spec, _jets(U, layout))
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = _jet_partials(spec, *lin)
 
     cross = c_xy / (4.0 * hx * hy)
     vals = np.concatenate([  # one block per STENCIL offset

@@ -9,7 +9,7 @@ uniform grid with a symmetry node at the axis; the tensor-grid path for
 ellipse domains lives in `grid`.  On the radial path every node's curvature
 vector is (kappa_rad, kappa_tan, ..., kappa_tan), so the residual and the
 Jacobian take f, its cone test and its partials from the closed-form table
-of that pair (symfunc.pair_table), built straight from the jet; the
+of that pair (symfunc.pair_table), built once per state from the jet; the
 (points, n) curvature matrix is built only for summaries and solutions.
 
 Continuation marches through a list of (sigma, epsilon) points; the
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -233,20 +234,23 @@ def _radial_derivatives(u: np.ndarray, h: float):
 
 
 def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
-             rho: np.ndarray) -> np.ndarray:
-    """Radial residual: f(kappa) - sigma at interior nodes (axis included),
-    u - epsilon at the boundary node.  The curvature vector of every node is
-    (kappa_rad, kappa_tan, ..., kappa_tan), so f comes from the closed-form
-    table of that pair (symfunc.pair_table), built straight from the jet,
-    and the cone test from the signs of the same table
-    (symfunc.check_table).  Raises AdmissibilityLostError with the offending
-    node list when any interior node has a non-positive height or leaves
-    the cone."""
+             rho: np.ndarray):
+    """Radial residual and what it built, (res, lin): res is f(kappa) -
+    sigma at interior nodes (axis included) and u - epsilon at the boundary
+    node, lin = ((u, u', u'', rho), kappa_rad, kappa_tan, w, table) at the
+    interior nodes, which _jacobian_fd reads.  The curvature vector of every
+    node is (kappa_rad, kappa_tan, ..., kappa_tan), so f comes from the
+    closed-form table of that pair (symfunc.pair_table), built straight
+    from the jet, and the cone test from the signs of the same table
+    (symfunc.check_table).  Raises AdmissibilityLostError with the
+    offending node list when any interior node has a non-positive height or
+    leaves the cone."""
     bad_height = np.flatnonzero(u[:-1] <= 0.0)
     if bad_height.size:
         raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
     up, upp = _radial_derivatives(u, rho[1] - rho[0])
-    r, t, _ = hypgeom.radial_curvature_pair(u[:-1], up[:-1], upp[:-1], rho[:-1])
+    jet = u[:-1], up[:-1], upp[:-1], rho[:-1]
+    r, t, w = hypgeom.radial_curvature_pair(*jet)
     e = symfunc.pair_table(r, t, spec.n - 1, max(spec.k, spec.cone_index))
     try:
         symfunc.check_table(spec, e)
@@ -255,7 +259,7 @@ def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
     res = np.empty_like(u)
     res[:-1] = symfunc.f_of_table(spec, e) - sigma
     res[-1] = u[-1] - epsilon
-    return res
+    return res, (jet, r, t, w, e)
 
 
 def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
@@ -275,15 +279,15 @@ def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
     return ab
 
 
-def _jacobian_fd(u, spec, rho):
-    """Jacobian with the per-node partials of f(kappa[jet]) in the local jet
-    (u_i, u'_i, u''_i) taken by the chain rule, f_rad dkappa_rad/djet +
-    f_tan dkappa_tan/djet, then assembled through the exact stencil
-    weights.  f_rad is the partial of f in kappa_rad and f_tan the sum of
-    its partials in the n - 1 tangential components, both from the partials
-    of f in the closed-form table of (kappa_rad, kappa_tan, ..., kappa_tan)
-    (symfunc.df_of_table on symfunc.pair_table) and the partials of that
-    table in its two values; the curvatures
+def _jacobian_fd(lin, spec, h):
+    """Jacobian from what the residual of its state built (`lin`), with the
+    per-node partials of f(kappa[jet]) in the local jet (u_i, u'_i, u''_i)
+    taken by the chain rule, f_rad dkappa_rad/djet + f_tan dkappa_tan/djet,
+    then assembled through the exact stencil weights of step h.  f_rad is
+    the partial of f in kappa_rad and f_tan the sum of its partials in the
+    n - 1 tangential components, both from the partials of f in the
+    residual's table of (kappa_rad, kappa_tan, ..., kappa_tan) (rows 0..k)
+    and the partials of that table in its two values; the curvatures
 
         kappa_rad = u u''/w^3 + 1/w,   kappa_tan = u u'/(rho w) + 1/w,
 
@@ -291,13 +295,10 @@ def _jacobian_fd(u, spec, rho):
     axis kappa_tan is kappa_rad (u'/rho -> u''), so every column takes the
     radial partials there.  The name is kept, although no differences are
     taken, because the benchmark in perfbench/ traces it; the rename waits
-    for a change to the benchmark (ROADMAP item 6)."""
-    h = rho[1] - rho[0]
-    up, upp = _radial_derivatives(u, h)
-    ui, upi, uppi, rhoi = u[:-1], up[:-1], upp[:-1], rho[:-1]
-    r, t, w = hypgeom.radial_curvature_pair(ui, upi, uppi, rhoi)
+    for a change to the benchmark (ROADMAP item 9)."""
+    (ui, upi, uppi, rhoi), r, t, w, e = lin
     m, k = spec.n - 1, spec.k
-    df = symfunc.df_of_table(spec, symfunc.pair_table(r, t, m, k))[1:]
+    df = symfunc.df_of_table(spec, e)[1:k + 1]
     f_rad = np.sum(df * symfunc.pair_table(t, t, m - 1, k - 1), axis=0)
     f_tan = m * np.sum(df * symfunc.pair_table(r, t, m - 1, k - 1), axis=0)
     w3 = w**3
@@ -310,7 +311,7 @@ def _jacobian_fd(u, spec, rho):
         tan_p = np.where(axis, rad_p, (ui / rhoi - upi) / w3)
     tan_q = np.where(axis, rad_q, 0.0)
     return _assemble_banded(f_rad * rad_u + f_tan * tan_u, f_rad * rad_p + f_tan * tan_p,
-                            f_rad * rad_q + f_tan * tan_q, len(u), h)
+                            f_rad * rad_q + f_tan * tan_q, ui.size + 1, h)
 
 
 class RadialLayout:
@@ -337,11 +338,11 @@ class RadialLayout:
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
 
-    def residual(self, u, sigma, epsilon):
-        return residual(u, self.spec, sigma, epsilon, self.rho)
+    def evaluate(self, u, sigma, epsilon):
+        return Iterate(u, *residual(u, self.spec, sigma, epsilon, self.rho))
 
-    def jacobian(self, u):
-        return _jacobian_fd(u, self.spec, self.rho)
+    def jacobian(self, lin):
+        return _jacobian_fd(lin, self.spec, self.rho[1] - self.rho[0])
 
     def factor(self, ab):
         return ab  # solve_banded factors and solves in one call
@@ -374,20 +375,29 @@ class RadialLayout:
 
 # ---------------------------------------------------------------------------
 # Newton and continuation, written once against a layout: RadialLayout above
-# or grid.GridLayout.  A layout maps a state u to its residual and Jacobian,
-# factors the Jacobian and solves with the factors (raising
-# SingularJacobianError), seeds u from the cap, and turns a converged u into
-# a GraphSolution, whose node questions it answers: `interior` picks the
-# interior nodes out of the reported ones, and `touches_boundary` flags, in
-# that order, those next to a Dirichlet node.  Its class sets what the
-# driver does with it: `newton_tol`, the residual sup-norm at which Newton
-# stops unless a negligible Newton correction stops it first (see
-# newton_step); `keeps_factorization`, to keep the factorization for chord
-# steps across Newton iterations and continuation steps, and for the
-# predictor of each continuation step (see _predict); and `exact_seed`, to
-# start Newton from `initial` at the (sigma, epsilon) being solved for (see
-# _solve_at).
+# or grid.GridLayout.  A layout evaluates a state u into an Iterate, builds
+# the Jacobian from what that evaluation built, factors it and solves with
+# the factors (raising SingularJacobianError), seeds u from the cap, and
+# turns a converged u into a GraphSolution, whose node questions it answers:
+# `interior` picks the interior nodes out of the reported ones, and
+# `touches_boundary` flags, in that order, those next to a Dirichlet node.
+# Its class sets what the driver does with it: `newton_tol`, the residual
+# sup-norm at which Newton stops unless a negligible Newton correction stops
+# it first (see newton_step); `keeps_factorization`, to keep the
+# factorization for chord steps across Newton iterations and continuation
+# steps, and for the predictor of each continuation step (see _predict); and
+# `exact_seed`, to start Newton from `initial` at the (sigma, epsilon) being
+# solved for (see _solve_at).
 # The iteration and backtracking limits are the module constants above.
+
+
+class Iterate(NamedTuple):
+    """A Newton state u, its residual `res`, and `lin`, what evaluating the
+    residual built that the layout's Jacobian at u reads."""
+
+    u: np.ndarray
+    res: np.ndarray
+    lin: object
 
 
 class NewtonState:
@@ -401,81 +411,76 @@ class NewtonState:
         self.rejected = 0
 
 
-def newton_step(layout, u, res, sigma, epsilon, state=None):
-    """One Newton step from u, whose residual is res.  With a kept
-    factorization it first tries the full chord step, accepted when the
-    residual sup-norm at least halves or meets the layout's tolerance.
-    Otherwise it refactors at u for the Newton correction delta and
-    backtracks along it, keeping every trial iterate admissible and
-    requiring the residual sup-norm to decrease, unless delta is negligible
-    (see NEGLIGIBLE_CORRECTION): then the first admissible trial, the full
-    step when it is admissible, is taken as it is.  Returns (new u, step,
-    new residual sup-norm, new residual), with step the sup-norm of delta
-    over 1 + max|u|, or inf after a chord step."""
+def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
+    """One Newton step from the iterate `it`.  With a kept factorization it
+    first tries the full chord step, accepted when the residual sup-norm at
+    least halves or meets the layout's tolerance.  Otherwise it refactors
+    at it.u, with the Jacobian read from it.lin, for the Newton correction
+    delta and backtracks along it, keeping every trial iterate admissible
+    and requiring the residual sup-norm to decrease, unless delta is
+    negligible (see NEGLIGIBLE_CORRECTION): then the first admissible
+    trial, the full step when it is admissible, is taken as it is.  Returns
+    (new iterate, step, new residual sup-norm), with step the sup-norm of
+    delta over 1 + max|u|, or inf after a chord step."""
     state = state if state is not None else NewtonState()
-    norm = float(np.max(np.abs(res)))
+    norm = float(np.max(np.abs(it.res)))
     if state.factored is not None:
-        trial = u + layout.solve(state.factored, -res)
         try:
-            r = layout.residual(trial, sigma, epsilon)
+            trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), sigma, epsilon)
         except AdmissibilityLostError:
             state.rejected += 1
         else:
-            trial_norm = float(np.max(np.abs(r)))
+            trial_norm = float(np.max(np.abs(trial.res)))
             if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
-                return trial, math.inf, trial_norm, r
+                return trial, math.inf, trial_norm
     # drop the kept factors before building new ones: never hold two
     state.factored = None
-    factored = layout.factor(layout.jacobian(u))
+    factored = layout.factor(layout.jacobian(it.lin))
     state.factorizations += 1
-    delta = layout.solve(factored, -res)
+    delta = layout.solve(factored, -it.res)
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("linear solve produced non-finite update")
     if layout.keeps_factorization:
         state.factored = factored
-    step = float(np.max(np.abs(delta))) / (1.0 + float(np.max(np.abs(u))))
+    step = float(np.max(np.abs(delta))) / (1.0 + float(np.max(np.abs(it.u))))
 
     t = 1.0
     for _ in range(MAX_DAMPING_STEPS + 1):
-        trial = u + t * delta
         try:
-            r = layout.residual(trial, sigma, epsilon)
+            trial = layout.evaluate(it.u + t * delta, sigma, epsilon)
         except AdmissibilityLostError:
             state.rejected += 1
             t *= DAMPING_FACTOR
             continue
-        trial_norm = float(np.max(np.abs(r)))
+        trial_norm = float(np.max(np.abs(trial.res)))
         if trial_norm < norm or step <= NEGLIGIBLE_CORRECTION:
-            return trial, step, trial_norm, r
+            return trial, step, trial_norm
         t *= DAMPING_FACTOR
     raise NonConvergenceError(
         f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"
     )
 
 
-def _newton_solve(layout, u, sigma, epsilon, state: NewtonState, res=None):
-    """Newton iterations from u, whose residual res is computed when not
-    given, until the residual sup-norm meets the layout's tolerance or a
-    step takes a negligible Newton correction (see newton_step); returns
-    the converged u, the number of iterations and the number of
-    factorizations they took."""
+def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
+    """Newton iterations from the iterate `it` until the residual sup-norm
+    meets the layout's tolerance or a step takes a negligible Newton
+    correction (see newton_step); returns the converged u, the number of
+    iterations and the number of factorizations they took."""
     first = state.factorizations
-    if res is None:
-        res = layout.residual(u, sigma, epsilon)
-    norm = float(np.max(np.abs(res)))
-    it = 0
+    norm = float(np.max(np.abs(it.res)))
+    count = 0
     while norm > layout.newton_tol:
-        if it == MAX_NEWTON_ITERS:
+        if count == MAX_NEWTON_ITERS:
             raise NonConvergenceError(
                 f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})")
-        u, step, norm, res = newton_step(layout, u, res, sigma, epsilon, state)
-        it += 1
+        it, step, norm = newton_step(layout, it, sigma, epsilon, state)
+        count += 1
         if step <= NEGLIGIBLE_CORRECTION:
             break
-    return u, it, state.factorizations - first
+    return it.u, count, state.factorizations - first
 
 
-def _predict(layout, v, sigma, epsilon, state: NewtonState):
+def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
     """Euler predictor of a continuation step to (sigma, epsilon) from v,
     converged at the last parameter values (Allgower & Georg, Numerical
     Continuation Methods, ch. 6).  The residual F is affine in both
@@ -483,20 +488,19 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState):
     equations and dF/depsilon minus that of the Dirichlet ones, and F(v) is
     below tolerance at the last values.  So the tangent step
     -J^{-1} (dF/dp) dp, with the kept factorization standing in for J, is
-    the chord step at the new values.  Returns the corrector's start and
-    its residual: the prediction, or v itself when no factorization is kept
-    or when the prediction leaves the cone, a rejected trial that drops the
+    the chord step at the new values.  Returns the corrector's start as an
+    iterate: the prediction, or v itself when no factorization is kept or
+    when the prediction leaves the cone, a rejected trial that drops the
     kept factorization, so that Newton refactors at v."""
-    res = layout.residual(v, sigma, epsilon)
+    it = layout.evaluate(v, sigma, epsilon)
     if state.factored is None:
-        return v, res
-    pred = v + layout.solve(state.factored, -res)
+        return it
     try:
-        return pred, layout.residual(pred, sigma, epsilon)
+        return layout.evaluate(v + layout.solve(state.factored, -it.res), sigma, epsilon)
     except AdmissibilityLostError:
         state.rejected += 1
         state.factored = None
-        return v, res
+        return it
 
 
 # the typed ways a Newton solve fails
@@ -510,12 +514,12 @@ def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
     state v exists, from the Euler prediction from v (see _predict)."""
     if seeded:
         try:
-            return _newton_solve(layout, layout.initial(sigma, epsilon), sigma, epsilon, state)
+            seed = layout.evaluate(layout.initial(sigma, epsilon), sigma, epsilon)
+            return _newton_solve(layout, seed, sigma, epsilon, state)
         except _SOLVE_FAILURES:
             if v is None:
                 raise
-    u, res = _predict(layout, v, sigma, epsilon, state)
-    return _newton_solve(layout, u, sigma, epsilon, state, res)
+    return _newton_solve(layout, _predict(layout, v, sigma, epsilon, state), sigma, epsilon, state)
 
 
 def _march(layout, u, start, points, state: NewtonState, seeded: bool):
@@ -584,7 +588,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     state = NewtonState()
     u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     epsilon = cfg.epsilon_schedule[-1]
-    final = layout.residual(u, cfg.sigma_target, epsilon)
+    final = layout.evaluate(u, cfg.sigma_target, epsilon).res
     sol = layout.solution(u, cfg.sigma_target, epsilon)
     kappa_max, min_nu = sol.summary()
     sol.report = SolveReport(

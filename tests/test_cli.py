@@ -241,6 +241,23 @@ class TestValidateConfig:
         assert [cfg[key] for key in ("k", "n", "grid", "seed", "samples")] == [2, 2, 64, 3, 10000]
         assert all(type(cfg[key]) is int for key in ("k", "n", "grid", "seed", "samples"))
 
+    def test_unread_values_converted(self, tmp_path):
+        # a value was converted only where a rule read it: verify-f echoed
+        # "sigma": "0.5", and a ball echoed "axes": [1, 2] as ints
+        assert cli.main(["verify-f", "--sigma", "0.5", "--samples", "200",
+                         "--out", str(tmp_path)]) == 0
+        sigma = json.loads((tmp_path / "report.json").read_text())["config"]["sigma"]
+        assert sigma == 0.5 and type(sigma) is float
+        cfg = cli.validate_config({"command": "solve", "sigma": 0.5, "axes": [1, 2]})
+        assert cfg["axes"] == [1.0, 2.0] and all(type(a) is float for a in cfg["axes"])
+
+    def test_unread_invalid_value_exits_4(self, tmp_path, capsys):
+        # verify-f exited 0 and echoed "abc"
+        out = tmp_path / "o"
+        assert cli.main(["verify-f", "--sigma", "abc", "--out", str(out)]) == 4
+        assert "sigma has an invalid value 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_export(self):
         with pytest.raises(ConfigError):
             cli.validate_config({"command": "solve", "sigma": 0.5,

@@ -74,7 +74,7 @@ def _assemble_banded_fancy(dres_du, dres_dup, dres_dupp, m, h):
     return ab
 
 
-def _grid_partials_centred(spec, jet):
+def _grid_partials_centred(spec, jet, *_):
     """Oracle for grid._jet_partials: centred differences of f(kappa[jet])
     in (u, ux, uy, uxx, uyy, uxy)."""
 
@@ -130,7 +130,7 @@ def _jacobian_grid_full(U, spec, layout):
     hx, hy = layout.hx, layout.hy
     Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
     jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
-    c_u, c_x, c_y, c_xx, c_yy, c_xy = grid._jet_partials(spec, jet)
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = grid._jet_partials(spec, jet, *grid._table_2d(*jet))
 
     nx, ny = ins.shape
     flat = np.arange(nx * ny).reshape(nx, ny)
@@ -171,11 +171,11 @@ class _LineLayout:
     keeps_factorization = True
     newton_tol = 1e-10
 
-    def residual(self, u, sigma, epsilon):
+    def evaluate(self, u, sigma, epsilon):
         bad = np.flatnonzero(u >= 0.8)
         if bad.size:
             raise AdmissibilityLostError(bad)
-        return u - 1.0
+        return solver.Iterate(u, u - 1.0, u)
 
     def jacobian(self, u):
         return np.eye(u.size)
@@ -196,8 +196,9 @@ class _FloorLayout:
     newton_tol = 1e-10
     K, floor = 1e4, 3e-10
 
-    def residual(self, u, sigma, epsilon):
-        return np.where(np.abs(u - 1.0) > 1e-12, self.K * (u - 1.0), self.floor)
+    def evaluate(self, u, sigma, epsilon):
+        return solver.Iterate(
+            u, np.where(np.abs(u - 1.0) > 1e-12, self.K * (u - 1.0), self.floor), u)
 
     def jacobian(self, u):
         return self.K * np.eye(u.size)
@@ -207,6 +208,11 @@ class _FloorLayout:
 
     def solve(self, J, rhs):
         return np.linalg.solve(J, rhs)
+
+
+def _radial_jacobian(u, spec, rho):
+    """solver._jacobian_fd at u, from what the radial residual at u built."""
+    return solver._jacobian_fd(solver.residual(u, spec, 0.5, u[-1], rho)[1], spec, rho[1] - rho[0])
 
 
 def _families_up_to_4():
@@ -236,14 +242,14 @@ class TestResidual:
     def test_constant_graph(self):
         u, rho = cap_profile(64, 0.5)
         u[:] = 0.7
-        res = solver.residual(u, H1, 0.3, 0.7, rho)
+        res, _ = solver.residual(u, H1, 0.3, 0.7, rho)
         assert np.allclose(res[:-1], 1.0 - 0.3, atol=1e-12)
 
     def test_cap_discretization_order(self):
         norms = []
         for N in (128, 256, 512):
             u, rho = cap_profile(N, 0.6)
-            res = solver.residual(u, H2H1, 0.6, 0.1, rho)
+            res, _ = solver.residual(u, H2H1, 0.6, 0.1, rho)
             norms.append(np.max(np.abs(res)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.3)
         assert norms[1] / norms[2] == pytest.approx(4.0, rel=0.3)
@@ -272,13 +278,13 @@ class TestResidual:
         # and these three lie off both symmetry axes
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         U = layout.initial(0.6, 0.1)
-        layout.residual(U, 0.6, 0.1)
+        layout.evaluate(U, 0.6, 0.1)
         pushed = [14, 55, 100]
         rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
         assert np.all(rows[pushed] > 0) and np.all(cols[pushed] > 0)
         U[rows[pushed], cols[pushed]] += 0.01
         with pytest.raises(AdmissibilityLostError) as exc:
-            layout.residual(U, 0.6, 0.1)
+            layout.evaluate(U, 0.6, 0.1)
         assert exc.value.nodes == pushed
         assert all(type(i) is int for i in exc.value.nodes)
         assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
@@ -299,7 +305,7 @@ class TestPairTableResidual:
                 spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
             states.append((sol.u, sigma, sol.epsilon))
         for u, sigma, eps in states:
-            got = solver.residual(u, spec, sigma, eps, layout.rho)
+            got, _ = solver.residual(u, spec, sigma, eps, layout.rho)
             want = _residual_by_curvatures(u, spec, sigma, eps, layout.rho)
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -328,29 +334,29 @@ class TestNewton:
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
-        res = layout.residual(u, 0.6, 0.1)
-        base = np.max(np.abs(solver.residual(u, H2H1, 0.6, 0.1, rho)))
-        u2, _, norm, _ = solver.newton_step(layout, u, res, 0.6, 0.1)
+        it = layout.evaluate(u, 0.6, 0.1)
+        base = np.max(np.abs(solver.residual(u, H2H1, 0.6, 0.1, rho)[0]))
+        _, _, norm = solver.newton_step(layout, it, 0.6, 0.1)
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.domain, 128)
-        res = layout.residual(sol.u, 0.5, sol.epsilon)
-        u, step, norm, _ = solver.newton_step(layout, sol.u, res, 0.5, sol.epsilon)
+        it = layout.evaluate(sol.u, 0.5, sol.epsilon)
+        _, step, norm = solver.newton_step(layout, it, 0.5, sol.epsilon)
         assert step <= 1e-8
 
     def test_jacobian_cross_check_17_nodes(self):
         u, rho = cap_profile(16, 0.6)
-        ab = solver._jacobian_fd(u, H2H1, rho)
+        ab = _radial_jacobian(u, H2H1, rho)
         ab_cd = _jacobian_centred(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-4
 
     def test_jacobian_cross_check_fine_grid(self):
         u, rho = cap_profile(512, 0.8)
-        ab = solver._jacobian_fd(u, H2H1, rho)
+        ab = _radial_jacobian(u, H2H1, rho)
         ab_cd = _jacobian_centred(u, H2H1, rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
@@ -363,7 +369,7 @@ class TestNewton:
         # off the cap, so that the radial and tangential curvatures differ
         u, rho = cap_profile(128, 0.5)
         u[:-1] += 0.02 * (1.0 - rho[:-1] ** 2)
-        ab = solver._jacobian_fd(u, spec, rho)
+        ab = _radial_jacobian(u, spec, rho)
         ab_cd = _jacobian_centred(u, spec, rho, spec.n)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
@@ -385,11 +391,12 @@ class TestNewton:
         # -3e-14, is negligible and is taken without a residual decrease.
         # Backtracking ran all 20 halvings there and raised
         layout, calls = _FloorLayout(), []
-        floor_residual = layout.residual
-        monkeypatch.setattr(layout, "residual",
+        floor_residual = layout.evaluate
+        monkeypatch.setattr(layout, "evaluate",
                             lambda *args: calls.append(0) or floor_residual(*args))
         state = solver.NewtonState()
-        u, iters, factors = solver._newton_solve(layout, np.zeros(1), 0.0, 0.0, state)
+        u, iters, factors = solver._newton_solve(
+            layout, layout.evaluate(np.zeros(1), 0.0, 0.0), 0.0, 0.0, state)
         assert u[0] == 1.0 - 3e-14
         assert iters == factors == 2
         assert len(calls) == 3
@@ -398,13 +405,12 @@ class TestNewton:
 class TestNewtonState:
     def test_rejected_trials_counted(self):
         layout, state = _LineLayout(), solver.NewtonState()
-        u = np.zeros(1)
-        u, _, norm, res = solver.newton_step(layout, u, layout.residual(u, 0, 0), 0, 0, state)
+        it, _, norm = solver.newton_step(layout, layout.evaluate(np.zeros(1), 0, 0), 0, 0, state)
         # full step rejected, half step accepted
-        assert u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        u, _, _, _ = solver.newton_step(layout, u, res, 0, 0, state)
+        assert it.u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
+        it, _, _ = solver.newton_step(layout, it, 0, 0, state)
         # chord trial rejected, then the refactored full step, then half of it
-        assert u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
+        assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
     def test_radial_factors_every_iteration(self):
         # one exactly seeded Newton solve per boundary height 0.1, 0.05, ...,
@@ -442,8 +448,8 @@ class TestNewtonState:
 class _NaNJacobianLayout(solver.RadialLayout):
     """The radial layout with a NaN on the diagonal of every Jacobian."""
 
-    def jacobian(self, u):
-        ab = super().jacobian(u)
+    def jacobian(self, lin):
+        ab = super().jacobian(lin)
         ab[1, 5] = np.nan
         return ab
 
@@ -455,7 +461,7 @@ def test_nan_jacobian_raises_singular():
     u = layout.initial(0.5, 0.1)
     u[:-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
     with pytest.raises(SingularJacobianError):
-        solver.newton_step(layout, u, layout.residual(u, 0.5, 0.1), 0.5, 0.1)
+        solver.newton_step(layout, layout.evaluate(u, 0.5, 0.1), 0.5, 0.1)
 
 
 class _ConeEdgeLayout(grid.GridLayout):
@@ -465,11 +471,46 @@ class _ConeEdgeLayout(grid.GridLayout):
 
     edge = np.inf
 
-    def residual(self, U, sigma, epsilon):
+    def evaluate(self, U, sigma, epsilon):
         above = np.flatnonzero(U > self.edge + 1e-12)
         if above.size:
             raise AdmissibilityLostError(above)
-        return super().residual(U, sigma, epsilon)
+        return super().evaluate(U, sigma, epsilon)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call appends to the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(0) or fn(*args))
+    return calls
+
+
+class TestOneEvaluationPerState:
+    """Every Jacobian reads the jet, curvatures and table that the residual
+    of its state built: a solve derives them once per residual evaluation,
+    and once more for the solution's curvatures."""
+
+    def test_radial(self, monkeypatch):
+        # the Jacobian derived the jet and the curvature pair again: in a
+        # pass of the benchmark's ball-radial jobs 285 of 759 were repeats
+        residuals = _count_calls(monkeypatch, solver, "residual")
+        derivatives = _count_calls(monkeypatch, solver, "_radial_derivatives")
+        pairs = _count_calls(monkeypatch, hypgeom, "radial_curvature_pair")
+        solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
+        assert residuals
+        assert len(derivatives) == len(pairs) == len(residuals) + 1
+
+    def test_grid(self, monkeypatch):
+        residuals = _count_calls(monkeypatch, grid, "residual_grid")
+        tables = _count_calls(monkeypatch, grid, "_table_2d")
+        jets = _count_calls(monkeypatch, grid, "_jets")
+        solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.5,
+            grid_size=32))
+        assert residuals
+        assert len(tables) == len(residuals)
+        assert len(jets) == len(residuals) + 1
 
 
 class TestPredictor:
@@ -480,18 +521,19 @@ class TestPredictor:
     def converged(layout_class=grid.GridLayout):
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         state = solver.NewtonState()
-        u, _, _ = solver._newton_solve(layout, layout.initial(0.6, 0.1), 0.6, 0.1, state)
-        state.factored = layout.factor(layout.jacobian(u))
+        seed = layout.evaluate(layout.initial(0.6, 0.1), 0.6, 0.1)
+        u, _, _ = solver._newton_solve(layout, seed, 0.6, 0.1, state)
+        state.factored = layout.factor(layout.jacobian(layout.evaluate(u, 0.6, 0.1).lin))
         return layout, state, u
 
     def predicted_norm(self, layout, state, u, sigma):
-        pred, res = solver._predict(layout, u, sigma, 0.1, state)
-        assert np.array_equal(res, layout.residual(pred, sigma, 0.1))
-        return np.max(np.abs(res))
+        pred = solver._predict(layout, u, sigma, 0.1, state)
+        assert np.array_equal(pred.res, layout.evaluate(pred.u, sigma, 0.1).res)
+        return np.max(np.abs(pred.res))
 
     def test_cuts_the_residual(self):
         layout, state, u = self.converged()
-        plain = np.max(np.abs(layout.residual(u, 0.55, 0.1)))
+        plain = np.max(np.abs(layout.evaluate(u, 0.55, 0.1).res))
         assert self.predicted_norm(layout, state, u, 0.55) <= plain / 5.0
 
     def test_second_order(self):
@@ -504,9 +546,9 @@ class TestPredictor:
     def test_inadmissible_prediction_falls_back(self):
         layout, state, u = self.converged(_ConeEdgeLayout)
         layout.edge = u
-        start, res = solver._predict(layout, u, 0.55, 0.1, state)
-        assert start is u and state.rejected == 1
-        assert np.array_equal(res, layout.residual(u, 0.55, 0.1))
+        start = solver._predict(layout, u, 0.55, 0.1, state)
+        assert start.u is u and state.rejected == 1
+        assert np.array_equal(start.res, layout.evaluate(u, 0.55, 0.1).res)
         # Newton refactors at u instead of trying the rejected chord step again
         assert state.factored is None
 
@@ -547,11 +589,11 @@ class _FailOnceLayout(solver.RadialLayout):
     exact_seed = False
     fail_at = 0.025
 
-    def residual(self, u, sigma, epsilon):
+    def evaluate(self, u, sigma, epsilon):
         if epsilon == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
-        return super().residual(u, sigma, epsilon)
+        return super().evaluate(u, sigma, epsilon)
 
 
 class _FailOnceGridLayout(grid.GridLayout):
@@ -560,11 +602,11 @@ class _FailOnceGridLayout(grid.GridLayout):
 
     fail_at = 0.5
 
-    def residual(self, U, sigma, epsilon):
+    def evaluate(self, U, sigma, epsilon):
         if sigma == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
-        return super().residual(U, sigma, epsilon)
+        return super().evaluate(U, sigma, epsilon)
 
 
 BALL_FAMILIES = {
@@ -691,7 +733,7 @@ class TestContinuation:
     def test_jacobian_cross_check_converged_solution(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.4, grid_size=256))
-        ab = solver._jacobian_fd(sol.u, H2H1, sol.layout.rho)
+        ab = _radial_jacobian(sol.u, H2H1, sol.layout.rho)
         ab_cd = _jacobian_centred(sol.u, H2H1, sol.layout.rho, 2)
         scale = np.max(np.abs(ab_cd))
         assert np.max(np.abs(ab - ab_cd)) / scale < 1e-6
@@ -903,11 +945,12 @@ class TestGridPath:
         U = layout.initial(0.5, 0.1)
         # residual at the next boundary height: nonzero on Dirichlet nodes,
         # as after a step of the epsilon continuation
-        rhs = -layout.residual(U, 0.5, 0.05)
+        it = layout.evaluate(U, 0.5, 0.05)
+        rhs = -it.res
         assert np.max(np.abs(rhs[~layout.inside.ravel()])) == pytest.approx(0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
         full = spsolve(J, _unfold(layout, rhs).ravel()).reshape(layout.mask.shape)
-        quadrant = layout.solve(layout.factor(layout.jacobian(U)), rhs)
+        quadrant = layout.solve(layout.factor(layout.jacobian(it.lin)), rhs)
         bound = 1e-10 * np.max(np.abs(full))
         assert np.max(np.abs(quadrant.ravel() - full.ravel()[_quadrant_nodes(layout)])) <= bound
         # off the quadrant the full-box solve departs from mirror symmetry by
@@ -931,7 +974,7 @@ class TestGridPath:
     def test_quadrant_residual_is_full_box_residual(self, grid_size):
         layout, U = self.symmetric_state(grid_size)
         full = _residual_grid_full(_unfold(layout, U), H2H1, 0.5, 0.05, layout)
-        assert np.array_equal(layout.residual(U, 0.5, 0.05),
+        assert np.array_equal(layout.evaluate(U, 0.5, 0.05).res,
                               full.ravel()[_quadrant_nodes(layout)])
 
     @pytest.mark.parametrize("grid_size", [32, 24])
@@ -945,7 +988,7 @@ class TestGridPath:
         P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
                        shape=(fold.size, layout.inside.size))
         folded = (J[rows] @ P).toarray()
-        J_ii, J_ib = layout.jacobian(U)
+        J_ii, J_ib = layout.jacobian(layout.evaluate(U, 0.5, 0.05).lin)
         ins = layout.inside.ravel()
         scale = np.max(np.abs(folded))
         assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
@@ -1004,7 +1047,7 @@ class TestGridPath:
         kappa, _ = grid._interior_curvatures(U, layout)
         expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
         with pytest.raises(AdmissibilityLostError) as info:
-            layout.residual(U, 0.8, 0.1)
+            layout.evaluate(U, 0.8, 0.1)
         assert expected.size and info.value.nodes == expected.tolist()
 
     @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
@@ -1017,7 +1060,7 @@ class TestGridPath:
         # error of the difference quotients
         kappa, _ = grid.principal_curvatures_2d(*jet)
         jet = [v[kappa[:, 1] > 0.05] for v in jet]
-        for exact, centred in zip(grid._jet_partials(spec, jet),
+        for exact, centred in zip(grid._jet_partials(spec, jet, *grid._table_2d(*jet)),
                                   _grid_partials_centred(spec, jet)):
             assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
 
@@ -1028,7 +1071,7 @@ class TestGridPath:
         jet = grid._jets(layout.initial(0.5, 0.1), layout)
         kappa, _ = grid.principal_curvatures_2d(*jet)
         assert kappa[0, 0] == kappa[0, 1]
-        for exact, centred in zip(grid._jet_partials(H2H1, jet),
+        for exact, centred in zip(grid._jet_partials(H2H1, jet, *grid._table_2d(*jet)),
                                   _grid_partials_centred(H2H1, jet)):
             assert np.all(np.isfinite(exact))
             assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
@@ -1036,9 +1079,10 @@ class TestGridPath:
     @pytest.mark.parametrize("grid_size, bound", [(16, 1e-4), (64, 1e-6)])
     def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
         layout, U = self.symmetric_state(grid_size)
-        J_ii, J_ib = layout.jacobian(U)
+        lin = layout.evaluate(U, 0.5, 0.1).lin
+        J_ii, J_ib = layout.jacobian(lin)
         monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
-        C_ii, C_ib = layout.jacobian(U)
+        C_ii, C_ib = layout.jacobian(lin)
         scale = abs(C_ii).max()
         assert abs(J_ii - C_ii).max() <= bound * scale
         assert abs(J_ib - C_ib).max() <= bound * scale
