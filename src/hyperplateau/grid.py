@@ -66,11 +66,11 @@ class GridLayout:
     The driver reuses the factorization of the Jacobian's interior block
     across Newton iterations and for the Euler predictor of each
     continuation step.  The cap seed solves no ellipse problem exactly, so
-    the driver continues from it in sigma, then in the boundary height.
-    Newton stops at a residual sup-norm of 1e-8, or on a negligible
-    correction from a fresh factorization; the size of a chord correction
-    does not stop it.  A solution reports the full box's interior nodes
-    `mask` in box order; `image` holds the unknown each of them mirrors."""
+    the driver continues from it in sigma, then in the boundary height, and
+    the state is the heights themselves (`heights` and `deviation` are the
+    identity).  Newton stops at a residual sup-norm of 1e-8.  A solution
+    reports the full box's interior nodes `mask` in box order; `image` holds
+    the unknown each of them mirrors."""
 
     keeps_factorization = True
     exact_seed = False
@@ -150,6 +150,11 @@ class GridLayout:
         U[~self.inside] = epsilon
         return U
 
+    def heights(self, U, sigma, epsilon):
+        return U
+
+    deviation = heights
+
     def u0(self, U):
         return float(np.max(U[self.inside]))
 
@@ -216,18 +221,18 @@ def _table_2d(u, ux, uy, uxx, uyy, uxy):
     return e, (w, w2, px, py, r, t, det)
 
 
-def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms):
+def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms, f):
     """Partials of f in the jet (u, ux, uy, uxx, uyy, uxy), given with the
-    table e and terms that _table_2d built from it: by the chain rule f_1
-    de_1 + f_2 de_2, with f_q = df/de_q from symfunc.df_of_table and the
-    closed-form partials of e_1 = tr A and e_2 = det A.  No eigenvalue or
-    eigenprojector of A enters, so an umbilic node (kappa_1 = kappa_2)
-    needs no special case.  tr M = Lap u - q/w^2 is linear in D2u and has
+    table e and terms that _table_2d built from it and f on that table: by
+    the chain rule f_1 de_1 + f_2 de_2, with f_q = df/de_q from
+    symfunc.df_of_table and the closed-form partials of e_1 = tr A and e_2
+    = det A.  No eigenvalue or eigenprojector of A enters, so an umbilic
+    node (kappa_1 = kappa_2) needs no special case.  tr M = Lap u - q/w^2 is linear in D2u and has
     d(tr M)/du_x = -2 (p_x - u_x q/w^2)/w^2; a = f_1/w + f_2/w^2 collects
     the terms in u tr M, b = f_2 u^2/w^4 those in det D2u."""
     u, ux, uy, uxx, uyy, uxy = jet
     w, w2, px, py, r, t, det = terms
-    _, f1, f2 = symfunc.df_of_table(spec, e)
+    _, f1, f2 = symfunc.df_of_table(spec, e, f)
     a, bu = f1 / w + f2 / w2, f2 * u / w2**2
     au, b = a * u, bu * u
     s = f1 * e[1] + 2.0 * (f2 * e[2] + b * det)
@@ -249,7 +254,7 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
                   epsilon: float, layout: GridLayout):
     """Flat residual over all quadrant nodes (f - sigma at interior unknowns,
     f from the table of _table_2d, and u - epsilon on Dirichlet nodes) and
-    lin = (jet, table, terms), which _jacobian_grid reads.
+    lin = (jet, table, terms, f), which _jacobian_grid reads.
     AdmissibilityLostError lists by their number among the quadrant's
     interior nodes the unknowns of non-positive height, else those outside
     the cone by the signs of the table (symfunc.check_table)."""
@@ -262,9 +267,10 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
         symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
+    f = symfunc.f_of_table(spec, e)
     res = U - epsilon
-    res[layout.inside] = symfunc.f_of_table(spec, e) - sigma
-    return res.ravel(), (jet, e, terms)
+    res[layout.inside] = f - sigma
+    return res.ravel(), (jet, e, terms, f)
 
 
 def _jacobian_grid(lin, spec: symfunc.CurvatureSpec, layout: GridLayout):

@@ -26,13 +26,14 @@ is retried at the midpoint of the last accepted point and its target.  A
 layout that keeps its factorization starts each unseeded step from the
 Euler tangent predictor, one chord step at the new parameter values.
 Every accepted Newton iterate, and every prediction Newton starts from, is
-admissible at every interior node.  Newton stops
-when the residual sup-norm meets the layout's tolerance, or when a freshly
-factored Newton correction is negligible (NEGLIGIBLE_CORRECTION): that
-correction is taken in full, since on fine radial grids the residual of
-the 1/h^2 stencils has a round-off floor above the tolerance.  A solution
-holds the layout that made it, which says which of its nodes are interior
-and which of those touch the boundary.
+admissible at every interior node.  Newton stops by one rule: the residual
+sup-norm meets the layout's tolerance.  On balls the Newton unknown is the
+deviation of the heights from the exact cap at the (sigma, epsilon) being
+solved, whose stencil differences are taken in closed form, so the residual
+rounds to an ulp of the deviation and the 1/h^2 stencils leave no round-off
+floor above the tolerance; a state moved to another point keeps its
+heights.  A solution holds the layout that made it, which says which of
+its nodes are interior and which of those touch the boundary.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ SIGMA0_INTERVAL = (0.3703, 0.3704)  # classical small-sigma threshold, from the 
 MAX_NEWTON_ITERS = 50
 DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
-# A Newton correction whose sup-norm is at most this fraction of 1 + max|u|
-# is rounding noise: on fine radial grids the residual of the 1/h^2 stencil
-# has a round-off floor above the 1e-10 tolerance, and no damping lowers it.
-# Newton takes such a correction in full and stops (Deuflhard, Newton
-# Methods for Nonlinear Problems, 2004, ch. 2).  It lies two orders below
-# the smallest discretization error the CLI reaches: at N = 16384 and
-# boundary height 1e-3, |u0 - cap apex| is at least 1.3e-9 over the 28
-# families with n <= 4 at sigma = 0.5 and 0.05.
-NEGLIGIBLE_CORRECTION = 1e-11
 
 
 # default schedules: boundary heights halved from EPSILON_START down to
@@ -233,33 +225,65 @@ def _radial_derivatives(u: np.ndarray, h: float):
     return up, upp
 
 
-def residual(u: np.ndarray, spec: CurvatureSpec, sigma: float, epsilon: float,
-             rho: np.ndarray):
-    """Radial residual and what it built, (res, lin): res is f(kappa) -
-    sigma at interior nodes (axis included) and u - epsilon at the boundary
-    node, lin = ((u, u', u'', rho), kappa_rad, kappa_tan, w, table) at the
-    interior nodes, which _jacobian_fd reads.  The curvature vector of every
-    node is (kappa_rad, kappa_tan, ..., kappa_tan), so f comes from the
-    closed-form table of that pair (symfunc.pair_table), built straight
-    from the jet, and the cone test from the signs of the same table
-    (symfunc.check_table).  Raises AdmissibilityLostError with the
-    offending node list when any interior node has a non-positive height or
-    leaves the cone."""
-    bad_height = np.flatnonzero(u[:-1] <= 0.0)
+def _cap_differences(cap: hypgeom.CapSolution, rho: np.ndarray):
+    """Heights c of the cap at the uniform nodes rho, and the differences
+    (c', c'') that _radial_derivatives would take of them at the interior
+    nodes (axis included), in closed form.  With s = sqrt((r - rho)(r +
+    rho)), c = cap.c + s and each difference of s is one of squares over a
+    sum:
+
+        c'_i  = -2 rho_i / (s_{i+1} + s_{i-1}),
+        c''_i = -(8 rho_i^2 / (s_{i+1} + s_{i-1}) + 2 s_i + s_{i+1} + s_{i-1})
+                / ((s_{i+1} + s_i) (s_i + s_{i-1})),
+        c''_0 = -2 / (s_1 + s_0).
+
+    Every term has one sign, so they round to a few ulps of themselves,
+    where the stencils of the rounded heights lose 4 ulp(c) / h^2."""
+    s = np.sqrt((cap.r - rho) * (cap.r + rho))
+    mid, ahead, behind = s[1:-1], s[2:], s[:-2]
+    outer = ahead + behind
+    cp, cpp = np.empty(rho.size - 1), np.empty(rho.size - 1)
+    cp[0] = 0.0
+    cp[1:] = -2.0 * rho[1:-1] / outer
+    cpp[0] = -2.0 / (s[1] + s[0])
+    cpp[1:] = (-(8.0 * rho[1:-1] ** 2 / outer + 2.0 * mid + outer)
+               / ((ahead + mid) * (mid + behind)))
+    return cap.c + s, cp, cpp
+
+
+def residual(v: np.ndarray, spec: CurvatureSpec, sigma: float, cap, rho: np.ndarray):
+    """Radial residual at the deviation v from a profile, and what it built,
+    (res, lin).  cap = (c, c', c'') holds the profile's heights at every
+    node and its differences at the interior nodes (axis included), the
+    rim height being the boundary height: on RadialLayout the cap's (see
+    _cap_differences).  The stencils are linear, so the jet at the interior
+    nodes is (c + v, c' + D1 v, c'' + D2 v, rho).  res is f(kappa) - sigma
+    at the interior nodes and v at the boundary node, lin = (jet,
+    kappa_rad, kappa_tan, w, table, f) at the interior nodes, which
+    _jacobian_fd reads.  The curvature vector of every node is (kappa_rad,
+    kappa_tan, ..., kappa_tan), so f comes from the closed-form table of
+    that pair (symfunc.pair_table), built straight from the jet, and the
+    cone test from the signs of the same table (symfunc.check_table).
+    Raises AdmissibilityLostError with the offending node list when any
+    interior node has a non-positive height or leaves the cone."""
+    c, cp, cpp = cap
+    u = c[:-1] + v[:-1]
+    bad_height = np.flatnonzero(u <= 0.0)
     if bad_height.size:
         raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
-    up, upp = _radial_derivatives(u, rho[1] - rho[0])
-    jet = u[:-1], up[:-1], upp[:-1], rho[:-1]
+    dp, dpp = _radial_derivatives(v, rho[1] - rho[0])
+    jet = u, cp + dp[:-1], cpp + dpp[:-1], rho[:-1]
     r, t, w = hypgeom.radial_curvature_pair(*jet)
     e = symfunc.pair_table(r, t, spec.n - 1, max(spec.k, spec.cone_index))
     try:
         symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
-    res = np.empty_like(u)
-    res[:-1] = symfunc.f_of_table(spec, e) - sigma
-    res[-1] = u[-1] - epsilon
-    return res, (jet, r, t, w, e)
+    f = symfunc.f_of_table(spec, e)
+    res = np.empty_like(v)
+    res[:-1] = f - sigma
+    res[-1] = v[-1]
+    return res, (jet, r, t, w, e, f)
 
 
 def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
@@ -296,9 +320,9 @@ def _jacobian_fd(lin, spec, h):
     radial partials there.  The name is kept, although no differences are
     taken, because the benchmark in perfbench/ traces it; the rename waits
     for a change to the benchmark (ROADMAP item 9)."""
-    (ui, upi, uppi, rhoi), r, t, w, e = lin
+    (ui, upi, uppi, rhoi), r, t, w, e, f = lin
     m, k = spec.n - 1, spec.k
-    df = symfunc.df_of_table(spec, e)[1:k + 1]
+    df = symfunc.df_of_table(spec, e, f)[1:k + 1]
     f_rad = np.sum(df * symfunc.pair_table(t, t, m - 1, k - 1), axis=0)
     f_tan = m * np.sum(df * symfunc.pair_table(r, t, m - 1, k - 1), axis=0)
     w3 = w**3
@@ -320,26 +344,43 @@ class RadialLayout:
     Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout, with
     chain-rule partials in the local jet (see _jacobian_fd); its
     factorization costs less than one residual, so Newton builds and solves
-    a fresh one every iteration.  The cap seed solves the continuous
-    problem exactly, so the driver starts Newton from it at every boundary
-    height.  Newton stops at a residual sup-norm of 1e-10, or sooner on a
-    negligible correction; from about N = 1024 the round-off floor of the
-    residual nears or passes 1e-10, and the correction is what ends it.  A
-    solution reports every node; all but the rim node are interior, and the
-    last interior node is the one next to the rim."""
+    a fresh one every iteration.  The cap solves the continuous problem
+    exactly, and the state at a point (sigma, epsilon) is the deviation v =
+    u - c of the heights u from the cap c there (see `cap`): the residual
+    rounds to an ulp of v, not of u, so no round-off floor of the 1/h^2
+    stencil lies above the tolerance even at N = 16384.  `heights` and
+    `deviation` map between the two at a point.  The cap is v = 0, and the
+    driver starts Newton from it at every boundary height.  Newton stops at
+    a residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
+    at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
+    study up to that grid read order 1.58 for 2.00.  A solution reports the
+    heights at every node; all but the rim node are interior, and the last
+    interior node is the one next to the rim."""
 
     keeps_factorization = False
     exact_seed = True
-    newton_tol = 1e-10
+    newton_tol = 1e-11
     interior = slice(None, -1)
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
+        self._cap = None  # the last point asked for, and its cap
 
-    def evaluate(self, u, sigma, epsilon):
-        return Iterate(u, *residual(u, self.spec, sigma, epsilon, self.rho))
+    def cap(self, sigma, epsilon):
+        """(c, c', c'') of the cap at (sigma, epsilon) (see _cap_differences),
+        with c = epsilon at the rim; computed once for the last point asked
+        for."""
+        if self._cap is None or self._cap[0] != (sigma, epsilon):
+            cap = hypgeom.make_cap_with_boundary_height(self.domain.params[0], sigma, epsilon)
+            c, cp, cpp = _cap_differences(cap, self.rho)
+            c[-1] = epsilon
+            self._cap = (sigma, epsilon), (c, cp, cpp)
+        return self._cap[1]
+
+    def evaluate(self, v, sigma, epsilon):
+        return Iterate(v, *residual(v, self.spec, sigma, self.cap(sigma, epsilon), self.rho))
 
     def jacobian(self, lin):
         return _jacobian_fd(lin, self.spec, self.rho[1] - self.rho[0])
@@ -356,10 +397,14 @@ class RadialLayout:
             raise SingularJacobianError(str(exc)) from exc
 
     def initial(self, sigma, epsilon):
-        cap = hypgeom.make_cap_with_boundary_height(self.domain.params[0], sigma, epsilon)
-        u = cap.height(self.rho)
-        u[-1] = epsilon
-        return u
+        """The cap at (sigma, epsilon): no deviation from it."""
+        return np.zeros(self.rho.size)
+
+    def heights(self, v, sigma, epsilon):
+        return self.cap(sigma, epsilon)[0] + v
+
+    def deviation(self, u, sigma, epsilon):
+        return u - self.cap(sigma, epsilon)[0]
 
     def u0(self, u):
         return float(u[0])
@@ -375,19 +420,19 @@ class RadialLayout:
 
 # ---------------------------------------------------------------------------
 # Newton and continuation, written once against a layout: RadialLayout above
-# or grid.GridLayout.  A layout evaluates a state u into an Iterate, builds
-# the Jacobian from what that evaluation built, factors it and solves with
-# the factors (raising SingularJacobianError), seeds u from the cap, and
-# turns a converged u into a GraphSolution, whose node questions it answers:
-# `interior` picks the interior nodes out of the reported ones, and
-# `touches_boundary` flags, in that order, those next to a Dirichlet node.
-# Its class sets what the driver does with it: `newton_tol`, the residual
-# sup-norm at which Newton stops unless a negligible Newton correction stops
-# it first (see newton_step); `keeps_factorization`, to keep the
-# factorization for chord steps across Newton iterations and continuation
-# steps, and for the predictor of each continuation step (see _predict); and
-# `exact_seed`, to start Newton from `initial` at the (sigma, epsilon) being
-# solved for (see _solve_at).
+# or grid.GridLayout.  A layout evaluates a state u at a (sigma, epsilon)
+# point into an Iterate, builds the Jacobian from what that evaluation built,
+# factors it and solves with the factors (raising SingularJacobianError),
+# seeds u from the cap, maps a state at a point to its heights and back
+# (`heights`, `deviation`), and turns converged heights into a
+# GraphSolution, whose node questions it answers: `interior` picks the
+# interior nodes out of the reported ones, and `touches_boundary` flags, in
+# that order, those next to a Dirichlet node.  Its class sets what the
+# driver does with it: `newton_tol`, the residual sup-norm at which Newton
+# stops; `keeps_factorization`, to keep the factorization for chord steps
+# across Newton iterations and continuation steps, and for the predictor of
+# each continuation step (see _predict); and `exact_seed`, to start Newton
+# from `initial` at the (sigma, epsilon) being solved for (see _solve_at).
 # The iteration and backtracking limits are the module constants above.
 
 
@@ -417,11 +462,8 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
     least halves or meets the layout's tolerance.  Otherwise it refactors
     at it.u, with the Jacobian read from it.lin, for the Newton correction
     delta and backtracks along it, keeping every trial iterate admissible
-    and requiring the residual sup-norm to decrease, unless delta is
-    negligible (see NEGLIGIBLE_CORRECTION): then the first admissible
-    trial, the full step when it is admissible, is taken as it is.  Returns
-    (new iterate, step, new residual sup-norm), with step the sup-norm of
-    delta over 1 + max|u|, or inf after a chord step."""
+    and requiring the residual sup-norm to decrease.  Returns (new iterate,
+    new residual sup-norm)."""
     state = state if state is not None else NewtonState()
     norm = float(np.max(np.abs(it.res)))
     if state.factored is not None:
@@ -432,7 +474,7 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
         else:
             trial_norm = float(np.max(np.abs(trial.res)))
             if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
-                return trial, math.inf, trial_norm
+                return trial, trial_norm
     # drop the kept factors before building new ones: never hold two
     state.factored = None
     factored = layout.factor(layout.jacobian(it.lin))
@@ -442,7 +484,6 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
         raise SingularJacobianError("linear solve produced non-finite update")
     if layout.keeps_factorization:
         state.factored = factored
-    step = float(np.max(np.abs(delta))) / (1.0 + float(np.max(np.abs(it.u))))
 
     t = 1.0
     for _ in range(MAX_DAMPING_STEPS + 1):
@@ -453,8 +494,8 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
             t *= DAMPING_FACTOR
             continue
         trial_norm = float(np.max(np.abs(trial.res)))
-        if trial_norm < norm or step <= NEGLIGIBLE_CORRECTION:
-            return trial, step, trial_norm
+        if trial_norm < norm:
+            return trial, trial_norm
         t *= DAMPING_FACTOR
     raise NonConvergenceError(
         f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"
@@ -463,8 +504,7 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
 
 def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
     """Newton iterations from the iterate `it` until the residual sup-norm
-    meets the layout's tolerance or a step takes a negligible Newton
-    correction (see newton_step); returns the converged u, the number of
+    meets the layout's tolerance; returns the converged u, the number of
     iterations and the number of factorizations they took."""
     first = state.factorizations
     norm = float(np.max(np.abs(it.res)))
@@ -473,10 +513,8 @@ def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
         if count == MAX_NEWTON_ITERS:
             raise NonConvergenceError(
                 f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})")
-        it, step, norm = newton_step(layout, it, sigma, epsilon, state)
+        it, norm = newton_step(layout, it, sigma, epsilon, state)
         count += 1
-        if step <= NEGLIGIBLE_CORRECTION:
-            break
     return it.u, count, state.factorizations - first
 
 
@@ -526,11 +564,12 @@ def _march(layout, u, start, points, state: NewtonState, seeded: bool):
     """Walk the (sigma, epsilon) points with up-to-8-deep step bisection: a
     step that fails is retried at the midpoint of the last accepted point
     and its target.  Each step is one _solve_at from u, the last accepted
-    state.  `start` is the point at which the given u converged, or None
-    when u is a seed or absent; then the first step is not bisected.
-    Returns the final state, the Newton iterations and factorizations of
-    every accepted step, and the center height at each of the points, keyed
-    by point."""
+    state, moved to the step's point with its heights kept.  `start` is the
+    point at which the given u converged, or None when u is a seed at the
+    first point or absent; then the first step is not bisected.  Returns
+    the final state, the Newton iterations and factorizations of every
+    accepted step, and the center height at each of the points, keyed by
+    point."""
     iters, factors, u0_by_point = [], [], {}
     current = start
     for target in points:
@@ -538,8 +577,9 @@ def _march(layout, u, start, points, state: NewtonState, seeded: bool):
         depth = 0
         while stack:
             nxt = stack[-1]
+            moved = u if current is None else layout.deviation(layout.heights(u, *current), *nxt)
             try:
-                u, it, nf = _solve_at(layout, u, *nxt, state, seeded)
+                u, it, nf = _solve_at(layout, moved, *nxt, state, seeded)
             except (NonConvergenceError, SingularJacobianError):
                 if current is None or depth >= 8:
                     raise
@@ -549,7 +589,7 @@ def _march(layout, u, start, points, state: NewtonState, seeded: bool):
             iters.append(it)
             factors.append(nf)
             current = stack.pop()
-        u0_by_point[target] = layout.u0(u)
+        u0_by_point[target] = layout.u0(layout.heights(u, *target))
     return u, iters, factors, u0_by_point
 
 
@@ -587,9 +627,9 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     """Continuation solve of a config on the given layout."""
     state = NewtonState()
     u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
-    epsilon = cfg.epsilon_schedule[-1]
-    final = layout.evaluate(u, cfg.sigma_target, epsilon).res
-    sol = layout.solution(u, cfg.sigma_target, epsilon)
+    sigma, epsilon = cfg.sigma_target, cfg.epsilon_schedule[-1]
+    final = layout.evaluate(u, sigma, epsilon).res
+    sol = layout.solution(layout.heights(u, sigma, epsilon), sigma, epsilon)
     kappa_max, min_nu = sol.summary()
     sol.report = SolveReport(
         converged=True,
@@ -599,7 +639,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         kappa_max=kappa_max,
         min_nu_vertical=min_nu,
         admissibility_violations=state.rejected,
-        sigma=cfg.sigma_target,
+        sigma=sigma,
         epsilon=epsilon,
         grid_size=cfg.grid_size,
         u0_by_epsilon=u0_by_eps,
@@ -657,8 +697,9 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
             else:
                 u, its, _, _ = _march(layout, *warm, [(s, epsilon)], state, layout.exact_seed)
             warm = u, (s, epsilon)
-            kappa_max, min_nu = layout.solution(u, s, epsilon).summary()
-            row.update(status="ok", converged=True, u0=layout.u0(u), kappa_max=kappa_max,
+            heights = layout.heights(u, s, epsilon)
+            kappa_max, min_nu = layout.solution(heights, s, epsilon).summary()
+            row.update(status="ok", converged=True, u0=layout.u0(heights), kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))
         except _SOLVE_FAILURES as exc:
             row.update(status=f"failed: {type(exc).__name__}", converged=False,

@@ -281,10 +281,11 @@ def f_of_table(spec: CurvatureSpec, e: np.ndarray):
         return np.where(g > 0, np.abs(g) ** spec.power, np.nan)
 
 
-def df_of_table(spec: CurvatureSpec, e: np.ndarray) -> np.ndarray:
-    """Partials of f_of_table in the rows of the table, inside K_k: as f =
-    (H_k/H_l)^p, df = p f (de_k/e_k - de_l/e_l), and the other rows are 0."""
-    pf = spec.power * f_of_table(spec, e)
+def df_of_table(spec: CurvatureSpec, e: np.ndarray, f) -> np.ndarray:
+    """Partials of f_of_table in the rows of the table, inside K_k, given f
+    = f_of_table(spec, e): as f = (H_k/H_l)^p, df = p f (de_k/e_k -
+    de_l/e_l), and the other rows are 0."""
+    pf = spec.power * f
     out = np.zeros_like(e)
     out[spec.k] = pf / e[spec.k]
     if spec.l:

@@ -4,6 +4,7 @@ and the tensor-grid path."""
 
 import math
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ def _residual_grid_full(U, spec, sigma, epsilon, layout):
     return res
 
 
+def _jet_partials(spec, jet):
+    """grid._jet_partials at the jet, from the table, terms and f that the
+    grid residual builds from it."""
+    e, terms = grid._table_2d(*jet)
+    return grid._jet_partials(spec, jet, e, terms, symfunc.f_of_table(spec, e))
+
+
 def _jacobian_grid_full(U, spec, layout):
     """Oracle for the quadrant grid solve: the nine-point Jacobian over
     every node of the bounding box, Dirichlet rows identity, as the grid
@@ -130,7 +138,7 @@ def _jacobian_grid_full(U, spec, layout):
     hx, hy = layout.hx, layout.hy
     Ux, Uy, Uxx, Uyy, Uxy = _jet_fields(U, layout)
     jet = [U[ins], Ux[ins], Uy[ins], Uxx[ins], Uyy[ins], Uxy[ins]]
-    c_u, c_x, c_y, c_xx, c_yy, c_xy = grid._jet_partials(spec, jet, *grid._table_2d(*jet))
+    c_u, c_x, c_y, c_xx, c_yy, c_xy = _jet_partials(spec, jet)
 
     nx, ny = ins.shape
     flat = np.arange(nx * ny).reshape(nx, ny)
@@ -187,32 +195,18 @@ class _LineLayout:
         return np.linalg.solve(J, rhs)
 
 
-class _FloorLayout:
-    """r(u) = K (u - 1) with K = 1e4, the scale of a 1/h^2 stencil, except
-    within 1e-12 of the root, where rounding leaves the residual at the
-    floor 3e-10, above the tolerance: no step that stays there lowers it."""
-
-    keeps_factorization = False
-    newton_tol = 1e-10
-    K, floor = 1e4, 3e-10
-
-    def evaluate(self, u, sigma, epsilon):
-        return solver.Iterate(
-            u, np.where(np.abs(u - 1.0) > 1e-12, self.K * (u - 1.0), self.floor), u)
-
-    def jacobian(self, u):
-        return self.K * np.eye(u.size)
-
-    def factor(self, J):
-        return J
-
-    def solve(self, J, rhs):
-        return np.linalg.solve(J, rhs)
+def _cap_of(rho, sigma, eps):
+    """(c, c', c'') of the cap at (sigma, eps) on the nodes rho over [0, R],
+    as RadialLayout.cap gives them to solver.residual."""
+    return solver.RadialLayout(H1, hypgeom.Domain.ball(rho[-1]), rho.size - 1).cap(sigma, eps)
 
 
 def _radial_jacobian(u, spec, rho):
-    """solver._jacobian_fd at u, from what the radial residual at u built."""
-    return solver._jacobian_fd(solver.residual(u, spec, 0.5, u[-1], rho)[1], spec, rho[1] - rho[0])
+    """solver._jacobian_fd at the heights u, from what the radial residual
+    at their deviation from a cap built."""
+    cap = _cap_of(rho, 0.5, u[-1])
+    return solver._jacobian_fd(solver.residual(u - cap[0], spec, 0.5, cap, rho)[1], spec,
+                               rho[1] - rho[0])
 
 
 def _families_up_to_4():
@@ -240,16 +234,18 @@ def _residual_by_curvatures(u, spec, sigma, epsilon, rho):
 
 class TestResidual:
     def test_constant_graph(self):
+        # no deviation from the constant profile, whose differences are 0
         u, rho = cap_profile(64, 0.5)
         u[:] = 0.7
-        res, _ = solver.residual(u, H1, 0.3, 0.7, rho)
+        flat = (u, np.zeros(64), np.zeros(64))
+        res, _ = solver.residual(np.zeros_like(u), H1, 0.3, flat, rho)
         assert np.allclose(res[:-1], 1.0 - 0.3, atol=1e-12)
 
     def test_cap_discretization_order(self):
         norms = []
         for N in (128, 256, 512):
             u, rho = cap_profile(N, 0.6)
-            res, _ = solver.residual(u, H2H1, 0.6, 0.1, rho)
+            res, _ = solver.residual(np.zeros_like(u), H2H1, 0.6, _cap_of(rho, 0.6, 0.1), rho)
             norms.append(np.max(np.abs(res)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.3)
         assert norms[1] / norms[2] == pytest.approx(4.0, rel=0.3)
@@ -257,8 +253,9 @@ class TestResidual:
     def test_admissibility_error_carries_nodes(self):
         u, rho = cap_profile(64, 0.5)
         u[10] = -0.5
+        cap = _cap_of(rho, 0.5, 0.1)
         with pytest.raises(AdmissibilityLostError) as exc:
-            solver.residual(u, H1, 0.5, 0.1, rho)
+            solver.residual(u - cap[0], H1, 0.5, cap, rho)
         assert 10 in exc.value.nodes
         assert "np.int64" not in str(exc.value)
 
@@ -266,8 +263,9 @@ class TestResidual:
         # a spike of 0.001 (h = 1/64) makes its node's curvatures negative
         u, rho = cap_profile(64, 0.5)
         u[[10, 30]] += 0.001
+        cap = _cap_of(rho, 0.5, 0.1)
         with pytest.raises(AdmissibilityLostError) as exc:
-            solver.residual(u, H2H1, 0.5, 0.1, rho)
+            solver.residual(u - cap[0], H2H1, 0.5, cap, rho)
         assert exc.value.nodes == [10, 30]
         assert str(exc.value) == "curvature left the cone at nodes [10, 30]"
 
@@ -303,10 +301,11 @@ class TestPairTableResidual:
         for sigma in (0.5, 0.2):
             sol = solver.continuation_solve(solver.SolverConfig(
                 spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
-            states.append((sol.u, sigma, sol.epsilon))
-        for u, sigma, eps in states:
-            got, _ = solver.residual(u, spec, sigma, eps, layout.rho)
-            want = _residual_by_curvatures(u, spec, sigma, eps, layout.rho)
+            states.append((layout.deviation(sol.u, sigma, sol.epsilon), sigma, sol.epsilon))
+        for v, sigma, eps in states:
+            got, _ = solver.residual(v, spec, sigma, layout.cap(sigma, eps), layout.rho)
+            want = _residual_by_curvatures(layout.heights(v, sigma, eps), spec, sigma, eps,
+                                           layout.rho)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_inadmissible_nodes_match_curvature_route(self):
@@ -316,15 +315,39 @@ class TestPairTableResidual:
         u = hypgeom.make_cap_with_boundary_height(1.0, 0.5, 0.1).height(rho)
         u[-1] = 0.1
         u[:-1] += 0.0015 * np.cos(14.0 * np.pi * rho[:-1])
+        cap = _cap_of(rho, 0.5, 0.1)
         counts = set()
         for spec in _families_up_to_4():
             with pytest.raises(AdmissibilityError) as want:
                 _residual_by_curvatures(u, spec, 0.5, 0.1, rho)
             with pytest.raises(AdmissibilityLostError) as got:
-                solver.residual(u, spec, 0.5, 0.1, rho)
+                solver.residual(u - cap[0], spec, 0.5, cap, rho)
             assert got.value.nodes == want.value.indices
             counts.add(len(got.value.nodes))
         assert len(counts) > 3
+
+
+class TestCapDifferences:
+    @pytest.mark.parametrize("grid_size", [16, 512, 16384])
+    @pytest.mark.parametrize("sigma, eps", [(0.9, 1e-3), (0.5, 0.1), (0.05, 1e-3), (0.01, 0.0)])
+    def test_matches_decimal_stencil(self, grid_size, sigma, eps):
+        # the stencils of _radial_derivatives on the cap's heights, to 60
+        # digits on the uniform nodes i/N of the unit ball, at the axis and
+        # at the node next to the rim; the float stencils of the rounded
+        # heights miss them by up to 4 ulp(c)/h^2
+        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, eps)
+        _, cp, cpp = solver._cap_differences(cap, np.linspace(0.0, 1.0, grid_size + 1))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            r, n = Decimal(cap.r), grid_size
+            s = [((r - Decimal(i) / n) * (r + Decimal(i) / n)).sqrt()
+                 for i in (0, 1, n - 2, n - 1, n)]
+            want = [2 * (s[1] - s[0]) * n**2,
+                    (s[4] - s[2]) * n / 2,
+                    (s[4] - 2 * s[3] + s[2]) * n**2]
+            got = [Decimal(cpp[0]), Decimal(cp[-1]), Decimal(cpp[-1])]
+            assert cp[0] == 0.0
+            assert all(abs(g - w) <= Decimal(1e-15) * abs(w) for g, w in zip(got, want))
 
 
 class TestNewton:
@@ -334,17 +357,20 @@ class TestNewton:
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
-        it = layout.evaluate(u, 0.6, 0.1)
-        base = np.max(np.abs(solver.residual(u, H2H1, 0.6, 0.1, rho)[0]))
-        _, _, norm = solver.newton_step(layout, it, 0.6, 0.1)
+        v = layout.deviation(u, 0.6, 0.1)
+        it = layout.evaluate(v, 0.6, 0.1)
+        base = np.max(np.abs(solver.residual(v, H2H1, 0.6, layout.cap(0.6, 0.1), rho)[0]))
+        _, norm = solver.newton_step(layout, it, 0.6, 0.1)
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.domain, 128)
-        it = layout.evaluate(sol.u, 0.5, sol.epsilon)
-        _, step, norm = solver.newton_step(layout, it, 0.5, sol.epsilon)
+        it = layout.evaluate(layout.deviation(sol.u, 0.5, sol.epsilon), 0.5, sol.epsilon)
+        new, norm = solver.newton_step(layout, it, 0.5, sol.epsilon)
+        # the correction taken, relative to the heights
+        step = np.max(np.abs(new.u - it.u)) / (1.0 + np.max(np.abs(sol.u)))
         assert step <= 1e-8
 
     def test_jacobian_cross_check_17_nodes(self):
@@ -386,29 +412,14 @@ class TestNewton:
         assert ab.shape == (3, rows)
         assert np.array_equal(ab, _assemble_banded_fancy(*parts, rows, h))
 
-    def test_negligible_correction_ends_the_solve(self, monkeypatch):
-        # the step to the root lands on the floor; the next correction,
-        # -3e-14, is negligible and is taken without a residual decrease.
-        # Backtracking ran all 20 halvings there and raised
-        layout, calls = _FloorLayout(), []
-        floor_residual = layout.evaluate
-        monkeypatch.setattr(layout, "evaluate",
-                            lambda *args: calls.append(0) or floor_residual(*args))
-        state = solver.NewtonState()
-        u, iters, factors = solver._newton_solve(
-            layout, layout.evaluate(np.zeros(1), 0.0, 0.0), 0.0, 0.0, state)
-        assert u[0] == 1.0 - 3e-14
-        assert iters == factors == 2
-        assert len(calls) == 3
-
 
 class TestNewtonState:
     def test_rejected_trials_counted(self):
         layout, state = _LineLayout(), solver.NewtonState()
-        it, _, norm = solver.newton_step(layout, layout.evaluate(np.zeros(1), 0, 0), 0, 0, state)
+        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros(1), 0, 0), 0, 0, state)
         # full step rejected, half step accepted
         assert it.u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        it, _, _ = solver.newton_step(layout, it, 0, 0, state)
+        it, _ = solver.newton_step(layout, it, 0, 0, state)
         # chord trial rejected, then the refactored full step, then half of it
         assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
@@ -421,11 +432,11 @@ class TestNewtonState:
         assert report.newton_iterations == [2] * 8
         assert report.factorizations == report.newton_iterations
 
-    def test_fine_grid_stops_at_negligible_correction(self):
-        # at N = 2048 a residual of 1e-10 lies below the round-off floor of
-        # the 1/h^2 stencil: the steps ended at a stagnation exit after
-        # [4, 34, 2, 6, 8, 2, 7, 6] iterations, each with one factorization
-        # more than iterations
+    def test_fine_grid_meets_the_tolerance(self):
+        # at N = 2048 the 1/h^2 stencil of the heights has a round-off floor
+        # above the tolerance: Newton on the heights ended on a negligible
+        # correction at a residual of 3.5e-10.  The deviation from the cap
+        # has no such floor
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2, grid_size=2048))
         report = sol.report
@@ -433,6 +444,28 @@ class TestNewtonState:
         assert max(report.newton_iterations) <= 4
         assert report.factorizations == report.newton_iterations
         assert abs(sol.u0 - 0.8166629143954075) <= 1e-12
+        assert report.final_residual <= sol.layout.newton_tol
+
+    def test_finest_grid_takes_no_bisection(self):
+        # at N = 16384 and sigma = 0.05 the correction at the round-off
+        # floor of the heights exceeded the negligible size, and the march
+        # bisected a step: 9 steps for 8 heights
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.05,
+                                  grid_size=16384)
+        report = solver.continuation_solve(cfg).report
+        assert len(report.newton_iterations) == len(cfg.epsilon_schedule)
+        assert report.final_residual <= 1e-11
+
+    def test_moved_state_keeps_its_heights(self):
+        # H_1 on K_2 at sigma = 0.002 fails to converge at a bisection point
+        # of the boundary heights.  A state carried to the next point as the
+        # same deviation from that point's cap has other heights, and the
+        # march ended in AdmissibilityLostError instead
+        cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
+                                  domain=hypgeom.Domain.ball(1.0), sigma_target=0.002,
+                                  grid_size=512)
+        with pytest.raises(NonConvergenceError, match=r"eps=0\.058007812500000006$"):
+            solver.continuation_solve(cfg)
 
     def test_grid_reuses_factorization(self):
         sol = solver.continuation_solve(solver.SolverConfig(
@@ -792,7 +825,7 @@ class TestSweep:
                                   sigma_target=sigmas[0], grid_size=512)
         rows = solver.sweep_sigma(cfg, sigmas)
         assert all(row["converged"] for row in rows)
-        assert all(row["iterations"] <= 2 for row in rows[1:])
+        assert all(row["iterations"] <= 3 for row in rows[1:])
         for row in rows:
             cold = solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
             assert abs(row["u0"] - cold.u0) <= 1e-10
@@ -1060,7 +1093,7 @@ class TestGridPath:
         # error of the difference quotients
         kappa, _ = grid.principal_curvatures_2d(*jet)
         jet = [v[kappa[:, 1] > 0.05] for v in jet]
-        for exact, centred in zip(grid._jet_partials(spec, jet, *grid._table_2d(*jet)),
+        for exact, centred in zip(_jet_partials(spec, jet),
                                   _grid_partials_centred(spec, jet)):
             assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
 
@@ -1071,7 +1104,7 @@ class TestGridPath:
         jet = grid._jets(layout.initial(0.5, 0.1), layout)
         kappa, _ = grid.principal_curvatures_2d(*jet)
         assert kappa[0, 0] == kappa[0, 1]
-        for exact, centred in zip(grid._jet_partials(H2H1, jet, *grid._table_2d(*jet)),
+        for exact, centred in zip(_jet_partials(H2H1, jet),
                                   _grid_partials_centred(H2H1, jet)):
             assert np.all(np.isfinite(exact))
             assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
