@@ -361,13 +361,8 @@ def _cmd_verify_f(cfg):
 def _cmd_cap(cfg):
     cap = hypgeom.make_cap(cfg["radius"], cfg["sigma"])
     payload = {"cap": {**asdict(cap), "u0": cap.apex_height}}
-    sol = solver.radial_solution_from_profile(
-        _curvature_spec(cfg), _domain(cfg),
-        cfg["sigma"], cfg["grid"],
-        hypgeom.make_cap_with_boundary_height(
-            cfg["radius"], cfg["sigma"], cfg["epsilon_min"]).height,
-        cfg["epsilon_min"],
-    )
+    sol = solver.cap_solution(_curvature_spec(cfg), _domain(cfg), cfg["sigma"], cfg["grid"],
+                              cfg["epsilon_min"])
     return payload, sol, None
 
 

@@ -69,13 +69,12 @@ class GridLayout:
     the driver continues from it in sigma, then in the boundary height, and
     the state is the heights themselves (`heights` and `deviation` are the
     identity).  Newton stops at a residual sup-norm of 1e-8.  A solution
-    reports the full box's interior nodes `mask` in box order; `image` holds
-    the unknown each of them mirrors."""
+    reports the full box's interior nodes `mask` in box order, each with the
+    curvatures of the unknown it mirrors, `image`."""
 
     keeps_factorization = True
     exact_seed = False
     newton_tol = 1e-8
-    interior = slice(None)
 
     def __init__(self, spec: symfunc.CurvatureSpec, domain: hypgeom.Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -158,13 +157,13 @@ class GridLayout:
     def u0(self, U):
         return float(np.max(U[self.inside]))
 
-    def solution(self, U, sigma, epsilon):
-        """The quadrant state, with `kappa` and `w` at the interior nodes of
-        the full box in box order."""
-        kappa, w = _interior_curvatures(U, self)
-        kappa, w = kappa[self.image], w[self.image]
-        return solver.GraphSolution(layout=self, u=U, sigma=sigma, epsilon=epsilon,
-                                    kappa=kappa, w=w)
+    def solution(self, it, sigma, epsilon):
+        """The quadrant heights of the iterate `it`, with `kappa` and `w`
+        from its residual's jet at the interior nodes of the full box in box
+        order."""
+        kappa, w = principal_curvatures_2d(*it.lin[0])
+        return solver.GraphSolution(layout=self, u=it.u, sigma=sigma, epsilon=epsilon,
+                                    kappa=kappa[self.image], w=w[self.image])
 
 
 def _jets(U: np.ndarray, layout: GridLayout):
@@ -244,10 +243,6 @@ def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms, f):
         au * (1.0 - uy * uy / w2) + b * uxx,
         -2.0 * (au * ux * uy / w2 + b * uxy),
     )
-
-
-def _interior_curvatures(U: np.ndarray, layout: GridLayout):
-    return principal_curvatures_2d(*_jets(U, layout))
 
 
 def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,

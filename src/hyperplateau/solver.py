@@ -10,7 +10,7 @@ ellipse domains lives in `grid`.  On the radial path every node's curvature
 vector is (kappa_rad, kappa_tan, ..., kappa_tan), so the residual and the
 Jacobian take f, its cone test and its partials from the closed-form table
 of that pair (symfunc.pair_table), built once per state from the jet; the
-(points, n) curvature matrix is built only for summaries and solutions.
+(points, n) curvature matrix is built only for the solution.
 
 Continuation marches through a list of (sigma, epsilon) points; the
 boundary heights follow from the config's epsilon_min alone
@@ -32,8 +32,9 @@ deviation of the heights from the exact cap at the (sigma, epsilon) being
 solved, whose stencil differences are taken in closed form, so the residual
 rounds to an ulp of the deviation and the 1/h^2 stencils leave no round-off
 floor above the tolerance; a state moved to another point keeps its
-heights.  A solution holds the layout that made it, which says which of
-its nodes are interior and which of those touch the boundary.
+heights.  A solution is read from the Iterate Newton converged on, with
+the curvatures of its residual's jet, and holds the layout that made it,
+which says which of its nodes touch the boundary.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class SolveReport:
 class GraphSolution:
     """A solved graph and the layout that made it (RadialLayout or
     grid.GridLayout), which answers every question about its nodes and
-    gives `spec`, `domain` and `u0`.  `u` is the layout's state: the radial
+    gives `spec`, `domain` and `u0`.  `u` holds the heights: the radial
     profile, or the grid's quadrant heights.  `kappa`, `nu_vertical` and `w`
-    are given at the layout's reported nodes: every profile node, or the
-    interior nodes of the ellipse's bounding box in box order."""
+    are given at the interior nodes only: the profile's, the rim excluded,
+    or those of the ellipse's bounding box in box order."""
 
     layout: "RadialLayout | grid.GridLayout"
     u: np.ndarray
@@ -203,8 +204,7 @@ class GraphSolution:
 
     def summary(self):
         """(largest interior curvature, smallest interior nu^{n+1})."""
-        interior = self.layout.interior
-        return float(np.max(self.kappa[interior])), float(np.min(self.nu_vertical[interior]))
+        return float(np.max(self.kappa)), float(np.min(self.nu_vertical))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +354,12 @@ class RadialLayout:
     a residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
     at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
     study up to that grid read order 1.58 for 2.00.  A solution reports the
-    heights at every node; all but the rim node are interior, and the last
-    interior node is the one next to the rim."""
+    heights at every node and the curvatures at the interior nodes, all but
+    the rim node; the last of them is the one next to the rim."""
 
     keeps_factorization = False
     exact_seed = True
     newton_tol = 1e-11
-    interior = slice(None, -1)
 
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
@@ -409,13 +408,11 @@ class RadialLayout:
     def u0(self, u):
         return float(u[0])
 
-    def derivatives(self, u):
-        """(u', u'') of a profile at every node (see _radial_derivatives)."""
-        return _radial_derivatives(u, self.rho[1] - self.rho[0])
-
-    def solution(self, u, sigma, epsilon) -> GraphSolution:
-        kappa, w = radial_principal_curvatures(u, *self.derivatives(u), self.rho, self.spec.n)
-        return GraphSolution(layout=self, u=u, sigma=sigma, epsilon=epsilon, kappa=kappa, w=w)
+    def solution(self, it, sigma, epsilon) -> GraphSolution:
+        """The iterate's heights, with kappa and w from its residual's jet."""
+        kappa, w = radial_principal_curvatures(*it.lin[0], self.spec.n)
+        return GraphSolution(layout=self, u=self.heights(it.u, sigma, epsilon), sigma=sigma,
+                             epsilon=epsilon, kappa=kappa, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +421,10 @@ class RadialLayout:
 # point into an Iterate, builds the Jacobian from what that evaluation built,
 # factors it and solves with the factors (raising SingularJacobianError),
 # seeds u from the cap, maps a state at a point to its heights and back
-# (`heights`, `deviation`), and turns converged heights into a
-# GraphSolution, whose node questions it answers: `interior` picks the
-# interior nodes out of the reported ones, and `touches_boundary` flags, in
-# that order, those next to a Dirichlet node.  Its class sets what the
+# (`heights`, `deviation`), and turns the Iterate Newton converged on into a
+# GraphSolution with the curvatures of its jet, whose node questions it
+# answers: `touches_boundary` flags, in the order of the reported interior
+# nodes, those next to a Dirichlet node.  Its class sets what the
 # driver does with it: `newton_tol`, the residual sup-norm at which Newton
 # stops; `keeps_factorization`, to keep the factorization for chord steps
 # across Newton iterations and continuation steps, and for the predictor of
@@ -504,8 +501,8 @@ def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
 
 def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
     """Newton iterations from the iterate `it` until the residual sup-norm
-    meets the layout's tolerance; returns the converged u, the number of
-    iterations and the number of factorizations they took."""
+    meets the layout's tolerance; returns the converged iterate, the number
+    of iterations and the number of factorizations they took."""
     first = state.factorizations
     norm = float(np.max(np.abs(it.res)))
     count = 0
@@ -515,7 +512,7 @@ def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
                 f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})")
         it, norm = newton_step(layout, it, sigma, epsilon, state)
         count += 1
-    return it.u, count, state.factorizations - first
+    return it, count, state.factorizations - first
 
 
 def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
@@ -546,11 +543,10 @@ _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLost
 
 
 def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
-    """Newton at (sigma, epsilon).  When `seeded` it starts from the
-    layout's exact solution of the continuous problem,
-    `layout.initial(sigma, epsilon)`; otherwise, or where that fails and the
-    state v exists, from the Euler prediction from v (see _predict)."""
-    if seeded:
+    """Newton at (sigma, epsilon).  When `seeded`, or without a state v, it
+    starts from `layout.initial(sigma, epsilon)`; otherwise, or where that
+    fails and v exists, from the Euler prediction from v (see _predict)."""
+    if seeded or v is None:
         try:
             seed = layout.evaluate(layout.initial(sigma, epsilon), sigma, epsilon)
             return _newton_solve(layout, seed, sigma, epsilon, state)
@@ -560,16 +556,16 @@ def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
     return _newton_solve(layout, _predict(layout, v, sigma, epsilon, state), sigma, epsilon, state)
 
 
-def _march(layout, u, start, points, state: NewtonState, seeded: bool):
+def _march(layout, it, start, points, state: NewtonState, seeded: bool):
     """Walk the (sigma, epsilon) points with up-to-8-deep step bisection: a
     step that fails is retried at the midpoint of the last accepted point
-    and its target.  Each step is one _solve_at from u, the last accepted
-    state, moved to the step's point with its heights kept.  `start` is the
-    point at which the given u converged, or None when u is a seed at the
-    first point or absent; then the first step is not bisected.  Returns
-    the final state, the Newton iterations and factorizations of every
-    accepted step, and the center height at each of the points, keyed by
-    point."""
+    and its target.  Each step is one _solve_at from the state of `it`, the
+    last accepted iterate, moved to the step's point with its heights kept.
+    `start` is the point at which `it` converged, or None when there is no
+    iterate yet; then the first step starts from the layout's seed and is
+    not bisected.  Returns the iterate converged at the last point, the
+    Newton iterations and factorizations of every accepted step, and the
+    center height at each of the points, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
     current = start
     for target in points:
@@ -577,20 +573,21 @@ def _march(layout, u, start, points, state: NewtonState, seeded: bool):
         depth = 0
         while stack:
             nxt = stack[-1]
-            moved = u if current is None else layout.deviation(layout.heights(u, *current), *nxt)
+            moved = None if current is None else layout.deviation(
+                layout.heights(it.u, *current), *nxt)
             try:
-                u, it, nf = _solve_at(layout, moved, *nxt, state, seeded)
+                it, count, nf = _solve_at(layout, moved, *nxt, state, seeded)
             except (NonConvergenceError, SingularJacobianError):
                 if current is None or depth >= 8:
                     raise
                 depth += 1
                 stack.append(tuple(0.5 * (a + b) for a, b in zip(current, nxt)))
                 continue
-            iters.append(it)
+            iters.append(count)
             factors.append(nf)
             current = stack.pop()
-        u0_by_point[target] = layout.u0(layout.heights(u, *target))
-    return u, iters, factors, u0_by_point
+        u0_by_point[target] = layout.u0(layout.heights(it.u, *target))
+    return it, iters, factors, u0_by_point
 
 
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
@@ -598,10 +595,10 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
     sets `exact_seed` the first height is one seeded Newton solve; when it
     fails there, and on other layouts, the first height marches sigma down
     from the cap seed at 0.8, one predicted step per sigma.  The later
-    heights are one march from the state converged at the first height,
-    seeded when the layout's class sets `exact_seed`.  Returns the final
-    state, the Newton iterations and factorizations of every step, and the
-    center height at each scheduled boundary height."""
+    heights are one march from the iterate converged at the first height,
+    seeded when the layout's class sets `exact_seed`.  Returns the last
+    converged iterate, the Newton iterations and factorizations of every
+    step, and the center height at each scheduled boundary height."""
     sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
     points = [(sigma, e) for e in schedule]
     first = None
@@ -615,25 +612,24 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
         # from it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
         sigmas = [(s, schedule[0]) for s in default_sigma_schedule(sigma)]
-        first = _march(layout, layout.initial(*sigmas[0]), None, sigmas, state, False)
-    u, iters, factors, u0_by_point = first
-    u, more, more_factors, more_u0 = _march(layout, u, points[0], points[1:], state,
-                                            layout.exact_seed)
+        first = _march(layout, None, None, sigmas, state, False)
+    it, iters, factors, u0_by_point = first
+    it, more, more_factors, more_u0 = _march(layout, it, points[0], points[1:], state,
+                                             layout.exact_seed)
     u0_by_eps = {e: u0 for (s, e), u0 in (u0_by_point | more_u0).items() if s == sigma}
-    return u, iters + more, factors + more_factors, u0_by_eps
+    return it, iters + more, factors + more_factors, u0_by_eps
 
 
 def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     """Continuation solve of a config on the given layout."""
     state = NewtonState()
-    u, iters, factors, u0_by_eps = _continue(layout, cfg, state)
+    it, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     sigma, epsilon = cfg.sigma_target, cfg.epsilon_schedule[-1]
-    final = layout.evaluate(u, sigma, epsilon).res
-    sol = layout.solution(layout.heights(u, sigma, epsilon), sigma, epsilon)
+    sol = layout.solution(it, sigma, epsilon)
     kappa_max, min_nu = sol.summary()
     sol.report = SolveReport(
         converged=True,
-        final_residual=float(np.max(np.abs(final))),
+        final_residual=float(np.max(np.abs(it.res))),
         newton_iterations=iters,
         factorizations=factors,
         kappa_max=kappa_max,
@@ -653,15 +649,20 @@ def _layout(cfg: SolverConfig):
     return RadialLayout(cfg.spec, cfg.domain, cfg.grid_size)
 
 
-def radial_solution_from_profile(spec: CurvatureSpec, domain: Domain, sigma: float,
-                                 grid_size: int, height_fn, epsilon: float = 0.0) -> GraphSolution:
-    """Build a radial GraphSolution by sampling a closed-form profile (used
-    for oracle solutions such as caps and horospheres)."""
+def cap_solution(spec: CurvatureSpec, domain: Domain, sigma: float, grid_size: int,
+                 epsilon: float) -> GraphSolution:
+    """The umbilic cap with boundary height epsilon, the oracle solution:
+    its sampled heights, and its exact kappa = sigma and w = sqrt(1 +
+    c'^2) at the interior nodes.  No residual: at small sigma the sampled
+    cap leaves the cone by O(h^2)."""
     if domain.shape != hypgeom.SHAPE_BALL:
-        raise UnsupportedSolutionError("profile sampling needs a ball domain")
+        raise UnsupportedSolutionError("the umbilic cap needs a ball domain")
     layout = RadialLayout(spec, domain, grid_size)
-    u = np.maximum(np.asarray(height_fn(layout.rho), dtype=float), max(epsilon, 1e-300))
-    return layout.solution(u, sigma, epsilon)
+    cap = hypgeom.make_cap_with_boundary_height(domain.params[0], sigma, epsilon)
+    u = np.maximum(cap.height(layout.rho), max(epsilon, 1e-300))
+    return GraphSolution(layout=layout, u=u, sigma=sigma, epsilon=epsilon,
+                         kappa=np.full((grid_size, spec.n), sigma),
+                         w=np.hypot(1.0, cap.dheight(layout.rho[:-1])))
 
 
 def continuation_solve(config: SolverConfig) -> GraphSolution:
@@ -687,19 +688,19 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     state = NewtonState()
     epsilon = config.epsilon_schedule[-1]
     rows = []
-    warm = None  # the last converged state and its (sigma, epsilon)
+    warm = None  # the last converged iterate and its (sigma, epsilon)
     for s in sigmas:
         cfg = replace(config, sigma_target=s)
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
             if warm is None:
-                u, its, _, _ = _continue(layout, cfg, state)
+                it, its, _, _ = _continue(layout, cfg, state)
             else:
-                u, its, _, _ = _march(layout, *warm, [(s, epsilon)], state, layout.exact_seed)
-            warm = u, (s, epsilon)
-            heights = layout.heights(u, s, epsilon)
-            kappa_max, min_nu = layout.solution(heights, s, epsilon).summary()
-            row.update(status="ok", converged=True, u0=layout.u0(heights), kappa_max=kappa_max,
+                it, its, _, _ = _march(layout, *warm, [(s, epsilon)], state, layout.exact_seed)
+            warm = it, (s, epsilon)
+            sol = layout.solution(it, s, epsilon)
+            kappa_max, min_nu = sol.summary()
+            row.update(status="ok", converged=True, u0=sol.u0, kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))
         except _SOLVE_FAILURES as exc:
             row.update(status=f"failed: {type(exc).__name__}", converged=False,

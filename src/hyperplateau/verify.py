@@ -14,7 +14,7 @@ import numpy as np
 
 from . import symfunc
 from .errors import UnsupportedSolutionError
-from .solver import GraphSolution, RadialLayout
+from .solver import GraphSolution, RadialLayout, _radial_derivatives
 
 GRADIENT_TOL = 0.01
 
@@ -74,8 +74,9 @@ def gradient_estimate_check(solution: GraphSolution):
 
 def estimate_constants(solution: GraphSolution):
     """Constants of the interior curvature estimate, evaluated at the grid
-    maximizer of kappa_max/(nu_vertical - a) over the interior nodes, with
-    a = (min nu_vertical)/2; x0_index numbers the maximizer among them.
+    maximizer of kappa_max/(nu_vertical - a) over the solution's nodes,
+    every one interior, with a = (min nu_vertical)/2; x0_index numbers the
+    maximizer among them.
 
     When the maximizer touches a Dirichlet node the interior analysis does
     not apply; the result is labelled boundary_attained rather than
@@ -83,9 +84,7 @@ def estimate_constants(solution: GraphSolution):
     window is empty, theta and mu are None and the kappa1 threshold for
     nonemptiness is reported.
     """
-    layout = solution.layout
-    kappa = solution.kappa[layout.interior]
-    nu = solution.nu_vertical[layout.interior]
+    kappa, nu = solution.kappa, solution.nu_vertical
     min_nu = float(np.min(nu))
     if min_nu <= 0.0:
         raise ValueError("estimate constants need min nu_vertical > 0")
@@ -107,7 +106,7 @@ def estimate_constants(solution: GraphSolution):
     consts = EstimateConstants(
         a=a, eta=eta, kappa1=kappa1, lam=lam, theta=theta, mu=mu, M0=M0,
         x0_index=i0, window=(lower, upper), window_empty=not nonempty,
-        kappa1_threshold=threshold, boundary_attained=bool(layout.touches_boundary[i0]),
+        kappa1_threshold=threshold, boundary_attained=bool(solution.layout.touches_boundary[i0]),
     )
     sets = index_sets(np.asarray(kappa[i0], dtype=float), float(nu[i0]),
                       eta, theta, solution.spec)
@@ -129,11 +128,12 @@ def check_lemma21_ii(solution: GraphSolution) -> float:
     if not isinstance(layout, RadialLayout):
         raise UnsupportedSolutionError("lemma check needs a radial solution")
     rho, u, w, nu = layout.rho, solution.u, solution.w, solution.nu_vertical
-    up, _ = layout.derivatives(u)
+    up, _ = _radial_derivatives(u, rho[1] - rho[0])
     # forward difference in rho, converted to hyperbolic arclength via
-    # ds = (w/u) drho; evaluated at interior nodes 1..N-1
+    # ds = (w/u) drho; w and nu are given at the interior nodes 0..N-1, so
+    # it is evaluated at nodes 1..N-2
     dnu = (nu[2:] - nu[1:-1]) / (rho[1] - rho[0])
-    i = slice(1, len(rho) - 1)
+    i = slice(1, len(nu) - 1)
     lhs = (u[i] / w[i]) * dnu
     rhs = -(up[i] / w[i]) * (solution.kappa[i, 0] - nu[i])
     return float(np.max(np.abs(lhs - rhs)))

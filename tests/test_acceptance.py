@@ -197,10 +197,8 @@ def test_criterion_7_section3_algebra():
 
 def test_criterion_8_lemma21_discrete_check():
     def residual_at(N):
-        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.5, 1e-3)
-        sol = solver.radial_solution_from_profile(
-            CurvatureSpec.consecutive_quotient(1, 2),
-            hypgeom.Domain.ball(1.0), 0.5, N, cap.height, 1e-3)
+        sol = solver.cap_solution(CurvatureSpec.consecutive_quotient(1, 2),
+                                  hypgeom.Domain.ball(1.0), 0.5, N, 1e-3)
         return verify.check_lemma21_ii(sol)
 
     r512, r1024 = residual_at(512), residual_at(1024)

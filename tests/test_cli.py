@@ -439,9 +439,19 @@ class TestMesh:
 
 class TestMain:
     def test_flag_parsing(self, tmp_path):
-        code = cli.main(["cap", "--sigma", "0.5", "--radius", "1",
-                         "--out", str(tmp_path)])
-        assert code == 0
+        for argv in (
+            ["cap", "--sigma", "0.5", "--radius", "1"],
+            # the sampled cap leaves the cone by O(h^2) at small sigma: the
+            # cap's curvatures are the exact sigma, never a residual's
+            ["cap", "--sigma", "1e-9", "--grid", "16384", "--export", "mesh-obj"],
+            ["cap", "--family", "kth_root", "--k", "1", "--sigma", "0.001", "--grid", "16384",
+             "--export", "mesh-obj"],
+        ):
+            code = cli.main(argv + ["--out", str(tmp_path)])
+            assert code == 0, argv
+            for path in tmp_path.iterdir():  # an N = 16384 mesh takes 89 MB
+                assert path.stat().st_size > 0
+                path.unlink()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.json"

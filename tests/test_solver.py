@@ -520,8 +520,9 @@ def _count_calls(monkeypatch, module, name):
 
 class TestOneEvaluationPerState:
     """Every Jacobian reads the jet, curvatures and table that the residual
-    of its state built: a solve derives them once per residual evaluation,
-    and once more for the solution's curvatures."""
+    of its state built: a solve derives them once per residual evaluation.
+    The solution's curvatures come from the jet of the converged iterate,
+    so it builds no jet of its own."""
 
     def test_radial(self, monkeypatch):
         # the Jacobian derived the jet and the curvature pair again: in a
@@ -532,7 +533,9 @@ class TestOneEvaluationPerState:
         solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         assert residuals
-        assert len(derivatives) == len(pairs) == len(residuals) + 1
+        assert len(derivatives) == len(residuals)
+        # the solution's (points, n) curvature matrix is built from the pair
+        assert len(pairs) == len(residuals) + 1
 
     def test_grid(self, monkeypatch):
         residuals = _count_calls(monkeypatch, grid, "residual_grid")
@@ -542,8 +545,43 @@ class TestOneEvaluationPerState:
             spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.5,
             grid_size=32))
         assert residuals
-        assert len(tables) == len(residuals)
-        assert len(jets) == len(residuals) + 1
+        assert len(tables) == len(jets) == len(residuals)
+
+
+class TestSolutionFromIterate:
+    """A solution takes its curvatures from the jet of the iterate Newton
+    converged on, not from stencils of the heights."""
+
+    @pytest.mark.parametrize("domain, grid_size", [
+        (hypgeom.Domain.ball(1.0), 128),
+        (hypgeom.Domain.ellipse(1.5, 1.0), 32),
+    ], ids=["ball", "ellipse"])
+    def test_curvatures_of_converged_state(self, domain, grid_size):
+        cfg = solver.SolverConfig(spec=H2H1, domain=domain, sigma_target=0.5,
+                                  grid_size=grid_size)
+        layout = solver._layout(cfg)
+        states, solution = [], layout.solution
+        layout.solution = lambda it, *point: states.append(it.u) or solution(it, *point)
+        sol = solver.solve_on(layout, cfg)
+        jet = layout.evaluate(states[-1], sol.sigma, sol.epsilon).lin[0]
+        if isinstance(layout, grid.GridLayout):
+            kappa, w = grid.principal_curvatures_2d(*jet)
+            kappa, w = kappa[layout.image], w[layout.image]
+        else:
+            kappa, w = hypgeom.radial_principal_curvatures(*jet, H2H1.n)
+        assert np.array_equal(sol.kappa, kappa) and np.array_equal(sol.w, w)
+
+    def test_kappa_max_converges_below_roundoff(self):
+        # from the stencils of the heights, kappa_max - sigma fell by 20.8
+        # from N = 2048 to 16384, where second order gives 64: the 1/h^2
+        # round-off of the heights read 1.12e-7 at N = 16384
+        err = {}
+        for grid_size in (2048, 16384):
+            sol = solver.continuation_solve(solver.SolverConfig(
+                spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2,
+                grid_size=grid_size))
+            err[grid_size] = sol.report.kappa_max - 0.2
+        assert err[2048] / err[16384] >= 60.0
 
 
 class TestPredictor:
@@ -555,9 +593,9 @@ class TestPredictor:
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         state = solver.NewtonState()
         seed = layout.evaluate(layout.initial(0.6, 0.1), 0.6, 0.1)
-        u, _, _ = solver._newton_solve(layout, seed, 0.6, 0.1, state)
-        state.factored = layout.factor(layout.jacobian(layout.evaluate(u, 0.6, 0.1).lin))
-        return layout, state, u
+        it, _, _ = solver._newton_solve(layout, seed, 0.6, 0.1, state)
+        state.factored = layout.factor(layout.jacobian(it.lin))
+        return layout, state, it.u
 
     def predicted_norm(self, layout, state, u, sigma):
         pred = solver._predict(layout, u, sigma, 0.1, state)
@@ -758,9 +796,10 @@ class TestContinuation:
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.3, grid_size=128)
         sol = solver.continuation_solve(cfg)
-        up, upp = sol.layout.derivatives(sol.u)
+        rho = sol.layout.rho
+        up, upp = solver._radial_derivatives(sol.u, rho[1] - rho[0])
         for i in (0, 40, 100, 127):
-            jet = hypgeom.radial_jet(sol.u[i], up[i], upp[i], sol.layout.rho[i], 2)
+            jet = hypgeom.radial_jet(sol.u[i], up[i], upp[i], rho[i], 2)
             assert np.max(np.abs(jet.kappa - np.sort(sol.kappa[i])[::-1])) < 1e-8
 
     def test_jacobian_cross_check_converged_solution(self):
@@ -1046,7 +1085,7 @@ class TestGridPath:
         assert np.array_equal(sol.u, U[cx:, cy:])
         # every kappa row is the quadrant curvature at the node's mirror image
         layout = grid.GridLayout(H2H1, sol.domain, 32)
-        kappa, w = grid._interior_curvatures(U[cx:, cy:], layout)
+        kappa, w = grid.principal_curvatures_2d(*grid._jets(U[cx:, cy:], layout))
         row = {node: k for k, node in enumerate(zip(*np.nonzero(layout.inside)))}
         for k, (i, j) in enumerate(zip(*np.nonzero(sol.layout.mask))):
             image = row[max(i, nx - 1 - i) - cx, max(j, ny - 1 - j) - cy]
@@ -1077,7 +1116,7 @@ class TestGridPath:
         # test of the table lists the nodes the curvatures list
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 256)
         U = layout.initial(0.8, 0.1)
-        kappa, _ = grid._interior_curvatures(U, layout)
+        kappa, _ = grid.principal_curvatures_2d(*grid._jets(U, layout))
         expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
         with pytest.raises(AdmissibilityLostError) as info:
             layout.evaluate(U, 0.8, 0.1)
@@ -1142,7 +1181,6 @@ class TestGridPath:
         want = ~(mask[ii - 1, jj] & mask[ii + 1, jj] & mask[ii, jj - 1] & mask[ii, jj + 1])
         assert want.any() and not want.all()
         assert np.array_equal(layout.touches_boundary, want)
-        assert np.array_equal(np.arange(ii.size)[layout.interior], np.arange(ii.size))
 
     def test_grid_curvatures_match_pointwise(self):
         # closed-form 2x2 eigenvalues against the per-point jet constructor

@@ -45,9 +45,12 @@ class TestThetaWindow:
 
 class TestGradientEstimate:
     def test_horosphere(self):
-        sol = solver.radial_solution_from_profile(
-            CurvatureSpec.consecutive_quotient(1, 2), hypgeom.Domain.ball(1.0),
-            1.0 - 1e-9, 128, lambda rho: np.full_like(rho, 0.5), 0.5)
+        # the horizontal graph u = 0.5: kappa = 1 and w = 1 at every
+        # interior node
+        layout = solver.RadialLayout(CurvatureSpec.consecutive_quotient(1, 2),
+                                     hypgeom.Domain.ball(1.0), 128)
+        sol = solver.GraphSolution(layout=layout, u=np.full(129, 0.5), sigma=1.0 - 1e-9,
+                                   epsilon=0.5, kappa=np.ones((128, 2)), w=np.ones(128))
         min_nu, ok = verify.gradient_estimate_check(sol)
         assert min_nu == pytest.approx(1.0)
         assert ok
@@ -70,19 +73,16 @@ class TestGradientEstimate:
 
 class TestEstimateConstants:
     def cap_solution(self, sigma=0.5, eps=1e-3, N=512):
-        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, eps)
-        return solver.radial_solution_from_profile(
-            CurvatureSpec.consecutive_quotient(1, 2),
-            hypgeom.Domain.ball(1.0), sigma, N, cap.height, eps)
+        return solver.cap_solution(CurvatureSpec.consecutive_quotient(1, 2),
+                                   hypgeom.Domain.ball(1.0), sigma, N, eps)
 
     def test_cap_m0_formula(self):
         sol = self.cap_solution()
         consts, sets = verify.estimate_constants(sol)
         # umbilic: kappa_max = sigma everywhere, maximizer where nu is least
-        nu_min = float(np.min(sol.nu_vertical[:-1]))
+        nu_min = float(np.min(sol.nu_vertical))
         assert consts.a == pytest.approx(nu_min / 2)
-        # discrete one-sided stencils perturb kappa at the last ring slightly
-        assert consts.M0 == pytest.approx(0.5 / (nu_min - consts.a), rel=1e-3)
+        assert consts.M0 == pytest.approx(0.5 / (nu_min - consts.a), rel=1e-12)
         assert consts.boundary_attained
 
     def test_index_sets_partition(self):
@@ -135,10 +135,8 @@ class TestAlgebra:
 
 class TestLemma21ii:
     def make_solution(self, grid_size, sigma=0.5):
-        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, 1e-3)
-        return solver.radial_solution_from_profile(
-            CurvatureSpec.consecutive_quotient(1, 2),
-            hypgeom.Domain.ball(1.0), sigma, grid_size, cap.height, 1e-3)
+        return solver.cap_solution(CurvatureSpec.consecutive_quotient(1, 2),
+                                   hypgeom.Domain.ball(1.0), sigma, grid_size, 1e-3)
 
     def test_first_order_refinement(self):
         r512 = verify.check_lemma21_ii(self.make_solution(512))
