@@ -246,13 +246,19 @@ def _solver_config(cfg: dict) -> solver.SolverConfig:
 # artifact writers (atomic: write-temp-then-rename)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of `chunks` to a temporary file beside `path` and
+    rename it onto `path`, with the mode open(path, "w") gives; a failed
+    chunk leaves `path` untouched and no temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,7 +268,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def write_report_json(path: str, payload: dict, config: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n",))
 
 
 def write_table_csv(path: str, rows: list, columns: list) -> None:
@@ -272,60 +278,47 @@ def write_table_csv(path: str, rows: list, columns: list) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, (buf.getvalue(),))
 
 
 def _obj_lines(fmt: str, rows: np.ndarray) -> str:
     """One OBJ line per row of `rows`, each formatted with `fmt`.  Rows go
     through `%` 4096 at a time, which bounds the Python numbers alive at
-    once (all of them at once would raise the peak memory of an N = 512
-    export by a few MB)."""
+    once whatever the size of a grid mesh."""
     parts = (rows[i:i + 4096] for i in range(0, len(rows), 4096))
     return "".join((fmt * len(p)) % tuple(p.ravel().tolist()) for p in parts)
 
 
-def _ring_lines(heights: list, xy: np.ndarray) -> str:
-    """OBJ vertex lines of rings at the given heights, with xy of shape
-    (rings, sectors, 2).  Each height is formatted once, into its ring's
-    line format, so only x and y go through `%` per vertex, about 4096
-    vertices at a time, as in _obj_lines."""
-    sectors = xy.shape[1]
-    per = max(1, 4096 // sectors)
-    return "".join(
-        "".join(("v %.9g %.9g " + "%.9g\n" % h) * sectors for h in heights[i:i + per])
-        % tuple(xy[i:i + per].ravel().tolist())
-        for i in range(0, len(heights), per))
-
-
-def mesh_from_radial(solution) -> str:
-    """Revolve a radial profile into an OBJ mesh of MESH_SECTORS sectors.
-    Vertices are (x, y, u) in upper half-space coordinates; faces wind
-    counterclockwise seen from above (+u side)."""
+def mesh_from_radial(solution):
+    """Revolve a radial profile into an OBJ mesh of MESH_SECTORS sectors,
+    yielded ring by ring: each ring's vertices (x, y, u), in upper
+    half-space coordinates, then its faces, counterclockwise seen from above
+    (+u side).  Faces use OBJ's negative indices, which count back from the
+    last vertex written, so every strip is the same text, formatted once."""
     rho, u = solution.layout.rho, solution.u
     angles = [2.0 * math.pi * j / MESH_SECTORS for j in range(MESH_SECTORS)]
-    # vertex 1 is the apex, then ring i >= 1 of the profile, sector j
-    rings = np.empty((len(rho) - 1, MESH_SECTORS, 2))
-    rings[..., 0] = rho[1:, None] * np.array([math.cos(t) for t in angles])
-    rings[..., 1] = rho[1:, None] * np.array([math.sin(t) for t in angles])
-    # 1-based OBJ index of ring i >= 1, sector j: 2 + (i - 1) MESH_SECTORS + j
-    j = np.arange(MESH_SECTORS)
-    first = 2 + j
-    fan = np.stack([np.ones_like(j), first, 2 + (j + 1) % MESH_SECTORS], axis=-1)
-    a = first + MESH_SECTORS * np.arange(len(rho) - 2)[:, None]
-    b = a - j + (j + 1) % MESH_SECTORS
-    c, d = a + MESH_SECTORS, b + MESH_SECTORS
-    strips = np.stack([a, c, d, a, d, b], axis=-1)
-    return ("# radial graph, revolved profile\n"
-            + "v 0 0 %.9g\n" % u[0]
-            + _ring_lines(u[1:].tolist(), rings)
-            + _obj_lines("f %d %d %d\n", fan)
-            + _obj_lines("f %d %d %d\n", strips.reshape(-1, 3)))
+    # (x, y) of ring i >= 1, sector j at rings[i - 1, j]
+    rings = rho[1:, None, None] * np.array([[math.cos(t), math.sin(t)] for t in angles])
+    # sector j of the ring just written is j - MESH_SECTORS, of the ring
+    # before it j - 2 MESH_SECTORS; the apex, seen from ring 1, is -MESH_SECTORS - 1
+    j = np.arange(MESH_SECTORS) - MESH_SECTORS
+    k = np.roll(j, -1)
+    fan = _obj_lines("f %d %d %d\n", np.stack([np.full_like(j, -MESH_SECTORS - 1), j, k], axis=-1))
+    a, b = j - MESH_SECTORS, k - MESH_SECTORS
+    strip = _obj_lines("f %d %d %d\n", np.stack([a, j, k, a, k, b], axis=-1).reshape(-1, 3))
+    yield "# radial graph, revolved profile\n" + "v 0 0 %.9g\n" % u[0]
+    for i in range(1, len(rho)):
+        # the ring's height is formatted once, into its line format
+        ring = tuple(rings[i - 1].ravel().tolist())
+        yield ("v %.9g %.9g " + "%.9g\n" % u[i]) * MESH_SECTORS % ring
+        yield fan if i == 1 else strip
 
 
-def mesh_from_grid(solution) -> str:
-    """Tensor-grid solution to OBJ: vertices (x, y, u) for every node of a
-    cell touching the interior; two triangles per cell, counterclockwise
-    from above."""
+def mesh_from_grid(solution):
+    """Tensor-grid solution to OBJ, yielded as header, vertex block and face
+    block: vertices (x, y, u) for every node of a cell touching the
+    interior; two triangles per cell, counterclockwise from above, by
+    absolute index, since the cells are irregular."""
     layout = solution.layout
     xs, ys, U, mask = layout.xs, layout.ys, solution.u.ravel()[layout.fold], layout.mask
     # cells with a corner inside, and the nodes of those cells
@@ -343,9 +336,9 @@ def mesh_from_grid(solution) -> str:
     a, b = index[ci, cj], index[ci + 1, cj]
     c, d = index[ci + 1, cj + 1], index[ci, cj + 1]
     faces = np.stack([a, b, c, a, c, d], axis=-1)
-    return ("# tensor-grid graph over the ellipse\n"
-            + _obj_lines("v %.9g %.9g %.9g\n", verts)
-            + _obj_lines("f %d %d %d\n", faces.reshape(-1, 3)))
+    yield "# tensor-grid graph over the ellipse\n"
+    yield _obj_lines("v %.9g %.9g %.9g\n", verts)
+    yield _obj_lines("f %d %d %d\n", faces.reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,20 @@ def _mesh_from_radial_loops(solution, n_theta=64):
     return "\n".join(lines) + "\n"
 
 
+def _obj_parts(text):
+    """The vertex lines of OBJ text, and its faces as tuples of absolute
+    1-based vertex indices: a negative index counts back from the last
+    vertex written before its face."""
+    vertices, faces = [], []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("v "):
+            vertices.append(line)
+        elif line.startswith("f "):
+            faces.append(tuple(i if i > 0 else len(vertices) + 1 + i
+                               for i in map(int, line.split()[1:])))
+    return vertices, faces
+
+
 def _mesh_from_grid_loops(solution):
     """Oracle for cli.mesh_from_grid: the per-line writer it replaced."""
     layout = solution.layout
@@ -411,11 +425,13 @@ class TestMesh:
     H2H1 = symfunc.CurvatureSpec.consecutive_quotient(2, 2)
 
     def test_radial_matches_loop_writer(self):
+        # the vertex lines byte for byte; the faces, relative in the mesh and
+        # absolute in the oracle, as one ordered list of vertex indices
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
             grid_size=64))
-        text = cli.mesh_from_radial(sol)
-        assert text == _mesh_from_radial_loops(sol)
+        text = "".join(cli.mesh_from_radial(sol))
+        assert _obj_parts(text) == _obj_parts(_mesh_from_radial_loops(sol))
         assert text.count("\nv ") == 1 + 64 * 64
 
     def test_radial_exponent_heights_match_loop_writer(self):
@@ -424,17 +440,67 @@ class TestMesh:
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
             grid_size=64, epsilon_min=1e-5))
-        text = cli.mesh_from_radial(sol)
-        assert text == _mesh_from_radial_loops(sol)
+        text = "".join(cli.mesh_from_radial(sol))
+        assert _obj_parts(text) == _obj_parts(_mesh_from_radial_loops(sol))
         assert text.count(" 1e-05\n") == 64
+
+    def test_radial_chunks_are_small_and_relative(self):
+        # the finest cap the CLI admits: no chunk holds more than a ring's
+        # lines, and every face index reaches back at most two rings
+        sol = solver.cap_solution(self.H2H1, hypgeom.Domain.ball(1.0), 1e-9, 16384,
+                                  solver.EPSILON_MIN)
+        face_chunks, vertices = set(), 0
+        for chunk in cli.mesh_from_radial(sol):
+            assert len(chunk) <= 8192
+            vertices += chunk.count("v ")
+            if "f " in chunk:
+                face_chunks.add(chunk)
+        assert vertices == 1 + 16384 * cli.MESH_SECTORS
+        indices = {int(i) for chunk in face_chunks for line in chunk.splitlines()
+                   if line.startswith("f ") for i in line.split()[1:]}
+        assert indices and min(indices) >= -129 and max(indices) <= -1
 
     def test_grid_matches_loop_writer(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=self.H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.6,
             grid_size=32))
-        text = cli.mesh_from_grid(sol)
+        text = "".join(cli.mesh_from_grid(sol))
         assert text == _mesh_from_grid_loops(sol)
         assert text.count("\nf ") > 0
+
+    def test_written_radial_mesh_matches_loop_writer(self, tmp_path):
+        assert cli.run({"command": "solve", "sigma": 0.5, "k": 2, "grid": 64,
+                        "out": str(tmp_path), "export": "mesh-obj"}) == 0
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=self.H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+            grid_size=64))
+        text = (tmp_path / "mesh.obj").read_text()
+        assert _obj_parts(text) == _obj_parts(_mesh_from_radial_loops(sol))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, umask, mode, tmp_path):
+        # the mode open(path, "w") gives, not the temporary file's 0o600
+        saved = os.umask(umask)
+        try:
+            cli._atomic_write(str(tmp_path / "a.txt"), ("text\n",))
+        finally:
+            os.umask(saved)
+        assert (tmp_path / "a.txt").stat().st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_trace(self, tmp_path):
+        target = tmp_path / "mesh.obj"
+        target.write_bytes(b"v 0 0 1\n")
+
+        def chunks():
+            yield "v 1 2 3\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            cli._atomic_write(str(target), chunks())
+        assert target.read_bytes() == b"v 0 0 1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
 
 
 class TestMain:
@@ -449,7 +515,7 @@ class TestMain:
         ):
             code = cli.main(argv + ["--out", str(tmp_path)])
             assert code == 0, argv
-            for path in tmp_path.iterdir():  # an N = 16384 mesh takes 89 MB
+            for path in tmp_path.iterdir():  # an N = 16384 mesh takes 71 MB
                 assert path.stat().st_size > 0
                 path.unlink()
 
