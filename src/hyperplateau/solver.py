@@ -18,10 +18,12 @@ boundary heights follow from the config's epsilon_min alone
 epsilon has kappa = sigma everywhere, so it solves the continuous problem
 exactly for every normalized f: Newton starts from it at each scheduled
 boundary height, and at each later sigma of a sweep, and needs a few
-iterations there.  A step where that fails warm-starts from the last
-accepted state instead.  On the grid path, and at the first height when the
-seeded Newton fails there, continuation walks sigma down from 0.8 at a
-moderate boundary height, then shrinks the boundary height.  A failed step
+iterations there.  The heights of a schedule are independent solves, so
+Newton iterates them together, as the rows of one stack.  A step where that
+fails warm-starts from the last accepted state instead.  On the grid path,
+and at the first height when the seeded Newton fails there, continuation
+walks sigma down from 0.8 at a moderate boundary height, then shrinks the
+boundary height.  A failed step
 is retried at the midpoint of the last accepted point and its target.  A
 layout that keeps its factorization starts each unseeded step from the
 Euler tangent predictor, one chord step at the new parameter values.
@@ -64,6 +66,14 @@ SIGMA0_INTERVAL = (0.3703, 0.3704)  # classical small-sigma threshold, from the 
 MAX_NEWTON_ITERS = 50
 DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
+
+# the most nodes of one state whose boundary heights Newton iterates as one
+# stack (N <= 2048); finer grids solve their heights one at a time (see
+# _march).  In-process on a 2-vCPU Xeon, the 8 heights of a schedule as one
+# stack take about half the time of 8 solves at N = 512 and 0.7 of it at
+# N = 1024, while at N = 4096 and 8192 stacks of 4 and 2 rows took about
+# 1.2 times as long as the heights solved one at a time
+STACK_MAX_NODES = 2049
 
 
 # default schedules: boundary heights halved from EPSILON_START down to
@@ -212,16 +222,19 @@ class GraphSolution:
 
 
 def _radial_derivatives(u: np.ndarray, h: float):
-    """Second-order derivatives of a radial profile; symmetry at the axis,
-    one-sided second-order stencils at the outer boundary."""
+    """Second-order derivatives of a radial profile, or of a stack of them
+    along the last axis; symmetry at the axis, one-sided second-order
+    stencils at the outer boundary.  The boundary nodes are read through the
+    transpose, whose first axis is the nodes: scalars for one profile."""
     up = np.empty_like(u)
     upp = np.empty_like(u)
-    up[0] = 0.0
-    up[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    up[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    upp[0] = 2.0 * (u[1] - u[0]) / h**2
-    upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    upp[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h**2
+    ut, upt, uppt = u.T, up.T, upp.T
+    upt[0] = 0.0
+    up[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    upt[-1] = (3.0 * ut[-1] - 4.0 * ut[-2] + ut[-3]) / (2.0 * h)
+    uppt[0] = 2.0 * (ut[1] - ut[0]) / h**2
+    upp[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h**2
+    uppt[-1] = (2.0 * ut[-1] - 5.0 * ut[-2] + 4.0 * ut[-3] - ut[-4]) / h**2
     return up, upp
 
 
@@ -238,20 +251,22 @@ def _cap_differences(cap: hypgeom.CapSolution, rho: np.ndarray):
         c''_0 = -2 / (s_1 + s_0).
 
     Every term has one sign, so they round to a few ulps of themselves,
-    where the stencils of the rounded heights lose 4 ulp(c) / h^2."""
+    where the stencils of the rounded heights lose 4 ulp(c) / h^2.  With
+    cap.r and cap.c columns of shape (rows, 1), the caps of a stack of
+    points come out stacked along the first axis."""
     s = np.sqrt((cap.r - rho) * (cap.r + rho))
-    mid, ahead, behind = s[1:-1], s[2:], s[:-2]
+    mid, ahead, behind = s[..., 1:-1], s[..., 2:], s[..., :-2]
     outer = ahead + behind
-    cp, cpp = np.empty(rho.size - 1), np.empty(rho.size - 1)
-    cp[0] = 0.0
-    cp[1:] = -2.0 * rho[1:-1] / outer
-    cpp[0] = -2.0 / (s[1] + s[0])
-    cpp[1:] = (-(8.0 * rho[1:-1] ** 2 / outer + 2.0 * mid + outer)
-               / ((ahead + mid) * (mid + behind)))
+    cp, cpp = np.empty(s.shape[:-1] + (rho.size - 1,)), np.empty(s.shape[:-1] + (rho.size - 1,))
+    cp[..., 0] = 0.0
+    cp[..., 1:] = -2.0 * rho[1:-1] / outer
+    cpp[..., 0] = -2.0 / (s[..., 1] + s[..., 0])
+    cpp[..., 1:] = (-(8.0 * rho[1:-1] ** 2 / outer + 2.0 * mid + outer)
+                    / ((ahead + mid) * (mid + behind)))
     return cap.c + s, cp, cpp
 
 
-def residual(v: np.ndarray, spec: CurvatureSpec, sigma: float, cap, rho: np.ndarray):
+def residual(v: np.ndarray, spec: CurvatureSpec, sigma, cap, rho: np.ndarray):
     """Radial residual at the deviation v from a profile, and what it built,
     (res, lin).  cap = (c, c', c'') holds the profile's heights at every
     node and its differences at the interior nodes (axis included), the
@@ -265,14 +280,19 @@ def residual(v: np.ndarray, spec: CurvatureSpec, sigma: float, cap, rho: np.ndar
     that pair (symfunc.pair_table), built straight from the jet, and the
     cone test from the signs of the same table (symfunc.check_table).
     Raises AdmissibilityLostError with the offending node list when any
-    interior node has a non-positive height or leaves the cone."""
+    interior node has a non-positive height or leaves the cone.
+
+    A stack of profiles, v and the cap's arrays of shape (rows, nodes) and
+    sigma of shape (rows,), is evaluated at once, each row by the same
+    elementwise arithmetic as alone; the node list of the error then
+    counts the interior nodes of all rows in row order."""
     c, cp, cpp = cap
-    u = c[:-1] + v[:-1]
+    u = c[..., :-1] + v[..., :-1]
     bad_height = np.flatnonzero(u <= 0.0)
     if bad_height.size:
         raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
     dp, dpp = _radial_derivatives(v, rho[1] - rho[0])
-    jet = u, cp + dp[:-1], cpp + dpp[:-1], rho[:-1]
+    jet = u, cp + dp[..., :-1], cpp + dpp[..., :-1], rho[:-1]
     r, t, w = hypgeom.radial_curvature_pair(*jet)
     e = symfunc.pair_table(r, t, spec.n - 1, max(spec.k, spec.cone_index))
     try:
@@ -281,25 +301,26 @@ def residual(v: np.ndarray, spec: CurvatureSpec, sigma: float, cap, rho: np.ndar
         raise AdmissibilityLostError(exc.indices) from exc
     f = symfunc.f_of_table(spec, e)
     res = np.empty_like(v)
-    res[:-1] = f - sigma
-    res[-1] = v[-1]
+    res[..., :-1] = f - (sigma[:, None] if isinstance(sigma, np.ndarray) else sigma)
+    res.T[-1] = v.T[-1]
     return res, (jet, r, t, w, e, f)
 
 
 def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
     """Assemble the tridiagonal Jacobian from per-node partials w.r.t. the
     local jet (u_i, u'_i, u''_i), using the exact stencil weights; scipy
-    solve_banded (1,1) layout."""
-    ab = np.zeros((3, m))
+    solve_banded (1,1) layout.  Partials of a stack, shape (rows, m - 1),
+    give the stack's systems, shape (3, rows, m)."""
+    ab = np.zeros((3,) + dres_du.shape[:-1] + (m,))
     inner = slice(1, m - 1)
-    upp = dres_dupp[inner] / h**2
+    upp = dres_dupp[..., inner] / h**2
     # the axis node shares the diagonal weight: u' = 0, u'' = 2(u1 - u0)/h^2
-    ab[1, : m - 1] = dres_du[: m - 1] + dres_dupp[: m - 1] * (-2.0 / h**2)
-    ab[2, : m - 2] = dres_dup[inner] * (-1.0 / (2.0 * h)) + upp   # J[i, i-1]
-    ab[0, 2:] = dres_dup[inner] * (1.0 / (2.0 * h)) + upp   # J[i, i+1]
-    ab[0, 1] = dres_dupp[0] * (2.0 / h**2)   # J[0, 1]
+    ab[1, ..., : m - 1] = dres_du[..., : m - 1] + dres_dupp[..., : m - 1] * (-2.0 / h**2)
+    ab[2, ..., : m - 2] = dres_dup[..., inner] * (-1.0 / (2.0 * h)) + upp   # J[i, i-1]
+    ab[0, ..., 2:] = dres_dup[..., inner] * (1.0 / (2.0 * h)) + upp   # J[i, i+1]
+    ab[0, ..., 1] = dres_dupp.T[0] * (2.0 / h**2)   # J[0, 1]
     # boundary Dirichlet row
-    ab[1, m - 1] = 1.0
+    ab[1, ..., m - 1] = 1.0
     return ab
 
 
@@ -317,7 +338,8 @@ def _jacobian_fd(lin, spec, h):
 
     with w = sqrt(1 + u'^2), are differentiated in closed form.  At the
     axis kappa_tan is kappa_rad (u'/rho -> u''), so every column takes the
-    radial partials there.  The name is kept, although no differences are
+    radial partials there.  The lin of a stack gives the stack's systems
+    (see _assemble_banded).  The name is kept, although no differences are
     taken, because the benchmark in perfbench/ traces it; the rename waits
     for a change to the benchmark (ROADMAP item 9)."""
     (ui, upi, uppi, rhoi), r, t, w, e, f = lin
@@ -335,7 +357,7 @@ def _jacobian_fd(lin, spec, h):
         tan_p = np.where(axis, rad_p, (ui / rhoi - upi) / w3)
     tan_q = np.where(axis, rad_q, 0.0)
     return _assemble_banded(f_rad * rad_u + f_tan * tan_u, f_rad * rad_p + f_tan * tan_p,
-                            f_rad * rad_q + f_tan * tan_q, ui.size + 1, h)
+                            f_rad * rad_q + f_tan * tan_q, ui.shape[-1] + 1, h)
 
 
 class RadialLayout:
@@ -350,12 +372,16 @@ class RadialLayout:
     rounds to an ulp of v, not of u, so no round-off floor of the 1/h^2
     stencil lies above the tolerance even at N = 16384.  `heights` and
     `deviation` map between the two at a point.  The cap is v = 0, and the
-    driver starts Newton from it at every boundary height.  Newton stops at
-    a residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
-    at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
-    study up to that grid read order 1.58 for 2.00.  A solution reports the
-    heights at every node and the curvatures at the interior nodes, all but
-    the rim node; the last of them is the one next to the rim."""
+    driver starts Newton from it at every boundary height, all heights of
+    a schedule as one stack: `evaluate`, `jacobian` and `solve` take
+    states of shape (rows, nodes) with a point per row (sigma and epsilon
+    of shape (rows,)), and do for each row the arithmetic it gets alone.
+    Newton stops at a residual sup-norm of 1e-11: at 1e-10 the cap itself
+    met the tolerance at N = 16384 and sigma = 0.9, steps took no
+    iteration, and a refinement study up to that grid read order 1.58 for
+    2.00.  A solution reports the heights at every node and the curvatures
+    at the interior nodes, all but the rim node; the last of them is the
+    one next to the rim."""
 
     keeps_factorization = False
     exact_seed = True
@@ -365,18 +391,37 @@ class RadialLayout:
         self.spec, self.domain = spec, domain
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
-        self._cap = None  # the last point asked for, and its cap
+        self._caps = []  # the last few lists of points computed, and their caps
 
     def cap(self, sigma, epsilon):
         """(c, c', c'') of the cap at (sigma, epsilon) (see _cap_differences),
-        with c = epsilon at the rim; computed once for the last point asked
-        for."""
-        if self._cap is None or self._cap[0] != (sigma, epsilon):
-            cap = hypgeom.make_cap_with_boundary_height(self.domain.params[0], sigma, epsilon)
-            c, cp, cpp = _cap_differences(cap, self.rho)
-            c[-1] = epsilon
-            self._cap = (sigma, epsilon), (c, cp, cpp)
-        return self._cap[1]
+        with c = epsilon at the rim; at arrays of points, the caps stacked
+        along the first axis.  The caps of the last three lists of points
+        computed are kept, and a point or points among one of them are read
+        from it."""
+        if not isinstance(sigma, np.ndarray):
+            for where, caps in self._caps:
+                if (sigma, epsilon) in where:
+                    return where[sigma, epsilon][1]
+            return self._cap_stack([(sigma, epsilon)])[0][sigma, epsilon][1]
+        points = list(zip(sigma.tolist(), epsilon.tolist()))
+        for where, caps in self._caps:
+            if all(p in where for p in points):
+                rows = [where[p][0] for p in points]
+                return caps if rows == list(range(len(where))) else tuple(x[rows] for x in caps)
+        return self._cap_stack(points)[1]
+
+    def _cap_stack(self, points):
+        """The caps of the points computed together and kept: a map from
+        each point to its row and its caps, and the stacked caps."""
+        cap = [hypgeom.make_cap_with_boundary_height(self.domain.params[0], *p) for p in points]
+        column = lambda values: np.array(values)[:, None]  # noqa: E731
+        caps = _cap_differences(replace(cap[0], r=column([a.r for a in cap]),
+                                        c=column([a.c for a in cap])), self.rho)
+        caps[0][:, -1] = [e for _, e in points]
+        where = {p: (i, tuple(x[i] for x in caps)) for i, p in enumerate(points)}
+        self._caps = [(where, caps)] + self._caps[:2]
+        return where, caps
 
     def evaluate(self, v, sigma, epsilon):
         return Iterate(v, *residual(v, self.spec, sigma, self.cap(sigma, epsilon), self.rho))
@@ -388,12 +433,18 @@ class RadialLayout:
         return ab  # solve_banded factors and solves in one call
 
     def solve(self, ab, rhs):
+        """The update from the systems ab at the right-hand sides rhs.  A
+        stack, ab of shape (3, rows, m), is one block-diagonal system whose
+        blocks meet through zero couplings: LAPACK's gtsv then does each
+        block's arithmetic exactly as a separate solve, as long as every
+        entry stays finite (see newton_step)."""
         # no finiteness scan: a non-finite Jacobian ends in LinAlgError or in
         # newton_step's non-finite update check, both SingularJacobianError
         try:
-            return solve_banded((1, 1), ab, rhs, check_finite=False)
+            delta = solve_banded((1, 1), ab.reshape(3, -1), rhs.reshape(-1), check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(str(exc)) from exc
+        return delta.reshape(rhs.shape)
 
     def initial(self, sigma, epsilon):
         """The cap at (sigma, epsilon): no deviation from it."""
@@ -429,8 +480,15 @@ class RadialLayout:
 # stops; `keeps_factorization`, to keep the factorization for chord steps
 # across Newton iterations and continuation steps, and for the predictor of
 # each continuation step (see _predict); and `exact_seed`, to start Newton
-# from `initial` at the (sigma, epsilon) being solved for (see _solve_at).
-# The iteration and backtracking limits are the module constants above.
+# from `initial` at every (sigma, epsilon) being solved for, all of a
+# march's points as one stack (see _seeded).  Newton iterates a stack of
+# independent states, "rows", as it iterates one state: the rows of a stack
+# lie along the second-last axis of each of its arrays of two or more axes
+# (the last holds the nodes; arrays of fewer axes are shared by the rows),
+# and a point per row is given as arrays sigma and epsilon.  A single state,
+# with scalar sigma and epsilon, is one row.  Only a layout that keeps no
+# factorization is handed stacks.  The iteration and backtracking limits
+# are the module constants above.
 
 
 class Iterate(NamedTuple):
@@ -444,75 +502,212 @@ class Iterate(NamedTuple):
 
 class NewtonState:
     """What the Newton iterations of one solve share: the factorization kept
-    for chord steps, the number of factorizations, and the number of trial
-    iterates rejected as inadmissible."""
+    for chord steps and, per row of the iterate (see above), the number of
+    factorizations and the number of trial iterates rejected as
+    inadmissible, and the errors of the failed rows by row.  Made with a
+    number of rows, it serves a stack and records the error of a failed
+    row; made without, it serves a single state and raises it."""
 
-    def __init__(self):
+    def __init__(self, rows=None):
+        self.stacked = rows is not None
         self.factored = None
-        self.factorizations = 0
-        self.rejected = 0
+        self.factorizations = np.zeros(rows if self.stacked else 1, dtype=int)
+        self.rejected = np.zeros(rows if self.stacked else 1, dtype=int)
+        self.errors = {}
+
+    def fail(self, row, error):
+        """End the row `row` with `error`: recorded for a stack, unless it
+        already failed, and raised for a single state."""
+        if not self.stacked:
+            raise error
+        self.errors.setdefault(int(row), error)
 
 
-def newton_step(layout, it: Iterate, sigma, epsilon, state=None):
-    """One Newton step from the iterate `it`.  With a kept factorization it
-    first tries the full chord step, accepted when the residual sup-norm at
-    least halves or meets the layout's tolerance.  Otherwise it refactors
-    at it.u, with the Jacobian read from it.lin, for the Newton correction
-    delta and backtracks along it, keeping every trial iterate admissible
-    and requiring the residual sup-norm to decrease.  Returns (new iterate,
-    new residual sup-norm)."""
+def _norm(res):
+    """The residual sup-norm of every row, shape (rows,)."""
+    return np.abs(res).max(axis=-1).reshape(-1)
+
+
+def _rows(tree, index):
+    """The rows `index` (an int, a slice, or a list that copies them) of a
+    stack of arrays, nested in tuples and Iterates (see above)."""
+    if isinstance(tree, tuple):
+        parts = [_rows(x, index) for x in tree]
+        return type(tree)(*parts) if isinstance(tree, Iterate) else tuple(parts)
+    return tree[..., index, :] if np.ndim(tree) >= 2 else tree
+
+
+def _put(tree, index, part):
+    """Write the rows of the stack `part` into the rows `index` of `tree`."""
+    if isinstance(tree, tuple):
+        for x, y in zip(tree, part):
+            _put(x, index, y)
+    elif np.ndim(tree) >= 2:
+        tree[..., index, :] = part
+
+
+def _point(sigma, epsilon, row):
+    """The (sigma, epsilon) of a row, as floats."""
+    if isinstance(sigma, np.ndarray):
+        return float(sigma[row]), float(epsilon[row])
+    return sigma, epsilon
+
+
+def _evaluate(layout, u, sigma, epsilon):
+    """layout.evaluate at the rows of u, and the error of every inadmissible
+    row by its row.  A stack with an inadmissible row is evaluated a row at
+    a time to find the error of each, then its admissible rows again as one
+    stack, so the iterate holds those rows alone; an inadmissible single
+    state gives no iterate."""
+    try:
+        return layout.evaluate(u, sigma, epsilon), {}
+    except AdmissibilityLostError as exc:
+        if not isinstance(sigma, np.ndarray):
+            return None, {0: exc}
+    errors = {}
+    for i in range(len(sigma)):
+        try:
+            layout.evaluate(u[i:i + 1], sigma[i:i + 1], epsilon[i:i + 1])
+        except AdmissibilityLostError as exc:
+            errors[i] = exc
+    good = [i for i in range(len(sigma)) if i not in errors]
+    return (layout.evaluate(u[good], sigma[good], epsilon[good]) if good else None), errors
+
+
+def _pick(x, rows, count):
+    """The rows `rows` of the per-row array x of a stack of `count` rows:
+    x itself when they are all of them."""
+    return x if len(rows) == count else x[rows]
+
+
+def newton_step(layout, it, sigma, epsilon, state=None):
+    """One Newton step from every row of the iterate `it`.  With a kept
+    factorization it first tries the full chord step, accepted when the
+    residual sup-norm at least halves or meets the layout's tolerance.
+    Otherwise it refactors at it.u, with the Jacobian read from it.lin, for
+    the Newton correction delta and backtracks along it, each row by its own
+    damping factor, keeping every trial iterate admissible and requiring
+    the row's residual sup-norm to decrease.  A row fails (see
+    NewtonState.fail) when its solve is singular or not finite, or when its
+    backtracking runs out; a stack whose solve fails is solved again a row
+    at a time.  Returns (new iterate, new residual sup-norm per row); a row
+    that failed keeps its place in the iterate, with a NaN norm."""
     state = state if state is not None else NewtonState()
-    norm = float(np.max(np.abs(it.res)))
+    norm = _norm(it.res)
     if state.factored is not None:
         try:
             trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), sigma, epsilon)
         except AdmissibilityLostError:
             state.rejected += 1
         else:
-            trial_norm = float(np.max(np.abs(trial.res)))
+            trial_norm = _norm(trial.res)
             if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
                 return trial, trial_norm
     # drop the kept factors before building new ones: never hold two
     state.factored = None
     factored = layout.factor(layout.jacobian(it.lin))
     state.factorizations += 1
-    delta = layout.solve(factored, -it.res)
-    if not np.all(np.isfinite(delta)):
-        raise SingularJacobianError("linear solve produced non-finite update")
+    count = norm.size
+    try:
+        delta = layout.solve(factored, -it.res)
+    except SingularJacobianError as exc:
+        if count == 1:
+            state.fail(0, exc)
+        delta = None
+    if count > 1 and (delta is None or not np.isfinite(delta).all()):
+        # the failure or a non-finite entry of a stack may have reached
+        # every row: each row alone, so that only the rows at fault fail
+        delta = np.full_like(it.res, np.nan)
+        for i in range(count):
+            try:
+                delta[i] = layout.solve(_rows(factored, i), -it.res[i])
+            except SingularJacobianError as exc:
+                state.fail(i, exc)
+    if delta is not None and not np.isfinite(delta).all():
+        for i in np.flatnonzero(~np.isfinite(delta).reshape(count, -1).all(axis=1)):
+            state.fail(i, SingularJacobianError("linear solve produced non-finite update"))
     if layout.keeps_factorization:
         state.factored = factored
 
-    t = 1.0
+    norm = norm.tolist()
+    t = [1.0] * count
+    rows = [i for i in range(count) if i not in state.errors]
+    new, new_norm = None, [math.nan] * count
     for _ in range(MAX_DAMPING_STEPS + 1):
-        try:
-            trial = layout.evaluate(it.u + t * delta, sigma, epsilon)
-        except AdmissibilityLostError:
-            state.rejected += 1
-            t *= DAMPING_FACTOR
+        if not rows:
+            break
+        scales = [t[i] for i in rows]
+        # one factor for all rows while they share it, else a column of them
+        scale = scales[0] if scales.count(scales[0]) == len(scales) else np.reshape(
+            scales, (-1,) + (1,) * (delta.ndim - 1))
+        trial, errors = _evaluate(layout, _pick(it.u, rows, count)
+                                  + scale * _pick(delta, rows, count),
+                                  _pick(sigma, rows, count), _pick(epsilon, rows, count))
+        for k in errors:
+            state.rejected[rows[k]] += 1
+            t[rows[k]] *= DAMPING_FACTOR
+        if trial is None:
             continue
-        trial_norm = float(np.max(np.abs(trial.res)))
-        if trial_norm < norm:
-            return trial, trial_norm
-        t *= DAMPING_FACTOR
-    raise NonConvergenceError(
-        f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"
-    )
+        good = [i for k, i in enumerate(rows) if k not in errors]
+        trial_norm = _norm(trial.res).tolist()
+        better = []
+        for k, i in enumerate(good):
+            if trial_norm[k] < norm[i]:
+                better.append(k)
+                new_norm[i] = trial_norm[k]
+            else:
+                t[i] *= DAMPING_FACTOR
+        if len(better) == count:
+            new = trial
+        elif better:
+            new = _rows(it, list(range(count))) if new is None else new
+            _put(new, [good[k] for k in better], _rows(trial, better))
+        done = {good[k] for k in better}
+        rows = [i for i in rows if i not in done]
+    for i in rows:
+        sigma_i, epsilon_i = _point(sigma, epsilon, i)
+        state.fail(i, NonConvergenceError(
+            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma_i}, "
+            f"eps={epsilon_i}"))
+    return (it if new is None else new), np.array(new_norm)
 
 
-def _newton_solve(layout, it: Iterate, sigma, epsilon, state: NewtonState):
-    """Newton iterations from the iterate `it` until the residual sup-norm
-    meets the layout's tolerance; returns the converged iterate, the number
-    of iterations and the number of factorizations they took."""
-    first = state.factorizations
-    norm = float(np.max(np.abs(it.res)))
-    count = 0
-    while norm > layout.newton_tol:
-        if count == MAX_NEWTON_ITERS:
-            raise NonConvergenceError(
-                f"Newton stalled at residual {norm:.3e} (sigma={sigma}, eps={epsilon})")
-        it, norm = newton_step(layout, it, sigma, epsilon, state)
-        count += 1
-    return it, count, state.factorizations - first
+def _newton_solve(layout, it, sigma, epsilon, state: NewtonState):
+    """Newton iterations on every row of the iterate `it` until its residual
+    sup-norm meets the layout's tolerance.  The rows are independent: a row
+    that converges stops while the others go on as a smaller stack, and a
+    row that fails stops with its error (see NewtonState.fail).  Returns the
+    iterate holding every row's last state, written into `it` for the rows
+    of a smaller stack, and per row the number of iterations and of
+    factorizations they took."""
+    first = state.factorizations.copy()
+    norm = _norm(it.res)
+    count = [0] * norm.size
+    while True:
+        rows = []
+        for i, norm_i in enumerate(norm.tolist()):
+            if not norm_i > layout.newton_tol or i in state.errors:
+                continue
+            if count[i] == MAX_NEWTON_ITERS:
+                sigma_i, epsilon_i = _point(sigma, epsilon, i)
+                state.fail(i, NonConvergenceError(
+                    f"Newton stalled at residual {norm_i:.3e} (sigma={sigma_i}, eps={epsilon_i})"))
+            else:
+                rows.append(i)
+        if not rows:
+            return it, np.array(count), state.factorizations - first
+        if len(rows) == norm.size:
+            it, norm = newton_step(layout, it, sigma, epsilon, state)
+        else:
+            part = NewtonState(len(rows))
+            new, norm[rows] = newton_step(layout, _rows(it, rows), sigma[rows], epsilon[rows], part)
+            _put(it, rows, new)
+            state.factorizations[rows] += part.factorizations
+            state.rejected[rows] += part.rejected
+            for k, error in part.errors.items():
+                state.fail(rows[k], error)
+        for i in rows:
+            count[i] += 1
 
 
 def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
@@ -542,82 +737,125 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
-def _solve_at(layout, v, sigma, epsilon, state: NewtonState, seeded: bool):
-    """Newton at (sigma, epsilon).  When `seeded`, or without a state v, it
-    starts from `layout.initial(sigma, epsilon)`; otherwise, or where that
-    fails and v exists, from the Euler prediction from v (see _predict)."""
-    if seeded or v is None:
+def _solve_at(layout, it, current, sigma, epsilon, state: NewtonState, seeded: bool):
+    """Newton at (sigma, epsilon) for a single state.  When `seeded`, or
+    without an iterate `it`, it starts from `layout.initial(sigma,
+    epsilon)`; otherwise, or where that fails and `it` exists, from the
+    Euler prediction (see _predict) from the state of `it`, converged at
+    the point `current`, moved to (sigma, epsilon) with its heights kept.
+    Returns the converged iterate and the numbers of iterations and
+    factorizations."""
+    if seeded or it is None:
         try:
             seed = layout.evaluate(layout.initial(sigma, epsilon), sigma, epsilon)
-            return _newton_solve(layout, seed, sigma, epsilon, state)
+            it_new, count, nf = _newton_solve(layout, seed, sigma, epsilon, state)
+            return it_new, int(count[0]), int(nf[0])
         except _SOLVE_FAILURES:
-            if v is None:
+            if it is None:
                 raise
-    return _newton_solve(layout, _predict(layout, v, sigma, epsilon, state), sigma, epsilon, state)
+    moved = layout.deviation(layout.heights(it.u, *current), sigma, epsilon)
+    it, count, nf = _newton_solve(layout, _predict(layout, moved, sigma, epsilon, state),
+                                  sigma, epsilon, state)
+    return it, int(count[0]), int(nf[0])
+
+
+def _seeded(layout, points):
+    """Newton from the layout's seed at every (sigma, epsilon) point, the
+    points as one stack of independent rows; a single point is solved as a
+    single state, with no row axis.  Returns per point the number of trial
+    iterates it rejected, and per point (converged iterate, iterations,
+    factorizations), or None where its row failed, an inadmissible seed
+    included."""
+    if len(points) == 1:
+        (sigma, epsilon), = points
+        seeds = layout.initial(sigma, epsilon)
+    else:
+        sigma, epsilon = (np.array(x) for x in zip(*points))
+        seeds = np.stack([layout.initial(*p) for p in points])
+    it, errors = _evaluate(layout, seeds, sigma, epsilon)
+    good = [i for i in range(len(points)) if i not in errors]
+    rejected, solved = [0] * len(points), [None] * len(points)
+    if good:
+        rows = NewtonState(len(good))
+        it, count, nf = _newton_solve(layout, it, _pick(sigma, good, len(points)),
+                                      _pick(epsilon, good, len(points)), rows)
+        for j, i in enumerate(good):
+            rejected[i] = int(rows.rejected[j])
+            if j not in rows.errors:
+                solved[i] = (it if len(points) == 1 else _rows(it, j), int(count[j]), int(nf[j]))
+    return rejected, solved
 
 
 def _march(layout, it, start, points, state: NewtonState, seeded: bool):
-    """Walk the (sigma, epsilon) points with up-to-8-deep step bisection: a
-    step that fails is retried at the midpoint of the last accepted point
-    and its target.  Each step is one _solve_at from the state of `it`, the
-    last accepted iterate, moved to the step's point with its heights kept.
-    `start` is the point at which `it` converged, or None when there is no
-    iterate yet; then the first step starts from the layout's seed and is
-    not bisected.  Returns the iterate converged at the last point, the
+    """Walk the (sigma, epsilon) points in order.  When `seeded`, every point
+    is first solved by Newton from the layout's seed there, all points as
+    one stack (see _seeded; one at a time on states of more than
+    STACK_MAX_NODES nodes), and the walk takes each point whose row
+    converged as it is.  Every other point is reached by predicted steps
+    (see _solve_at) from the state of `it`, the last accepted iterate,
+    moved to the step's point with its heights kept, with up-to-8-deep
+    bisection: a step that fails is retried at the midpoint of the last
+    accepted point and its target, where a seeded march tries the seed
+    first.  `start` is the point at which `it` converged, or None when
+    there is no iterate yet; then the first point, unless a seeded march
+    solved it, is reached by marching sigma down from SIGMA_START at its
+    boundary height, from the cap seed there and unbisected, one predicted
+    step per sigma.  Returns the iterate converged at the last point, the
     Newton iterations and factorizations of every accepted step, and the
-    center height at each of the points, keyed by point."""
+    center height at each point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
     current = start
-    for target in points:
-        stack = [target]
-        depth = 0
-        while stack:
-            nxt = stack[-1]
-            moved = None if current is None else layout.deviation(
-                layout.heights(it.u, *current), *nxt)
-            try:
-                it, count, nf = _solve_at(layout, moved, *nxt, state, seeded)
-            except (NonConvergenceError, SingularJacobianError):
-                if current is None or depth >= 8:
-                    raise
-                depth += 1
-                stack.append(tuple(0.5 * (a + b) for a, b in zip(current, nxt)))
-                continue
-            iters.append(count)
-            factors.append(nf)
-            current = stack.pop()
-        u0_by_point[target] = layout.u0(layout.heights(it.u, *target))
+    one_by_one = seeded and np.size(layout.initial(*points[0])) > STACK_MAX_NODES
+    for run in [[p] for p in points] if one_by_one else [points]:
+        rejected, solved = _seeded(layout, run) if seeded else ([0], [None] * len(run))
+        state.rejected += sum(rejected)
+        # (target, its seeded solution, whether a step to it tries the seed first)
+        walk = [(target, solution, seeded) for target, solution in zip(run, solved)]
+        if current is None and walk[0][1] is None:
+            # the cap seed is converged at no parameter values: no prediction
+            # from it with factors kept from an earlier solve (a failed sweep row)
+            state.factored = None
+            sigma, epsilon = run[0]
+            walk[:1] = [((s, epsilon), None, False) for s in default_sigma_schedule(sigma)]
+        for target, solution, seed_first in walk:
+            if solution is not None:
+                it, count, nf = solution
+                iters.append(count)
+                factors.append(nf)
+                current = target
+            else:
+                stack, depth = [target], 0
+                while stack:
+                    nxt = stack[-1]
+                    try:
+                        # the first attempt at the target had its seed tried
+                        # in the stack: until a step fails, depth is 0
+                        it, count, nf = _solve_at(layout, it, current, *nxt, state, seed_first
+                                                  and (nxt is not target or depth > 0))
+                    except (NonConvergenceError, SingularJacobianError):
+                        if current is None or depth >= 8:
+                            raise
+                        depth += 1
+                        stack.append(tuple(0.5 * (a + b) for a, b in zip(current, nxt)))
+                        continue
+                    iters.append(count)
+                    factors.append(nf)
+                    current = stack.pop()
+            u0_by_point[target] = layout.u0(layout.heights(it.u, *target))
     return it, iters, factors, u0_by_point
 
 
 def _continue(layout, cfg: SolverConfig, state: NewtonState):
-    """Solve at every scheduled boundary height.  On a layout whose class
-    sets `exact_seed` the first height is one seeded Newton solve; when it
-    fails there, and on other layouts, the first height marches sigma down
-    from the cap seed at 0.8, one predicted step per sigma.  The later
-    heights are one march from the iterate converged at the first height,
-    seeded when the layout's class sets `exact_seed`.  Returns the last
-    converged iterate, the Newton iterations and factorizations of every
-    step, and the center height at each scheduled boundary height."""
-    sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
-    points = [(sigma, e) for e in schedule]
-    first = None
-    if layout.exact_seed:
-        try:
-            first = _march(layout, None, None, points[:1], state, True)
-        except _SOLVE_FAILURES:
-            pass
-    if first is None:
-        # the cap seed is converged at no parameter values: no prediction
-        # from it with factors kept from an earlier solve (a failed sweep row)
-        state.factored = None
-        sigmas = [(s, schedule[0]) for s in default_sigma_schedule(sigma)]
-        first = _march(layout, None, None, sigmas, state, False)
-    it, iters, factors, u0_by_point = first
-    it, more, more_factors, more_u0 = _march(layout, it, points[0], points[1:], state,
+    """Solve at every scheduled boundary height: one march over them,
+    seeded when the layout's class sets `exact_seed` (see _march).  Returns
+    the last converged iterate, the Newton iterations and factorizations of
+    every step, and the center height at each scheduled boundary height."""
+    sigma = cfg.sigma_target
+    points = [(sigma, e) for e in cfg.epsilon_schedule]
+    it, iters, factors, u0_by_point = _march(layout, None, None, points, state,
                                              layout.exact_seed)
-    u0_by_eps = {e: u0 for (s, e), u0 in (u0_by_point | more_u0).items() if s == sigma}
-    return it, iters + more, factors + more_factors, u0_by_eps
+    u0_by_eps = {e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma}
+    return it, iters, factors, u0_by_eps
 
 
 def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
@@ -634,7 +872,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         factorizations=factors,
         kappa_max=kappa_max,
         min_nu_vertical=min_nu,
-        admissibility_violations=state.rejected,
+        admissibility_violations=int(state.rejected.sum()),
         sigma=sigma,
         epsilon=epsilon,
         grid_size=cfg.grid_size,

@@ -614,3 +614,100 @@ class TestMain:
             cli.main(["solve", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert all(name in out for name in [*cli.FAMILIES, *cli.SHAPES])
+
+
+# Exit code and stderr of `solve --family kth_root --k 1` (H_1 on K_2), keyed
+# by (n, N, sigma), as the solver gave them when each boundary height was
+# solved on its own: the failures end in the sigma march at the first height
+# or in the predicted, bisected march of a later one.
+H1_ON_K2 = {
+    (2, 64, 0.01): (2, "backtracking exhausted 20 halvings at sigma=0.01, eps=0.0880859375"),
+    (2, 64, 0.002): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.009124999999999987, eps=0.1"),
+    (2, 64, 0.001): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.009039062499999986, eps=0.1"),
+    (2, 512, 0.01): (0, None),
+    (2, 512, 0.002): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.002, eps=0.058007812500000006"),
+    (2, 512, 0.001): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.001, eps=0.08906250000000002"),
+    (2, 2048, 0.01): (0, None),
+    (2, 2048, 0.002): (2, "backtracking exhausted 20 halvings at sigma=0.002, eps=0.0125"),
+    (2, 2048, 0.001): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.001, eps=0.029003906250000003"),
+    (4, 64, 0.01): (0, None),
+    (4, 64, 0.002): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.005749999999999993, eps=0.1"),
+    (4, 64, 0.001): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.005785156249999991, eps=0.1"),
+    (4, 512, 0.01): (0, None),
+    (4, 512, 0.002): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.002, eps=0.037402343750000004"),
+    (4, 512, 0.001): (2, "backtracking exhausted 20 halvings at sigma=0.001, eps=0.0716796875"),
+    (4, 2048, 0.01): (0, None),
+    (4, 2048, 0.002): (0, None),
+    (4, 2048, 0.001): (2, "backtracking exhausted 20 halvings at "
+                       "sigma=0.001, eps=0.018701171875000002"),
+}
+
+# The statistics of `solve` (H_1, n = 2) on coarse grids where the seeded
+# first height fails and the sigma march from 0.8 reaches it, keyed by
+# (N, sigma), as the solver gave them when each boundary height was solved
+# on its own.
+SIGMA_MARCH_FIRST = {
+    (8, 0.05): {
+        "admissibility_violations": 0, "below_sigma0": True, "converged": True,
+        "epsilon": 0.001, "final_residual": 2.360611706109239e-14, "grid_size": 8,
+        "factorizations": [2, 4] + [3] * 19 + [2, 2],
+        "kappa_max": 0.09528106058473829, "min_nu_vertical": 0.4032036774278771,
+        "newton_iterations": [2, 4] + [3] * 19 + [2, 2], "sigma": 0.05,
+        "u0_by_epsilon": {
+            "0.001": 0.9195154785299902, "0.0015625": 0.9196167826062999,
+            "0.003125": 0.9198989282562584, "0.00625": 0.920466523301393,
+            "0.0125": 0.921615053817659, "0.025": 0.9239664787815117,
+            "0.05": 0.9288947577110224, "0.1": 0.9397153243568929}},
+    (8, 0.01): {
+        "admissibility_violations": 0, "below_sigma0": True, "converged": True,
+        "epsilon": 0.001, "final_residual": 2.002044363624833e-14, "grid_size": 8,
+        "factorizations": [2, 4] + [3] * 20 + [2, 2],
+        "kappa_max": 0.06331627068194134, "min_nu_vertical": 0.3860592308115123,
+        "newton_iterations": [2, 4] + [3] * 20 + [2, 2], "sigma": 0.01,
+        "u0_by_epsilon": {
+            "0.001": 0.9526591132880178, "0.0015625": 0.9527515508623011,
+            "0.003125": 0.9530090245096956, "0.00625": 0.9535270867466038,
+            "0.0125": 0.9545757979000162, "0.025": 0.9567245839703685,
+            "0.05": 0.9612357540301338, "0.1": 0.9711769852152973}},
+    (64, 0.001): {
+        "admissibility_violations": 0, "below_sigma0": True, "converged": True,
+        "epsilon": 0.001, "final_residual": 4.560735469838484e-13, "grid_size": 64,
+        "factorizations": [2, 4, 3] + [4] * 16 + [3, 3, 3, 3, 2],
+        "kappa_max": 0.020533516240326247, "min_nu_vertical": 0.1351459506688725,
+        "newton_iterations": [2, 4, 3] + [4] * 16 + [3, 3, 3, 3, 2], "sigma": 0.001,
+        "u0_by_epsilon": {
+            "0.001": 0.994563686366131, "0.0015625": 0.9945952727331534,
+            "0.003125": 0.9946837088023853, "0.00625": 0.9948636997202169,
+            "0.0125": 0.9952365567925099, "0.025": 0.9960370338250931,
+            "0.05": 0.9978836883694612, "0.1": 1.0027668309507063}},
+}
+
+
+class TestFailurePaths:
+    """Solves whose boundary heights are not all reached by the seeded
+    Newton solve keep the outcome they had before the heights were solved
+    as one stack."""
+
+    @pytest.mark.parametrize("n, grid_size, sigma", list(H1_ON_K2))
+    def test_h1_on_k2(self, n, grid_size, sigma, capsys):
+        code, message = H1_ON_K2[n, grid_size, sigma]
+        assert cli.run({"command": "solve", "family": "kth_root", "k": 1, "n": n,
+                        "sigma": sigma, "grid": grid_size, "export": ""}) == code
+        assert capsys.readouterr().err == ("" if message is None
+                                           else f"non-convergence: {message}\n")
+
+    @pytest.mark.parametrize("grid_size, sigma", list(SIGMA_MARCH_FIRST))
+    def test_sigma_march_at_first_height(self, grid_size, sigma, tmp_path):
+        out = tmp_path / "o"
+        assert cli.run({"command": "solve", "sigma": sigma, "grid": grid_size,
+                        "export": "report-json", "out": str(out)}) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["statistics"] == SIGMA_MARCH_FIRST[grid_size, sigma]

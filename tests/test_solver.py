@@ -1194,3 +1194,172 @@ class TestGridPath:
                 u, Du[0], Du[1], D2u[0, 0], D2u[1, 1], D2u[0, 1])
             jet = hypgeom.hyperbolic_shape(u, Du, D2u)
             assert np.allclose(np.sort(kappa), np.sort(jet.kappa), atol=1e-10)
+
+
+def _outcome(layout, points):
+    """Per point the rejected trial count and the seeded Newton solution of
+    `points` as one stack (solver._seeded), unpacked: (u, res, iterations,
+    factorizations), or None where the row failed."""
+    rejected, solved = solver._seeded(layout, points)
+    return [(r, None if s is None else (s[0].u, s[0].res, s[1], s[2]))
+            for r, s in zip(rejected, solved)]
+
+
+def _same_outcome(got, want):
+    (got_rejected, got), (want_rejected, want) = got, want
+    assert got_rejected == want_rejected
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+
+def _alone(layout, point):
+    """The seeded Newton solve of one point as a stack of one row: the
+    rejected trial count and (u, res, iterations, factorizations)."""
+    sigma, epsilon = np.array([point[0]]), np.array([point[1]])
+    state = solver.NewtonState(1)
+    seed = layout.evaluate(layout.initial(*point)[None], sigma, epsilon)
+    it, count, nf = solver._newton_solve(layout, seed, sigma, epsilon, state)
+    assert not state.errors
+    return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
+
+
+def _single(layout, point):
+    """The same for the point as a single state, with no row axis."""
+    state = solver.NewtonState()
+    it, count, nf = solver._newton_solve(
+        layout, layout.evaluate(layout.initial(*point), *point), *point, state)
+    return state.rejected[0], (it.u, it.res, count[0], nf[0])
+
+
+class TestStackedRows:
+    """Every scheduled boundary height of a ball is solved as a row of one
+    stack; each row must come out exactly as the same point solved alone."""
+
+    FAMILIES = {
+        "h2h1-n2": CurvatureSpec.consecutive_quotient(2, 2),
+        "h4h3-n4": CurvatureSpec.consecutive_quotient(4, 4),
+        "gq31-n4": CurvatureSpec.general_quotient(3, 1, 4),
+    }
+
+    @pytest.mark.parametrize("epsilon_min", [1e-3, 0.0])
+    @pytest.mark.parametrize("grid_size", [64, 512])
+    @pytest.mark.parametrize("spec", FAMILIES.values(), ids=FAMILIES.keys())
+    def test_row_is_the_point_alone(self, spec, grid_size, epsilon_min):
+        # at sigma = 0.05 and N = 512 the first row converges an iteration
+        # before the others, which go on as a smaller stack
+        for sigma in (0.5, 0.05):
+            cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                      sigma_target=sigma, grid_size=grid_size,
+                                      epsilon_min=epsilon_min)
+            points = [(sigma, e) for e in cfg.epsilon_schedule]
+            stacked = _outcome(solver.RadialLayout(spec, cfg.domain, grid_size), points)
+            assert all(solution is not None for _, solution in stacked)
+            for point, row in zip(points, stacked):
+                _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, grid_size), point))
+                _same_outcome(row, _single(solver.RadialLayout(spec, cfg.domain, grid_size), point))
+
+    def test_inadmissible_seeds_fail_alone(self):
+        # H_1 on K_2 at sigma = 0.01: the caps sampled at the four smallest
+        # heights leave the cone, and the other rows converge
+        spec = CurvatureSpec.kth_root(1, 2)
+        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.01, grid_size=512)
+        points = [(0.01, e) for e in cfg.epsilon_schedule]
+        layout = solver.RadialLayout(spec, cfg.domain, 512)
+        stacked = _outcome(layout, points)
+        assert [solution is None for _, solution in stacked] == [False] * 4 + [True] * 4
+        for point, row in zip(points, stacked):
+            if row[1] is None:
+                with pytest.raises(AdmissibilityLostError):
+                    layout.evaluate(layout.initial(*point), *point)
+            else:
+                _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, 512), point))
+
+    def test_broken_rows_fail_alone(self):
+        # the Jacobian of one row is singular and that of another has a NaN:
+        # the stacked solve fails, each row is solved alone, those two fail
+        # with the error a single state raises, and the others keep their bits
+        layout = _BrokenRowsLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
+        points = [(0.5, e) for e in solver.default_epsilon_schedule()]
+        sigma, epsilon = (np.array(x) for x in zip(*points))
+        state = solver.NewtonState(len(points))
+        seeds = np.stack([layout.initial(*p) for p in points])
+        it, count, nf = solver._newton_solve(layout, layout.evaluate(seeds, sigma, epsilon),
+                                             sigma, epsilon, state)
+        broken = [i for i, p in enumerate(points) if p[1] in (layout.singular, layout.nan)]
+        assert sorted(state.errors) == broken
+        for i, point in enumerate(points):
+            if i in broken:
+                with pytest.raises(SingularJacobianError) as alone:
+                    solver.newton_step(layout, layout.evaluate(layout.initial(*point), *point),
+                                       *point)
+                assert type(state.errors[i]) is SingularJacobianError
+                assert str(state.errors[i]) == str(alone.value)
+            else:
+                _same_outcome((state.rejected[i], (it.u[i], it.res[i], count[i], nf[i])),
+                              _alone(solver.RadialLayout(H2H1, layout.domain, 64), point))
+        texts = {points[i][1]: str(error) for i, error in state.errors.items()}
+        assert texts[layout.singular] == "singular matrix"
+        assert texts[layout.nan] == "linear solve produced non-finite update"
+
+    def test_rows_backtrack_alone(self):
+        # r(u) = u - sigma, admissible below 0.8: the row at sigma = 1 rejects
+        # its full step and takes half of it, the row at 0.5 takes its full
+        # step, each as it does alone
+        layout = _StackedLineLayout()
+        sigma, epsilon = np.array([0.5, 1.0]), np.zeros(2)
+        state = solver.NewtonState(2)
+        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros((2, 1)), sigma, epsilon),
+                                      sigma, epsilon, state)
+        assert np.array_equal(it.u, [[0.5], [0.5]]) and np.array_equal(norm, [0.0, 0.5])
+        assert state.rejected.tolist() == [0, 1] and state.factorizations.tolist() == [1, 1]
+        for row in range(2):
+            alone = solver.NewtonState()
+            single, _ = solver.newton_step(layout, layout.evaluate(np.zeros(1), sigma[row], 0.0),
+                                           sigma[row], 0.0, alone)
+            assert np.array_equal(single.u, it.u[row])
+            assert alone.rejected[0] == state.rejected[row]
+
+
+class _BrokenRowsLayout(solver.RadialLayout):
+    """The radial layout whose Jacobian is all zeros at the boundary height
+    `singular` and has a NaN on its diagonal at `nan`; lin carries each
+    row's boundary height as a column."""
+
+    singular, nan = 0.05, 0.0125
+
+    def evaluate(self, v, sigma, epsilon):
+        it = super().evaluate(v, sigma, epsilon)
+        return it._replace(lin=(it.lin, np.reshape(epsilon, (-1, 1))))
+
+    def jacobian(self, lin):
+        lin, epsilon = lin
+        ab = super().jacobian(lin)
+        rows = ab.reshape(3, -1, ab.shape[-1])
+        rows[:, epsilon[:, 0] == self.singular] = 0.0
+        rows[1, epsilon[:, 0] == self.nan, 5] = np.nan
+        return ab
+
+
+class _StackedLineLayout:
+    """r(u) = u - sigma per row of a stack, admissible only below 0.8."""
+
+    keeps_factorization = False
+    newton_tol = 1e-10
+
+    def evaluate(self, u, sigma, epsilon):
+        bad = np.flatnonzero(u >= 0.8)
+        if bad.size:
+            raise AdmissibilityLostError(bad)
+        return solver.Iterate(u, u - np.expand_dims(sigma, -1), u)
+
+    def jacobian(self, u):
+        return np.ones_like(u)
+
+    def factor(self, J):
+        return J
+
+    def solve(self, J, rhs):
+        return rhs / J
