@@ -23,10 +23,12 @@ class SingularJacobianError(RuntimeError):
 
 
 class AdmissibilityLostError(RuntimeError):
-    """Residual evaluation hit inadmissible curvatures at one or more nodes."""
+    """Residual evaluation hit inadmissible curvatures at one or more nodes;
+    `rows` lists the rows of `row_size` nodes that hold them (None: all)."""
 
-    def __init__(self, nodes, message=None):
+    def __init__(self, nodes, message=None, row_size=None):
         self.nodes = [int(i) for i in nodes]
+        self.rows = None if row_size is None else sorted({i // row_size for i in self.nodes})
         super().__init__(message or f"curvature left the cone at nodes {self.nodes[:8]}"
                          + ("..." if len(self.nodes) > 8 else ""))
 

@@ -63,14 +63,16 @@ class GridLayout:
     Whether a node is inside is decided on the quadrant and mirrored, so
     the discrete problem keeps the reflection symmetry even where rounding
     puts a rim node on different sides of the rim in different quadrants.
-    The driver reuses the factorization of the Jacobian's interior block
-    across Newton iterations and for the Euler predictor of each
-    continuation step.  The cap seed solves no ellipse problem exactly, so
-    the driver continues from it in sigma, then in the boundary height, and
-    the state is the heights themselves (`heights` and `deviation` are the
-    identity).  Newton stops at a residual sup-norm of 1e-8.  A solution
-    reports the full box's interior nodes `mask` in box order, each with the
-    curvatures of the unknown it mirrors, `image`."""
+    The state is one row: the quadrant heights in quadrant node order, the
+    unknowns flagged by `interior`.  Newton reuses the factorization of the
+    Jacobian's interior block across iterations and for the Euler predictor
+    of each continuation step.  The cap seed solves no ellipse problem
+    exactly, so continuation starts from it in sigma, then in the boundary
+    height, and the state is the heights themselves (`heights` and
+    `deviation` are the identity).  Newton stops at a
+    residual sup-norm of 1e-8.  A solution reports the full box's interior
+    nodes `mask` in box order, each with the curvatures of the unknown it
+    mirrors, `image`."""
 
     keeps_factorization = True
     exact_seed = False
@@ -93,13 +95,14 @@ class GridLayout:
         # interior unknowns need the full nine-point neighborhood on the grid
         inside[-1, :] = inside[:, -1] = False
         self.inside = inside
+        self.interior = inside.ravel()
         self.fold = _fold(nx)[:, None] * inside.shape[1] + _fold(ny)[None, :]
         # interior nodes of the full box: the quadrant's, mirrored
-        self.mask = inside.ravel()[self.fold]
+        self.mask = self.interior[self.fold]
         ii, jj = np.nonzero(inside)
         self.stencil = np.stack([self.fold[ii + cx + di, jj + cy + dj] for di, dj in STENCIL])
         self.unknown = np.full(inside.size, -1)
-        self.unknown[inside.ravel()] = np.arange(ii.size)
+        self.unknown[self.interior] = np.arange(ii.size)
         self.image = self.unknown[self.fold[self.mask]]
         # an x- or y-neighbour of a node is Dirichlet exactly when it is for
         # the node's mirror image
@@ -136,17 +139,16 @@ class GridLayout:
         side; the interior update solves J_ii d_i = rhs_i - J_ib d_b."""
         lu, J_ib = factored
         delta = rhs.copy()
-        ins = self.inside.ravel()
-        delta[ins] = lu.solve(rhs[ins] - J_ib @ rhs)
-        return delta.reshape(self.shape)
+        delta[0][self.interior] = lu.solve(rhs[0][self.interior] - J_ib @ rhs[0])
+        return delta
 
     def initial(self, sigma, epsilon):
         """Cap of the inscribed ball, carried along the elliptical level sets
         so it meets the boundary height on the rim."""
         b = self.domain.params[1]
         cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
-        U = cap.height(np.minimum(np.sqrt(self.level), 1.0) * b)
-        U[~self.inside] = epsilon
+        U = cap.height(np.minimum(np.sqrt(self.level), 1.0) * b).ravel()
+        U[~self.interior] = epsilon
         return U
 
     def heights(self, U, sigma, epsilon):
@@ -155,15 +157,14 @@ class GridLayout:
     deviation = heights
 
     def u0(self, U):
-        return float(np.max(U[self.inside]))
+        return float(np.max(U.ravel()[self.interior]))
 
     def solution(self, it, sigma, epsilon):
-        """The quadrant heights of the iterate `it`, with `kappa` and `w`
-        from its residual's jet at the interior nodes of the full box in box
-        order."""
+        """The quadrant heights of the one-row iterate `it`, with `kappa` and
+        `w` from its residual's jet at the full box's interior nodes."""
         kappa, w = principal_curvatures_2d(*it.lin[0])
-        return solver.GraphSolution(layout=self, u=it.u, sigma=sigma, epsilon=epsilon,
-                                    kappa=kappa[self.image], w=w[self.image])
+        return solver.GraphSolution(layout=self, u=it.u.reshape(self.shape), sigma=sigma,
+                                    epsilon=epsilon, kappa=kappa[self.image], w=w[self.image])
 
 
 def _jets(U: np.ndarray, layout: GridLayout):
@@ -245,11 +246,11 @@ def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms, f):
     )
 
 
-def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
-                  epsilon: float, layout: GridLayout):
-    """Flat residual over all quadrant nodes (f - sigma at interior unknowns,
-    f from the table of _table_2d, and u - epsilon on Dirichlet nodes) and
-    lin = (jet, table, terms, f), which _jacobian_grid reads.
+def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: np.ndarray,
+                  epsilon: np.ndarray, layout: GridLayout):
+    """Residual of the one-row stack U at its point (f - sigma at interior
+    unknowns, f from the table of _table_2d, and u - epsilon on Dirichlet
+    nodes) and lin = (jet, table, terms, f), which _jacobian_grid reads.
     AdmissibilityLostError lists by their number among the quadrant's
     interior nodes the unknowns of non-positive height, else those outside
     the cone by the signs of the table (symfunc.check_table)."""
@@ -263,9 +264,9 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: float,
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     f = symfunc.f_of_table(spec, e)
-    res = U - epsilon
-    res[layout.inside] = f - sigma
-    return res.ravel(), (jet, e, terms, f)
+    res = U - epsilon[0]
+    res[0][layout.interior] = f - sigma[0]
+    return res, (jet, e, terms, f)
 
 
 def _jacobian_grid(lin, spec: symfunc.CurvatureSpec, layout: GridLayout):

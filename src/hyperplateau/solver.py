@@ -12,29 +12,29 @@ Jacobian take f, its cone test and its partials from the closed-form table
 of that pair (symfunc.pair_table), built once per state from the jet; the
 (points, n) curvature matrix is built only for the solution.
 
-Continuation marches through a list of (sigma, epsilon) points; the
-boundary heights follow from the config's epsilon_min alone
+Continuation marches through a list of (sigma, epsilon) points; the boundary
+heights follow from the config's epsilon_min alone
 (default_epsilon_schedule).  On a ball the umbilic cap with boundary height
 epsilon has kappa = sigma everywhere, so it solves the continuous problem
 exactly for every normalized f: Newton starts from it at each scheduled
 boundary height, and at each later sigma of a sweep, and needs a few
-iterations there.  The heights of a schedule are independent solves, so
-Newton iterates them together, as the rows of one stack.  A step where that
-fails warm-starts from the last accepted state instead.  On the grid path,
-and at the first height when the seeded Newton fails there, continuation
-walks sigma down from 0.8 at a moderate boundary height, then shrinks the
-boundary height.  A failed step
-is retried at the midpoint of the last accepted point and its target.  A
-layout that keeps its factorization starts each unseeded step from the
-Euler tangent predictor, one chord step at the new parameter values.
-Every accepted Newton iterate, and every prediction Newton starts from, is
-admissible at every interior node.  Newton stops by one rule: the residual
-sup-norm meets the layout's tolerance.  On balls the Newton unknown is the
-deviation of the heights from the exact cap at the (sigma, epsilon) being
-solved, whose stencil differences are taken in closed form, so the residual
-rounds to an ulp of the deviation and the 1/h^2 stencils leave no round-off
-floor above the tolerance; a state moved to another point keeps its
-heights.  A solution is read from the Iterate Newton converged on, with
+iterations there.  The heights of a schedule are independent solves, which
+Newton iterates as the rows of one stack: every Newton state is a stack of
+rows, a single solve one of one row.  A step whose seeded row fails
+warm-starts from the last accepted state instead.  On the grid path, and at
+the first height when the seeded Newton fails there, continuation walks
+sigma down from 0.8 at a moderate boundary height, then shrinks the boundary
+height.  A failed step is retried at the midpoint of the last accepted point
+and its target.  A layout that keeps its factorization starts each unseeded
+step from the Euler tangent predictor, one chord step at the new parameter
+values.  Every accepted Newton iterate, and every prediction Newton starts
+from, is admissible at every interior node.  Newton stops by one rule: the
+residual sup-norm meets the layout's tolerance.  On balls the Newton unknown
+is the deviation of the heights from the exact cap at the (sigma, epsilon)
+being solved, whose stencil differences are taken in closed form, so the
+residual rounds to an ulp of the deviation and the 1/h^2 stencils leave no
+round-off floor above the tolerance; a state moved to another point keeps
+its heights.  A solution is read from the Iterate Newton converged on, with
 the curvatures of its residual's jet, and holds the layout that made it,
 which says which of its nodes touch the boundary.
 """
@@ -223,18 +223,14 @@ class GraphSolution:
 
 def _radial_derivatives(u: np.ndarray, h: float):
     """Second-order derivatives of a radial profile, or of a stack of them
-    along the last axis; symmetry at the axis, one-sided second-order
-    stencils at the outer boundary.  The boundary nodes are read through the
-    transpose, whose first axis is the nodes: scalars for one profile."""
-    up = np.empty_like(u)
-    upp = np.empty_like(u)
-    ut, upt, uppt = u.T, up.T, upp.T
-    upt[0] = 0.0
-    up[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
-    upt[-1] = (3.0 * ut[-1] - 4.0 * ut[-2] + ut[-3]) / (2.0 * h)
-    uppt[0] = 2.0 * (ut[1] - ut[0]) / h**2
-    upp[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h**2
-    uppt[-1] = (2.0 * ut[-1] - 5.0 * ut[-2] + 4.0 * ut[-3] - ut[-4]) / h**2
+    along the last axis, at every node but the rim, where no equation reads
+    them: symmetry at the axis, centred stencils elsewhere."""
+    up = np.empty_like(u[..., :-1])
+    upp = np.empty_like(up)
+    up[..., 0] = 0.0
+    up[..., 1:] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    upp[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / h**2
+    upp[..., 1:] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h**2
     return up, upp
 
 
@@ -266,43 +262,40 @@ def _cap_differences(cap: hypgeom.CapSolution, rho: np.ndarray):
     return cap.c + s, cp, cpp
 
 
-def residual(v: np.ndarray, spec: CurvatureSpec, sigma, cap, rho: np.ndarray):
-    """Radial residual at the deviation v from a profile, and what it built,
-    (res, lin).  cap = (c, c', c'') holds the profile's heights at every
-    node and its differences at the interior nodes (axis included), the
-    rim height being the boundary height: on RadialLayout the cap's (see
-    _cap_differences).  The stencils are linear, so the jet at the interior
-    nodes is (c + v, c' + D1 v, c'' + D2 v, rho).  res is f(kappa) - sigma
-    at the interior nodes and v at the boundary node, lin = (jet,
-    kappa_rad, kappa_tan, w, table, f) at the interior nodes, which
-    _jacobian_fd reads.  The curvature vector of every node is (kappa_rad,
+def residual(v: np.ndarray, spec: CurvatureSpec, sigma: np.ndarray, cap, rho: np.ndarray):
+    """Radial residual at a stack v of deviations from profiles, shape (rows,
+    nodes), at sigma of shape (rows,), and what it built, (res, lin).  cap =
+    (c, c', c'') holds each row's profile heights at every node and their
+    differences at the interior nodes (axis included), the rim height being
+    the boundary height: on RadialLayout the caps' (see _cap_differences).
+    The stencils are linear, so the jet at the interior nodes is (c + v, c'
+    + D1 v, c'' + D2 v, rho).  res is f(kappa) - sigma at the interior nodes
+    and v at the boundary node, lin = (jet, kappa_rad, kappa_tan, w, table,
+    f) at the interior nodes, which _jacobian_fd reads; each row is the
+    arithmetic it gets alone.  Every node's curvature vector is (kappa_rad,
     kappa_tan, ..., kappa_tan), so f comes from the closed-form table of
     that pair (symfunc.pair_table), built straight from the jet, and the
-    cone test from the signs of the same table (symfunc.check_table).
-    Raises AdmissibilityLostError with the offending node list when any
-    interior node has a non-positive height or leaves the cone.
-
-    A stack of profiles, v and the cap's arrays of shape (rows, nodes) and
-    sigma of shape (rows,), is evaluated at once, each row by the same
-    elementwise arithmetic as alone; the node list of the error then
-    counts the interior nodes of all rows in row order."""
+    cone test from its signs (symfunc.check_table).  A non-positive height
+    or a node outside the cone raises AdmissibilityLostError, its interior
+    nodes of all rows counted in row order, with the rows at fault."""
     c, cp, cpp = cap
     u = c[..., :-1] + v[..., :-1]
     bad_height = np.flatnonzero(u <= 0.0)
     if bad_height.size:
-        raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes")
+        raise AdmissibilityLostError(bad_height, "non-positive height at interior nodes",
+                                     u.shape[-1])
     dp, dpp = _radial_derivatives(v, rho[1] - rho[0])
-    jet = u, cp + dp[..., :-1], cpp + dpp[..., :-1], rho[:-1]
+    jet = u, cp + dp, cpp + dpp, rho[:-1]
     r, t, w = hypgeom.radial_curvature_pair(*jet)
     e = symfunc.pair_table(r, t, spec.n - 1, max(spec.k, spec.cone_index))
     try:
         symfunc.check_table(spec, e)
     except AdmissibilityError as exc:
-        raise AdmissibilityLostError(exc.indices) from exc
+        raise AdmissibilityLostError(exc.indices, row_size=u.shape[-1]) from exc
     f = symfunc.f_of_table(spec, e)
     res = np.empty_like(v)
-    res[..., :-1] = f - (sigma[:, None] if isinstance(sigma, np.ndarray) else sigma)
-    res.T[-1] = v.T[-1]
+    res[..., :-1] = f - sigma[:, None]
+    res[..., -1] = v[..., -1]
     return res, (jet, r, t, w, e, f)
 
 
@@ -318,7 +311,7 @@ def _assemble_banded(dres_du, dres_dup, dres_dupp, m, h):
     ab[1, ..., : m - 1] = dres_du[..., : m - 1] + dres_dupp[..., : m - 1] * (-2.0 / h**2)
     ab[2, ..., : m - 2] = dres_dup[..., inner] * (-1.0 / (2.0 * h)) + upp   # J[i, i-1]
     ab[0, ..., 2:] = dres_dup[..., inner] * (1.0 / (2.0 * h)) + upp   # J[i, i+1]
-    ab[0, ..., 1] = dres_dupp.T[0] * (2.0 / h**2)   # J[0, 1]
+    ab[0, ..., 1] = dres_dupp[..., 0] * (2.0 / h**2)   # J[0, 1]
     # boundary Dirichlet row
     ab[1, ..., m - 1] = 1.0
     return ab
@@ -337,11 +330,11 @@ def _jacobian_fd(lin, spec, h):
         kappa_rad = u u''/w^3 + 1/w,   kappa_tan = u u'/(rho w) + 1/w,
 
     with w = sqrt(1 + u'^2), are differentiated in closed form.  At the
-    axis kappa_tan is kappa_rad (u'/rho -> u''), so every column takes the
-    radial partials there.  The lin of a stack gives the stack's systems
-    (see _assemble_banded).  The name is kept, although no differences are
-    taken, because the benchmark in perfbench/ traces it; the rename waits
-    for a change to the benchmark (ROADMAP item 9)."""
+    axis, node 0, kappa_tan is kappa_rad (u'/rho -> u''), so every column
+    takes the radial partials there.  The lin of a stack gives the stack's
+    systems (see _assemble_banded).  The name is kept, although no
+    differences are taken, because the benchmark in perfbench/ traces it;
+    the rename waits for a change to the benchmark (ROADMAP item 9)."""
     (ui, upi, uppi, rhoi), r, t, w, e, f = lin
     m, k = spec.n - 1, spec.k
     df = symfunc.df_of_table(spec, e, f)[1:k + 1]
@@ -351,11 +344,11 @@ def _jacobian_fd(lin, spec, h):
     rad_u = uppi / w3
     rad_p = -(3.0 * ui * uppi * upi / w**2 + upi) / w3
     rad_q = ui / w3
-    axis = rhoi == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        tan_u = np.where(axis, rad_u, upi / (rhoi * w))
-        tan_p = np.where(axis, rad_p, (ui / rhoi - upi) / w3)
-    tan_q = np.where(axis, rad_q, 0.0)
+        tan_u, tan_p = upi / (rhoi * w), (ui / rhoi - upi) / w3
+    tan_q = np.zeros_like(rad_q)
+    for tan, rad in (tan_u, rad_u), (tan_p, rad_p), (tan_q, rad_q):
+        tan[..., 0] = rad[..., 0]
     return _assemble_banded(f_rad * rad_u + f_tan * tan_u, f_rad * rad_p + f_tan * tan_p,
                             f_rad * rad_q + f_tan * tan_q, ui.shape[-1] + 1, h)
 
@@ -373,9 +366,7 @@ class RadialLayout:
     stencil lies above the tolerance even at N = 16384.  `heights` and
     `deviation` map between the two at a point.  The cap is v = 0, and the
     driver starts Newton from it at every boundary height, all heights of
-    a schedule as one stack: `evaluate`, `jacobian` and `solve` take
-    states of shape (rows, nodes) with a point per row (sigma and epsilon
-    of shape (rows,)), and do for each row the arithmetic it gets alone.
+    a schedule as one stack, each row with the arithmetic it gets alone.
     Newton stops at a residual sup-norm of 1e-11: at 1e-10 the cap itself
     met the tolerance at N = 16384 and sigma = 0.9, steps took no
     iteration, and a refinement study up to that grid read order 1.58 for
@@ -392,36 +383,36 @@ class RadialLayout:
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
         self._caps = []  # the last few lists of points computed, and their caps
+        self._last = None, None, None  # the arrays of the last call to cap, and its caps
 
     def cap(self, sigma, epsilon):
-        """(c, c', c'') of the cap at (sigma, epsilon) (see _cap_differences),
-        with c = epsilon at the rim; at arrays of points, the caps stacked
-        along the first axis.  The caps of the last three lists of points
-        computed are kept, and a point or points among one of them are read
-        from it."""
-        if not isinstance(sigma, np.ndarray):
+        """(c, c', c'') of the caps at the points (sigma, epsilon), stacked
+        along the first axis (see _cap_differences), with c = epsilon at the
+        rim.  The caps of the last three lists of points computed are kept
+        for points among them, and the arrays of the last call get its caps."""
+        if self._last[0] is not sigma or self._last[1] is not epsilon:
+            points = list(zip(sigma.tolist(), epsilon.tolist()))
             for where, caps in self._caps:
-                if (sigma, epsilon) in where:
-                    return where[sigma, epsilon][1]
-            return self._cap_stack([(sigma, epsilon)])[0][sigma, epsilon][1]
-        points = list(zip(sigma.tolist(), epsilon.tolist()))
-        for where, caps in self._caps:
-            if all(p in where for p in points):
-                rows = [where[p][0] for p in points]
-                return caps if rows == list(range(len(where))) else tuple(x[rows] for x in caps)
-        return self._cap_stack(points)[1]
+                rows = [where.get(p, -1) for p in points]
+                if -1 not in rows:
+                    block = rows == list(range(rows[0], rows[-1] + 1))
+                    caps = tuple(x[rows[0]:rows[-1] + 1] if block else x[rows] for x in caps)
+                    break
+            else:
+                caps = self._cap_stack(points)
+            self._last = sigma, epsilon, caps
+        return self._last[2]
 
     def _cap_stack(self, points):
-        """The caps of the points computed together and kept: a map from
-        each point to its row and its caps, and the stacked caps."""
+        """The caps of the points computed together and kept, with a map
+        from each point to its row."""
         cap = [hypgeom.make_cap_with_boundary_height(self.domain.params[0], *p) for p in points]
         column = lambda values: np.array(values)[:, None]  # noqa: E731
         caps = _cap_differences(replace(cap[0], r=column([a.r for a in cap]),
                                         c=column([a.c for a in cap])), self.rho)
         caps[0][:, -1] = [e for _, e in points]
-        where = {p: (i, tuple(x[i] for x in caps)) for i, p in enumerate(points)}
-        self._caps = [(where, caps)] + self._caps[:2]
-        return where, caps
+        self._caps = [({p: i for i, p in enumerate(points)}, caps)] + self._caps[:2]
+        return caps
 
     def evaluate(self, v, sigma, epsilon):
         return Iterate(v, *residual(v, self.spec, sigma, self.cap(sigma, epsilon), self.rho))
@@ -447,7 +438,7 @@ class RadialLayout:
         return delta.reshape(rhs.shape)
 
     def initial(self, sigma, epsilon):
-        """The cap at (sigma, epsilon): no deviation from it."""
+        """The cap at (sigma, epsilon): a row of no deviation from it."""
         return np.zeros(self.rho.size)
 
     def heights(self, v, sigma, epsilon):
@@ -460,35 +451,32 @@ class RadialLayout:
         return float(u[0])
 
     def solution(self, it, sigma, epsilon) -> GraphSolution:
-        """The iterate's heights, with kappa and w from its residual's jet."""
+        """The one-row iterate's heights, with kappa and w from its jet."""
         kappa, w = radial_principal_curvatures(*it.lin[0], self.spec.n)
-        return GraphSolution(layout=self, u=self.heights(it.u, sigma, epsilon), sigma=sigma,
-                             epsilon=epsilon, kappa=kappa, w=w)
+        return GraphSolution(layout=self, u=self.heights(it.u, *_columns([(sigma, epsilon)]))[0],
+                             sigma=sigma, epsilon=epsilon, kappa=kappa[0], w=w[0])
 
 
 # ---------------------------------------------------------------------------
 # Newton and continuation, written once against a layout: RadialLayout above
-# or grid.GridLayout.  A layout evaluates a state u at a (sigma, epsilon)
-# point into an Iterate, builds the Jacobian from what that evaluation built,
-# factors it and solves with the factors (raising SingularJacobianError),
-# seeds u from the cap, maps a state at a point to its heights and back
-# (`heights`, `deviation`), and turns the Iterate Newton converged on into a
-# GraphSolution with the curvatures of its jet, whose node questions it
-# answers: `touches_boundary` flags, in the order of the reported interior
-# nodes, those next to a Dirichlet node.  Its class sets what the
-# driver does with it: `newton_tol`, the residual sup-norm at which Newton
-# stops; `keeps_factorization`, to keep the factorization for chord steps
-# across Newton iterations and continuation steps, and for the predictor of
-# each continuation step (see _predict); and `exact_seed`, to start Newton
-# from `initial` at every (sigma, epsilon) being solved for, all of a
-# march's points as one stack (see _seeded).  Newton iterates a stack of
-# independent states, "rows", as it iterates one state: the rows of a stack
-# lie along the second-last axis of each of its arrays of two or more axes
+# or grid.GridLayout.  Every Newton state is a stack of independent states,
+# "rows", on the second-last axis of each of its arrays of two or more axes
 # (the last holds the nodes; arrays of fewer axes are shared by the rows),
-# and a point per row is given as arrays sigma and epsilon.  A single state,
-# with scalar sigma and epsilon, is one row.  Only a layout that keeps no
-# factorization is handed stacks.  The iteration and backtracking limits
-# are the module constants above.
+# at a point per row, arrays sigma and epsilon of shape (rows,).  A layout
+# evaluates a stack at its points into an Iterate (raising
+# AdmissibilityLostError with the rows at fault), builds the Jacobian from
+# what that evaluation built, factors it and solves with the factors
+# (raising SingularJacobianError), seeds a row from the cap (`initial`),
+# maps a stack to its heights and back (`heights`, `deviation`), and turns
+# the one-row Iterate Newton converged on into a GraphSolution with the
+# curvatures of its jet, whose node questions it answers: `touches_boundary`
+# flags, in the order of the reported interior nodes, those next to a
+# Dirichlet node.  Its class sets `newton_tol`, the residual sup-norm at
+# which Newton stops; `keeps_factorization`, to keep the factorization for
+# chord steps and the predictor (see _predict), and then it gets one row
+# only; and `exact_seed`, to start Newton from `initial` at every point, a
+# march's points as one stack (see _seeded).  Newton records the error of a
+# failed row in the NewtonState, and _solve_at raises it.
 
 
 class Iterate(NamedTuple):
@@ -503,38 +491,32 @@ class Iterate(NamedTuple):
 class NewtonState:
     """What the Newton iterations of one solve share: the factorization kept
     for chord steps and, per row of the iterate (see above), the number of
-    factorizations and the number of trial iterates rejected as
-    inadmissible, and the errors of the failed rows by row.  Made with a
-    number of rows, it serves a stack and records the error of a failed
-    row; made without, it serves a single state and raises it."""
+    factorizations, the number of trial iterates rejected as inadmissible,
+    and the error of each failed row, by its row."""
 
-    def __init__(self, rows=None):
-        self.stacked = rows is not None
+    def __init__(self, rows=1):
         self.factored = None
-        self.factorizations = np.zeros(rows if self.stacked else 1, dtype=int)
-        self.rejected = np.zeros(rows if self.stacked else 1, dtype=int)
+        self.factorizations = np.zeros(rows, dtype=int)
+        self.rejected = np.zeros(rows, dtype=int)
         self.errors = {}
 
     def fail(self, row, error):
-        """End the row `row` with `error`: recorded for a stack, unless it
-        already failed, and raised for a single state."""
-        if not self.stacked:
-            raise error
+        """End the row `row` with `error`, unless it already failed."""
         self.errors.setdefault(int(row), error)
 
 
 def _norm(res):
     """The residual sup-norm of every row, shape (rows,)."""
-    return np.abs(res).max(axis=-1).reshape(-1)
+    return np.abs(res).max(axis=-1)
 
 
 def _rows(tree, index):
-    """The rows `index` (an int, a slice, or a list that copies them) of a
-    stack of arrays, nested in tuples and Iterates (see above)."""
+    """The rows `index` (a slice, or a list that copies them) of a stack of
+    arrays, nested in tuples and Iterates (see above)."""
     if isinstance(tree, tuple):
         parts = [_rows(x, index) for x in tree]
         return type(tree)(*parts) if isinstance(tree, Iterate) else tuple(parts)
-    return tree[..., index, :] if np.ndim(tree) >= 2 else tree
+    return tree[..., index, :] if type(tree) is np.ndarray and tree.ndim >= 2 else tree
 
 
 def _put(tree, index, part):
@@ -542,36 +524,13 @@ def _put(tree, index, part):
     if isinstance(tree, tuple):
         for x, y in zip(tree, part):
             _put(x, index, y)
-    elif np.ndim(tree) >= 2:
+    elif type(tree) is np.ndarray and tree.ndim >= 2:
         tree[..., index, :] = part
 
 
-def _point(sigma, epsilon, row):
-    """The (sigma, epsilon) of a row, as floats."""
-    if isinstance(sigma, np.ndarray):
-        return float(sigma[row]), float(epsilon[row])
-    return sigma, epsilon
-
-
-def _evaluate(layout, u, sigma, epsilon):
-    """layout.evaluate at the rows of u, and the error of every inadmissible
-    row by its row.  A stack with an inadmissible row is evaluated a row at
-    a time to find the error of each, then its admissible rows again as one
-    stack, so the iterate holds those rows alone; an inadmissible single
-    state gives no iterate."""
-    try:
-        return layout.evaluate(u, sigma, epsilon), {}
-    except AdmissibilityLostError as exc:
-        if not isinstance(sigma, np.ndarray):
-            return None, {0: exc}
-    errors = {}
-    for i in range(len(sigma)):
-        try:
-            layout.evaluate(u[i:i + 1], sigma[i:i + 1], epsilon[i:i + 1])
-        except AdmissibilityLostError as exc:
-            errors[i] = exc
-    good = [i for i in range(len(sigma)) if i not in errors]
-    return (layout.evaluate(u[good], sigma[good], epsilon[good]) if good else None), errors
+def _columns(points):
+    """The sigmas and the epsilons of a list of (sigma, epsilon) points."""
+    return tuple(np.array(x) for x in zip(*points))
 
 
 def _pick(x, rows, count):
@@ -580,7 +539,23 @@ def _pick(x, rows, count):
     return x if len(rows) == count else x[rows]
 
 
-def newton_step(layout, it, sigma, epsilon, state=None):
+def _evaluate(layout, u, sigma, epsilon):
+    """layout.evaluate at the rows of u, and the error of every inadmissible
+    row by its row: the rows an AdmissibilityLostError names fail with it,
+    and the others are evaluated again, so that the iterate, or None, holds
+    the admissible rows alone."""
+    rows, errors = list(range(len(sigma))), {}
+    while rows:
+        try:
+            return layout.evaluate(u, sigma, epsilon), errors
+        except AdmissibilityLostError as exc:
+            keep = [k for k in range(len(rows)) if exc.rows is not None and k not in exc.rows]
+            errors.update((i, exc) for k, i in enumerate(rows) if k not in keep)
+            rows, u, sigma, epsilon = [rows[k] for k in keep], u[keep], sigma[keep], epsilon[keep]
+    return None, errors
+
+
+def newton_step(layout, it, sigma, epsilon, state: NewtonState):
     """One Newton step from every row of the iterate `it`.  With a kept
     factorization it first tries the full chord step, accepted when the
     residual sup-norm at least halves or meets the layout's tolerance.
@@ -588,12 +563,13 @@ def newton_step(layout, it, sigma, epsilon, state=None):
     the Newton correction delta and backtracks along it, each row by its own
     damping factor, keeping every trial iterate admissible and requiring
     the row's residual sup-norm to decrease.  A row fails (see
-    NewtonState.fail) when its solve is singular or not finite, or when its
-    backtracking runs out; a stack whose solve fails is solved again a row
-    at a time.  Returns (new iterate, new residual sup-norm per row); a row
-    that failed keeps its place in the iterate, with a NaN norm."""
-    state = state if state is not None else NewtonState()
+    NewtonState.fail) when its solve is singular or not finite, solved
+    again alone since a failure spreads through a stack, or when its
+    backtracking runs out.  Returns (new iterate, new residual sup-norm per
+    row); a row that failed keeps its place in the iterate, with a NaN
+    norm."""
     norm = _norm(it.res)
+    count = norm.size
     if state.factored is not None:
         try:
             trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), sigma, epsilon)
@@ -607,26 +583,19 @@ def newton_step(layout, it, sigma, epsilon, state=None):
     state.factored = None
     factored = layout.factor(layout.jacobian(it.lin))
     state.factorizations += 1
-    count = norm.size
     try:
         delta = layout.solve(factored, -it.res)
-    except SingularJacobianError as exc:
-        if count == 1:
-            state.fail(0, exc)
-        delta = None
-    if count > 1 and (delta is None or not np.isfinite(delta).all()):
-        # the failure or a non-finite entry of a stack may have reached
-        # every row: each row alone, so that only the rows at fault fail
+    except SingularJacobianError:
         delta = np.full_like(it.res, np.nan)
-        for i in range(count):
+    if not np.isfinite(delta).all():
+        for i in np.flatnonzero(~np.isfinite(delta).all(axis=-1)):
             try:
-                delta[i] = layout.solve(_rows(factored, i), -it.res[i])
+                delta[i] = layout.solve(_rows(factored, [i]), -it.res[[i]])[0]
             except SingularJacobianError as exc:
                 state.fail(i, exc)
-    if delta is not None and not np.isfinite(delta).all():
-        for i in np.flatnonzero(~np.isfinite(delta).reshape(count, -1).all(axis=1)):
-            state.fail(i, SingularJacobianError("linear solve produced non-finite update"))
-    if layout.keeps_factorization:
+            if not np.isfinite(delta[i]).all():
+                state.fail(i, SingularJacobianError("linear solve produced non-finite update"))
+    if layout.keeps_factorization and not state.errors:
         state.factored = factored
 
     norm = norm.tolist()
@@ -665,10 +634,9 @@ def newton_step(layout, it, sigma, epsilon, state=None):
         done = {good[k] for k in better}
         rows = [i for i in rows if i not in done]
     for i in rows:
-        sigma_i, epsilon_i = _point(sigma, epsilon, i)
         state.fail(i, NonConvergenceError(
-            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma_i}, "
-            f"eps={epsilon_i}"))
+            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={float(sigma[i])}, "
+            f"eps={float(epsilon[i])}"))
     return (it if new is None else new), np.array(new_norm)
 
 
@@ -677,9 +645,8 @@ def _newton_solve(layout, it, sigma, epsilon, state: NewtonState):
     sup-norm meets the layout's tolerance.  The rows are independent: a row
     that converges stops while the others go on as a smaller stack, and a
     row that fails stops with its error (see NewtonState.fail).  Returns the
-    iterate holding every row's last state, written into `it` for the rows
-    of a smaller stack, and per row the number of iterations and of
-    factorizations they took."""
+    iterate holding every row's last state (written into `it` for a smaller
+    stack's rows) and per row its iterations and factorizations."""
     first = state.factorizations.copy()
     norm = _norm(it.res)
     count = [0] * norm.size
@@ -689,9 +656,9 @@ def _newton_solve(layout, it, sigma, epsilon, state: NewtonState):
             if not norm_i > layout.newton_tol or i in state.errors:
                 continue
             if count[i] == MAX_NEWTON_ITERS:
-                sigma_i, epsilon_i = _point(sigma, epsilon, i)
                 state.fail(i, NonConvergenceError(
-                    f"Newton stalled at residual {norm_i:.3e} (sigma={sigma_i}, eps={epsilon_i})"))
+                    f"Newton stalled at residual {norm_i:.3e} "
+                    f"(sigma={float(sigma[i])}, eps={float(epsilon[i])})"))
             else:
                 rows.append(i)
         if not rows:
@@ -738,51 +705,51 @@ _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLost
 
 
 def _solve_at(layout, it, current, sigma, epsilon, state: NewtonState, seeded: bool):
-    """Newton at (sigma, epsilon) for a single state.  When `seeded`, or
-    without an iterate `it`, it starts from `layout.initial(sigma,
-    epsilon)`; otherwise, or where that fails and `it` exists, from the
-    Euler prediction (see _predict) from the state of `it`, converged at
-    the point `current`, moved to (sigma, epsilon) with its heights kept.
-    Returns the converged iterate and the numbers of iterations and
-    factorizations."""
+    """Newton at the point (sigma, epsilon) as a stack of one row.  When
+    `seeded`, or without an iterate `it`, it starts from `layout.initial`;
+    otherwise, or where that fails and `it` exists, from the Euler
+    prediction (see _predict) from the state of `it`, converged at the point
+    `current`, moved to (sigma, epsilon) with its heights kept.  The row's
+    error is taken out of `state`, which later solves share, and raised.
+    Returns the converged iterate, its iterations, factorizations and
+    center height (layout.u0)."""
+    point = _columns([(sigma, epsilon)])
+
+    def newton(start):
+        new, count, nf = _newton_solve(layout, start, *point, state)
+        if 0 in state.errors:
+            raise state.errors.pop(0)
+        return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new.u, *point)[0])
+
     if seeded or it is None:
         try:
-            seed = layout.evaluate(layout.initial(sigma, epsilon), sigma, epsilon)
-            it_new, count, nf = _newton_solve(layout, seed, sigma, epsilon, state)
-            return it_new, int(count[0]), int(nf[0])
+            return newton(layout.evaluate(layout.initial(sigma, epsilon)[None], *point))
         except _SOLVE_FAILURES:
             if it is None:
                 raise
-    moved = layout.deviation(layout.heights(it.u, *current), sigma, epsilon)
-    it, count, nf = _newton_solve(layout, _predict(layout, moved, sigma, epsilon, state),
-                                  sigma, epsilon, state)
-    return it, int(count[0]), int(nf[0])
+    moved = layout.deviation(layout.heights(it.u, *_columns([current])), *point)
+    return newton(_predict(layout, moved, *point, state))
 
 
 def _seeded(layout, points):
     """Newton from the layout's seed at every (sigma, epsilon) point, the
-    points as one stack of independent rows; a single point is solved as a
-    single state, with no row axis.  Returns per point the number of trial
-    iterates it rejected, and per point (converged iterate, iterations,
-    factorizations), or None where its row failed, an inadmissible seed
-    included."""
-    if len(points) == 1:
-        (sigma, epsilon), = points
-        seeds = layout.initial(sigma, epsilon)
-    else:
-        sigma, epsilon = (np.array(x) for x in zip(*points))
-        seeds = np.stack([layout.initial(*p) for p in points])
-    it, errors = _evaluate(layout, seeds, sigma, epsilon)
+    points as one stack.  Returns per point the number of trial iterates it
+    rejected, and (its converged row, iterations, factorizations, center
+    height), or None where its row failed, an inadmissible seed included."""
+    sigma, epsilon = _columns(points)
+    it, errors = _evaluate(layout, np.array([layout.initial(*p) for p in points]), sigma, epsilon)
     good = [i for i in range(len(points)) if i not in errors]
     rejected, solved = [0] * len(points), [None] * len(points)
     if good:
         rows = NewtonState(len(good))
-        it, count, nf = _newton_solve(layout, it, _pick(sigma, good, len(points)),
-                                      _pick(epsilon, good, len(points)), rows)
+        at = _pick(sigma, good, len(points)), _pick(epsilon, good, len(points))
+        it, count, nf = _newton_solve(layout, it, *at, rows)
+        heights = layout.heights(it.u, *at)
         for j, i in enumerate(good):
             rejected[i] = int(rows.rejected[j])
             if j not in rows.errors:
-                solved[i] = (it if len(points) == 1 else _rows(it, j), int(count[j]), int(nf[j]))
+                solved[i] = (_rows(it, slice(j, j + 1)), int(count[j]), int(nf[j]),
+                             layout.u0(heights[j]))
     return rejected, solved
 
 
@@ -790,19 +757,17 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
     """Walk the (sigma, epsilon) points in order.  When `seeded`, every point
     is first solved by Newton from the layout's seed there, all points as
     one stack (see _seeded; one at a time on states of more than
-    STACK_MAX_NODES nodes), and the walk takes each point whose row
-    converged as it is.  Every other point is reached by predicted steps
-    (see _solve_at) from the state of `it`, the last accepted iterate,
-    moved to the step's point with its heights kept, with up-to-8-deep
-    bisection: a step that fails is retried at the midpoint of the last
-    accepted point and its target, where a seeded march tries the seed
-    first.  `start` is the point at which `it` converged, or None when
-    there is no iterate yet; then the first point, unless a seeded march
-    solved it, is reached by marching sigma down from SIGMA_START at its
-    boundary height, from the cap seed there and unbisected, one predicted
-    step per sigma.  Returns the iterate converged at the last point, the
-    Newton iterations and factorizations of every accepted step, and the
-    center height at each point walked, keyed by point."""
+    STACK_MAX_NODES nodes), and the walk takes each converged row as it
+    is.  Every other point is reached by steps (see _solve_at) from `it`,
+    the last accepted iterate, with up-to-8-deep bisection: a failed step
+    is retried at the midpoint of the last accepted point and its target,
+    where a seeded march tries the seed first.  `start` is the point at
+    which `it` converged, or None when there is no iterate yet; then the
+    first point, unless a seeded march solved it, is reached by marching
+    sigma down from SIGMA_START at its boundary height, from the cap seed
+    there and unbisected.  Returns the iterate converged at the last point,
+    the Newton iterations and factorizations of every accepted step, and
+    the center height at each point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
     current = start
     one_by_one = seeded and np.size(layout.initial(*points[0])) > STACK_MAX_NODES
@@ -819,7 +784,7 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
             walk[:1] = [((s, epsilon), None, False) for s in default_sigma_schedule(sigma)]
         for target, solution, seed_first in walk:
             if solution is not None:
-                it, count, nf = solution
+                it, count, nf, u0 = solution
                 iters.append(count)
                 factors.append(nf)
                 current = target
@@ -827,11 +792,11 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
                 stack, depth = [target], 0
                 while stack:
                     nxt = stack[-1]
+                    # the first attempt at the target had its seed tried in
+                    # the stack: until a step fails, depth is 0
+                    seed = seed_first and (nxt is not target or depth > 0)
                     try:
-                        # the first attempt at the target had its seed tried
-                        # in the stack: until a step fails, depth is 0
-                        it, count, nf = _solve_at(layout, it, current, *nxt, state, seed_first
-                                                  and (nxt is not target or depth > 0))
+                        it, count, nf, u0 = _solve_at(layout, it, current, *nxt, state, seed)
                     except (NonConvergenceError, SingularJacobianError):
                         if current is None or depth >= 8:
                             raise
@@ -841,7 +806,7 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
                     iters.append(count)
                     factors.append(nf)
                     current = stack.pop()
-            u0_by_point[target] = layout.u0(layout.heights(it.u, *target))
+            u0_by_point[target] = u0
     return it, iters, factors, u0_by_point
 
 

@@ -691,10 +691,27 @@ SIGMA_MARCH_FIRST = {
 }
 
 
+# Config, exit code and stderr of `solve` on the grid path where it fails,
+# as the solver gave them when a single Newton state still had no row axis:
+# on the circle at N = 256 the cap seed at the sigma march's first point
+# leaves the cone, and H_1 on K_2 on the 1.5 x 1 ellipse exhausts its
+# backtracking in the sigma march at the first boundary height.
+GRID_FAILURES = {
+    "circle-N256": ({"axes": [1.0, 1.0], "k": 2, "sigma": 0.5, "grid": 256}, 3,
+                    "admissibility lost: curvature left the cone at nodes "
+                    "[7760, 8313, 8852, 9167, 9270, 9676, 9775, 10355]..."),
+    "h1-on-k2-ellipse-N32": ({"axes": [1.5, 1.0], "family": "kth_root", "k": 1, "sigma": 0.2,
+                              "grid": 32}, 2,
+                             "non-convergence: backtracking exhausted 20 halvings at "
+                             "sigma=0.4214843749999998, eps=0.1"),
+}
+
+
 class TestFailurePaths:
     """Solves whose boundary heights are not all reached by the seeded
     Newton solve keep the outcome they had before the heights were solved
-    as one stack."""
+    as one stack, and failed grid solves the one they had before every
+    Newton state became a stack of rows."""
 
     @pytest.mark.parametrize("n, grid_size, sigma", list(H1_ON_K2))
     def test_h1_on_k2(self, n, grid_size, sigma, capsys):
@@ -711,3 +728,9 @@ class TestFailurePaths:
                         "export": "report-json", "out": str(out)}) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["statistics"] == SIGMA_MARCH_FIRST[grid_size, sigma]
+
+    @pytest.mark.parametrize("name", list(GRID_FAILURES))
+    def test_grid_path(self, name, capsys):
+        config, code, message = GRID_FAILURES[name]
+        assert cli.run({"command": "solve", "shape": "ellipse", **config, "export": ""}) == code
+        assert capsys.readouterr().err == message + "\n"

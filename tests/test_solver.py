@@ -56,7 +56,7 @@ def _jacobian_centred(u, spec, rho, n):
         kappa, _ = hypgeom.radial_principal_curvatures(*jet, rho[:-1], n)
         return symfunc.eval_f(spec, kappa, check_cone=False)
 
-    parts = _centred_partials(G, [u[:-1], up[:-1], upp[:-1]])
+    parts = _centred_partials(G, [u[:-1], up, upp])
     return solver._assemble_banded(*parts, len(u), h)
 
 
@@ -172,6 +172,11 @@ def _quadrant_nodes(layout):
     return np.arange(nx * ny).reshape(nx, ny)[nx - qx:, ny - qy:].ravel()
 
 
+def _at(sigma, epsilon):
+    """The point (sigma, epsilon) as the arrays of a stack of one row."""
+    return np.array([sigma]), np.array([epsilon])
+
+
 class _LineLayout:
     """r(u) = u - 1, admissible only below 0.8: a full step from 0 leaves
     the admissible set, half of it does not."""
@@ -197,16 +202,17 @@ class _LineLayout:
 
 def _cap_of(rho, sigma, eps):
     """(c, c', c'') of the cap at (sigma, eps) on the nodes rho over [0, R],
-    as RadialLayout.cap gives them to solver.residual."""
-    return solver.RadialLayout(H1, hypgeom.Domain.ball(rho[-1]), rho.size - 1).cap(sigma, eps)
+    as RadialLayout.cap gives them to solver.residual: a stack of one row."""
+    return solver.RadialLayout(H1, hypgeom.Domain.ball(rho[-1]), rho.size - 1).cap(
+        *_at(sigma, eps))
 
 
 def _radial_jacobian(u, spec, rho):
     """solver._jacobian_fd at the heights u, from what the radial residual
-    at their deviation from a cap built."""
+    at their deviation from a cap built, for that stack of one row."""
     cap = _cap_of(rho, 0.5, u[-1])
-    return solver._jacobian_fd(solver.residual(u - cap[0], spec, 0.5, cap, rho)[1], spec,
-                               rho[1] - rho[0])
+    return solver._jacobian_fd(solver.residual(u - cap[0], spec, np.array([0.5]), cap, rho)[1],
+                               spec, rho[1] - rho[0])[:, 0]
 
 
 def _families_up_to_4():
@@ -226,9 +232,9 @@ def _residual_by_curvatures(u, spec, sigma, epsilon, rho):
     jet and symfunc.eval_f on it, as the residual was computed before it
     used the closed-form table of (kappa_rad, kappa_tan)."""
     up, upp = solver._radial_derivatives(u, rho[1] - rho[0])
-    kappa, _ = hypgeom.radial_principal_curvatures(u, up, upp, rho, spec.n)
+    kappa, _ = hypgeom.radial_principal_curvatures(u[:-1], up, upp, rho[:-1], spec.n)
     res = u - epsilon
-    res[:-1] = symfunc.eval_f(spec, kappa[:-1]) - sigma
+    res[:-1] = symfunc.eval_f(spec, kappa) - sigma
     return res
 
 
@@ -237,15 +243,16 @@ class TestResidual:
         # no deviation from the constant profile, whose differences are 0
         u, rho = cap_profile(64, 0.5)
         u[:] = 0.7
-        flat = (u, np.zeros(64), np.zeros(64))
-        res, _ = solver.residual(np.zeros_like(u), H1, 0.3, flat, rho)
-        assert np.allclose(res[:-1], 1.0 - 0.3, atol=1e-12)
+        flat = (u[None], np.zeros((1, 64)), np.zeros((1, 64)))
+        res, _ = solver.residual(np.zeros_like(u)[None], H1, np.array([0.3]), flat, rho)
+        assert np.allclose(res[0, :-1], 1.0 - 0.3, atol=1e-12)
 
     def test_cap_discretization_order(self):
         norms = []
         for N in (128, 256, 512):
             u, rho = cap_profile(N, 0.6)
-            res, _ = solver.residual(np.zeros_like(u), H2H1, 0.6, _cap_of(rho, 0.6, 0.1), rho)
+            res, _ = solver.residual(np.zeros_like(u)[None], H2H1, np.array([0.6]),
+                                     _cap_of(rho, 0.6, 0.1), rho)
             norms.append(np.max(np.abs(res)))
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.3)
         assert norms[1] / norms[2] == pytest.approx(4.0, rel=0.3)
@@ -255,7 +262,7 @@ class TestResidual:
         u[10] = -0.5
         cap = _cap_of(rho, 0.5, 0.1)
         with pytest.raises(AdmissibilityLostError) as exc:
-            solver.residual(u - cap[0], H1, 0.5, cap, rho)
+            solver.residual(u - cap[0], H1, np.array([0.5]), cap, rho)
         assert 10 in exc.value.nodes
         assert "np.int64" not in str(exc.value)
 
@@ -265,7 +272,7 @@ class TestResidual:
         u[[10, 30]] += 0.001
         cap = _cap_of(rho, 0.5, 0.1)
         with pytest.raises(AdmissibilityLostError) as exc:
-            solver.residual(u - cap[0], H2H1, 0.5, cap, rho)
+            solver.residual(u - cap[0], H2H1, np.array([0.5]), cap, rho)
         assert exc.value.nodes == [10, 30]
         assert str(exc.value) == "curvature left the cone at nodes [10, 30]"
 
@@ -275,14 +282,14 @@ class TestResidual:
         # cone; the nodes are numbered among the quadrant's interior nodes,
         # and these three lie off both symmetry axes
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
-        U = layout.initial(0.6, 0.1)
-        layout.evaluate(U, 0.6, 0.1)
+        U = layout.initial(0.6, 0.1)[None]
+        layout.evaluate(U, *_at(0.6, 0.1))
         pushed = [14, 55, 100]
         rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
         assert np.all(rows[pushed] > 0) and np.all(cols[pushed] > 0)
-        U[rows[pushed], cols[pushed]] += 0.01
+        U.reshape(layout.shape)[rows[pushed], cols[pushed]] += 0.01
         with pytest.raises(AdmissibilityLostError) as exc:
-            layout.evaluate(U, 0.6, 0.1)
+            layout.evaluate(U, *_at(0.6, 0.1))
         assert exc.value.nodes == pushed
         assert all(type(i) is int for i in exc.value.nodes)
         assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
@@ -296,17 +303,18 @@ class TestPairTableResidual:
     def test_matches_curvature_route(self, spec):
         domain = hypgeom.Domain.ball(1.0)
         layout = solver.RadialLayout(spec, domain, 64)
-        states = [(layout.initial(sigma, eps), sigma, eps)
+        states = [(layout.initial(sigma, eps)[None], sigma, eps)
                   for sigma in (0.5, 0.2) for eps in (0.1, 1e-3)]
         for sigma in (0.5, 0.2):
             sol = solver.continuation_solve(solver.SolverConfig(
                 spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
-            states.append((layout.deviation(sol.u, sigma, sol.epsilon), sigma, sol.epsilon))
+            states.append((layout.deviation(sol.u, *_at(sigma, sol.epsilon)), sigma, sol.epsilon))
         for v, sigma, eps in states:
-            got, _ = solver.residual(v, spec, sigma, layout.cap(sigma, eps), layout.rho)
-            want = _residual_by_curvatures(layout.heights(v, sigma, eps), spec, sigma, eps,
-                                           layout.rho)
-            assert np.max(np.abs(got - want)) <= 1e-12
+            got, _ = solver.residual(v, spec, np.array([sigma]), layout.cap(*_at(sigma, eps)),
+                                     layout.rho)
+            want = _residual_by_curvatures(layout.heights(v, *_at(sigma, eps))[0], spec, sigma,
+                                           eps, layout.rho)
+            assert np.max(np.abs(got[0] - want)) <= 1e-12
 
     def test_inadmissible_nodes_match_curvature_route(self):
         # a ripple of 0.0015 pushes 3 to 19 of the 64 interior nodes out of
@@ -321,7 +329,7 @@ class TestPairTableResidual:
             with pytest.raises(AdmissibilityError) as want:
                 _residual_by_curvatures(u, spec, 0.5, 0.1, rho)
             with pytest.raises(AdmissibilityLostError) as got:
-                solver.residual(u - cap[0], spec, 0.5, cap, rho)
+                solver.residual(u - cap[0], spec, np.array([0.5]), cap, rho)
             assert got.value.nodes == want.value.indices
             counts.add(len(got.value.nodes))
         assert len(counts) > 3
@@ -357,18 +365,20 @@ class TestNewton:
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
-        v = layout.deviation(u, 0.6, 0.1)
-        it = layout.evaluate(v, 0.6, 0.1)
-        base = np.max(np.abs(solver.residual(v, H2H1, 0.6, layout.cap(0.6, 0.1), rho)[0]))
-        _, norm = solver.newton_step(layout, it, 0.6, 0.1)
+        point = _at(0.6, 0.1)
+        v = layout.deviation(u, *point)
+        it = layout.evaluate(v, *point)
+        base = np.max(np.abs(solver.residual(v, H2H1, point[0], layout.cap(*point), rho)[0]))
+        _, norm = solver.newton_step(layout, it, *point, solver.NewtonState())
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.domain, 128)
-        it = layout.evaluate(layout.deviation(sol.u, 0.5, sol.epsilon), 0.5, sol.epsilon)
-        new, norm = solver.newton_step(layout, it, 0.5, sol.epsilon)
+        point = _at(0.5, sol.epsilon)
+        it = layout.evaluate(layout.deviation(sol.u, *point), *point)
+        new, norm = solver.newton_step(layout, it, *point, solver.NewtonState())
         # the correction taken, relative to the heights
         step = np.max(np.abs(new.u - it.u)) / (1.0 + np.max(np.abs(sol.u)))
         assert step <= 1e-8
@@ -415,11 +425,12 @@ class TestNewton:
 
 class TestNewtonState:
     def test_rejected_trials_counted(self):
-        layout, state = _LineLayout(), solver.NewtonState()
-        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros(1), 0, 0), 0, 0, state)
+        layout, state, point = _LineLayout(), solver.NewtonState(), _at(0, 0)
+        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros((1, 1)), *point), *point,
+                                      state)
         # full step rejected, half step accepted
         assert it.u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        it, _ = solver.newton_step(layout, it, 0, 0, state)
+        it, _ = solver.newton_step(layout, it, *point, state)
         # chord trial rejected, then the refactored full step, then half of it
         assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
@@ -483,18 +494,38 @@ class _NaNJacobianLayout(solver.RadialLayout):
 
     def jacobian(self, lin):
         ab = super().jacobian(lin)
-        ab[1, 5] = np.nan
+        ab[1, ..., 5] = np.nan
         return ab
 
 
 def test_nan_jacobian_raises_singular():
     # the banded solve skips scipy's finiteness scan: the NaN ends in
-    # LinAlgError or in a non-finite update, both SingularJacobianError
+    # LinAlgError or in a non-finite update, both SingularJacobianError,
+    # which the row records
     layout = _NaNJacobianLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
-    u = layout.initial(0.5, 0.1)
-    u[:-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
-    with pytest.raises(SingularJacobianError):
-        solver.newton_step(layout, layout.evaluate(u, 0.5, 0.1), 0.5, 0.1)
+    u = layout.initial(0.5, 0.1)[None]
+    u[:, :-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
+    state, point = solver.NewtonState(), _at(0.5, 0.1)
+    solver.newton_step(layout, layout.evaluate(u, *point), *point, state)
+    assert isinstance(state.errors[0], SingularJacobianError)
+
+
+class _NaNSolveGridLayout(grid.GridLayout):
+    """The grid layout whose every update is NaN."""
+
+    def solve(self, factored, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+def test_failed_grid_solve_keeps_no_factors():
+    # a row whose update is not finite fails, and its factorization is not
+    # kept for the chord steps and predictions of the points after it
+    layout = _NaNSolveGridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 16)
+    state, point = solver.NewtonState(), _at(0.6, 0.1)
+    solver.newton_step(layout, layout.evaluate(layout.initial(0.6, 0.1)[None], *point), *point,
+                       state)
+    assert str(state.errors[0]) == "linear solve produced non-finite update"
+    assert state.factored is None
 
 
 class _ConeEdgeLayout(grid.GridLayout):
@@ -563,12 +594,13 @@ class TestSolutionFromIterate:
         states, solution = [], layout.solution
         layout.solution = lambda it, *point: states.append(it.u) or solution(it, *point)
         sol = solver.solve_on(layout, cfg)
-        jet = layout.evaluate(states[-1], sol.sigma, sol.epsilon).lin[0]
+        jet = layout.evaluate(states[-1], *_at(sol.sigma, sol.epsilon)).lin[0]
         if isinstance(layout, grid.GridLayout):
             kappa, w = grid.principal_curvatures_2d(*jet)
             kappa, w = kappa[layout.image], w[layout.image]
         else:
             kappa, w = hypgeom.radial_principal_curvatures(*jet, H2H1.n)
+            kappa, w = kappa[0], w[0]
         assert np.array_equal(sol.kappa, kappa) and np.array_equal(sol.w, w)
 
     def test_kappa_max_converges_below_roundoff(self):
@@ -591,20 +623,20 @@ class TestPredictor:
     @staticmethod
     def converged(layout_class=grid.GridLayout):
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
-        state = solver.NewtonState()
-        seed = layout.evaluate(layout.initial(0.6, 0.1), 0.6, 0.1)
-        it, _, _ = solver._newton_solve(layout, seed, 0.6, 0.1, state)
+        state, point = solver.NewtonState(), _at(0.6, 0.1)
+        seed = layout.evaluate(layout.initial(0.6, 0.1)[None], *point)
+        it, _, _ = solver._newton_solve(layout, seed, *point, state)
         state.factored = layout.factor(layout.jacobian(it.lin))
         return layout, state, it.u
 
     def predicted_norm(self, layout, state, u, sigma):
-        pred = solver._predict(layout, u, sigma, 0.1, state)
-        assert np.array_equal(pred.res, layout.evaluate(pred.u, sigma, 0.1).res)
+        pred = solver._predict(layout, u, *_at(sigma, 0.1), state)
+        assert np.array_equal(pred.res, layout.evaluate(pred.u, *_at(sigma, 0.1)).res)
         return np.max(np.abs(pred.res))
 
     def test_cuts_the_residual(self):
         layout, state, u = self.converged()
-        plain = np.max(np.abs(layout.evaluate(u, 0.55, 0.1).res))
+        plain = np.max(np.abs(layout.evaluate(u, *_at(0.55, 0.1)).res))
         assert self.predicted_norm(layout, state, u, 0.55) <= plain / 5.0
 
     def test_second_order(self):
@@ -617,9 +649,9 @@ class TestPredictor:
     def test_inadmissible_prediction_falls_back(self):
         layout, state, u = self.converged(_ConeEdgeLayout)
         layout.edge = u
-        start = solver._predict(layout, u, 0.55, 0.1, state)
+        start = solver._predict(layout, u, *_at(0.55, 0.1), state)
         assert start.u is u and state.rejected == 1
-        assert np.array_equal(start.res, layout.evaluate(u, 0.55, 0.1).res)
+        assert np.array_equal(start.res, layout.evaluate(u, *_at(0.55, 0.1)).res)
         # Newton refactors at u instead of trying the rejected chord step again
         assert state.factored is None
 
@@ -857,6 +889,18 @@ class TestSweep:
         assert [row["status"] for row in rows] == ["ok", "ok"]
         assert abs(rows[1]["u0"] - plain[1]["u0"]) < 1e-8
 
+    def test_failed_middle_row_leaves_later_rows(self, monkeypatch):
+        # the rows share one Newton state, where Newton records a failed
+        # row's error: left there, it would end every later row at once
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        monkeypatch.setattr(solver, "_layout",
+                            lambda c: _SingularAtLayout(c.spec, c.domain, c.grid_size))
+        rows = solver.sweep_sigma(cfg, [0.5, 0.3, 0.2])
+        assert [row["status"] for row in rows] == ["ok", "failed: SingularJacobianError", "ok"]
+        cold = solver.continuation_solve(replace(cfg, sigma_target=0.2))
+        assert abs(rows[2]["u0"] - cold.u0) <= 1e-10
+
     def test_ball_rows_start_from_cap(self):
         # warm starts from the previous sigma took 4-5 iterations per row
         sigmas = [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]
@@ -868,6 +912,22 @@ class TestSweep:
         for row in rows:
             cold = solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
             assert abs(row["u0"] - cold.u0) <= 1e-10
+
+
+class _SingularAtLayout(solver.RadialLayout):
+    """The radial layout without exact seeding whose Jacobian is all zeros
+    at sigma `singular`, read from the point of the last evaluation."""
+
+    exact_seed = False
+    singular = 0.3
+
+    def evaluate(self, v, sigma, epsilon):
+        self.evaluated_at = sigma
+        return super().evaluate(v, sigma, epsilon)
+
+    def jacobian(self, lin):
+        ab = super().jacobian(lin)
+        return 0.0 * ab if self.evaluated_at[0] == self.singular else ab
 
 
 class TestRefine:
@@ -1014,12 +1074,12 @@ class TestGridPath:
 
     def test_interior_solve_matches_full_system(self):
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 24)
-        U = layout.initial(0.5, 0.1)
+        U = layout.initial(0.5, 0.1)[None]
         # residual at the next boundary height: nonzero on Dirichlet nodes,
         # as after a step of the epsilon continuation
-        it = layout.evaluate(U, 0.5, 0.05)
+        it = layout.evaluate(U, *_at(0.5, 0.05))
         rhs = -it.res
-        assert np.max(np.abs(rhs[~layout.inside.ravel()])) == pytest.approx(0.05)
+        assert np.max(np.abs(rhs[0, ~layout.inside.ravel()])) == pytest.approx(0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
         full = spsolve(J, _unfold(layout, rhs).ravel()).reshape(layout.mask.shape)
         quadrant = layout.solve(layout.factor(layout.jacobian(it.lin)), rhs)
@@ -1035,10 +1095,10 @@ class TestGridPath:
     @staticmethod
     def symmetric_state(grid_size):
         """A quadrant state off the cap by seeded noise at the interior
-        nodes, and the layout it lives on."""
+        nodes, as a stack of one row, and the layout it lives on."""
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), grid_size)
-        U = layout.initial(0.5, 0.1)
-        U[layout.inside] += 1e-5 * np.random.default_rng(7).standard_normal(
+        U = layout.initial(0.5, 0.1)[None]
+        U.reshape(layout.shape)[layout.inside] += 1e-5 * np.random.default_rng(7).standard_normal(
             np.count_nonzero(layout.inside))
         return layout, U
 
@@ -1046,7 +1106,7 @@ class TestGridPath:
     def test_quadrant_residual_is_full_box_residual(self, grid_size):
         layout, U = self.symmetric_state(grid_size)
         full = _residual_grid_full(_unfold(layout, U), H2H1, 0.5, 0.05, layout)
-        assert np.array_equal(layout.evaluate(U, 0.5, 0.05).res,
+        assert np.array_equal(layout.evaluate(U, *_at(0.5, 0.05)).res[0],
                               full.ravel()[_quadrant_nodes(layout)])
 
     @pytest.mark.parametrize("grid_size", [32, 24])
@@ -1060,7 +1120,7 @@ class TestGridPath:
         P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
                        shape=(fold.size, layout.inside.size))
         folded = (J[rows] @ P).toarray()
-        J_ii, J_ib = layout.jacobian(layout.evaluate(U, 0.5, 0.05).lin)
+        J_ii, J_ib = layout.jacobian(layout.evaluate(U, *_at(0.5, 0.05)).lin)
         ins = layout.inside.ravel()
         scale = np.max(np.abs(folded))
         assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
@@ -1119,7 +1179,7 @@ class TestGridPath:
         kappa, _ = grid.principal_curvatures_2d(*grid._jets(U, layout))
         expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
         with pytest.raises(AdmissibilityLostError) as info:
-            layout.evaluate(U, 0.8, 0.1)
+            layout.evaluate(U[None], *_at(0.8, 0.1))
         assert expected.size and info.value.nodes == expected.tolist()
 
     @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
@@ -1151,7 +1211,7 @@ class TestGridPath:
     @pytest.mark.parametrize("grid_size, bound", [(16, 1e-4), (64, 1e-6)])
     def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
         layout, U = self.symmetric_state(grid_size)
-        lin = layout.evaluate(U, 0.5, 0.1).lin
+        lin = layout.evaluate(U, *_at(0.5, 0.1)).lin
         J_ii, J_ib = layout.jacobian(lin)
         monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
         C_ii, C_ib = layout.jacobian(lin)
@@ -1201,7 +1261,7 @@ def _outcome(layout, points):
     `points` as one stack (solver._seeded), unpacked: (u, res, iterations,
     factorizations), or None where the row failed."""
     rejected, solved = solver._seeded(layout, points)
-    return [(r, None if s is None else (s[0].u, s[0].res, s[1], s[2]))
+    return [(r, None if s is None else (s[0].u[0], s[0].res[0], s[1], s[2]))
             for r, s in zip(rejected, solved)]
 
 
@@ -1217,20 +1277,12 @@ def _same_outcome(got, want):
 def _alone(layout, point):
     """The seeded Newton solve of one point as a stack of one row: the
     rejected trial count and (u, res, iterations, factorizations)."""
-    sigma, epsilon = np.array([point[0]]), np.array([point[1]])
+    sigma, epsilon = _at(*point)
     state = solver.NewtonState(1)
     seed = layout.evaluate(layout.initial(*point)[None], sigma, epsilon)
     it, count, nf = solver._newton_solve(layout, seed, sigma, epsilon, state)
     assert not state.errors
     return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
-
-
-def _single(layout, point):
-    """The same for the point as a single state, with no row axis."""
-    state = solver.NewtonState()
-    it, count, nf = solver._newton_solve(
-        layout, layout.evaluate(layout.initial(*point), *point), *point, state)
-    return state.rejected[0], (it.u, it.res, count[0], nf[0])
 
 
 class TestStackedRows:
@@ -1258,7 +1310,6 @@ class TestStackedRows:
             assert all(solution is not None for _, solution in stacked)
             for point, row in zip(points, stacked):
                 _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, grid_size), point))
-                _same_outcome(row, _single(solver.RadialLayout(spec, cfg.domain, grid_size), point))
 
     def test_inadmissible_seeds_fail_alone(self):
         # H_1 on K_2 at sigma = 0.01: the caps sampled at the four smallest
@@ -1273,14 +1324,39 @@ class TestStackedRows:
         for point, row in zip(points, stacked):
             if row[1] is None:
                 with pytest.raises(AdmissibilityLostError):
-                    layout.evaluate(layout.initial(*point), *point)
+                    layout.evaluate(layout.initial(*point)[None], *_at(*point))
             else:
                 _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, 512), point))
+
+    def test_inadmissible_rows_read_from_the_error(self, monkeypatch):
+        # the residual names the rows it found outside the cone: the eight
+        # seeds take one evaluation as a stack and one for the four
+        # admissible rows, where a search a row at a time took ten
+        spec = CurvatureSpec.kth_root(1, 2)
+        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.01, grid_size=512)
+        points = [(0.01, e) for e in cfg.epsilon_schedule]
+        layout = solver.RadialLayout(spec, cfg.domain, 512)
+        seeds = np.stack([layout.initial(*p) for p in points])
+        residuals = _count_calls(monkeypatch, solver, "residual")
+        it, errors = solver._evaluate(layout, seeds, *solver._columns(points))
+        assert len(residuals) == 2
+        assert sorted(errors) == [4, 5, 6, 7] and it.u.shape == (4, 513)
+        # the error of a stack of one row reads as that row's own
+        for i in errors:
+            with pytest.raises(AdmissibilityLostError) as alone:
+                layout.evaluate(seeds[[i]], *_at(*points[i]))
+            _, single = solver._evaluate(layout, seeds[[i]], *_at(*points[i]))
+            assert str(single[0]) == str(alone.value)
+        residuals.clear()
+        _, solved = solver._seeded(layout, points)
+        assert len(residuals) == 2 + max(s[1] for s in solved if s is not None)
 
     def test_broken_rows_fail_alone(self):
         # the Jacobian of one row is singular and that of another has a NaN:
         # the stacked solve fails, each row is solved alone, those two fail
-        # with the error a single state raises, and the others keep their bits
+        # with the error each records as a stack of one row, and the others
+        # keep their bits
         layout = _BrokenRowsLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
         points = [(0.5, e) for e in solver.default_epsilon_schedule()]
         sigma, epsilon = (np.array(x) for x in zip(*points))
@@ -1292,11 +1368,12 @@ class TestStackedRows:
         assert sorted(state.errors) == broken
         for i, point in enumerate(points):
             if i in broken:
-                with pytest.raises(SingularJacobianError) as alone:
-                    solver.newton_step(layout, layout.evaluate(layout.initial(*point), *point),
-                                       *point)
+                alone = solver.NewtonState()
+                solver.newton_step(layout, layout.evaluate(layout.initial(*point)[None],
+                                                           *_at(*point)), *_at(*point), alone)
+                assert isinstance(alone.errors[0], SingularJacobianError)
                 assert type(state.errors[i]) is SingularJacobianError
-                assert str(state.errors[i]) == str(alone.value)
+                assert str(state.errors[i]) == str(alone.errors[0])
             else:
                 _same_outcome((state.rejected[i], (it.u[i], it.res[i], count[i], nf[i])),
                               _alone(solver.RadialLayout(H2H1, layout.domain, 64), point))
@@ -1316,10 +1393,10 @@ class TestStackedRows:
         assert np.array_equal(it.u, [[0.5], [0.5]]) and np.array_equal(norm, [0.0, 0.5])
         assert state.rejected.tolist() == [0, 1] and state.factorizations.tolist() == [1, 1]
         for row in range(2):
-            alone = solver.NewtonState()
-            single, _ = solver.newton_step(layout, layout.evaluate(np.zeros(1), sigma[row], 0.0),
-                                           sigma[row], 0.0, alone)
-            assert np.array_equal(single.u, it.u[row])
+            alone, point = solver.NewtonState(), _at(sigma[row], 0.0)
+            single, _ = solver.newton_step(layout, layout.evaluate(np.zeros((1, 1)), *point),
+                                           *point, alone)
+            assert np.array_equal(single.u[0], it.u[row])
             assert alone.rejected[0] == state.rejected[row]
 
 
@@ -1344,7 +1421,8 @@ class _BrokenRowsLayout(solver.RadialLayout):
 
 
 class _StackedLineLayout:
-    """r(u) = u - sigma per row of a stack, admissible only below 0.8."""
+    """r(u) = u - sigma per row of a stack, admissible only below 0.8; the
+    error names the rows at fault."""
 
     keeps_factorization = False
     newton_tol = 1e-10
@@ -1352,7 +1430,7 @@ class _StackedLineLayout:
     def evaluate(self, u, sigma, epsilon):
         bad = np.flatnonzero(u >= 0.8)
         if bad.size:
-            raise AdmissibilityLostError(bad)
+            raise AdmissibilityLostError(bad, row_size=u.shape[-1])
         return solver.Iterate(u, u - np.expand_dims(sigma, -1), u)
 
     def jacobian(self, u):
