@@ -198,8 +198,13 @@ def validate_config(raw: dict) -> dict:
             else:  # without a solver config, its sigma rule still holds
                 _build(violations, hypgeom.check_sigma, cfg["sigma"])
 
-    if not isinstance(cfg["out"], str):
+    if not isinstance(cfg["out"], str) or "\0" in cfg["out"]:  # no path holds a NUL
         violations.append(f"out must be a directory path, got {cfg['out']!r}")
+    else:
+        ancestor = _existing_ancestor(cfg["out"])
+        if not os.path.isdir(ancestor):
+            violations.append(f"out must be a directory path, got {cfg['out']!r}: "
+                              f"{ancestor!r} is not a directory")
     if isinstance(cfg["export"], str):
         cfg["export"] = [e for e in cfg["export"].split(",") if e]
     if not (isinstance(cfg["export"], (list, tuple))
@@ -219,6 +224,14 @@ def validate_config(raw: dict) -> dict:
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def _existing_ancestor(path: str) -> str:
+    """The nearest existing ancestor of `path`, itself included."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
 
 
 def _curvature_spec(cfg: dict) -> symfunc.CurvatureSpec:

@@ -68,11 +68,11 @@ class GridLayout:
     Jacobian's interior block across iterations and for the Euler predictor
     of each continuation step.  The cap seed solves no ellipse problem
     exactly, so continuation starts from it in sigma, then in the boundary
-    height, and the state is the heights themselves (`heights` and
-    `deviation` are the identity).  Newton stops at a
-    residual sup-norm of 1e-8.  A solution reports the full box's interior
-    nodes `mask` in box order, each with the curvatures of the unknown it
-    mirrors, `image`."""
+    height, the state is the heights themselves (`heights` and `deviation`
+    are the identity), and a stack of points holds the points alone (`at`).
+    Newton stops at a residual sup-norm of 1e-8.  A solution reports the
+    full box's interior nodes `mask` in box order, each with the curvatures
+    of the unknown it mirrors, `image`."""
 
     keeps_factorization = True
     exact_seed = False
@@ -96,6 +96,7 @@ class GridLayout:
         inside[-1, :] = inside[:, -1] = False
         self.inside = inside
         self.interior = inside.ravel()
+        self.nodes = inside.size
         self.fold = _fold(nx)[:, None] * inside.shape[1] + _fold(ny)[None, :]
         # interior nodes of the full box: the quadrant's, mirrored
         self.mask = self.interior[self.fold]
@@ -120,8 +121,13 @@ class GridLayout:
     def shape(self):
         return self.inside.shape
 
-    def evaluate(self, U, sigma, epsilon):
-        return solver.Iterate(U, *residual_grid(U, self.spec, sigma, epsilon, self))
+    def at(self, points):
+        """The stack of the (sigma, epsilon) points, which need nothing more."""
+        return solver.At.of(points)
+
+    def evaluate(self, U, at):
+        return solver.Iterate(U, *residual_grid(U, self.spec, at.sigma[:, 0], at.epsilon[:, 0],
+                                                self), at)
 
     def jacobian(self, lin):
         return _jacobian_grid(lin, self.spec, self)
@@ -142,27 +148,31 @@ class GridLayout:
         delta[0][self.interior] = lu.solve(rhs[0][self.interior] - J_ib @ rhs[0])
         return delta
 
-    def initial(self, sigma, epsilon):
-        """Cap of the inscribed ball, carried along the elliptical level sets
-        so it meets the boundary height on the rim."""
+    def initial(self, at):
+        """Cap of the inscribed ball at the one-row stack's point, carried
+        along the elliptical level sets so it meets the boundary height on
+        the rim."""
         b = self.domain.params[1]
+        sigma, epsilon = at.point()
         cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
         U = cap.height(np.minimum(np.sqrt(self.level), 1.0) * b).ravel()
         U[~self.interior] = epsilon
-        return U
+        return U[None]
 
-    def heights(self, U, sigma, epsilon):
-        return U
+    def heights(self, it):
+        return it.u
 
-    deviation = heights
+    def deviation(self, U, at):
+        return U
 
     def u0(self, U):
         return float(np.max(U.ravel()[self.interior]))
 
-    def solution(self, it, sigma, epsilon):
+    def solution(self, it):
         """The quadrant heights of the one-row iterate `it`, with `kappa` and
         `w` from its residual's jet at the full box's interior nodes."""
         kappa, w = principal_curvatures_2d(*it.lin[0])
+        sigma, epsilon = it.at.point()
         return solver.GraphSolution(layout=self, u=it.u.reshape(self.shape), sigma=sigma,
                                     epsilon=epsilon, kappa=kappa[self.image], w=w[self.image])
 

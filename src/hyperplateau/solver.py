@@ -14,11 +14,13 @@ of that pair (symfunc.pair_table), built once per state from the jet; the
 
 Continuation marches through a list of (sigma, epsilon) points; the boundary
 heights follow from the config's epsilon_min alone
-(default_epsilon_schedule).  On a ball the umbilic cap with boundary height
-epsilon has kappa = sigma everywhere, so it solves the continuous problem
-exactly for every normalized f: Newton starts from it at each scheduled
-boundary height, and at each later sigma of a sweep, and needs a few
-iterations there.  The heights of a schedule are independent solves, which
+(default_epsilon_schedule).  The layout builds every list of points once
+into a stack of them (At), which holds what it needs of them (the caps on
+balls), and every Newton iterate carries the At of its rows.  On a ball the
+umbilic cap with boundary height epsilon has kappa = sigma everywhere, so
+it solves the continuous problem exactly for every normalized f: Newton
+starts from it at each scheduled boundary height, and at each later sigma
+of a sweep, and needs a few iterations there.  The heights of a schedule are independent solves, which
 Newton iterates as the rows of one stack: every Newton state is a stack of
 rows, a single solve one of one row.  A step whose seeded row fails
 warm-starts from the last accepted state instead.  On the grid path, and at
@@ -361,18 +363,18 @@ class RadialLayout:
     factorization costs less than one residual, so Newton builds and solves
     a fresh one every iteration.  The cap solves the continuous problem
     exactly, and the state at a point (sigma, epsilon) is the deviation v =
-    u - c of the heights u from the cap c there (see `cap`): the residual
-    rounds to an ulp of v, not of u, so no round-off floor of the 1/h^2
-    stencil lies above the tolerance even at N = 16384.  `heights` and
-    `deviation` map between the two at a point.  The cap is v = 0, and the
-    driver starts Newton from it at every boundary height, all heights of
-    a schedule as one stack, each row with the arithmetic it gets alone.
-    Newton stops at a residual sup-norm of 1e-11: at 1e-10 the cap itself
-    met the tolerance at N = 16384 and sigma = 0.9, steps took no
-    iteration, and a refinement study up to that grid read order 1.58 for
-    2.00.  A solution reports the heights at every node and the curvatures
-    at the interior nodes, all but the rim node; the last of them is the
-    one next to the rim."""
+    u - c of the heights u from the cap c there, which `at` builds with the
+    point: the residual rounds to an ulp of v, not of u, so no round-off
+    floor of the 1/h^2 stencil lies above the tolerance even at N = 16384.
+    `heights` and `deviation` map between the two at a point.  The cap is
+    v = 0, and the driver starts Newton from it at every boundary height,
+    all heights of a schedule as one stack, each row with the arithmetic it
+    gets alone.  Newton stops at a residual sup-norm of 1e-11: at 1e-10 the
+    cap itself met the tolerance at N = 16384 and sigma = 0.9, steps took
+    no iteration, and a refinement study up to that grid read order 1.58
+    for 2.00.  A solution reports the heights at every node and the
+    curvatures at the interior nodes, all but the rim node; the last of
+    them is the one next to the rim.  Nothing changes after construction."""
 
     keeps_factorization = False
     exact_seed = True
@@ -381,41 +383,21 @@ class RadialLayout:
     def __init__(self, spec: CurvatureSpec, domain: Domain, grid_size: int):
         self.spec, self.domain = spec, domain
         self.rho = np.linspace(0.0, domain.params[0], grid_size + 1)
+        self.nodes = self.rho.size
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
-        self._caps = []  # the last few lists of points computed, and their caps
-        self._last = None, None, None  # the arrays of the last call to cap, and its caps
 
-    def cap(self, sigma, epsilon):
-        """(c, c', c'') of the caps at the points (sigma, epsilon), stacked
-        along the first axis (see _cap_differences), with c = epsilon at the
-        rim.  The caps of the last three lists of points computed are kept
-        for points among them, and the arrays of the last call get its caps."""
-        if self._last[0] is not sigma or self._last[1] is not epsilon:
-            points = list(zip(sigma.tolist(), epsilon.tolist()))
-            for where, caps in self._caps:
-                rows = [where.get(p, -1) for p in points]
-                if -1 not in rows:
-                    block = rows == list(range(rows[0], rows[-1] + 1))
-                    caps = tuple(x[rows[0]:rows[-1] + 1] if block else x[rows] for x in caps)
-                    break
-            else:
-                caps = self._cap_stack(points)
-            self._last = sigma, epsilon, caps
-        return self._last[2]
+    def at(self, points):
+        """The stack of the (sigma, epsilon) points with the (c, c', c'')
+        of their caps, computed together (see _cap_differences), c =
+        epsilon at the rim."""
+        caps = [hypgeom.make_cap_with_boundary_height(self.domain.params[0], *p) for p in points]
+        r, c = (np.array(x)[:, None] for x in zip(*((a.r, a.c) for a in caps)))
+        at = At.of(points, _cap_differences(replace(caps[0], r=r, c=c), self.rho))
+        at.cap[0][:, -1] = at.epsilon[:, 0]
+        return at
 
-    def _cap_stack(self, points):
-        """The caps of the points computed together and kept, with a map
-        from each point to its row."""
-        cap = [hypgeom.make_cap_with_boundary_height(self.domain.params[0], *p) for p in points]
-        column = lambda values: np.array(values)[:, None]  # noqa: E731
-        caps = _cap_differences(replace(cap[0], r=column([a.r for a in cap]),
-                                        c=column([a.c for a in cap])), self.rho)
-        caps[0][:, -1] = [e for _, e in points]
-        self._caps = [({p: i for i, p in enumerate(points)}, caps)] + self._caps[:2]
-        return caps
-
-    def evaluate(self, v, sigma, epsilon):
-        return Iterate(v, *residual(v, self.spec, sigma, self.cap(sigma, epsilon), self.rho))
+    def evaluate(self, v, at):
+        return Iterate(v, *residual(v, self.spec, at.sigma[:, 0], at.cap, self.rho), at)
 
     def jacobian(self, lin):
         return _jacobian_fd(lin, self.spec, self.rho[1] - self.rho[0])
@@ -437,62 +419,90 @@ class RadialLayout:
             raise SingularJacobianError(str(exc)) from exc
         return delta.reshape(rhs.shape)
 
-    def initial(self, sigma, epsilon):
-        """The cap at (sigma, epsilon): a row of no deviation from it."""
-        return np.zeros(self.rho.size)
+    def initial(self, at):
+        """The caps at the points: rows of no deviation from them."""
+        return np.zeros((len(at.sigma), self.nodes))
 
-    def heights(self, v, sigma, epsilon):
-        return self.cap(sigma, epsilon)[0] + v
+    def heights(self, it):
+        return it.at.cap[0] + it.u
 
-    def deviation(self, u, sigma, epsilon):
-        return u - self.cap(sigma, epsilon)[0]
+    def deviation(self, u, at):
+        return u - at.cap[0]
 
     def u0(self, u):
         return float(u[0])
 
-    def solution(self, it, sigma, epsilon) -> GraphSolution:
+    def solution(self, it) -> GraphSolution:
         """The one-row iterate's heights, with kappa and w from its jet."""
         kappa, w = radial_principal_curvatures(*it.lin[0], self.spec.n)
-        return GraphSolution(layout=self, u=self.heights(it.u, *_columns([(sigma, epsilon)]))[0],
-                             sigma=sigma, epsilon=epsilon, kappa=kappa[0], w=w[0])
+        sigma, epsilon = it.at.point()
+        return GraphSolution(layout=self, u=self.heights(it)[0], sigma=sigma, epsilon=epsilon,
+                             kappa=kappa[0], w=w[0])
 
 
 # ---------------------------------------------------------------------------
 # Newton and continuation, written once against a layout: RadialLayout above
 # or grid.GridLayout.  Every Newton state is a stack of independent states,
 # "rows", on the second-last axis of each of its arrays of two or more axes
-# (the last holds the nodes; arrays of fewer axes are shared by the rows),
-# at a point per row, arrays sigma and epsilon of shape (rows,).  A layout
+# (the last holds the nodes; arrays of fewer axes are shared by the rows).
+# A layout builds a list of (sigma, epsilon) points into a stack of them,
+# an At (`at`), once; every Iterate carries the At of its rows, and every
+# Newton function reads its points from the iterate it is given.  A layout
 # evaluates a stack at its points into an Iterate (raising
 # AdmissibilityLostError with the rows at fault), builds the Jacobian from
 # what that evaluation built, factors it and solves with the factors
-# (raising SingularJacobianError), seeds a row from the cap (`initial`),
-# maps a stack to its heights and back (`heights`, `deviation`), and turns
-# the one-row Iterate Newton converged on into a GraphSolution with the
-# curvatures of its jet, whose node questions it answers: `touches_boundary`
-# flags, in the order of the reported interior nodes, those next to a
-# Dirichlet node.  Its class sets `newton_tol`, the residual sup-norm at
-# which Newton stops; `keeps_factorization`, to keep the factorization for
-# chord steps and the predictor (see _predict), and then it gets one row
-# only; and `exact_seed`, to start Newton from `initial` at every point, a
-# march's points as one stack (see _seeded).  Newton records the error of a
-# failed row in the NewtonState, and _solve_at raises it.
+# (raising SingularJacobianError), seeds a stack from the caps at its points
+# (`initial`), maps an iterate to its heights and heights back to a state
+# at a stack of points (`heights`, `deviation`), and turns the one-row
+# Iterate Newton converged on into a GraphSolution with the curvatures of
+# its jet, whose node questions it answers: `touches_boundary` flags, in the
+# order of the reported interior nodes, those next to a Dirichlet node.
+# `nodes` is the size of one row.  Its class sets `newton_tol`, the residual
+# sup-norm at which Newton stops; `keeps_factorization`, to keep the
+# factorization for chord steps and the predictor (see _predict), and then
+# it gets one row only; and `exact_seed`, to start Newton from `initial` at
+# every point, a march's points as one stack (see _seeded).  Newton records
+# the error of a failed row in the NewtonState, and _solve_at raises it.
+
+
+class At(NamedTuple):
+    """A stack of (sigma, epsilon) points, one per row: `sigma` and
+    `epsilon` columns of shape (rows, 1), and `cap`, what the layout
+    computes from the points (the caps' (c, c', c'') on RadialLayout, None
+    on grid.GridLayout)."""
+
+    sigma: np.ndarray
+    epsilon: np.ndarray
+    cap: object
+
+    @classmethod
+    def of(cls, points, cap=None):
+        """The stack of the (sigma, epsilon) points, with `cap`."""
+        sigma, epsilon = (np.array(x, dtype=float)[:, None] for x in zip(*points))
+        return cls(sigma, epsilon, cap)
+
+    def point(self, row=0):
+        """The (sigma, epsilon) of the row `row`, as floats."""
+        return float(self.sigma[row, 0]), float(self.epsilon[row, 0])
 
 
 class Iterate(NamedTuple):
-    """A Newton state u, its residual `res`, and `lin`, what evaluating the
-    residual built that the layout's Jacobian at u reads."""
+    """A Newton state u, its residual `res`, `lin`, what evaluating the
+    residual built that the layout's Jacobian at u reads, and `at`, the
+    points of its rows."""
 
     u: np.ndarray
     res: np.ndarray
     lin: object
+    at: At
 
 
 class NewtonState:
     """What the Newton iterations of one solve share: the factorization kept
     for chord steps and, per row of the iterate (see above), the number of
     factorizations, the number of trial iterates rejected as inadmissible,
-    and the error of each failed row, by its row."""
+    and the error of each failed row, by its row.  A step of some rows of a
+    stack counts into their entries, so a stack has one state throughout."""
 
     def __init__(self, rows=1):
         self.factored = None
@@ -512,10 +522,10 @@ def _norm(res):
 
 def _rows(tree, index):
     """The rows `index` (a slice, or a list that copies them) of a stack of
-    arrays, nested in tuples and Iterates (see above)."""
+    arrays, nested in tuples, Iterates and Ats (see above)."""
     if isinstance(tree, tuple):
         parts = [_rows(x, index) for x in tree]
-        return type(tree)(*parts) if isinstance(tree, Iterate) else tuple(parts)
+        return type(tree)(*parts) if isinstance(tree, (Iterate, At)) else tuple(parts)
     return tree[..., index, :] if type(tree) is np.ndarray and tree.ndim >= 2 else tree
 
 
@@ -528,51 +538,40 @@ def _put(tree, index, part):
         tree[..., index, :] = part
 
 
-def _columns(points):
-    """The sigmas and the epsilons of a list of (sigma, epsilon) points."""
-    return tuple(np.array(x) for x in zip(*points))
-
-
-def _pick(x, rows, count):
-    """The rows `rows` of the per-row array x of a stack of `count` rows:
-    x itself when they are all of them."""
-    return x if len(rows) == count else x[rows]
-
-
-def _evaluate(layout, u, sigma, epsilon):
+def _evaluate(layout, u, at):
     """layout.evaluate at the rows of u, and the error of every inadmissible
     row by its row: the rows an AdmissibilityLostError names fail with it,
     and the others are evaluated again, so that the iterate, or None, holds
     the admissible rows alone."""
-    rows, errors = list(range(len(sigma))), {}
+    rows, errors = list(range(len(u))), {}
     while rows:
         try:
-            return layout.evaluate(u, sigma, epsilon), errors
+            return layout.evaluate(u, at), errors
         except AdmissibilityLostError as exc:
             keep = [k for k in range(len(rows)) if exc.rows is not None and k not in exc.rows]
             errors.update((i, exc) for k, i in enumerate(rows) if k not in keep)
-            rows, u, sigma, epsilon = [rows[k] for k in keep], u[keep], sigma[keep], epsilon[keep]
+            rows, u, at = [rows[k] for k in keep], u[keep], _rows(at, keep)
     return None, errors
 
 
-def newton_step(layout, it, sigma, epsilon, state: NewtonState):
-    """One Newton step from every row of the iterate `it`.  With a kept
-    factorization it first tries the full chord step, accepted when the
-    residual sup-norm at least halves or meets the layout's tolerance.
-    Otherwise it refactors at it.u, with the Jacobian read from it.lin, for
-    the Newton correction delta and backtracks along it, each row by its own
-    damping factor, keeping every trial iterate admissible and requiring
-    the row's residual sup-norm to decrease.  A row fails (see
-    NewtonState.fail) when its solve is singular or not finite, solved
-    again alone since a failure spreads through a stack, or when its
-    backtracking runs out.  Returns (new iterate, new residual sup-norm per
-    row); a row that failed keeps its place in the iterate, with a NaN
-    norm."""
-    norm = _norm(it.res)
-    count = norm.size
+def newton_step(layout, it, norm, rows, state: NewtonState):
+    """One Newton step from the rows `rows` of the iterate `it`, whose
+    residual sup-norms per row are `norm`.  With a kept factorization it
+    first tries the full chord step, accepted when the residual sup-norm at
+    least halves or meets the layout's tolerance.  Otherwise it refactors
+    at the rows' states, with the Jacobian read from their lin, for the
+    Newton correction delta and backtracks along it by one damping factor:
+    in each round a pending row is accepted, when its trial iterate is
+    admissible and its residual sup-norm decreases, or the factor of every
+    pending row halves.  A row fails (see NewtonState.fail) when its solve
+    is singular or not finite, solved again alone since a failure spreads
+    through a stack, or when its backtracking runs out.  Returns the
+    iterate and the norms after the step: `it` and `norm` with every
+    accepted row written into them, or the trial iterate and its norms when
+    it takes every row of `it`.  A row that failed keeps its state."""
     if state.factored is not None:
         try:
-            trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), sigma, epsilon)
+            trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), it.at)
         except AdmissibilityLostError:
             state.rejected += 1
         else:
@@ -581,72 +580,59 @@ def newton_step(layout, it, sigma, epsilon, state: NewtonState):
                 return trial, trial_norm
     # drop the kept factors before building new ones: never hold two
     state.factored = None
-    factored = layout.factor(layout.jacobian(it.lin))
-    state.factorizations += 1
+    part = it if len(rows) == len(norm) else _rows(it, rows)
+    factored = layout.factor(layout.jacobian(part.lin))
+    state.factorizations[rows] += 1
     try:
-        delta = layout.solve(factored, -it.res)
+        delta = layout.solve(factored, -part.res)
     except SingularJacobianError:
-        delta = np.full_like(it.res, np.nan)
+        delta = np.full_like(part.res, np.nan)
     if not np.isfinite(delta).all():
-        for i in np.flatnonzero(~np.isfinite(delta).all(axis=-1)):
+        for k in np.flatnonzero(~np.isfinite(delta).all(axis=-1)):
             try:
-                delta[i] = layout.solve(_rows(factored, [i]), -it.res[[i]])[0]
+                delta[k] = layout.solve(_rows(factored, [k]), -part.res[[k]])[0]
             except SingularJacobianError as exc:
-                state.fail(i, exc)
-            if not np.isfinite(delta[i]).all():
-                state.fail(i, SingularJacobianError("linear solve produced non-finite update"))
+                state.fail(rows[k], exc)
+            if not np.isfinite(delta[k]).all():
+                state.fail(rows[k],
+                           SingularJacobianError("linear solve produced non-finite update"))
     if layout.keeps_factorization and not state.errors:
         state.factored = factored
 
-    norm = norm.tolist()
-    t = [1.0] * count
-    rows = [i for i in range(count) if i not in state.errors]
-    new, new_norm = None, [math.nan] * count
+    t = 1.0
+    pending = [k for k, i in enumerate(rows) if i not in state.errors]  # rows of part
     for _ in range(MAX_DAMPING_STEPS + 1):
-        if not rows:
+        if not pending:
             break
-        scales = [t[i] for i in rows]
-        # one factor for all rows while they share it, else a column of them
-        scale = scales[0] if scales.count(scales[0]) == len(scales) else np.reshape(
-            scales, (-1,) + (1,) * (delta.ndim - 1))
-        trial, errors = _evaluate(layout, _pick(it.u, rows, count)
-                                  + scale * _pick(delta, rows, count),
-                                  _pick(sigma, rows, count), _pick(epsilon, rows, count))
-        for k in errors:
-            state.rejected[rows[k]] += 1
-            t[rows[k]] *= DAMPING_FACTOR
-        if trial is None:
-            continue
-        good = [i for k, i in enumerate(rows) if k not in errors]
-        trial_norm = _norm(trial.res).tolist()
-        better = []
-        for k, i in enumerate(good):
-            if trial_norm[k] < norm[i]:
-                better.append(k)
-                new_norm[i] = trial_norm[k]
-            else:
-                t[i] *= DAMPING_FACTOR
-        if len(better) == count:
-            new = trial
-        elif better:
-            new = _rows(it, list(range(count))) if new is None else new
-            _put(new, [good[k] for k in better], _rows(trial, better))
-        done = {good[k] for k in better}
-        rows = [i for i in rows if i not in done]
-    for i in rows:
-        state.fail(i, NonConvergenceError(
-            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={float(sigma[i])}, "
-            f"eps={float(epsilon[i])}"))
-    return (it if new is None else new), np.array(new_norm)
+        sub = slice(None) if len(pending) == len(rows) else pending  # a view, or copies
+        trial, errors = _evaluate(layout, part.u[sub] + t * delta[sub], _rows(part.at, sub))
+        for j in errors:
+            state.rejected[rows[pending[j]]] += 1
+        if trial is not None:
+            good = [k for j, k in enumerate(pending) if j not in errors]
+            trial_norm = _norm(trial.res)
+            better = [j for j, k in enumerate(good) if trial_norm[j] < norm[rows[k]]]
+            if len(better) == len(norm):
+                return trial, trial_norm
+            accepted = [rows[good[j]] for j in better]
+            _put(it, accepted, _rows(trial, better))
+            norm[accepted] = trial_norm[better]
+            pending = [k for k in pending if rows[k] not in accepted]
+        t *= DAMPING_FACTOR
+    for k in pending:
+        sigma, epsilon = it.at.point(rows[k])
+        state.fail(rows[k], NonConvergenceError(
+            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"))
+    return it, norm
 
 
-def _newton_solve(layout, it, sigma, epsilon, state: NewtonState):
+def _newton_solve(layout, it, state: NewtonState):
     """Newton iterations on every row of the iterate `it` until its residual
     sup-norm meets the layout's tolerance.  The rows are independent: a row
-    that converges stops while the others go on as a smaller stack, and a
-    row that fails stops with its error (see NewtonState.fail).  Returns the
-    iterate holding every row's last state (written into `it` for a smaller
-    stack's rows) and per row its iterations and factorizations."""
+    that converges stops while the others go on, and a row that fails stops
+    with its error (see NewtonState.fail).  Returns the iterate holding
+    every row's last state (written into `it` when some rows step without
+    the others) and per row its iterations and factorizations."""
     first = state.factorizations.copy()
     norm = _norm(it.res)
     count = [0] * norm.size
@@ -656,29 +642,20 @@ def _newton_solve(layout, it, sigma, epsilon, state: NewtonState):
             if not norm_i > layout.newton_tol or i in state.errors:
                 continue
             if count[i] == MAX_NEWTON_ITERS:
+                sigma, epsilon = it.at.point(i)
                 state.fail(i, NonConvergenceError(
-                    f"Newton stalled at residual {norm_i:.3e} "
-                    f"(sigma={float(sigma[i])}, eps={float(epsilon[i])})"))
+                    f"Newton stalled at residual {norm_i:.3e} (sigma={sigma}, eps={epsilon})"))
             else:
                 rows.append(i)
         if not rows:
             return it, np.array(count), state.factorizations - first
-        if len(rows) == norm.size:
-            it, norm = newton_step(layout, it, sigma, epsilon, state)
-        else:
-            part = NewtonState(len(rows))
-            new, norm[rows] = newton_step(layout, _rows(it, rows), sigma[rows], epsilon[rows], part)
-            _put(it, rows, new)
-            state.factorizations[rows] += part.factorizations
-            state.rejected[rows] += part.rejected
-            for k, error in part.errors.items():
-                state.fail(rows[k], error)
+        it, norm = newton_step(layout, it, norm, rows, state)
         for i in rows:
             count[i] += 1
 
 
-def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
-    """Euler predictor of a continuation step to (sigma, epsilon) from v,
+def _predict(layout, v, at, state: NewtonState) -> Iterate:
+    """Euler predictor of a continuation step to the point `at` from v,
     converged at the last parameter values (Allgower & Georg, Numerical
     Continuation Methods, ch. 6).  The residual F is affine in both
     parameters, dF/dsigma being minus the indicator of the curvature
@@ -689,11 +666,11 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
     iterate: the prediction, or v itself when no factorization is kept or
     when the prediction leaves the cone, a rejected trial that drops the
     kept factorization, so that Newton refactors at v."""
-    it = layout.evaluate(v, sigma, epsilon)
+    it = layout.evaluate(v, at)
     if state.factored is None:
         return it
     try:
-        return layout.evaluate(v + layout.solve(state.factored, -it.res), sigma, epsilon)
+        return layout.evaluate(v + layout.solve(state.factored, -it.res), at)
     except AdmissibilityLostError:
         state.rejected += 1
         state.factored = None
@@ -704,31 +681,28 @@ def _predict(layout, v, sigma, epsilon, state: NewtonState) -> Iterate:
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
-def _solve_at(layout, it, current, sigma, epsilon, state: NewtonState, seeded: bool):
-    """Newton at the point (sigma, epsilon) as a stack of one row.  When
-    `seeded`, or without an iterate `it`, it starts from `layout.initial`;
-    otherwise, or where that fails and `it` exists, from the Euler
-    prediction (see _predict) from the state of `it`, converged at the point
-    `current`, moved to (sigma, epsilon) with its heights kept.  The row's
-    error is taken out of `state`, which later solves share, and raised.
-    Returns the converged iterate, its iterations, factorizations and
-    center height (layout.u0)."""
-    point = _columns([(sigma, epsilon)])
+def _solve_at(layout, it, at, state: NewtonState, seeded: bool):
+    """Newton at the one-row stack of points `at`.  When `seeded`, or
+    without an iterate `it`, it starts from `layout.initial`; otherwise, or
+    where that fails and `it` exists, from the Euler prediction (see
+    _predict) from the state of `it`, moved to `at` with its heights kept.
+    The row's error is taken out of `state`, which later solves share, and
+    raised.  Returns the converged iterate, its iterations, factorizations
+    and center height (layout.u0)."""
 
     def newton(start):
-        new, count, nf = _newton_solve(layout, start, *point, state)
+        new, count, nf = _newton_solve(layout, start, state)
         if 0 in state.errors:
             raise state.errors.pop(0)
-        return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new.u, *point)[0])
+        return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new)[0])
 
     if seeded or it is None:
         try:
-            return newton(layout.evaluate(layout.initial(sigma, epsilon)[None], *point))
+            return newton(layout.evaluate(layout.initial(at), at))
         except _SOLVE_FAILURES:
             if it is None:
                 raise
-    moved = layout.deviation(layout.heights(it.u, *_columns([current])), *point)
-    return newton(_predict(layout, moved, *point, state))
+    return newton(_predict(layout, layout.deviation(layout.heights(it), at), at, state))
 
 
 def _seeded(layout, points):
@@ -736,15 +710,14 @@ def _seeded(layout, points):
     points as one stack.  Returns per point the number of trial iterates it
     rejected, and (its converged row, iterations, factorizations, center
     height), or None where its row failed, an inadmissible seed included."""
-    sigma, epsilon = _columns(points)
-    it, errors = _evaluate(layout, np.array([layout.initial(*p) for p in points]), sigma, epsilon)
+    at = layout.at(points)
+    it, errors = _evaluate(layout, layout.initial(at), at)
     good = [i for i in range(len(points)) if i not in errors]
     rejected, solved = [0] * len(points), [None] * len(points)
     if good:
         rows = NewtonState(len(good))
-        at = _pick(sigma, good, len(points)), _pick(epsilon, good, len(points))
-        it, count, nf = _newton_solve(layout, it, *at, rows)
-        heights = layout.heights(it.u, *at)
+        it, count, nf = _newton_solve(layout, it, rows)
+        heights = layout.heights(it)
         for j, i in enumerate(good):
             rejected[i] = int(rows.rejected[j])
             if j not in rows.errors:
@@ -753,7 +726,7 @@ def _seeded(layout, points):
     return rejected, solved
 
 
-def _march(layout, it, start, points, state: NewtonState, seeded: bool):
+def _march(layout, it, points, state: NewtonState, seeded: bool):
     """Walk the (sigma, epsilon) points in order.  When `seeded`, every point
     is first solved by Newton from the layout's seed there, all points as
     one stack (see _seeded; one at a time on states of more than
@@ -761,22 +734,20 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
     is.  Every other point is reached by steps (see _solve_at) from `it`,
     the last accepted iterate, with up-to-8-deep bisection: a failed step
     is retried at the midpoint of the last accepted point and its target,
-    where a seeded march tries the seed first.  `start` is the point at
-    which `it` converged, or None when there is no iterate yet; then the
-    first point, unless a seeded march solved it, is reached by marching
-    sigma down from SIGMA_START at its boundary height, from the cap seed
-    there and unbisected.  Returns the iterate converged at the last point,
-    the Newton iterations and factorizations of every accepted step, and
-    the center height at each point walked, keyed by point."""
+    where a seeded march tries the seed first.  Without an iterate yet (`it`
+    None), the first point, unless a seeded march solved it, is reached by
+    marching sigma down from SIGMA_START at its boundary height, from the
+    cap seed there and unbisected.  Returns the iterate converged at the
+    last point, the Newton iterations and factorizations of every accepted
+    step, and the center height at each point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
-    current = start
-    one_by_one = seeded and np.size(layout.initial(*points[0])) > STACK_MAX_NODES
+    one_by_one = seeded and layout.nodes > STACK_MAX_NODES
     for run in [[p] for p in points] if one_by_one else [points]:
         rejected, solved = _seeded(layout, run) if seeded else ([0], [None] * len(run))
         state.rejected += sum(rejected)
         # (target, its seeded solution, whether a step to it tries the seed first)
         walk = [(target, solution, seeded) for target, solution in zip(run, solved)]
-        if current is None and walk[0][1] is None:
+        if it is None and walk[0][1] is None:
             # the cap seed is converged at no parameter values: no prediction
             # from it with factors kept from an earlier solve (a failed sweep row)
             state.factored = None
@@ -787,7 +758,6 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
                 it, count, nf, u0 = solution
                 iters.append(count)
                 factors.append(nf)
-                current = target
             else:
                 stack, depth = [target], 0
                 while stack:
@@ -796,16 +766,16 @@ def _march(layout, it, start, points, state: NewtonState, seeded: bool):
                     # the stack: until a step fails, depth is 0
                     seed = seed_first and (nxt is not target or depth > 0)
                     try:
-                        it, count, nf, u0 = _solve_at(layout, it, current, *nxt, state, seed)
+                        it, count, nf, u0 = _solve_at(layout, it, layout.at([nxt]), state, seed)
                     except (NonConvergenceError, SingularJacobianError):
-                        if current is None or depth >= 8:
+                        if it is None or depth >= 8:
                             raise
                         depth += 1
-                        stack.append(tuple(0.5 * (a + b) for a, b in zip(current, nxt)))
+                        stack.append(tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt)))
                         continue
                     iters.append(count)
                     factors.append(nf)
-                    current = stack.pop()
+                    stack.pop()
             u0_by_point[target] = u0
     return it, iters, factors, u0_by_point
 
@@ -817,8 +787,7 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
     every step, and the center height at each scheduled boundary height."""
     sigma = cfg.sigma_target
     points = [(sigma, e) for e in cfg.epsilon_schedule]
-    it, iters, factors, u0_by_point = _march(layout, None, None, points, state,
-                                             layout.exact_seed)
+    it, iters, factors, u0_by_point = _march(layout, None, points, state, layout.exact_seed)
     u0_by_eps = {e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma}
     return it, iters, factors, u0_by_eps
 
@@ -828,7 +797,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
     state = NewtonState()
     it, iters, factors, u0_by_eps = _continue(layout, cfg, state)
     sigma, epsilon = cfg.sigma_target, cfg.epsilon_schedule[-1]
-    sol = layout.solution(it, sigma, epsilon)
+    sol = layout.solution(it)
     kappa_max, min_nu = sol.summary()
     sol.report = SolveReport(
         converged=True,
@@ -881,8 +850,8 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
     failures recorded rather than raised.  The first row that converges runs
     the full continuation; every later row marches to the one point
-    (sigma, epsilon_min) from the last converged state and its point, which
-    a failed step bisects back towards, seeded from the cap on balls, from
+    (sigma, epsilon_min) from the last converged iterate, whose point a
+    failed step bisects back towards, seeded from the cap on balls, from
     the Euler prediction on ellipses (see _solve_at)."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
@@ -891,17 +860,16 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     state = NewtonState()
     epsilon = config.epsilon_schedule[-1]
     rows = []
-    warm = None  # the last converged iterate and its (sigma, epsilon)
+    warm = None  # the last converged iterate
     for s in sigmas:
         cfg = replace(config, sigma_target=s)
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
             if warm is None:
-                it, its, _, _ = _continue(layout, cfg, state)
+                warm, its, _, _ = _continue(layout, cfg, state)
             else:
-                it, its, _, _ = _march(layout, *warm, [(s, epsilon)], state, layout.exact_seed)
-            warm = it, (s, epsilon)
-            sol = layout.solution(it, s, epsilon)
+                warm, its, _, _ = _march(layout, warm, [(s, epsilon)], state, layout.exact_seed)
+            sol = layout.solution(warm)
             kappa_max, min_nu = sol.summary()
             row.update(status="ok", converged=True, u0=sol.u0, kappa_max=kappa_max,
                        min_nu_vertical=min_nu, iterations=int(sum(its)))

@@ -160,6 +160,9 @@ class TestValidateConfig:
         ({"command": "solve", "sigma": 0.5, "grid": math.inf}, "grid has an invalid value"),
         ({"command": "solve", "sigma": 0.5, "family": ["kth_root"]}, "family must be one of"),
         ({"command": "cap", "sigma": 0.5, "out": 5}, "out must be a directory path"),
+        # os.makedirs raised ValueError for it after the whole solve
+        ({"command": "solve", "sigma": 0.5, "grid": 16, "out": "o\0o"},
+         "out must be a directory path"),
         # the family rules are CurvatureSpec's: general_quotient needs l >= 1
         ({"command": "verify-f", "family": "general_quotient", "k": 2, "l": 0, "n": 2},
          "general quotient needs 1 <= l < k <= n"),
@@ -186,13 +189,26 @@ class TestValidateConfig:
         ({"command": "solve", "sigma": 0.5, "k": 1, "n": 10**6}, "n must be at most 8"),
     ], ids=["verify-seed", "estimates-seed", "radius-inf", "radius-nan", "axes-inf",
             "axes-nan", "export-none", "export-nested", "grid-inf", "family-list", "out-int",
-            "verify-l0", "solve-l0", "radius-huge", "cap-radius-huge", "axes-huge",
+            "out-nul", "verify-l0", "solve-l0", "radius-huge", "cap-radius-huge", "axes-huge",
             "samples-huge", "grid-huge", "ellipse-grid-huge", "refine-grid-huge",
             "refine-finest-grid", "refine-levels-huge", "verify-n-huge", "solve-n-huge"])
     def test_out_of_range_exits_4_before_work(self, bad, message, tmp_path, capsys):
         assert cli.run({"out": str(tmp_path), **bad}) == 4
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_through_a_file_exits_4_before_work(self, sub, tmp_path, capsys):
+        # a file as the directory, or as one of its ancestors, ended in
+        # FileExistsError or NotADirectoryError after the whole solve
+        blocker = tmp_path / "report"
+        blocker.write_text("kept")
+        out = blocker / sub if sub else blocker
+        assert cli.main(["solve", "--sigma", "0.5", "--grid", "16", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"out must be a directory path, got {str(out)!r}" in err
+        assert f"{str(blocker)!r} is not a directory" in err and "Traceback" not in err
+        assert blocker.read_text() == "kept" and sorted(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize("bad, key", [
         ({"grid": 64.5}, "grid"),

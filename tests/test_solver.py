@@ -3,6 +3,7 @@ cross-checks, continuation against the closed-form cap, sweeps, refinement,
 and the tensor-grid path."""
 
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
 
@@ -172,9 +173,14 @@ def _quadrant_nodes(layout):
     return np.arange(nx * ny).reshape(nx, ny)[nx - qx:, ny - qy:].ravel()
 
 
-def _at(sigma, epsilon):
-    """The point (sigma, epsilon) as the arrays of a stack of one row."""
-    return np.array([sigma]), np.array([epsilon])
+def _at(layout, sigma, epsilon):
+    """The point (sigma, epsilon) as the layout's stack of one row."""
+    return layout.at([(sigma, epsilon)])
+
+
+def _step(layout, it, state):
+    """solver.newton_step on every row of the iterate `it`."""
+    return solver.newton_step(layout, it, solver._norm(it.res), list(range(len(it.u))), state)
 
 
 class _LineLayout:
@@ -184,11 +190,14 @@ class _LineLayout:
     keeps_factorization = True
     newton_tol = 1e-10
 
-    def evaluate(self, u, sigma, epsilon):
+    def at(self, points):
+        return solver.At.of(points)
+
+    def evaluate(self, u, at):
         bad = np.flatnonzero(u >= 0.8)
         if bad.size:
             raise AdmissibilityLostError(bad)
-        return solver.Iterate(u, u - 1.0, u)
+        return solver.Iterate(u, u - 1.0, u, at)
 
     def jacobian(self, u):
         return np.eye(u.size)
@@ -202,9 +211,9 @@ class _LineLayout:
 
 def _cap_of(rho, sigma, eps):
     """(c, c', c'') of the cap at (sigma, eps) on the nodes rho over [0, R],
-    as RadialLayout.cap gives them to solver.residual: a stack of one row."""
-    return solver.RadialLayout(H1, hypgeom.Domain.ball(rho[-1]), rho.size - 1).cap(
-        *_at(sigma, eps))
+    as RadialLayout.at builds them for solver.residual: a stack of one row."""
+    return _at(solver.RadialLayout(H1, hypgeom.Domain.ball(rho[-1]), rho.size - 1),
+               sigma, eps).cap
 
 
 def _radial_jacobian(u, spec, rho):
@@ -282,14 +291,14 @@ class TestResidual:
         # cone; the nodes are numbered among the quadrant's interior nodes,
         # and these three lie off both symmetry axes
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
-        U = layout.initial(0.6, 0.1)[None]
-        layout.evaluate(U, *_at(0.6, 0.1))
+        U = layout.initial(_at(layout, 0.6, 0.1))
+        layout.evaluate(U, _at(layout, 0.6, 0.1))
         pushed = [14, 55, 100]
         rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
         assert np.all(rows[pushed] > 0) and np.all(cols[pushed] > 0)
         U.reshape(layout.shape)[rows[pushed], cols[pushed]] += 0.01
         with pytest.raises(AdmissibilityLostError) as exc:
-            layout.evaluate(U, *_at(0.6, 0.1))
+            layout.evaluate(U, _at(layout, 0.6, 0.1))
         assert exc.value.nodes == pushed
         assert all(type(i) is int for i in exc.value.nodes)
         assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
@@ -303,17 +312,18 @@ class TestPairTableResidual:
     def test_matches_curvature_route(self, spec):
         domain = hypgeom.Domain.ball(1.0)
         layout = solver.RadialLayout(spec, domain, 64)
-        states = [(layout.initial(sigma, eps)[None], sigma, eps)
+        states = [(layout.initial(_at(layout, sigma, eps)), sigma, eps)
                   for sigma in (0.5, 0.2) for eps in (0.1, 1e-3)]
         for sigma in (0.5, 0.2):
             sol = solver.continuation_solve(solver.SolverConfig(
                 spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
-            states.append((layout.deviation(sol.u, *_at(sigma, sol.epsilon)), sigma, sol.epsilon))
+            states.append((layout.deviation(sol.u, _at(layout, sigma, sol.epsilon)), sigma,
+                           sol.epsilon))
         for v, sigma, eps in states:
-            got, _ = solver.residual(v, spec, np.array([sigma]), layout.cap(*_at(sigma, eps)),
-                                     layout.rho)
-            want = _residual_by_curvatures(layout.heights(v, *_at(sigma, eps))[0], spec, sigma,
-                                           eps, layout.rho)
+            at = _at(layout, sigma, eps)
+            got, lin = solver.residual(v, spec, np.array([sigma]), at.cap, layout.rho)
+            want = _residual_by_curvatures(layout.heights(solver.Iterate(v, got, lin, at))[0],
+                                           spec, sigma, eps, layout.rho)
             assert np.max(np.abs(got[0] - want)) <= 1e-12
 
     def test_inadmissible_nodes_match_curvature_route(self):
@@ -365,20 +375,20 @@ class TestNewton:
         # stencil into the nonlinear regime where one step cannot finish
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
-        point = _at(0.6, 0.1)
-        v = layout.deviation(u, *point)
-        it = layout.evaluate(v, *point)
-        base = np.max(np.abs(solver.residual(v, H2H1, point[0], layout.cap(*point), rho)[0]))
-        _, norm = solver.newton_step(layout, it, *point, solver.NewtonState())
+        point = _at(layout, 0.6, 0.1)
+        v = layout.deviation(u, point)
+        it = layout.evaluate(v, point)
+        base = np.max(np.abs(solver.residual(v, H2H1, point.sigma[:, 0], point.cap, rho)[0]))
+        _, norm = _step(layout, it, solver.NewtonState())
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.domain, 128)
-        point = _at(0.5, sol.epsilon)
-        it = layout.evaluate(layout.deviation(sol.u, *point), *point)
-        new, norm = solver.newton_step(layout, it, *point, solver.NewtonState())
+        point = _at(layout, 0.5, sol.epsilon)
+        it = layout.evaluate(layout.deviation(sol.u, point), point)
+        new, norm = _step(layout, it, solver.NewtonState())
         # the correction taken, relative to the heights
         step = np.max(np.abs(new.u - it.u)) / (1.0 + np.max(np.abs(sol.u)))
         assert step <= 1e-8
@@ -425,12 +435,11 @@ class TestNewton:
 
 class TestNewtonState:
     def test_rejected_trials_counted(self):
-        layout, state, point = _LineLayout(), solver.NewtonState(), _at(0, 0)
-        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros((1, 1)), *point), *point,
-                                      state)
+        layout, state = _LineLayout(), solver.NewtonState()
+        it, norm = _step(layout, layout.evaluate(np.zeros((1, 1)), _at(layout, 0, 0)), state)
         # full step rejected, half step accepted
         assert it.u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        it, _ = solver.newton_step(layout, it, *point, state)
+        it, _ = _step(layout, it, state)
         # chord trial rejected, then the refactored full step, then half of it
         assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
@@ -503,10 +512,10 @@ def test_nan_jacobian_raises_singular():
     # LinAlgError or in a non-finite update, both SingularJacobianError,
     # which the row records
     layout = _NaNJacobianLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
-    u = layout.initial(0.5, 0.1)[None]
+    state, point = solver.NewtonState(), _at(layout, 0.5, 0.1)
+    u = layout.initial(point)
     u[:, :-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
-    state, point = solver.NewtonState(), _at(0.5, 0.1)
-    solver.newton_step(layout, layout.evaluate(u, *point), *point, state)
+    _step(layout, layout.evaluate(u, point), state)
     assert isinstance(state.errors[0], SingularJacobianError)
 
 
@@ -521,9 +530,8 @@ def test_failed_grid_solve_keeps_no_factors():
     # a row whose update is not finite fails, and its factorization is not
     # kept for the chord steps and predictions of the points after it
     layout = _NaNSolveGridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 16)
-    state, point = solver.NewtonState(), _at(0.6, 0.1)
-    solver.newton_step(layout, layout.evaluate(layout.initial(0.6, 0.1)[None], *point), *point,
-                       state)
+    state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
+    _step(layout, layout.evaluate(layout.initial(point), point), state)
     assert str(state.errors[0]) == "linear solve produced non-finite update"
     assert state.factored is None
 
@@ -535,11 +543,11 @@ class _ConeEdgeLayout(grid.GridLayout):
 
     edge = np.inf
 
-    def evaluate(self, U, sigma, epsilon):
+    def evaluate(self, U, at):
         above = np.flatnonzero(U > self.edge + 1e-12)
         if above.size:
             raise AdmissibilityLostError(above)
-        return super().evaluate(U, sigma, epsilon)
+        return super().evaluate(U, at)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -592,9 +600,9 @@ class TestSolutionFromIterate:
                                   grid_size=grid_size)
         layout = solver._layout(cfg)
         states, solution = [], layout.solution
-        layout.solution = lambda it, *point: states.append(it.u) or solution(it, *point)
+        layout.solution = lambda it: states.append(it.u) or solution(it)
         sol = solver.solve_on(layout, cfg)
-        jet = layout.evaluate(states[-1], *_at(sol.sigma, sol.epsilon)).lin[0]
+        jet = layout.evaluate(states[-1], _at(layout, sol.sigma, sol.epsilon)).lin[0]
         if isinstance(layout, grid.GridLayout):
             kappa, w = grid.principal_curvatures_2d(*jet)
             kappa, w = kappa[layout.image], w[layout.image]
@@ -623,20 +631,20 @@ class TestPredictor:
     @staticmethod
     def converged(layout_class=grid.GridLayout):
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
-        state, point = solver.NewtonState(), _at(0.6, 0.1)
-        seed = layout.evaluate(layout.initial(0.6, 0.1)[None], *point)
-        it, _, _ = solver._newton_solve(layout, seed, *point, state)
+        state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
+        seed = layout.evaluate(layout.initial(point), point)
+        it, _, _ = solver._newton_solve(layout, seed, state)
         state.factored = layout.factor(layout.jacobian(it.lin))
         return layout, state, it.u
 
     def predicted_norm(self, layout, state, u, sigma):
-        pred = solver._predict(layout, u, *_at(sigma, 0.1), state)
-        assert np.array_equal(pred.res, layout.evaluate(pred.u, *_at(sigma, 0.1)).res)
+        pred = solver._predict(layout, u, _at(layout, sigma, 0.1), state)
+        assert np.array_equal(pred.res, layout.evaluate(pred.u, _at(layout, sigma, 0.1)).res)
         return np.max(np.abs(pred.res))
 
     def test_cuts_the_residual(self):
         layout, state, u = self.converged()
-        plain = np.max(np.abs(layout.evaluate(u, *_at(0.55, 0.1)).res))
+        plain = np.max(np.abs(layout.evaluate(u, _at(layout, 0.55, 0.1)).res))
         assert self.predicted_norm(layout, state, u, 0.55) <= plain / 5.0
 
     def test_second_order(self):
@@ -649,9 +657,9 @@ class TestPredictor:
     def test_inadmissible_prediction_falls_back(self):
         layout, state, u = self.converged(_ConeEdgeLayout)
         layout.edge = u
-        start = solver._predict(layout, u, *_at(0.55, 0.1), state)
+        start = solver._predict(layout, u, _at(layout, 0.55, 0.1), state)
         assert start.u is u and state.rejected == 1
-        assert np.array_equal(start.res, layout.evaluate(u, *_at(0.55, 0.1)).res)
+        assert np.array_equal(start.res, layout.evaluate(u, _at(layout, 0.55, 0.1)).res)
         # Newton refactors at u instead of trying the rejected chord step again
         assert state.factored is None
 
@@ -678,10 +686,9 @@ class _BadSeedLayout(solver.RadialLayout):
 
     bad_sigma = 0.3
 
-    def initial(self, sigma, epsilon):
-        u = super().initial(sigma, epsilon)
-        if sigma == self.bad_sigma:
-            u[10] = -0.5
+    def initial(self, at):
+        u = super().initial(at)
+        u[at.sigma[:, 0] == self.bad_sigma, 10] = -0.5
         return u
 
 
@@ -692,11 +699,11 @@ class _FailOnceLayout(solver.RadialLayout):
     exact_seed = False
     fail_at = 0.025
 
-    def evaluate(self, u, sigma, epsilon):
-        if epsilon == self.fail_at:
+    def evaluate(self, u, at):
+        if at.epsilon[0, 0] == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
-        return super().evaluate(u, sigma, epsilon)
+        return super().evaluate(u, at)
 
 
 class _FailOnceGridLayout(grid.GridLayout):
@@ -705,11 +712,11 @@ class _FailOnceGridLayout(grid.GridLayout):
 
     fail_at = 0.5
 
-    def evaluate(self, U, sigma, epsilon):
-        if sigma == self.fail_at:
+    def evaluate(self, U, at):
+        if at.sigma[0, 0] == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
-        return super().evaluate(U, sigma, epsilon)
+        return super().evaluate(U, at)
 
 
 BALL_FAMILIES = {
@@ -921,13 +928,13 @@ class _SingularAtLayout(solver.RadialLayout):
     exact_seed = False
     singular = 0.3
 
-    def evaluate(self, v, sigma, epsilon):
-        self.evaluated_at = sigma
-        return super().evaluate(v, sigma, epsilon)
+    def evaluate(self, v, at):
+        self.evaluated_at = at.sigma
+        return super().evaluate(v, at)
 
     def jacobian(self, lin):
         ab = super().jacobian(lin)
-        return 0.0 * ab if self.evaluated_at[0] == self.singular else ab
+        return 0.0 * ab if self.evaluated_at[0, 0] == self.singular else ab
 
 
 class TestRefine:
@@ -1074,10 +1081,10 @@ class TestGridPath:
 
     def test_interior_solve_matches_full_system(self):
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 24)
-        U = layout.initial(0.5, 0.1)[None]
+        U = layout.initial(_at(layout, 0.5, 0.1))
         # residual at the next boundary height: nonzero on Dirichlet nodes,
         # as after a step of the epsilon continuation
-        it = layout.evaluate(U, *_at(0.5, 0.05))
+        it = layout.evaluate(U, _at(layout, 0.5, 0.05))
         rhs = -it.res
         assert np.max(np.abs(rhs[0, ~layout.inside.ravel()])) == pytest.approx(0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
@@ -1097,7 +1104,7 @@ class TestGridPath:
         """A quadrant state off the cap by seeded noise at the interior
         nodes, as a stack of one row, and the layout it lives on."""
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), grid_size)
-        U = layout.initial(0.5, 0.1)[None]
+        U = layout.initial(_at(layout, 0.5, 0.1))
         U.reshape(layout.shape)[layout.inside] += 1e-5 * np.random.default_rng(7).standard_normal(
             np.count_nonzero(layout.inside))
         return layout, U
@@ -1106,7 +1113,7 @@ class TestGridPath:
     def test_quadrant_residual_is_full_box_residual(self, grid_size):
         layout, U = self.symmetric_state(grid_size)
         full = _residual_grid_full(_unfold(layout, U), H2H1, 0.5, 0.05, layout)
-        assert np.array_equal(layout.evaluate(U, *_at(0.5, 0.05)).res[0],
+        assert np.array_equal(layout.evaluate(U, _at(layout, 0.5, 0.05)).res[0],
                               full.ravel()[_quadrant_nodes(layout)])
 
     @pytest.mark.parametrize("grid_size", [32, 24])
@@ -1120,7 +1127,7 @@ class TestGridPath:
         P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
                        shape=(fold.size, layout.inside.size))
         folded = (J[rows] @ P).toarray()
-        J_ii, J_ib = layout.jacobian(layout.evaluate(U, *_at(0.5, 0.05)).lin)
+        J_ii, J_ib = layout.jacobian(layout.evaluate(U, _at(layout, 0.5, 0.05)).lin)
         ins = layout.inside.ravel()
         scale = np.max(np.abs(folded))
         assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
@@ -1175,11 +1182,11 @@ class TestGridPath:
         # the circle's cap seed at N = 256 leaves K_2 near the rim: the sign
         # test of the table lists the nodes the curvatures list
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 256)
-        U = layout.initial(0.8, 0.1)
+        U = layout.initial(_at(layout, 0.8, 0.1))
         kappa, _ = grid.principal_curvatures_2d(*grid._jets(U, layout))
         expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
         with pytest.raises(AdmissibilityLostError) as info:
-            layout.evaluate(U[None], *_at(0.8, 0.1))
+            layout.evaluate(U, _at(layout, 0.8, 0.1))
         assert expected.size and info.value.nodes == expected.tolist()
 
     @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
@@ -1200,7 +1207,7 @@ class TestGridPath:
         # on the circle's cap seed the centre node, quadrant node 0, has
         # Du = 0, uxy = 0 and uxx = uyy exactly: kappa_1 = kappa_2 there
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 32)
-        jet = grid._jets(layout.initial(0.5, 0.1), layout)
+        jet = grid._jets(layout.initial(_at(layout, 0.5, 0.1)), layout)
         kappa, _ = grid.principal_curvatures_2d(*jet)
         assert kappa[0, 0] == kappa[0, 1]
         for exact, centred in zip(_jet_partials(H2H1, jet),
@@ -1211,7 +1218,7 @@ class TestGridPath:
     @pytest.mark.parametrize("grid_size, bound", [(16, 1e-4), (64, 1e-6)])
     def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
         layout, U = self.symmetric_state(grid_size)
-        lin = layout.evaluate(U, *_at(0.5, 0.1)).lin
+        lin = layout.evaluate(U, _at(layout, 0.5, 0.1)).lin
         J_ii, J_ib = layout.jacobian(lin)
         monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
         C_ii, C_ib = layout.jacobian(lin)
@@ -1277,10 +1284,9 @@ def _same_outcome(got, want):
 def _alone(layout, point):
     """The seeded Newton solve of one point as a stack of one row: the
     rejected trial count and (u, res, iterations, factorizations)."""
-    sigma, epsilon = _at(*point)
+    at = _at(layout, *point)
     state = solver.NewtonState(1)
-    seed = layout.evaluate(layout.initial(*point)[None], sigma, epsilon)
-    it, count, nf = solver._newton_solve(layout, seed, sigma, epsilon, state)
+    it, count, nf = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at), state)
     assert not state.errors
     return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
 
@@ -1323,8 +1329,9 @@ class TestStackedRows:
         assert [solution is None for _, solution in stacked] == [False] * 4 + [True] * 4
         for point, row in zip(points, stacked):
             if row[1] is None:
+                at = _at(layout, *point)
                 with pytest.raises(AdmissibilityLostError):
-                    layout.evaluate(layout.initial(*point)[None], *_at(*point))
+                    layout.evaluate(layout.initial(at), at)
             else:
                 _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, 512), point))
 
@@ -1337,20 +1344,41 @@ class TestStackedRows:
                                   sigma_target=0.01, grid_size=512)
         points = [(0.01, e) for e in cfg.epsilon_schedule]
         layout = solver.RadialLayout(spec, cfg.domain, 512)
-        seeds = np.stack([layout.initial(*p) for p in points])
+        at = layout.at(points)
+        seeds = layout.initial(at)
         residuals = _count_calls(monkeypatch, solver, "residual")
-        it, errors = solver._evaluate(layout, seeds, *solver._columns(points))
+        it, errors = solver._evaluate(layout, seeds, at)
         assert len(residuals) == 2
         assert sorted(errors) == [4, 5, 6, 7] and it.u.shape == (4, 513)
         # the error of a stack of one row reads as that row's own
         for i in errors:
             with pytest.raises(AdmissibilityLostError) as alone:
-                layout.evaluate(seeds[[i]], *_at(*points[i]))
-            _, single = solver._evaluate(layout, seeds[[i]], *_at(*points[i]))
+                layout.evaluate(seeds[[i]], _at(layout, *points[i]))
+            _, single = solver._evaluate(layout, seeds[[i]], _at(layout, *points[i]))
             assert str(single[0]) == str(alone.value)
         residuals.clear()
         _, solved = solver._seeded(layout, points)
         assert len(residuals) == 2 + max(s[1] for s in solved if s is not None)
+
+    def test_caps_built_once_and_layout_unchanged(self, monkeypatch):
+        # the caps of a seeded schedule are built with its stack, once, and
+        # travel with its iterates: the layout keeps no cache of them, and a
+        # solve and a sweep leave it as construction left it
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.2,
+                                  grid_size=512)
+        layout = solver.RadialLayout(H2H1, cfg.domain, 512)
+        before = dict(vars(layout))
+        arrays = {key: value.copy() for key, value in before.items()
+                  if isinstance(value, np.ndarray)}
+        caps = _count_calls(monkeypatch, solver, "_cap_differences")
+        monkeypatch.setattr(solver, "_layout", lambda c: layout)
+        sol = solver.continuation_solve(cfg)
+        assert len(sol.report.newton_iterations) == 8 and len(caps) == 1
+        rows = solver.sweep_sigma(cfg, [0.2, 0.1])
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert vars(layout).keys() == before.keys()
+        assert all(vars(layout)[key] is value for key, value in before.items())
+        assert all(np.array_equal(before[key], value) for key, value in arrays.items())
 
     def test_broken_rows_fail_alone(self):
         # the Jacobian of one row is singular and that of another has a NaN:
@@ -1359,18 +1387,16 @@ class TestStackedRows:
         # keep their bits
         layout = _BrokenRowsLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
         points = [(0.5, e) for e in solver.default_epsilon_schedule()]
-        sigma, epsilon = (np.array(x) for x in zip(*points))
+        at = layout.at(points)
         state = solver.NewtonState(len(points))
-        seeds = np.stack([layout.initial(*p) for p in points])
-        it, count, nf = solver._newton_solve(layout, layout.evaluate(seeds, sigma, epsilon),
-                                             sigma, epsilon, state)
+        it, count, nf = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at),
+                                             state)
         broken = [i for i, p in enumerate(points) if p[1] in (layout.singular, layout.nan)]
         assert sorted(state.errors) == broken
         for i, point in enumerate(points):
             if i in broken:
-                alone = solver.NewtonState()
-                solver.newton_step(layout, layout.evaluate(layout.initial(*point)[None],
-                                                           *_at(*point)), *_at(*point), alone)
+                alone, at = solver.NewtonState(), _at(layout, *point)
+                _step(layout, layout.evaluate(layout.initial(at), at), alone)
                 assert isinstance(alone.errors[0], SingularJacobianError)
                 assert type(state.errors[i]) is SingularJacobianError
                 assert str(state.errors[i]) == str(alone.errors[0])
@@ -1386,18 +1412,72 @@ class TestStackedRows:
         # its full step and takes half of it, the row at 0.5 takes its full
         # step, each as it does alone
         layout = _StackedLineLayout()
-        sigma, epsilon = np.array([0.5, 1.0]), np.zeros(2)
+        points = [(0.5, 0.0), (1.0, 0.0)]
         state = solver.NewtonState(2)
-        it, norm = solver.newton_step(layout, layout.evaluate(np.zeros((2, 1)), sigma, epsilon),
-                                      sigma, epsilon, state)
+        it, norm = _step(layout, layout.evaluate(np.zeros((2, 1)), layout.at(points)), state)
         assert np.array_equal(it.u, [[0.5], [0.5]]) and np.array_equal(norm, [0.0, 0.5])
         assert state.rejected.tolist() == [0, 1] and state.factorizations.tolist() == [1, 1]
         for row in range(2):
-            alone, point = solver.NewtonState(), _at(sigma[row], 0.0)
-            single, _ = solver.newton_step(layout, layout.evaluate(np.zeros((1, 1)), *point),
-                                           *point, alone)
+            alone, point = solver.NewtonState(), layout.at(points[row:row + 1])
+            single, _ = _step(layout, layout.evaluate(np.zeros((1, 1)), point), alone)
             assert np.array_equal(single.u[0], it.u[row])
             assert alone.rejected[0] == state.rejected[row]
+
+    @pytest.mark.parametrize("floor, message", [
+        (0.3, "backtracking exhausted 20 halvings at sigma=0.5, eps=0.2"),
+        (None, r"Newton stalled at residual \S+ \(sigma=0.5, eps=0.2\)"),
+    ], ids=["backtracking", "stall"])
+    def test_failed_row_names_its_point(self, floor, message):
+        # the middle row of three cuts its residual slowly: with a floor it
+        # exhausts its backtracking, without one it stalls, each after the
+        # other rows converged, as the one row left stepping.  Its error
+        # names its own point, and the other rows come out as they do alone
+        layout = _SlowRowLayout()
+        layout.floor = floor
+        points = [(0.3, 0.1), (0.5, 0.2), (0.7, 0.3)]
+        state = solver.NewtonState(3)
+        it, count, _ = solver._newton_solve(
+            layout, layout.evaluate(np.zeros((3, 1)), layout.at(points)), state)
+        assert list(state.errors) == [1] and re.fullmatch(message, str(state.errors[1]))
+        assert count[0] == count[2] == 1 < count[1]
+        if floor is None:
+            assert count[1] == solver.MAX_NEWTON_ITERS
+        for row in (0, 2):
+            alone = solver.NewtonState()
+            single, single_count, _ = solver._newton_solve(
+                layout, layout.evaluate(np.zeros((1, 1)), layout.at(points[row:row + 1])), alone)
+            assert not alone.errors and single_count[0] == count[row]
+            assert np.array_equal(single.u[0], it.u[row])
+
+
+class _SlowRowLayout:
+    """r(u) = u - sigma per row, whose Jacobian reads 10 on the row at the
+    boundary height `slow`, so that each Newton step cuts that row's
+    residual by 0.9 only; with a `floor`, the residual of that row never
+    rises above -floor, which its steps then cannot decrease."""
+
+    keeps_factorization = False
+    newton_tol = 1e-10
+    slow, floor = 0.2, None
+
+    def at(self, points):
+        return solver.At.of(points)
+
+    def evaluate(self, u, at):
+        slow = at.epsilon == self.slow
+        res = u - at.sigma
+        if self.floor is not None:
+            res = np.where(slow, np.minimum(res, -self.floor), res)
+        return solver.Iterate(u, res, np.where(slow, 10.0, 1.0), at)
+
+    def jacobian(self, lin):
+        return lin
+
+    def factor(self, J):
+        return J
+
+    def solve(self, J, rhs):
+        return rhs / J
 
 
 class _BrokenRowsLayout(solver.RadialLayout):
@@ -1407,9 +1487,9 @@ class _BrokenRowsLayout(solver.RadialLayout):
 
     singular, nan = 0.05, 0.0125
 
-    def evaluate(self, v, sigma, epsilon):
-        it = super().evaluate(v, sigma, epsilon)
-        return it._replace(lin=(it.lin, np.reshape(epsilon, (-1, 1))))
+    def evaluate(self, v, at):
+        it = super().evaluate(v, at)
+        return it._replace(lin=(it.lin, at.epsilon))
 
     def jacobian(self, lin):
         lin, epsilon = lin
@@ -1427,11 +1507,14 @@ class _StackedLineLayout:
     keeps_factorization = False
     newton_tol = 1e-10
 
-    def evaluate(self, u, sigma, epsilon):
+    def at(self, points):
+        return solver.At.of(points)
+
+    def evaluate(self, u, at):
         bad = np.flatnonzero(u >= 0.8)
         if bad.size:
             raise AdmissibilityLostError(bad, row_size=u.shape[-1])
-        return solver.Iterate(u, u - np.expand_dims(sigma, -1), u)
+        return solver.Iterate(u, u - at.sigma, u, at)
 
     def jacobian(self, u):
         return np.ones_like(u)
