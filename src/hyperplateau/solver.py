@@ -17,28 +17,29 @@ heights follow from the config's epsilon_min alone
 (default_epsilon_schedule).  The layout builds every list of points once
 into a stack of them (At), which holds what it needs of them (the caps on
 balls), and every Newton iterate carries the At of its rows.  On a ball the
-umbilic cap with boundary height epsilon has kappa = sigma everywhere, so
-it solves the continuous problem exactly for every normalized f: Newton
-starts from it at each scheduled boundary height, and at each later sigma
-of a sweep, and needs a few iterations there.  The heights of a schedule are independent solves, which
-Newton iterates as the rows of one stack: every Newton state is a stack of
-rows, a single solve one of one row.  A step whose seeded row fails
-warm-starts from the last accepted state instead.  On the grid path, and at
-the first height when the seeded Newton fails there, continuation walks
-sigma down from 0.8 at a moderate boundary height, then shrinks the boundary
-height.  A failed step is retried at the midpoint of the last accepted point
-and its target.  A layout that keeps its factorization starts each unseeded
-step from the Euler tangent predictor, one chord step at the new parameter
-values.  Every accepted Newton iterate, and every prediction Newton starts
-from, is admissible at every interior node.  Newton stops by one rule: the
-residual sup-norm meets the layout's tolerance.  On balls the Newton unknown
-is the deviation of the heights from the exact cap at the (sigma, epsilon)
-being solved, whose stencil differences are taken in closed form, so the
-residual rounds to an ulp of the deviation and the 1/h^2 stencils leave no
-round-off floor above the tolerance; a state moved to another point keeps
-its heights.  A solution is read from the Iterate Newton converged on, with
-the curvatures of its residual's jet, and holds the layout that made it,
-which says which of its nodes touch the boundary.
+umbilic cap with boundary height epsilon has kappa = sigma everywhere, so it
+solves the continuous problem exactly for every normalized f: Newton starts
+from it at each scheduled boundary height, and at each later sigma of a
+sweep, and needs a few iterations there.  These seeded points are
+independent solves, which Newton iterates as the rows of one stack, a
+sweep's later points joining the first sigma's schedule: every Newton state
+is a stack of rows, a single solve one of one row.  A step whose seeded row
+fails warm-starts from the last accepted state instead.  On the grid path,
+and at the first height when the seeded Newton fails there, continuation
+walks sigma down from 0.8 at a moderate boundary height, then shrinks the
+boundary height.  A failed step is retried at the midpoint of the last
+accepted point and its target.  A layout that keeps its factorization starts
+each unseeded step from the Euler tangent predictor, one chord step at the
+new parameter values.  Every accepted Newton iterate, and every prediction
+Newton starts from, is admissible at every interior node.  Newton stops by
+one rule: the residual sup-norm meets the layout's tolerance.  On balls the
+Newton unknown is the deviation of the heights from the exact cap at the
+(sigma, epsilon) being solved, whose stencil differences are taken in closed
+form, so the residual rounds to an ulp of the deviation and the 1/h^2
+stencils leave no round-off floor above the tolerance; a state moved to
+another point keeps its heights.  A solution is read from the Iterate Newton
+converged on, with the curvatures of its residual's jet, and holds the
+layout that made it, which says which of its nodes touch the boundary.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ MAX_NEWTON_ITERS = 50
 DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
 
-# the most nodes of one state whose boundary heights Newton iterates as one
-# stack (N <= 2048); finer grids solve their heights one at a time (see
-# _march).  In-process on a 2-vCPU Xeon, the 8 heights of a schedule as one
+# the most nodes of one state whose seeded points Newton iterates as one
+# stack (N <= 2048); finer grids solve their points one at a time (see
+# Seeds).  In-process on a 2-vCPU Xeon, the 8 heights of a schedule as one
 # stack take about half the time of 8 solves at N = 512 and 0.7 of it at
 # N = 1024, while at N = 4096 and 8192 stacks of 4 and 2 rows took about
 # 1.2 times as long as the heights solved one at a time
@@ -368,13 +369,14 @@ class RadialLayout:
     floor of the 1/h^2 stencil lies above the tolerance even at N = 16384.
     `heights` and `deviation` map between the two at a point.  The cap is
     v = 0, and the driver starts Newton from it at every boundary height,
-    all heights of a schedule as one stack, each row with the arithmetic it
-    gets alone.  Newton stops at a residual sup-norm of 1e-11: at 1e-10 the
-    cap itself met the tolerance at N = 16384 and sigma = 0.9, steps took
-    no iteration, and a refinement study up to that grid read order 1.58
-    for 2.00.  A solution reports the heights at every node and the
-    curvatures at the interior nodes, all but the rim node; the last of
-    them is the one next to the rim.  Nothing changes after construction."""
+    all heights of a schedule, and a sweep's later points with them, as one
+    stack, each row with the arithmetic it gets alone.  Newton stops at a
+    residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
+    at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
+    study up to that grid read order 1.58 for 2.00.  A solution reports the
+    heights at every node and the curvatures at the interior nodes, all but
+    the rim node; the last of them is the one next to the rim.  Nothing
+    changes after construction."""
 
     keeps_factorization = False
     exact_seed = True
@@ -461,8 +463,9 @@ class RadialLayout:
 # sup-norm at which Newton stops; `keeps_factorization`, to keep the
 # factorization for chord steps and the predictor (see _predict), and then
 # it gets one row only; and `exact_seed`, to start Newton from `initial` at
-# every point, a march's points as one stack (see _seeded).  Newton records
-# the error of a failed row in the NewtonState, and _solve_at raises it.
+# every point, the points of a solve or a sweep as one stack (see Seeds).
+# Newton records the error of a failed row in the NewtonState, and _solve_at
+# raises it.
 
 
 class At(NamedTuple):
@@ -707,9 +710,12 @@ def _solve_at(layout, it, at, state: NewtonState, seeded: bool):
 
 def _seeded(layout, points):
     """Newton from the layout's seed at every (sigma, epsilon) point, the
-    points as one stack.  Returns per point the number of trial iterates it
-    rejected, and (its converged row, iterations, factorizations, center
-    height), or None where its row failed, an inadmissible seed included."""
+    points as one stack.  Returns the stack Newton converged on (None when
+    no seed is admissible), holding the rows of the admissible seeds in
+    order, the number of trial iterates each point rejected, and per point
+    (its row in that stack as a slice, iterations, factorizations, center
+    height), or None where its row failed, an inadmissible seed included.
+    No row is sliced out: the march slices only the rows it keeps."""
     at = layout.at(points)
     it, errors = _evaluate(layout, layout.initial(at), at)
     good = [i for i in range(len(points)) if i not in errors]
@@ -721,62 +727,87 @@ def _seeded(layout, points):
         for j, i in enumerate(good):
             rejected[i] = int(rows.rejected[j])
             if j not in rows.errors:
-                solved[i] = (_rows(it, slice(j, j + 1)), int(count[j]), int(nf[j]),
+                solved[i] = (slice(j, j + 1), int(count[j]), int(nf[j]),
                              layout.u0(heights[j]))
-    return rejected, solved
+    return it, rejected, solved
 
 
-def _march(layout, it, points, state: NewtonState, seeded: bool):
-    """Walk the (sigma, epsilon) points in order.  When `seeded`, every point
-    is first solved by Newton from the layout's seed there, all points as
-    one stack (see _seeded; one at a time on states of more than
-    STACK_MAX_NODES nodes), and the walk takes each converged row as it
-    is.  Every other point is reached by steps (see _solve_at) from `it`,
-    the last accepted iterate, with up-to-8-deep bisection: a failed step
-    is retried at the midpoint of the last accepted point and its target,
-    where a seeded march tries the seed first.  Without an iterate yet (`it`
-    None), the first point, unless a seeded march solved it, is reached by
+class Seeds:
+    """The seeded Newton solves (see _seeded) of a list of (sigma, epsilon)
+    points, which marches read point by point: every point as a row of one
+    stack, solved at the first read, or, on states of more than
+    STACK_MAX_NODES nodes, each point alone when it is read.  Only the
+    latest stack is held."""
+
+    def __init__(self, layout, points):
+        self.layout, self.points, self.solved = layout, points, {}
+
+    def get(self, point, state: NewtonState):
+        """The seeded solve at `point`: (its stack, its row there as a
+        slice, iterations, factorizations, center height), or None where
+        its row failed.  The trial iterates a new stack rejected count into
+        `state`."""
+        if point not in self.solved:
+            run = [point] if self.layout.nodes > STACK_MAX_NODES else self.points
+            it, rejected, solved = _seeded(self.layout, run)
+            state.rejected += sum(rejected)
+            self.solved = {p: s if s is None else (it, *s) for p, s in zip(run, solved)}
+        return self.solved[point]
+
+
+def _march(layout, it, points, state: NewtonState, seeds):
+    """Walk the (sigma, epsilon) points in order.  With `seeds` (a Seeds
+    holding every point), each point is first read from its seeded solve,
+    and the walk takes a converged row as it is, slicing it out of its
+    stack only when a step starts from it or the march returns it.  Every
+    other point is reached by steps (see _solve_at) from `it`, the last
+    accepted iterate, with up-to-8-deep bisection: a failed step is retried
+    at the midpoint of the last accepted point and its target, where a
+    seeded march tries the seed first.  Without an iterate yet (`it`
+    None), the first point, unless its seeded row converged, is reached by
     marching sigma down from SIGMA_START at its boundary height, from the
     cap seed there and unbisected.  Returns the iterate converged at the
     last point, the Newton iterations and factorizations of every accepted
     step, and the center height at each point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
-    one_by_one = seeded and layout.nodes > STACK_MAX_NODES
-    for run in [[p] for p in points] if one_by_one else [points]:
-        rejected, solved = _seeded(layout, run) if seeded else ([0], [None] * len(run))
-        state.rejected += sum(rejected)
-        # (target, its seeded solution, whether a step to it tries the seed first)
-        walk = [(target, solution, seeded) for target, solution in zip(run, solved)]
-        if it is None and walk[0][1] is None:
-            # the cap seed is converged at no parameter values: no prediction
-            # from it with factors kept from an earlier solve (a failed sweep row)
-            state.factored = None
-            sigma, epsilon = run[0]
-            walk[:1] = [((s, epsilon), None, False) for s in default_sigma_schedule(sigma)]
-        for target, solution, seed_first in walk:
-            if solution is not None:
-                it, count, nf, u0 = solution
+    kept = None  # [stack, row slice] of the last seeded row taken, not sliced yet
+    # (target, whether the march reads its seed and tries it first in a step)
+    walk = [(target, seeds is not None) for target in points]
+    if it is None and (seeds is None or seeds.get(points[0], state) is None):
+        # the cap seed is converged at no parameter values: no prediction
+        # from it with factors kept from an earlier solve (a failed sweep row)
+        state.factored = None
+        sigma, epsilon = points[0]
+        walk[:1] = [((s, epsilon), False) for s in default_sigma_schedule(sigma)]
+    for target, seeded in walk:
+        solution = seeds.get(target, state) if seeded else None
+        if solution is not None:
+            *kept, count, nf, u0 = solution
+            iters.append(count)
+            factors.append(nf)
+        else:
+            if kept is not None:
+                it, kept = _rows(*kept), None
+            stack, depth = [target], 0
+            while stack:
+                nxt = stack[-1]
+                # the first attempt at the target had its seed read above:
+                # until a step fails, depth is 0
+                seed = seeded and (nxt is not target or depth > 0)
+                try:
+                    it, count, nf, u0 = _solve_at(layout, it, layout.at([nxt]), state, seed)
+                except (NonConvergenceError, SingularJacobianError):
+                    if it is None or depth >= 8:
+                        raise
+                    depth += 1
+                    stack.append(tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt)))
+                    continue
                 iters.append(count)
                 factors.append(nf)
-            else:
-                stack, depth = [target], 0
-                while stack:
-                    nxt = stack[-1]
-                    # the first attempt at the target had its seed tried in
-                    # the stack: until a step fails, depth is 0
-                    seed = seed_first and (nxt is not target or depth > 0)
-                    try:
-                        it, count, nf, u0 = _solve_at(layout, it, layout.at([nxt]), state, seed)
-                    except (NonConvergenceError, SingularJacobianError):
-                        if it is None or depth >= 8:
-                            raise
-                        depth += 1
-                        stack.append(tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt)))
-                        continue
-                    iters.append(count)
-                    factors.append(nf)
-                    stack.pop()
-            u0_by_point[target] = u0
+                stack.pop()
+        u0_by_point[target] = u0
+    if kept is not None:
+        it = _rows(*kept)
     return it, iters, factors, u0_by_point
 
 
@@ -787,7 +818,8 @@ def _continue(layout, cfg: SolverConfig, state: NewtonState):
     every step, and the center height at each scheduled boundary height."""
     sigma = cfg.sigma_target
     points = [(sigma, e) for e in cfg.epsilon_schedule]
-    it, iters, factors, u0_by_point = _march(layout, None, points, state, layout.exact_seed)
+    seeds = Seeds(layout, points) if layout.exact_seed else None
+    it, iters, factors, u0_by_point = _march(layout, None, points, state, seeds)
     u0_by_eps = {e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma}
     return it, iters, factors, u0_by_eps
 
@@ -848,27 +880,35 @@ def continuation_solve(config: SolverConfig) -> GraphSolution:
 
 def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
-    failures recorded rather than raised.  The first row that converges runs
-    the full continuation; every later row marches to the one point
-    (sigma, epsilon_min) from the last converged iterate, whose point a
-    failed step bisects back towards, seeded from the cap on balls, from
-    the Euler prediction on ellipses (see _solve_at)."""
+    failures recorded rather than raised.  The first row, and every row
+    that no converged row precedes, runs the full continuation; every other
+    row marches to the one point (sigma, epsilon_min) from the last
+    converged iterate, whose point a failed step bisects back towards (see
+    _march).  On balls every point of the sweep is seeded from the cap,
+    the first row's schedule and each later row's point as the rows of one
+    stack (see Seeds), so a later row's march takes its converged seeded
+    row as it is; ellipses start each step from the Euler prediction (see
+    _solve_at)."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
     layout = _layout(config)
     state = NewtonState()
     epsilon = config.epsilon_schedule[-1]
+    first = [(sigmas[0], e) for e in config.epsilon_schedule] if sigmas else []
+    later = [(s, epsilon) for s in sigmas[1:]]
+    seeds = Seeds(layout, first + later) if layout.exact_seed else None
     rows = []
     warm = None  # the last converged iterate
-    for s in sigmas:
-        cfg = replace(config, sigma_target=s)
+    for i, s in enumerate(sigmas):
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
-            if warm is None:
-                warm, its, _, _ = _continue(layout, cfg, state)
+            if i == 0:
+                warm, its, _, _ = _march(layout, None, first, state, seeds)
+            elif warm is None:
+                warm, its, _, _ = _continue(layout, replace(config, sigma_target=s), state)
             else:
-                warm, its, _, _ = _march(layout, warm, [(s, epsilon)], state, layout.exact_seed)
+                warm, its, _, _ = _march(layout, warm, [(s, epsilon)], state, seeds)
             sol = layout.solution(warm)
             kappa_max, min_nu = sol.summary()
             row.update(status="ok", converged=True, u0=sol.u0, kappa_max=kappa_max,

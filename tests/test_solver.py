@@ -909,16 +909,92 @@ class TestSweep:
         assert abs(rows[2]["u0"] - cold.u0) <= 1e-10
 
     def test_ball_rows_start_from_cap(self):
-        # warm starts from the previous sigma took 4-5 iterations per row
+        # warm starts from the previous sigma took 4-5 iterations per row; a
+        # row of the sweep's stack comes out bit for bit as the solve at its
+        # sigma
         sigmas = [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]
+        for spec in H2H1, CurvatureSpec.consecutive_quotient(4, 4):
+            cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                      sigma_target=sigmas[0], grid_size=512)
+            rows = solver.sweep_sigma(cfg, sigmas)
+            assert all(row["converged"] for row in rows)
+            assert all(row["iterations"] <= 3 for row in rows[1:])
+            for row in rows:
+                cold = solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
+                assert row["u0"] == cold.u0
+                assert (row["kappa_max"], row["min_nu_vertical"]) == cold.summary()
+
+    def test_ball_sweep_is_one_stack(self, monkeypatch):
+        # every point of a ball sweep, the first row's schedule and each
+        # later row's (sigma, epsilon_min), is seeded as a row of one stack:
+        # one set of caps and one Newton solve, where each later row was a
+        # solve of its own (6 and 6)
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
-                                  sigma_target=sigmas[0], grid_size=512)
+                                  sigma_target=0.9, grid_size=512)
+        caps = _count_calls(monkeypatch, solver, "_cap_differences")
+        solves = _count_calls(monkeypatch, solver, "_newton_solve")
+        rows = solver.sweep_sigma(cfg, [0.9, 0.7, 0.5, 0.3, 0.2, 0.1])
+        assert all(row["status"] == "ok" for row in rows)
+        assert len(caps) == 1 and len(solves) == 1
+
+    # goldens of the failure paths, taken before the sweep was one stack
+    @pytest.mark.parametrize("spec, grid_size, sigmas, iterations, u0", [
+        (CurvatureSpec.kth_root(1, 2), 512, [0.5, 0.01, 0.002, 0.001], [16, 9, 0, 0],
+         [0.5776826671575664, 0.9896500117975304]),
+        (H2H1, 16, [0.5, 0.001, 0.0005], [24, 12, 4], None),
+        (H2H1, 8, [0.9, 0.05, 0.01], [16, 7, 5], None),
+    ], ids=["h1k2-N512", "h2h1-N16", "h2h1-N8"])
+    def test_failure_path_goldens(self, spec, grid_size, sigmas, iterations, u0):
+        # H_1 on K_2: the sigma = 0.01 row's seeded row fails, and the
+        # predicted, bisected march from the sigma = 0.5 iterate reaches it;
+        # the two smallest sigmas fail row by row.  On coarse grids the
+        # later rows' seeded rows fail and their marches take over
+        cfg = solver.SolverConfig(spec=spec, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=sigmas[0], grid_size=grid_size)
         rows = solver.sweep_sigma(cfg, sigmas)
-        assert all(row["converged"] for row in rows)
-        assert all(row["iterations"] <= 3 for row in rows[1:])
-        for row in rows:
-            cold = solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
-            assert abs(row["u0"] - cold.u0) <= 1e-10
+        assert [row["iterations"] for row in rows] == iterations
+        # a failed row reports no iterations, and every golden row that
+        # converged took some
+        assert [row["status"] for row in rows] == [
+            "ok" if count else "failed: NonConvergenceError" for count in iterations]
+        if u0 is not None:
+            assert [row["u0"] for row in rows[:len(u0)]] == u0
+
+    def test_failed_first_row_runs_the_continuation(self, monkeypatch):
+        # every Jacobian row at sigma 0.5 is singular: the first row fails,
+        # the next runs the full continuation as a solve at its sigma does,
+        # and the last takes its row of the sweep's stack
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        monkeypatch.setattr(solver, "_layout",
+                            lambda c: _SingularSigmaLayout(c.spec, c.domain, c.grid_size))
+        rows = solver.sweep_sigma(cfg, [0.5, 0.3, 0.2])
+        assert [row["status"] for row in rows] == ["failed: SingularJacobianError", "ok", "ok"]
+        cold = [solver.continuation_solve(replace(cfg, sigma_target=row["sigma"]))
+                for row in rows[1:]]
+        assert [row["u0"] for row in rows[1:]] == [sol.u0 for sol in cold]
+        assert rows[1]["iterations"] == sum(cold[0].report.newton_iterations)
+        assert rows[2]["iterations"] == cold[1].report.newton_iterations[-1]
+
+
+class _SingularSigmaLayout(solver.RadialLayout):
+    """The radial layout whose Jacobian rows at sigma `singular` are all
+    zeros; lin carries each row's sigma as a column."""
+
+    singular = 0.5
+
+    def evaluate(self, v, at):
+        it = super().evaluate(v, at)
+        return it._replace(lin=(it.lin, at.sigma))
+
+    def jacobian(self, lin):
+        lin, sigma = lin
+        ab = super().jacobian(lin)
+        ab.reshape(3, -1, ab.shape[-1])[:, sigma[:, 0] == self.singular] = 0.0
+        return ab
+
+    def solution(self, it):
+        return super().solution(it._replace(lin=it.lin[0]))
 
 
 class _SingularAtLayout(solver.RadialLayout):
@@ -1267,8 +1343,8 @@ def _outcome(layout, points):
     """Per point the rejected trial count and the seeded Newton solution of
     `points` as one stack (solver._seeded), unpacked: (u, res, iterations,
     factorizations), or None where the row failed."""
-    rejected, solved = solver._seeded(layout, points)
-    return [(r, None if s is None else (s[0].u[0], s[0].res[0], s[1], s[2]))
+    it, rejected, solved = solver._seeded(layout, points)
+    return [(r, None if s is None else (it.u[s[0]][0], it.res[s[0]][0], s[1], s[2]))
             for r, s in zip(rejected, solved)]
 
 
@@ -1357,7 +1433,7 @@ class TestStackedRows:
             _, single = solver._evaluate(layout, seeds[[i]], _at(layout, *points[i]))
             assert str(single[0]) == str(alone.value)
         residuals.clear()
-        _, solved = solver._seeded(layout, points)
+        _, _, solved = solver._seeded(layout, points)
         assert len(residuals) == 2 + max(s[1] for s in solved if s is not None)
 
     def test_caps_built_once_and_layout_unchanged(self, monkeypatch):
