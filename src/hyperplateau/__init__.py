@@ -8,12 +8,11 @@ from .errors import (
     AdmissibilityError,
     AdmissibilityLostError,
     ConfigError,
-    DegenerateHeightError,
     NonConvergenceError,
     SingularJacobianError,
     UnsupportedSolutionError,
 )
-from .hypgeom import CapSolution, Domain, PointJet, make_cap, make_cap_with_boundary_height
+from .hypgeom import CapSolution, Domain, make_cap, make_cap_with_boundary_height
 from .solver import GraphSolution, SolveReport, SolverConfig, continuation_solve
 from .symfunc import CurvatureSpec
 
@@ -25,11 +24,9 @@ __all__ = [
     "CapSolution",
     "ConfigError",
     "CurvatureSpec",
-    "DegenerateHeightError",
     "Domain",
     "GraphSolution",
     "NonConvergenceError",
-    "PointJet",
     "SingularJacobianError",
     "SolveReport",
     "SolverConfig",

@@ -426,8 +426,12 @@ def run(raw_config: dict) -> int:
         print(str(exc), file=sys.stderr)
         return 4
 
+    # stderr holds one typed line: on extreme domains the solve meets
+    # overflow and 0/0, which its finiteness and cone checks turn into the
+    # typed errors below, so numpy's warnings are not printed
     try:
-        payload, solution, table = COMMANDS[cfg["command"]][0](cfg)
+        with np.errstate(all="ignore"):
+            payload, solution, table = COMMANDS[cfg["command"]][0](cfg)
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2

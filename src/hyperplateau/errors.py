@@ -10,10 +10,6 @@ class AdmissibilityError(ValueError):
         super().__init__(message)
 
 
-class DegenerateHeightError(ValueError):
-    """Graph height u <= 0; the hyperbolic shape operator is undefined."""
-
-
 class NonConvergenceError(RuntimeError):
     """Newton iteration (or continuation bisection) failed to converge."""
 

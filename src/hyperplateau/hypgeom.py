@@ -1,6 +1,6 @@
-"""Vertical graphs in the upper half-space model: normals, Euclidean and
-hyperbolic shape operators, principal curvatures, and the umbilic spherical
-caps / horospheres used as closed-form oracles.
+"""Vertical graphs in the upper half-space model: their domains, the umbilic
+spherical caps that solve the problem on balls in closed form, and the
+hyperbolic principal curvatures of a radial graph.
 
 Conventions: the normal is the upward Euclidean unit normal (the one pointing
 toward the unbounded region above a graph over a bounded domain); with it the
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateHeightError
 
 SHAPE_BALL = "ball"
 SHAPE_ELLIPSE = "ellipse"
@@ -57,63 +55,6 @@ class Domain:
             raise ValueError(f"ellipse domains are planar: need n = 2, got n={n!r}")
 
 
-@dataclass
-class PointJet:
-    """Per-point bundle of graph data and both shape operators."""
-
-    u: float
-    Du: np.ndarray
-    D2u: np.ndarray
-    w: float
-    nu: np.ndarray
-    nu_vertical: float
-    A_euclid: np.ndarray
-    A_hyp: np.ndarray
-    kappa: np.ndarray  # sorted descending
-
-
-def upward_normal(Du) -> tuple[np.ndarray, float]:
-    """Unit upward normal (-Du/w, 1/w) and w = sqrt(1 + |Du|^2)."""
-    Du = np.asarray(Du, dtype=float)
-    w = math.sqrt(1.0 + float(Du @ Du))
-    nu = np.append(-Du / w, 1.0 / w)
-    return nu, w
-
-
-def _gamma(Du: np.ndarray, w: float) -> np.ndarray:
-    n = Du.shape[0]
-    return np.eye(n) - np.outer(Du, Du) / (w * (1.0 + w))
-
-
-def euclidean_shape(Du, D2u) -> np.ndarray:
-    """Symmetrized shape operator of a Euclidean graph, (1/w) gamma D2u gamma;
-    eigenvalues are the principal curvatures w.r.t. the upward normal."""
-    Du = np.asarray(Du, dtype=float)
-    D2u = np.asarray(D2u, dtype=float)
-    w = math.sqrt(1.0 + float(Du @ Du))
-    g = _gamma(Du, w)
-    return (g @ D2u @ g) / w
-
-
-def hyperbolic_shape(u, Du, D2u) -> PointJet:
-    """Full jet at one point; eigenvalues of A_hyp = u A_euclid + (1/w) I are
-    the hyperbolic principal curvatures w.r.t. the upward normal."""
-    u = float(u)
-    if u <= 0.0:
-        raise DegenerateHeightError(f"graph height must be positive, got {u}")
-    Du = np.asarray(Du, dtype=float)
-    D2u = np.asarray(D2u, dtype=float)
-    n = Du.shape[0]
-    nu, w = upward_normal(Du)
-    A_e = euclidean_shape(Du, D2u)
-    A_h = u * A_e + (1.0 / w) * np.eye(n)
-    kappa = np.sort(np.linalg.eigvalsh(A_h))[::-1]
-    return PointJet(
-        u=u, Du=Du, D2u=D2u, w=w, nu=nu, nu_vertical=1.0 / w,
-        A_euclid=A_e, A_hyp=A_h, kappa=kappa,
-    )
-
-
 @dataclass(frozen=True)
 class CapSolution:
     """Umbilic spherical cap over a ball of radius R with u = 0 at the rim.
@@ -138,25 +79,9 @@ class CapSolution:
         out = -rho / s
         return float(out) if out.ndim == 0 else out
 
-    def d2height(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        s = np.sqrt(self.r**2 - rho**2)
-        out = -(self.r**2) / s**3
-        return float(out) if out.ndim == 0 else out
-
     @property
     def apex_height(self) -> float:
         return self.c + self.r
-
-    def jet(self, x) -> PointJet:
-        """Jet of the cap at a base point x (|x| < R), any dimension."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        rho2 = float(x @ x)
-        s = math.sqrt(self.r**2 - rho2)
-        u = self.c + s
-        Du = -x / s
-        D2u = -(np.eye(x.shape[0]) / s + np.outer(x, x) / s**3)
-        return hyperbolic_shape(u, Du, D2u)
 
 
 def make_cap(R: float, sigma: float) -> CapSolution:
@@ -180,24 +105,6 @@ def make_cap_with_boundary_height(R: float, sigma: float, epsilon: float) -> Cap
     q = 1.0 - sigma**2
     r = (epsilon * sigma + math.sqrt(epsilon**2 * sigma**2 + q * (R**2 + epsilon**2))) / q
     return CapSolution(R=R, sigma=sigma, r=r, c=-sigma * r)
-
-
-def radial_jet(u: float, up: float, upp: float, rho: float, n: int = 2) -> PointJet:
-    """Jet of a radially symmetric graph at distance rho from the axis,
-    built in the radial-adapted frame.  At rho = 0 the tangential curvature
-    uses the analytic limit u'(rho)/rho -> u''(0)."""
-    if u <= 0.0:
-        raise DegenerateHeightError(f"graph height must be positive, got {u}")
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
-    if rho == 0.0:
-        Du = np.zeros(n)
-        D2u = upp * np.eye(n)
-    else:
-        Du = np.zeros(n)
-        Du[0] = up
-        D2u = np.diag([upp] + [up / rho] * (n - 1))
-    return hyperbolic_shape(u, Du, D2u)
 
 
 def radial_curvature_pair(u, up, upp, rho):

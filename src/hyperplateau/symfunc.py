@@ -71,14 +71,10 @@ class CurvatureSpec:
         return cls(GENERAL_QUOTIENT, n, k, l, min(k + 1, n))
 
     @classmethod
-    def kth_root(cls, k: int, n: int, cone_index: int | None = None) -> "CurvatureSpec":
+    def kth_root(cls, k: int, n: int) -> "CurvatureSpec":
         if not (2 <= n and 1 <= k <= n):
             raise ValueError(f"k-th root needs 1 <= k <= n, n >= 2; got k={k}, n={n}")
-        if cone_index is None:
-            cone_index = min(k + 1, n)
-        if cone_index not in (min(k + 1, n), n):
-            raise ValueError(f"k-th root admissibility cone must be K_{min(k + 1, n)} or K_{n}")
-        return cls(KTH_ROOT, n, k, 0, cone_index)
+        return cls(KTH_ROOT, n, k, 0, min(k + 1, n))
 
     @property
     def power(self) -> float:
@@ -204,33 +200,6 @@ def _in_cone(points: np.ndarray, k: int) -> np.ndarray:
     _member).  The sign test of K_n reads the columns of the row-major batch
     in place; the other cones build their table on a component-major copy."""
     return _member(points.T if k == points.shape[-1] else _columns(points), k)
-
-
-def esym_table(kappa) -> np.ndarray:
-    """All unnormalized elementary symmetric values e_0..e_n, shape (..., n+1)."""
-    arr = _as_kappa(kappa)
-    return _batch(_esym_rows(_columns(arr), arr.shape[-1]), arr)
-
-
-def _order_k(kappa, k: int):
-    """n and e_k of a checked kappa, shaped like its batch."""
-    arr = _as_kappa(kappa)
-    n = arr.shape[-1]
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range 0..{n}")
-    return n, _esym_rows(_columns(arr), k)[k].reshape(arr.shape[:-1])
-
-
-def elementary_symmetric(kappa, k: int):
-    """Unnormalized e_k(kappa); e_0 = 1."""
-    _, ek = _order_k(kappa, k)
-    return _scalar(ek)
-
-
-def normalized_Hk(kappa, k: int):
-    """H_k = e_k / binom(n, k), so H_k(1,...,1) = 1."""
-    n, ek = _order_k(kappa, k)
-    return _scalar(ek / math.comb(n, k))
 
 
 def _binoms(n: int) -> np.ndarray:
@@ -407,65 +376,6 @@ def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
     return out.reshape(arr.shape[:-1] + (n, n))
 
 
-def monotone_difference_quotients(spec: CurvatureSpec, kappa) -> np.ndarray:
-    """Matrix of (f_i - f_j)/(kappa_i - kappa_j), i != j; diagonal is zero.
-
-    Near-equal pairs use the analytic limit f_ii - f_ij so the matrix stays
-    continuous across repeated principal curvatures.
-    """
-    arr = _as_kappa(kappa, spec.n)
-    if arr.ndim != 1:
-        raise ValueError("monotone_difference_quotients takes a single point")
-    g = grad_f(spec, arr)
-    h = hessian_f(spec, arr)
-    n = spec.n
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dk = arr[i] - arr[j]
-            if abs(dk) < 1e-8 * (1.0 + abs(arr[i])):
-                out[i, j] = h[i, i] - h[i, j]
-            else:
-                out[i, j] = (g[i] - g[j]) / dk
-    return out
-
-
-def F_value_and_Fij(A, spec: CurvatureSpec):
-    """Spectral extension F(A) = f(eigenvalues) and its gradient matrix F^{ij}.
-
-    F^{ij} = sum_m f_m v_m v_m^T in the eigenbasis; well defined for repeated
-    eigenvalues.
-    """
-    M = np.asarray(A, dtype=float)
-    if M.shape != (spec.n, spec.n):
-        raise ValueError(f"expected {spec.n}x{spec.n} matrix, got {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(M).max())):
-        raise ValueError("matrix must be symmetric")
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    F = eval_f(spec, lam)
-    g = grad_f(spec, lam)
-    Fij = (V * g) @ V.T
-    return F, 0.5 * (Fij + Fij.T)
-
-
-def second_contraction(kappa, B, spec: CurvatureSpec) -> float:
-    """Second directional derivative d^2/dt^2 F(diag(kappa) + tB) at t = 0:
-    f_ij B_ii B_jj plus the off-diagonal difference-quotient sum."""
-    arr = _as_kappa(kappa, spec.n)
-    Bm = np.asarray(B, dtype=float)
-    if Bm.shape != (spec.n, spec.n) or not np.allclose(Bm, Bm.T, atol=1e-12 * (1 + np.abs(Bm).max())):
-        raise ValueError("B must be a symmetric n x n matrix")
-    h = hessian_f(spec, arr)
-    q = monotone_difference_quotients(spec, arr)
-    diag = np.diag(Bm)
-    val = float(diag @ h @ diag)
-    off = ~np.eye(spec.n, dtype=bool)
-    val += float(np.sum(q[off] * (Bm**2)[off]))
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Cone sampling
 
@@ -578,28 +488,9 @@ class ConditionReport:
     def passed(self) -> bool:
         return self.cone_violations == 0 and all(r.passed for r in self.records)
 
-    def record(self, condition: str) -> ConditionRecord:
-        for r in self.records:
-            if r.condition == condition:
-                return r
-        raise KeyError(condition)
-
     def to_dict(self) -> dict:
         """Every field, the spec as its description, and the verdict."""
         return {**asdict(self), "spec": self.spec.describe(), "passed": self.passed}
-
-    def to_text(self) -> str:
-        lines = [f"condition report: {self.spec.describe()}  seed={self.seed}"]
-        if self.cone_violations:
-            lines.append(f"  cone violations: {self.cone_violations}  FAIL")
-        for r in self.records:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"  ({r.condition})  samples={r.samples}  worst_margin={r.worst_margin:.3e}"
-                f"  tol={r.tolerance:.1e}  {status}"
-            )
-        lines.append(f"  overall: {'pass' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
 
 # Round-off allowance of condition 2.2, in units of n * eps * max|H_ij| per
@@ -709,39 +600,3 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
         report.records.append(ConditionRecord("1.4", m, margin, 1e-8, margin >= -1e-8))
 
     return report
-
-
-def sup_gradient_sum(spec: CurvatureSpec, sample_count: int, seed: int) -> float:
-    """Empirical supremum of sum_i f_i over K_k for f = H_k/H_{k-1}.
-
-    Includes near-boundary refinement (the supremum k is approached as
-    H_k -> 0); finite by construction and reproducible given the seed.
-    """
-    if spec.family != CONSECUTIVE_QUOTIENT:
-        raise ValueError("sup_gradient_sum applies to the consecutive quotient family")
-    rng = np.random.default_rng(seed)
-    samples = sample_cone(spec.n, spec.k, sample_count, seed)
-    m = max(1, sample_count // 10)
-    deep = push_toward_boundary(samples[:m].copy(), spec.k, rng, 1.0 - 1e-8)
-    allpts = np.concatenate([samples, deep], axis=0)
-    allpts = allpts[_in_cone(allpts, spec.cone_index)]
-    sums = np.sum(grad_f(spec, allpts), axis=-1)
-    return float(np.max(sums))
-
-
-def sup_ratio_assumption(spec: CurvatureSpec, sample_count: int, seed: int) -> float:
-    """Empirical supremum of kappa_i f_i / f over samples of K_{k+1} and
-    indices with kappa_i > 0; bounded by 1/(k-l)."""
-    if spec.family not in (GENERAL_QUOTIENT, KTH_ROOT):
-        raise ValueError("sup_ratio_assumption applies to quotient/root families on K_{k+1}")
-    rng = np.random.default_rng(seed)
-    samples = sample_cone(spec.n, spec.required_cone, sample_count, seed)
-    m = max(1, sample_count // 10)
-    deep = push_toward_boundary(samples[:m].copy(), spec.required_cone, rng, 1.0 - 1e-6)
-    allpts = np.concatenate([samples, deep], axis=0)
-    allpts = allpts[_in_cone(allpts, spec.required_cone)]
-    f = eval_f(spec, allpts)
-    g = grad_f(spec, allpts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(allpts > 0, allpts * g / f[:, None], -np.inf)
-    return float(np.max(ratios))

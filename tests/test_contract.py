@@ -1,7 +1,7 @@
 """The CLI's contract on drawn configurations: every valid configuration
-converges or ends in a typed error (exit 0, 2 or 3, never a traceback), and
-one key out of range is a configuration error (exit 4) that names the key,
-found before any work."""
+converges or ends in a typed error (exit 0, 2 or 3, never a traceback, one
+line of stderr), and one key out of range is a configuration error (exit 4)
+that names the key, found before any work."""
 
 import contextlib
 import io
@@ -9,7 +9,9 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +25,9 @@ SIGMA = st.floats(math.log(1e-3), math.log(0.99)).map(math.exp)  # log-uniform
 
 @st.composite
 def configs(draw):
-    """A valid solve, sweep or refine config: a ball with n <= 4, radius
-    0.5-3 and N <= 64, or an ellipse with N <= 16."""
-    command = draw(st.sampled_from(["solve", "sweep", "refine"]))
+    """A valid solve, sweep, refine or check-estimates config: a ball with
+    n <= 4, radius 0.5-3 and N <= 64, or an ellipse with N <= 16."""
+    command = draw(st.sampled_from(["solve", "sweep", "refine", "check-estimates"]))
     family = draw(st.sampled_from(sorted(cli.FAMILIES)))
     if draw(st.booleans()):
         a = draw(st.floats(0.5, 2.0))
@@ -46,6 +48,8 @@ def configs(draw):
         cfg["sigma"] = draw(SIGMA)
     if command == "refine":
         cfg["levels"] = 2
+    if command == "check-estimates":
+        cfg["samples"] = draw(st.integers(1, 200))
     return cfg
 
 
@@ -68,6 +72,10 @@ def test_valid_config_converges_or_fails_typed(cfg):
             if cfg["command"] == "solve":
                 with open(os.path.join(out, "report.json")) as f:
                     assert json.load(f)["statistics"]["converged"] is True
+            if cfg["command"] == "check-estimates":
+                with open(os.path.join(out, "report.json")) as f:
+                    report = json.load(f)
+                assert "gradient_estimate" in report and "estimate_constants" in report
         else:
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert err.startswith(PREFIXES[code]), err
@@ -89,6 +97,8 @@ def _mutations(cfg):
         out.append(("radius", -1.0, "radius must be positive"))
     if "levels" in cfg:
         out.append(("levels", 1, "refine needs levels >= 2"))
+    if "samples" in cfg:
+        out.append(("samples", 0, "samples must lie in [1, "))
     return out
 
 
@@ -103,3 +113,20 @@ def test_key_out_of_range_exits_4_naming_it(data):
         assert err.startswith("invalid configuration:") and text in err, err
         assert key in text and "Traceback" not in err
         assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("domain", [
+    {"radius": 1e-300, "grid": 16},
+    {"shape": "ellipse", "axes": [1.5e-100, 1e-100], "n": 2, "grid": 32},
+    {"shape": "ellipse", "axes": [1e-300, 1e-300], "n": 2, "grid": 16},
+], ids=["ball-1e-300", "ellipse-1.5e-100", "ellipse-1e-300"])
+def test_extreme_domain_fails_in_one_typed_line(domain):
+    # the solve meets overflow and 0/0 on these valid domains; numpy's
+    # RuntimeWarnings took stderr's first lines.  As errors here, whichever
+    # tests ran before, a warning that escapes fails the test
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = _run({"command": "solve", "sigma": 0.5, **domain}, out)
+    assert code in (2, 3), err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(PREFIXES[code]), err

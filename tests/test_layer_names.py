@@ -1,5 +1,6 @@
 """The benchmark in perfbench/ traces layers by wrapping module attributes
-by name; every name it wraps must exist on the package."""
+by name; every name it wraps must exist on the package.  Every other
+function, class and method of the package is read by the package itself."""
 
 import ast
 import importlib
@@ -10,7 +11,9 @@ import pytest
 from hyperplateau import hypgeom, solver
 from hyperplateau.symfunc import CurvatureSpec
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "perfbench" / "run.py"
+SRC = ROOT / "src" / "hyperplateau"
 
 
 def _layers():
@@ -28,6 +31,59 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(f"hyperplateau.{module}"),
                                        attr, None))]
     assert not missing
+
+
+def _definitions(tree):
+    """(node, enclosing class name or None) of every module-level function
+    and class and every method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, None
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield sub, node.name
+
+
+def _overrides(module, cls, name):
+    """Whether method `name` of class `cls` replaces one of a base class,
+    which calls it."""
+    klass = getattr(importlib.import_module(f"hyperplateau.{module}"), cls)
+    return any(hasattr(base, name) for base in klass.__mro__[1:])
+
+
+def test_every_definition_is_read_in_src():
+    # a function, class or method is read in src/ outside its own body: a
+    # method by attribute, a module-level name by name or attribute.  Dunder
+    # methods, overrides and the names LAYERS wraps are read from outside
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((node, True))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((node, False))
+    wrapped = set()
+    for module, attr, _ in _layers():
+        obj = getattr(importlib.import_module(f"hyperplateau.{module}"), attr)
+        wrapped.add((obj.__module__, obj.__qualname__))
+    unread = []
+    for module, tree in trees.items():
+        for node, cls in _definitions(tree):
+            name = node.name
+            qualname = f"{cls}.{name}" if cls else name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if (f"hyperplateau.{module}", qualname) in wrapped:
+                continue
+            if cls is not None and _overrides(module, cls, name):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(id(ref) not in own and (by_attr or cls is None)
+                       for ref, by_attr in reads.get(name, [])):
+                unread.append(f"{module}.{qualname}")
+    assert not unread, f"read only outside src/: {unread}"
 
 
 @pytest.mark.parametrize("domain, grid_size", [

@@ -21,6 +21,8 @@ from hyperplateau.errors import (
 )
 from hyperplateau.symfunc import CurvatureSpec
 
+import oracles
+
 H1 = CurvatureSpec.consecutive_quotient(1, 2)
 H2H1 = CurvatureSpec.consecutive_quotient(2, 2)
 
@@ -231,7 +233,7 @@ def _families_up_to_4():
         for k in range(1, n + 1):
             specs += [CurvatureSpec.consecutive_quotient(k, n), CurvatureSpec.kth_root(k, n)]
             if k + 1 < n:
-                specs.append(CurvatureSpec.kth_root(k, n, cone_index=n))
+                specs.append(CurvatureSpec(symfunc.KTH_ROOT, n, k, 0, n))
             specs += [CurvatureSpec.general_quotient(k, l, n) for l in range(1, k)]
     return specs
 
@@ -838,7 +840,7 @@ class TestContinuation:
         rho = sol.layout.rho
         up, upp = solver._radial_derivatives(sol.u, rho[1] - rho[0])
         for i in (0, 40, 100, 127):
-            jet = hypgeom.radial_jet(sol.u[i], up[i], upp[i], rho[i], 2)
+            jet = oracles.radial_jet(sol.u[i], up[i], upp[i], rho[i], 2)
             assert np.max(np.abs(jet.kappa - np.sort(sol.kappa[i])[::-1])) < 1e-8
 
     def test_jacobian_cross_check_converged_solution(self):
@@ -1335,7 +1337,7 @@ class TestGridPath:
             D2u = 0.5 * (M + M.T)
             kappa, w = grid.principal_curvatures_2d(
                 u, Du[0], Du[1], D2u[0, 0], D2u[1, 1], D2u[0, 1])
-            jet = hypgeom.hyperbolic_shape(u, Du, D2u)
+            jet = oracles.hyperbolic_shape(u, Du, D2u)
             assert np.allclose(np.sort(kappa), np.sort(jet.kappa), atol=1e-10)
 
 

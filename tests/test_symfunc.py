@@ -12,6 +12,8 @@ from hyperplateau import symfunc
 from hyperplateau.errors import AdmissibilityError
 from hyperplateau.symfunc import CurvatureSpec
 
+import oracles
+
 
 def esym_bruteforce(kappa, k):
     """Subset-enumeration oracle for e_k; independent of the recurrence."""
@@ -20,34 +22,62 @@ def esym_bruteforce(kappa, k):
     return sum(math.prod(c) for c in itertools.combinations(kappa, k))
 
 
+def esym_table(kappa) -> np.ndarray:
+    """All unnormalized elementary symmetric values e_0..e_n, shape (..., n+1),
+    from the package's component-major recurrence."""
+    arr = symfunc._as_kappa(kappa)
+    return symfunc._batch(symfunc._esym_rows(symfunc._columns(arr), arr.shape[-1]), arr)
+
+
+def _order_k(kappa, k: int):
+    """n and e_k of a checked kappa, shaped like its batch."""
+    arr = symfunc._as_kappa(kappa)
+    n = arr.shape[-1]
+    if not 0 <= k <= n:
+        raise ValueError(f"order k={k} out of range 0..{n}")
+    return n, symfunc._esym_rows(symfunc._columns(arr), k)[k].reshape(arr.shape[:-1])
+
+
+def elementary_symmetric(kappa, k: int):
+    """Unnormalized e_k(kappa); e_0 = 1."""
+    _, ek = _order_k(kappa, k)
+    return symfunc._scalar(ek)
+
+
+def normalized_Hk(kappa, k: int):
+    """H_k = e_k / binom(n, k), so H_k(1,...,1) = 1."""
+    n, ek = _order_k(kappa, k)
+    return symfunc._scalar(ek / math.comb(n, k))
+
+
 class TestElementarySymmetric:
     def test_worked_examples(self):
-        assert symfunc.elementary_symmetric([1, 2, 3], 1) == 6
-        assert symfunc.elementary_symmetric([1, 2, 3], 2) == 11
-        assert symfunc.elementary_symmetric([1, 2, 3], 3) == 6
-        assert symfunc.elementary_symmetric([1, 2, 3], 0) == 1
+        assert elementary_symmetric([1, 2, 3], 1) == 6
+        assert elementary_symmetric([1, 2, 3], 2) == 11
+        assert elementary_symmetric([1, 2, 3], 3) == 6
+        assert elementary_symmetric([1, 2, 3], 0) == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            symfunc.elementary_symmetric([1.0, 2.0], 3)
+            elementary_symmetric([1.0, 2.0], 3)
         with pytest.raises(ValueError):
-            symfunc.elementary_symmetric([1.0, 2.0], -1)
+            elementary_symmetric([1.0, 2.0], -1)
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce(self, kappa):
         for k in range(len(kappa) + 1):
-            got = symfunc.elementary_symmetric(kappa, k)
+            got = elementary_symmetric(kappa, k)
             want = esym_bruteforce(kappa, k)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-9)
 
     def test_normalized_examples(self):
-        assert symfunc.normalized_Hk([3, 1], 1) == 2
-        assert symfunc.normalized_Hk([2, 2], 2) == 4
+        assert normalized_Hk([3, 1], 1) == 2
+        assert normalized_Hk([2, 2], 2) == 4
         for n in range(2, 6):
             ones = np.ones(n)
             for k in range(n + 1):
-                assert symfunc.normalized_Hk(ones, k) == pytest.approx(1.0)
+                assert normalized_Hk(ones, k) == pytest.approx(1.0)
 
 
 def esym_prefix_rowmajor(arr):
@@ -132,7 +162,7 @@ class TestConeContains:
         spec = CurvatureSpec.consecutive_quotient(16, 16)
         for call in (lambda: symfunc.sample_cone(16, 16, 1000, 0),
                      lambda: symfunc.check_conditions(spec, 1000, 0),
-                     lambda: symfunc.sup_gradient_sum(spec, 1000, 0)):
+                     lambda: oracles.sup_gradient_sum(spec, 1000, 0)):
             with pytest.raises(ValueError, match="n must be at most 8, got 16"):
                 call()
 
@@ -155,14 +185,14 @@ class TestComponentMajorTables:
     def test_table_and_every_order(self, n):
         for arr in oracle_batches(n, seed=n):
             want = esym_prefix_rowmajor(arr)
-            table = symfunc.esym_table(arr)
+            table = esym_table(arr)
             assert table.flags.c_contiguous and np.array_equal(table, want)
             cols = symfunc._columns(arr)
             for order in range(n + 1):
                 got = symfunc._esym_rows(cols, order)
                 assert got.shape[0] == order + 1
                 assert np.array_equal(got, want.reshape(-1, n + 1)[:, : order + 1].T)
-                assert np.array_equal(symfunc.elementary_symmetric(arr, order), want[..., order])
+                assert np.array_equal(elementary_symmetric(arr, order), want[..., order])
                 if order:
                     assert np.array_equal(symfunc.cone_contains(arr, order),
                                           cone_rowmajor(arr, order))
@@ -213,10 +243,10 @@ class TestPairTable:
         rng = np.random.default_rng(100 + n)
         r, t = rng.uniform(-3.0, 3.0, size=(2, 500))
         kappa = np.column_stack([r] + [t] * (n - 1))
-        want = symfunc.esym_table(kappa).T
+        want = esym_table(kappa).T
         # relative to the sum of the magnitudes of each e_j's terms, the
         # scale of its rounding error, which sign cancellation leaves
-        scale = symfunc.esym_table(np.abs(kappa)).T
+        scale = esym_table(np.abs(kappa)).T
         for order in range(n + 1):
             got = symfunc.pair_table(r, t, n - 1, order)
             assert got.shape == (order + 1, 500)
@@ -319,7 +349,7 @@ def families_up_to_4():
             specs.append(CurvatureSpec.consecutive_quotient(k, n))
             specs.append(CurvatureSpec.kth_root(k, n))
             if k + 1 < n:
-                specs.append(CurvatureSpec.kth_root(k, n, cone_index=n))
+                specs.append(CurvatureSpec(symfunc.KTH_ROOT, n, k, 0, n))
             specs.extend(CurvatureSpec.general_quotient(k, l, n) for l in range(1, k))
     return specs
 
@@ -446,13 +476,13 @@ class TestDifferenceQuotients:
         for spec in ALL_SPECS:
             pts = symfunc.sample_cone(spec.n, spec.cone_index, 300, seed=5)
             for p in pts:
-                Q = symfunc.monotone_difference_quotients(spec, p)
+                Q = oracles.monotone_difference_quotients(spec, p)
                 off = Q[~np.eye(spec.n, dtype=bool)]
                 assert off.max() <= 1e-9
 
     def test_equal_entries_limit(self):
         spec = CurvatureSpec.kth_root(2, 3)
-        Q = symfunc.monotone_difference_quotients(spec, [1.0, 1.0, 2.0])
+        Q = oracles.monotone_difference_quotients(spec, [1.0, 1.0, 2.0])
         H = symfunc.hessian_f(spec, [1.0, 1.0, 2.0])
         assert Q[0, 1] == pytest.approx(H[0, 0] - H[0, 1], abs=1e-6)
 
@@ -467,7 +497,7 @@ class TestMatrixCalculus:
     def test_F_on_diagonal(self):
         spec = CurvatureSpec.kth_root(2, 3)
         kappa = np.array([1.0, 2.0, 3.0])
-        val, Fij = symfunc.F_value_and_Fij(np.diag(kappa), spec)
+        val, Fij = oracles.F_value_and_Fij(np.diag(kappa), spec)
         assert val == pytest.approx(symfunc.eval_f(spec, kappa))
         assert np.allclose(np.diag(Fij), symfunc.grad_f(spec, kappa), atol=1e-10)
 
@@ -477,25 +507,25 @@ class TestMatrixCalculus:
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         A = Q @ np.diag(kappa) @ Q.T
-        val, Fij = symfunc.F_value_and_Fij(A, spec)
+        val, Fij = oracles.F_value_and_Fij(A, spec)
         assert val == pytest.approx(symfunc.eval_f(spec, kappa), rel=1e-10)
         # F^{ij} transforms covariantly
-        _, Fd = symfunc.F_value_and_Fij(np.diag(kappa), spec)
+        _, Fd = oracles.F_value_and_Fij(np.diag(kappa), spec)
         assert np.allclose(Fij, Q @ Fd @ Q.T, atol=1e-9)
 
     def test_Fij_matches_fd(self):
         spec = CurvatureSpec.kth_root(2, 3)
         kappa, B = self.rng_spd_pair(42, spec)
         A = np.diag(kappa)
-        _, Fij = symfunc.F_value_and_Fij(A, spec)
+        _, Fij = oracles.F_value_and_Fij(A, spec)
         h = 1e-6
         fd = np.zeros_like(A)
         for i in range(3):
             for j in range(3):
                 E = np.zeros((3, 3))
                 E[i, j] = E[j, i] = h
-                vp, _ = symfunc.F_value_and_Fij(A + E, spec)
-                vm, _ = symfunc.F_value_and_Fij(A - E, spec)
+                vp, _ = oracles.F_value_and_Fij(A + E, spec)
+                vm, _ = oracles.F_value_and_Fij(A - E, spec)
                 fd[i, j] = (vp - vm) / (4 * h) * (2.0 if i == j else 1.0)
         # dF/dA_ij for symmetric perturbation: off-diagonals appear twice
         assert np.max(np.abs(np.diag(fd) - np.diag(Fij))) < 1e-7
@@ -505,5 +535,5 @@ class TestMatrixCalculus:
         for spec in ALL_SPECS[:4]:
             for seed in range(20):
                 kappa, B = self.rng_spd_pair(seed, spec)
-                val = symfunc.second_contraction(kappa, B, spec)
+                val = oracles.second_contraction(kappa, B, spec)
                 assert val <= 1e-8
