@@ -184,7 +184,7 @@ class SolveReport:
 class GraphSolution:
     """A solved graph and the layout that made it (RadialLayout or
     grid.GridLayout), which answers every question about its nodes and
-    gives `spec`, `domain` and `u0`.  `u` holds the heights: the radial
+    gives `spec` and `u0`.  `u` holds the heights: the radial
     profile, or the grid's quadrant heights.  `kappa`, `nu_vertical` and `w`
     are given at the interior nodes only: the profile's, the rim excluded,
     or those of the ellipse's bounding box in box order."""
@@ -205,10 +205,6 @@ class GraphSolution:
     @property
     def spec(self) -> CurvatureSpec:
         return self.layout.spec
-
-    @property
-    def domain(self) -> Domain:
-        return self.layout.domain
 
     @property
     def u0(self) -> float:
@@ -463,9 +459,9 @@ class RadialLayout:
 # sup-norm at which Newton stops; `keeps_factorization`, to keep the
 # factorization for chord steps and the predictor (see _predict), and then
 # it gets one row only; and `exact_seed`, to start Newton from `initial` at
-# every point, the points of a solve or a sweep as one stack (see Seeds).
-# Newton records the error of a failed row in the NewtonState, and _solve_at
-# raises it.
+# every point, the points of a solve or a sweep as one stack (see Seeds),
+# which _march alone reads.  Newton returns the error of every failed row by
+# its row, and _solve_at raises it.
 
 
 class At(NamedTuple):
@@ -503,19 +499,14 @@ class Iterate(NamedTuple):
 class NewtonState:
     """What the Newton iterations of one solve share: the factorization kept
     for chord steps and, per row of the iterate (see above), the number of
-    factorizations, the number of trial iterates rejected as inadmissible,
-    and the error of each failed row, by its row.  A step of some rows of a
-    stack counts into their entries, so a stack has one state throughout."""
+    factorizations and the number of trial iterates rejected as
+    inadmissible.  A step of some rows of a stack counts into their
+    entries, so a stack has one state throughout."""
 
     def __init__(self, rows=1):
         self.factored = None
         self.factorizations = np.zeros(rows, dtype=int)
         self.rejected = np.zeros(rows, dtype=int)
-        self.errors = {}
-
-    def fail(self, row, error):
-        """End the row `row` with `error`, unless it already failed."""
-        self.errors.setdefault(int(row), error)
 
 
 def _norm(res):
@@ -566,12 +557,14 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
     Newton correction delta and backtracks along it by one damping factor:
     in each round a pending row is accepted, when its trial iterate is
     admissible and its residual sup-norm decreases, or the factor of every
-    pending row halves.  A row fails (see NewtonState.fail) when its solve
-    is singular or not finite, solved again alone since a failure spreads
-    through a stack, or when its backtracking runs out.  Returns the
-    iterate and the norms after the step: `it` and `norm` with every
-    accepted row written into them, or the trial iterate and its norms when
-    it takes every row of `it`.  A row that failed keeps its state."""
+    pending row halves.  A row fails when its solve is singular or not
+    finite, solved again alone since a failure spreads through a stack, or
+    when its backtracking runs out.  Returns the iterate and the norms after
+    the step, `it` and `norm` with every accepted row written into them or
+    the trial iterate and its norms when it takes every row of `it`, and
+    the error of every failed row, by its row.  A row that failed keeps its
+    state."""
+    failed = {}
     if state.factored is not None:
         try:
             trial = layout.evaluate(it.u + layout.solve(state.factored, -it.res), it.at)
@@ -580,7 +573,7 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
         else:
             trial_norm = _norm(trial.res)
             if trial_norm <= 0.5 * norm or trial_norm <= layout.newton_tol:
-                return trial, trial_norm
+                return trial, trial_norm, failed
     # drop the kept factors before building new ones: never hold two
     state.factored = None
     part = it if len(rows) == len(norm) else _rows(it, rows)
@@ -595,15 +588,15 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
             try:
                 delta[k] = layout.solve(_rows(factored, [k]), -part.res[[k]])[0]
             except SingularJacobianError as exc:
-                state.fail(rows[k], exc)
+                failed[rows[k]] = exc
             if not np.isfinite(delta[k]).all():
-                state.fail(rows[k],
-                           SingularJacobianError("linear solve produced non-finite update"))
-    if layout.keeps_factorization and not state.errors:
+                failed.setdefault(
+                    rows[k], SingularJacobianError("linear solve produced non-finite update"))
+    if layout.keeps_factorization and not failed:
         state.factored = factored
 
     t = 1.0
-    pending = [k for k, i in enumerate(rows) if i not in state.errors]  # rows of part
+    pending = [k for k, i in enumerate(rows) if i not in failed]  # rows of part
     for _ in range(MAX_DAMPING_STEPS + 1):
         if not pending:
             break
@@ -616,7 +609,7 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
             trial_norm = _norm(trial.res)
             better = [j for j, k in enumerate(good) if trial_norm[j] < norm[rows[k]]]
             if len(better) == len(norm):
-                return trial, trial_norm
+                return trial, trial_norm, failed
             accepted = [rows[good[j]] for j in better]
             _put(it, accepted, _rows(trial, better))
             norm[accepted] = trial_norm[better]
@@ -624,35 +617,38 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
         t *= DAMPING_FACTOR
     for k in pending:
         sigma, epsilon = it.at.point(rows[k])
-        state.fail(rows[k], NonConvergenceError(
-            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}"))
-    return it, norm
+        failed[rows[k]] = NonConvergenceError(
+            f"backtracking exhausted {MAX_DAMPING_STEPS} halvings at sigma={sigma}, eps={epsilon}")
+    return it, norm, failed
 
 
 def _newton_solve(layout, it, state: NewtonState):
     """Newton iterations on every row of the iterate `it` until its residual
     sup-norm meets the layout's tolerance.  The rows are independent: a row
     that converges stops while the others go on, and a row that fails stops
-    with its error (see NewtonState.fail).  Returns the iterate holding
-    every row's last state (written into `it` when some rows step without
-    the others) and per row its iterations and factorizations."""
+    with its error.  Returns the iterate holding every row's last state
+    (written into `it` when some rows step without the others), per row its
+    iterations and factorizations, and the error of every failed row, by
+    its row."""
     first = state.factorizations.copy()
     norm = _norm(it.res)
     count = [0] * norm.size
+    errors = {}
     while True:
         rows = []
         for i, norm_i in enumerate(norm.tolist()):
-            if not norm_i > layout.newton_tol or i in state.errors:
+            if not norm_i > layout.newton_tol or i in errors:
                 continue
             if count[i] == MAX_NEWTON_ITERS:
                 sigma, epsilon = it.at.point(i)
-                state.fail(i, NonConvergenceError(
-                    f"Newton stalled at residual {norm_i:.3e} (sigma={sigma}, eps={epsilon})"))
+                errors[i] = NonConvergenceError(
+                    f"Newton stalled at residual {norm_i:.3e} (sigma={sigma}, eps={epsilon})")
             else:
                 rows.append(i)
         if not rows:
-            return it, np.array(count), state.factorizations - first
-        it, norm = newton_step(layout, it, norm, rows, state)
+            return it, np.array(count), state.factorizations - first, errors
+        it, norm, failed = newton_step(layout, it, norm, rows, state)
+        errors.update(failed)
         for i in rows:
             count[i] += 1
 
@@ -689,14 +685,13 @@ def _solve_at(layout, it, at, state: NewtonState, seeded: bool):
     without an iterate `it`, it starts from `layout.initial`; otherwise, or
     where that fails and `it` exists, from the Euler prediction (see
     _predict) from the state of `it`, moved to `at` with its heights kept.
-    The row's error is taken out of `state`, which later solves share, and
-    raised.  Returns the converged iterate, its iterations, factorizations
-    and center height (layout.u0)."""
+    The row's error is raised.  Returns the converged iterate, its
+    iterations, factorizations and center height (layout.u0)."""
 
     def newton(start):
-        new, count, nf = _newton_solve(layout, start, state)
-        if 0 in state.errors:
-            raise state.errors.pop(0)
+        new, count, nf, errors = _newton_solve(layout, start, state)
+        if errors:
+            raise errors[0]
         return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new)[0])
 
     if seeded or it is None:
@@ -722,11 +717,11 @@ def _seeded(layout, points):
     rejected, solved = [0] * len(points), [None] * len(points)
     if good:
         rows = NewtonState(len(good))
-        it, count, nf = _newton_solve(layout, it, rows)
+        it, count, nf, failed = _newton_solve(layout, it, rows)
         heights = layout.heights(it)
         for j, i in enumerate(good):
             rejected[i] = int(rows.rejected[j])
-            if j not in rows.errors:
+            if j not in failed:
                 solved[i] = (slice(j, j + 1), int(count[j]), int(nf[j]),
                              layout.u0(heights[j]))
     return it, rejected, solved
@@ -755,25 +750,26 @@ class Seeds:
         return self.solved[point]
 
 
-def _march(layout, it, points, state: NewtonState, seeds):
-    """Walk the (sigma, epsilon) points in order.  With `seeds` (a Seeds
-    holding every point), each point is first read from its seeded solve,
-    and the walk takes a converged row as it is, slicing it out of its
-    stack only when a step starts from it or the march returns it.  Every
-    other point is reached by steps (see _solve_at) from `it`, the last
-    accepted iterate, with up-to-8-deep bisection: a failed step is retried
-    at the midpoint of the last accepted point and its target, where a
-    seeded march tries the seed first.  Without an iterate yet (`it`
-    None), the first point, unless its seeded row converged, is reached by
-    marching sigma down from SIGMA_START at its boundary height, from the
-    cap seed there and unbisected.  Returns the iterate converged at the
-    last point, the Newton iterations and factorizations of every accepted
-    step, and the center height at each point walked, keyed by point."""
+def _march(layout, it, points, state: NewtonState, seeds: Seeds):
+    """Walk the (sigma, epsilon) points in order.  When the layout's class
+    sets `exact_seed`, each point is first read from its seeded solve in
+    `seeds` (a Seeds holding every point), and the walk takes a converged
+    row as it is, slicing it out of its stack only when a step starts from
+    it or the march returns it.  Every other point is reached by steps (see
+    _solve_at) from `it`, the last accepted iterate, with up-to-8-deep
+    bisection: a failed step is retried at the midpoint of the last
+    accepted point and its target, where a seeded march tries the seed
+    first.  Without an iterate yet (`it` None), the first point, unless its
+    seeded row converged, is reached by marching sigma down from
+    SIGMA_START at its boundary height, from the cap seed there and
+    unbisected.  Returns the iterate converged at the last point, the
+    Newton iterations and factorizations of every accepted step, and the
+    center height at each point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
     kept = None  # [stack, row slice] of the last seeded row taken, not sliced yet
     # (target, whether the march reads its seed and tries it first in a step)
-    walk = [(target, seeds is not None) for target in points]
-    if it is None and (seeds is None or seeds.get(points[0], state) is None):
+    walk = [(target, layout.exact_seed) for target in points]
+    if it is None and (not layout.exact_seed or seeds.get(points[0], state) is None):
         # the cap seed is converged at no parameter values: no prediction
         # from it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
@@ -811,24 +807,14 @@ def _march(layout, it, points, state: NewtonState, seeds):
     return it, iters, factors, u0_by_point
 
 
-def _continue(layout, cfg: SolverConfig, state: NewtonState):
-    """Solve at every scheduled boundary height: one march over them,
-    seeded when the layout's class sets `exact_seed` (see _march).  Returns
-    the last converged iterate, the Newton iterations and factorizations of
-    every step, and the center height at each scheduled boundary height."""
+def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
+    """Continuation solve of a config on the given layout, ball or ellipse:
+    one march over the scheduled boundary heights at sigma_target (see
+    _march), its report holding the center height at each of them."""
+    state = NewtonState()
     sigma = cfg.sigma_target
     points = [(sigma, e) for e in cfg.epsilon_schedule]
-    seeds = Seeds(layout, points) if layout.exact_seed else None
-    it, iters, factors, u0_by_point = _march(layout, None, points, state, seeds)
-    u0_by_eps = {e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma}
-    return it, iters, factors, u0_by_eps
-
-
-def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
-    """Continuation solve of a config on the given layout."""
-    state = NewtonState()
-    it, iters, factors, u0_by_eps = _continue(layout, cfg, state)
-    sigma, epsilon = cfg.sigma_target, cfg.epsilon_schedule[-1]
+    it, iters, factors, u0_by_point = _march(layout, None, points, state, Seeds(layout, points))
     sol = layout.solution(it)
     kappa_max, min_nu = sol.summary()
     sol.report = SolveReport(
@@ -840,9 +826,9 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         min_nu_vertical=min_nu,
         admissibility_violations=int(state.rejected.sum()),
         sigma=sigma,
-        epsilon=epsilon,
+        epsilon=points[-1][1],
         grid_size=cfg.grid_size,
-        u0_by_epsilon=u0_by_eps,
+        u0_by_epsilon={e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma},
     )
     return sol
 
@@ -871,44 +857,39 @@ def cap_solution(spec: CurvatureSpec, domain: Domain, sigma: float, grid_size: i
 
 def continuation_solve(config: SolverConfig) -> GraphSolution:
     """Solve to (sigma_target, min epsilon), Newton-iterating at every
-    scheduled boundary height (see _continue).  Ellipses go through the
-    grid path's entry point, grid.continuation_solve_grid."""
-    if config.domain.shape == hypgeom.SHAPE_ELLIPSE:
-        return grid.continuation_solve_grid(config)
+    scheduled boundary height, on the config's layout (see solve_on)."""
     return solve_on(_layout(config), config)
 
 
 def sweep_sigma(config: SolverConfig, sigmas) -> list:
     """Sweep over sigma values (descending); one row per sigma, per-row
-    failures recorded rather than raised.  The first row, and every row
-    that no converged row precedes, runs the full continuation; every other
+    failures recorded rather than raised.  Each row is one march (see
+    _march).  A row that no converged row precedes marches its sigma's
+    schedule of boundary heights, as a solve at its sigma does; every other
     row marches to the one point (sigma, epsilon_min) from the last
-    converged iterate, whose point a failed step bisects back towards (see
-    _march).  On balls every point of the sweep is seeded from the cap,
-    the first row's schedule and each later row's point as the rows of one
-    stack (see Seeds), so a later row's march takes its converged seeded
-    row as it is; ellipses start each step from the Euler prediction (see
-    _solve_at)."""
+    converged iterate, whose point a failed step bisects back towards.  On
+    balls every point of the sweep is seeded from the cap, the first row's
+    schedule and each later row's point as the rows of one stack (see
+    Seeds), so a later row's march takes its converged seeded row as it
+    is; a schedule marched after a failed first row has seeds of its own.
+    Ellipses start each step from the Euler prediction (see _solve_at)."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")
     layout = _layout(config)
     state = NewtonState()
-    epsilon = config.epsilon_schedule[-1]
-    first = [(sigmas[0], e) for e in config.epsilon_schedule] if sigmas else []
-    later = [(s, epsilon) for s in sigmas[1:]]
-    seeds = Seeds(layout, first + later) if layout.exact_seed else None
+    schedule = config.epsilon_schedule
+    seeds = Seeds(layout, [(s, e) for s in sigmas[:1] for e in schedule]
+                  + [(s, schedule[-1]) for s in sigmas[1:]])
     rows = []
     warm = None  # the last converged iterate
     for i, s in enumerate(sigmas):
         row = {"sigma": s, "below_sigma0": s < SIGMA0_INTERVAL[0]}
         try:
-            if i == 0:
-                warm, its, _, _ = _march(layout, None, first, state, seeds)
-            elif warm is None:
-                warm, its, _, _ = _continue(layout, replace(config, sigma_target=s), state)
-            else:
-                warm, its, _, _ = _march(layout, warm, [(s, epsilon)], state, seeds)
+            points = [(s, e) for e in schedule] if warm is None else [(s, schedule[-1])]
+            own = warm is None and i > 0  # a schedule after a failed first row
+            warm, its, _, _ = _march(layout, warm, points, state,
+                                     Seeds(layout, points) if own else seeds)
             sol = layout.solution(warm)
             kappa_max, min_nu = sol.summary()
             row.update(status="ok", converged=True, u0=sol.u0, kappa_max=kappa_max,

@@ -381,16 +381,16 @@ class TestNewton:
         v = layout.deviation(u, point)
         it = layout.evaluate(v, point)
         base = np.max(np.abs(solver.residual(v, H2H1, point.sigma[:, 0], point.cap, rho)[0]))
-        _, norm = _step(layout, it, solver.NewtonState())
+        _, norm, _ = _step(layout, it, solver.NewtonState())
         assert norm <= base / 100.0
 
     def test_fixed_point(self):
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
-        layout = solver.RadialLayout(H2H1, sol.domain, 128)
+        layout = solver.RadialLayout(H2H1, sol.layout.domain, 128)
         point = _at(layout, 0.5, sol.epsilon)
         it = layout.evaluate(layout.deviation(sol.u, point), point)
-        new, norm = _step(layout, it, solver.NewtonState())
+        new, norm, _ = _step(layout, it, solver.NewtonState())
         # the correction taken, relative to the heights
         step = np.max(np.abs(new.u - it.u)) / (1.0 + np.max(np.abs(sol.u)))
         assert step <= 1e-8
@@ -438,10 +438,10 @@ class TestNewton:
 class TestNewtonState:
     def test_rejected_trials_counted(self):
         layout, state = _LineLayout(), solver.NewtonState()
-        it, norm = _step(layout, layout.evaluate(np.zeros((1, 1)), _at(layout, 0, 0)), state)
+        it, norm, _ = _step(layout, layout.evaluate(np.zeros((1, 1)), _at(layout, 0, 0)), state)
         # full step rejected, half step accepted
         assert it.u[0] == 0.5 and state.rejected == 1 and state.factorizations == 1
-        it, _ = _step(layout, it, state)
+        it, _, _ = _step(layout, it, state)
         # chord trial rejected, then the refactored full step, then half of it
         assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
@@ -517,8 +517,8 @@ def test_nan_jacobian_raises_singular():
     state, point = solver.NewtonState(), _at(layout, 0.5, 0.1)
     u = layout.initial(point)
     u[:, :-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
-    _step(layout, layout.evaluate(u, point), state)
-    assert isinstance(state.errors[0], SingularJacobianError)
+    _, _, failed = _step(layout, layout.evaluate(u, point), state)
+    assert isinstance(failed[0], SingularJacobianError)
 
 
 class _NaNSolveGridLayout(grid.GridLayout):
@@ -533,8 +533,8 @@ def test_failed_grid_solve_keeps_no_factors():
     # kept for the chord steps and predictions of the points after it
     layout = _NaNSolveGridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 16)
     state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
-    _step(layout, layout.evaluate(layout.initial(point), point), state)
-    assert str(state.errors[0]) == "linear solve produced non-finite update"
+    _, _, failed = _step(layout, layout.evaluate(layout.initial(point), point), state)
+    assert str(failed[0]) == "linear solve produced non-finite update"
     assert state.factored is None
 
 
@@ -635,7 +635,7 @@ class TestPredictor:
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
         seed = layout.evaluate(layout.initial(point), point)
-        it, _, _ = solver._newton_solve(layout, seed, state)
+        it, _, _, _ = solver._newton_solve(layout, seed, state)
         state.factored = layout.factor(layout.jacobian(it.lin))
         return layout, state, it.u
 
@@ -833,6 +833,24 @@ class TestContinuation:
         assert sol.report.epsilon == 0.0
         assert list(sol.report.u0_by_epsilon)[-1] == 0.0
 
+    def test_ellipse_solves_on_the_config_layout(self, monkeypatch):
+        # every domain's layout is built by _layout: the ellipse branch that
+        # built its own grid.GridLayout is gone
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                  sigma_target=0.5, grid_size=32)
+        plain = solver.continuation_solve(cfg)
+        made = []
+
+        class Recorded(grid.GridLayout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_layout", lambda c: Recorded(c.spec, c.domain, c.grid_size))
+        sol = solver.continuation_solve(cfg)
+        assert made == [sol.layout]
+        assert sol.u0 == plain.u0
+
     def test_interior_jets_admissible(self):
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.3, grid_size=128)
@@ -899,8 +917,8 @@ class TestSweep:
         assert abs(rows[1]["u0"] - plain[1]["u0"]) < 1e-8
 
     def test_failed_middle_row_leaves_later_rows(self, monkeypatch):
-        # the rows share one Newton state, where Newton records a failed
-        # row's error: left there, it would end every later row at once
+        # the rows share one Newton state; a failed row's error ends that
+        # row alone, not every later row
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
                                   sigma_target=0.5, grid_size=128)
         monkeypatch.setattr(solver, "_layout",
@@ -1229,7 +1247,7 @@ class TestGridPath:
         cx, cy = nx // 2, ny // 2
         assert np.array_equal(sol.u, U[cx:, cy:])
         # every kappa row is the quadrant curvature at the node's mirror image
-        layout = grid.GridLayout(H2H1, sol.domain, 32)
+        layout = grid.GridLayout(H2H1, sol.layout.domain, 32)
         kappa, w = grid.principal_curvatures_2d(*grid._jets(U[cx:, cy:], layout))
         row = {node: k for k, node in enumerate(zip(*np.nonzero(layout.inside)))}
         for k, (i, j) in enumerate(zip(*np.nonzero(sol.layout.mask))):
@@ -1364,8 +1382,9 @@ def _alone(layout, point):
     rejected trial count and (u, res, iterations, factorizations)."""
     at = _at(layout, *point)
     state = solver.NewtonState(1)
-    it, count, nf = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at), state)
-    assert not state.errors
+    it, count, nf, errors = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at),
+                                                 state)
+    assert not errors
     return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
 
 
@@ -1467,21 +1486,21 @@ class TestStackedRows:
         points = [(0.5, e) for e in solver.default_epsilon_schedule()]
         at = layout.at(points)
         state = solver.NewtonState(len(points))
-        it, count, nf = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at),
-                                             state)
+        it, count, nf, errors = solver._newton_solve(
+            layout, layout.evaluate(layout.initial(at), at), state)
         broken = [i for i, p in enumerate(points) if p[1] in (layout.singular, layout.nan)]
-        assert sorted(state.errors) == broken
+        assert sorted(errors) == broken
         for i, point in enumerate(points):
             if i in broken:
                 alone, at = solver.NewtonState(), _at(layout, *point)
-                _step(layout, layout.evaluate(layout.initial(at), at), alone)
-                assert isinstance(alone.errors[0], SingularJacobianError)
-                assert type(state.errors[i]) is SingularJacobianError
-                assert str(state.errors[i]) == str(alone.errors[0])
+                _, _, failed = _step(layout, layout.evaluate(layout.initial(at), at), alone)
+                assert isinstance(failed[0], SingularJacobianError)
+                assert type(errors[i]) is SingularJacobianError
+                assert str(errors[i]) == str(failed[0])
             else:
                 _same_outcome((state.rejected[i], (it.u[i], it.res[i], count[i], nf[i])),
                               _alone(solver.RadialLayout(H2H1, layout.domain, 64), point))
-        texts = {points[i][1]: str(error) for i, error in state.errors.items()}
+        texts = {points[i][1]: str(error) for i, error in errors.items()}
         assert texts[layout.singular] == "singular matrix"
         assert texts[layout.nan] == "linear solve produced non-finite update"
 
@@ -1492,12 +1511,12 @@ class TestStackedRows:
         layout = _StackedLineLayout()
         points = [(0.5, 0.0), (1.0, 0.0)]
         state = solver.NewtonState(2)
-        it, norm = _step(layout, layout.evaluate(np.zeros((2, 1)), layout.at(points)), state)
+        it, norm, _ = _step(layout, layout.evaluate(np.zeros((2, 1)), layout.at(points)), state)
         assert np.array_equal(it.u, [[0.5], [0.5]]) and np.array_equal(norm, [0.0, 0.5])
         assert state.rejected.tolist() == [0, 1] and state.factorizations.tolist() == [1, 1]
         for row in range(2):
             alone, point = solver.NewtonState(), layout.at(points[row:row + 1])
-            single, _ = _step(layout, layout.evaluate(np.zeros((1, 1)), point), alone)
+            single, _, _ = _step(layout, layout.evaluate(np.zeros((1, 1)), point), alone)
             assert np.array_equal(single.u[0], it.u[row])
             assert alone.rejected[0] == state.rejected[row]
 
@@ -1514,17 +1533,17 @@ class TestStackedRows:
         layout.floor = floor
         points = [(0.3, 0.1), (0.5, 0.2), (0.7, 0.3)]
         state = solver.NewtonState(3)
-        it, count, _ = solver._newton_solve(
+        it, count, _, errors = solver._newton_solve(
             layout, layout.evaluate(np.zeros((3, 1)), layout.at(points)), state)
-        assert list(state.errors) == [1] and re.fullmatch(message, str(state.errors[1]))
+        assert list(errors) == [1] and re.fullmatch(message, str(errors[1]))
         assert count[0] == count[2] == 1 < count[1]
         if floor is None:
             assert count[1] == solver.MAX_NEWTON_ITERS
         for row in (0, 2):
             alone = solver.NewtonState()
-            single, single_count, _ = solver._newton_solve(
+            single, single_count, _, single_errors = solver._newton_solve(
                 layout, layout.evaluate(np.zeros((1, 1)), layout.at(points[row:row + 1])), alone)
-            assert not alone.errors and single_count[0] == count[row]
+            assert not single_errors and single_count[0] == count[row]
             assert np.array_equal(single.u[0], it.u[row])
 
 
