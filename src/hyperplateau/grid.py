@@ -129,11 +129,8 @@ class GridLayout:
         return solver.Iterate(U, *residual_grid(U, self.spec, at.sigma[:, 0], at.epsilon[:, 0],
                                                 self), at)
 
-    def jacobian(self, lin):
-        return _jacobian_grid(lin, self.spec, self)
-
-    def factor(self, J):
-        J_ii, J_ib = J
+    def factor(self, lin):
+        J_ii, J_ib = _jacobian_grid(lin, self.spec, self)
         try:
             lu = splu(J_ii, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         except RuntimeError as exc:

@@ -21,8 +21,8 @@ umbilic cap with boundary height epsilon has kappa = sigma everywhere, so it
 solves the continuous problem exactly for every normalized f: Newton starts
 from it at each scheduled boundary height, and at each later sigma of a
 sweep, and needs a few iterations there.  These seeded points are
-independent solves, which Newton iterates as the rows of one stack, a
-sweep's later points joining the first sigma's schedule: every Newton state
+independent solves, which Newton iterates as the rows of stacks of at most
+STACK_NODES nodes taken in the order they are marched: every Newton state
 is a stack of rows, a single solve one of one row.  A step whose seeded row
 fails warm-starts from the last accepted state instead.  On the grid path,
 and at the first height when the seeded Newton fails there, continuation
@@ -70,13 +70,16 @@ MAX_NEWTON_ITERS = 50
 DAMPING_FACTOR = 0.5
 MAX_DAMPING_STEPS = 20
 
-# the most nodes of one state whose seeded points Newton iterates as one
-# stack (N <= 2048); finer grids solve their points one at a time (see
-# Seeds).  In-process on a 2-vCPU Xeon, the 8 heights of a schedule as one
-# stack take about half the time of 8 solves at N = 512 and 0.7 of it at
-# N = 1024, while at N = 4096 and 8192 stacks of 4 and 2 rows took about
-# 1.2 times as long as the heights solved one at a time
-STACK_MAX_NODES = 2049
+# the most nodes of one stack of seeded points (see Seeds), which takes
+# max(1, STACK_NODES // nodes) of them: a schedule's 8 heights are one stack
+# up to N = 2048, and stacks hold 4 rows at N = 4096 and 2 at 8192.  Paired
+# in-process on a 2-vCPU Xeon (H2/H1, n = 2, sigma = 0.2, one BLAS thread,
+# medians of 21), solves at N = 512, 1024, ..., 8192 took 2.3, 3.8, 5.2, 10.3
+# and 11.1 ms; with 2**14 nodes (7 + 1 rows at 2048) 2.4, 3.9, 5.9, 10.9 and
+# 11.3, a point at a time 7.9, 6.1, 8.6, 11.6 and 11.7, and as one stack 16.0
+# and 16.8 at N = 4096 and 8192, where 20-sigma sweeps took 25 and 55 ms (39
+# and 89 as one stack)
+STACK_NODES = 8 * 2049
 
 
 # default schedules: boundary heights halved from EPSILON_START down to
@@ -365,8 +368,8 @@ class RadialLayout:
     floor of the 1/h^2 stencil lies above the tolerance even at N = 16384.
     `heights` and `deviation` map between the two at a point.  The cap is
     v = 0, and the driver starts Newton from it at every boundary height,
-    all heights of a schedule, and a sweep's later points with them, as one
-    stack, each row with the arithmetic it gets alone.  Newton stops at a
+    all heights of a schedule, and a sweep's later points, as the rows of
+    stacks, each row with the arithmetic it gets alone.  Newton stops at a
     residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
     at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
     study up to that grid read order 1.58 for 2.00.  A solution reports the
@@ -397,11 +400,9 @@ class RadialLayout:
     def evaluate(self, v, at):
         return Iterate(v, *residual(v, self.spec, at.sigma[:, 0], at.cap, self.rho), at)
 
-    def jacobian(self, lin):
+    def factor(self, lin):
+        # the Jacobian itself: solve_banded factors and solves in one call
         return _jacobian_fd(lin, self.spec, self.rho[1] - self.rho[0])
-
-    def factor(self, ab):
-        return ab  # solve_banded factors and solves in one call
 
     def solve(self, ab, rhs):
         """The update from the systems ab at the right-hand sides rhs.  A
@@ -447,8 +448,8 @@ class RadialLayout:
 # an At (`at`), once; every Iterate carries the At of its rows, and every
 # Newton function reads its points from the iterate it is given.  A layout
 # evaluates a stack at its points into an Iterate (raising
-# AdmissibilityLostError with the rows at fault), builds the Jacobian from
-# what that evaluation built, factors it and solves with the factors
+# AdmissibilityLostError with the rows at fault), factors the Jacobian at
+# what that evaluation built (`factor`) and solves with the factors
 # (raising SingularJacobianError), seeds a stack from the caps at its points
 # (`initial`), maps an iterate to its heights and heights back to a state
 # at a stack of points (`heights`, `deviation`), and turns the one-row
@@ -459,7 +460,7 @@ class RadialLayout:
 # sup-norm at which Newton stops; `keeps_factorization`, to keep the
 # factorization for chord steps and the predictor (see _predict), and then
 # it gets one row only; and `exact_seed`, to start Newton from `initial` at
-# every point, the points of a solve or a sweep as one stack (see Seeds),
+# every point, the points of a solve or a sweep as stacks (see Seeds),
 # which _march alone reads.  Newton returns the error of every failed row by
 # its row, and _solve_at raises it.
 
@@ -577,7 +578,7 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
     # drop the kept factors before building new ones: never hold two
     state.factored = None
     part = it if len(rows) == len(norm) else _rows(it, rows)
-    factored = layout.factor(layout.jacobian(part.lin))
+    factored = layout.factor(part.lin)
     state.factorizations[rows] += 1
     try:
         delta = layout.solve(factored, -part.res)
@@ -729,9 +730,9 @@ def _seeded(layout, points):
 
 class Seeds:
     """The seeded Newton solves (see _seeded) of a list of (sigma, epsilon)
-    points, which marches read point by point: every point as a row of one
-    stack, solved at the first read, or, on states of more than
-    STACK_MAX_NODES nodes, each point alone when it is read.  Only the
+    points, which marches read point by point: a point not yet solved is
+    solved when it is read, as the first row of one stack with the points
+    after it in the list, at most STACK_NODES nodes or one point.  Only the
     latest stack is held."""
 
     def __init__(self, layout, points):
@@ -743,7 +744,8 @@ class Seeds:
         its row failed.  The trial iterates a new stack rejected count into
         `state`."""
         if point not in self.solved:
-            run = [point] if self.layout.nodes > STACK_MAX_NODES else self.points
+            i = self.points.index(point)
+            run = self.points[i:i + max(1, STACK_NODES // self.layout.nodes)]
             it, rejected, solved = _seeded(self.layout, run)
             state.rejected += sum(rejected)
             self.solved = {p: s if s is None else (it, *s) for p, s in zip(run, solved)}
@@ -869,7 +871,7 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     row marches to the one point (sigma, epsilon_min) from the last
     converged iterate, whose point a failed step bisects back towards.  On
     balls every point of the sweep is seeded from the cap, the first row's
-    schedule and each later row's point as the rows of one stack (see
+    schedule and then each later row's point as the rows of stacks (see
     Seeds), so a later row's march takes its converged seeded row as it
     is; a schedule marched after a failed first row has seeds of its own.
     Ellipses start each step from the Euler prediction (see _solve_at)."""

@@ -738,10 +738,11 @@ class TestFailurePaths:
                                            else f"non-convergence: {message}\n")
 
     @pytest.mark.parametrize("grid_size, sigma", list(SIGMA_MARCH_FIRST))
-    def test_sigma_march_at_first_height(self, grid_size, sigma, tmp_path):
+    def test_sigma_march_at_first_height(self, grid_size, sigma, tmp_path, capsys):
         out = tmp_path / "o"
         assert cli.run({"command": "solve", "sigma": sigma, "grid": grid_size,
                         "export": "report-json", "out": str(out)}) == 0
+        assert capsys.readouterr().out == f"{out / 'report.json'}\n"
         report = json.loads((out / "report.json").read_text())
         assert report["statistics"] == SIGMA_MARCH_FIRST[grid_size, sigma]
 

@@ -201,11 +201,8 @@ class _LineLayout:
             raise AdmissibilityLostError(bad)
         return solver.Iterate(u, u - 1.0, u, at)
 
-    def jacobian(self, u):
+    def factor(self, u):
         return np.eye(u.size)
-
-    def factor(self, J):
-        return J
 
     def solve(self, J, rhs):
         return np.linalg.solve(J, rhs)
@@ -503,8 +500,8 @@ class TestNewtonState:
 class _NaNJacobianLayout(solver.RadialLayout):
     """The radial layout with a NaN on the diagonal of every Jacobian."""
 
-    def jacobian(self, lin):
-        ab = super().jacobian(lin)
+    def factor(self, lin):
+        ab = super().factor(lin)
         ab[1, ..., 5] = np.nan
         return ab
 
@@ -636,7 +633,7 @@ class TestPredictor:
         state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
         seed = layout.evaluate(layout.initial(point), point)
         it, _, _, _ = solver._newton_solve(layout, seed, state)
-        state.factored = layout.factor(layout.jacobian(it.lin))
+        state.factored = layout.factor(it.lin)
         return layout, state, it.u
 
     def predicted_norm(self, layout, state, u, sigma):
@@ -1007,9 +1004,9 @@ class _SingularSigmaLayout(solver.RadialLayout):
         it = super().evaluate(v, at)
         return it._replace(lin=(it.lin, at.sigma))
 
-    def jacobian(self, lin):
+    def factor(self, lin):
         lin, sigma = lin
-        ab = super().jacobian(lin)
+        ab = super().factor(lin)
         ab.reshape(3, -1, ab.shape[-1])[:, sigma[:, 0] == self.singular] = 0.0
         return ab
 
@@ -1028,8 +1025,8 @@ class _SingularAtLayout(solver.RadialLayout):
         self.evaluated_at = at.sigma
         return super().evaluate(v, at)
 
-    def jacobian(self, lin):
-        ab = super().jacobian(lin)
+    def factor(self, lin):
+        ab = super().factor(lin)
         return 0.0 * ab if self.evaluated_at[0, 0] == self.singular else ab
 
 
@@ -1185,7 +1182,7 @@ class TestGridPath:
         assert np.max(np.abs(rhs[0, ~layout.inside.ravel()])) == pytest.approx(0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
         full = spsolve(J, _unfold(layout, rhs).ravel()).reshape(layout.mask.shape)
-        quadrant = layout.solve(layout.factor(layout.jacobian(it.lin)), rhs)
+        quadrant = layout.solve(layout.factor(it.lin), rhs)
         bound = 1e-10 * np.max(np.abs(full))
         assert np.max(np.abs(quadrant.ravel() - full.ravel()[_quadrant_nodes(layout)])) <= bound
         # off the quadrant the full-box solve departs from mirror symmetry by
@@ -1223,7 +1220,8 @@ class TestGridPath:
         P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
                        shape=(fold.size, layout.inside.size))
         folded = (J[rows] @ P).toarray()
-        J_ii, J_ib = layout.jacobian(layout.evaluate(U, _at(layout, 0.5, 0.05)).lin)
+        J_ii, J_ib = grid._jacobian_grid(layout.evaluate(U, _at(layout, 0.5, 0.05)).lin, H2H1,
+                                         layout)
         ins = layout.inside.ravel()
         scale = np.max(np.abs(folded))
         assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
@@ -1315,9 +1313,9 @@ class TestGridPath:
     def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
         layout, U = self.symmetric_state(grid_size)
         lin = layout.evaluate(U, _at(layout, 0.5, 0.1)).lin
-        J_ii, J_ib = layout.jacobian(lin)
+        J_ii, J_ib = grid._jacobian_grid(lin, H2H1, layout)
         monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
-        C_ii, C_ib = layout.jacobian(lin)
+        C_ii, C_ib = grid._jacobian_grid(lin, H2H1, layout)
         scale = abs(C_ii).max()
         assert abs(J_ii - C_ii).max() <= bound * scale
         assert abs(J_ib - C_ib).max() <= bound * scale
@@ -1389,7 +1387,7 @@ def _alone(layout, point):
 
 
 class TestStackedRows:
-    """Every scheduled boundary height of a ball is solved as a row of one
+    """Every scheduled boundary height of a ball is solved as a row of a
     stack; each row must come out exactly as the same point solved alone."""
 
     FAMILIES = {
@@ -1476,6 +1474,30 @@ class TestStackedRows:
         assert vars(layout).keys() == before.keys()
         assert all(vars(layout)[key] is value for key, value in before.items())
         assert all(np.array_equal(before[key], value) for key, value in arrays.items())
+
+    def test_stacks_keep_to_the_node_budget(self, monkeypatch):
+        # a sweep of 46 sigmas at N = 512 seeds 53 points, more than one
+        # stack of STACK_NODES nodes holds: they are solved in consecutive
+        # stacks within the budget, each point once, and every row comes out
+        # as in the same sweep solved a point at a time
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
+                                  grid_size=512)
+        sigmas = [round(0.95 - 0.02 * i, 2) for i in range(46)]
+        stacks, seeded = [], solver._seeded
+
+        def spy(layout, points):
+            stacks.append((len(points), layout.nodes))
+            return seeded(layout, points)
+
+        monkeypatch.setattr(solver, "_seeded", spy)
+        rows = solver.sweep_sigma(cfg, sigmas)
+        assert all(row["status"] == "ok" for row in rows)
+        assert len(stacks) > 1
+        assert all(count == 1 or count * nodes <= solver.STACK_NODES for count, nodes in stacks)
+        assert sum(count for count, _ in stacks) == len(cfg.epsilon_schedule) + len(sigmas) - 1
+        monkeypatch.setattr(solver, "STACK_NODES", 1)
+        # a float's repr round-trips, so equal reprs are equal bits
+        assert repr(solver.sweep_sigma(cfg, sigmas)) == repr(rows)
 
     def test_broken_rows_fail_alone(self):
         # the Jacobian of one row is singular and that of another has a NaN:
@@ -1567,11 +1589,8 @@ class _SlowRowLayout:
             res = np.where(slow, np.minimum(res, -self.floor), res)
         return solver.Iterate(u, res, np.where(slow, 10.0, 1.0), at)
 
-    def jacobian(self, lin):
+    def factor(self, lin):
         return lin
-
-    def factor(self, J):
-        return J
 
     def solve(self, J, rhs):
         return rhs / J
@@ -1588,9 +1607,9 @@ class _BrokenRowsLayout(solver.RadialLayout):
         it = super().evaluate(v, at)
         return it._replace(lin=(it.lin, at.epsilon))
 
-    def jacobian(self, lin):
+    def factor(self, lin):
         lin, epsilon = lin
-        ab = super().jacobian(lin)
+        ab = super().factor(lin)
         rows = ab.reshape(3, -1, ab.shape[-1])
         rows[:, epsilon[:, 0] == self.singular] = 0.0
         rows[1, epsilon[:, 0] == self.nan, 5] = np.nan
@@ -1613,11 +1632,8 @@ class _StackedLineLayout:
             raise AdmissibilityLostError(bad, row_size=u.shape[-1])
         return solver.Iterate(u, u - at.sigma, u, at)
 
-    def jacobian(self, u):
+    def factor(self, u):
         return np.ones_like(u)
-
-    def factor(self, J):
-        return J
 
     def solve(self, J, rhs):
         return rhs / J
