@@ -682,12 +682,12 @@ _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLost
 
 
 def _solve_at(layout, it, at, state: NewtonState, seeded: bool):
-    """Newton at the one-row stack of points `at`.  When `seeded`, or
-    without an iterate `it`, it starts from `layout.initial`; otherwise, or
-    where that fails and `it` exists, from the Euler prediction (see
-    _predict) from the state of `it`, moved to `at` with its heights kept.
-    The row's error is raised.  Returns the converged iterate, its
-    iterations, factorizations and center height (layout.u0)."""
+    """Newton at the one-row stack of points `at`.  When `seeded` (once per
+    point at most, see _march), or without an iterate `it`, it starts from
+    `layout.initial`; otherwise, or where that fails and `it` exists, from
+    the Euler prediction (see _predict) from the state of `it`, moved to
+    `at` with its heights kept.  The row's error is raised.  Returns the
+    converged iterate, its iterations, factorizations and center height."""
 
     def newton(start):
         new, count, nf, errors = _newton_solve(layout, start, state)
@@ -761,7 +761,9 @@ def _march(layout, it, points, state: NewtonState, seeds: Seeds):
     _solve_at) from `it`, the last accepted iterate, with up-to-8-deep
     bisection: a failed step is retried at the midpoint of the last
     accepted point and its target, where a seeded march tries the seed
-    first.  Without an iterate yet (`it` None), the first point, unless its
+    first, once: Newton from the seed fails the same way again, so neither
+    a target whose seeded row failed nor a point whose step failed tries it.
+    Without an iterate yet (`it` None), the first point, unless its
     seeded row converged, is reached by marching sigma down from
     SIGMA_START at its boundary height, from the cap seed there and
     unbisected.  Returns the iterate converged at the last point, the
@@ -786,19 +788,18 @@ def _march(layout, it, points, state: NewtonState, seeds: Seeds):
         else:
             if kept is not None:
                 it, kept = _rows(*kept), None
-            stack, depth = [target], 0
+            # (point, whether its step tries the seed)
+            stack, depth = [(target, False)], 0
             while stack:
-                nxt = stack[-1]
-                # the first attempt at the target had its seed read above:
-                # until a step fails, depth is 0
-                seed = seeded and (nxt is not target or depth > 0)
+                nxt, seed = stack[-1]
                 try:
                     it, count, nf, u0 = _solve_at(layout, it, layout.at([nxt]), state, seed)
                 except (NonConvergenceError, SingularJacobianError):
                     if it is None or depth >= 8:
                         raise
                     depth += 1
-                    stack.append(tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt)))
+                    mid = tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt))
+                    stack[-1:] = [(nxt, False), (mid, seeded)]
                     continue
                 iters.append(count)
                 factors.append(nf)

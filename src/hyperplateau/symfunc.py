@@ -5,26 +5,25 @@ All point-wise operations are vectorized over a leading batch axis: a
 "kappa" argument may be shaped (n,) or (..., n).  Values, gradients and
 Hessians are analytic (no finite differences anywhere in this module).
 
-Each public call checks its kappa once and makes one component-major copy
-of it, shape (n, points), on which the elementary symmetric tables are
-built by the prefix recurrence, only up to the highest order the call
-reads: the cone index for membership, k for f, k-1 and l-1 for the tables
-of the gradient (leaving one component out), k-2 and l-2 for those of the
-Hessian (leaving two out).  Every table entry is bitwise the one of the
-full row-major table.  eval_f, grad_f and hessian_f take their cone test
-from the table they build (check_table).  f_of_table and df_of_table give f
-and its partials in e_0..e_k from any table, such as the grid path's
-(1, tr A, det A) or pair_table's closed-form table of a vector with all
-but one component equal, such as the radial path's curvatures (kappa_rad,
-kappa_tan, ..., kappa_tan).  hessian_f writes its upper triangle, one
-entry at a time over the points, straight into the points-major
-(..., n, n) layout that eigvalsh reads, and mirrors it.
+f, its gradient and its Hessian come from one pass (_derivatives), of
+which eval_f, grad_f, hessian_f and check_conditions each make one call.
+It checks kappa once and copies it once to component-major order, shape
+(n, points), where each elementary symmetric table is built once by the
+prefix recurrence, only up to the highest order read: the cone index for
+membership, k for f, k-1 and l-1 for the n tables of the gradient (leaving
+one component out), k-2 and l-2 for those of the Hessian (leaving two
+out).  Each entry is bitwise that of the full row-major table, and the
+cone test is read from the table of f (check_table).  f_of_table and
+df_of_table give f and its partials in e_0..e_k from any table, such as
+the grid path's (1, tr A, det A) or pair_table's closed-form table of a
+vector with all but one component equal, such as the radial path's
+curvatures (kappa_rad, kappa_tan, ..., kappa_tan).
 
 The cone sampler works on arrays it built itself and tests membership
 without re-checking them.  K_n is the positive orthant, so the sampler
 tests it by the signs of the components; on the points it draws this is
 bitwise the verdict of the table (see _member).  cone_contains and the
-cone checks of eval_f, grad_f and hessian_f keep the table rule.
+cone check of the pass keep the table rule.
 """
 
 from __future__ import annotations
@@ -228,15 +227,6 @@ def check_table(spec: CurvatureSpec, e: np.ndarray) -> None:
             f"{bad.size} point(s) outside K_{spec.cone_index} for {spec.describe()}", bad)
 
 
-def _table(spec: CurvatureSpec, cols: np.ndarray, check_cone: bool) -> np.ndarray:
-    """e_0..e_k of the batch, and on to e_{cone_index} when the cone is
-    checked (see check_table)."""
-    e = _esym_rows(cols, max(spec.k, spec.cone_index) if check_cone else spec.k)
-    if check_cone:
-        check_table(spec, e)
-    return e
-
-
 def f_of_table(spec: CurvatureSpec, e: np.ndarray):
     """f = ((e_k/C(n,k))/(e_l/C(n,l)))^p per point from a component-major
     table holding e_0..e_k, unchecked; NaN where p != 1 and the quotient is
@@ -285,57 +275,14 @@ def pair_table(r, t, m: int, order: int) -> np.ndarray:
     return e
 
 
-def _quotient_terms(spec: CurvatureSpec, arr: np.ndarray, cols: np.ndarray, check_cone: bool):
-    """H_k, H_l (per point) and their first derivatives (n, points) for the
-    batch `arr` with component-major copy `cols`.  The derivative of e_q in
-    component i is e_{q-1} of the other components."""
-    n, k, l = spec.n, spec.k, spec.l
-    binom = _binoms(n)
-    e = _table(spec, cols, check_cone)
-    Hk = _per_point(e[k] / binom[k], arr)
-    Hl = _per_point(e[l] / binom[l], arr)
-    dHk = np.empty(cols.shape)
-    dHl = np.zeros(cols.shape)
-    for i in range(n):
-        rest = _esym_rows(cols, k - 1, [r for r in range(n) if r != i])
-        dHk[i] = rest[k - 1] / binom[k]
-        if l >= 1:
-            dHl[i] = rest[l - 1] / binom[l]
-    return Hk, Hl, dHk, dHl
-
-
-def eval_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
-    """Value of the curvature function; degree-1 homogeneous, f(1,...,1) = 1.
-    With check_cone, a point outside K_{cone_index} raises AdmissibilityError
-    listing the flat indices of every such point."""
-    arr = _as_kappa(kappa, spec.n)
-    e = _table(spec, _columns(arr), check_cone)
-    out = f_of_table(spec, e[:, 0] if arr.ndim == 1 else e)
-    return _scalar(np.reshape(out, arr.shape[:-1]))
-
-
-def grad_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
-    """Analytic gradient (f_1, ..., f_n); strictly positive on the cone."""
-    arr = _as_kappa(kappa, spec.n)
-    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr, _columns(arr), check_cone)
-    g = Hk / Hl
-    gi = (dHk * Hl - Hk * dHl) / Hl**2
-    p = spec.power
-    if p != 1.0:
-        with np.errstate(invalid="ignore"):
-            scale = p * np.abs(g) ** (p - 1.0)
-        gi = scale * gi
-    return _batch(gi, arr)
-
-
-def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
-    """Analytic Hessian (..., n, n); negative semidefinite on the cone with
-    the radial direction kappa as a null direction.
-
-    Built points-major: each entry i <= j is computed over the points and
-    written to [:, i, j] and [:, j, i].  The second derivative of H_q is
-    e_{q-2} of the components other than i and j off the diagonal, 0 on it.
-    Every entry gets the operations of the matrix formula
+def _derivatives(spec: CurvatureSpec, kappa, order: int, check_cone: bool):
+    """(f,) of the batch kappa, with order 1 (f, gradient), with order 2
+    (f, gradient, Hessian); see eval_f, grad_f and hessian_f.  The
+    derivative of e_q in component i is e_{q-1} of the other components,
+    its second derivative in i != j e_{q-2} of the components other than i
+    and j, and 0 in i = j.  The Hessian is built points-major: each entry i <= j is
+    computed over the points, written to [:, i, j] and [:, j, i], and gets
+    the operations of the matrix formula
 
         g_ij = H_k,ij/H_l - (H_k,i H_l,j + H_k,j H_l,i)/H_l^2
                - H_k H_l,ij/H_l^2 + 2 H_k H_l,i H_l,j/H_l^3,
@@ -345,13 +292,35 @@ def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
     arr = _as_kappa(kappa, spec.n)
     cols = _columns(arr)
     n, k, l, p = spec.n, spec.k, spec.l, spec.power
+    e = _esym_rows(cols, max(k, spec.cone_index) if check_cone else k)
+    if check_cone:
+        check_table(spec, e)
+    f = _scalar(np.reshape(f_of_table(spec, e[:, 0] if arr.ndim == 1 else e), arr.shape[:-1]))
+    if order == 0:
+        return (f,)
     binom = _binoms(n)
-    Hk, Hl, dHk, dHl = _quotient_terms(spec, arr, cols, check_cone)
+    Hk = _per_point(e[k] / binom[k], arr)
+    Hl = _per_point(e[l] / binom[l], arr)
+    dHk = np.empty(cols.shape)
+    dHl = np.zeros(cols.shape)
+    for i in range(n):
+        rest = _esym_rows(cols, k - 1, [r for r in range(n) if r != i])
+        dHk[i] = rest[k - 1] / binom[k]
+        if l >= 1:
+            dHl[i] = rest[l - 1] / binom[l]
+    gi = (dHk * Hl - Hk * dHl) / Hl**2
+    fi = gi
+    if p != 1.0:
+        with np.errstate(invalid="ignore"):
+            scale = p * np.abs(Hk / Hl) ** (p - 1.0)
+        fi = scale * gi
+    grad = _batch(fi, arr)
+    if order == 1:
+        return f, grad
     # the powers of the matrix terms are array powers, for a single point too
     Hk_, Hl_ = np.atleast_1d(Hk), np.atleast_1d(Hl)
     Hl2, Hl3, twoHk = Hl_**2, Hl_**3, 2.0 * Hk_
     if p != 1.0:
-        gi = (dHk * Hl - Hk * dHl) / Hl**2
         g_ = np.atleast_1d(np.abs(Hk / Hl))
         c2, c1 = p * (p - 1.0) * g_ ** (p - 2.0), p * g_ ** (p - 1.0)
     zero = np.zeros(cols.shape[1])
@@ -373,7 +342,25 @@ def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
             if p != 1.0:
                 gij = c2 * (gi[i] * gi[j]) + c1 * gij
             out[:, i, j] = out[:, j, i] = gij
-    return out.reshape(arr.shape[:-1] + (n, n))
+    return f, grad, out.reshape(arr.shape[:-1] + (n, n))
+
+
+def eval_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
+    """Value of the curvature function; degree-1 homogeneous, f(1,...,1) = 1.
+    With check_cone, a point outside K_{cone_index} raises AdmissibilityError
+    listing the flat indices of every such point."""
+    return _derivatives(spec, kappa, 0, check_cone)[0]
+
+
+def grad_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
+    """Analytic gradient (f_1, ..., f_n); strictly positive on the cone."""
+    return _derivatives(spec, kappa, 1, check_cone)[1]
+
+
+def hessian_f(spec: CurvatureSpec, kappa, check_cone: bool = True):
+    """Analytic Hessian (..., n, n); negative semidefinite on the cone with
+    the radial direction kappa as a null direction (see _derivatives)."""
+    return _derivatives(spec, kappa, 2, check_cone)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +506,7 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
         report.records.append(ConditionRecord("2.1", 0, float("-inf"), 1e-9, False))
         return report
 
-    f = eval_f(spec, valid, check_cone=False)
-    g = grad_f(spec, valid, check_cone=False)
-    h = hessian_f(spec, valid, check_cone=False)
+    f, g, h = _derivatives(spec, valid, 2, check_cone=False)
     m = valid.shape[0]
 
     # (2.1) ellipticity: every partial derivative strictly positive
@@ -553,9 +538,7 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
     if a.shape[0]:
         fa = np.atleast_1d(eval_f(spec, a, check_cone=False))
         dists = (1e-3, 1e-6, 1e-9, 1e-12)
-        vals = np.stack(
-            [np.atleast_1d(eval_f(spec, b + d * (a - b), check_cone=False)) for d in dists]
-        )
+        vals = eval_f(spec, b + np.array(dists)[:, None, None] * (a - b), check_cone=False)
         if np.any(np.isnan(vals)):
             margin = -1.0
         else:

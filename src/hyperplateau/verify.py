@@ -6,7 +6,6 @@ algebraic sub-inequalities of the interior estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,19 +16,25 @@ from .solver import GraphSolution
 GRADIENT_TOL = 0.01
 
 
-def eta_of(a: float) -> float:
-    """Positive root of a eta^2 - 2 eta - 2 = 0."""
-    if a <= 0:
+def eta_of(a):
+    """Positive root of a eta^2 - 2 eta - 2 = 0, elementwise for an array."""
+    if np.any(a <= 0):
         raise ValueError("a must be positive")
-    return (1.0 + math.sqrt(1.0 + 2.0 * a)) / a
+    return (1.0 + np.sqrt(1.0 + 2.0 * a)) / a
 
 
-def theta_window(a: float, lam: float) -> tuple[float, float, bool]:
-    """The admissible interval [lower, upper) for theta; nonempty (with
-    theta > 0) exactly when lower > 0, i.e. lambda < a^2/(8 - a^2)."""
+def theta_window(a, lam):
+    """The admissible interval [lower, upper) for theta, elementwise for
+    arrays; nonempty (with theta > 0) exactly when lower > 0, i.e. lambda <
+    a^2/(8 - a^2).  fmin, as min(1.0, x), keeps upper = 1.0 at x = NaN."""
     lower = a**2 / 8.0 + lam * (a**2 / 8.0 - 1.0)
-    upper = min(1.0, a**2 / 4.0 + lam * (a**2 / 4.0 - 1.0))
-    return lower, upper, lower > 0.0 and lower < upper
+    upper = np.fmin(1.0, a**2 / 4.0 + lam * (a**2 / 4.0 - 1.0))
+    return lower, upper, (lower > 0.0) & (lower < upper)
+
+
+def _window_threshold(a, eta):
+    """The kappa1 above which the theta window at lambda = eta/kappa1 is nonempty."""
+    return eta * (8.0 - a**2) / a**2
 
 
 @dataclass
@@ -95,7 +100,7 @@ def estimate_constants(solution: GraphSolution):
     eta = eta_of(a)
     lam = eta / kappa1
     lower, upper, nonempty = theta_window(a, lam)
-    threshold = eta * (8.0 - a**2) / a**2
+    threshold = _window_threshold(a, eta)
     theta = mu = None
     if nonempty:
         theta = 0.5 * (lower + upper)
@@ -148,7 +153,7 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
           therefore sampled from [a^2/8, t* a^2] (the upper end a^2/4 of the
           nominal window admits counterexamples for negative kappa).
     (iii) discriminant a^4 - a^2 < 0 for a in (0, 1).
-    (iv)  theta-window nonemptiness iff kappa1 > eta (8 - a^2)/a^2.
+    (iv)  theta_window's nonemptiness verdict iff kappa1 > eta (8 - a^2)/a^2.
     """
     rng = np.random.default_rng(seed)
     report = {"samples": int(samples), "seed": int(seed), "checks": {}}
@@ -161,7 +166,7 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
         }
 
     a = rng.uniform(1e-3, 0.5, samples)
-    eta = (1.0 + np.sqrt(1.0 + 2.0 * a)) / a
+    eta = eta_of(a)
 
     # exact-root identity
     root_residual = float(np.max(np.abs(a * eta**2 - 2.0 * eta - 2.0)))
@@ -188,10 +193,8 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
 
     # (iv): window nonemptiness criterion
     kappa1 = rng.exponential(200.0, samples) + 1e-6
-    lam = eta / kappa1
-    lower = a**2 / 8.0 + lam * (a**2 / 8.0 - 1.0)
-    nonempty = lower > 0.0
-    criterion = kappa1 > eta * (8.0 - a**2) / a**2
+    nonempty = theta_window(a, eta / kappa1)[2]
+    criterion = kappa1 > _window_threshold(a, eta)
     report["checks"]["window_criterion"] = {
         "violations": int(np.sum(nonempty != criterion)),
         "worst_margin": 0.0 if np.all(nonempty == criterion) else -1.0,

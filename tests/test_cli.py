@@ -1,14 +1,27 @@
 """CLI tests: config validation, dispatch, exit codes, and artifact files."""
 
+import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from hyperplateau import cli, hypgeom, solver, symfunc
 from hyperplateau.errors import ConfigError
+
+
+@pytest.fixture(autouse=True)
+def _quiet(monkeypatch):
+    """cli.run prints the files it writes and its errors.  Each test writes
+    them to buffers of its own, not to the suite output; a test that takes
+    capsys reads them there, and what it leaves unread goes to the buffers.
+    capsys alone does not keep them out: under the suite's -s it writes the
+    output left unread back to the terminal at the end of each test."""
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
 
 
 def _mesh_from_radial_loops(solution, n_theta=64):

@@ -108,9 +108,13 @@ def test_condition_22_roundoff_near_cone_boundary():
 def test_negative_control_flags_concavity_violation(monkeypatch):
     # a +1e-6 eigenvalue at moderate |H| is far above any round-off
     spec = CurvatureSpec.consecutive_quotient(2, 3)
-    hessian = symfunc.hessian_f
-    monkeypatch.setattr(symfunc, "hessian_f",
-                        lambda *a, **kw: hessian(*a, **kw) + 1e-6 * np.eye(3))
+    derivatives = symfunc._derivatives
+
+    def shifted(*args, **kwargs):
+        out = derivatives(*args, **kwargs)
+        return out[:2] + tuple(h + 1e-6 * np.eye(3) for h in out[2:])
+
+    monkeypatch.setattr(symfunc, "_derivatives", shifted)
     rec = record(symfunc.check_conditions(spec, 2000, seed=123), "2.2")
     assert not rec.passed
     assert rec.worst_margin <= -0.9e-6

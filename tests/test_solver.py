@@ -800,6 +800,32 @@ class TestExactSeed:
         assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
         assert abs(sol.u0 - plain.u0) <= 1e-12
 
+    def test_march_seeds_each_point_at_most_once(self, monkeypatch):
+        # H_1 on K_2 at sigma = 0.002: the stacked seed row of eps = 0.05
+        # fails, and the march bisects from 0.1 towards it.  A seeded step
+        # first runs a fixed Newton solve from the cap, which fails the same
+        # way every time, so a target whose seed row failed and a midpoint
+        # the march comes back to after bisecting below it are not seeded
+        seeded = []
+        solve_at = solver._solve_at
+
+        def spy(layout, it, at, state, seed):
+            if seed:
+                seeded.append(at.point())
+            return solve_at(layout, it, at, state, seed)
+
+        monkeypatch.setattr(solver, "_solve_at", spy)
+        cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
+                                  domain=hypgeom.Domain.ball(1.0), sigma_target=0.002,
+                                  grid_size=512)
+        with pytest.raises(NonConvergenceError) as exc:
+            solver.continuation_solve(cfg)
+        assert str(exc.value) == ("backtracking exhausted 20 halvings at "
+                                  "sigma=0.002, eps=0.058007812500000006")
+        assert seeded
+        assert len(seeded) == len(set(seeded))
+        assert (0.002, 0.05) not in seeded
+
 
 class TestContinuation:
     def test_h1_cap_oracle(self):

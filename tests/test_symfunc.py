@@ -315,7 +315,16 @@ def hessian_einsum(spec, kappa):
     cols = symfunc._columns(arr)
     n, k, l, p = spec.n, spec.k, spec.l, spec.power
     binom = symfunc._binoms(n)
-    Hk, Hl, dHk, dHl = symfunc._quotient_terms(spec, arr, cols, True)
+    e = symfunc._esym_rows(cols, k)
+    Hk = symfunc._per_point(e[k] / binom[k], arr)
+    Hl = symfunc._per_point(e[l] / binom[l], arr)
+    dHk = np.empty(cols.shape)
+    dHl = np.zeros(cols.shape)
+    for i in range(n):
+        rest = symfunc._esym_rows(cols, k - 1, [r for r in range(n) if r != i])
+        dHk[i] = rest[k - 1] / binom[k]
+        if l >= 1:
+            dHl[i] = rest[l - 1] / binom[l]
     d2Hk = np.zeros((n, n, cols.shape[1]))
     d2Hl = np.zeros((n, n, cols.shape[1]))
     if k >= 2:
@@ -368,6 +377,26 @@ class TestPointsMajorHessian:
             assert got.shape == (spec.n, spec.n)
             assert np.array_equal(got, hessian_einsum(spec, point))
             assert np.array_equal(got, got.T)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("spec", families_up_to_4(), ids=lambda s: s.describe())
+    def test_check_conditions_builds_each_drop_one_table_once(self, spec, monkeypatch):
+        # f, its gradient and its Hessian of the sample batch come from one
+        # pass: the n tables that leave one component out are built once
+        built = []
+        esym_rows = symfunc._esym_rows
+
+        def spy(cols, order, rows=None):
+            if rows is not None and len(rows) == cols.shape[0] - 1:
+                built.append(cols.shape[1])
+            return esym_rows(cols, order, rows)
+
+        monkeypatch.setattr(symfunc, "_esym_rows", spy)
+        report = symfunc.check_conditions(spec, 500, seed=3)
+        batch = report.records[0].samples
+        assert batch > 0
+        assert built.count(batch) == spec.n
 
 
 class TestEvalF:
