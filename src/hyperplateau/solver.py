@@ -23,11 +23,12 @@ from it at each scheduled boundary height, and at each later sigma of a
 sweep, and needs a few iterations there.  These seeded points are
 independent solves, which Newton iterates as the rows of stacks of at most
 STACK_NODES nodes taken in the order they are marched: every Newton state
-is a stack of rows, a single solve one of one row.  A step whose seeded row
-fails warm-starts from the last accepted state instead.  On the grid path,
-and at the first height when the seeded Newton fails there, continuation
-walks sigma down from 0.8 at a moderate boundary height, then shrinks the
-boundary height.  A failed step is retried at the midpoint of the last
+is a stack of rows, a single solve one of one row.  Only these listed
+points are seeded: every other point, and one whose seeded row fails, is a
+step from the last accepted state.  On the grid path, and at the first
+height when the seeded Newton fails there, continuation walks sigma down
+from 0.8 at a moderate boundary height, then shrinks the boundary height.
+A failed step is retried by a step to the midpoint of the last
 accepted point and its target.  A layout that keeps its factorization starts
 each unseeded step from the Euler tangent predictor, one chord step at the
 new parameter values.  Every accepted Newton iterate, and every prediction
@@ -460,9 +461,9 @@ class RadialLayout:
 # sup-norm at which Newton stops; `keeps_factorization`, to keep the
 # factorization for chord steps and the predictor (see _predict), and then
 # it gets one row only; and `exact_seed`, to start Newton from `initial` at
-# every point, the points of a solve or a sweep as stacks (see Seeds),
-# which _march alone reads.  Newton returns the error of every failed row by
-# its row, and _solve_at raises it.
+# the listed points of a solve or a sweep, as stacks (see Seeds), which
+# Seeds alone reads.  Newton returns the error of every failed row by its
+# row, and _solve_at raises it.
 
 
 class At(NamedTuple):
@@ -681,27 +682,20 @@ def _predict(layout, v, at, state: NewtonState) -> Iterate:
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
-def _solve_at(layout, it, at, state: NewtonState, seeded: bool):
-    """Newton at the one-row stack of points `at`.  When `seeded` (once per
-    point at most, see _march), or without an iterate `it`, it starts from
-    `layout.initial`; otherwise, or where that fails and `it` exists, from
-    the Euler prediction (see _predict) from the state of `it`, moved to
-    `at` with its heights kept.  The row's error is raised.  Returns the
-    converged iterate, its iterations, factorizations and center height."""
-
-    def newton(start):
-        new, count, nf, errors = _newton_solve(layout, start, state)
-        if errors:
-            raise errors[0]
-        return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new)[0])
-
-    if seeded or it is None:
-        try:
-            return newton(layout.evaluate(layout.initial(at), at))
-        except _SOLVE_FAILURES:
-            if it is None:
-                raise
-    return newton(_predict(layout, layout.deviation(layout.heights(it), at), at, state))
+def _solve_at(layout, it, at, state: NewtonState):
+    """Newton at the one-row stack of points `at`, from `layout.initial`
+    without an iterate `it`, and otherwise from the Euler prediction (see
+    _predict) from the state of `it`, moved to `at` with its heights kept.
+    The row's error is raised.  Returns the converged iterate, its
+    iterations, factorizations and center height."""
+    if it is None:
+        start = layout.evaluate(layout.initial(at), at)
+    else:
+        start = _predict(layout, layout.deviation(layout.heights(it), at), at, state)
+    new, count, nf, errors = _newton_solve(layout, start, state)
+    if errors:
+        raise errors[0]
+    return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new)[0])
 
 
 def _seeded(layout, points):
@@ -730,10 +724,11 @@ def _seeded(layout, points):
 
 class Seeds:
     """The seeded Newton solves (see _seeded) of a list of (sigma, epsilon)
-    points, which marches read point by point: a point not yet solved is
-    solved when it is read, as the first row of one stack with the points
-    after it in the list, at most STACK_NODES nodes or one point.  Only the
-    latest stack is held."""
+    points, the one place that decides on a seeded start: a point is seeded
+    when the layout's class sets `exact_seed` and the point is in the list.
+    A listed point not yet solved is solved when it is read, as the first
+    row of one stack with the points after it in the list, at most
+    STACK_NODES nodes or one point.  Only the latest stack is held."""
 
     def __init__(self, layout, points):
         self.layout, self.points, self.solved = layout, points, {}
@@ -741,9 +736,11 @@ class Seeds:
     def get(self, point, state: NewtonState):
         """The seeded solve at `point`: (its stack, its row there as a
         slice, iterations, factorizations, center height), or None where
-        its row failed.  The trial iterates a new stack rejected count into
-        `state`."""
+        its row failed or `point` is not seeded.  The trial iterates a new
+        stack rejected count into `state`."""
         if point not in self.solved:
+            if not self.layout.exact_seed or point not in self.points:
+                return None
             i = self.points.index(point)
             run = self.points[i:i + max(1, STACK_NODES // self.layout.nodes)]
             it, rejected, solved = _seeded(self.layout, run)
@@ -753,34 +750,29 @@ class Seeds:
 
 
 def _march(layout, it, points, state: NewtonState, seeds: Seeds):
-    """Walk the (sigma, epsilon) points in order.  When the layout's class
-    sets `exact_seed`, each point is first read from its seeded solve in
-    `seeds` (a Seeds holding every point), and the walk takes a converged
-    row as it is, slicing it out of its stack only when a step starts from
-    it or the march returns it.  Every other point is reached by steps (see
-    _solve_at) from `it`, the last accepted iterate, with up-to-8-deep
-    bisection: a failed step is retried at the midpoint of the last
-    accepted point and its target, where a seeded march tries the seed
-    first, once: Newton from the seed fails the same way again, so neither
-    a target whose seeded row failed nor a point whose step failed tries it.
-    Without an iterate yet (`it` None), the first point, unless its
-    seeded row converged, is reached by marching sigma down from
-    SIGMA_START at its boundary height, from the cap seed there and
-    unbisected.  Returns the iterate converged at the last point, the
-    Newton iterations and factorizations of every accepted step, and the
-    center height at each point walked, keyed by point."""
+    """Walk the (sigma, epsilon) points in order.  A point that `seeds`
+    solved (see Seeds) is taken as it is, its row sliced out of its stack
+    only when a step starts from it or the march returns it.  Every other
+    point is reached by steps (see _solve_at) from `it`, the last accepted
+    iterate, with up-to-8-deep bisection: a failed step is retried at the
+    midpoint of the last accepted point and its target.  Without an
+    iterate yet (`it` None), the first point, unless its seeded row
+    converged, is reached by marching sigma down from SIGMA_START at its
+    boundary height, from the layout's seed there and unbisected.  Returns
+    the iterate converged at the last point, the Newton iterations and
+    factorizations of every accepted step, and the center height at each
+    point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
     kept = None  # [stack, row slice] of the last seeded row taken, not sliced yet
-    # (target, whether the march reads its seed and tries it first in a step)
-    walk = [(target, layout.exact_seed) for target in points]
-    if it is None and (not layout.exact_seed or seeds.get(points[0], state) is None):
-        # the cap seed is converged at no parameter values: no prediction
-        # from it with factors kept from an earlier solve (a failed sweep row)
+    walk = list(points)
+    if it is None and seeds.get(points[0], state) is None:
+        # the seed is converged at no parameter values: no prediction from
+        # it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
         sigma, epsilon = points[0]
-        walk[:1] = [((s, epsilon), False) for s in default_sigma_schedule(sigma)]
-    for target, seeded in walk:
-        solution = seeds.get(target, state) if seeded else None
+        walk[:1] = [(s, epsilon) for s in default_sigma_schedule(sigma)]
+    for target in walk:
+        solution = seeds.get(target, state)
         if solution is not None:
             *kept, count, nf, u0 = solution
             iters.append(count)
@@ -788,18 +780,15 @@ def _march(layout, it, points, state: NewtonState, seeds: Seeds):
         else:
             if kept is not None:
                 it, kept = _rows(*kept), None
-            # (point, whether its step tries the seed)
-            stack, depth = [(target, False)], 0
+            stack, depth = [target], 0
             while stack:
-                nxt, seed = stack[-1]
                 try:
-                    it, count, nf, u0 = _solve_at(layout, it, layout.at([nxt]), state, seed)
+                    it, count, nf, u0 = _solve_at(layout, it, layout.at(stack[-1:]), state)
                 except (NonConvergenceError, SingularJacobianError):
                     if it is None or depth >= 8:
                         raise
                     depth += 1
-                    mid = tuple(0.5 * (a + b) for a, b in zip(it.at.point(), nxt))
-                    stack[-1:] = [(nxt, False), (mid, seeded)]
+                    stack.append(tuple(0.5 * (a + b) for a, b in zip(it.at.point(), stack[-1])))
                     continue
                 iters.append(count)
                 factors.append(nf)

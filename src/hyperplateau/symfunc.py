@@ -536,9 +536,11 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
         generic = np.ones(b.shape[0], dtype=bool)
     b, a = b[generic][:32], pool[generic][:32]
     if a.shape[0]:
-        fa = np.atleast_1d(eval_f(spec, a, check_cone=False))
+        # the four ray distances and, as a fifth slice, the pool points a
         dists = (1e-3, 1e-6, 1e-9, 1e-12)
-        vals = eval_f(spec, b + np.array(dists)[:, None, None] * (a - b), check_cone=False)
+        rays = b + np.array(dists)[:, None, None] * (a - b)
+        vals = eval_f(spec, np.concatenate([rays, a[None]]), check_cone=False)
+        vals, fa = vals[:-1], vals[-1]
         if np.any(np.isnan(vals)):
             margin = -1.0
         else:

@@ -800,21 +800,19 @@ class TestExactSeed:
         assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
         assert abs(sol.u0 - plain.u0) <= 1e-12
 
-    def test_march_seeds_each_point_at_most_once(self, monkeypatch):
+    def test_march_seeds_only_listed_points(self, monkeypatch):
         # H_1 on K_2 at sigma = 0.002: the stacked seed row of eps = 0.05
-        # fails, and the march bisects from 0.1 towards it.  A seeded step
-        # first runs a fixed Newton solve from the cap, which fails the same
-        # way every time, so a target whose seed row failed and a midpoint
-        # the march comes back to after bisecting below it are not seeded
+        # fails, and the march bisects from 0.1 towards it.  Only the
+        # schedule's heights, and the start of the sigma march when the
+        # first height fails, start from the cap: every midpoint is a step
         seeded = []
-        solve_at = solver._solve_at
+        initial = solver.RadialLayout.initial
 
-        def spy(layout, it, at, state, seed):
-            if seed:
-                seeded.append(at.point())
-            return solve_at(layout, it, at, state, seed)
+        def spy(self, at):
+            seeded.extend(at.point(i) for i in range(len(at.sigma)))
+            return initial(self, at)
 
-        monkeypatch.setattr(solver, "_solve_at", spy)
+        monkeypatch.setattr(solver.RadialLayout, "initial", spy)
         cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
                                   domain=hypgeom.Domain.ball(1.0), sigma_target=0.002,
                                   grid_size=512)
@@ -822,9 +820,22 @@ class TestExactSeed:
             solver.continuation_solve(cfg)
         assert str(exc.value) == ("backtracking exhausted 20 halvings at "
                                   "sigma=0.002, eps=0.058007812500000006")
+        schedule = cfg.epsilon_schedule
+        listed = {(0.002, e) for e in schedule} | {(solver.SIGMA_START, schedule[0])}
         assert seeded
-        assert len(seeded) == len(set(seeded))
-        assert (0.002, 0.05) not in seeded
+        assert set(seeded) <= listed
+
+    def test_midpoint_steps_end_in_the_same_error(self):
+        # H_1 on K_2 at sigma = 0.001, N = 1024: Newton from the cap
+        # converges at one of the bisection midpoints, and the step taken
+        # there instead ends the march in the same error
+        cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
+                                  domain=hypgeom.Domain.ball(1.0), sigma_target=0.001,
+                                  grid_size=1024)
+        with pytest.raises(NonConvergenceError) as exc:
+            solver.continuation_solve(cfg)
+        assert str(exc.value) == ("backtracking exhausted 20 halvings at "
+                                  "sigma=0.001, eps=0.051953125")
 
 
 class TestContinuation:

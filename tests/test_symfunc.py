@@ -398,6 +398,23 @@ class TestOnePass:
         assert batch > 0
         assert built.count(batch) == spec.n
 
+    @pytest.mark.parametrize("spec", families_up_to_4(), ids=lambda s: s.describe())
+    def test_check_conditions_calls_eval_f_once_per_batch(self, spec, monkeypatch):
+        # one call each for (2.3), whose pool points ride with the four ray
+        # distances as a fifth slice, (2.4), (2.5) and (2.6)
+        calls = []
+        eval_f = symfunc.eval_f
+
+        def spy(spec, kappa, check_cone=True):
+            calls.append(np.shape(kappa))
+            return eval_f(spec, kappa, check_cone)
+
+        monkeypatch.setattr(symfunc, "eval_f", spy)
+        report = symfunc.check_conditions(spec, 500, seed=3)
+        assert len(calls) == 4
+        assert calls[0][0] == 5
+        assert report.passed
+
 
 class TestEvalF:
     def test_normalization(self):
