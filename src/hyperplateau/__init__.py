@@ -12,7 +12,7 @@ from .errors import (
     SingularJacobianError,
     UnsupportedSolutionError,
 )
-from .hypgeom import CapSolution, Domain, make_cap, make_cap_with_boundary_height
+from .hypgeom import CapSolution, Domain, make_cap_with_boundary_height
 from .solver import GraphSolution, SolveReport, SolverConfig, continuation_solve
 from .symfunc import CurvatureSpec
 
@@ -33,7 +33,6 @@ __all__ = [
     "UnsupportedSolutionError",
     "continuation_solve",
     "hypgeom",
-    "make_cap",
     "make_cap_with_boundary_height",
     "solver",
     "symfunc",

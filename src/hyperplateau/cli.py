@@ -365,7 +365,7 @@ def _cmd_verify_f(cfg):
 
 
 def _cmd_cap(cfg):
-    cap = hypgeom.make_cap(cfg["radius"], cfg["sigma"])
+    cap = hypgeom.make_cap_with_boundary_height(cfg["radius"], cfg["sigma"], cfg["epsilon_min"])
     payload = {"cap": {**asdict(cap), "u0": cap.apex_height}}
     sol = solver.cap_solution(_curvature_spec(cfg), _domain(cfg), cfg["sigma"], cfg["grid"],
                               cfg["epsilon_min"])

@@ -13,7 +13,10 @@ its mirror image in the quadrant, found through a fold map computed once
 per layout.  The discrete problem is then exactly symmetric (on the whole
 box the differences add a node's two neighbours in opposite orders on the
 two sides of an axis, so they agree only up to rounding), and the state on
-the whole box is the quadrant state unfolded.
+the whole box is the quadrant state unfolded.  As on the radial path, the
+Newton state is the deviation of the heights from the reference heights of
+its point, here the inscribed ball's cap carried along the elliptical level
+sets (see GridLayout).
 
 f comes from the table (1, tr A, det A) through symfunc.f_of_table, with no
 eigenvalues, and the nine-point linearization from its closed-form partials
@@ -63,16 +66,17 @@ class GridLayout:
     Whether a node is inside is decided on the quadrant and mirrored, so
     the discrete problem keeps the reflection symmetry even where rounding
     puts a rim node on different sides of the rim in different quadrants.
-    The state is one row: the quadrant heights in quadrant node order, the
+    The reference heights g of a point, which `at` builds with it, are the
+    cap of the inscribed ball carried along the elliptical level sets, and
+    epsilon on every Dirichlet node.  The state is one row: the deviation v
+    = u - g of the quadrant heights u from g, in quadrant node order, the
     unknowns flagged by `interior`.  Newton reuses the factorization of the
     Jacobian's interior block across iterations and for the Euler predictor
-    of each continuation step.  The cap seed solves no ellipse problem
+    of each continuation step.  The carried cap solves no ellipse problem
     exactly, so continuation starts from it in sigma, then in the boundary
-    height, the state is the heights themselves (`heights` and `deviation`
-    are the identity), and a stack of points holds the points alone (`at`).
-    Newton stops at a residual sup-norm of 1e-8.  A solution reports the
-    full box's interior nodes `mask` in box order, each with the curvatures
-    of the unknown it mirrors, `image`."""
+    height.  Newton stops at a residual sup-norm of 1e-8.  A solution
+    reports the full box's interior nodes `mask` in box order, each with the
+    curvatures of the unknown it mirrors, `image`."""
 
     keeps_factorization = True
     exact_seed = False
@@ -90,8 +94,11 @@ class GridLayout:
         cx, cy = nx // 2, ny // 2
         X, Y = np.meshgrid(self.xs[cx:], self.ys[cy:], indexing="ij")
         # squared elliptical level of every quadrant node: 1 on the rim
-        self.level = (X / a) ** 2 + (Y / b) ** 2
-        inside = self.level < 1.0
+        level = (X / a) ** 2 + (Y / b) ** 2
+        inside = level < 1.0
+        # the radius in the inscribed ball whose cap height a node's
+        # reference height carries: b sqrt(level), b on and past the rim
+        self.radius = (np.minimum(np.sqrt(level), 1.0) * b).ravel()
         # interior unknowns need the full nine-point neighborhood on the grid
         inside[-1, :] = inside[:, -1] = False
         self.inside = inside
@@ -122,12 +129,18 @@ class GridLayout:
         return self.inside.shape
 
     def at(self, points):
-        """The stack of the (sigma, epsilon) points, which need nothing more."""
-        return solver.At.of(points)
+        """The stack of the (sigma, epsilon) points with their reference
+        heights (g,), one row per point."""
+        b = self.domain.params[1]
+        g = np.empty((len(points), self.nodes))
+        for row, (sigma, epsilon) in zip(g, points):
+            row[:] = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon).height(self.radius)
+            row[~self.interior] = epsilon
+        return solver.At.of(points, (g,))
 
-    def evaluate(self, U, at):
-        return solver.Iterate(U, *residual_grid(U, self.spec, at.sigma[:, 0], at.epsilon[:, 0],
-                                                self), at)
+    def evaluate(self, v, at):
+        return solver.Iterate(v, *residual_grid(v, self.spec, at.sigma[:, 0], at.cap[0], self),
+                              at)
 
     def factor(self, lin):
         J_ii, J_ib = _jacobian_grid(lin, self.spec, self)
@@ -145,23 +158,6 @@ class GridLayout:
         delta[0][self.interior] = lu.solve(rhs[0][self.interior] - J_ib @ rhs[0])
         return delta
 
-    def initial(self, at):
-        """Cap of the inscribed ball at the one-row stack's point, carried
-        along the elliptical level sets so it meets the boundary height on
-        the rim."""
-        b = self.domain.params[1]
-        sigma, epsilon = at.point()
-        cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
-        U = cap.height(np.minimum(np.sqrt(self.level), 1.0) * b).ravel()
-        U[~self.interior] = epsilon
-        return U[None]
-
-    def heights(self, it):
-        return it.u
-
-    def deviation(self, U, at):
-        return U
-
     def u0(self, U):
         return float(np.max(U.ravel()[self.interior]))
 
@@ -170,8 +166,9 @@ class GridLayout:
         `w` from its residual's jet at the full box's interior nodes."""
         kappa, w = principal_curvatures_2d(*it.lin[0])
         sigma, epsilon = it.at.point()
-        return solver.GraphSolution(layout=self, u=it.u.reshape(self.shape), sigma=sigma,
-                                    epsilon=epsilon, kappa=kappa[self.image], w=w[self.image])
+        return solver.GraphSolution(layout=self, u=solver._heights(it).reshape(self.shape),
+                                    sigma=sigma, epsilon=epsilon, kappa=kappa[self.image],
+                                    w=w[self.image])
 
 
 def _jets(U: np.ndarray, layout: GridLayout):
@@ -253,15 +250,16 @@ def _jet_partials(spec: symfunc.CurvatureSpec, jet, e, terms, f):
     )
 
 
-def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: np.ndarray,
-                  epsilon: np.ndarray, layout: GridLayout):
-    """Residual of the one-row stack U at its point (f - sigma at interior
-    unknowns, f from the table of _table_2d, and u - epsilon on Dirichlet
+def residual_grid(v: np.ndarray, spec: symfunc.CurvatureSpec, sigma: np.ndarray, g: np.ndarray,
+                  layout: GridLayout):
+    """Residual of the one-row stack v of deviations from the reference
+    heights g at its point (f - sigma at interior unknowns, f from the table
+    of _table_2d at the jet of the heights g + v, and v = u - g on Dirichlet
     nodes) and lin = (jet, table, terms, f), which _jacobian_grid reads.
     AdmissibilityLostError lists by their number among the quadrant's
     interior nodes the unknowns of non-positive height, else those outside
     the cone by the signs of the table (symfunc.check_table)."""
-    jet = _jets(U, layout)
+    jet = _jets(g + v, layout)
     bad = np.flatnonzero(jet[0] <= 0.0)
     if bad.size:
         raise AdmissibilityLostError(bad, "non-positive height at interior nodes")
@@ -271,7 +269,7 @@ def residual_grid(U: np.ndarray, spec: symfunc.CurvatureSpec, sigma: np.ndarray,
     except AdmissibilityError as exc:
         raise AdmissibilityLostError(exc.indices) from exc
     f = symfunc.f_of_table(spec, e)
-    res = U - epsilon[0]
+    res = v.copy()
     res[0][layout.interior] = f - sigma[0]
     return res, (jet, e, terms, f)
 

@@ -57,10 +57,12 @@ class Domain:
 
 @dataclass(frozen=True)
 class CapSolution:
-    """Umbilic spherical cap over a ball of radius R with u = 0 at the rim.
+    """Umbilic spherical cap over a ball of radius R, built by
+    make_cap_with_boundary_height.
 
-    The Euclidean sphere has radius r = R/sqrt(1 - sigma^2) and center height
-    c = -sigma r < 0; all hyperbolic principal curvatures equal sigma.
+    The Euclidean sphere has radius r, R/sqrt(1 - sigma^2) when the cap
+    meets the rim at height 0, and center height c = -sigma r < 0; all
+    hyperbolic principal curvatures equal sigma.
     """
 
     R: float
@@ -82,15 +84,6 @@ class CapSolution:
     @property
     def apex_height(self) -> float:
         return self.c + self.r
-
-
-def make_cap(R: float, sigma: float) -> CapSolution:
-    """Exact umbilic solution for the ball of radius R with f(kappa) = sigma."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    check_sigma(sigma)
-    r = R / math.sqrt(1.0 - sigma**2)
-    return CapSolution(R=R, sigma=sigma, r=r, c=-sigma * r)
 
 
 def make_cap_with_boundary_height(R: float, sigma: float, epsilon: float) -> CapSolution:

@@ -15,15 +15,15 @@ of that pair (symfunc.pair_table), built once per state from the jet; the
 Continuation marches through a list of (sigma, epsilon) points; the boundary
 heights follow from the config's epsilon_min alone
 (default_epsilon_schedule).  The layout builds every list of points once
-into a stack of them (At), which holds what it needs of them (the caps on
-balls), and every Newton iterate carries the At of its rows.  On a ball the
-umbilic cap with boundary height epsilon has kappa = sigma everywhere, so it
-solves the continuous problem exactly for every normalized f: Newton starts
-from it at each scheduled boundary height, and at each later sigma of a
-sweep, and needs a few iterations there.  These seeded points are
-independent solves, which Newton iterates as the rows of stacks of at most
-STACK_NODES nodes taken in the order they are marched: every Newton state
-is a stack of rows, a single solve one of one row.  Only these listed
+into a stack of them (At), which holds what it needs of them, the
+reference heights first, and every Newton iterate carries the At of its
+rows.  On a ball the umbilic cap with boundary height epsilon has kappa =
+sigma everywhere, so it solves the continuous problem exactly for every
+normalized f: Newton starts from it at each scheduled boundary height, and
+at each later sigma of a sweep, and needs a few iterations there.  These
+seeded points are independent solves, which Newton iterates as the rows of
+stacks of at most STACK_NODES nodes taken in the order they are marched:
+every Newton state is a stack of rows, a single solve one of one row.  Only these listed
 points are seeded: every other point, and one whose seeded row fails, is a
 step from the last accepted state.  On the grid path, and at the first
 height when the seeded Newton fails there, continuation walks sigma down
@@ -33,14 +33,16 @@ accepted point and its target.  A layout that keeps its factorization starts
 each unseeded step from the Euler tangent predictor, one chord step at the
 new parameter values.  Every accepted Newton iterate, and every prediction
 Newton starts from, is admissible at every interior node.  Newton stops by
-one rule: the residual sup-norm meets the layout's tolerance.  On balls the
-Newton unknown is the deviation of the heights from the exact cap at the
-(sigma, epsilon) being solved, whose stencil differences are taken in closed
-form, so the residual rounds to an ulp of the deviation and the 1/h^2
-stencils leave no round-off floor above the tolerance; a state moved to
-another point keeps its heights.  A solution is read from the Iterate Newton
-converged on, with the curvatures of its residual's jet, and holds the
-layout that made it, which says which of its nodes touch the boundary.
+one rule: the residual sup-norm meets the layout's tolerance.  The Newton
+unknown is the deviation of the heights from the reference heights of the
+(sigma, epsilon) being solved, which the layout builds with the point: the
+exact cap on balls, whose stencil differences are taken in closed form, so
+the residual rounds to an ulp of the deviation and the 1/h^2 stencils leave
+no round-off floor above the tolerance; the inscribed ball's cap carried
+along the level sets on ellipses.  A state moved to another point keeps its
+heights.  A solution is read from the Iterate Newton converged on, with the
+curvatures of its residual's jet, and holds the layout that made it, which
+says which of its nodes touch the boundary.
 """
 
 from __future__ import annotations
@@ -367,13 +369,12 @@ class RadialLayout:
     u - c of the heights u from the cap c there, which `at` builds with the
     point: the residual rounds to an ulp of v, not of u, so no round-off
     floor of the 1/h^2 stencil lies above the tolerance even at N = 16384.
-    `heights` and `deviation` map between the two at a point.  The cap is
-    v = 0, and the driver starts Newton from it at every boundary height,
-    all heights of a schedule, and a sweep's later points, as the rows of
-    stacks, each row with the arithmetic it gets alone.  Newton stops at a
-    residual sup-norm of 1e-11: at 1e-10 the cap itself met the tolerance
-    at N = 16384 and sigma = 0.9, steps took no iteration, and a refinement
-    study up to that grid read order 1.58 for 2.00.  A solution reports the
+    The cap is v = 0, and the driver starts Newton from it at every
+    boundary height, all heights of a schedule, and a sweep's later points,
+    as the rows of stacks, each row with the arithmetic it gets alone.
+    Newton stops at a residual sup-norm of 1e-11: at 1e-10 the cap itself
+    met the tolerance at N = 16384 and sigma = 0.9, steps took no iteration,
+    and a refinement study up to that grid read order 1.58 for 2.00.  A solution reports the
     heights at every node and the curvatures at the interior nodes, all but
     the rim node; the last of them is the one next to the rim.  Nothing
     changes after construction."""
@@ -419,16 +420,6 @@ class RadialLayout:
             raise SingularJacobianError(str(exc)) from exc
         return delta.reshape(rhs.shape)
 
-    def initial(self, at):
-        """The caps at the points: rows of no deviation from them."""
-        return np.zeros((len(at.sigma), self.nodes))
-
-    def heights(self, it):
-        return it.at.cap[0] + it.u
-
-    def deviation(self, u, at):
-        return u - at.cap[0]
-
     def u0(self, u):
         return float(u[0])
 
@@ -436,7 +427,7 @@ class RadialLayout:
         """The one-row iterate's heights, with kappa and w from its jet."""
         kappa, w = radial_principal_curvatures(*it.lin[0], self.spec.n)
         sigma, epsilon = it.at.point()
-        return GraphSolution(layout=self, u=self.heights(it)[0], sigma=sigma, epsilon=epsilon,
+        return GraphSolution(layout=self, u=_heights(it)[0], sigma=sigma, epsilon=epsilon,
                              kappa=kappa[0], w=w[0])
 
 
@@ -446,38 +437,42 @@ class RadialLayout:
 # "rows", on the second-last axis of each of its arrays of two or more axes
 # (the last holds the nodes; arrays of fewer axes are shared by the rows).
 # A layout builds a list of (sigma, epsilon) points into a stack of them,
-# an At (`at`), once; every Iterate carries the At of its rows, and every
-# Newton function reads its points from the iterate it is given.  A layout
-# evaluates a stack at its points into an Iterate (raising
+# an At (`at`), once, with the reference heights of every point (At.cap[0]);
+# every Iterate carries the At of its rows, and every Newton function reads
+# its points from the iterate it is given.  On both layouts a Newton state
+# is the deviation v of the heights from its points' reference heights:
+# Newton starts from v = 0, the heights are the reference heights plus v
+# (_heights), and a state moved to other points keeps its heights.  A
+# layout evaluates a stack at its points into an Iterate (raising
 # AdmissibilityLostError with the rows at fault), factors the Jacobian at
 # what that evaluation built (`factor`) and solves with the factors
-# (raising SingularJacobianError), seeds a stack from the caps at its points
-# (`initial`), maps an iterate to its heights and heights back to a state
-# at a stack of points (`heights`, `deviation`), and turns the one-row
-# Iterate Newton converged on into a GraphSolution with the curvatures of
-# its jet, whose node questions it answers: `touches_boundary` flags, in the
-# order of the reported interior nodes, those next to a Dirichlet node.
-# `nodes` is the size of one row.  Its class sets `newton_tol`, the residual
-# sup-norm at which Newton stops; `keeps_factorization`, to keep the
-# factorization for chord steps and the predictor (see _predict), and then
-# it gets one row only; and `exact_seed`, to start Newton from `initial` at
-# the listed points of a solve or a sweep, as stacks (see Seeds), which
-# Seeds alone reads.  Newton returns the error of every failed row by its
-# row, and _solve_at raises it.
+# (raising SingularJacobianError), gives the center height of a row of
+# heights (`u0`), and turns the one-row Iterate Newton converged on into a
+# GraphSolution with the curvatures of its jet, whose node questions it
+# answers: `touches_boundary` flags, in the order of the reported interior
+# nodes, those next to a Dirichlet node.  `nodes` is the size of one row.
+# Its class sets `newton_tol`, the residual sup-norm at which Newton stops;
+# `keeps_factorization`, to keep the factorization for chord steps and the
+# predictor (see _predict), and then it gets one row only; and
+# `exact_seed`, when the reference heights solve the problem exactly, to
+# start Newton from them at the listed points of a solve or a sweep, as
+# stacks (see Seeds), which Seeds alone reads.  Newton returns the error of
+# every failed row by its row, and _solve_at raises it.
 
 
 class At(NamedTuple):
     """A stack of (sigma, epsilon) points, one per row: `sigma` and
     `epsilon` columns of shape (rows, 1), and `cap`, what the layout
-    computes from the points (the caps' (c, c', c'') on RadialLayout, None
-    on grid.GridLayout)."""
+    computes from the points, whose first entry holds each row's reference
+    heights, epsilon on every Dirichlet node (the caps' (c, c', c'') on
+    RadialLayout, (g,) on grid.GridLayout)."""
 
     sigma: np.ndarray
     epsilon: np.ndarray
     cap: object
 
     @classmethod
-    def of(cls, points, cap=None):
+    def of(cls, points, cap):
         """The stack of the (sigma, epsilon) points, with `cap`."""
         sigma, epsilon = (np.array(x, dtype=float)[:, None] for x in zip(*points))
         return cls(sigma, epsilon, cap)
@@ -509,6 +504,12 @@ class NewtonState:
         self.factored = None
         self.factorizations = np.zeros(rows, dtype=int)
         self.rejected = np.zeros(rows, dtype=int)
+
+
+def _heights(it):
+    """The heights of every row of the iterate `it`: its points' reference
+    heights plus its state, the deviation from them."""
+    return it.at.cap[0] + it.u
 
 
 def _norm(res):
@@ -683,19 +684,19 @@ _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLost
 
 
 def _solve_at(layout, it, at, state: NewtonState):
-    """Newton at the one-row stack of points `at`, from `layout.initial`
+    """Newton at the one-row stack of points `at`, from its reference heights
     without an iterate `it`, and otherwise from the Euler prediction (see
     _predict) from the state of `it`, moved to `at` with its heights kept.
     The row's error is raised.  Returns the converged iterate, its
     iterations, factorizations and center height."""
     if it is None:
-        start = layout.evaluate(layout.initial(at), at)
+        start = layout.evaluate(np.zeros_like(at.cap[0]), at)
     else:
-        start = _predict(layout, layout.deviation(layout.heights(it), at), at, state)
+        start = _predict(layout, _heights(it) - at.cap[0], at, state)
     new, count, nf, errors = _newton_solve(layout, start, state)
     if errors:
         raise errors[0]
-    return new, int(count[0]), int(nf[0]), layout.u0(layout.heights(new)[0])
+    return new, int(count[0]), int(nf[0]), layout.u0(_heights(new)[0])
 
 
 def _seeded(layout, points):
@@ -707,13 +708,13 @@ def _seeded(layout, points):
     height), or None where its row failed, an inadmissible seed included.
     No row is sliced out: the march slices only the rows it keeps."""
     at = layout.at(points)
-    it, errors = _evaluate(layout, layout.initial(at), at)
+    it, errors = _evaluate(layout, np.zeros_like(at.cap[0]), at)
     good = [i for i in range(len(points)) if i not in errors]
     rejected, solved = [0] * len(points), [None] * len(points)
     if good:
         rows = NewtonState(len(good))
         it, count, nf, failed = _newton_solve(layout, it, rows)
-        heights = layout.heights(it)
+        heights = _heights(it)
         for j, i in enumerate(good):
             rejected[i] = int(rows.rejected[j])
             if j not in failed:

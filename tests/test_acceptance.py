@@ -71,7 +71,7 @@ def test_criterion_3_umbilic_evaluation_oracle():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for sigma in (0.1, 0.5, 0.9):
-        cap = hypgeom.make_cap(1.0, sigma)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, 0.0)
         for _ in range(1000):
             rho = rng.uniform(0.0, 0.999)
             t = rng.uniform(0.0, 2 * math.pi)

@@ -309,13 +309,24 @@ class TestValidateConfig:
 
 class TestRun:
     def test_cap_report(self, tmp_path, capsys):
-        code = cli.run({"command": "cap", "sigma": 0.5, "radius": 1.0,
+        code = cli.run({"command": "cap", "sigma": 0.5, "radius": 1.0, "epsilon_min": 0,
                         "out": str(tmp_path)})
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["schema_version"] == cli.SCHEMA_VERSION
         assert doc["cap"]["u0"] == pytest.approx(math.sqrt(1 / 3), abs=1e-7)
         assert doc["config"]["command"] == "cap"
+
+    def test_cap_report_is_the_exported_cap(self, tmp_path):
+        # the report held the cap through the rim, 0.5773502692, while the
+        # mesh's apex read the cap of boundary height epsilon_min, 0.577683987
+        code = cli.run({"command": "cap", "sigma": 0.5, "grid": 16, "out": str(tmp_path),
+                        "export": "report-json,mesh-obj"})
+        assert code == 0
+        cap = json.loads((tmp_path / "report.json").read_text())["cap"]
+        apex = (tmp_path / "mesh.obj").read_text().splitlines()[1]
+        assert apex.startswith("v 0 0 ")
+        assert "%.9g" % cap["u0"] == apex.split()[3]
 
     def test_verify_f(self, tmp_path):
         code = cli.run({"command": "verify-f", "family": "consecutive_quotient",

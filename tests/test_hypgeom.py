@@ -56,7 +56,7 @@ class TestShapes:
 class TestCapOracle:
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
     def test_umbilic(self, sigma):
-        cap = hypgeom.make_cap(1.0, sigma)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, sigma, 0.0)
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(1000):
@@ -67,7 +67,7 @@ class TestCapOracle:
         assert worst <= 1e-10
 
     def test_geometry(self):
-        cap = hypgeom.make_cap(1.0, 0.5)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.5, 0.0)
         assert cap.r == pytest.approx(1.0 / math.sqrt(0.75))
         assert cap.c == pytest.approx(-0.5 * cap.r)
         assert cap.apex_height == pytest.approx(math.sqrt(1.0 / 3.0))
@@ -82,20 +82,20 @@ class TestCapOracle:
                 assert np.max(np.abs(jet.kappa - sigma)) < 1e-10
 
     def test_higher_dimension_umbilic(self):
-        cap = hypgeom.make_cap(1.0, 0.4)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.4, 0.0)
         jet = oracles.cap_jet(cap, [0.2, 0.1, 0.3])
         assert np.max(np.abs(jet.kappa - 0.4)) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hypgeom.make_cap(1.0, 0.0)
+            hypgeom.make_cap_with_boundary_height(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            hypgeom.make_cap(-1.0, 0.5)
+            hypgeom.make_cap_with_boundary_height(-1.0, 0.5, 0.0)
 
 
 class TestRadialJet:
     def test_matches_full_jet_on_cap(self):
-        cap = hypgeom.make_cap(1.0, 0.6)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.6, 0.0)
         rho = 0.37
         jet_r = oracles.radial_jet(cap.height(rho), cap.dheight(rho),
                                    d2height(cap, rho), rho, n=2)
@@ -103,12 +103,12 @@ class TestRadialJet:
         assert np.allclose(np.sort(jet_r.kappa), np.sort(jet_f.kappa), atol=1e-12)
 
     def test_axis_limit(self):
-        cap = hypgeom.make_cap(1.0, 0.6)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.6, 0.0)
         jet = oracles.radial_jet(cap.height(0.0), 0.0, d2height(cap, 0.0), 0.0, n=3)
         assert np.allclose(jet.kappa, 0.6, atol=1e-12)
 
     def test_vectorized_curvatures_match(self):
-        cap = hypgeom.make_cap(1.0, 0.3)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.3, 0.0)
         rho = np.linspace(0.0, 0.9, 50)
         kappa, w = hypgeom.radial_principal_curvatures(
             cap.height(rho), cap.dheight(rho), d2height(cap, rho), rho, 2)

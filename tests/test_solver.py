@@ -193,7 +193,7 @@ class _LineLayout:
     newton_tol = 1e-10
 
     def at(self, points):
-        return solver.At.of(points)
+        return solver.At.of(points, (np.zeros((len(points), 1)),))
 
     def evaluate(self, u, at):
         bad = np.flatnonzero(u >= 0.8)
@@ -290,14 +290,15 @@ class TestResidual:
         # cone; the nodes are numbered among the quadrant's interior nodes,
         # and these three lie off both symmetry axes
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
-        U = layout.initial(_at(layout, 0.6, 0.1))
-        layout.evaluate(U, _at(layout, 0.6, 0.1))
+        at = _at(layout, 0.6, 0.1)
+        v = np.zeros_like(at.cap[0])
+        layout.evaluate(v, at)
         pushed = [14, 55, 100]
         rows, cols = np.nonzero(layout.inside)  # interior nodes in residual order
         assert np.all(rows[pushed] > 0) and np.all(cols[pushed] > 0)
-        U.reshape(layout.shape)[rows[pushed], cols[pushed]] += 0.01
+        v.reshape(layout.shape)[rows[pushed], cols[pushed]] += 0.01
         with pytest.raises(AdmissibilityLostError) as exc:
-            layout.evaluate(U, _at(layout, 0.6, 0.1))
+            layout.evaluate(v, at)
         assert exc.value.nodes == pushed
         assert all(type(i) is int for i in exc.value.nodes)
         assert str(exc.value) == "curvature left the cone at nodes [14, 55, 100]"
@@ -311,17 +312,16 @@ class TestPairTableResidual:
     def test_matches_curvature_route(self, spec):
         domain = hypgeom.Domain.ball(1.0)
         layout = solver.RadialLayout(spec, domain, 64)
-        states = [(layout.initial(_at(layout, sigma, eps)), sigma, eps)
+        states = [(np.zeros((1, layout.nodes)), sigma, eps)
                   for sigma in (0.5, 0.2) for eps in (0.1, 1e-3)]
         for sigma in (0.5, 0.2):
             sol = solver.continuation_solve(solver.SolverConfig(
                 spec=spec, domain=domain, sigma_target=sigma, grid_size=64))
-            states.append((layout.deviation(sol.u, _at(layout, sigma, sol.epsilon)), sigma,
-                           sol.epsilon))
+            states.append((sol.u - _at(layout, sigma, sol.epsilon).cap[0], sigma, sol.epsilon))
         for v, sigma, eps in states:
             at = _at(layout, sigma, eps)
             got, lin = solver.residual(v, spec, np.array([sigma]), at.cap, layout.rho)
-            want = _residual_by_curvatures(layout.heights(solver.Iterate(v, got, lin, at))[0],
+            want = _residual_by_curvatures(solver._heights(solver.Iterate(v, got, lin, at))[0],
                                            spec, sigma, eps, layout.rho)
             assert np.max(np.abs(got[0] - want)) <= 1e-12
 
@@ -375,7 +375,7 @@ class TestNewton:
         u[:-1] += 1e-6 * np.sin(math.pi * rho[:-1])
         layout = solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 128)
         point = _at(layout, 0.6, 0.1)
-        v = layout.deviation(u, point)
+        v = u - point.cap[0]
         it = layout.evaluate(v, point)
         base = np.max(np.abs(solver.residual(v, H2H1, point.sigma[:, 0], point.cap, rho)[0]))
         _, norm, _ = _step(layout, it, solver.NewtonState())
@@ -386,7 +386,7 @@ class TestNewton:
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5, grid_size=128))
         layout = solver.RadialLayout(H2H1, sol.layout.domain, 128)
         point = _at(layout, 0.5, sol.epsilon)
-        it = layout.evaluate(layout.deviation(sol.u, point), point)
+        it = layout.evaluate(sol.u - point.cap[0], point)
         new, norm, _ = _step(layout, it, solver.NewtonState())
         # the correction taken, relative to the heights
         step = np.max(np.abs(new.u - it.u)) / (1.0 + np.max(np.abs(sol.u)))
@@ -512,7 +512,7 @@ def test_nan_jacobian_raises_singular():
     # which the row records
     layout = _NaNJacobianLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
     state, point = solver.NewtonState(), _at(layout, 0.5, 0.1)
-    u = layout.initial(point)
+    u = np.zeros_like(point.cap[0])
     u[:, :-1] += 1e-4 * np.cos(np.pi * layout.rho[:-1])
     _, _, failed = _step(layout, layout.evaluate(u, point), state)
     assert isinstance(failed[0], SingularJacobianError)
@@ -530,23 +530,23 @@ def test_failed_grid_solve_keeps_no_factors():
     # kept for the chord steps and predictions of the points after it
     layout = _NaNSolveGridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 16)
     state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
-    _, _, failed = _step(layout, layout.evaluate(layout.initial(point), point), state)
+    _, _, failed = _step(layout, layout.evaluate(np.zeros_like(point.cap[0]), point), state)
     assert str(failed[0]) == "linear solve produced non-finite update"
     assert state.factored is None
 
 
 class _ConeEdgeLayout(grid.GridLayout):
-    """The grid layout whose admissible set ends just above the heights of
-    the state `edge`: a prediction towards smaller sigma, which raises the
-    graph, leaves it."""
+    """The grid layout whose admissible set ends just above the heights
+    `edge`: a prediction towards smaller sigma, which raises the graph,
+    leaves it."""
 
     edge = np.inf
 
-    def evaluate(self, U, at):
-        above = np.flatnonzero(U > self.edge + 1e-12)
+    def evaluate(self, v, at):
+        above = np.flatnonzero(at.cap[0] + v > self.edge + 1e-12)
         if above.size:
             raise AdmissibilityLostError(above)
-        return super().evaluate(U, at)
+        return super().evaluate(v, at)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -629,21 +629,30 @@ class TestPredictor:
 
     @staticmethod
     def converged(layout_class=grid.GridLayout):
+        """The layout, the Newton state with the kept factorization, and the
+        converged heights."""
         layout = layout_class(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32)
         state, point = solver.NewtonState(), _at(layout, 0.6, 0.1)
-        seed = layout.evaluate(layout.initial(point), point)
+        seed = layout.evaluate(np.zeros_like(point.cap[0]), point)
         it, _, _, _ = solver._newton_solve(layout, seed, state)
         state.factored = layout.factor(it.lin)
-        return layout, state, it.u
+        return layout, state, solver._heights(it)
+
+    @staticmethod
+    def moved(layout, u, sigma):
+        """The heights u as a state at (sigma, 0.1), and that point."""
+        at = _at(layout, sigma, 0.1)
+        return u - at.cap[0], at
 
     def predicted_norm(self, layout, state, u, sigma):
-        pred = solver._predict(layout, u, _at(layout, sigma, 0.1), state)
-        assert np.array_equal(pred.res, layout.evaluate(pred.u, _at(layout, sigma, 0.1)).res)
+        v, at = self.moved(layout, u, sigma)
+        pred = solver._predict(layout, v, at, state)
+        assert np.array_equal(pred.res, layout.evaluate(pred.u, at).res)
         return np.max(np.abs(pred.res))
 
     def test_cuts_the_residual(self):
         layout, state, u = self.converged()
-        plain = np.max(np.abs(layout.evaluate(u, _at(layout, 0.55, 0.1)).res))
+        plain = np.max(np.abs(layout.evaluate(*self.moved(layout, u, 0.55)).res))
         assert self.predicted_norm(layout, state, u, 0.55) <= plain / 5.0
 
     def test_second_order(self):
@@ -656,9 +665,10 @@ class TestPredictor:
     def test_inadmissible_prediction_falls_back(self):
         layout, state, u = self.converged(_ConeEdgeLayout)
         layout.edge = u
-        start = solver._predict(layout, u, _at(layout, 0.55, 0.1), state)
-        assert start.u is u and state.rejected == 1
-        assert np.array_equal(start.res, layout.evaluate(u, _at(layout, 0.55, 0.1)).res)
+        v, at = self.moved(layout, u, 0.55)
+        start = solver._predict(layout, v, at, state)
+        assert start.u is v and state.rejected == 1
+        assert np.array_equal(start.res, layout.evaluate(v, at).res)
         # Newton refactors at u instead of trying the rejected chord step again
         assert state.factored is None
 
@@ -680,15 +690,18 @@ class _ContinuedLayout(solver.RadialLayout):
 
 
 class _BadSeedLayout(solver.RadialLayout):
-    """The radial layout whose seeds at `bad_sigma` have a negative height,
-    so that Newton from them fails at once."""
+    """The radial layout whose seeds at `bad_sigma`, the rows of no
+    deviation there, are evaluated with a negative height, so that Newton
+    from them fails at once."""
 
     bad_sigma = 0.3
 
-    def initial(self, at):
-        u = super().initial(at)
-        u[at.sigma[:, 0] == self.bad_sigma, 10] = -0.5
-        return u
+    def evaluate(self, v, at):
+        seeds = (at.sigma[:, 0] == self.bad_sigma) & ~v.any(axis=-1)
+        if seeds.any():
+            v = v.copy()
+            v[seeds, 10] = -0.5
+        return super().evaluate(v, at)
 
 
 class _FailOnceLayout(solver.RadialLayout):
@@ -711,11 +724,11 @@ class _FailOnceGridLayout(grid.GridLayout):
 
     fail_at = 0.5
 
-    def evaluate(self, U, at):
+    def evaluate(self, v, at):
         if at.sigma[0, 0] == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
-        return super().evaluate(U, at)
+        return super().evaluate(v, at)
 
 
 BALL_FAMILIES = {
@@ -806,13 +819,19 @@ class TestExactSeed:
         # schedule's heights, and the start of the sigma march when the
         # first height fails, start from the cap: every midpoint is a step
         seeded = []
-        initial = solver.RadialLayout.initial
+        stacked, solve_at = solver._seeded, solver._solve_at
 
-        def spy(self, at):
-            seeded.extend(at.point(i) for i in range(len(at.sigma)))
-            return initial(self, at)
+        def spy_stacked(layout, points):
+            seeded.extend(points)
+            return stacked(layout, points)
 
-        monkeypatch.setattr(solver.RadialLayout, "initial", spy)
+        def spy_solve_at(layout, it, at, state):
+            if it is None:
+                seeded.append(at.point())
+            return solve_at(layout, it, at, state)
+
+        monkeypatch.setattr(solver, "_seeded", spy_stacked)
+        monkeypatch.setattr(solver, "_solve_at", spy_solve_at)
         cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
                                   domain=hypgeom.Domain.ball(1.0), sigma_target=0.002,
                                   grid_size=512)
@@ -1211,10 +1230,11 @@ class TestGridPath:
 
     def test_interior_solve_matches_full_system(self):
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 24)
-        U = layout.initial(_at(layout, 0.5, 0.1))
+        U = _at(layout, 0.5, 0.1).cap[0]
         # residual at the next boundary height: nonzero on Dirichlet nodes,
         # as after a step of the epsilon continuation
-        it = layout.evaluate(U, _at(layout, 0.5, 0.05))
+        at = _at(layout, 0.5, 0.05)
+        it = layout.evaluate(U - at.cap[0], at)
         rhs = -it.res
         assert np.max(np.abs(rhs[0, ~layout.inside.ravel()])) == pytest.approx(0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout).tocsc()
@@ -1230,35 +1250,38 @@ class TestGridPath:
         assert np.max(np.abs(_unfold(layout, quadrant) - full)) <= bound + asymmetry
 
     @staticmethod
-    def symmetric_state(grid_size):
-        """A quadrant state off the cap by seeded noise at the interior
-        nodes, as a stack of one row, and the layout it lives on."""
+    def symmetric_state(grid_size, epsilon):
+        """Quadrant heights off the cap seed at (0.5, 0.1) by seeded noise at
+        the interior nodes, as the deviation v from the reference heights at
+        (0.5, epsilon), a stack of one row; the stack of that point; the
+        heights the residual there reads; and the layout they live on."""
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), grid_size)
-        U = layout.initial(_at(layout, 0.5, 0.1))
+        U = _at(layout, 0.5, 0.1).cap[0].copy()
         U.reshape(layout.shape)[layout.inside] += 1e-5 * np.random.default_rng(7).standard_normal(
             np.count_nonzero(layout.inside))
-        return layout, U
+        at = _at(layout, 0.5, epsilon)
+        v = U - at.cap[0]
+        return layout, v, at, at.cap[0] + v
 
     @pytest.mark.parametrize("grid_size", [32, 24])  # ny = 22 (even), 17 (odd)
     def test_quadrant_residual_is_full_box_residual(self, grid_size):
-        layout, U = self.symmetric_state(grid_size)
+        layout, v, at, U = self.symmetric_state(grid_size, 0.05)
         full = _residual_grid_full(_unfold(layout, U), H2H1, 0.5, 0.05, layout)
-        assert np.array_equal(layout.evaluate(U, _at(layout, 0.5, 0.05)).res[0],
+        assert np.array_equal(layout.evaluate(v, at).res[0],
                               full.ravel()[_quadrant_nodes(layout)])
 
     @pytest.mark.parametrize("grid_size", [32, 24])
     def test_quadrant_jacobian_is_folded_full_box_jacobian(self, grid_size):
         # a column of a full-box node adds into the column of its mirror
         # image in the quadrant
-        layout, U = self.symmetric_state(grid_size)
+        layout, v, at, U = self.symmetric_state(grid_size, 0.05)
         J = _jacobian_grid_full(_unfold(layout, U), H2H1, layout)
         rows = _quadrant_nodes(layout)[layout.inside.ravel()]
         fold = layout.fold.ravel()
         P = csr_matrix((np.ones(fold.size), (np.arange(fold.size), fold)),
                        shape=(fold.size, layout.inside.size))
         folded = (J[rows] @ P).toarray()
-        J_ii, J_ib = grid._jacobian_grid(layout.evaluate(U, _at(layout, 0.5, 0.05)).lin, H2H1,
-                                         layout)
+        J_ii, J_ib = grid._jacobian_grid(layout.evaluate(v, at).lin, H2H1, layout)
         ins = layout.inside.ravel()
         scale = np.max(np.abs(folded))
         assert np.max(np.abs(J_ii.toarray() - folded[:, ins])) <= 1e-12 * scale
@@ -1313,11 +1336,11 @@ class TestGridPath:
         # the circle's cap seed at N = 256 leaves K_2 near the rim: the sign
         # test of the table lists the nodes the curvatures list
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 256)
-        U = layout.initial(_at(layout, 0.8, 0.1))
-        kappa, _ = grid.principal_curvatures_2d(*grid._jets(U, layout))
+        at = _at(layout, 0.8, 0.1)
+        kappa, _ = grid.principal_curvatures_2d(*grid._jets(at.cap[0], layout))
         expected = np.flatnonzero(~symfunc.cone_contains(kappa, H2H1.cone_index))
         with pytest.raises(AdmissibilityLostError) as info:
-            layout.evaluate(U, _at(layout, 0.8, 0.1))
+            layout.evaluate(np.zeros_like(at.cap[0]), at)
         assert expected.size and info.value.nodes == expected.tolist()
 
     @pytest.mark.parametrize("spec", [H1, H2H1, CurvatureSpec.kth_root(2, 2)],
@@ -1338,7 +1361,7 @@ class TestGridPath:
         # on the circle's cap seed the centre node, quadrant node 0, has
         # Du = 0, uxy = 0 and uxx = uyy exactly: kappa_1 = kappa_2 there
         layout = grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.0, 1.0), 32)
-        jet = grid._jets(layout.initial(_at(layout, 0.5, 0.1)), layout)
+        jet = grid._jets(_at(layout, 0.5, 0.1).cap[0], layout)
         kappa, _ = grid.principal_curvatures_2d(*jet)
         assert kappa[0, 0] == kappa[0, 1]
         for exact, centred in zip(_jet_partials(H2H1, jet),
@@ -1348,8 +1371,8 @@ class TestGridPath:
 
     @pytest.mark.parametrize("grid_size, bound", [(16, 1e-4), (64, 1e-6)])
     def test_jacobian_cross_check(self, grid_size, bound, monkeypatch):
-        layout, U = self.symmetric_state(grid_size)
-        lin = layout.evaluate(U, _at(layout, 0.5, 0.1)).lin
+        layout, v, at, _ = self.symmetric_state(grid_size, 0.1)
+        lin = layout.evaluate(v, at).lin
         J_ii, J_ib = grid._jacobian_grid(lin, H2H1, layout)
         monkeypatch.setattr(grid, "_jet_partials", _grid_partials_centred)
         C_ii, C_ib = grid._jacobian_grid(lin, H2H1, layout)
@@ -1394,6 +1417,68 @@ class TestGridPath:
             assert np.allclose(np.sort(kappa), np.sort(jet.kappa), atol=1e-10)
 
 
+def _initial_grid(layout, sigma, epsilon):
+    """Oracle for the grid seed: the cap of the inscribed ball at the point,
+    carried along the elliptical level sets so that it meets the boundary
+    height on the rim, as the grid layout built its first Newton state when
+    that state was the heights themselves."""
+    a, b = layout.domain.params
+    X, Y = np.meshgrid(layout.xs[layout.xs.size // 2:], layout.ys[layout.ys.size // 2:],
+                       indexing="ij")
+    level = (X / a) ** 2 + (Y / b) ** 2
+    cap = hypgeom.make_cap_with_boundary_height(b, sigma, epsilon)
+    U = cap.height(np.minimum(np.sqrt(level), 1.0) * b).ravel()
+    U[~layout.interior] = epsilon
+    return U[None]
+
+
+class TestReferenceHeights:
+    """Both layouts solve for the deviation of the heights from the
+    reference heights At.cap[0] that `at` builds with every point."""
+
+    LAYOUTS = {
+        "ball": lambda: solver.RadialLayout(H2H1, hypgeom.Domain.ball(1.0), 64),
+        "ellipse": lambda: grid.GridLayout(H2H1, hypgeom.Domain.ellipse(1.5, 1.0), 32),
+    }
+    POINTS = [(0.8, 0.1), (0.5, 1e-3), (0.5, 0.0)]
+
+    @staticmethod
+    def dirichlet(layout):
+        """The flags of the Dirichlet nodes in a row of the layout."""
+        if isinstance(layout, grid.GridLayout):
+            return ~layout.interior
+        return np.arange(layout.nodes) == layout.nodes - 1
+
+    @pytest.mark.parametrize("make", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_epsilon_on_dirichlet_nodes(self, make):
+        layout = make()
+        at = layout.at(self.POINTS)
+        assert at.cap[0].shape == (len(self.POINTS), layout.nodes)
+        for row, (_, epsilon) in zip(at.cap[0], self.POINTS):
+            assert np.all(row[self.dirichlet(layout)] == epsilon)
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_grid_seed_is_the_carried_cap(self, point):
+        layout = self.LAYOUTS["ellipse"]()
+        at = layout.at([point])
+        seed = solver.Iterate(np.zeros_like(at.cap[0]), None, None, at)
+        assert np.array_equal(solver._heights(seed), _initial_grid(layout, *point))
+
+    @pytest.mark.parametrize("make", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_moved_state_keeps_its_heights(self, make):
+        # the state at (0.8, 0.1), where the sigma march of either layout
+        # starts, converged and moved to each other point as the deviation
+        # from that point's reference heights
+        layout = make()
+        it, _, _, _ = solver._solve_at(layout, None, layout.at(self.POINTS[:1]),
+                                       solver.NewtonState())
+        heights = solver._heights(it)
+        for point in self.POINTS[1:]:
+            at = layout.at([point])
+            moved = solver.Iterate(heights - at.cap[0], None, None, at)
+            assert np.all(np.abs(solver._heights(moved) - heights) <= np.spacing(heights))
+
+
 def _outcome(layout, points):
     """Per point the rejected trial count and the seeded Newton solution of
     `points` as one stack (solver._seeded), unpacked: (u, res, iterations,
@@ -1417,8 +1502,8 @@ def _alone(layout, point):
     rejected trial count and (u, res, iterations, factorizations)."""
     at = _at(layout, *point)
     state = solver.NewtonState(1)
-    it, count, nf, errors = solver._newton_solve(layout, layout.evaluate(layout.initial(at), at),
-                                                 state)
+    it, count, nf, errors = solver._newton_solve(
+        layout, layout.evaluate(np.zeros_like(at.cap[0]), at), state)
     assert not errors
     return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
 
@@ -1463,7 +1548,7 @@ class TestStackedRows:
             if row[1] is None:
                 at = _at(layout, *point)
                 with pytest.raises(AdmissibilityLostError):
-                    layout.evaluate(layout.initial(at), at)
+                    layout.evaluate(np.zeros_like(at.cap[0]), at)
             else:
                 _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, 512), point))
 
@@ -1477,7 +1562,7 @@ class TestStackedRows:
         points = [(0.01, e) for e in cfg.epsilon_schedule]
         layout = solver.RadialLayout(spec, cfg.domain, 512)
         at = layout.at(points)
-        seeds = layout.initial(at)
+        seeds = np.zeros_like(at.cap[0])
         residuals = _count_calls(monkeypatch, solver, "residual")
         it, errors = solver._evaluate(layout, seeds, at)
         assert len(residuals) == 2
@@ -1546,13 +1631,13 @@ class TestStackedRows:
         at = layout.at(points)
         state = solver.NewtonState(len(points))
         it, count, nf, errors = solver._newton_solve(
-            layout, layout.evaluate(layout.initial(at), at), state)
+            layout, layout.evaluate(np.zeros_like(at.cap[0]), at), state)
         broken = [i for i, p in enumerate(points) if p[1] in (layout.singular, layout.nan)]
         assert sorted(errors) == broken
         for i, point in enumerate(points):
             if i in broken:
                 alone, at = solver.NewtonState(), _at(layout, *point)
-                _, _, failed = _step(layout, layout.evaluate(layout.initial(at), at), alone)
+                _, _, failed = _step(layout, layout.evaluate(np.zeros_like(at.cap[0]), at), alone)
                 assert isinstance(failed[0], SingularJacobianError)
                 assert type(errors[i]) is SingularJacobianError
                 assert str(errors[i]) == str(failed[0])
@@ -1617,7 +1702,7 @@ class _SlowRowLayout:
     slow, floor = 0.2, None
 
     def at(self, points):
-        return solver.At.of(points)
+        return solver.At.of(points, (np.zeros((len(points), 1)),))
 
     def evaluate(self, u, at):
         slow = at.epsilon == self.slow
@@ -1661,7 +1746,7 @@ class _StackedLineLayout:
     newton_tol = 1e-10
 
     def at(self, points):
-        return solver.At.of(points)
+        return solver.At.of(points, (np.zeros((len(points), 1)),))
 
     def evaluate(self, u, at):
         bad = np.flatnonzero(u >= 0.8)

@@ -59,7 +59,7 @@ class TestGradientEstimate:
 
     def test_cap_boundary_value(self):
         # at height eps -> 0 the cap's vertical normal approaches sigma
-        cap = hypgeom.make_cap(1.0, 0.5)
+        cap = hypgeom.make_cap_with_boundary_height(1.0, 0.5, 0.0)
         jet = oracles.cap_jet(cap, [1.0 - 1e-10, 0.0])
         assert jet.nu_vertical == pytest.approx(0.5, abs=1e-4)
 
