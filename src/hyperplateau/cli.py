@@ -115,8 +115,9 @@ def validate_config(raw: dict) -> dict:
     value is converted by its OPTIONS kind, whether or not the command reads
     it; a None is left as it is where the default is None.  Beside the
     CLI's own rules (keys, command, l, sigmas, ranges, out, exports), it
-    builds the CurvatureSpec, the Domain and, for a command that takes
-    sigma, the SolverConfig: each ValueError they raise is a violation."""
+    builds the CurvatureSpec and the Domain and checks epsilon_min and
+    every sigma: each ValueError they raise is a violation.  Those are all
+    the rules a SolverConfig checks, so none is built here."""
     violations = [f"unknown config key {key!r}" for key in sorted(set(raw) - {"command", *OPTIONS})]
     cfg = {key: raw.get(key, default) for key, (default, _, _) in OPTIONS.items()}
     cfg["command"] = command = raw.get("command")
@@ -143,16 +144,16 @@ def validate_config(raw: dict) -> dict:
     elif cfg["l"] is None:
         violations.append("general_quotient requires l")
         spec_ok = False
-    spec = _build(violations, _curvature_spec, cfg) if spec_ok else None
+    if spec_ok:
+        _build(violations, _curvature_spec, cfg)
 
-    domain = None
     ellipse = cfg["shape"] == hypgeom.SHAPE_ELLIPSE
     if cfg["shape"] not in SHAPES:
         violations.append(f"unknown shape {cfg['shape']!r}")
     elif ellipse and (cfg["axes"] is None or ("axes" not in failed and len(cfg["axes"]) != 2)):
         violations.append("ellipse requires axes = [a_axis, b_axis]")
     elif not failed & {"axes" if ellipse else "radius"}:
-        domain = _build(violations, _domain, cfg)
+        _build(violations, _domain, cfg)
     if command == "cap" and cfg["shape"] != hypgeom.SHAPE_BALL:
         violations.append(f"the umbilic cap is a ball solution: cap needs shape 'ball', "
                           f"got {cfg['shape']!r}")
@@ -169,21 +170,16 @@ def validate_config(raw: dict) -> dict:
     refine = command == "refine" and "levels" not in failed
     if refine and cfg["levels"] < 2:
         violations.append("refine needs levels >= 2")
-    grid_ok = "grid" not in failed
-    if grid_ok:
+    if "grid" not in failed:
         # refine doubles the grid levels - 1 times; 63 doublings exceed every bound
         finest = cfg["grid"] * 2 ** (min(max(cfg["levels"], 1), 64) - 1 if refine else 0)
         if cfg["grid"] < solver.MIN_GRID:
             violations.append(f"grid must be >= {solver.MIN_GRID}, got {cfg['grid']}")
-            grid_ok = False
         elif cfg["shape"] in SHAPES and finest > MAX_GRID[cfg["shape"]]:
             violations.append(f"the finest grid (grid * 2**(levels - 1) on refine) must be at most "
                               f"{MAX_GRID[cfg['shape']]} for shape {cfg['shape']!r}, got {finest}")
-    # for every command, sweep and cap included, which build no SolverConfig here
-    before = len(violations)
     if "epsilon_min" not in failed:
         _build(violations, solver.check_epsilon_min, cfg["epsilon_min"])
-    epsilon_ok = len(violations) == before and "epsilon_min" not in failed
     if "seed" not in failed and cfg["seed"] < 0:
         violations.append(f"seed must be >= 0, got {cfg['seed']}")
     if "samples" not in failed and not 1 <= cfg["samples"] <= MAX_SAMPLES:
@@ -193,10 +189,7 @@ def validate_config(raw: dict) -> dict:
         if cfg["sigma"] is None:
             violations.append(f"command {command!r} requires sigma")
         elif "sigma" not in failed:
-            if spec is not None and domain is not None and grid_ok and epsilon_ok:
-                _build(violations, _solver_config, cfg)
-            else:  # without a solver config, its sigma rule still holds
-                _build(violations, hypgeom.check_sigma, cfg["sigma"])
+            _build(violations, hypgeom.check_sigma, cfg["sigma"])
 
     if not isinstance(cfg["out"], str) or "\0" in cfg["out"]:  # no path holds a NUL
         violations.append(f"out must be a directory path, got {cfg['out']!r}")

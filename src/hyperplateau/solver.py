@@ -494,16 +494,15 @@ class Iterate(NamedTuple):
 
 
 class NewtonState:
-    """What the Newton iterations of one solve share: the factorization kept
-    for chord steps and, per row of the iterate (see above), the number of
-    factorizations and the number of trial iterates rejected as
-    inadmissible.  A step of some rows of a stack counts into their
-    entries, so a stack has one state throughout."""
+    """What every Newton iteration of one march (a solve, or a whole sweep)
+    shares, whatever its rows: the factorization kept for chord steps, the
+    number of factorizations, and the number of trial iterates rejected as
+    inadmissible, a row's rejected trial counting one."""
 
-    def __init__(self, rows=1):
+    def __init__(self):
         self.factored = None
-        self.factorizations = np.zeros(rows, dtype=int)
-        self.rejected = np.zeros(rows, dtype=int)
+        self.factorizations = 0
+        self.rejected = 0
 
 
 def _heights(it):
@@ -536,19 +535,18 @@ def _put(tree, index, part):
 
 
 def _evaluate(layout, u, at):
-    """layout.evaluate at the rows of u, and the error of every inadmissible
-    row by its row: the rows an AdmissibilityLostError names fail with it,
-    and the others are evaluated again, so that the iterate, or None, holds
-    the admissible rows alone."""
-    rows, errors = list(range(len(u))), {}
+    """layout.evaluate at the rows of u, and the rows it kept, in order: the
+    rows an AdmissibilityLostError names are dropped, and the others are
+    evaluated again, so that the iterate, or None, holds the admissible rows
+    alone."""
+    rows = list(range(len(u)))
     while rows:
         try:
-            return layout.evaluate(u, at), errors
+            return layout.evaluate(u, at), rows
         except AdmissibilityLostError as exc:
             keep = [k for k in range(len(rows)) if exc.rows is not None and k not in exc.rows]
-            errors.update((i, exc) for k, i in enumerate(rows) if k not in keep)
             rows, u, at = [rows[k] for k in keep], u[keep], _rows(at, keep)
-    return None, errors
+    return None, rows
 
 
 def newton_step(layout, it, norm, rows, state: NewtonState):
@@ -581,7 +579,7 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
     state.factored = None
     part = it if len(rows) == len(norm) else _rows(it, rows)
     factored = layout.factor(part.lin)
-    state.factorizations[rows] += 1
+    state.factorizations += 1
     try:
         delta = layout.solve(factored, -part.res)
     except SingularJacobianError:
@@ -604,11 +602,10 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
         if not pending:
             break
         sub = slice(None) if len(pending) == len(rows) else pending  # a view, or copies
-        trial, errors = _evaluate(layout, part.u[sub] + t * delta[sub], _rows(part.at, sub))
-        for j in errors:
-            state.rejected[rows[pending[j]]] += 1
+        trial, kept = _evaluate(layout, part.u[sub] + t * delta[sub], _rows(part.at, sub))
+        state.rejected += len(pending) - len(kept)
         if trial is not None:
-            good = [k for j, k in enumerate(pending) if j not in errors]
+            good = [pending[j] for j in kept]
             trial_norm = _norm(trial.res)
             better = [j for j, k in enumerate(good) if trial_norm[j] < norm[rows[k]]]
             if len(better) == len(norm):
@@ -631,11 +628,10 @@ def _newton_solve(layout, it, state: NewtonState):
     that converges stops while the others go on, and a row that fails stops
     with its error.  Returns the iterate holding every row's last state
     (written into `it` when some rows step without the others), per row its
-    iterations and factorizations, and the error of every failed row, by
-    its row."""
-    first = state.factorizations.copy()
+    iterations and factorizations, a row's step that factored counting one,
+    and the error of every failed row, by its row."""
     norm = _norm(it.res)
-    count = [0] * norm.size
+    count, nf = [0] * norm.size, [0] * norm.size
     errors = {}
     while True:
         rows = []
@@ -649,11 +645,13 @@ def _newton_solve(layout, it, state: NewtonState):
             else:
                 rows.append(i)
         if not rows:
-            return it, np.array(count), state.factorizations - first, errors
+            return it, count, nf, errors
+        before = state.factorizations
         it, norm, failed = newton_step(layout, it, norm, rows, state)
         errors.update(failed)
         for i in rows:
             count[i] += 1
+            nf[i] += state.factorizations - before
 
 
 def _predict(layout, v, at, state: NewtonState) -> Iterate:
@@ -696,40 +694,19 @@ def _solve_at(layout, it, at, state: NewtonState):
     new, count, nf, errors = _newton_solve(layout, start, state)
     if errors:
         raise errors[0]
-    return new, int(count[0]), int(nf[0]), layout.u0(_heights(new)[0])
-
-
-def _seeded(layout, points):
-    """Newton from the layout's seed at every (sigma, epsilon) point, the
-    points as one stack.  Returns the stack Newton converged on (None when
-    no seed is admissible), holding the rows of the admissible seeds in
-    order, the number of trial iterates each point rejected, and per point
-    (its row in that stack as a slice, iterations, factorizations, center
-    height), or None where its row failed, an inadmissible seed included.
-    No row is sliced out: the march slices only the rows it keeps."""
-    at = layout.at(points)
-    it, errors = _evaluate(layout, np.zeros_like(at.cap[0]), at)
-    good = [i for i in range(len(points)) if i not in errors]
-    rejected, solved = [0] * len(points), [None] * len(points)
-    if good:
-        rows = NewtonState(len(good))
-        it, count, nf, failed = _newton_solve(layout, it, rows)
-        heights = _heights(it)
-        for j, i in enumerate(good):
-            rejected[i] = int(rows.rejected[j])
-            if j not in failed:
-                solved[i] = (slice(j, j + 1), int(count[j]), int(nf[j]),
-                             layout.u0(heights[j]))
-    return it, rejected, solved
+    return new, count[0], nf[0], layout.u0(_heights(new)[0])
 
 
 class Seeds:
-    """The seeded Newton solves (see _seeded) of a list of (sigma, epsilon)
-    points, the one place that decides on a seeded start: a point is seeded
-    when the layout's class sets `exact_seed` and the point is in the list.
-    A listed point not yet solved is solved when it is read, as the first
-    row of one stack with the points after it in the list, at most
-    STACK_NODES nodes or one point.  Only the latest stack is held."""
+    """The seeded Newton solves of a list of (sigma, epsilon) points, the
+    one place that decides on a seeded start: a point is seeded when the
+    layout's class sets `exact_seed` and the point is in the list.  A listed
+    point not yet solved is solved when it is read, as the first row of one
+    stack with the points after it in the list, at most STACK_NODES nodes or
+    one point: Newton from the layout's seed, the reference heights, at every
+    point of the stack whose seed is admissible.  Only the latest stack is
+    held, and no row is sliced out of it: the march slices only the rows it
+    keeps."""
 
     def __init__(self, layout, points):
         self.layout, self.points, self.solved = layout, points, {}
@@ -737,16 +714,25 @@ class Seeds:
     def get(self, point, state: NewtonState):
         """The seeded solve at `point`: (its stack, its row there as a
         slice, iterations, factorizations, center height), or None where
-        its row failed or `point` is not seeded.  The trial iterates a new
-        stack rejected count into `state`."""
+        its row failed, an inadmissible seed included, or `point` is not
+        seeded.  A new stack is solved under the march's `state`, which
+        counts its factorizations and rejected trials; an inadmissible
+        seed is not a trial."""
         if point not in self.solved:
             if not self.layout.exact_seed or point not in self.points:
                 return None
             i = self.points.index(point)
             run = self.points[i:i + max(1, STACK_NODES // self.layout.nodes)]
-            it, rejected, solved = _seeded(self.layout, run)
-            state.rejected += sum(rejected)
-            self.solved = {p: s if s is None else (it, *s) for p, s in zip(run, solved)}
+            at = self.layout.at(run)
+            it, good = _evaluate(self.layout, np.zeros_like(at.cap[0]), at)
+            self.solved = dict.fromkeys(run)
+            if good:
+                it, count, nf, errors = _newton_solve(self.layout, it, state)
+                heights = _heights(it)
+                for j, k in enumerate(good):
+                    if j not in errors:
+                        self.solved[run[k]] = (it, slice(j, j + 1), count[j], nf[j],
+                                               self.layout.u0(heights[j]))
         return self.solved[point]
 
 
@@ -817,7 +803,7 @@ def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
         factorizations=factors,
         kappa_max=kappa_max,
         min_nu_vertical=min_nu,
-        admissibility_violations=int(state.rejected.sum()),
+        admissibility_violations=state.rejected,
         sigma=sigma,
         epsilon=points[-1][1],
         grid_size=cfg.grid_size,

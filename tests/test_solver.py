@@ -442,6 +442,31 @@ class TestNewtonState:
         # chord trial rejected, then the refactored full step, then half of it
         assert it.u[0] == 0.75 and state.rejected == 3 and state.factorizations == 2
 
+    @pytest.mark.parametrize("sigmas", [None, [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]],
+                             ids=["solve", "sweep"])
+    def test_one_state_per_march(self, monkeypatch, sigmas):
+        # a solve, or a whole sweep, runs every Newton step under one state,
+        # its seeded stacks included, which each had a state of their own
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=512)
+        states = _count_calls(monkeypatch, solver.NewtonState, "__init__")
+        if sigmas is None:
+            solver.continuation_solve(cfg)
+        else:
+            assert all(row["status"] == "ok" for row in solver.sweep_sigma(cfg, sigmas))
+        assert len(states) == 1
+
+    def test_ball_rejections_are_the_march_total(self):
+        # at sigma = 0.005 and N = 16 the seeded rows fail, and the march
+        # from sigma = 0.8 rejects two trial iterates; a ball step factors at
+        # every iteration
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.005, grid_size=16))
+        report = sol.report
+        assert report.admissibility_violations == 2
+        assert report.newton_iterations == [2, 4, 4, 3, 3] + [4] * 11 + [6, 4, 4, 3, 3, 3, 3, 2]
+        assert report.factorizations == report.newton_iterations
+
     def test_radial_factors_every_iteration(self):
         # one exactly seeded Newton solve per boundary height 0.1, 0.05, ...,
         # 1/640, 1e-3; continuation from sigma = 0.8 took 67 over 21 steps
@@ -819,18 +844,21 @@ class TestExactSeed:
         # schedule's heights, and the start of the sigma march when the
         # first height fails, start from the cap: every midpoint is a step
         seeded = []
-        stacked, solve_at = solver._seeded, solver._solve_at
+        get, solve_at = solver.Seeds.get, solver._solve_at
 
-        def spy_stacked(layout, points):
-            seeded.extend(points)
-            return stacked(layout, points)
+        def spy_get(seeds, point, state):
+            before = seeds.solved
+            solution = get(seeds, point, state)
+            if seeds.solved is not before:  # a new stack
+                seeded.extend(seeds.solved)
+            return solution
 
         def spy_solve_at(layout, it, at, state):
             if it is None:
                 seeded.append(at.point())
             return solve_at(layout, it, at, state)
 
-        monkeypatch.setattr(solver, "_seeded", spy_stacked)
+        monkeypatch.setattr(solver.Seeds, "get", spy_get)
         monkeypatch.setattr(solver, "_solve_at", spy_solve_at)
         cfg = solver.SolverConfig(spec=CurvatureSpec.kth_root(1, 2),
                                   domain=hypgeom.Domain.ball(1.0), sigma_target=0.002,
@@ -1480,17 +1508,17 @@ class TestReferenceHeights:
 
 
 def _outcome(layout, points):
-    """Per point the rejected trial count and the seeded Newton solution of
-    `points` as one stack (solver._seeded), unpacked: (u, res, iterations,
-    factorizations), or None where the row failed."""
-    it, rejected, solved = solver._seeded(layout, points)
-    return [(r, None if s is None else (it.u[s[0]][0], it.res[s[0]][0], s[1], s[2]))
-            for r, s in zip(rejected, solved)]
+    """The seeded Newton solution of `points` as one stack, read through
+    solver.Seeds: the trial iterates the stack rejected, and per point
+    (u, res, iterations, factorizations), or None where the row failed."""
+    assert len(points) * layout.nodes <= solver.STACK_NODES
+    state, seeds = solver.NewtonState(), solver.Seeds(layout, points)
+    solved = [seeds.get(point, state) for point in points]
+    return state.rejected, [None if s is None else (s[0].u[s[1]][0], s[0].res[s[1]][0], *s[2:4])
+                            for s in solved]
 
 
 def _same_outcome(got, want):
-    (got_rejected, got), (want_rejected, want) = got, want
-    assert got_rejected == want_rejected
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -1501,11 +1529,11 @@ def _alone(layout, point):
     """The seeded Newton solve of one point as a stack of one row: the
     rejected trial count and (u, res, iterations, factorizations)."""
     at = _at(layout, *point)
-    state = solver.NewtonState(1)
+    state = solver.NewtonState()
     it, count, nf, errors = solver._newton_solve(
         layout, layout.evaluate(np.zeros_like(at.cap[0]), at), state)
     assert not errors
-    return state.rejected[0], (it.u[0], it.res[0], count[0], nf[0])
+    return state.rejected, (it.u[0], it.res[0], count[0], nf[0])
 
 
 class TestStackedRows:
@@ -1529,10 +1557,13 @@ class TestStackedRows:
                                       sigma_target=sigma, grid_size=grid_size,
                                       epsilon_min=epsilon_min)
             points = [(sigma, e) for e in cfg.epsilon_schedule]
-            stacked = _outcome(solver.RadialLayout(spec, cfg.domain, grid_size), points)
-            assert all(solution is not None for _, solution in stacked)
-            for point, row in zip(points, stacked):
-                _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, grid_size), point))
+            rejected, stacked = _outcome(solver.RadialLayout(spec, cfg.domain, grid_size), points)
+            assert all(solution is not None for solution in stacked)
+            alone = [_alone(solver.RadialLayout(spec, cfg.domain, grid_size), point)
+                     for point in points]
+            for row, (_, want) in zip(stacked, alone):
+                _same_outcome(row, want)
+            assert rejected == sum(r for r, _ in alone)
 
     def test_inadmissible_seeds_fail_alone(self):
         # H_1 on K_2 at sigma = 0.01: the caps sampled at the four smallest
@@ -1542,15 +1573,19 @@ class TestStackedRows:
                                   sigma_target=0.01, grid_size=512)
         points = [(0.01, e) for e in cfg.epsilon_schedule]
         layout = solver.RadialLayout(spec, cfg.domain, 512)
-        stacked = _outcome(layout, points)
-        assert [solution is None for _, solution in stacked] == [False] * 4 + [True] * 4
+        rejected, stacked = _outcome(layout, points)
+        assert [solution is None for solution in stacked] == [False] * 4 + [True] * 4
+        total = 0
         for point, row in zip(points, stacked):
-            if row[1] is None:
+            if row is None:
                 at = _at(layout, *point)
                 with pytest.raises(AdmissibilityLostError):
                     layout.evaluate(np.zeros_like(at.cap[0]), at)
             else:
-                _same_outcome(row, _alone(solver.RadialLayout(spec, cfg.domain, 512), point))
+                r, want = _alone(solver.RadialLayout(spec, cfg.domain, 512), point)
+                _same_outcome(row, want)
+                total += r
+        assert rejected == total
 
     def test_inadmissible_rows_read_from_the_error(self, monkeypatch):
         # the residual names the rows it found outside the cone: the eight
@@ -1564,18 +1599,21 @@ class TestStackedRows:
         at = layout.at(points)
         seeds = np.zeros_like(at.cap[0])
         residuals = _count_calls(monkeypatch, solver, "residual")
-        it, errors = solver._evaluate(layout, seeds, at)
+        it, kept = solver._evaluate(layout, seeds, at)
         assert len(residuals) == 2
-        assert sorted(errors) == [4, 5, 6, 7] and it.u.shape == (4, 513)
-        # the error of a stack of one row reads as that row's own
-        for i in errors:
-            with pytest.raises(AdmissibilityLostError) as alone:
-                layout.evaluate(seeds[[i]], _at(layout, *points[i]))
-            _, single = solver._evaluate(layout, seeds[[i]], _at(layout, *points[i]))
-            assert str(single[0]) == str(alone.value)
+        assert kept == [0, 1, 2, 3] and it.u.shape == (4, 513)
+        # each dropped row is inadmissible alone, and each kept row's
+        # residual is the one it has alone
+        for i in range(len(points)):
+            single, single_kept = solver._evaluate(layout, seeds[[i]], _at(layout, *points[i]))
+            if i in kept:
+                assert single_kept == [0] and np.array_equal(single.res[0], it.res[kept.index(i)])
+            else:
+                assert single is None and single_kept == []
         residuals.clear()
-        _, _, solved = solver._seeded(layout, points)
-        assert len(residuals) == 2 + max(s[1] for s in solved if s is not None)
+        state, stack = solver.NewtonState(), solver.Seeds(layout, points)
+        solved = [stack.get(point, state) for point in points]
+        assert len(residuals) == 2 + max(s[2] for s in solved if s is not None)
 
     def test_caps_built_once_and_layout_unchanged(self, monkeypatch):
         # the caps of a seeded schedule are built with its stack, once, and
@@ -1605,13 +1643,16 @@ class TestStackedRows:
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
                                   grid_size=512)
         sigmas = [round(0.95 - 0.02 * i, 2) for i in range(46)]
-        stacks, seeded = [], solver._seeded
+        stacks, get = [], solver.Seeds.get
 
-        def spy(layout, points):
-            stacks.append((len(points), layout.nodes))
-            return seeded(layout, points)
+        def spy(seeds, point, state):
+            before = seeds.solved
+            solution = get(seeds, point, state)
+            if seeds.solved is not before:  # a new stack
+                stacks.append((len(seeds.solved), seeds.layout.nodes))
+            return solution
 
-        monkeypatch.setattr(solver, "_seeded", spy)
+        monkeypatch.setattr(solver.Seeds, "get", spy)
         rows = solver.sweep_sigma(cfg, sigmas)
         assert all(row["status"] == "ok" for row in rows)
         assert len(stacks) > 1
@@ -1629,11 +1670,12 @@ class TestStackedRows:
         layout = _BrokenRowsLayout(H2H1, hypgeom.Domain.ball(1.0), 64)
         points = [(0.5, e) for e in solver.default_epsilon_schedule()]
         at = layout.at(points)
-        state = solver.NewtonState(len(points))
+        state = solver.NewtonState()
         it, count, nf, errors = solver._newton_solve(
             layout, layout.evaluate(np.zeros_like(at.cap[0]), at), state)
         broken = [i for i, p in enumerate(points) if p[1] in (layout.singular, layout.nan)]
         assert sorted(errors) == broken
+        total = 0
         for i, point in enumerate(points):
             if i in broken:
                 alone, at = solver.NewtonState(), _at(layout, *point)
@@ -1641,9 +1683,12 @@ class TestStackedRows:
                 assert isinstance(failed[0], SingularJacobianError)
                 assert type(errors[i]) is SingularJacobianError
                 assert str(errors[i]) == str(failed[0])
+                total += alone.rejected
             else:
-                _same_outcome((state.rejected[i], (it.u[i], it.res[i], count[i], nf[i])),
-                              _alone(solver.RadialLayout(H2H1, layout.domain, 64), point))
+                r, want = _alone(solver.RadialLayout(H2H1, layout.domain, 64), point)
+                _same_outcome((it.u[i], it.res[i], count[i], nf[i]), want)
+                total += r
+        assert state.rejected == total
         texts = {points[i][1]: str(error) for i, error in errors.items()}
         assert texts[layout.singular] == "singular matrix"
         assert texts[layout.nan] == "linear solve produced non-finite update"
@@ -1654,15 +1699,17 @@ class TestStackedRows:
         # step, each as it does alone
         layout = _StackedLineLayout()
         points = [(0.5, 0.0), (1.0, 0.0)]
-        state = solver.NewtonState(2)
+        state = solver.NewtonState()
         it, norm, _ = _step(layout, layout.evaluate(np.zeros((2, 1)), layout.at(points)), state)
         assert np.array_equal(it.u, [[0.5], [0.5]]) and np.array_equal(norm, [0.0, 0.5])
-        assert state.rejected.tolist() == [0, 1] and state.factorizations.tolist() == [1, 1]
+        assert state.rejected == 1 and state.factorizations == 1
+        rejected = []
         for row in range(2):
             alone, point = solver.NewtonState(), layout.at(points[row:row + 1])
             single, _, _ = _step(layout, layout.evaluate(np.zeros((1, 1)), point), alone)
-            assert np.array_equal(single.u[0], it.u[row])
-            assert alone.rejected[0] == state.rejected[row]
+            assert np.array_equal(single.u[0], it.u[row]) and alone.factorizations == 1
+            rejected.append(alone.rejected)
+        assert rejected == [0, 1] and state.rejected == sum(rejected)
 
     @pytest.mark.parametrize("floor, message", [
         (0.3, "backtracking exhausted 20 halvings at sigma=0.5, eps=0.2"),
@@ -1676,7 +1723,7 @@ class TestStackedRows:
         layout = _SlowRowLayout()
         layout.floor = floor
         points = [(0.3, 0.1), (0.5, 0.2), (0.7, 0.3)]
-        state = solver.NewtonState(3)
+        state = solver.NewtonState()
         it, count, _, errors = solver._newton_solve(
             layout, layout.evaluate(np.zeros((3, 1)), layout.at(points)), state)
         assert list(errors) == [1] and re.fullmatch(message, str(errors[1]))
