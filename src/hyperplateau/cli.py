@@ -114,10 +114,12 @@ def validate_config(raw: dict) -> dict:
     values) and report every violation at once, before any work.  Every
     value is converted by its OPTIONS kind, whether or not the command reads
     it; a None is left as it is where the default is None.  Beside the
-    CLI's own rules (keys, command, l, sigmas, ranges, out, exports), it
-    builds the CurvatureSpec and the Domain and checks epsilon_min and
-    every sigma: each ValueError they raise is a violation.  Those are all
-    the rules a SolverConfig checks, so none is built here."""
+    CLI's own rules (keys, command, l given or missing, sigmas, ranges and
+    upper bounds, out, whose nearest existing ancestor must be a directory,
+    exports, and cap needing a ball), it builds the CurvatureSpec and the
+    Domain and checks epsilon_min and every sigma: each ValueError they
+    raise is a violation.  Those are all the rules a SolverConfig checks, so
+    none is built here."""
     violations = [f"unknown config key {key!r}" for key in sorted(set(raw) - {"command", *OPTIONS})]
     cfg = {key: raw.get(key, default) for key, (default, _, _) in OPTIONS.items()}
     cfg["command"] = command = raw.get("command")
@@ -348,7 +350,8 @@ def mesh_from_grid(solution):
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: every report record is written from its dataclass's
+# fields (asdict), so a field is named once
 
 
 def _cmd_verify_f(cfg):

@@ -1,4 +1,5 @@
-"""Tensor-grid solver path for ellipse domains (n = 2).
+"""Tensor-grid layout for ellipse domains (n = 2), which meets
+solver.Layout.
 
 The ellipse is centred and axis-aligned, so the problem is symmetric under
 the reflections x -> -x and y -> -y.  f depends on the jet only through
@@ -13,18 +14,11 @@ its mirror image in the quadrant, found through a fold map computed once
 per layout.  The discrete problem is then exactly symmetric (on the whole
 box the differences add a node's two neighbours in opposite orders on the
 two sides of an axis, so they agree only up to rounding), and the state on
-the whole box is the quadrant state unfolded.  As on the radial path, the
-Newton state is the deviation of the heights from the reference heights of
-its point, here the inscribed ball's cap carried along the elliptical level
-sets (see GridLayout).
+the whole box is the quadrant state unfolded.
 
 f comes from the table (1, tr A, det A) through symfunc.f_of_table, with no
 eigenvalues, and the nine-point linearization from its closed-form partials
-in the jet (see _jet_partials), with the exact stencil weights.  Only the
-interior equations form the linear system: the interior block J_ii,
-factored by SuperLU under a minimum-degree ordering of J_ii + J_ii^T, and
-the coupling J_ib to the Dirichlet nodes, whose update is their own
-right-hand side.
+in the jet (see _jet_partials), with the exact stencil weights.
 """
 
 from __future__ import annotations
@@ -54,29 +48,23 @@ def _fold(count: int) -> np.ndarray:
 
 class GridLayout:
     """Node heights on the quadrant x >= 0, y >= 0 of the ellipse's bounding
-    box: the full box's nodes i >= nx // 2, j >= ny // 2, outer frame
-    included.  Quadrant nodes strictly inside the ellipse, off the outer
-    frame, are unknowns of the curvature equation, numbered in quadrant node
-    order (residual rows, Jacobian columns and the node lists of
-    AdmissibilityLostError use this numbering); every other quadrant node
-    carries the boundary height.  Computed once: `fold` maps every node of
-    the full box to the flat quadrant index of its mirror image, `stencil`
-    holds the folded nine-point neighbourhood of every unknown, and
-    `unknown` the number of every quadrant node (-1 on Dirichlet nodes).
-    Whether a node is inside is decided on the quadrant and mirrored, so
-    the discrete problem keeps the reflection symmetry even where rounding
-    puts a rim node on different sides of the rim in different quadrants.
-    The reference heights g of a point, which `at` builds with it, are the
-    cap of the inscribed ball carried along the elliptical level sets, and
-    epsilon on every Dirichlet node.  The state is one row: the deviation v
-    = u - g of the quadrant heights u from g, in quadrant node order, the
-    unknowns flagged by `interior`.  Newton reuses the factorization of the
-    Jacobian's interior block across iterations and for the Euler predictor
-    of each continuation step.  The carried cap solves no ellipse problem
-    exactly, so continuation starts from it in sigma, then in the boundary
-    height.  Newton stops at a residual sup-norm of 1e-8.  A solution
-    reports the full box's interior nodes `mask` in box order, each with the
-    curvatures of the unknown it mirrors, `image`."""
+    box, as one row: the full box's nodes i >= nx // 2, j >= ny // 2, outer
+    frame included.  Quadrant nodes strictly inside the ellipse, off the
+    outer frame, are unknowns of the curvature equation, flagged by
+    `interior` and numbered in quadrant node order (residual rows, Jacobian
+    columns and the node lists of AdmissibilityLostError use this
+    numbering); every other quadrant node is a Dirichlet node.  Computed
+    once: `fold` maps every node of the full box to the flat quadrant index
+    of its mirror image, `stencil` holds the folded nine-point neighbourhood
+    of every unknown, and `unknown` the number of every quadrant node (-1 on
+    Dirichlet nodes).  Whether a node is inside is decided on the quadrant
+    and mirrored, so the discrete problem keeps the reflection symmetry even
+    where rounding puts a rim node on different sides of the rim in
+    different quadrants.  The reference heights are the cap of the inscribed
+    ball carried along the elliptical level sets, which solves no ellipse
+    problem exactly.  A solution reports the full box's interior nodes
+    `mask` in box order, each with the curvatures of the unknown it mirrors,
+    `image`."""
 
     keeps_factorization = True
     exact_seed = False
@@ -129,8 +117,7 @@ class GridLayout:
         return self.inside.shape
 
     def at(self, points):
-        """The stack of the (sigma, epsilon) points with their reference
-        heights (g,), one row per point."""
+        """The points with their reference heights (g,)."""
         b = self.domain.params[1]
         g = np.empty((len(points), self.nodes))
         for row, (sigma, epsilon) in zip(g, points):
@@ -143,6 +130,9 @@ class GridLayout:
                               at)
 
     def factor(self, lin):
+        """The interior block J_ii, factored by SuperLU under a
+        minimum-degree ordering of J_ii + J_ii^T, and the coupling J_ib to
+        the Dirichlet nodes (see _jacobian_grid)."""
         J_ii, J_ib = _jacobian_grid(lin, self.spec, self)
         try:
             lu = splu(J_ii, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})

@@ -1,55 +1,23 @@
 """Damped Newton continuation for the Dirichlet problem f(kappa[graph u]) =
-sigma with u = epsilon on the domain boundary.  The boundary height epsilon
-runs through a decreasing schedule that may end at 0: the limit problem, the
-complete hypersurface whose asymptotic boundary is the domain's boundary, is
-solved by the same continuation as every positive height.
+sigma with u = epsilon on the domain boundary, written once against a
+discretization Layout: RadialLayout here solves balls (any n), and
+grid.GridLayout ellipses (n = 2).  The boundary height epsilon runs through
+a decreasing schedule (default_epsilon_schedule) that may end at 0: the
+limit problem, the complete hypersurface whose asymptotic boundary is the
+domain's boundary, is solved by the same continuation as every positive
+height.
 
-The radial path (any n, ball domains) discretizes the profile ODE on a
-uniform grid with a symmetry node at the axis; the tensor-grid path for
-ellipse domains lives in `grid`.  On the radial path every node's curvature
-vector is (kappa_rad, kappa_tan, ..., kappa_tan), so the residual and the
-Jacobian take f, its cone test and its partials from the closed-form table
-of that pair (symfunc.pair_table), built once per state from the jet; the
-(points, n) curvature matrix is built only for the solution.
-
-Continuation marches through a list of (sigma, epsilon) points; the boundary
-heights follow from the config's epsilon_min alone
-(default_epsilon_schedule).  The layout builds every list of points once
-into a stack of them (At), which holds what it needs of them, the
-reference heights first, and every Newton iterate carries the At of its
-rows.  On a ball the umbilic cap with boundary height epsilon has kappa =
-sigma everywhere, so it solves the continuous problem exactly for every
-normalized f: Newton starts from it at each scheduled boundary height, and
-at each later sigma of a sweep, and needs a few iterations there.  These
-seeded points are independent solves, which Newton iterates as the rows of
-stacks of at most STACK_NODES nodes taken in the order they are marched:
-every Newton state is a stack of rows, a single solve one of one row.  Only these listed
-points are seeded: every other point, and one whose seeded row fails, is a
-step from the last accepted state.  On the grid path, and at the first
-height when the seeded Newton fails there, continuation walks sigma down
-from 0.8 at a moderate boundary height, then shrinks the boundary height.
-A failed step is retried by a step to the midpoint of the last
-accepted point and its target.  A layout that keeps its factorization starts
-each unseeded step from the Euler tangent predictor, one chord step at the
-new parameter values.  Every accepted Newton iterate, and every prediction
-Newton starts from, is admissible at every interior node.  Newton stops by
-one rule: the residual sup-norm meets the layout's tolerance.  The Newton
-unknown is the deviation of the heights from the reference heights of the
-(sigma, epsilon) being solved, which the layout builds with the point: the
-exact cap on balls, whose stencil differences are taken in closed form, so
-the residual rounds to an ulp of the deviation and the 1/h^2 stencils leave
-no round-off floor above the tolerance; the inscribed ball's cap carried
-along the level sets on ellipses.  A state moved to another point keeps its
-heights.  A solution is read from the Iterate Newton converged on, with the
-curvatures of its residual's jet, and holds the layout that made it, which
-says which of its nodes touch the boundary.
+Each mechanism is described once, at its code: the layout contract and the
+Newton unknown in Layout and _heights, the seeded stacks in Seeds and
+STACK_NODES, chord steps in newton_step, the Euler predictor in _predict,
+and the march with its bisection in _march.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -75,13 +43,13 @@ MAX_DAMPING_STEPS = 20
 
 # the most nodes of one stack of seeded points (see Seeds), which takes
 # max(1, STACK_NODES // nodes) of them: a schedule's 8 heights are one stack
-# up to N = 2048, and stacks hold 4 rows at N = 4096 and 2 at 8192.  Paired
-# in-process on a 2-vCPU Xeon (H2/H1, n = 2, sigma = 0.2, one BLAS thread,
-# medians of 21), solves at N = 512, 1024, ..., 8192 took 2.3, 3.8, 5.2, 10.3
-# and 11.1 ms; with 2**14 nodes (7 + 1 rows at 2048) 2.4, 3.9, 5.9, 10.9 and
-# 11.3, a point at a time 7.9, 6.1, 8.6, 11.6 and 11.7, and as one stack 16.0
-# and 16.8 at N = 4096 and 8192, where 20-sigma sweeps took 25 and 55 ms (39
-# and 89 as one stack)
+# up to N = 2048, and stacks hold 4 rows at N = 4096, 2 at 8192 and 1 at
+# 16384.  Paired in-process on a 2-vCPU Xeon (H2/H1, n = 2, sigma = 0.2, one
+# BLAS thread, medians of 21), solves at N = 512, 1024, ..., 8192 took 2.3,
+# 3.8, 5.2, 10.3 and 11.1 ms; with 2**14 nodes (7 + 1 rows at 2048) 2.4, 3.9,
+# 5.9, 10.9 and 11.3, a point at a time 7.9, 6.1, 8.6, 11.6 and 11.7, and as
+# one stack 16.0 and 16.8 at N = 4096 and 8192, where 20-sigma sweeps took 25
+# and 55 ms (39 and 89 as one stack)
 STACK_NODES = 8 * 2049
 
 
@@ -188,14 +156,14 @@ class SolveReport:
 
 @dataclass
 class GraphSolution:
-    """A solved graph and the layout that made it (RadialLayout or
-    grid.GridLayout), which answers every question about its nodes and
-    gives `spec` and `u0`.  `u` holds the heights: the radial
-    profile, or the grid's quadrant heights.  `kappa`, `nu_vertical` and `w`
-    are given at the interior nodes only: the profile's, the rim excluded,
-    or those of the ellipse's bounding box in box order."""
+    """A solved graph and the layout that made it, which answers every
+    question about its nodes, their geometry for the mesh export included,
+    and gives `spec` and `u0`.  `u` holds the heights: the radial profile,
+    or the grid's quadrant heights.  `kappa`, `nu_vertical` and `w` are
+    given at the interior nodes only: the profile's, the rim excluded, or
+    those of the ellipse's bounding box in box order."""
 
-    layout: "RadialLayout | grid.GridLayout"
+    layout: Layout
     u: np.ndarray
     sigma: float
     epsilon: float
@@ -276,13 +244,12 @@ def residual(v: np.ndarray, spec: CurvatureSpec, sigma: np.ndarray, cap, rho: np
     The stencils are linear, so the jet at the interior nodes is (c + v, c'
     + D1 v, c'' + D2 v, rho).  res is f(kappa) - sigma at the interior nodes
     and v at the boundary node, lin = (jet, kappa_rad, kappa_tan, w, table,
-    f) at the interior nodes, which _jacobian_fd reads; each row is the
-    arithmetic it gets alone.  Every node's curvature vector is (kappa_rad,
-    kappa_tan, ..., kappa_tan), so f comes from the closed-form table of
-    that pair (symfunc.pair_table), built straight from the jet, and the
-    cone test from its signs (symfunc.check_table).  A non-positive height
-    or a node outside the cone raises AdmissibilityLostError, its interior
-    nodes of all rows counted in row order, with the rows at fault."""
+    f) at the interior nodes, which _jacobian_fd reads.  f comes from the
+    closed-form table of the pair (symfunc.pair_table), built straight from
+    the jet, and the cone test from its signs (symfunc.check_table).  A
+    non-positive height or a node outside the cone raises
+    AdmissibilityLostError, its interior nodes of all rows counted in row
+    order, with the rows at fault."""
     c, cp, cpp = cap
     u = c[..., :-1] + v[..., :-1]
     bad_height = np.flatnonzero(u <= 0.0)
@@ -360,24 +327,20 @@ def _jacobian_fd(lin, spec, h):
 
 class RadialLayout:
     """Profile heights on a uniform grid over [0, R]: the symmetry node at
-    the axis, interior nodes, and the Dirichlet node at the rim.  The
-    Jacobian is tridiagonal, in scipy solve_banded (1, 1) layout, with
-    chain-rule partials in the local jet (see _jacobian_fd); its
+    the axis, interior nodes, and the Dirichlet node at the rim.  Every
+    node's curvature vector is (kappa_rad, kappa_tan, ..., kappa_tan), so f,
+    its cone test and its partials come from the closed-form table of that
+    pair (see residual and _jacobian_fd).  The Jacobian is tridiagonal; its
     factorization costs less than one residual, so Newton builds and solves
-    a fresh one every iteration.  The cap solves the continuous problem
-    exactly, and the state at a point (sigma, epsilon) is the deviation v =
-    u - c of the heights u from the cap c there, which `at` builds with the
-    point: the residual rounds to an ulp of v, not of u, so no round-off
-    floor of the 1/h^2 stencil lies above the tolerance even at N = 16384.
-    The cap is v = 0, and the driver starts Newton from it at every
-    boundary height, all heights of a schedule, and a sweep's later points,
-    as the rows of stacks, each row with the arithmetic it gets alone.
-    Newton stops at a residual sup-norm of 1e-11: at 1e-10 the cap itself
-    met the tolerance at N = 16384 and sigma = 0.9, steps took no iteration,
-    and a refinement study up to that grid read order 1.58 for 2.00.  A solution reports the
-    heights at every node and the curvatures at the interior nodes, all but
-    the rim node; the last of them is the one next to the rim.  Nothing
-    changes after construction."""
+    a fresh one every iteration.  The reference heights are the caps', which
+    solve the continuous problem exactly, with their stencil differences in
+    closed form (see _cap_differences): the residual rounds to an ulp of the
+    deviation, not of the heights, so no round-off floor of the 1/h^2
+    stencil lies above newton_tol even at N = 16384.  newton_tol is 1e-11:
+    at 1e-10 the cap itself met the tolerance at N = 16384 and sigma = 0.9,
+    steps took no iteration, and a refinement study up to that grid read
+    order 1.58 for 2.00.  A solution's last interior node is the one next to
+    the rim."""
 
     keeps_factorization = False
     exact_seed = True
@@ -390,9 +353,7 @@ class RadialLayout:
         self.touches_boundary = np.arange(grid_size) == grid_size - 1
 
     def at(self, points):
-        """The stack of the (sigma, epsilon) points with the (c, c', c'')
-        of their caps, computed together (see _cap_differences), c =
-        epsilon at the rim."""
+        """The points with their caps' (c, c', c''), computed together."""
         caps = [hypgeom.make_cap_with_boundary_height(self.domain.params[0], *p) for p in points]
         r, c = (np.array(x)[:, None] for x in zip(*((a.r, a.c) for a in caps)))
         at = At.of(points, _cap_differences(replace(caps[0], r=r, c=c), self.rho))
@@ -424,7 +385,7 @@ class RadialLayout:
         return float(u[0])
 
     def solution(self, it) -> GraphSolution:
-        """The one-row iterate's heights, with kappa and w from its jet."""
+        # the (points, n) curvature matrix is built for the solution only
         kappa, w = radial_principal_curvatures(*it.lin[0], self.spec.n)
         sigma, epsilon = it.at.point()
         return GraphSolution(layout=self, u=_heights(it)[0], sigma=sigma, epsilon=epsilon,
@@ -432,40 +393,76 @@ class RadialLayout:
 
 
 # ---------------------------------------------------------------------------
-# Newton and continuation, written once against a layout: RadialLayout above
-# or grid.GridLayout.  Every Newton state is a stack of independent states,
-# "rows", on the second-last axis of each of its arrays of two or more axes
-# (the last holds the nodes; arrays of fewer axes are shared by the rows).
-# A layout builds a list of (sigma, epsilon) points into a stack of them,
-# an At (`at`), once, with the reference heights of every point (At.cap[0]);
-# every Iterate carries the At of its rows, and every Newton function reads
-# its points from the iterate it is given.  On both layouts a Newton state
-# is the deviation v of the heights from its points' reference heights:
-# Newton starts from v = 0, the heights are the reference heights plus v
-# (_heights), and a state moved to other points keeps its heights.  A
-# layout evaluates a stack at its points into an Iterate (raising
-# AdmissibilityLostError with the rows at fault), factors the Jacobian at
-# what that evaluation built (`factor`) and solves with the factors
-# (raising SingularJacobianError), gives the center height of a row of
-# heights (`u0`), and turns the one-row Iterate Newton converged on into a
-# GraphSolution with the curvatures of its jet, whose node questions it
-# answers: `touches_boundary` flags, in the order of the reported interior
-# nodes, those next to a Dirichlet node.  `nodes` is the size of one row.
-# Its class sets `newton_tol`, the residual sup-norm at which Newton stops;
-# `keeps_factorization`, to keep the factorization for chord steps and the
-# predictor (see _predict), and then it gets one row only; and
-# `exact_seed`, when the reference heights solve the problem exactly, to
-# start Newton from them at the listed points of a solve or a sweep, as
-# stacks (see Seeds), which Seeds alone reads.  Newton returns the error of
-# every failed row by its row, and _solve_at raises it.
+# Newton and continuation, written once against a Layout
+
+
+@runtime_checkable
+class Layout(Protocol):
+    """A discretization that Newton and the march run on: RadialLayout or
+    grid.GridLayout, neither of which inherits from this class.  A Newton
+    state is a stack of independent rows, on the second-last axis of each of
+    its arrays of two or more axes; the last holds the nodes, and arrays of
+    fewer axes are shared by the rows.  Each row gets the arithmetic it gets
+    alone, and a layout holds no state after construction."""
+
+    spec: CurvatureSpec
+    """The curvature function f being solved for."""
+
+    nodes: int
+    """The size of one row."""
+
+    newton_tol: float
+    """Newton's one stopping rule: a row stops once its residual sup-norm
+    meets this."""
+
+    keeps_factorization: bool
+    """Whether Newton keeps its factors for chord steps and the predictor
+    (see newton_step and _predict); such a layout gets one row only."""
+
+    exact_seed: bool
+    """Whether the reference heights solve the problem exactly, so that
+    Newton starts from them at a march's listed points (see Seeds)."""
+
+    touches_boundary: np.ndarray
+    """Flags the interior nodes of a solution next to a Dirichlet node."""
+
+    def at(self, points) -> At:
+        """The stack of the (sigma, epsilon) points, built once per list,
+        with the reference heights g of each row in `cap[0]`, epsilon on
+        every Dirichlet node.  The Newton unknown is the deviation v = u - g
+        of the heights u from them: Newton starts from v = 0, and a state
+        moved to other points keeps its heights (see _heights)."""
+
+    def evaluate(self, v, at) -> Iterate:
+        """The Iterate of the stack v at the points `at`: its residual and
+        what the Jacobian at v reads, so that a state is evaluated once.
+        Raises AdmissibilityLostError, with the rows at fault, at a
+        non-positive height or a node outside the cone."""
+
+    def factor(self, lin):
+        """The factored Jacobian at the state whose evaluation built `lin`,
+        from the exact per-node partials of the pointwise curvature map and
+        the exact stencil weights."""
+
+    def solve(self, factored, rhs):
+        """The update from the factors at the right-hand sides rhs; raises
+        SingularJacobianError."""
+
+    def u0(self, u) -> float:
+        """The center height of one row of heights."""
+
+    def solution(self, it) -> GraphSolution:
+        """The GraphSolution of the one-row Iterate Newton converged on,
+        with the curvatures of its residual's jet: its kappa carries
+        discretization error only, with no round-off of a second stencil
+        pass over the heights."""
 
 
 class At(NamedTuple):
     """A stack of (sigma, epsilon) points, one per row: `sigma` and
-    `epsilon` columns of shape (rows, 1), and `cap`, what the layout
-    computes from the points, whose first entry holds each row's reference
-    heights, epsilon on every Dirichlet node (the caps' (c, c', c'') on
-    RadialLayout, (g,) on grid.GridLayout)."""
+    `epsilon` columns of shape (rows, 1), and `cap`, what Layout.at computes
+    from them, the reference heights first: (c, c', c'') of the caps on
+    RadialLayout, (g,) on grid.GridLayout."""
 
     sigma: np.ndarray
     epsilon: np.ndarray
@@ -485,7 +482,7 @@ class At(NamedTuple):
 class Iterate(NamedTuple):
     """A Newton state u, its residual `res`, `lin`, what evaluating the
     residual built that the layout's Jacobian at u reads, and `at`, the
-    points of its rows."""
+    points of its rows, from which every Newton function reads them."""
 
     u: np.ndarray
     res: np.ndarray
@@ -495,9 +492,10 @@ class Iterate(NamedTuple):
 
 class NewtonState:
     """What every Newton iteration of one march (a solve, or a whole sweep)
-    shares, whatever its rows: the factorization kept for chord steps, the
-    number of factorizations, and the number of trial iterates rejected as
-    inadmissible, a row's rejected trial counting one."""
+    shares, its seeded stacks included: the factors kept for chord steps,
+    and as plain counts the factorizations and the trial iterates rejected
+    as inadmissible (a report's admissibility_violations), a row's rejected
+    trial counting one."""
 
     def __init__(self):
         self.factored = None
@@ -518,7 +516,7 @@ def _norm(res):
 
 def _rows(tree, index):
     """The rows `index` (a slice, or a list that copies them) of a stack of
-    arrays, nested in tuples, Iterates and Ats (see above)."""
+    arrays, nested in tuples, Iterates and Ats (see Layout)."""
     if isinstance(tree, tuple):
         parts = [_rows(x, index) for x in tree]
         return type(tree)(*parts) if isinstance(tree, (Iterate, At)) else tuple(parts)
@@ -534,11 +532,11 @@ def _put(tree, index, part):
         tree[..., index, :] = part
 
 
-def _evaluate(layout, u, at):
+def _evaluate(layout: Layout, u, at):
     """layout.evaluate at the rows of u, and the rows it kept, in order: the
-    rows an AdmissibilityLostError names are dropped, and the others are
-    evaluated again, so that the iterate, or None, holds the admissible rows
-    alone."""
+    rows an AdmissibilityLostError names are dropped, and only the others
+    are evaluated again, so that the iterate, or None, holds the admissible
+    rows alone."""
     rows = list(range(len(u)))
     while rows:
         try:
@@ -549,22 +547,23 @@ def _evaluate(layout, u, at):
     return None, rows
 
 
-def newton_step(layout, it, norm, rows, state: NewtonState):
+def newton_step(layout: Layout, it, norm, rows, state: NewtonState):
     """One Newton step from the rows `rows` of the iterate `it`, whose
     residual sup-norms per row are `norm`.  With a kept factorization it
     first tries the full chord step, accepted when the residual sup-norm at
     least halves or meets the layout's tolerance.  Otherwise it refactors
     at the rows' states, with the Jacobian read from their lin, for the
-    Newton correction delta and backtracks along it by one damping factor:
-    in each round a pending row is accepted, when its trial iterate is
-    admissible and its residual sup-norm decreases, or the factor of every
-    pending row halves.  A row fails when its solve is singular or not
-    finite, solved again alone since a failure spreads through a stack, or
-    when its backtracking runs out.  Returns the iterate and the norms after
-    the step, `it` and `norm` with every accepted row written into them or
-    the trial iterate and its norms when it takes every row of `it`, and
-    the error of every failed row, by its row.  A row that failed keeps its
-    state."""
+    Newton correction delta, and keeps the factors when the layout
+    keeps_factorization and no row failed.  It backtracks along delta by one
+    damping factor: in each round a pending row is accepted, when its trial
+    iterate is admissible and its residual sup-norm decreases, or the factor
+    of every pending row halves.  A row fails when its solve is singular or
+    not finite, solved again alone since a failure spreads through a stack,
+    or when its backtracking runs out.  Returns the iterate and the norms
+    after the step, `it` and `norm` with every accepted row written into
+    them or the trial iterate and its norms when it takes every row of `it`,
+    and the error of every failed row, by its row.  A row that failed keeps
+    its state."""
     failed = {}
     if state.factored is not None:
         try:
@@ -622,7 +621,7 @@ def newton_step(layout, it, norm, rows, state: NewtonState):
     return it, norm, failed
 
 
-def _newton_solve(layout, it, state: NewtonState):
+def _newton_solve(layout: Layout, it, state: NewtonState):
     """Newton iterations on every row of the iterate `it` until its residual
     sup-norm meets the layout's tolerance.  The rows are independent: a row
     that converges stops while the others go on, and a row that fails stops
@@ -654,7 +653,7 @@ def _newton_solve(layout, it, state: NewtonState):
             nf[i] += state.factorizations - before
 
 
-def _predict(layout, v, at, state: NewtonState) -> Iterate:
+def _predict(layout: Layout, v, at, state: NewtonState) -> Iterate:
     """Euler predictor of a continuation step to the point `at` from v,
     converged at the last parameter values (Allgower & Georg, Numerical
     Continuation Methods, ch. 6).  The residual F is affine in both
@@ -681,7 +680,7 @@ def _predict(layout, v, at, state: NewtonState) -> Iterate:
 _SOLVE_FAILURES = (NonConvergenceError, SingularJacobianError, AdmissibilityLostError)
 
 
-def _solve_at(layout, it, at, state: NewtonState):
+def _solve_at(layout: Layout, it, at, state: NewtonState):
     """Newton at the one-row stack of points `at`, from its reference heights
     without an iterate `it`, and otherwise from the Euler prediction (see
     _predict) from the state of `it`, moved to `at` with its heights kept.
@@ -698,17 +697,20 @@ def _solve_at(layout, it, at, state: NewtonState):
 
 
 class Seeds:
-    """The seeded Newton solves of a list of (sigma, epsilon) points, the
-    one place that decides on a seeded start: a point is seeded when the
-    layout's class sets `exact_seed` and the point is in the list.  A listed
-    point not yet solved is solved when it is read, as the first row of one
-    stack with the points after it in the list, at most STACK_NODES nodes or
-    one point: Newton from the layout's seed, the reference heights, at every
-    point of the stack whose seed is admissible.  Only the latest stack is
-    held, and no row is sliced out of it: the march slices only the rows it
-    keeps."""
+    """The seeded Newton solves of a march's listed (sigma, epsilon)
+    points, a solve's boundary heights or a sweep's points: the one place
+    that decides on a seeded start.  A point is seeded when the layout sets
+    exact_seed and the point is listed; every other point, a midpoint among
+    them, and one whose seeded row fails is a step from the last accepted
+    state (see _march).  A listed point not yet solved is solved when it is
+    read, as the first row of one stack with the points after it in the
+    list, at most STACK_NODES nodes or one point: Newton from the reference
+    heights at every point of the stack whose seed is admissible.  Only the
+    latest stack is held, so a sweep's memory does not grow with its number
+    of sigma, and no row is sliced out of it: the march slices only the rows
+    it keeps."""
 
-    def __init__(self, layout, points):
+    def __init__(self, layout: Layout, points):
         self.layout, self.points, self.solved = layout, points, {}
 
     def get(self, point, state: NewtonState):
@@ -736,17 +738,18 @@ class Seeds:
         return self.solved[point]
 
 
-def _march(layout, it, points, state: NewtonState, seeds: Seeds):
+def _march(layout: Layout, it, points, state: NewtonState, seeds: Seeds):
     """Walk the (sigma, epsilon) points in order.  A point that `seeds`
-    solved (see Seeds) is taken as it is, its row sliced out of its stack
-    only when a step starts from it or the march returns it.  Every other
-    point is reached by steps (see _solve_at) from `it`, the last accepted
-    iterate, with up-to-8-deep bisection: a failed step is retried at the
-    midpoint of the last accepted point and its target.  Without an
-    iterate yet (`it` None), the first point, unless its seeded row
-    converged, is reached by marching sigma down from SIGMA_START at its
-    boundary height, from the layout's seed there and unbisected.  Returns
-    the iterate converged at the last point, the Newton iterations and
+    solved is taken as it is, its row sliced out of its stack only when a
+    step starts from it or the march returns it.  Every other point is
+    reached by steps (see _solve_at) from `it`, the last accepted iterate,
+    with up-to-8-deep bisection: a failed step, the first from a converged
+    point included, is retried at the midpoint of the last accepted point
+    and its target.  Without an iterate yet (`it` None), the first point,
+    unless its seeded row converged, is reached by marching sigma down from
+    SIGMA_START at its boundary height; the first step, from the layout's
+    seed, is not bisected.  Every ellipse solve starts so.  Returns the
+    iterate converged at the last point, the Newton iterations and
     factorizations of every accepted step, and the center height at each
     point walked, keyed by point."""
     iters, factors, u0_by_point = [], [], {}
@@ -786,7 +789,7 @@ def _march(layout, it, points, state: NewtonState, seeds: Seeds):
     return it, iters, factors, u0_by_point
 
 
-def solve_on(layout, cfg: SolverConfig) -> GraphSolution:
+def solve_on(layout: Layout, cfg: SolverConfig) -> GraphSolution:
     """Continuation solve of a config on the given layout, ball or ellipse:
     one march over the scheduled boundary heights at sigma_target (see
     _march), its report holding the center height at each of them."""
@@ -846,12 +849,11 @@ def sweep_sigma(config: SolverConfig, sigmas) -> list:
     _march).  A row that no converged row precedes marches its sigma's
     schedule of boundary heights, as a solve at its sigma does; every other
     row marches to the one point (sigma, epsilon_min) from the last
-    converged iterate, whose point a failed step bisects back towards.  On
-    balls every point of the sweep is seeded from the cap, the first row's
-    schedule and then each later row's point as the rows of stacks (see
-    Seeds), so a later row's march takes its converged seeded row as it
-    is; a schedule marched after a failed first row has seeds of its own.
-    Ellipses start each step from the Euler prediction (see _solve_at)."""
+    converged iterate.  The listed points (see Seeds) are the first row's
+    schedule and then each later row's point, so on balls a later row's
+    march takes its converged seeded row as it is, bit for bit the solve at
+    its sigma; a schedule marched after a failed first row has seeds of its
+    own."""
     sigmas = list(sigmas)
     if sorted(sigmas, reverse=True) != sigmas:
         raise ValueError("sigmas must be sorted descending")

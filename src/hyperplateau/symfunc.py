@@ -280,9 +280,10 @@ def _derivatives(spec: CurvatureSpec, kappa, order: int, check_cone: bool):
     (f, gradient, Hessian); see eval_f, grad_f and hessian_f.  The
     derivative of e_q in component i is e_{q-1} of the other components,
     its second derivative in i != j e_{q-2} of the components other than i
-    and j, and 0 in i = j.  The Hessian is built points-major: each entry i <= j is
-    computed over the points, written to [:, i, j] and [:, j, i], and gets
-    the operations of the matrix formula
+    and j, and 0 in i = j.  The Hessian is built points-major, the layout
+    eigvalsh reads: each entry i <= j is computed over the points, written
+    to [:, i, j] and [:, j, i], and gets the operations of the matrix
+    formula
 
         g_ij = H_k,ij/H_l - (H_k,i H_l,j + H_k,j H_l,i)/H_l^2
                - H_k H_l,ij/H_l^2 + 2 H_k H_l,i H_l,j/H_l^3,

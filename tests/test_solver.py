@@ -2,10 +2,12 @@
 cross-checks, continuation against the closed-form cap, sweeps, refinement,
 and the tensor-grid path."""
 
+import ast
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1506,6 +1508,59 @@ class TestReferenceHeights:
             moved = solver.Iterate(heights - at.cap[0], None, None, at)
             assert np.all(np.abs(solver._heights(moved) - heights) <= np.spacing(heights))
 
+
+
+class TestLayoutProtocol:
+    """solver.Layout is the one statement of the layout contract: both
+    layouts meet it, and the code written against a layout reads nothing
+    else of it."""
+
+    MEMBERS = {"spec", "nodes", "newton_tol", "keeps_factorization", "exact_seed",
+               "touches_boundary", "at", "evaluate", "factor", "solve", "u0", "solution"}
+    # the functions and classes that take a layout as an argument
+    GENERIC = ("_evaluate", "newton_step", "_newton_solve", "_predict", "_solve_at", "Seeds",
+               "_march", "solve_on")
+
+    def test_members(self):
+        methods = {name for name, value in vars(solver.Layout).items()
+                   if callable(value) and not name.startswith("_")}
+        assert set(solver.Layout.__annotations__) | methods == self.MEMBERS
+
+    @pytest.mark.parametrize("make", TestReferenceHeights.LAYOUTS.values(),
+                             ids=TestReferenceHeights.LAYOUTS.keys())
+    def test_layouts_meet_the_protocol(self, make):
+        layout = make()
+        assert isinstance(layout, solver.Layout)
+        assert solver.Layout not in type(layout).__mro__  # met, not inherited
+
+    @pytest.mark.parametrize("domain, grid_size", [
+        (hypgeom.Domain.ball(1.0), 128),
+        (hypgeom.Domain.ellipse(1.5, 1.0), 32),
+    ], ids=["ball", "ellipse"])
+    def test_solutions_hold_a_layout(self, domain, grid_size):
+        sol = solver.continuation_solve(solver.SolverConfig(
+            spec=H2H1, domain=domain, sigma_target=0.5, grid_size=grid_size))
+        assert isinstance(sol.layout, solver.Layout)
+
+    def test_other_objects_are_no_layout(self):
+        assert not isinstance(object(), solver.Layout)
+        assert not isinstance(_LineLayout(), solver.Layout)
+
+    def test_generic_code_reads_only_members(self):
+        tree = ast.parse(Path(solver.__file__).read_text())
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+        def is_layout(node):
+            # `layout`, or `self.layout` in Seeds
+            return (isinstance(node, ast.Name) and node.id == "layout") or (
+                isinstance(node, ast.Attribute) and node.attr == "layout"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+        read = {node.attr for name in self.GENERIC for node in ast.walk(defs[name])
+                if isinstance(node, ast.Attribute) and is_layout(node.value)}
+        assert {"at", "evaluate", "factor", "solve", "exact_seed", "nodes"} <= read
+        assert read <= self.MEMBERS, read - self.MEMBERS
 
 def _outcome(layout, points):
     """The seeded Newton solution of `points` as one stack, read through
