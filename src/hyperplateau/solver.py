@@ -10,7 +10,8 @@ height.
 Each mechanism is described once, at its code: the layout contract and the
 Newton unknown in Layout and _heights, the seeded stacks in Seeds and
 STACK_NODES, chord steps in newton_step, the Euler predictor in _predict,
-and the march with its bisection in _march.
+and the march, whose one step rule is a jump to the next point bisected on
+failure, in _march.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ MAX_DAMPING_STEPS = 20
 STACK_NODES = 8 * 2049
 
 
-# default schedules: boundary heights halved from EPSILON_START down to
-# EPSILON_MIN, and sigma from SIGMA_START in steps of SIGMA_STEP
+# the default schedule of boundary heights, halved from EPSILON_START down to
+# EPSILON_MIN, and the sigma a march with no converged start solves first
 EPSILON_START, EPSILON_MIN = 0.1, 1e-3
-SIGMA_START, SIGMA_STEP = 0.8, 0.05
+SIGMA_START = 0.8
 MIN_GRID = 8  # the smallest grid size N; coarser grids solve but resolve nothing
 
 
@@ -82,20 +83,6 @@ def default_epsilon_schedule(epsilon_min: float = EPSILON_MIN) -> tuple:
         vals.append(e)
         e *= 0.5
     vals.append(epsilon_min)
-    return tuple(vals)
-
-
-def default_sigma_schedule(sigma_target: float) -> tuple:
-    if abs(sigma_target - SIGMA_START) < 1e-12:
-        return (sigma_target,)
-    direction = -1.0 if sigma_target < SIGMA_START else 1.0
-    vals = [SIGMA_START]
-    while True:
-        nxt = vals[-1] + direction * SIGMA_STEP
-        if direction * (sigma_target - nxt) <= 1e-12:
-            break
-        vals.append(nxt)
-    vals.append(sigma_target)
     return tuple(vals)
 
 
@@ -742,13 +729,14 @@ def _march(layout: Layout, it, points, state: NewtonState, seeds: Seeds):
     """Walk the (sigma, epsilon) points in order.  A point that `seeds`
     solved is taken as it is, its row sliced out of its stack only when a
     step starts from it or the march returns it.  Every other point is
-    reached by steps (see _solve_at) from `it`, the last accepted iterate,
-    with up-to-8-deep bisection: a failed step, the first from a converged
-    point included, is retried at the midpoint of the last accepted point
-    and its target.  Without an iterate yet (`it` None), the first point,
-    unless its seeded row converged, is reached by marching sigma down from
-    SIGMA_START at its boundary height; the first step, from the layout's
-    seed, is not bisected.  Every ellipse solve starts so.  Returns the
+    reached by a step (see _solve_at) from `it`, the last accepted iterate,
+    under the march's one step rule, up-to-8-deep bisection: a failed step,
+    the first from a converged point included, is retried at the midpoint
+    of the last accepted point and its target, and the step after a
+    midpoint is to the target again.  Without an iterate yet (`it` None), a
+    first point whose seeded row did not converge is a step from
+    (SIGMA_START, its boundary height), itself solved from the layout's seed
+    without bisection.  Every ellipse solve starts so.  Returns the
     iterate converged at the last point, the Newton iterations and
     factorizations of every accepted step, and the center height at each
     point walked, keyed by point."""
@@ -760,7 +748,7 @@ def _march(layout: Layout, it, points, state: NewtonState, seeds: Seeds):
         # it with factors kept from an earlier solve (a failed sweep row)
         state.factored = None
         sigma, epsilon = points[0]
-        walk[:1] = [(s, epsilon) for s in default_sigma_schedule(sigma)]
+        walk[:1] = [(s, epsilon) for s in dict.fromkeys((SIGMA_START, sigma))]
     for target in walk:
         solution = seeds.get(target, state)
         if solution is not None:

@@ -459,14 +459,14 @@ class TestNewtonState:
         assert len(states) == 1
 
     def test_ball_rejections_are_the_march_total(self):
-        # at sigma = 0.005 and N = 16 the seeded rows fail, and the march
-        # from sigma = 0.8 rejects two trial iterates; a ball step factors at
-        # every iteration
+        # at sigma = 0.005 and N = 16 the first seeded row fails, and the
+        # jump from sigma = 0.8 to it rejects six trial iterates; a ball step
+        # factors at every iteration
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.005, grid_size=16))
         report = sol.report
-        assert report.admissibility_violations == 2
-        assert report.newton_iterations == [2, 4, 4, 3, 3] + [4] * 11 + [6, 4, 4, 3, 3, 3, 3, 2]
+        assert report.admissibility_violations == 6
+        assert report.newton_iterations == [2, 10, 4, 4, 3, 3, 3, 3, 2]
         assert report.factorizations == report.newton_iterations
 
     def test_radial_factors_every_iteration(self):
@@ -699,19 +699,37 @@ class TestPredictor:
         # Newton refactors at u instead of trying the rejected chord step again
         assert state.factored is None
 
-    def test_rejected_prediction_is_tried_once(self):
+    def test_rejected_prediction_is_tried_once(self, monkeypatch):
         # Newton's first chord step repeated a rejected prediction and
-        # counted it twice: 3 violations where 2 trials left the cone
-        sol = solver.continuation_solve(solver.SolverConfig(
-            spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.01,
-            grid_size=64))
-        assert sol.report.admissibility_violations == 2
-        assert abs(sol.u0 - 0.986916566339815) <= 1e-12
+        # counted it twice.  The report counts every state the layout
+        # rejects, 14, 9 and 3 of them here, and none is tried twice
+        rejected = []
+        evaluate = grid.GridLayout.evaluate
+
+        def spy(layout, v, at):
+            try:
+                return evaluate(layout, v, at)
+            except AdmissibilityLostError:
+                rejected.append((at.point(), v.tobytes()))
+                raise
+
+        monkeypatch.setattr(grid.GridLayout, "evaluate", spy)
+        for sigma, u0 in [(0.01, 0.9869165659830836), (0.05, 0.9663307436693871),
+                          (0.2, 0.8763129309957661)]:
+            rejected.clear()
+            sol = solver.continuation_solve(solver.SolverConfig(
+                spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=sigma,
+                grid_size=64))
+            assert rejected
+            assert sol.report.admissibility_violations == len(rejected)
+            assert len(set(rejected)) == len(rejected)
+            assert abs(sol.u0 - u0) <= 1e-12
 
 
 class _ContinuedLayout(solver.RadialLayout):
-    """The radial layout without exact seeding: the driver continues in
-    sigma from the cap at 0.8, then in the boundary height."""
+    """The radial layout without exact seeding: the march solves sigma =
+    0.8 from the cap, steps to its sigma, then continues in the boundary
+    height."""
 
     exact_seed = False
 
@@ -733,13 +751,13 @@ class _BadSeedLayout(solver.RadialLayout):
 
 class _FailOnceLayout(solver.RadialLayout):
     """The radial layout without exact seeding whose residual raises
-    NonConvergenceError once, at the boundary height `fail_at`."""
+    NonConvergenceError once, at the (sigma, epsilon) point `fail_at`."""
 
     exact_seed = False
-    fail_at = 0.025
+    fail_at = (0.5, 0.025)
 
     def evaluate(self, u, at):
-        if at.epsilon[0, 0] == self.fail_at:
+        if at.point() == self.fail_at:
             self.fail_at = None
             raise NonConvergenceError("forced")
         return super().evaluate(u, at)
@@ -782,7 +800,8 @@ class TestExactSeed:
         assert seeded.report.final_residual <= 1e-10
 
     def test_rescues_small_sigma(self):
-        # continuation from sigma = 0.8 exhausts its backtracking at 0.05
+        # the seeded rows converge with no rejected trial; without seeds the
+        # march from sigma = 0.8 converges too, in 9 steps, one rejected
         spec = CurvatureSpec.consecutive_quotient(4, 4)
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=spec, domain=hypgeom.Domain.ball(1.0), sigma_target=0.05,
@@ -808,8 +827,8 @@ class TestExactSeed:
                                   sigma_target=0.3, grid_size=128)
         continued = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         sol = solver.solve_on(_BadSeedLayout(H2H1, cfg.domain, 128), cfg)
-        # the sigma march at the first height, then warm starts: the
-        # continuation's steps
+        # sigma = 0.8 and the step to sigma at the first height, then warm
+        # starts: the continuation's steps
         assert np.array_equal(sol.u, continued.u)
         assert sol.report.newton_iterations == continued.report.newton_iterations
         assert sol.report.u0_by_epsilon == continued.report.u0_by_epsilon
@@ -821,8 +840,8 @@ class TestExactSeed:
                                   sigma_target=0.5, grid_size=128)
         plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         sol = solver.solve_on(_FailOnceLayout(H2H1, cfg.domain, 128), cfg)
-        assert len(plain.report.newton_iterations) == 14
-        assert len(sol.report.newton_iterations) == 15
+        assert len(plain.report.newton_iterations) == 9
+        assert len(sol.report.newton_iterations) == 10
         assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
         assert abs(sol.u0 - plain.u0) <= 1e-12
 
@@ -834,17 +853,17 @@ class TestExactSeed:
                                   sigma_target=0.5, grid_size=128)
         plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
         layout = _FailOnceLayout(H2H1, cfg.domain, 128)
-        layout.fail_at = 0.05
+        layout.fail_at = (0.5, 0.05)
         sol = solver.solve_on(layout, cfg)
-        assert len(sol.report.newton_iterations) == 15
+        assert len(sol.report.newton_iterations) == 10
         assert list(sol.report.u0_by_epsilon) == list(cfg.epsilon_schedule)
         assert abs(sol.u0 - plain.u0) <= 1e-12
 
     def test_march_seeds_only_listed_points(self, monkeypatch):
         # H_1 on K_2 at sigma = 0.002: the stacked seed row of eps = 0.05
         # fails, and the march bisects from 0.1 towards it.  Only the
-        # schedule's heights, and the start of the sigma march when the
-        # first height fails, start from the cap: every midpoint is a step
+        # schedule's heights, and (SIGMA_START, 0.1) when the first height
+        # fails, start from the cap: every midpoint is a step
         seeded = []
         get, solve_at = solver.Seeds.get, solver._solve_at
 
@@ -885,6 +904,81 @@ class TestExactSeed:
             solver.continuation_solve(cfg)
         assert str(exc.value) == ("backtracking exhausted 20 halvings at "
                                   "sigma=0.001, eps=0.051953125")
+
+
+def _fixed_step_march(layout, cfg):
+    """The solve of cfg on layout along the reference path: the sigma
+    schedule in steps of 0.05 from SIGMA_START at the first boundary height,
+    which the march walked before it jumped to its sigma, then the later
+    heights, given to solver._march as explicit points.  Returns the
+    solution and the center heights at sigma, keyed by boundary height."""
+    sigma, schedule = cfg.sigma_target, cfg.epsilon_schedule
+    steps, direction = [solver.SIGMA_START], 1.0 if sigma > solver.SIGMA_START else -1.0
+    while direction * (sigma - (steps[-1] + direction * 0.05)) > 1e-12:
+        steps.append(steps[-1] + direction * 0.05)
+    points = ([(s, schedule[0]) for s in dict.fromkeys(steps + [sigma])]
+              + [(sigma, e) for e in schedule[1:]])
+    it, _, _, u0_by_point = solver._march(layout, None, points, solver.NewtonState(),
+                                          solver.Seeds(layout, points))
+    return layout.solution(it), {e: u0 for (s, e), u0 in u0_by_point.items() if s == sigma}
+
+
+class TestSigmaJump:
+    """A march with no converged start solves (SIGMA_START, epsilon) from
+    the layout's seed and steps from there to its sigma, bisecting on
+    failure: the path changed from the fixed 0.05-step sigma schedule, the
+    answer did not."""
+
+    @pytest.mark.parametrize("sigma", [0.9, 0.5, 0.2, 0.05])
+    def test_ellipse_matches_fixed_steps(self, sigma):
+        # 0.9 jumps up from 0.8, the others down
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
+                                  sigma_target=sigma, grid_size=32)
+        sol = solver.continuation_solve(cfg)
+        ref, _ = _fixed_step_march(grid.GridLayout(H2H1, cfg.domain, 32), cfg)
+        assert len(sol.report.newton_iterations) == 2 + len(cfg.epsilon_schedule) - 1
+        for new, old in zip((sol.u0, *sol.summary()), (ref.u0, *ref.summary())):
+            assert abs(new - old) <= 1e-8 * abs(old)
+
+    @pytest.mark.parametrize("sigma", [0.9, 0.2])
+    def test_ball_matches_fixed_steps(self, sigma):
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=sigma, grid_size=128)
+        sol = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        _, u0_by_epsilon = _fixed_step_march(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        assert sol.report.u0_by_epsilon.keys() == u0_by_epsilon.keys()
+        for e, u0 in u0_by_epsilon.items():
+            assert abs(sol.report.u0_by_epsilon[e] - u0) <= 1e-10
+
+    def test_no_step_at_sigma_start(self):
+        # at sigma = SIGMA_START the solve from the seed is the first point
+        # itself: one step per boundary height, none of 0 iterations
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=solver.SIGMA_START, grid_size=128)
+        report = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg).report
+        iters = report.newton_iterations
+        assert len(iters) == len(cfg.epsilon_schedule) and min(iters) > 0
+
+    def test_failed_jump_is_bisected(self, monkeypatch):
+        # the jump from 0.8 to 0.5 at the first height fails once; the march
+        # takes the midpoint 0.65, then 0.5: one step more than the plain march
+        steps, solve_at = [], solver._solve_at
+
+        def spy(layout, it, at, state):
+            steps.append(at.point())
+            return solve_at(layout, it, at, state)
+
+        monkeypatch.setattr(solver, "_solve_at", spy)
+        cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ball(1.0),
+                                  sigma_target=0.5, grid_size=128)
+        plain = solver.solve_on(_ContinuedLayout(H2H1, cfg.domain, 128), cfg)
+        layout = _FailOnceLayout(H2H1, cfg.domain, 128)
+        layout.fail_at = (0.5, 0.1)
+        steps.clear()
+        sol = solver.solve_on(layout, cfg)
+        assert steps[:4] == [(0.8, 0.1), (0.5, 0.1), (0.5 * (0.8 + 0.5), 0.1), (0.5, 0.1)]
+        assert len(sol.report.newton_iterations) == len(plain.report.newton_iterations) + 1
+        assert abs(sol.u0 - plain.u0) <= 1e-12
 
 
 class TestContinuation:
@@ -1193,11 +1287,6 @@ class TestSchedules:
             solver.SolverConfig(spec=H1, domain=hypgeom.Domain.ball(1.0), sigma_target=0.5,
                                 grid_size=grid_size)
 
-    def test_sigma_default(self):
-        sched = solver.default_sigma_schedule(0.2)
-        assert sched[0] == 0.8 and sched[-1] == 0.2
-        assert all(b < a for a, b in zip(sched, sched[1:]))
-
     def test_invalid_config(self):
         # checked at construction
         with pytest.raises(ValueError):
@@ -1250,12 +1339,12 @@ class TestGridPath:
         assert 0.0 < sol.report.u0_by_epsilon[1e-3] - sol.u0 < 1e-3
 
     def test_every_step_iterates(self):
-        # one step per sigma of the march, then one per boundary height
-        # after the first: the march ends at the first height
+        # two steps at the first height, to sigma = 0.8 from the seed and
+        # from there to sigma, then one per boundary height after the first
         cfg = solver.SolverConfig(spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0),
                                   sigma_target=0.5, grid_size=32)
         iters = solver.continuation_solve(cfg).report.newton_iterations
-        assert len(iters) == len(solver.default_sigma_schedule(0.5)) + len(cfg.epsilon_schedule) - 1
+        assert len(iters) == 2 + len(cfg.epsilon_schedule) - 1
         assert min(iters) > 0
 
     def test_interior_solve_matches_full_system(self):
@@ -1322,9 +1411,10 @@ class TestGridPath:
         sol = solver.continuation_solve(solver.SolverConfig(
             spec=H2H1, domain=hypgeom.Domain.ellipse(1.5, 1.0), sigma_target=0.5,
             grid_size=32))
-        # the full-box solve took the same iterations and factorizations
-        assert sol.report.newton_iterations == [8, 7, 12, 15, 6, 11, 17, 15, 17, 18, 19, 7, 2, 2]
-        assert sol.report.factorizations == [2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+        # (0.8, 0.1) from the seed, the jump to sigma, one step per later
+        # boundary height
+        assert sol.report.newton_iterations == [8, 13, 14, 19, 6, 4, 5, 5, 4]
+        assert sol.report.factorizations == [2, 1, 0, 0, 1, 0, 0, 0, 0]
         U = _unfold(sol.layout, sol.u)
         assert np.array_equal(U, U[::-1, :]) and np.array_equal(U, U[:, ::-1])
         X, Y = np.meshgrid(sol.layout.xs, sol.layout.ys, indexing="ij")
@@ -1496,9 +1586,9 @@ class TestReferenceHeights:
 
     @pytest.mark.parametrize("make", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_moved_state_keeps_its_heights(self, make):
-        # the state at (0.8, 0.1), where the sigma march of either layout
-        # starts, converged and moved to each other point as the deviation
-        # from that point's reference heights
+        # the state at (0.8, 0.1), where a march with no converged start
+        # begins on either layout, converged and moved to each other point
+        # as the deviation from that point's reference heights
         layout = make()
         it, _, _, _ = solver._solve_at(layout, None, layout.at(self.POINTS[:1]),
                                        solver.NewtonState())
