@@ -6,7 +6,8 @@ All point-wise operations are vectorized over a leading batch axis: a
 Hessians are analytic (no finite differences anywhere in this module).
 
 f, its gradient and its Hessian come from one pass (_derivatives), of
-which eval_f, grad_f, hessian_f and check_conditions each make one call.
+which eval_f, grad_f and hessian_f each make one call, and check_conditions
+one per block of CONDITION_BLOCK samples.
 It checks kappa once and copies it once to component-major order, shape
 (n, points), where each elementary symmetric table is built once by the
 prefix recurrence, only up to the highest order read: the cone index for
@@ -373,22 +374,29 @@ SAMPLE_BOX, BOUNDARY_FRACTION, BISECTION_STEPS = 3.0, 0.2, 60
 # positive orthant, about once in 2^n draws, so at n = 16 the 10 000 rounds
 # of _draw_in_cone ran out after about 5 s
 MAX_DIMENSION = 8
+# samples per block of the condition suite and rows per block of the box
+# sampler: the suite holds the samples, f and one block of Hessians
+CONDITION_BLOCK = 2048
 
 
 def _draw_in_cone(rng, n: int, cone_index: int, count: int) -> np.ndarray:
-    got = []
+    """The first count points of K_{cone_index} drawn from the box.  Each
+    round draws max(4 count, 256) rows, in blocks of CONDITION_BLOCK rows,
+    and always the whole round, so the generator's stream and its state
+    after sampling do not depend on the block size."""
+    out = np.empty((count, n))
     have = 0
+    rows = max(4 * count, 256)
     for _ in range(10_000):
-        cand = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(max(4 * count, 256), n))
-        keep = cand[_in_cone(cand, cone_index)]
-        if keep.size:
-            got.append(keep)
-            have += keep.shape[0]
-        if have >= count:
-            break
-    else:
-        raise RuntimeError(f"cone sampler failed to fill K_{cone_index} in R^{n}")
-    return np.concatenate(got, axis=0)[:count]
+        for start in range(0, rows, CONDITION_BLOCK):
+            cand = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(min(CONDITION_BLOCK, rows - start), n))
+            if have < count:
+                keep = cand[_in_cone(cand, cone_index)][: count - have]
+                out[have : have + keep.shape[0]] = keep
+                have += keep.shape[0]
+        if have == count:
+            return out
+    raise RuntimeError(f"cone sampler failed to fill K_{cone_index} in R^{n}")
 
 
 def _exterior_points(rng, m: int, n: int, cone_index: int) -> np.ndarray:
@@ -503,27 +511,44 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
     samples = sample_cone(n, spec.cone_index, sample_count, seed)
     ok = _in_cone(samples, spec.required_cone)
     violations = int(np.size(ok) - np.count_nonzero(ok))
-    valid = samples[ok]
+    valid = samples[ok] if violations else samples
     report = ConditionReport(spec, seed, sample_count, violations)
 
     if valid.shape[0] == 0:
         report.records.append(ConditionRecord("2.1", 0, float("-inf"), 1e-9, False))
         return report
 
-    f, g, h = _derivatives(spec, valid, 2, check_cone=False)
+    # f, its gradient and its Hessian, one block of samples at a time: (2.1),
+    # (2.2) and the partial-derivative assumption keep their extreme per
+    # block, and only f is kept whole, for (2.3) and (2.5)
     m = valid.shape[0]
+    f = np.empty(m)
+    low_g, concavity, high = [], [], []
+    for start in range(0, m, CONDITION_BLOCK):
+        block = valid[start : start + CONDITION_BLOCK]
+        f_b, g, h = _derivatives(spec, block, 2, check_cone=False)
+        f[start : start + block.shape[0]] = f_b
+        # (2.1) ellipticity: every partial derivative strictly positive
+        low_g.append(np.min(g))
+        # (2.2) concavity: Hessian eigenvalues below tolerance.  The largest
+        # is 0, along the radial direction, and is computed with a round-off
+        # that grows with the Hessian towards the cone boundary; the margin
+        # is net of each sample's round-off allowance CONCAVITY_ROUNDOFF * n
+        # * eps * max|H|
+        lam_max = np.linalg.eigvalsh(h)[:, -1]
+        allowance = CONCAVITY_ROUNDOFF * n * np.finfo(float).eps * np.max(np.abs(h), axis=(-2, -1))
+        concavity.append(np.min(allowance - lam_max))
+        # family-specific partial-derivative assumption: the largest sum of
+        # partials (1.3), or the largest kappa_i f_i / f over kappa_i > 0 (1.4)
+        if spec.family == CONSECUTIVE_QUOTIENT:
+            high.append(np.max(np.sum(g, axis=-1)))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                high.append(np.max(np.where(block > 0, block * g / f_b[:, None], -np.inf)))
 
-    # (2.1) ellipticity: every partial derivative strictly positive
-    margin = float(np.min(g))
+    margin = float(np.min(low_g))
     report.records.append(ConditionRecord("2.1", m, margin, 1e-9, margin >= -1e-9))
-
-    # (2.2) concavity: Hessian eigenvalues below tolerance.  The largest is
-    # 0, along the radial direction, and is computed with a round-off that
-    # grows with the Hessian towards the cone boundary; the margin is net of
-    # each sample's round-off allowance CONCAVITY_ROUNDOFF * n * eps * max|H|
-    lam_max = np.linalg.eigvalsh(h)[:, -1]
-    allowance = CONCAVITY_ROUNDOFF * n * np.finfo(float).eps * np.max(np.abs(h), axis=(-2, -1))
-    margin = float(np.min(allowance - lam_max))
+    margin = float(np.min(concavity))
     report.records.append(ConditionRecord("2.2", m, margin, 1e-8, margin >= -1e-8))
 
     # (2.3) positivity inside, decay to zero along rays to the boundary of
@@ -576,16 +601,12 @@ def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> Condi
     margin = float(np.min(fshift - (1.0 + eps0)))
     report.records.append(ConditionRecord("2.6", m6, margin, 1e-9, margin >= -1e-9))
 
-    # family-specific partial-derivative assumption
     if spec.family == CONSECUTIVE_QUOTIENT:
         bound = float(max(spec.k, n - spec.k + 1))
-        margin = float(bound - np.max(np.sum(g, axis=-1)))
+        margin = float(bound - np.max(high))
         report.records.append(ConditionRecord("1.3", m, margin, 1e-8, margin >= -1e-8))
     else:
-        pos = valid > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(pos, valid * g / f[:, None], -np.inf)
-        margin = float(1.0 / (spec.k - spec.l) - np.max(ratios))
+        margin = float(1.0 / (spec.k - spec.l) - np.max(high))
         report.records.append(ConditionRecord("1.4", m, margin, 1e-8, margin >= -1e-8))
 
     return report

@@ -172,27 +172,40 @@ def algebraic_subinequalities(samples: int, seed: int) -> dict:
     root_residual = float(np.max(np.abs(a * eta**2 - 2.0 * eta - 2.0)))
     report["root_identity_residual"] = root_residual
 
-    # (i): summand positivity at kappa <= -eta
-    kap = -eta - rng.exponential(5.0, samples)
-    record("summand_positive", a * kap**2 + 2.0 * kap - 2.0)
+    # each check below runs as its draws arrive, and drops its arrays after
+    # their last use; only a and eta live through all of them
 
-    # (ii): the mu-window quadratic bound, both inequalities
+    # (i): summand positivity at kappa <= -eta
+    kap = -eta
+    kap -= rng.exponential(5.0, samples)
+    record("summand_positive", a * kap**2 + 2.0 * kap - 2.0)
+    del kap
+
+    # (ii): the mu-window quadratic bound, both inequalities; mu is drawn
+    # from [1/8, t*] and scaled by a^2 in place
     nu = rng.uniform(2.0 * a, 1.0)
-    t_star = (1.0 - a**2) / (4.0 * ((nu - a) ** 2 + 1.0 - a**2))
-    mu = a**2 * rng.uniform(1.0 / 8.0, t_star)
+    mu = rng.uniform(1.0 / 8.0, (1.0 - a**2) / (4.0 * ((nu - a) ** 2 + 1.0 - a**2)))
+    mu *= a**2
     kap2 = rng.uniform(-eta, nu)
     lhs = (a - 2.0 * mu / a) * kap2**2 + (4.0 * mu / a) * kap2 * nu \
         + a - (2.0 * mu / a) * nu**2
+    del mu, nu
     mid = 0.5 * a * kap2**2 + a**2 * kap2 + 0.5 * a
-    record("mu_window_reduction", lhs - mid)
+    del kap2
+    lhs -= mid
+    record("mu_window_reduction", lhs)
+    del lhs
     record("reduced_quadratic_positive", mid)
+    del mid
 
     # (iii): negative discriminant
     a3 = rng.uniform(1e-6, 1.0 - 1e-12, samples)
     record("negative_discriminant", -(a3**4 - a3**2))
+    del a3
 
     # (iv): window nonemptiness criterion
-    kappa1 = rng.exponential(200.0, samples) + 1e-6
+    kappa1 = rng.exponential(200.0, samples)
+    kappa1 += 1e-6
     nonempty = theta_window(a, eta / kappa1)[2]
     criterion = kappa1 > _window_threshold(a, eta)
     report["checks"]["window_criterion"] = {

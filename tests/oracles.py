@@ -8,15 +8,20 @@ package's analytic or closed-form computation against:
   and the second contraction of F with its difference quotients;
 - the sampled suprema of the two gradient assumptions (1.3) and (1.4);
 - a condition report as text, for failure messages;
-- the discrete check of lemma 2.1(ii) on radial solutions.
+- the discrete check of lemma 2.1(ii) on radial solutions;
+- the condition suite, its box sampler and the algebraic sub-inequalities
+  as they were before they ran in blocks: each on its whole batch at once,
+  for the tests to hold the blocked reports to bit for bit, and the traced
+  peak of the memory a call allocates.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from hyperplateau import solver, symfunc
+from hyperplateau import solver, symfunc, verify
 from hyperplateau.errors import UnsupportedSolutionError
 from hyperplateau.symfunc import CurvatureSpec
 
@@ -257,3 +262,187 @@ def check_lemma21_ii(solution: solver.GraphSolution) -> float:
     lhs = (u[i] / w[i]) * dnu
     rhs = -(up[i] / w[i]) * (solution.kappa[i, 0] - nu[i])
     return float(np.max(np.abs(lhs - rhs)))
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch references of the sampled checks.  Each holds its whole batch
+# at once: the box sampler every kept row of a round, the condition suite f,
+# the gradient and the Hessian of every sample, and the algebraic checks
+# every draw until they return.
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated by call() above what was allocated before it,
+    as tracemalloc sees them; numpy reports its array buffers to it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def draw_in_cone(rng, n: int, cone_index: int, count: int) -> np.ndarray:
+    """count points of K_{cone_index} by rejection from the box, each round
+    drawn as one array of max(4 count, 256) rows."""
+    got = []
+    have = 0
+    for _ in range(10_000):
+        cand = rng.uniform(-symfunc.SAMPLE_BOX, symfunc.SAMPLE_BOX, size=(max(4 * count, 256), n))
+        keep = cand[symfunc._in_cone(cand, cone_index)]
+        if keep.size:
+            got.append(keep)
+            have += keep.shape[0]
+        if have >= count:
+            break
+    else:
+        raise RuntimeError(f"cone sampler failed to fill K_{cone_index} in R^{n}")
+    return np.concatenate(got, axis=0)[:count]
+
+
+def sample_cone(n: int, cone_index: int, count: int, seed: int) -> np.ndarray:
+    """symfunc.sample_cone with the whole-batch box sampler draw_in_cone."""
+    rng = np.random.default_rng(seed)
+    samples = draw_in_cone(rng, n, cone_index, count)
+    m = int(symfunc.BOUNDARY_FRACTION * count)
+    if m:
+        idx = rng.choice(count, size=m, replace=False)
+        t = rng.uniform(0.9, 0.999, size=m)
+        samples[idx] = symfunc.push_toward_boundary(samples[idx], cone_index, rng, t)
+    return samples
+
+
+def check_conditions(spec: CurvatureSpec, sample_count: int, seed: int) -> symfunc.ConditionReport:
+    """symfunc.check_conditions on the whole batch at once, its samples
+    drawn by sample_cone above."""
+    Record = symfunc.ConditionRecord
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    n = spec.n
+    samples = sample_cone(n, spec.cone_index, sample_count, seed)
+    ok = symfunc._in_cone(samples, spec.required_cone)
+    violations = int(np.size(ok) - np.count_nonzero(ok))
+    valid = samples[ok]
+    report = symfunc.ConditionReport(spec, seed, sample_count, violations)
+
+    if valid.shape[0] == 0:
+        report.records.append(Record("2.1", 0, float("-inf"), 1e-9, False))
+        return report
+
+    f, g, h = symfunc._derivatives(spec, valid, 2, check_cone=False)
+    m = valid.shape[0]
+
+    margin = float(np.min(g))
+    report.records.append(Record("2.1", m, margin, 1e-9, margin >= -1e-9))
+
+    lam_max = np.linalg.eigvalsh(h)[:, -1]
+    allowance = symfunc.CONCAVITY_ROUNDOFF * n * np.finfo(float).eps * np.max(np.abs(h), axis=(-2, -1))
+    margin = float(np.min(allowance - lam_max))
+    report.records.append(Record("2.2", m, margin, 1e-8, margin >= -1e-8))
+
+    margin = float(np.min(f))
+    pool = valid[: min(4 * 32, m)]
+    b = symfunc.boundary_points(rng, pool, spec.vanishing_cone)
+    if spec.k > 1:
+        e_b = symfunc._esym_rows(symfunc._columns(b), spec.k - 1)
+        generic = np.all(e_b[1:] > 1e-2, axis=0)
+    else:
+        generic = np.ones(b.shape[0], dtype=bool)
+    b, a = b[generic][:32], pool[generic][:32]
+    if a.shape[0]:
+        dists = (1e-3, 1e-6, 1e-9, 1e-12)
+        rays = b + np.array(dists)[:, None, None] * (a - b)
+        vals = symfunc.eval_f(spec, np.concatenate([rays, a[None]]), check_cone=False)
+        vals, fa = vals[:-1], vals[-1]
+        if np.any(np.isnan(vals)):
+            margin = -1.0
+        else:
+            margin = min(margin, float(np.min(vals[1:-1] - vals[2:] + 1e-12)))
+            margin = min(margin, float(np.min(0.01 * (1.0 + fa) - vals[-1])))
+    report.records.append(Record("2.3", m, margin, 1e-9, margin >= -1e-9))
+
+    err = abs(symfunc.eval_f(spec, np.ones(n), check_cone=False) - 1.0)
+    report.records.append(Record("2.4", 1, -err, 1e-9, err <= 1e-9))
+
+    t = rng.uniform(0.1, 10.0, size=m)
+    ft = symfunc.eval_f(spec, valid * t[:, None], check_cone=False)
+    rel = np.abs(ft - t * f) / (1.0 + np.abs(t * f))
+    margin = float(-np.max(rel))
+    report.records.append(Record("2.5", m, margin, 1e-9, margin >= -1e-9))
+
+    eps0, delta0, big = 0.1, 0.1, 1e3
+    m6 = min(1000, sample_count)
+    dirs = rng.normal(size=(m6, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lam = np.ones(n) + rng.uniform(0.0, delta0, size=(m6, 1)) * dirs
+    lam_shift = lam.copy()
+    lam_shift[:, -1] += big
+    fshift = symfunc.eval_f(spec, lam_shift, check_cone=False)
+    margin = float(np.min(fshift - (1.0 + eps0)))
+    report.records.append(Record("2.6", m6, margin, 1e-9, margin >= -1e-9))
+
+    if spec.family == symfunc.CONSECUTIVE_QUOTIENT:
+        bound = float(max(spec.k, n - spec.k + 1))
+        margin = float(bound - np.max(np.sum(g, axis=-1)))
+        report.records.append(Record("1.3", m, margin, 1e-8, margin >= -1e-8))
+    else:
+        pos = valid > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(pos, valid * g / f[:, None], -np.inf)
+        margin = float(1.0 / (spec.k - spec.l) - np.max(ratios))
+        report.records.append(Record("1.4", m, margin, 1e-8, margin >= -1e-8))
+
+    return report
+
+
+def algebraic_subinequalities(samples: int, seed: int) -> dict:
+    """verify.algebraic_subinequalities with every draw held to the end."""
+    rng = np.random.default_rng(seed)
+    report = {"samples": int(samples), "seed": int(seed), "checks": {}}
+
+    def record(name, margins):
+        margins = np.asarray(margins, dtype=float)
+        report["checks"][name] = {
+            "violations": int(np.sum(margins < 0.0)),
+            "worst_margin": float(np.min(margins)),
+        }
+
+    a = rng.uniform(1e-3, 0.5, samples)
+    eta = verify.eta_of(a)
+
+    root_residual = float(np.max(np.abs(a * eta**2 - 2.0 * eta - 2.0)))
+    report["root_identity_residual"] = root_residual
+
+    kap = -eta - rng.exponential(5.0, samples)
+    record("summand_positive", a * kap**2 + 2.0 * kap - 2.0)
+
+    nu = rng.uniform(2.0 * a, 1.0)
+    t_star = (1.0 - a**2) / (4.0 * ((nu - a) ** 2 + 1.0 - a**2))
+    mu = a**2 * rng.uniform(1.0 / 8.0, t_star)
+    kap2 = rng.uniform(-eta, nu)
+    lhs = (a - 2.0 * mu / a) * kap2**2 + (4.0 * mu / a) * kap2 * nu \
+        + a - (2.0 * mu / a) * nu**2
+    mid = 0.5 * a * kap2**2 + a**2 * kap2 + 0.5 * a
+    record("mu_window_reduction", lhs - mid)
+    record("reduced_quadratic_positive", mid)
+
+    a3 = rng.uniform(1e-6, 1.0 - 1e-12, samples)
+    record("negative_discriminant", -(a3**4 - a3**2))
+
+    kappa1 = rng.exponential(200.0, samples) + 1e-6
+    nonempty = verify.theta_window(a, eta / kappa1)[2]
+    criterion = kappa1 > verify._window_threshold(a, eta)
+    report["checks"]["window_criterion"] = {
+        "violations": int(np.sum(nonempty != criterion)),
+        "worst_margin": 0.0 if np.all(nonempty == criterion) else -1.0,
+    }
+
+    report["passed"] = (
+        all(c["violations"] == 0 for c in report["checks"].values())
+        and root_residual <= 1e-10
+    )
+    return report

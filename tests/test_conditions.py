@@ -57,6 +57,35 @@ def test_negative_control_flags_cone_violations():
     assert report.cone_violations > 0
 
 
+BLOCK = symfunc.CONDITION_BLOCK
+# H_2/H_1 at n = 4 and 8, the (1.4) branch, and the sign test of K_n
+BLOCKED_SPECS = [
+    CurvatureSpec.consecutive_quotient(2, 4),
+    CurvatureSpec.consecutive_quotient(2, 8),
+    CurvatureSpec.general_quotient(3, 1, 4),
+    CurvatureSpec.kth_root(4, 4),
+]
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17])
+@pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.describe())
+def test_blocked_report_is_the_whole_batch_report(spec, count):
+    # every margin is an extreme over samples of per-sample values, so the
+    # blocks change no bit of the report
+    report = symfunc.check_conditions(spec, count, seed=4)
+    assert report.records[0].samples == count
+    assert report.to_dict() == oracles.check_conditions(spec, count, seed=4).to_dict()
+
+
+def test_condition_suite_memory_per_sample():
+    # the samples, f and one block of Hessians: about 262 B per sample at
+    # n = 8, against 1320 when the suite held every sample's Hessian
+    spec = CurvatureSpec.consecutive_quotient(2, 8)
+    symfunc.check_conditions(spec, 10, seed=0)
+    peak = oracles.traced_peak(lambda: symfunc.check_conditions(spec, 30_000, seed=0))
+    assert peak / 30_000 <= 512
+
+
 def test_determinism():
     spec = CurvatureSpec.consecutive_quotient(2, 3)
     r1 = symfunc.check_conditions(spec, 1000, seed=42)

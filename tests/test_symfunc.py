@@ -379,11 +379,28 @@ class TestPointsMajorHessian:
             assert np.array_equal(got, got.T)
 
 
+class TestBlockedSampler:
+    @pytest.mark.parametrize("n, k, count", [
+        (2, 1, 1), (4, 2, symfunc.CONDITION_BLOCK // 4 + 1), (4, 4, symfunc.CONDITION_BLOCK + 1),
+        (8, 2, 2 * symfunc.CONDITION_BLOCK + 17), (8, 8, 300)])
+    def test_draws_and_stream_are_the_whole_round_sampler(self, n, k, count):
+        # a round drawn in blocks is the round drawn whole: the same points,
+        # and the generator left in the same state
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(symfunc._draw_in_cone(rng, n, k, count),
+                              oracles.draw_in_cone(ref, n, k, count))
+        assert rng.random() == ref.random()
+        assert np.array_equal(symfunc.sample_cone(n, k, count, seed=9),
+                              oracles.sample_cone(n, k, count, seed=9))
+
+
 class TestOnePass:
     @pytest.mark.parametrize("spec", families_up_to_4(), ids=lambda s: s.describe())
     def test_check_conditions_builds_each_drop_one_table_once(self, spec, monkeypatch):
-        # f, its gradient and its Hessian of the sample batch come from one
-        # pass: the n tables that leave one component out are built once
+        # f, its gradient and its Hessian of each block of the sample batch
+        # come from one pass: the n tables that leave one component out are
+        # built once per block, and the blocks cover the batch, in one block
+        # of 500 samples and in two of CONDITION_BLOCK + 17
         built = []
         esym_rows = symfunc._esym_rows
 
@@ -393,10 +410,14 @@ class TestOnePass:
             return esym_rows(cols, order, rows)
 
         monkeypatch.setattr(symfunc, "_esym_rows", spy)
-        report = symfunc.check_conditions(spec, 500, seed=3)
-        batch = report.records[0].samples
-        assert batch > 0
-        assert built.count(batch) == spec.n
+        block = symfunc.CONDITION_BLOCK
+        for count, blocks in ((500, 1), (block + 17, 2)):
+            built.clear()
+            report = symfunc.check_conditions(spec, count, seed=3)
+            batch = report.records[0].samples
+            sizes = [min(block, batch - start) for start in range(0, batch, block)]
+            assert batch > 0 and len(sizes) == blocks
+            assert built == [size for size in sizes for _ in range(spec.n)]
 
     @pytest.mark.parametrize("spec", families_up_to_4(), ids=lambda s: s.describe())
     def test_check_conditions_calls_eval_f_once_per_batch(self, spec, monkeypatch):
